@@ -477,7 +477,7 @@ let t4 () =
     in
     let estimates = Array.of_list (List.map (fun (_, _, e) -> e) triples) in
     let policy = List.nth Resa_sim.Policy.all policy_idx in
-    let trace = Resa_sim.Simulator.run_estimated ~policy ~m:32 ~estimates subs in
+    let trace = Resa_sim.Simulator.run ~policy ~m:32 ~estimates subs in
     let s = Resa_sim.Metrics.summarize trace in
     [
       Printf.sprintf "%.1f" factor;

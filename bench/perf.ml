@@ -44,16 +44,16 @@ let profile_tests =
       (Staged.stage (fun () -> ignore (Profile.integral_on usage ~lo:0 ~hi:10_000)));
   ]
 
-let heap_tests =
+let eventq_tests =
   [
-    Test.make ~name:"event-heap/push-pop-1k"
+    Test.make ~name:"eventq/push-pop-1k"
       (Staged.stage (fun () ->
-           let h = Resa_sim.Event_heap.create () in
+           let q = Resa_sim.Eventq.create () in
            for i = 0 to 999 do
-             Resa_sim.Event_heap.push h ~time:((i * 7919) mod 1000) i
+             Resa_sim.Eventq.push q ~time:((i * 7919) mod 1000) i
            done;
-           while not (Resa_sim.Event_heap.is_empty h) do
-             ignore (Resa_sim.Event_heap.pop h)
+           while not (Resa_sim.Eventq.is_empty q) do
+             ignore (Resa_sim.Eventq.pop q : int)
            done));
   ]
 
@@ -71,7 +71,7 @@ let simulator_tests =
              (Resa_sim.Simulator.run ~policy:Resa_sim.Policy.easy ~m:128 subs)));
   ]
 
-let all_tests = algorithm_tests @ profile_tests @ heap_tests @ simulator_tests
+let all_tests = algorithm_tests @ profile_tests @ eventq_tests @ simulator_tests
 
 (* Parse the trailing "n=<d>" convention of benchmark names, for the JSON
    records ("lsrc/n=200" -> 200); 0 when the name carries no size. *)

@@ -17,26 +17,20 @@
    is monotone across rows — only the first row of a given size regime
    measures that regime cleanly.
 
-   Three further row families ride on the same schema:
+   Two further row families ride on the same schema:
    - algo = "allocs_ev:<policy>": minor words allocated per event (arrival
      or completion) over the whole replay, iterator and incremental metrics
      included. Deterministic, so benchdiff gates it like a wall row — the
      flat-core engine keeps it O(1) and small.
-   - algo = "phase:decide:<policy>" / "phase:other:<policy>": wall seconds
-     split into policy decide time (the engine's wall.decide_ns histogram)
-     and everything else (drain/admit/commit/stream), from a second
-     metrics-enabled run so the timer never taxes the gated wall row.
-     Emitted in --small mode only; informational in benchdiff.
    - algo = "eventq:<impl>" (one row, n = 0): stamps which event-queue
-     implementation produced the numbers; informational. *)
+     implementation produced the numbers; informational.
+
+   The per-layer split of a replay's wall time (ingest, event queue,
+   decide, timeline, metrics) lives in the benchmark/ ledger. *)
 
 open Resa_core
 
 let replay_seed = 4242
-
-(* The simulator's per-decision wall timer; reading the registered
-   histogram back by name yields the same cell. *)
-let decide_hist = Resa_obs.Metrics.histogram "wall.decide_ns"
 
 let run () =
   Printf.printf "\n=== PERF: Streaming replay throughput (m=128, mean_gap=150, gc_every=1000) ===\n";
@@ -52,27 +46,23 @@ let run () =
     (fun n ->
       List.iter
         (fun (policy : Resa_sim.Policy.t) ->
-          let replay () =
-            let rng = Prng.create ~seed:replay_seed in
-            let src =
-              Resa_swf.Swf_stream.synthetic ~overestimate rng ~m ~n ~max_runtime ~mean_gap
-            in
-            let ms = Resa_sim.Metrics.Stream.create ~m ~reservations:[] () in
-            let t0 = Resa_obs.Prof.now_ns () in
-            let stats =
-              Resa_sim.Simulator.run_stream ~gc_every
-                ~on_record:(Resa_sim.Metrics.Stream.observe ms) ~policy ~m
-                (fun () ->
-                  Option.map
-                    (fun (a : Resa_swf.Swf_stream.arrival) ->
-                      Resa_sim.Simulator.{ job = a.job; submit = a.submit; estimate = a.estimate })
-                    (src ()))
-            in
-            let wall_s = float_of_int (Resa_obs.Prof.now_ns () - t0) /. 1e9 in
-            (stats, ms, wall_s)
-          in
           let mw0 = Gc.minor_words () in
-          let stats, ms, wall_s = replay () in
+          let rng = Prng.create ~seed:replay_seed in
+          let src =
+            Resa_swf.Swf_stream.synthetic ~overestimate rng ~m ~n ~max_runtime ~mean_gap
+          in
+          let ms = Resa_sim.Metrics.Stream.create ~m ~reservations:[] () in
+          let t0 = Resa_obs.Prof.now_ns () in
+          let stats =
+            Resa_sim.Simulator.run_stream ~gc_every
+              ~on_record:(Resa_sim.Metrics.Stream.observe ms) ~policy ~m
+              (fun () ->
+                Option.map
+                  (fun (a : Resa_swf.Swf_stream.arrival) ->
+                    Resa_sim.Simulator.{ job = a.job; submit = a.submit; estimate = a.estimate })
+                  (src ()))
+          in
+          let wall_s = float_of_int (Resa_obs.Prof.now_ns () - t0) /. 1e9 in
           let allocs_ev =
             (Gc.minor_words () -. mw0)
             /. float_of_int (max 1 (2 * stats.Resa_sim.Simulator.jobs))
@@ -107,27 +97,7 @@ let run () =
           in
           records := mk ("rss_mb:" ^ policy.Resa_sim.Policy.name) rss_mb :: !records;
           records := mk ("allocs_ev:" ^ policy.Resa_sim.Policy.name) allocs_ev :: !records;
-          records := mk policy.Resa_sim.Policy.name wall_s :: !records;
-          (* Phase split from a second, metrics-enabled run: the decide_ns
-             timer costs two clock reads per decision, so it never runs
-             during the gated wall measurement above. Small mode only — the
-             full sweep replays 10M jobs per policy and the split is about
-             shape, not scale. *)
-          if !Perf.small then begin
-            let was_enabled = Resa_obs.Metrics.enabled () in
-            Resa_obs.Metrics.reset ();
-            Resa_obs.Metrics.enable ();
-            let _, _, wall2 = replay () in
-            let decide_s =
-              float_of_int (Resa_obs.Metrics.hist_sum decide_hist) /. 1e9
-            in
-            if not was_enabled then Resa_obs.Metrics.disable ();
-            Resa_obs.Metrics.reset ();
-            records := mk ("phase:decide:" ^ policy.Resa_sim.Policy.name) decide_s :: !records;
-            records :=
-              mk ("phase:other:" ^ policy.Resa_sim.Policy.name) (Float.max 0. (wall2 -. decide_s))
-              :: !records
-          end)
+          records := mk policy.Resa_sim.Policy.name wall_s :: !records)
         Resa_sim.Policy.all)
     sizes;
   print_string (Resa_stats.Table.render t);

@@ -3,10 +3,10 @@
    Subcommands:
      generate   emit an instance file from one of the built-in families
      solve      run a scheduling algorithm on an instance file
-     simulate   online simulation of an SWF trace under a chosen policy
-                (--trace/--chrome/--csv export the observability streams)
-     replay     constant-memory streaming replay of a (synthetic or SWF)
-                trace: incremental metrics, timeline history GC, flat RSS
+     replay     online simulation of a (synthetic or SWF) trace under the
+                chosen policies, streamed in constant memory: incremental
+                metrics, timeline history GC, flat RSS (--trace/--chrome/--csv
+                export the observability streams)
      explain    replay a JSONL event trace: per job, why it started when it did
      top        live terminal view of a heartbeat stream (replay --heartbeat)
      benchdiff  regression gate over two bench trajectory JSON files
@@ -27,17 +27,6 @@ open Resa_algos
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed (reproducible).")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Worker domains for parallel sections (overrides $(b,RESA_DOMAINS); results are \
-           identical at any value).")
-
-let apply_jobs = Option.iter Resa_par.set_domains
 
 let read_instance path =
   match if path = "-" then Instance_io.of_string (In_channel.input_all stdin) else Instance_io.read_file path with
@@ -187,163 +176,24 @@ let solve_cmd =
     Term.(const solve $ path $ algo $ priority $ gantt $ width)
 
 (* ------------------------------------------------------------------ *)
-(* simulate                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let simulate swf_path m n max_runtime mean_gap seed policy_name overestimate jobs trace_out
-    chrome_out csv_out =
-  apply_jobs jobs;
-  let rng = Prng.create ~seed in
-  let entries =
-    match swf_path with
-    | Some path -> (
-      match In_channel.with_open_text path In_channel.input_all |> Resa_swf.Swf.parse_string with
-      | Ok entries -> entries
-      | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 2)
-    | None -> Resa_swf.Swf.generate ~overestimate rng ~m ~n ~max_runtime ~mean_gap
-  in
-  let triples = Resa_swf.Swf.to_estimated_workload entries ~m in
-  let job_numbers = Resa_swf.Swf.job_numbers entries in
-  let subs = List.map (fun (job, submit, _) -> Resa_sim.Simulator.{ job; submit }) triples in
-  let estimates = Array.of_list (List.map (fun (_, _, e) -> e) triples) in
-  let policies =
-    let open Resa_sim.Policy in
-    match String.lowercase_ascii policy_name with
-    | "all" -> all
-    | "fcfs" -> [ fcfs ]
-    | "easy" -> [ easy ]
-    | "cons" | "conservative" -> [ conservative ]
-    | "lsrc" | "aggressive" -> [ aggressive ]
-    | other ->
-      Printf.eprintf "unknown policy %S\n" other;
-      exit 2
-  in
-  let trace_out =
-    match trace_out with Some _ as p -> p | None -> Sys.getenv_opt "RESA_TRACE"
-  in
-  let tracing = trace_out <> None || chrome_out <> None || csv_out <> None in
-  print_endline Resa_sim.Metrics.header;
-  (* One independent simulation per policy: fan out over the domain pool
-     (row order, and hence output, is policy order regardless of pool
-     size). Each run owns a private ring-buffer sink, so traced event
-     streams are deterministic at any pool size; they are serialised below
-     in policy order. *)
-  let results =
-    Resa_par.parallel_map_list
-      (fun policy ->
-        let obs = if tracing then Resa_obs.Trace.buffer () else Resa_obs.Trace.null in
-        let trace = Resa_sim.Simulator.run_estimated ~obs ~policy ~m ~estimates subs in
-        let s = Resa_sim.Metrics.summarize trace in
-        ( policy.Resa_sim.Policy.name,
-          Resa_sim.Metrics.row ~name:policy.Resa_sim.Policy.name s,
-          trace,
-          obs ))
-      policies
-  in
-  List.iter (fun (_, row, _, _) -> print_endline row) results;
-  Option.iter
-    (fun path ->
-      Out_channel.with_open_text path (fun oc ->
-          List.iter (fun (name, _, _, obs) -> Resa_obs.Trace.flush_jsonl ~run:name oc obs) results))
-    trace_out;
-  Option.iter
-    (fun path ->
-      let slices =
-        List.concat_map
-          (fun (name, _, trace, _) -> Resa_sim.Sim_trace.chrome_slices ~process:name trace)
-          results
-        @ (if Resa_obs.Prof.enabled () then
-             Resa_obs.Chrome.of_spans ~process:"executor" (Resa_obs.Prof.spans ())
-           else [])
-      in
-      Out_channel.with_open_text path (fun oc -> Resa_obs.Chrome.write oc slices))
-    chrome_out;
-  Option.iter
-    (fun path ->
-      Out_channel.with_open_text path (fun oc ->
-          List.iteri
-            (fun i (name, _, trace, obs) ->
-              let provs = Resa_obs.Trace.start_provenances (Resa_obs.Trace.contents obs) in
-              let provenance id =
-                match List.assoc_opt id provs with
-                | Some p -> Resa_obs.Trace.provenance_to_string p
-                | None -> ""
-              in
-              let csv =
-                Resa_sim.Metrics.per_job_csv ~run:name
-                  (Resa_sim.Metrics.per_job ~provenance ~job_numbers trace)
-              in
-              (* One header for the whole file. *)
-              let csv =
-                if i = 0 then csv
-                else
-                  match String.index_opt csv '\n' with
-                  | Some k -> String.sub csv (k + 1) (String.length csv - k - 1)
-                  | None -> csv
-              in
-              Out_channel.output_string oc csv)
-            results))
-    csv_out
-
-let simulate_cmd =
-  let swf =
-    Arg.(value & opt (some string) None & info [ "swf" ] ~docv:"FILE" ~doc:"SWF trace file (otherwise synthetic).")
-  in
-  let m = Arg.(value & opt int 64 & info [ "m" ] ~doc:"Number of machines.") in
-  let n = Arg.(value & opt int 200 & info [ "n" ] ~doc:"Synthetic trace length.") in
-  let max_runtime = Arg.(value & opt int 200 & info [ "max-runtime" ] ~doc:"Synthetic max runtime.") in
-  let mean_gap = Arg.(value & opt float 5.0 & info [ "mean-gap" ] ~doc:"Mean inter-arrival gap.") in
-  let policy = Arg.(value & opt string "all" & info [ "policy" ] ~doc:"all, fcfs, easy, cons or lsrc.") in
-  let overestimate =
-    Arg.(
-      value & opt float 1.0
-      & info [ "overestimate" ]
-          ~doc:"Mean walltime overestimation factor for synthetic traces (>= 1).")
-  in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Write the structured event stream (JSONL, one event per line, tagged with the \
-             policy name) to $(docv). Defaults to $(b,RESA_TRACE) when set.")
-  in
-  let chrome_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chrome" ] ~docv:"FILE"
-          ~doc:
-            "Write a Chrome trace-event JSON Gantt view (one process per policy, one track per \
-             processor; open in Perfetto or chrome://tracing) to $(docv).")
-  in
-  let csv_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE"
-          ~doc:
-            "Write per-job metrics (submit, start, wait, slowdown, provenance) as CSV to \
-             $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "simulate" ~doc:"Online simulation of a (synthetic or SWF) trace")
-    Term.(
-      const simulate $ swf $ m $ n $ max_runtime $ mean_gap $ seed_arg $ policy $ overestimate
-      $ jobs_arg $ trace_out $ chrome_out $ csv_out)
-
-(* ------------------------------------------------------------------ *)
 (* replay                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let replay swf_path m n max_runtime mean_gap seed policy_name overestimate gc_every
-    heartbeat_out hb_every hb_dt prom_out metrics_on max_allocs =
+    heartbeat_out hb_every hb_dt prom_out metrics_on max_allocs trace_out chrome_out csv_out =
   (* --prom needs the registry populated; --metrics asks for it explicitly
      (same switch as RESA_METRICS=1). *)
   if metrics_on || prom_out <> None then Resa_obs.Metrics.enable ();
+  let trace_out =
+    match trace_out with Some _ as p -> p | None -> Sys.getenv_opt "RESA_TRACE"
+  in
+  (* Exports are opt-in: without them a run keeps no per-job state, so the
+     constant-memory replay is unchanged. The event stream (for --trace and
+     the CSV provenance column) goes to a per-run ring buffer; start records
+     and archive job numbers are collected only for --chrome/--csv. *)
+  let tracing = trace_out <> None || csv_out <> None in
+  let collect = chrome_out <> None || csv_out <> None in
+  let exports = ref [] in
   let policies =
     let open Resa_sim.Policy in
     match String.lowercase_ascii policy_name with
@@ -387,6 +237,14 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate gc_ev
       List.iter
         (fun policy ->
           let ms = Resa_sim.Metrics.Stream.create ~m ~reservations:[] () in
+          let obs = if tracing then Resa_obs.Trace.buffer () else Resa_obs.Trace.null in
+          let records = ref [] and job_numbers = ref [] in
+          let on_record =
+            if collect then (fun r ->
+              Resa_sim.Metrics.Stream.observe ms r;
+              records := r :: !records)
+            else Resa_sim.Metrics.Stream.observe ms
+          in
           let mw0 = Gc.minor_words () in
           let t0 = Resa_obs.Prof.now_ns () in
           let on_heartbeat =
@@ -416,13 +274,12 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate gc_ev
           let stats =
             try
               with_stream (fun src ->
-                  Resa_sim.Simulator.run_stream ~gc_every ~heartbeat_every:hb_every
-                    ~heartbeat_dt:hb_dt ?on_heartbeat
-                    ~on_record:(Resa_sim.Metrics.Stream.observe ms)
-                    ~policy ~m
+                  Resa_sim.Simulator.run_stream ~obs ~gc_every ~heartbeat_every:hb_every
+                    ~heartbeat_dt:hb_dt ?on_heartbeat ~on_record ~policy ~m
                     (fun () ->
                       Option.map
                         (fun (a : Resa_swf.Swf_stream.arrival) ->
+                          if collect then job_numbers := a.job_number :: !job_numbers;
                           Resa_sim.Simulator.
                             { job = a.job; submit = a.submit; estimate = a.estimate })
                         (src ())))
@@ -454,8 +311,67 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate gc_ev
             (Resa_sim.Metrics.Stream.wait_p95 ms)
             s.Resa_sim.Metrics.mean_slowdown s.Resa_sim.Metrics.utilization wall_s
             (float_of_int stats.Resa_sim.Simulator.jobs /. Float.max wall_s 1e-9)
-            stats.Resa_sim.Simulator.max_live rss_mb allocs_ev)
+            stats.Resa_sim.Simulator.max_live rss_mb allocs_ev;
+          (* Ids number the arrivals in stream order, which is submission
+             order: sorting the start-ordered records by id restores the
+             submission order the batch trace format promises. *)
+          let records =
+            List.sort
+              (fun (a : Resa_sim.Simulator.record) b -> Int.compare (Job.id a.job) (Job.id b.job))
+              !records
+          in
+          let trace =
+            Resa_sim.Simulator.
+              { m; reservations = []; records; makespan = stats.Resa_sim.Simulator.makespan }
+          in
+          exports :=
+            (policy.Resa_sim.Policy.name, obs, trace, Array.of_list (List.rev !job_numbers))
+            :: !exports)
         policies);
+  let exports = List.rev !exports in
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_text path (fun oc ->
+          List.iter (fun (name, obs, _, _) -> Resa_obs.Trace.flush_jsonl ~run:name oc obs) exports))
+    trace_out;
+  Option.iter
+    (fun path ->
+      let slices =
+        List.concat_map
+          (fun (name, _, trace, _) -> Resa_sim.Sim_trace.chrome_slices ~process:name trace)
+          exports
+        @ (if Resa_obs.Prof.enabled () then
+             Resa_obs.Chrome.of_spans ~process:"executor" (Resa_obs.Prof.spans ())
+           else [])
+      in
+      Out_channel.with_open_text path (fun oc -> Resa_obs.Chrome.write oc slices))
+    chrome_out;
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_text path (fun oc ->
+          List.iteri
+            (fun i (name, obs, trace, job_numbers) ->
+              let provs = Resa_obs.Trace.start_provenances (Resa_obs.Trace.contents obs) in
+              let provenance id =
+                match List.assoc_opt id provs with
+                | Some p -> Resa_obs.Trace.provenance_to_string p
+                | None -> ""
+              in
+              let csv =
+                Resa_sim.Metrics.per_job_csv ~run:name
+                  (Resa_sim.Metrics.per_job ~provenance ~job_numbers trace)
+              in
+              (* One header for the whole file. *)
+              let csv =
+                if i = 0 then csv
+                else
+                  match String.index_opt csv '\n' with
+                  | Some k -> String.sub csv (k + 1) (String.length csv - k - 1)
+                  | None -> csv
+              in
+              Out_channel.output_string oc csv)
+            exports))
+    csv_out;
   (* The registry is process-global and cumulative across the sequential
      runs, like Prof counters: the exposition describes the whole replay. *)
   Option.iter
@@ -563,14 +479,44 @@ let replay_cmd =
              incremental metrics; 0 disables. The CI allocation-budget gate for the \
              allocation-free decide loop.")
   in
+  let trace_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "Write the structured event stream (JSONL, one event per line, tagged with the \
+             policy name) to $(docv). Each run keeps its most recent 2^20 events and marks a \
+             longer stream as truncated. Defaults to $(b,RESA_TRACE) when set.")
+  in
+  let chrome_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "chrome" ] ~docv:"FILE"
+          ~doc:
+            "Write a Chrome trace-event JSON Gantt view (one process per policy, one track per \
+             processor; open in Perfetto or chrome://tracing) to $(docv).")
+  in
+  let csv_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "csv" ] ~docv:"FILE"
+          ~doc:
+            "Write per-job metrics (submit, start, wait, slowdown, provenance) as CSV to \
+             $(docv).")
+  in
   Cmd.v
     (Cmd.info "replay"
        ~doc:
-         "Constant-memory streaming replay of a (synthetic or SWF) trace: incremental metrics, \
-          no materialised job list, timeline history GC")
+         "Online simulation of a (synthetic or SWF) trace, streamed in constant memory: \
+          incremental metrics, no materialised job list, timeline history GC; optional \
+          event-trace, Gantt and per-job exports")
     Term.(
       const replay $ swf $ m $ n $ max_runtime $ mean_gap $ seed_arg $ policy $ overestimate
-      $ gc_every $ heartbeat_out $ hb_every $ hb_dt $ prom_out $ metrics_on $ max_allocs)
+      $ gc_every $ heartbeat_out $ hb_every $ hb_dt $ prom_out $ metrics_on $ max_allocs
+      $ trace_out $ chrome_out $ csv_out)
 
 (* ------------------------------------------------------------------ *)
 (* explain                                                             *)
@@ -606,7 +552,7 @@ let explain_cmd =
     Arg.(
       value
       & pos 0 string "-"
-      & info [] ~docv:"FILE" ~doc:"JSONL event trace from simulate --trace ('-' for stdin).")
+      & info [] ~docv:"FILE" ~doc:"JSONL event trace from replay --trace ('-' for stdin).")
   in
   Cmd.v
     (Cmd.info "explain"
@@ -868,7 +814,6 @@ let () =
           [
             generate_cmd;
             solve_cmd;
-            simulate_cmd;
             replay_cmd;
             explain_cmd;
             top_cmd;

@@ -6,7 +6,7 @@
     never tables or schedules. Profiling is {e off} by default — enable
     with [RESA_PROF=1] or {!enable} — and the disabled path of {!incr},
     {!add}, {!with_span} and {!add_busy} is a single flag load and branch,
-    cheap enough for Timeline and event-heap hot loops to call
+    cheap enough for Timeline and policy hot loops to call
     unconditionally. All state is domain-safe (atomic counters, mutexed
     span store). *)
 

@@ -35,11 +35,7 @@ type t = {
   mutable cnext : int array;
   mutable cfree : int;
   mutable cused : int;
-  (* overflow: binary min-heap on (time, seq), parallel unboxed arrays *)
-  mutable ftime : int array;
-  mutable fseq : int array;
-  mutable fpay : int array;
-  mutable flen : int;
+  far : Int_heap.t; (* overflow: key = time, tie = seq, value = payload *)
   mutable len : int;
   mutable next_seq : int;
 }
@@ -59,17 +55,13 @@ let create () =
     cnext = Array.make 64 (-1);
     cfree = -1;
     cused = 0;
-    ftime = Array.make 64 0;
-    fseq = Array.make 64 0;
-    fpay = Array.make 64 0;
-    flen = 0;
+    far = Int_heap.create ();
     len = 0;
     next_seq = 0;
   }
 
 let is_empty q = q.len = 0
 let size q = q.len
-let live_entries q = q.len
 
 (* Count trailing zeros of a non-zero value < 2^32, by shadowing (local
    refs would heap-allocate on the hot peek path). *)
@@ -127,62 +119,14 @@ let bucket_add q time seq pay =
   q.btail.(b) <- c;
   q.near <- q.near + 1
 
-(* --- overflow heap ------------------------------------------------------- *)
-
-let far_less q i j =
-  q.ftime.(i) < q.ftime.(j) || (q.ftime.(i) = q.ftime.(j) && q.fseq.(i) < q.fseq.(j))
-
-let far_swap q i j =
-  let t = q.ftime.(i) in
-  q.ftime.(i) <- q.ftime.(j);
-  q.ftime.(j) <- t;
-  let s = q.fseq.(i) in
-  q.fseq.(i) <- q.fseq.(j);
-  q.fseq.(j) <- s;
-  let p = q.fpay.(i) in
-  q.fpay.(i) <- q.fpay.(j);
-  q.fpay.(j) <- p
-
-let rec far_sift_up q i =
-  if i > 0 && far_less q i ((i - 1) / 2) then begin
-    far_swap q i ((i - 1) / 2);
-    far_sift_up q ((i - 1) / 2)
-  end
-
-let far_push q time seq pay =
-  if q.flen = Array.length q.ftime then begin
-    q.ftime <- grow q.ftime;
-    q.fseq <- grow q.fseq;
-    q.fpay <- grow q.fpay
-  end;
-  let i = q.flen in
-  q.flen <- i + 1;
-  q.ftime.(i) <- time;
-  q.fseq.(i) <- seq;
-  q.fpay.(i) <- pay;
-  far_sift_up q i
-
-let rec far_sift_down q i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let s = if l < q.flen && far_less q l i then l else i in
-  let s = if r < q.flen && far_less q r s then r else s in
-  if s <> i then begin
-    far_swap q i s;
-    far_sift_down q s
-  end
-
 (* Pop the heap minimum into its bucket (caller checked it is in-window). *)
 let far_pop_into_bucket q =
-  bucket_add q q.ftime.(0) q.fseq.(0) q.fpay.(0);
-  q.flen <- q.flen - 1;
-  if q.flen > 0 then begin
-    far_swap q 0 q.flen;
-    far_sift_down q 0
-  end
+  bucket_add q (Int_heap.min_key q.far) (Int_heap.min_tie q.far) (Int_heap.min_value q.far);
+  Int_heap.drop_min q.far
 
 (* Re-establish far_min >= cursor + nb after the cursor advanced. *)
 let migrate q =
-  while q.flen > 0 && q.ftime.(0) < q.cursor + nb do
+  while Int_heap.length q.far > 0 && Int_heap.min_key q.far < q.cursor + nb do
     far_pop_into_bucket q
   done
 
@@ -202,7 +146,7 @@ let rebase q time =
           let rec evict c =
             if c >= 0 then begin
               let next = q.cnext.(c) in
-              far_push q q.ctime.(c) q.cseq.(c) q.cpay.(c);
+              Int_heap.push q.far ~key:q.ctime.(c) ~tie:q.cseq.(c) q.cpay.(c);
               q.cnext.(c) <- q.cfree;
               q.cfree <- c;
               q.near <- q.near - 1;
@@ -225,7 +169,8 @@ let push q ~time pay =
   let seq = q.next_seq in
   q.next_seq <- seq + 1;
   q.len <- q.len + 1;
-  if time < q.cursor + nb then bucket_add q time seq pay else far_push q time seq pay
+  if time < q.cursor + nb then bucket_add q time seq pay
+  else Int_heap.push q.far ~key:time ~tie:seq pay
 
 (* First set bit at or after [sb] in circular bucket order; the caller
    guarantees near > 0, so a set bit exists. *)
@@ -248,7 +193,7 @@ let peek_time q =
         let b = scan_bitmap q sb in
         q.cursor + ((b - sb) land mask)
       end
-      else q.ftime.(0)
+      else Int_heap.min_key q.far
     in
     if t > q.cursor then begin
       q.cursor <- t;
@@ -283,6 +228,6 @@ let clear q =
   q.near <- 0;
   q.cfree <- -1;
   q.cused <- 0;
-  q.flen <- 0;
+  Int_heap.clear q.far;
   q.len <- 0;
   q.next_seq <- 0

@@ -4,17 +4,16 @@
     Entries are [(time, payload)] pairs with integer payloads (the
     simulator encodes [Wake] as [-1] and a completion as the job's live
     slot index [>= 0]), ordered by time with ties broken by insertion
-    order — the same FIFO determinism contract as {!Event_heap}, which is
-    retained as the differential oracle for this structure
-    (test/test_eventq.ml).
+    order — the FIFO determinism contract the simulator relies on, held to
+    a sorted-list model by the differential suite in test/test_eventq.ml.
 
     Layout: a ring of [2^15] width-1 buckets indexed by [time land mask]
     covers the moving window [\[cursor, cursor + 2^15)]; each bucket is a
     singly-linked chain through a growable parallel-int-array cell pool
     (time/seq/payload/next, recycled through a free list), and a bitmap
     (one bit per bucket) makes "first occupied bucket at or after the
-    cursor" a word-scan. Events beyond the window overflow into an unboxed
-    binary min-heap on [(time, seq)] and migrate into buckets as the
+    cursor" a word-scan. Events beyond the window overflow into an
+    {!Int_heap} on [(time, seq)] and migrate into buckets as the
     cursor advances past [time - 2^15] — so the bucket ring never resizes;
     only the cell pool and the overflow heap grow (by doubling). The
     cursor only moves forward except on the (simulator-impossible,
@@ -34,12 +33,11 @@ val size : t -> int
 
 val push : t -> time:int -> int -> unit
 (** Enqueue a payload at [time]. Raises [Invalid_argument] on negative
-    time (same message contract as [Event_heap.push]). *)
+    time. *)
 
 val peek_time : t -> int
 (** Earliest queued timestamp without removing it, or [-1] when empty —
-    an unboxed twin of [Event_heap.peek_time], allocation-free by
-    construction. *)
+    allocation-free by construction. *)
 
 val pop : t -> int
 (** Remove the earliest event — ties FIFO by insertion order — and return
@@ -47,13 +45,7 @@ val pop : t -> int
     {!peek_time} for the timestamp. *)
 
 val clear : t -> unit
-(** Empty the queue and reset insertion-order numbering, like
-    [Event_heap.clear]. *)
-
-val live_entries : t -> int
-(** Cells currently holding an entry; always equals {!size} (popped cells
-    go straight back to the free list), mirroring the structural
-    anti-leak assertion [Event_heap.live_entries] exposes. *)
+(** Empty the queue and reset insertion-order numbering. *)
 
 val impl_name : string
 (** Implementation tag stamped into bench JSON rows, so trajectory

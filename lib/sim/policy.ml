@@ -7,7 +7,7 @@ type action = {
   wake : int option;
 }
 
-type decide = time:int -> queue:Jobq.t -> free:View.t -> action
+type decide = time:int -> queue:Jobq.t -> free:Timeline.t -> action
 
 type t = {
   name : string;
@@ -20,19 +20,19 @@ let idle = { start_now = []; wake = None }
 
 (* --- timeline-native policies ------------------------------------------- *)
 
-let fits free ~time job = View.fits free ~at:time ~dur:(Job.p job) ~need:(Job.q job)
+let fits free ~time job = Timeline.min_on free ~lo:time ~hi:(time + Job.p job) >= Job.q job
 
 let earliest_at free ~from job =
-  View.earliest_fit_at free ~from ~dur:(Job.p job) ~need:(Job.q job)
+  Timeline.earliest_fit_at free ~from ~dur:(Job.p job) ~need:(Job.q job)
 
 (* Speculative allocation of [job]'s window at [time]. The simulator's
    post-decision pass either commits these wholesale — when the log is
    exactly the started jobs' reservations, the common case — or rolls them
    back and re-applies authoritatively. Every call site has just verified
    the window ([fits], or CONS's plan which never exceeds free capacity),
-   so the re-checking [View.reserve] would redo a descent per start. *)
+   so the re-checking [Timeline.reserve] would redo a descent per start. *)
 let take free ~time job =
-  View.reserve_fitting free ~start:time ~dur:(Job.p job) ~need:(Job.q job)
+  Timeline.reserve_fitting free ~start:time ~dur:(Job.p job) ~need:(Job.q job)
 
 (* Per-policy decision counters (RESA_PROF). *)
 let c_fcfs = Prof.counter "policy.decide.FCFS"
@@ -121,14 +121,14 @@ and easy_backfill ~time queue free head guaranteed i n =
   else begin
     let j = Jobq.get queue i in
     if fits free ~time j then begin
-      let mark = View.checkpoint free in
+      let mark = Timeline.checkpoint free in
       take free ~time j;
       if earliest_at free ~from:time head <= guaranteed then begin
-        View.commit free mark;
+        Timeline.commit free mark;
         j :: easy_backfill ~time queue free head guaranteed (i + 1) n
       end
       else begin
-        View.rollback free mark;
+        Timeline.rollback free mark;
         easy_backfill ~time queue free head guaranteed (i + 1) n
       end
     end
@@ -159,61 +159,18 @@ let conservative =
        queue. Entries go stale when a job starts or is replanned; they are
        dropped when they surface, after checking [planned] still carries
        exactly that promise. *)
-    let hs = ref (Array.make 64 0) in
-    let hid = ref (Array.make 64 0) in
-    let hlen = ref 0 in
-    let heap_swap i j =
-      let a = !hs and b = !hid in
-      let s = a.(i) in
-      a.(i) <- a.(j);
-      a.(j) <- s;
-      let d = b.(i) in
-      b.(i) <- b.(j);
-      b.(j) <- d
-    in
-    let rec sift_up i =
-      if i > 0 && (!hs).(i) < (!hs).((i - 1) / 2) then begin
-        heap_swap i ((i - 1) / 2);
-        sift_up ((i - 1) / 2)
-      end
-    in
-    let rec sift_down i =
-      let l = (2 * i) + 1 and r = (2 * i) + 2 in
-      let s = if l < !hlen && (!hs).(l) < (!hs).(i) then l else i in
-      let s = if r < !hlen && (!hs).(r) < (!hs).(s) then r else s in
-      if s <> i then begin
-        heap_swap i s;
-        sift_down s
-      end
-    in
-    let heap_push s id =
-      if !hlen = Array.length !hs then begin
-        hs := Array.append !hs (Array.make !hlen 0);
-        hid := Array.append !hid (Array.make !hlen 0)
-      end;
-      (!hs).(!hlen) <- s;
-      (!hid).(!hlen) <- id;
-      incr hlen;
-      sift_up (!hlen - 1)
-    in
-    let heap_drop_top () =
-      decr hlen;
-      if !hlen > 0 then begin
-        heap_swap 0 !hlen;
-        sift_down 0
-      end
-    in
+    let promises = Int_heap.create () in
     (* Earliest still-valid promise, popping stale tops on the way. All
        remaining promises are strictly after the current decision instant
        (due ones were consumed as start candidates). *)
     let rec wake_top () =
-      if !hlen = 0 then None
+      if Int_heap.length promises = 0 then None
       else begin
-        let s = (!hs).(0) and id = (!hid).(0) in
+        let s = Int_heap.min_key promises and id = Int_heap.min_value promises in
         match Hashtbl.find planned id with
         | s', _ when s' = s -> Some s
         | _ | exception Not_found ->
-          heap_drop_top ();
+          Int_heap.drop_min promises;
           wake_top ()
       end
     in
@@ -223,7 +180,7 @@ let conservative =
     let plan_job p ~time j ~from =
       let s = Timeline.earliest_fit_at p ~from ~dur:(Job.p j) ~need:(Job.q j) in
       Hashtbl.replace planned (Job.id j) (s, j);
-      heap_push s (Job.id j);
+      Int_heap.push promises ~key:s ~tie:(Job.id j) (Job.id j);
       if Trace.enabled obs then
         Trace.emit obs (Trace.Planned { time; policy = "CONS"; job = Job.id j; at = s });
       (* [s] came out of [earliest_fit_at] just above: the window fits by
@@ -239,7 +196,7 @@ let conservative =
         | None ->
           (* First decision: seed the plan with the forward capacity (the
              only profile export conservative ever pays, once per run). *)
-          let p = Timeline.of_profile (View.snapshot free) in
+          let p = Timeline.of_profile (Timeline.to_profile ~from:time free) in
           plan := Some p;
           p
       in
@@ -261,9 +218,9 @@ let conservative =
       done;
       (* Pull every promise due by now off the heap. *)
       let ncand = ref 0 in
-      while !hlen > 0 && (!hs).(0) <= time do
-        let s = (!hs).(0) and id = (!hid).(0) in
-        heap_drop_top ();
+      while Int_heap.length promises > 0 && Int_heap.min_key promises <= time do
+        let s = Int_heap.min_key promises and id = Int_heap.min_value promises in
+        Int_heap.drop_min promises;
         match Hashtbl.find planned id with
         | s', _ when s' = s ->
           if not (Hashtbl.mem cand id) then begin
@@ -345,7 +302,7 @@ let p_earliest free ~from job =
 let fcfs_reference =
   let create ~obs ~time ~queue ~free =
     let queue = Jobq.to_list queue in
-    let free = View.snapshot free in
+    let free = Timeline.to_profile ~from:time free in
     let rec go free = function
       | [] -> ([], None)
       | head :: rest when p_fits free ~time head ->
@@ -366,7 +323,7 @@ let fcfs_reference =
 let aggressive_reference =
   let create ~obs:_ ~time ~queue ~free =
     let queue = Jobq.to_list queue in
-    let free = View.snapshot free in
+    let free = Timeline.to_profile ~from:time free in
     let rec go free = function
       | [] -> []
       | j :: rest when p_fits free ~time j ->
@@ -381,7 +338,7 @@ let aggressive_reference =
 let easy_reference =
   let create ~obs ~time ~queue ~free =
     let queue = Jobq.to_list queue in
-    let free = View.snapshot free in
+    let free = Timeline.to_profile ~from:time free in
     let rec pop_prefix free = function
       | head :: rest when p_fits free ~time head ->
         let free = Profile.reserve free ~start:time ~dur:(Job.p head) ~need:(Job.q head) in
@@ -419,7 +376,7 @@ let conservative_reference =
       (* The per-decision snapshot is the cost being measured: the old
          engine rebuilt this profile at every event whether or not the
          decision consulted it. *)
-      let snap = View.snapshot free in
+      let snap = Timeline.to_profile ~from:time free in
       let p = match !plan with None -> snap | Some p -> p in
       let p =
         List.fold_left

@@ -1,20 +1,23 @@
 (** Pluggable online scheduling policies for the simulator.
 
     A policy is consulted at every simulation event. It sees the current
-    time, the submission-ordered queue of waiting jobs, and a {!View.t}
-    over the simulator's live capacity timeline (machine availability minus
+    time, the submission-ordered queue of waiting jobs, and the simulator's
+    live capacity {!Resa_core.Timeline.t} (machine availability minus
     reservations minus windows of running jobs). It answers with the queued
     jobs to start right now — each must fit its whole window at the current
     time — and an optional extra wake-up instant (needed by planning
     policies whose next action time is not a simulator event).
 
-    The view is speculative: the simulator opens a {!Resa_core.Timeline}
-    checkpoint around every [decide] call and rolls it back afterwards, so
-    a decision may reserve trial windows ([View.reserve], nested
-    [View.checkpoint]/[rollback]/[commit]) while reasoning, with every
-    query reflecting its own tentative reservations at O(log U) — no
-    persistent profile is ever rebuilt. Decisions must not inspect instants
-    before the current time (none of the policies here do).
+    Access is speculative: the simulator opens a timeline checkpoint around
+    every [decide] call, so a decision may reserve trial windows
+    ([Timeline.reserve_fitting], nested [Timeline.checkpoint]/[rollback]/
+    [commit]) while reasoning, with every query reflecting its own
+    tentative reservations at O(log U) — no persistent profile is ever
+    rebuilt. Afterwards the simulator commits the log when it is exactly
+    the started jobs' reservations and rolls it back otherwise.
+    Decisions must not inspect instants before the current time: the live
+    timeline carries real history there ([Timeline.to_profile ~from:time]
+    exports the forward view with the past collapsed).
 
     A {!t} is a {e factory}: [create ~obs] is invoked once per simulation
     run and returns that run's [decide], so planning state (conservative's
@@ -30,9 +33,10 @@
     The [*_reference] values are the retained Profile-based oracles (repo
     convention: every timeline hot path keeps its persistent twin): same
     names, same decisions, but each decision snapshots the forward profile
-    and re-derives plans with persistent [Profile.reserve]/[earliest_fit]
-    chains — exactly the pre-timeline-native engine, kept for the
-    differential suite and the before/after benchmark. *)
+    ([Timeline.to_profile ~from:time]) and re-derives plans with persistent
+    [Profile.reserve]/[earliest_fit] chains — exactly the
+    pre-timeline-native engine, kept for the differential suite and the
+    before/after benchmark. *)
 
 open Resa_core
 
@@ -41,7 +45,7 @@ type action = {
   wake : int option;  (** Extra decision instant strictly after [time]. *)
 }
 
-type decide = time:int -> queue:Jobq.t -> free:View.t -> action
+type decide = time:int -> queue:Jobq.t -> free:Timeline.t -> action
 (** The queue is the simulator's live array-backed {!Jobq.t}, indexed in
     submission order; policies read it in place ([Jobq.get]/[Jobq.length])
     instead of receiving a freshly materialised list per decision. The

@@ -74,13 +74,11 @@ let auto_gc_span = 16384
    queries wander a cold tree. *)
 let auto_gc_nodes = 16384
 
-(* The single event loop behind both entry points. Arrivals are pulled from
-   [next] (submit times non-decreasing) with one arrival of lookahead;
-   everything else matches the former array-based engine event for event:
-   at any instant, due arrivals are admitted first (they used to occupy the
-   lowest heap sequence numbers and therefore popped first), then queued
-   events in push order — so traces are byte-identical across the two entry
-   points (enforced by test/test_stream.ml).
+(* The single event loop behind [run_stream] and [run]. Arrivals are pulled
+   from [next] (submit times non-decreasing) with one arrival of lookahead.
+   At any instant, due arrivals are admitted first, then queued events pop
+   in push order — so traces are byte-identical whichever entry point feeds
+   the loop (enforced by test/test_stream.ml).
 
    Per-job state lives in struct-of-arrays keyed by a dense slot index
    recycled through a free list, held only while the job is waiting or
@@ -104,13 +102,12 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
     (fun t -> Eventq.push events ~time:t wake_payload)
     (Profile.breakpoints (Instance.availability base));
   (* Free capacity lives in one mutable timeline for the whole run (O(log U)
-     per start/release/query). Policies work against it through a [View]:
-     each decision runs under a checkpoint; when the speculative log turns
+     per start/release/query). Policies work against it directly: each
+     decision runs under a checkpoint; when the speculative log turns
      out to be exactly the started jobs' reservations (every native policy,
      almost every decision) it is committed as the authoritative mutation,
      otherwise it is rolled back and the starts re-validated one by one. *)
   let free = Timeline.of_profile (Instance.availability base) in
-  let view = View.make free in
   (* The policy's per-run state is created here — plans cannot leak across
      runs by construction. *)
   let decide = policy.Policy.create ~obs in
@@ -322,11 +319,10 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
         Metrics.incr m_gc_runs
       end;
       last_t := t;
-      View.set_now view t;
       let t_decide = if Metrics.enabled () then Prof.now_ns () else 0 in
       decision_no := !decision_no + 1;
       let spec = Timeline.checkpoint free in
-      let action = decide ~time:t ~queue ~free:view in
+      let action = decide ~time:t ~queue ~free in
       let start_now = action.Policy.start_now and wake = action.Policy.wake in
       (* One pass over the starts: validate each against the slot state — a
          started id must be queued and not already started this decision —
@@ -531,25 +527,30 @@ let run_stream ?(obs = Trace.null) ?(gc_every = 0) ?(heartbeat_every = 0) ?(hear
   run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt:heartbeat_dt ~on_heartbeat
     ~on_record next
 
-let run_estimated ?(obs = Trace.null) ~policy ~m ?(reservations = []) ~estimates
+let run ?(obs = Trace.null) ~policy ~m ?(reservations = []) ?estimates
     (submissions : submitted list) =
   let subs = Array.of_list submissions in
   let n = Array.length subs in
-  if Array.length estimates <> n then
-    invalid_arg "Simulator.run_estimated: estimates length mismatch";
+  let estimates =
+    match estimates with
+    | None -> Array.map (fun (s : submitted) -> Job.p s.job) subs
+    | Some e ->
+      if Array.length e <> n then invalid_arg "Simulator.run: estimates length mismatch";
+      e
+  in
   Array.iteri
     (fun i (s : submitted) ->
-      if s.submit < 0 then invalid_arg "Simulator.run_estimated: negative submit time";
+      if s.submit < 0 then invalid_arg "Simulator.run: negative submit time";
       if estimates.(i) < Job.p s.job then
-        invalid_arg "Simulator.run_estimated: estimate below the actual runtime")
+        invalid_arg "Simulator.run: estimate below the actual runtime")
     subs;
   (* Instance construction validates ids, widths and reservations. *)
   ignore
     (Instance.create_exn ~m ~jobs:(List.map (fun (s : submitted) -> s.job) submissions)
        ~reservations
       : Instance.t);
-  (* Feed the engine in (submit, index) order — exactly the order the event
-     heap used to pop the arrival events it no longer holds. *)
+  (* Feed the engine in (submit, list position) order: equal submits are
+     admitted in list order. *)
   let order = Array.init n (fun i -> i) in
   Array.sort
     (fun i j ->
@@ -574,12 +575,6 @@ let run_estimated ?(obs = Trace.null) ~policy ~m ?(reservations = []) ~estimates
     List.map (fun (s : submitted) -> Hashtbl.find by_id (Job.id s.job)) submissions
   in
   { m; reservations; records; makespan = stats.makespan }
-
-let run ?obs ~policy ~m ?(reservations = []) (submissions : submitted list) =
-  let estimates =
-    Array.of_list (List.map (fun (s : submitted) -> Job.p s.job) submissions)
-  in
-  run_estimated ?obs ~policy ~m ~reservations ~estimates submissions
 
 let to_offline trace =
   let jobs =

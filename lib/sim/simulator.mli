@@ -7,9 +7,10 @@
     order, queues are kept in submission order.
 
     Free capacity lives in one mutable {!Resa_core.Timeline.t} for the whole
-    run; policies access it through a {!View.t}, and every [decide] call runs
-    under a timeline checkpoint that is rolled back afterwards, so trial
-    reservations made while deciding never leak. No persistent profile is
+    run; policies query and mutate it directly, and every [decide] call runs
+    under a timeline checkpoint that is committed only when its log is
+    exactly the started jobs' reservations and rolled back otherwise, so
+    trial reservations made while deciding never leak. No persistent profile is
     rebuilt anywhere — decision path or tracing path: the head-blocked
     classifier queries the live timeline and a once-per-run
     reservation-blocked profile built lazily from the instance, and
@@ -27,7 +28,7 @@
 
     {2 Observability}
 
-    Both entry points take an optional tracer [?obs] (default
+    {!run_stream} and {!run} take an optional tracer [?obs] (default
     {!Resa_obs.Trace.null}). With a live sink the simulator emits, in
     deterministic order: [Job_submit] / [Job_finish] while draining events,
     one [Decision] per decision instant, one [Job_start] per started job
@@ -93,26 +94,21 @@ val run :
   policy:Policy.t ->
   m:int ->
   ?reservations:Reservation.t list ->
+  ?estimates:int array ->
   submitted list ->
   trace
-(** Simulate to completion. Jobs must have distinct ids, [q <= m] and
-    non-negative submit times; reservations must fit the machine. *)
+(** Simulate a materialised submission list to completion — {!run_stream}
+    fed in (submit, list position) order, with the records collected back
+    into submission order. Jobs must have distinct ids, [q <= m] and
+    non-negative submit times; reservations must fit the machine.
 
-val run_estimated :
-  ?obs:Resa_obs.Trace.t ->
-  policy:Policy.t ->
-  m:int ->
-  ?reservations:Reservation.t list ->
-  estimates:int array ->
-  submitted list ->
-  trace
-(** Like {!run}, but jobs carry a *requested* walltime [estimates.(i) >=
-    actual p] (one per submission, in order): policies see and plan with the
-    estimate, the job actually completes after its true runtime, and the
-    capacity reserved for the unused tail is released at completion — the
-    mechanism behind backfilling's well-known sensitivity to user walltime
-    overestimation. [run] is the special case [estimates = actual]. The
-    returned records carry the *actual* jobs. *)
+    [estimates] (default: the actual runtimes) gives each submission, in
+    order, a {e requested} walltime [estimates.(i) >= actual p]: policies
+    see and plan with the estimate, the job actually completes after its
+    true runtime, and the capacity reserved for the unused tail is released
+    at completion — the mechanism behind backfilling's well-known
+    sensitivity to user walltime overestimation. The returned records carry
+    the {e actual} jobs. *)
 
 val run_stream :
   ?obs:Resa_obs.Trace.t ->
@@ -149,14 +145,14 @@ val run_stream :
     the run is byte-identical to one without the feature. Cadences must
     be non-negative ([Invalid_argument] otherwise).
 
-    Semantics are those of {!run_estimated} on the drained arrival list:
+    Semantics are those of {!run} [~estimates] on the drained arrival list:
     same decisions, same starts, and byte-identical [?obs] traces — at any
-    instant due arrivals are admitted before heap events, exactly the order
-    the array engine's FIFO-stable heap produced (enforced by the
-    differential suite in [test/test_stream.ml], including under
-    [gc_every:1]). Per-arrival validation (negative submit, decreasing
-    submit, estimate below runtime, width over [m], duplicate live id)
-    raises [Invalid_argument] at the offending pull. *)
+    instant due arrivals are admitted before queued events, which pop in
+    push order (enforced by the differential suite in
+    [test/test_stream.ml], including under [gc_every:1]). Per-arrival
+    validation (negative submit, decreasing submit, estimate below
+    runtime, width over [m], duplicate live id) raises [Invalid_argument]
+    at the offending pull. *)
 
 val to_offline : trace -> Instance.t * Schedule.t
 (** Forget release dates: the instance/schedule pair actually executed,

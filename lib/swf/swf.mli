@@ -71,7 +71,7 @@ val of_workload : (Job.t * int * int) list -> entry list
 val to_estimated_workload :
   ?keep_failed:bool -> entry list -> m:int -> (Job.t * int * int) list
 (** [(job, submit, requested_walltime)] triples for
-    [Resa_sim.Simulator.run_estimated]: the job carries the *actual* runtime
+    [Resa_sim.Simulator.run ~estimates]: the job carries the *actual* runtime
     while the third component is the user's request ([req_time], clamped to
     at least the actual runtime) — the walltime-accuracy data real SWF
     traces carry. Filters entries exactly like {!to_workload}. *)

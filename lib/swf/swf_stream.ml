@@ -49,24 +49,6 @@ let of_string ?keep_failed ~m text =
 let with_file ?keep_failed ~m path f =
   In_channel.with_open_text path (fun ic -> f (of_channel ?keep_failed ~m ic))
 
-let of_entries ?(keep_failed = true) ~m entries =
-  let remaining = ref entries in
-  let next_id = ref 0 in
-  let rec next () =
-    match !remaining with
-    | [] -> None
-    | e :: rest ->
-      remaining := rest;
-      if Swf.keep ~keep_failed e then begin
-        let id = !next_id in
-        incr next_id;
-        let job, submit, estimate = Swf.estimated_of_entry ~m ~id e in
-        Some { job; submit; estimate; job_number = e.job_number }
-      end
-      else next ()
-  in
-  next
-
 let synthetic ?(overestimate = 1.0) rng ~m ~n ~max_runtime ~mean_gap =
   if overestimate < 1.0 then invalid_arg "Swf_stream.synthetic: overestimate must be >= 1.0";
   if n < 0 then invalid_arg "Swf_stream.synthetic: negative n";
@@ -106,18 +88,3 @@ let synthetic ?(overestimate = 1.0) rng ~m ~n ~max_runtime ~mean_gap =
       in
       Some { job = Job.make ~id ~p ~q; submit; estimate; job_number = id + 1 }
     end
-
-let iter src f =
-  let rec go () =
-    match src () with
-    | None -> ()
-    | Some a ->
-      f a;
-      go ()
-  in
-  go ()
-
-let to_list src =
-  let acc = ref [] in
-  iter src (fun a -> acc := a :: !acc);
-  List.rev !acc

@@ -43,9 +43,6 @@ val of_string : ?keep_failed:bool -> m:int -> string -> t
 (** Stream over an in-memory trace — the small-n differential oracle
     against [Swf.parse_string] + [Swf.to_estimated_workload]. *)
 
-val of_entries : ?keep_failed:bool -> m:int -> Swf.entry list -> t
-(** Stream over already-parsed entries. *)
-
 val synthetic :
   ?overestimate:float -> Prng.t -> m:int -> n:int -> max_runtime:int -> mean_gap:float -> t
 (** Deterministic synthetic trace of [n] jobs drawn one at a time — the
@@ -57,9 +54,3 @@ val synthetic :
     seed this is its {e own} reproducible family, not bit-equal to the
     materialised generator. Submit times are non-decreasing; job numbers
     are [1..n]. *)
-
-val iter : t -> (arrival -> unit) -> unit
-(** Drain the stream, applying [f] to every arrival. *)
-
-val to_list : t -> arrival list
-(** Drain into a list — for tests and small traces only, by definition. *)

@@ -1,10 +1,10 @@
-(* Differential suite for the calendar event queue: Eventq against a
-   sorted-list model and against the retained binary-heap oracle
-   (Event_heap), under operation mixes that exercise every structural
-   path — bucket hits inside the window, the overflow heap beyond it,
-   migration as the cursor advances, and rebase on pushes before the
-   cursor (which the simulator never issues, so only this suite covers
-   it). *)
+(* Differential suite for the engine's priority queues against a
+   sorted-list model: the calendar event queue (Eventq) under operation
+   mixes that exercise every structural path — bucket hits inside the
+   window, the overflow heap beyond it, migration as the cursor advances,
+   and rebase on pushes before the cursor (which the simulator never
+   issues, so only this suite covers it) — and the shared Int_heap it
+   overflows into. *)
 
 open Resa_core
 open Resa_sim
@@ -24,7 +24,6 @@ let model_remove m ((_, s, _) : int * int * int) =
 let eventq_matches_model seed =
   let rng = Prng.create ~seed in
   let q = Eventq.create () in
-  let h = Event_heap.create () in
   let model = ref [] in
   let seq = ref 0 in
   let last = ref 0 in
@@ -44,7 +43,6 @@ let eventq_matches_model seed =
       in
       let pay = Prng.int rng ~bound:1_000_000 in
       Eventq.push q ~time pay;
-      Event_heap.push h ~time pay;
       model := (time, !seq, pay) :: !model;
       incr seq
     end
@@ -53,32 +51,67 @@ let eventq_matches_model seed =
       model := model_remove !model min;
       if Eventq.peek_time q <> mt then ok := false;
       if Eventq.pop q <> mp then ok := false;
-      (match Event_heap.pop h with
-      | Some (ht, hp) -> if ht <> mt || hp <> mp then ok := false
-      | None -> ok := false);
       last := mt
     end;
     if Eventq.size q <> List.length !model then ok := false;
-    if Eventq.live_entries q <> List.length !model then ok := false;
     if Eventq.is_empty q <> (!model = []) then ok := false;
     let want_peek = if !model = [] then -1 else (fun (t, _, _) -> t) (model_min !model) in
     if Eventq.peek_time q <> want_peek then ok := false
   done;
   (* Drain whatever is left, still in lockstep. *)
   while !model <> [] do
-    let ((mt, _, mp) as min) = model_min !model in
+    let ((_, _, mp) as min) = model_min !model in
     model := model_remove !model min;
-    if Eventq.pop q <> mp then ok := false;
-    (match Event_heap.pop h with
-    | Some (ht, hp) -> if ht <> mt || hp <> mp then ok := false
-    | None -> ok := false)
+    if Eventq.pop q <> mp then ok := false
   done;
-  if not (Eventq.is_empty q && Event_heap.is_empty h) then ok := false;
+  if not (Eventq.is_empty q) then ok := false;
   !ok
 
 let prop_model =
-  Tutil.qcheck ~count:300 "Eventq = sorted-list model = Event_heap" Tutil.seed_arb
-    eventq_matches_model
+  Tutil.qcheck ~count:300 "Eventq = sorted-list model" Tutil.seed_arb eventq_matches_model
+
+(* Int_heap on its own: random keys with heavy ties broken by the tie
+   field, pops interleaved with pushes. *)
+let int_heap_matches_model seed =
+  let rng = Prng.create ~seed in
+  let h = Int_heap.create () in
+  let model = ref [] in
+  let ok = ref true in
+  let check_min () =
+    match !model with
+    | [] -> if Int_heap.length h <> 0 then ok := false
+    | _ ->
+      let k, t, v =
+        List.fold_left (fun a b -> if compare b a < 0 then b else a) (List.hd !model) !model
+      in
+      if Int_heap.min_key h <> k || Int_heap.min_tie h <> t || Int_heap.min_value h <> v then
+        ok := false
+  in
+  for step = 0 to 400 do
+    if Prng.int rng ~bound:100 < 60 || !model = [] then begin
+      (* Unique ties in random order, so the model's minimum is unambiguous. *)
+      let key = Prng.int rng ~bound:20 and tie = (Prng.int rng ~bound:1000 * 1000) + step in
+      let value = Prng.int rng ~bound:1_000_000 in
+      Int_heap.push h ~key ~tie value;
+      model := (key, tie, value) :: !model
+    end
+    else begin
+      let k = Int_heap.min_key h and t = Int_heap.min_tie h and v = Int_heap.min_value h in
+      Int_heap.drop_min h;
+      let rec remove = function
+        | [] -> []
+        | x :: rest -> if x = (k, t, v) then rest else x :: remove rest
+      in
+      model := remove !model
+    end;
+    if Int_heap.length h <> List.length !model then ok := false;
+    check_min ()
+  done;
+  Int_heap.clear h;
+  Int_heap.length h = 0 && !ok
+
+let prop_int_heap =
+  Tutil.qcheck ~count:200 "Int_heap = sorted-list model" Tutil.seed_arb int_heap_matches_model
 
 let test_fifo_ties () =
   let q = Eventq.create () in
@@ -128,9 +161,9 @@ let test_clear () =
   for i = 0 to 99 do
     Eventq.push q ~time:(i * 7919 land 0xFFFF) i
   done;
-  Alcotest.(check int) "full" 100 (Eventq.live_entries q);
+  Alcotest.(check int) "full" 100 (Eventq.size q);
   Eventq.clear q;
-  Alcotest.(check int) "clear retains nothing" 0 (Eventq.live_entries q);
+  Alcotest.(check int) "clear retains nothing" 0 (Eventq.size q);
   Alcotest.(check bool) "empty" true (Eventq.is_empty q);
   Alcotest.(check int) "peek on empty" (-1) (Eventq.peek_time q);
   (* Reuse after clear: seq numbering restarts, FIFO still holds. *)
@@ -154,4 +187,5 @@ let suite =
     Alcotest.test_case "clear resets, queue stays usable" `Quick test_clear;
     Alcotest.test_case "error contracts" `Quick test_errors;
     prop_model;
+    prop_int_heap;
   ]

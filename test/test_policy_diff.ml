@@ -36,7 +36,7 @@ let stream obs = String.concat "\n" (List.map Trace.to_json (Trace.contents obs)
 
 let run_traced ~policy ~m ~reservations ~estimates subs =
   let obs = Trace.buffer () in
-  let trace = Simulator.run_estimated ~obs ~policy ~m ~reservations ~estimates subs in
+  let trace = Simulator.run ~obs ~policy ~m ~reservations ~estimates subs in
   (trace, stream obs)
 
 let agree ~estimates ~reservations subs seed =

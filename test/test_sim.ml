@@ -1,66 +1,7 @@
-(* Event heap, simulator, policies, metrics, reservation book. *)
+(* Simulator, policies, metrics, reservation book. *)
 
 open Resa_core
 open Resa_sim
-
-(* --- event heap --- *)
-
-let test_heap_ordering () =
-  let h = Event_heap.create () in
-  List.iter (fun (t, v) -> Event_heap.push h ~time:t v) [ (5, "e"); (1, "a"); (3, "c"); (1, "b") ];
-  let pop () = match Event_heap.pop h with Some (t, v) -> (t, v) | None -> (-1, "?") in
-  Alcotest.(check (pair int string)) "first" (1, "a") (pop ());
-  Alcotest.(check (pair int string)) "fifo on ties" (1, "b") (pop ());
-  Alcotest.(check (pair int string)) "third" (3, "c") (pop ());
-  Alcotest.(check (pair int string)) "last" (5, "e") (pop ());
-  Alcotest.(check bool) "empty" true (Event_heap.is_empty h)
-
-let test_heap_interleaved () =
-  let h = Event_heap.create () in
-  Event_heap.push h ~time:10 0;
-  Event_heap.push h ~time:2 1;
-  Alcotest.(check (option int)) "peek" (Some 2) (Event_heap.peek_time h);
-  ignore (Event_heap.pop h);
-  Event_heap.push h ~time:1 2;
-  Alcotest.(check (option int)) "re-peek" (Some 1) (Event_heap.peek_time h);
-  Alcotest.(check int) "size" 2 (Event_heap.size h)
-
-let test_heap_rejects_negative () =
-  let h = Event_heap.create () in
-  Alcotest.check_raises "negative time" (Invalid_argument "Event_heap.push: negative time")
-    (fun () -> Event_heap.push h ~time:(-1) ())
-
-let prop_heap_sorts =
-  Tutil.qcheck "heap pops in non-decreasing time order" QCheck.(list small_nat) (fun times ->
-      let h = Event_heap.create () in
-      List.iter (fun t -> Event_heap.push h ~time:t ()) times;
-      let rec drain prev =
-        match Event_heap.pop h with
-        | None -> true
-        | Some (t, ()) -> t >= prev && drain t
-      in
-      drain 0)
-
-let test_heap_pop_clears_slots () =
-  (* Popped entries must not linger in the backing array: the heap would
-     otherwise pin every payload it ever held until the array is overwritten
-     or collected. [live_entries] counts occupied slots structurally. *)
-  let h = Event_heap.create () in
-  for i = 0 to 99 do
-    Event_heap.push h ~time:(i * 7 mod 31) i
-  done;
-  Alcotest.(check int) "full" 100 (Event_heap.live_entries h);
-  for _ = 1 to 60 do
-    ignore (Event_heap.pop h)
-  done;
-  Alcotest.(check int) "popped slots vacated" 40 (Event_heap.live_entries h);
-  while not (Event_heap.is_empty h) do
-    ignore (Event_heap.pop h)
-  done;
-  Alcotest.(check int) "empty heap retains nothing" 0 (Event_heap.live_entries h);
-  Event_heap.push h ~time:1 0;
-  Event_heap.clear h;
-  Alcotest.(check int) "clear retains nothing" 0 (Event_heap.live_entries h)
 
 (* --- simulator + policies --- *)
 
@@ -68,20 +9,29 @@ let submit_all_at inst t0 =
   List.init (Instance.n_jobs inst) (fun i ->
       Simulator.{ job = Instance.job inst i; submit = t0 })
 
-let test_aggressive_equals_offline_lsrc () =
-  (* With everything submitted at 0, the aggressive policy IS LSRC. *)
+(* With everything submitted at 0, each online policy IS its offline
+   list algorithm: same starts on reserved alpha-restricted instances. *)
+let online_offline_pairs =
+  [
+    ("aggressive", Policy.aggressive, "LSRC", fun inst -> Resa_algos.Lsrc.run inst);
+    ("fcfs", Policy.fcfs, "FCFS", fun inst -> Resa_algos.Fcfs.run inst);
+    ("conservative", Policy.conservative, "CONS", fun inst -> Resa_algos.Backfill.conservative inst);
+    ("easy", Policy.easy, "EASY", fun inst -> Resa_algos.Backfill.easy inst);
+  ]
+
+let test_online_equals_offline policy offline () =
   let rng = Prng.create ~seed:31 in
   for _ = 1 to 10 do
     let inst = Resa_gen.Random_inst.alpha_restricted rng ~m:8 ~n:10 ~alpha:0.5 ~pmax:6 () in
+    if Instance.reservations inst = [||] then Alcotest.fail "instance without reservations";
     let trace =
-      Simulator.run ~policy:Policy.aggressive ~m:8
+      Simulator.run ~policy ~m:8
         ~reservations:(Array.to_list (Instance.reservations inst))
         (submit_all_at inst 0)
     in
-    let offline = Resa_algos.Lsrc.run inst in
     let starts_sim = List.map (fun (r : Simulator.record) -> r.start) trace.records in
     Alcotest.(check (list int)) "identical starts"
-      (Array.to_list (Schedule.starts offline))
+      (Array.to_list (Schedule.starts (offline inst)))
       starts_sim
   done
 
@@ -306,7 +256,7 @@ let test_estimated_equals_exact_when_accurate () =
       (* Reusing one policy value across runs must be safe: [create] scopes
          the planning state per run. *)
       let a = Simulator.run ~policy ~m:8 subs in
-      let b = Simulator.run_estimated ~policy ~m:8 ~estimates subs in
+      let b = Simulator.run ~policy ~m:8 ~estimates subs in
       List.iter2
         (fun (ra : Simulator.record) (rb : Simulator.record) ->
           Alcotest.(check int) "same start" ra.start rb.start)
@@ -323,7 +273,7 @@ let test_early_release_unblocks_follower () =
     ]
   in
   let trace =
-    Simulator.run_estimated ~policy:Policy.fcfs ~m:2 ~estimates:[| 10; 3 |] subs
+    Simulator.run ~policy:Policy.fcfs ~m:2 ~estimates:[| 10; 3 |] subs
   in
   let starts = List.map (fun (r : Simulator.record) -> r.start) trace.records in
   Alcotest.(check (list int)) "follower starts at the actual completion" [ 0; 2 ] starts
@@ -331,11 +281,11 @@ let test_early_release_unblocks_follower () =
 let test_estimates_validated () =
   let subs = [ Simulator.{ job = Job.make ~id:0 ~p:5 ~q:1; submit = 0 } ] in
   Alcotest.check_raises "estimate below runtime"
-    (Invalid_argument "Simulator.run_estimated: estimate below the actual runtime") (fun () ->
-      ignore (Simulator.run_estimated ~policy:Policy.fcfs ~m:2 ~estimates:[| 3 |] subs));
+    (Invalid_argument "Simulator.run: estimate below the actual runtime") (fun () ->
+      ignore (Simulator.run ~policy:Policy.fcfs ~m:2 ~estimates:[| 3 |] subs));
   Alcotest.check_raises "wrong length"
-    (Invalid_argument "Simulator.run_estimated: estimates length mismatch") (fun () ->
-      ignore (Simulator.run_estimated ~policy:Policy.fcfs ~m:2 ~estimates:[| 5; 5 |] subs))
+    (Invalid_argument "Simulator.run: estimates length mismatch") (fun () ->
+      ignore (Simulator.run ~policy:Policy.fcfs ~m:2 ~estimates:[| 5; 5 |] subs))
 
 let prop_estimated_executions_feasible =
   Tutil.qcheck ~count:60 "all policies stay feasible under overestimates"
@@ -354,20 +304,21 @@ let prop_estimated_executions_feasible =
       in
       List.for_all
         (fun policy ->
-          let trace = Simulator.run_estimated ~policy ~m:8 ~estimates subs in
+          let trace = Simulator.run ~policy ~m:8 ~estimates subs in
           let oi, os = Simulator.to_offline trace in
           Schedule.is_feasible oi os
           && List.for_all (fun (r : Simulator.record) -> r.start >= r.submit) trace.records)
         Policy.all)
 
 let suite =
-  [
-    Alcotest.test_case "heap orders by time then FIFO" `Quick test_heap_ordering;
-    Alcotest.test_case "heap interleaved push/pop" `Quick test_heap_interleaved;
-    Alcotest.test_case "heap rejects negative times" `Quick test_heap_rejects_negative;
-    prop_heap_sorts;
-    Alcotest.test_case "heap pop clears vacated slots" `Quick test_heap_pop_clears_slots;
-    Alcotest.test_case "aggressive = offline LSRC at t=0" `Quick test_aggressive_equals_offline_lsrc;
+  List.map
+    (fun (online, policy, name, offline) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s = offline %s at t=0" online name)
+        `Quick
+        (test_online_equals_offline policy offline))
+    online_offline_pairs
+  @ [
     Alcotest.test_case "FCFS policy blocks behind head" `Quick test_fcfs_policy_order;
     Alcotest.test_case "no job before its submission" `Quick test_arrival_order_respected;
     Alcotest.test_case "all policies feasible with reservations" `Quick test_policies_feasible_with_reservations;

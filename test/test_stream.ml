@@ -95,7 +95,7 @@ let test_synthetic_shape () =
       if Job.q a.job < 1 || Job.q a.job > 64 then Alcotest.fail "width out of range")
     xs
 
-(* --- simulator: run_stream vs run_estimated ----------------------------- *)
+(* --- simulator: run_stream vs the estimated batch run (run ~estimates) --- *)
 
 let arrivals_of_seed seed ~n =
   let rng = Prng.create ~seed in
@@ -111,7 +111,7 @@ let engines_agree ~gc_every policy seed =
     Array.of_list (List.map (fun (a : Swf_stream.arrival) -> a.Swf_stream.estimate) arrivals)
   in
   let obs_b = Resa_obs.Trace.buffer () in
-  let trace = Simulator.run_estimated ~obs:obs_b ~policy ~m:16 ~estimates subs in
+  let trace = Simulator.run ~obs:obs_b ~policy ~m:16 ~estimates subs in
   let obs_s = Resa_obs.Trace.buffer () in
   let records = ref [] in
   let stats =
@@ -185,7 +185,7 @@ let metrics_agree seed =
   let estimates =
     Array.of_list (List.map (fun (a : Swf_stream.arrival) -> a.Swf_stream.estimate) arrivals)
   in
-  let trace = Simulator.run_estimated ~policy:Policy.easy ~m:16 ~estimates subs in
+  let trace = Simulator.run ~policy:Policy.easy ~m:16 ~estimates subs in
   summaries_identical (Metrics.Stream.summary ms) (Metrics.summarize trace)
 
 let prop_metrics_bitwise =
