@@ -340,7 +340,7 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate gc_ev
         List.concat_map
           (fun (name, _, trace, _) -> Resa_sim.Sim_trace.chrome_slices ~process:name trace)
           exports
-        @ (if Resa_obs.Prof.enabled () then
+        @ (if Resa_obs.Metrics.enabled () then
              Resa_obs.Chrome.of_spans ~process:"executor" (Resa_obs.Prof.spans ())
            else [])
       in
@@ -373,7 +373,7 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate gc_ev
             exports))
     csv_out;
   (* The registry is process-global and cumulative across the sequential
-     runs, like Prof counters: the exposition describes the whole replay. *)
+     runs: the exposition describes the whole replay. *)
   Option.iter
     (fun path ->
       if path = "-" then print_string (Resa_obs.Metrics.expose ())
@@ -466,8 +466,9 @@ let replay_cmd =
       value & flag
       & info [ "metrics" ]
           ~doc:
-            "Enable the typed metrics registry for this run (same switch as \
-             $(b,RESA_METRICS=1)); heartbeat rows then carry the registry section.")
+            "Enable the metrics registry and wall-clock spans for this run (same switch as \
+             $(b,RESA_METRICS=1)); heartbeat rows then carry the registry section, engine \
+             counts included, and --chrome adds the executor spans.")
   in
   let max_allocs =
     Arg.(

@@ -32,10 +32,10 @@ let run_order_reference inst order =
   loop 0 (Array.to_list order);
   Schedule.make starts
 
-(* Observability counters (RESA_PROF): decision instants visited and jobs
+(* Registry counters (RESA_METRICS): decision instants visited and jobs
    placed by the production list scheduler. *)
-let c_instants = Resa_obs.Prof.counter "lsrc.decision_instants"
-let c_placed = Resa_obs.Prof.counter "lsrc.jobs_placed"
+let c_instants = Resa_obs.Metrics.counter "lsrc.decision_instants"
+let c_placed = Resa_obs.Metrics.counter "lsrc.jobs_placed"
 
 let run_order inst order =
   let n = Instance.n_jobs inst in
@@ -58,7 +58,7 @@ let run_order inst order =
       if q <= !cap_now && Timeline.min_on free ~lo:t ~hi:(t + Job.p j) >= q then begin
         starts.(i) <- t;
         Timeline.reserve free ~start:t ~dur:(Job.p j) ~need:q;
-        Resa_obs.Prof.incr c_placed;
+        Resa_obs.Metrics.incr c_placed;
         cap_now := !cap_now - q
       end
       else begin
@@ -69,7 +69,7 @@ let run_order inst order =
     n_pend := !w
   in
   let rec loop t =
-    Resa_obs.Prof.incr c_instants;
+    Resa_obs.Metrics.incr c_instants;
     place_fitting t;
     if !n_pend > 0 then
       match Timeline.next_breakpoint_after free t with

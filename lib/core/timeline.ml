@@ -227,17 +227,17 @@ let rec first_at_least a v add lo hi qlo qhi bound =
     if p >= 0 then p else first_at_least a a.(v + 1) add mid hi qlo qhi bound
   end
 
-(* Operation counters for the observability layer (RESA_PROF): a disabled
+(* Operation counters in the metrics registry (RESA_METRICS): a disabled
    counter costs one flag load per call, cheap enough for these hot ops. *)
-let c_min_on = Resa_obs.Prof.counter "timeline.min_on"
-let c_change = Resa_obs.Prof.counter "timeline.change"
-let c_reserve = Resa_obs.Prof.counter "timeline.reserve"
-let c_earliest_fit = Resa_obs.Prof.counter "timeline.earliest_fit"
-let c_checkpoint = Resa_obs.Prof.counter "timeline.checkpoint"
-let c_rollback = Resa_obs.Prof.counter "timeline.rollback"
-let c_commit = Resa_obs.Prof.counter "timeline.commit"
-let c_undone = Resa_obs.Prof.counter "timeline.changes_undone"
-let c_fit_attempt = Resa_obs.Prof.counter "timeline.fit_attempts"
+let c_min_on = Resa_obs.Metrics.counter "timeline.min_on"
+let c_change = Resa_obs.Metrics.counter "timeline.change"
+let c_reserve = Resa_obs.Metrics.counter "timeline.reserve"
+let c_earliest_fit = Resa_obs.Metrics.counter "timeline.earliest_fit"
+let c_checkpoint = Resa_obs.Metrics.counter "timeline.checkpoint"
+let c_rollback = Resa_obs.Metrics.counter "timeline.rollback"
+let c_commit = Resa_obs.Metrics.counter "timeline.commit"
+let c_undone = Resa_obs.Metrics.counter "timeline.changes_undone"
+let c_fit_attempt = Resa_obs.Metrics.counter "timeline.fit_attempts"
 
 let rec point a x v add lo hi =
   if a.(v) = 0 then add + a.(v + 2)
@@ -256,7 +256,7 @@ let value_at t x =
   if x >= t.size then t.tail else point t.nodes x t.root 0 0 t.size
 
 let min_on t ~lo ~hi =
-  Resa_obs.Prof.incr c_min_on;
+  Resa_obs.Metrics.incr c_min_on;
   if lo < 0 || lo > hi then invalid_arg "Timeline: bad window";
   if lo = hi then max_int
   else begin
@@ -289,7 +289,7 @@ let log_change t lo hi delta checked =
   t.ulog_len <- t.ulog_len + 1
 
 let do_change t ~lo ~hi ~delta ~checked =
-  Resa_obs.Prof.incr c_change;
+  Resa_obs.Metrics.incr c_change;
   if lo < hi && delta <> 0 then begin
     if lo < 0 then invalid_arg "Timeline.change: negative lo";
     if lo < t.off then invalid_arg "Timeline.change: below the gc origin";
@@ -305,7 +305,7 @@ let do_change t ~lo ~hi ~delta ~checked =
 let change t ~lo ~hi ~delta = do_change t ~lo ~hi ~delta ~checked:false
 
 let checkpoint t =
-  Resa_obs.Prof.incr c_checkpoint;
+  Resa_obs.Metrics.incr c_checkpoint;
   t.specs <- t.specs + 1;
   t.ulog_len
 
@@ -314,9 +314,9 @@ let check_mark t m name =
     invalid_arg (name ^ ": stale or non-LIFO mark")
 
 let rollback t m =
-  Resa_obs.Prof.incr c_rollback;
+  Resa_obs.Metrics.incr c_rollback;
   check_mark t m "Timeline.rollback";
-  Resa_obs.Prof.add c_undone (t.ulog_len - m);
+  Resa_obs.Metrics.add c_undone (t.ulog_len - m);
   for i = t.ulog_len - 1 downto m do
     let j = 4 * i in
     (* The window was [ensure]d when the change was recorded and the universe
@@ -328,7 +328,7 @@ let rollback t m =
   if t.specs = 0 then t.ulog_len <- 0
 
 let commit t m =
-  Resa_obs.Prof.incr c_commit;
+  Resa_obs.Metrics.incr c_commit;
   check_mark t m "Timeline.commit";
   t.specs <- t.specs - 1;
   if t.specs = 0 then t.ulog_len <- 0
@@ -345,7 +345,7 @@ let spec_op_is_reserve t m ~i ~start ~dur ~need =
   && t.ulog.(j + 3) = 1
 
 let reserve t ~start ~dur ~need =
-  Resa_obs.Prof.incr c_reserve;
+  Resa_obs.Metrics.incr c_reserve;
   if dur < 1 then invalid_arg "Timeline.reserve: dur must be >= 1";
   if need < 0 then invalid_arg "Timeline.reserve: negative need";
   if min_on t ~lo:start ~hi:(start + dur) < need then
@@ -353,7 +353,7 @@ let reserve t ~start ~dur ~need =
   do_change t ~lo:start ~hi:(start + dur) ~delta:(-need) ~checked:true
 
 let reserve_fitting t ~start ~dur ~need =
-  Resa_obs.Prof.incr c_reserve;
+  Resa_obs.Metrics.incr c_reserve;
   if dur < 1 then invalid_arg "Timeline.reserve_fitting: dur must be >= 1";
   if need < 0 then invalid_arg "Timeline.reserve_fitting: negative need";
   do_change t ~lo:start ~hi:(start + dur) ~delta:(-need) ~checked:true
@@ -362,7 +362,7 @@ let reserve_fitting t ~start ~dur ~need =
    [earliest_fit], and the two inner descents are the monomorphic
    closure-free twins of [first]. *)
 let rec fit_attempt t dur need s =
-  Resa_obs.Prof.incr c_fit_attempt;
+  Resa_obs.Metrics.incr c_fit_attempt;
   ensure t (s + dur);
   match first_below t.nodes t.root 0 0 t.size s (s + dur) need with
   | -1 -> s
@@ -376,7 +376,7 @@ let rec fit_attempt t dur need s =
     | s' -> fit_attempt t dur need s')
 
 let earliest_fit_at t ~from ~dur ~need =
-  Resa_obs.Prof.incr c_earliest_fit;
+  Resa_obs.Metrics.incr c_earliest_fit;
   if dur < 1 then invalid_arg "Timeline.earliest_fit: dur must be >= 1";
   if from < 0 then invalid_arg "Timeline.earliest_fit: negative from";
   (* Candidates below the gc origin are clamped to it: the collapsed past
@@ -536,7 +536,7 @@ let to_profile ?(from = 0) t =
 
 let node_count t = t.n_nodes
 
-let c_gc = Resa_obs.Prof.counter "timeline.gc"
+let c_gc = Resa_obs.Metrics.counter "timeline.gc"
 
 (* History garbage collection. The committed past of a capacity timeline
    never changes (simulators only mutate and query windows at or after the
@@ -548,7 +548,7 @@ let c_gc = Resa_obs.Prof.counter "timeline.gc"
    array is reallocated at the live size, returning the dead history to
    the OCaml heap. Cost: O(live segments · log U). *)
 let gc t ~upto =
-  Resa_obs.Prof.incr c_gc;
+  Resa_obs.Metrics.incr c_gc;
   if upto < 0 then invalid_arg "Timeline.gc: negative upto";
   if t.specs > 0 then invalid_arg "Timeline.gc: checkpoint outstanding";
   (* The origin never moves backwards: a second gc at an earlier instant

@@ -10,11 +10,11 @@ type result = {
 
 exception Node_budget_exhausted
 
-(* Observability: search effort and pruning mix (RESA_PROF). *)
-let c_nodes = Resa_obs.Prof.counter "bnb.nodes"
-let c_prunes_area = Resa_obs.Prof.counter "bnb.prunes_area"
-let c_prunes_twin = Resa_obs.Prof.counter "bnb.prunes_twin"
-let c_prunes_fit = Resa_obs.Prof.counter "bnb.prunes_fit"
+(* Registry counters (RESA_METRICS): search effort and pruning mix. *)
+let c_nodes = Resa_obs.Metrics.counter "bnb.nodes"
+let c_prunes_area = Resa_obs.Metrics.counter "bnb.prunes_area"
+let c_prunes_twin = Resa_obs.Metrics.counter "bnb.prunes_twin"
+let c_prunes_fit = Resa_obs.Metrics.counter "bnb.prunes_fit"
 
 let incumbent_schedule inst =
   (* Cheap good starting incumbent: best of a few list heuristics. *)
@@ -200,7 +200,7 @@ type branch = { trail : (int * int) array; b_cmax : int; b_rem : int }
    [trail] then carries the (start, job) path to the current node. *)
 let rec dfs s ~fdepth ~fsink ~trail depth t_prev i_prev cur_cmax rem_work =
   s.nodes <- s.nodes + 1;
-  Resa_obs.Prof.incr c_nodes;
+  Resa_obs.Metrics.incr c_nodes;
   if s.nodes > s.budget then false
   else if depth = s.n then begin
     if cur_cmax < s.local_best then begin
@@ -220,7 +220,7 @@ let rec dfs s ~fdepth ~fsink ~trail depth t_prev i_prev cur_cmax rem_work =
       else Lower_bounds.min_time_with_area_tl ~cap:b s.free ~from:t_prev ~area:rem_work
     in
     if (if cur_cmax > area_lb then cur_cmax else area_lb) >= b then begin
-      Resa_obs.Prof.incr c_prunes_area;
+      Resa_obs.Metrics.incr c_prunes_area;
       true
     end
     else begin
@@ -277,7 +277,7 @@ and try_jobs s ~fdepth ~fsink ~trail depth t_prev i_prev cur_cmax rem_work t min
     let idx = !i in
     if not s.placed.(idx) then begin
       let tb = s.twin_before.(idx) in
-      if tb >= 0 && not s.placed.(tb) then Resa_obs.Prof.incr c_prunes_twin
+      if tb >= 0 && not s.placed.(tb) then Resa_obs.Metrics.incr c_prunes_twin
       else begin
         let fin = t + s.durations.(idx) in
         if
@@ -428,7 +428,7 @@ let solve ?(node_limit = 2_000_000) inst =
               Lower_bounds.fit_bound_tl s.free ~from:t_prev (Array.of_list !unplaced)
             in
             if (if b.b_cmax > fit_lb then b.b_cmax else fit_lb) >= bnd s then
-              Resa_obs.Prof.incr c_prunes_fit
+              Resa_obs.Metrics.incr c_prunes_fit
             else begin
               s.budget <- s.nodes + budget;
               let okb =

@@ -1,16 +1,16 @@
-(* Typed metrics registry — the always-on telemetry half of the
+(* Typed metrics registry — the one registry and the one switch of the
    observability layer. Where [Trace] records *what happened* (a typed
-   event per occurrence, gigabytes at 10M jobs) and [Prof] records *where
-   wall-clock time went*, this module keeps bounded aggregates: named
-   counters, gauges and log2-bucketed histograms that a heartbeat sampler
-   or a serving daemon can snapshot at any instant in O(registry size).
-
-   The discipline follows [Prof]:
+   event per occurrence, gigabytes at 10M jobs), this module keeps bounded
+   aggregates: named counters, gauges and log2-bucketed histograms that a
+   heartbeat sampler or a serving daemon can snapshot at any instant in
+   O(registry size). Every layer counts here — simulator events, timeline
+   operations, policy decisions, LSRC instants, BnB prunes, executor busy
+   time — and [Prof]'s spans follow the same flag.
 
    - Disabled cost: collection is off by default (enable with
      RESA_METRICS=1 or [enable]); the disabled path of [incr], [add],
      [set] and [observe] is one flag load and a branch, cheap enough for
-     the simulator's per-event path to call unconditionally.
+     timeline and simulator hot loops to call unconditionally.
 
    - Domain safety: cells are atomics, registration is mutexed, so worker
      domains may bump shared instruments concurrently. Sums of atomic adds
@@ -21,7 +21,8 @@
      (waits, queue depths, node counts) are deterministic; anything
      wall-clock lives under the reserved "wall." name prefix and is kept
      out of deterministic outputs by every consumer ([is_wall] is the
-     test). This is the same split [Prof] enforces structurally. *)
+     test). [Prof]'s spans are wall-clock by construction and never enter
+     the registry. *)
 
 let flag =
   ref

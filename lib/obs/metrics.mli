@@ -1,13 +1,20 @@
 (** Typed metrics registry: counters, gauges and log2-bucketed histograms.
 
-    The always-on telemetry surface behind heartbeat snapshots and the
-    Prometheus-style exposition — bounded aggregates where {!Trace} keeps
-    per-event records. Collection is {e off} by default (enable with
-    [RESA_METRICS=1] or {!enable}); the disabled path of {!incr}, {!add},
-    {!set} and {!observe} is a single flag load and branch, cheap enough
-    for the simulator's per-event path to call unconditionally — and with
-    collection off every deterministic output of the program is
-    byte-identical to a build without telemetry (tested).
+    The one registry of the observability layer, behind heartbeat
+    snapshots and the Prometheus-style exposition — bounded aggregates
+    where {!Trace} keeps per-event records. Every layer counts here:
+    simulator events ([sim.*]), timeline operations ([timeline.*]), policy
+    decisions ([policy.decide.*]), LSRC instants ([lsrc.*]), BnB search
+    effort ([bnb.*]) and executor busy time ([wall.par.busy_ns]).
+
+    {!enable} is also the one switch: it turns on these instruments and
+    {!Prof}'s spans alike. Collection is {e off} by default (enable with
+    [RESA_METRICS=1], [--metrics] or {!enable}); the disabled path of
+    {!incr}, {!add}, {!set} and {!observe} is a single flag load and
+    branch, cheap enough for timeline and simulator hot loops to call
+    unconditionally — and with collection off every deterministic output
+    of the program is byte-identical to a build without telemetry
+    (tested).
 
     All state is domain-safe: cells are atomics, registration is mutexed.
     Because atomic additions commute, a snapshot of a deterministic
@@ -18,8 +25,8 @@
     feed deterministic outputs (heartbeat rows, test goldens). Any metric
     carrying wall-clock data {e must} be named under the reserved
     ["wall."] prefix — {!is_wall} is the test — and consumers keep such
-    metrics strictly inside their segregated wall-clock sections, exactly
-    as {!Prof} keeps spans out of tables. *)
+    metrics strictly inside their segregated wall-clock sections, as
+    {!Prof} keeps spans out of tables. *)
 
 val enabled : unit -> bool
 val enable : unit -> unit

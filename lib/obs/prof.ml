@@ -1,58 +1,16 @@
-(* Wall-clock spans and operation counters — the nondeterministic half of
-   the observability layer. Everything here is timing data: it is never
-   written into deterministic outputs (tables, schedules, JSONL event
+(* Wall-clock spans, the process clock and peak RSS — the nondeterministic
+   half of the observability layer. Everything here is timing data: it is
+   never written into deterministic outputs (tables, schedules, JSONL event
    traces), only into Chrome exports and bench trajectory JSON.
 
-   Profiling is off by default (enable with RESA_PROF=1 or [enable]); the
-   disabled path of every operation is one flag load and a branch, so hot
-   loops (Timeline ops, heap pushes) can call [incr] unconditionally.
-   Counters are atomics — worker domains of the executor pool bump them
-   concurrently — and spans record which domain produced them. *)
+   Spans share the one observability switch of [Metrics] (RESA_METRICS=1,
+   --metrics or [Metrics.enable]); the disabled path of [with_span] is one
+   flag load and a branch. Spans record which domain produced them. *)
 
-let flag =
-  ref
-    (match Sys.getenv_opt "RESA_PROF" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true)
-
-let enabled () = !flag [@@inline]
-let enable () = flag := true
-let disable () = flag := false
-
-(* Wall-clock nanoseconds. [Unix.gettimeofday] is the only sub-second clock
-   the stdlib distribution offers without C stubs; spans are comparative
-   profiling data, so occasional NTP slew is acceptable. *)
-let now_ns () = Int64.to_int (Int64.of_float (Unix.gettimeofday () *. 1e9))
-
-(* --- counters ----------------------------------------------------------- *)
-
-type counter = { cname : string; cell : int Atomic.t }
-
-let registry : (string, counter) Hashtbl.t = Hashtbl.create 32
-let registry_mutex = Mutex.create ()
-
-let counter cname =
-  Mutex.lock registry_mutex;
-  let c =
-    match Hashtbl.find_opt registry cname with
-    | Some c -> c
-    | None ->
-      let c = { cname; cell = Atomic.make 0 } in
-      Hashtbl.add registry cname c;
-      c
-  in
-  Mutex.unlock registry_mutex;
-  c
-
-let incr c = if !flag then Atomic.incr c.cell [@@inline]
-let add c n = if !flag then ignore (Atomic.fetch_and_add c.cell n) [@@inline]
-let value c = Atomic.get c.cell
-
-let counters () =
-  Mutex.lock registry_mutex;
-  let all = Hashtbl.fold (fun _ c acc -> (c.cname, Atomic.get c.cell) :: acc) registry [] in
-  Mutex.unlock registry_mutex;
-  List.sort compare all
+(* Monotonic nanoseconds (CLOCK_MONOTONIC): immune to NTP slews, and the
+   same clock the benchmark harness reads, so spans, decision latencies and
+   replay wall times all agree. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 (* --- spans -------------------------------------------------------------- *)
 
@@ -67,7 +25,7 @@ let record_span s =
   Mutex.unlock spans_mutex
 
 let with_span ?(cat = "span") name f =
-  if not !flag then f ()
+  if not (Metrics.enabled ()) then f ()
   else begin
     let start_ns = now_ns () in
     let finish () =
@@ -97,61 +55,19 @@ let spans () =
      completion interleaving across domains. *)
   List.stable_sort (fun a b -> compare (a.start_ns, a.name) (b.start_ns, b.name)) l
 
-(* --- executor busy time ------------------------------------------------- *)
+(* --- views of the registry ----------------------------------------------- *)
 
-(* Busy nanoseconds keyed by the *real* domain id. Domain ids grow
-   monotonically over the process lifetime (pools respawn), so a fixed
-   modulo table would silently merge distinct domains once ids wrap its
-   size; instead the table grows on demand. The hot path is lock-free: one
-   atomic array load plus an indexed fetch-and-add. Growth copies the cell
-   *references* into a larger array under a mutex and publishes it with a
-   single atomic store, so adds racing a growth land in cells both arrays
-   share — no accounting is lost. *)
-let busy_mutex = Mutex.create ()
-let busy = Atomic.make (Array.init 256 (fun _ -> Atomic.make 0))
+let enable = Metrics.enable
+let disable = Metrics.disable
 
-let rec busy_cell id =
-  let arr = Atomic.get busy in
-  if id < Array.length arr then arr.(id)
-  else begin
-    Mutex.lock busy_mutex;
-    let arr = Atomic.get busy in
-    if id >= Array.length arr then begin
-      let len = ref (Array.length arr) in
-      while id >= !len do
-        len := 2 * !len
-      done;
-      let b =
-        Array.init !len (fun i -> if i < Array.length arr then arr.(i) else Atomic.make 0)
-      in
-      Atomic.set busy b
-    end;
-    Mutex.unlock busy_mutex;
-    busy_cell id
-  end
-
-let add_busy ns =
-  if !flag then ignore (Atomic.fetch_and_add (busy_cell (Domain.self () :> int)) ns)
-
-let busy_ns () =
-  let arr = Atomic.get busy in
-  let acc = ref [] in
-  for id = Array.length arr - 1 downto 0 do
-    let v = Atomic.get arr.(id) in
-    if v > 0 then acc := (id, v) :: !acc
-  done;
-  !acc
-
-(* --- reset -------------------------------------------------------------- *)
+let counters () =
+  List.filter_map (function n, Metrics.Counter_v v -> Some (n, v) | _ -> None) (Metrics.snapshot ())
 
 let reset () =
-  Mutex.lock registry_mutex;
-  Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) registry;
-  Mutex.unlock registry_mutex;
+  Metrics.reset ();
   Mutex.lock spans_mutex;
   spans_store := [];
-  Mutex.unlock spans_mutex;
-  Array.iter (fun a -> Atomic.set a 0) (Atomic.get busy)
+  Mutex.unlock spans_mutex
 
 (* --- process memory ------------------------------------------------------ *)
 

@@ -43,13 +43,16 @@ type pool = {
   size : int;  (* total domains, including the submitting one *)
 }
 
-(* Busy/idle accounting (RESA_PROF): time spent inside tasks, credited to
-   the executing domain. The clock reads sit outside the mutex, so they
-   cost nothing to the other workers even when profiling is on. *)
+(* Busy accounting (RESA_METRICS): time spent inside tasks, summed over
+   all executing domains. The clock reads sit outside the mutex, so they
+   cost nothing to the other workers even when collection is on. *)
+let c_busy = Resa_obs.Metrics.counter "wall.par.busy_ns"
+
 let run_task run i =
-  if Resa_obs.Prof.enabled () then begin
+  if Resa_obs.Metrics.enabled () then begin
     let t0 = Resa_obs.Prof.now_ns () in
-    Fun.protect ~finally:(fun () -> Resa_obs.Prof.add_busy (Resa_obs.Prof.now_ns () - t0))
+    Fun.protect
+      ~finally:(fun () -> Resa_obs.Metrics.add c_busy (Resa_obs.Prof.now_ns () - t0))
       (fun () -> run i)
   end
   else run i

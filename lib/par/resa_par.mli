@@ -23,10 +23,11 @@
     index is re-raised at the join point with its backtrace, again
     matching what the sequential loop would have raised first.
 
-    With profiling on ([RESA_PROF=1] or {!Resa_obs.Prof.enable}), every
-    task's wall time is credited to the executing domain
-    ({!Resa_obs.Prof.busy_ns}) and each pooled parallel section records a
-    [par.run_block] span — wall-clock data only, never part of results. *)
+    With collection on ([RESA_METRICS=1], [--metrics] or
+    {!Resa_obs.Metrics.enable}), every task's wall time is added to the
+    [wall.par.busy_ns] registry counter and each pooled parallel section
+    records a [par.run_block] span on the submitting domain's Chrome track —
+    wall-clock data only, never part of results. *)
 
 open Resa_core
 

@@ -1,6 +1,6 @@
 open Resa_core
 module Trace = Resa_obs.Trace
-module Prof = Resa_obs.Prof
+module Metrics = Resa_obs.Metrics
 
 type action = {
   start_now : Job.t list;
@@ -34,11 +34,11 @@ let earliest_at free ~from job =
 let take free ~time job =
   Timeline.reserve_fitting free ~start:time ~dur:(Job.p job) ~need:(Job.q job)
 
-(* Per-policy decision counters (RESA_PROF). *)
-let c_fcfs = Prof.counter "policy.decide.FCFS"
-let c_lsrc = Prof.counter "policy.decide.LSRC"
-let c_easy = Prof.counter "policy.decide.EASY"
-let c_cons = Prof.counter "policy.decide.CONS"
+(* Per-policy decision counters (RESA_METRICS). *)
+let c_fcfs = Metrics.counter "policy.decide.FCFS"
+let c_lsrc = Metrics.counter "policy.decide.LSRC"
+let c_easy = Metrics.counter "policy.decide.EASY"
+let c_cons = Metrics.counter "policy.decide.CONS"
 
 (* The scan functions below are top-level and take the queue by index so
    that a decision which starts nothing allocates nothing: no closure per
@@ -66,7 +66,7 @@ let rec fcfs_go ~obs ~time queue free i n =
 
 let fcfs =
   let create ~obs ~time ~queue ~free =
-    Prof.incr c_fcfs;
+    Metrics.incr c_fcfs;
     fcfs_go ~obs ~time queue free 0 (Jobq.length queue)
   in
   { name = "FCFS"; create }
@@ -84,7 +84,7 @@ let rec lsrc_go ~time queue free i n =
 
 let aggressive =
   let create ~obs:_ ~time ~queue ~free =
-    Prof.incr c_lsrc;
+    Metrics.incr c_lsrc;
     match lsrc_go ~time queue free 0 (Jobq.length queue) with
     | [] -> idle
     | started -> { start_now = started; wake = None }
@@ -137,7 +137,7 @@ and easy_backfill ~time queue free head guaranteed i n =
 
 let easy =
   let create ~obs ~time ~queue ~free =
-    Prof.incr c_easy;
+    Metrics.incr c_easy;
     easy_prefix ~obs ~time queue free 0 (Jobq.length queue)
   in
   { name = "EASY"; create }
@@ -189,7 +189,7 @@ let conservative =
       s
     in
     fun ~time ~queue ~free ->
-      Prof.incr c_cons;
+      Metrics.incr c_cons;
       let p =
         match !plan with
         | Some p -> p

@@ -74,6 +74,17 @@ let auto_gc_span = 16384
    queries wander a cold tree. *)
 let auto_gc_nodes = 16384
 
+(* Rebase [free] at [t]. Both triggers — the caller's [gc_every] cadence
+   and the span/node bound above — go through here, so both count. *)
+let gc free t =
+  if Metrics.enabled () then begin
+    let before = Timeline.node_count free in
+    Timeline.gc free ~upto:t;
+    Metrics.incr m_gc_runs;
+    Metrics.add m_gc_reclaimed (max 0 (before - Timeline.node_count free))
+  end
+  else Timeline.gc free ~upto:t
+
 (* The single event loop behind [run_stream] and [run]. Arrivals are pulled
    from [next] (submit times non-decreasing) with one arrival of lookahead.
    At any instant, due arrivals are admitted first, then queued events pop
@@ -250,15 +261,7 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
     Metrics.incr m_completed;
     (* Outside any decision checkpoint, with every future query at or
        after [t]: the history left of now is dead weight. *)
-    if gc_every > 0 && !completions mod gc_every = 0 then begin
-      if Metrics.enabled () then begin
-        let before = Timeline.node_count free in
-        Timeline.gc free ~upto:t;
-        Metrics.incr m_gc_runs;
-        Metrics.add m_gc_reclaimed (max 0 (before - Timeline.node_count free))
-      end
-      else Timeline.gc free ~upto:t
-    end;
+    if gc_every > 0 && !completions mod gc_every = 0 then gc free t;
     if tracing then Trace.emit obs (Trace.Job_finish { time = t; job = id })
   in
   let rec drain t =
@@ -311,13 +314,8 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
          taxes every query the policies issue. Rebasing here — outside any
          checkpoint, with all future traffic at or after [t] — is invisible
          to decisions and keeps descents shallow. *)
-      if
-        t - Timeline.origin free > auto_gc_span
-        || Timeline.node_count free > auto_gc_nodes
-      then begin
-        Timeline.gc free ~upto:t;
-        Metrics.incr m_gc_runs
-      end;
+      if t - Timeline.origin free > auto_gc_span || Timeline.node_count free > auto_gc_nodes
+      then gc free t;
       last_t := t;
       let t_decide = if Metrics.enabled () then Prof.now_ns () else 0 in
       decision_no := !decision_no + 1;

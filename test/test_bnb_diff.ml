@@ -50,11 +50,8 @@ let pool_bit_identity mk seed =
    budget cuts the search short mid-descent (the DFS returns instead of
    raising precisely so the unwind still happens). *)
 let test_checkpoint_pairing () =
-  Resa_obs.Prof.enable ();
-  Fun.protect ~finally:Resa_obs.Prof.disable (fun () ->
-      let find name =
-        match List.assoc_opt name (Resa_obs.Prof.counters ()) with Some v -> v | None -> 0
-      in
+  Tutil.with_metrics (fun () ->
+      let find = Tutil.counter in
       let balanced label =
         Alcotest.(check bool) (label ^ ": checkpoints opened") true (find "timeline.checkpoint" > 0);
         Alcotest.(check int)
@@ -62,7 +59,6 @@ let test_checkpoint_pairing () =
           (find "timeline.checkpoint")
           (find "timeline.rollback" + find "timeline.commit")
       in
-      Resa_obs.Prof.reset ();
       (* A batch of seeds: some instances are closed at the root by the
          incumbent-vs-lower-bound test, so one instance alone could open no
          speculation scope at all. *)
@@ -70,7 +66,7 @@ let test_checkpoint_pairing () =
         ignore (Bnb.solve ~node_limit (Tutil.small_resa_of_seed seed))
       done;
       balanced "full solve";
-      Resa_obs.Prof.reset ();
+      Resa_obs.Metrics.reset ();
       (* A budget small enough to exhaust mid-search on most instances. *)
       ignore (Bnb.solve ~node_limit:10 (Tutil.small_rigid_of_seed 7));
       balanced "budget-exhausted solve")

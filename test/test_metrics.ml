@@ -9,22 +9,7 @@ module B = Resa_obs.Benchdiff
 module H = Heartbeat
 module Swf_stream = Resa_swf.Swf_stream
 
-(* Every test leaves the registry and the flag as it found them: the
-   byte-identity tests elsewhere rely on collection staying off. *)
-let with_metrics f =
-  let was = M.enabled () in
-  M.enable ();
-  M.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      M.reset ();
-      if not was then M.disable ())
-    f
-
-let without_metrics f =
-  let was = M.enabled () in
-  M.disable ();
-  Fun.protect ~finally:(fun () -> if was then M.enable ()) f
+open Tutil
 
 (* --- registry ------------------------------------------------------------ *)
 
@@ -132,9 +117,9 @@ let test_wall_prefix () =
 
 (* --- simulator integration ----------------------------------------------- *)
 
-let arrivals ?(seed = 11) ?(n = 400) () =
+let arrivals ?(seed = 11) ?(n = 400) ?(mean_gap = 3.0) () =
   let rng = Resa_core.Prng.create ~seed in
-  let src = Swf_stream.synthetic ~overestimate:2.0 rng ~m:16 ~n ~max_runtime:60 ~mean_gap:3.0 in
+  let src = Swf_stream.synthetic ~overestimate:2.0 rng ~m:16 ~n ~max_runtime:60 ~mean_gap in
   let acc = ref [] in
   let rec go () = match src () with None -> () | Some a -> acc := a :: !acc; go () in
   go ();
@@ -185,12 +170,31 @@ let test_snapshot_deterministic () =
       in
       Alcotest.(check int) "admissions counted" 400 (counter "sim.jobs_admitted");
       Alcotest.(check int) "completions counted" 400 (counter "sim.jobs_completed");
+      (* Engine counts share the registry with the simulator's own. *)
+      Alcotest.(check int) "every checkpoint resolved" (counter "timeline.checkpoint")
+        (counter "timeline.commit" + counter "timeline.rollback");
+      Alcotest.(check int) "one EASY decide per engine decision" (counter "sim.decisions")
+        (counter "policy.decide.EASY");
       (match List.assoc_opt "sim.wait" snap1 with
       | Some (M.Histogram_v h) -> Alcotest.(check int) "every start observed" 400 h.M.count
       | _ -> Alcotest.fail "sim.wait missing");
       Alcotest.(check bool) "decide latency is wall-prefixed" true
         (List.mem_assoc "wall.decide_ns" (M.snapshot ())
         && not (List.mem_assoc "wall.decide_ns" snap1)))
+
+let test_auto_gc_counted () =
+  (* No gc cadence: only the engine's own span/node trigger rebases the
+     timeline, and each rebase must report what it reclaimed. *)
+  with_metrics (fun () ->
+      let stats =
+        Simulator.run_stream ~policy:Policy.fcfs ~m:16
+          (feed (arrivals ~n:2000 ~mean_gap:20.0 ()))
+      in
+      Alcotest.(check bool) "span passes the 16384 auto-gc bound" true
+        (stats.Simulator.makespan > 16384);
+      Alcotest.(check bool) "auto gc ran" true (Tutil.counter "sim.gc_runs" > 0);
+      Alcotest.(check bool) "reclaimed nodes counted" true
+        (Tutil.counter "sim.gc_reclaimed_nodes" > 0))
 
 let test_traced_replay_byte_identical_off () =
   (* Collection on or off never changes the deterministic event stream. *)
@@ -364,6 +368,7 @@ let suite =
     Alcotest.test_case "prometheus exposition" `Quick test_expose_format;
     Alcotest.test_case "wall prefix convention" `Quick test_wall_prefix;
     Alcotest.test_case "snapshot deterministic across runs" `Quick test_snapshot_deterministic;
+    Alcotest.test_case "auto gc counts reclaimed nodes" `Quick test_auto_gc_counted;
     Alcotest.test_case "traced replay byte-identical off" `Quick
       test_traced_replay_byte_identical_off;
     Alcotest.test_case "heartbeat sampler cadence and closing" `Quick test_heartbeat_sampler;

@@ -7,6 +7,7 @@ open Resa_core
 open Resa_sim
 module Trace = Resa_obs.Trace
 module Prof = Resa_obs.Prof
+module Registry = Resa_obs.Metrics
 
 (* --- shared workload ---------------------------------------------------- *)
 
@@ -397,15 +398,11 @@ let test_policy_error_messages () =
 (* --- profiling ----------------------------------------------------------- *)
 
 let test_prof_counters () =
-  Prof.enable ();
-  Fun.protect ~finally:Prof.disable (fun () ->
-      Prof.reset ();
+  Tutil.with_metrics (fun () ->
       let rng = Prng.create ~seed:5 in
       let inst = Resa_gen.Random_inst.alpha_restricted rng ~m:8 ~n:20 ~alpha:0.5 ~pmax:9 () in
       ignore (Resa_algos.Lsrc.run inst);
-      let find name =
-        match List.assoc_opt name (Prof.counters ()) with Some v -> v | None -> 0
-      in
+      let find = Tutil.counter in
       Alcotest.(check bool) "lsrc instants counted" true (find "lsrc.decision_instants" > 0);
       Alcotest.(check int) "all jobs placed" 20 (find "lsrc.jobs_placed");
       Alcotest.(check bool) "timeline ops counted" true (find "timeline.min_on" > 0);
@@ -418,17 +415,30 @@ let test_prof_counters () =
         (find "timeline.rollback" + find "timeline.commit");
       Alcotest.(check bool) "spans recorded" true
         (List.exists (fun s -> s.Prof.name = "lsrc.run_order") (Prof.spans ()));
+      Alcotest.(check bool) "engine counts reach the exposition" true
+        (contains ~sub:"resa_timeline_checkpoint " (Registry.expose ()));
       Prof.reset ();
       Alcotest.(check int) "reset zeroes counters" 0 (find "lsrc.jobs_placed");
       Alcotest.(check (list reject)) "reset drops spans" [] (Prof.spans ()))
 
 let test_prof_disabled_is_noop () =
-  Prof.disable ();
-  Prof.reset ();
-  let c = Prof.counter "test.noop" in
-  Prof.incr c;
-  Prof.add c 41;
-  Alcotest.(check int) "disabled counter stays 0" 0 (Prof.value c)
+  Tutil.without_metrics (fun () ->
+      Prof.reset ();
+      let rng = Prng.create ~seed:5 in
+      let inst = Resa_gen.Random_inst.alpha_restricted rng ~m:8 ~n:20 ~alpha:0.5 ~pmax:9 () in
+      ignore (Resa_algos.Lsrc.run inst);
+      Alcotest.(check int) "disabled counter stays 0" 0 (Tutil.counter "lsrc.jobs_placed");
+      Alcotest.(check int) "disabled timeline ops stay 0" 0 (Tutil.counter "timeline.min_on");
+      Alcotest.(check (list reject)) "disabled spans not recorded" [] (Prof.spans ()))
+
+let test_clock_monotonic () =
+  let prev = ref (Prof.now_ns ()) and backwards = ref 0 in
+  for _ = 1 to 100_000 do
+    let t = Prof.now_ns () in
+    if t < !prev then incr backwards;
+    prev := t
+  done;
+  Alcotest.(check int) "no read below its predecessor" 0 !backwards
 
 (* --- explain ------------------------------------------------------------- *)
 
@@ -492,36 +502,34 @@ let test_truncation_surfaced () =
       let lines = In_channel.with_open_text path In_channel.input_lines in
       Alcotest.(check int) "just the event" 1 (List.length lines))
 
-(* --- busy accounting beyond the initial table ---------------------------- *)
+(* --- executor busy accounting ---------------------------------------------- *)
 
 let test_busy_high_domain_ids () =
-  (* Domain ids grow monotonically over the process lifetime, so spawning
-     sequential domains pushes the id past the busy table's initial 256
-     slots; distinct domains must never merge. *)
-  let was = Prof.enabled () in
-  Prof.enable ();
-  Prof.reset ();
-  let last_id = ref 0 in
-  let spawned = ref 0 in
-  while !last_id < 300 && !spawned < 512 do
-    let d =
-      Domain.spawn (fun () ->
-          Prof.add_busy 7;
-          (Domain.self () :> int))
-    in
-    last_id := Domain.join d;
-    incr spawned
-  done;
-  if not was then Prof.disable ();
-  Alcotest.(check bool) "reached an id past the initial table" true (!last_id >= 300);
-  let busy = Prof.busy_ns () in
-  (match List.assoc_opt !last_id busy with
-  | Some v -> Alcotest.(check int) "highest domain credited exactly once" 7 v
-  | None -> Alcotest.fail "high domain id missing from busy_ns");
-  Alcotest.(check int) "one entry per spawned domain, none merged" !spawned
-    (List.length (List.filter (fun (_, v) -> v = 7) busy));
-  Alcotest.(check bool) "ascending ids" true
-    (List.sort compare busy = busy)
+  (* Domain ids grow monotonically over the process lifetime; busy time
+     from every domain, however high its id, lands in the one executor
+     counter, and the pool itself credits it. *)
+  Tutil.with_metrics (fun () ->
+      let busy = Registry.counter "wall.par.busy_ns" in
+      let last_id = ref 0 in
+      let spawned = ref 0 in
+      while !last_id < 300 && !spawned < 512 do
+        let d =
+          Domain.spawn (fun () ->
+              Registry.add busy 7;
+              (Domain.self () :> int))
+        in
+        last_id := Domain.join d;
+        incr spawned
+      done;
+      Alcotest.(check bool) "reached a domain id past 300" true (!last_id >= 300);
+      Alcotest.(check int) "every spawned domain summed exactly" (7 * !spawned)
+        (Tutil.counter "wall.par.busy_ns");
+      let before = Registry.value busy in
+      ignore
+        (Resa_par.parallel_map
+           (fun k -> Array.fold_left ( + ) 0 (Array.init 1000 (fun i -> i * k)))
+           (Array.init 8 Fun.id));
+      Alcotest.(check bool) "pool tasks credit the counter" true (Registry.value busy > before))
 
 let suite =
   [
@@ -544,6 +552,7 @@ let suite =
     Alcotest.test_case "policy errors carry context" `Quick test_policy_error_messages;
     Alcotest.test_case "prof counters and spans" `Quick test_prof_counters;
     Alcotest.test_case "prof disabled is a no-op" `Quick test_prof_disabled_is_noop;
+    Alcotest.test_case "prof clock never decreases" `Quick test_clock_monotonic;
     Alcotest.test_case "busy accounting at high domain ids" `Quick test_busy_high_domain_ids;
     Alcotest.test_case "explain renders a trace" `Quick test_explain_render;
     Alcotest.test_case "truncation surfaced on flush and explain" `Quick

@@ -7,6 +7,32 @@ let check_feasible name inst sched =
   | Ok () -> ()
   | Error v -> Alcotest.failf "%s: infeasible schedule: %a" name Schedule.pp_violation v
 
+(* Run [f] with the metrics registry on and zeroed. The switch and the
+   registry are left as found (zeroed again): the byte-identity tests rely
+   on collection staying off. *)
+let with_metrics f =
+  let module M = Resa_obs.Metrics in
+  let was = M.enabled () in
+  M.enable ();
+  M.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      M.reset ();
+      if not was then M.disable ())
+    f
+
+let without_metrics f =
+  let module M = Resa_obs.Metrics in
+  let was = M.enabled () in
+  M.disable ();
+  Fun.protect ~finally:(fun () -> if was then M.enable ()) f
+
+(* A registry counter's current value, 0 when never registered. *)
+let counter name =
+  match List.assoc_opt name (Resa_obs.Metrics.snapshot ()) with
+  | Some (Resa_obs.Metrics.Counter_v v) -> v
+  | _ -> 0
+
 let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
