@@ -203,14 +203,20 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
     && ((hb_every > 0 && !events_seen - !hb_last_ev >= hb_every)
        || (hb_dt > 0 && t - !hb_last_t >= hb_dt))
   in
+  (* Submit of the last arrival pulled, or -1 once the source has returned
+     [None]: from then on it is never called again. Validated submits are
+     non-negative, so the mark is unambiguous, and it costs no allocation. *)
   let last_submit = ref 0 in
   let ahead = ref None in
   let peek_arrival () =
     match !ahead with
     | Some _ as a -> a
+    | None when !last_submit < 0 -> None
     | None -> (
       match next () with
-      | None -> None
+      | None ->
+        last_submit := -1;
+        None
       | Some a as r ->
         if a.submit < 0 then invalid_arg "Simulator.run_stream: negative submit time";
         if a.submit < !last_submit then

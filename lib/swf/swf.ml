@@ -1,6 +1,8 @@
 open Resa_core
 open Resa_gen
 
+type arrival = { job : Job.t; submit : int; estimate : int; job_number : int }
+
 type entry = {
   job_number : int;
   submit : int;
@@ -44,6 +46,69 @@ let default =
     think_time = -1;
   }
 
+(* --- the line scanner -------------------------------------------------------
+
+   One tokenizer for every reader: [parse_line] and [parse_string] view a
+   string through it, [Swf_stream] runs it over its read block. Tokens are
+   maximal runs of anything but the blanks ' ', '\t' and '\r' ('\r' is a
+   blank so CRLF traces parse). A plain decimal token — an optional '-' and
+   1–18 digits, which cannot overflow — is converted while it is scanned;
+   any other token takes the slow path below on a substring. *)
+
+let is_blank c = c = ' ' || c = '\t' || c = '\r'
+let is_digit c = c >= '0' && c <= '9'
+
+(* The archive stores a few fields (e.g. average CPU) as floats; accept
+   them. Durations (fields 4 and 9) round {e up}: truncating a 0.9-second
+   runtime to 0 would turn a job that occupied the machine into a no-work
+   entry that [kept] drops. *)
+let convert_slow i tok =
+  match int_of_string_opt tok with
+  | Some _ as v -> v
+  | None -> (
+    match float_of_string_opt tok with
+    | Some f -> Some (if i = 3 || i = 8 then int_of_float (Float.ceil f) else int_of_float f)
+    | None -> None)
+
+let rec token_end b i stop =
+  if i < stop && not (is_blank (Bytes.unsafe_get b i)) then token_end b (i + 1) stop else i
+
+(* Returns the token count when it is below 18 (0: blank, or a comment
+   line, which starts with ';' in column 0), 18 when [fields] holds the
+   line, and [-(k + 1)] when field [k] is the first of the 18 that is not
+   a number. Tokens after the 18th are not looked at. *)
+let scan b ~pos ~stop fields =
+  if pos < stop && Bytes.unsafe_get b pos = ';' then 0
+  else begin
+    let n = ref 0 and bad = ref (-1) and i = ref pos in
+    while !n < 18 && !i < stop do
+      let c = Bytes.unsafe_get b !i in
+      if is_blank c then incr i
+      else begin
+        let start = !i in
+        let digits = if c = '-' then start + 1 else start in
+        let j = ref digits and v = ref 0 in
+        while !j < stop && is_digit (Bytes.unsafe_get b !j) do
+          v := (10 * !v) + (Char.code (Bytes.unsafe_get b !j) - 48);
+          incr j
+        done;
+        let stop_tok = token_end b !j stop in
+        if !bad < 0 then begin
+          let nd = !j - digits in
+          if stop_tok = !j && nd >= 1 && nd <= 18 then
+            fields.(!n) <- (if c = '-' then - !v else !v)
+          else
+            match convert_slow !n (Bytes.sub_string b start (stop_tok - start)) with
+            | Some v -> fields.(!n) <- v
+            | None -> bad := !n
+        end;
+        incr n;
+        i := stop_tok
+      end
+    done;
+    if !n < 18 || !bad < 0 then !n else -(!bad + 1)
+  end
+
 let field_names =
   [|
     "job_number"; "submit"; "wait"; "run"; "alloc_procs"; "avg_cpu"; "used_mem"; "req_procs";
@@ -51,79 +116,63 @@ let field_names =
     "think_time";
   |]
 
-let is_blank line = String.for_all (fun c -> c = ' ' || c = '\t' || c = '\r') line
-
-let parse_line line =
-  if is_blank line then Ok None
-  else if String.length line > 0 && line.[0] = ';' then Ok None
+let scan_error b ~pos ~stop r =
+  if r > 0 then Printf.sprintf "expected 18 fields, found %d" r
   else begin
-    let tokens =
-      (* '\r' joins the separators so CRLF traces parse: otherwise the final
-         field of every line would arrive as e.g. "18\r" and fail numeric
-         conversion. *)
-      String.split_on_char ' '
-        (String.map (fun c -> if c = '\t' || c = '\r' then ' ' else c) line)
-      |> List.filter (fun s -> s <> "")
+    (* Field [k] is the first bad one: find its token again. *)
+    let k = -r - 1 in
+    let rec nth i k =
+      if is_blank (Bytes.get b i) then nth (i + 1) k
+      else if k = 0 then Bytes.sub_string b i (token_end b i stop - i)
+      else nth (token_end b i stop) (k - 1)
     in
-    if List.length tokens < 18 then
-      Error (Printf.sprintf "expected 18 fields, found %d" (List.length tokens))
-    else begin
-      let values = Array.make 18 0 in
-      let bad = ref None in
-      List.iteri
-        (fun i tok ->
-          if i < 18 && !bad = None then
-            match int_of_string_opt tok with
-            | Some v -> values.(i) <- v
-            | None ->
-              (* The archive stores a few fields (e.g. average CPU) as
-                 floats; accept them. Durations round {e up}: truncating a
-                 0.9-second runtime to 0 would turn a job that occupied the
-                 machine into a no-work entry that [carries_work] drops. *)
-              (match float_of_string_opt tok with
-              | Some f ->
-                values.(i) <- (if i = 3 || i = 8 then int_of_float (Float.ceil f) else int_of_float f)
-              | None -> bad := Some (Printf.sprintf "field %s: %S is not a number" field_names.(i) tok)))
-        tokens;
-      match !bad with
-      | Some msg -> Error msg
-      | None ->
-        Ok
-          (Some
-             {
-               job_number = values.(0);
-               submit = values.(1);
-               wait = values.(2);
-               run = values.(3);
-               alloc_procs = values.(4);
-               avg_cpu = values.(5);
-               used_mem = values.(6);
-               req_procs = values.(7);
-               req_time = values.(8);
-               req_mem = values.(9);
-               status = values.(10);
-               user = values.(11);
-               group = values.(12);
-               app = values.(13);
-               queue = values.(14);
-               partition = values.(15);
-               preceding = values.(16);
-               think_time = values.(17);
-             })
-    end
+    Printf.sprintf "field %s: %S is not a number" field_names.(k) (nth pos k)
   end
 
+let entry_of_fields f =
+  {
+    job_number = f.(0);
+    submit = f.(1);
+    wait = f.(2);
+    run = f.(3);
+    alloc_procs = f.(4);
+    avg_cpu = f.(5);
+    used_mem = f.(6);
+    req_procs = f.(7);
+    req_time = f.(8);
+    req_mem = f.(9);
+    status = f.(10);
+    user = f.(11);
+    group = f.(12);
+    app = f.(13);
+    queue = f.(14);
+    partition = f.(15);
+    preceding = f.(16);
+    think_time = f.(17);
+  }
+
+(* [parse_line] and [parse_string] on one line of [b]. *)
+let parse_in b ~pos ~stop fields =
+  match scan b ~pos ~stop fields with
+  | 0 -> Ok None
+  | 18 -> Ok (Some (entry_of_fields fields))
+  | r -> Error (scan_error b ~pos ~stop r)
+
+let parse_line line =
+  parse_in (Bytes.unsafe_of_string line) ~pos:0 ~stop:(String.length line) (Array.make 18 0)
+
 let parse_string text =
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      match parse_line line with
-      | Ok None -> go (lineno + 1) acc rest
-      | Ok (Some e) -> go (lineno + 1) (e :: acc) rest
-      | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
+  let b = Bytes.unsafe_of_string text and len = String.length text in
+  let fields = Array.make 18 0 in
+  let rec go lineno pos acc =
+    let stop = match String.index_from_opt text pos '\n' with Some i -> i | None -> len in
+    match parse_in b ~pos ~stop fields with
+    | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
+    | Ok e ->
+      let acc = match e with Some e -> e :: acc | None -> acc in
+      if stop = len then Ok (List.rev acc) else go (lineno + 1) (stop + 1) acc
   in
-  go 1 [] lines
+  go 1 0 []
 
 let to_line e =
   Printf.sprintf "%d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d" e.job_number e.submit
@@ -140,18 +189,42 @@ let to_string ?(comments = []) entries =
     entries;
   Buffer.contents buf
 
+(* --- conversion rules, on bare fields ---------------------------------------
+
+   The batch converters apply these to an [entry], [Swf_stream] to its
+   scanned field array ([keep_fields], [arrival_of_fields]): one rule set,
+   no per-line record on the stream path. *)
+
 (* Entries with neither a positive runtime nor a positive request carry no
    work at all (jobs cancelled before starting, archive status 0/5 stubs);
    converting them used to fabricate phantom 1-second jobs via [max 1]. *)
-let carries_work e = e.run > 0 || e.req_time > 0
+let kept ~keep_failed ~run ~req_time ~status =
+  (run > 0 || req_time > 0) && (keep_failed || status <> 0)
 
-let keep ~keep_failed e = carries_work e && (keep_failed || e.status <> 0)
+let width ~m ~req_procs ~alloc_procs =
+  max 1 (min m (if req_procs > 0 then req_procs else alloc_procs))
+
+let estimated ~m ~id ~job_number ~submit ~run ~req_procs ~alloc_procs ~req_time : arrival =
+  let p = max 1 run in
+  {
+    job = Job.make ~id ~p ~q:(width ~m ~req_procs ~alloc_procs);
+    submit = max 0 submit;
+    estimate = max p req_time;
+    job_number;
+  }
+
+let keep ~keep_failed e = kept ~keep_failed ~run:e.run ~req_time:e.req_time ~status:e.status
+
+let keep_fields ~keep_failed f = kept ~keep_failed ~run:f.(3) ~req_time:f.(8) ~status:f.(10)
+
+let arrival_of_fields ~m ~id f =
+  estimated ~m ~id ~job_number:f.(0) ~submit:f.(1) ~run:f.(3) ~req_procs:f.(7) ~alloc_procs:f.(4)
+    ~req_time:f.(8)
 
 let to_workload ?(keep_failed = true) entries ~m =
   List.filter (keep ~keep_failed) entries
   |> List.mapi (fun i e ->
-         let q0 = if e.req_procs > 0 then e.req_procs else e.alloc_procs in
-         let q = max 1 (min m q0) in
+         let q = width ~m ~req_procs:e.req_procs ~alloc_procs:e.alloc_procs in
          let p0 = if e.run > 0 then e.run else e.req_time in
          let p = max 1 p0 in
          (Job.make ~id:i ~p ~q, max 0 e.submit))
@@ -173,11 +246,11 @@ let of_workload triples =
     triples
 
 let estimated_of_entry ~m ~id e =
-  let q0 = if e.req_procs > 0 then e.req_procs else e.alloc_procs in
-  let q = max 1 (min m q0) in
-  let p = max 1 e.run in
-  let est = max p e.req_time in
-  (Job.make ~id ~p ~q, max 0 e.submit, est)
+  let a =
+    estimated ~m ~id ~job_number:e.job_number ~submit:e.submit ~run:e.run ~req_procs:e.req_procs
+      ~alloc_procs:e.alloc_procs ~req_time:e.req_time
+  in
+  (a.job, a.submit, a.estimate)
 
 let to_estimated_workload ?(keep_failed = true) entries ~m =
   List.filter (keep ~keep_failed) entries |> List.mapi (fun i e -> estimated_of_entry ~m ~id:i e)

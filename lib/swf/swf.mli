@@ -12,7 +12,13 @@
     6 average CPU time, 7 used memory, 8 requested processors,
     9 requested time, 10 requested memory, 11 status, 12 user, 13 group,
     14 application, 15 queue, 16 partition, 17 preceding job,
-    18 think time. Unknown values are [-1]. *)
+    18 think time. Unknown values are [-1].
+
+    Every reader goes through one line scanner ({!scan}): [parse_line]
+    and [parse_string] view a string through it, and {!Swf_stream} runs it
+    in place over its read block. It converts plain decimal tokens while it
+    scans them and builds no token strings or lists, so the batch and
+    streaming readers cannot disagree on any line, error texts included. *)
 
 open Resa_core
 
@@ -42,8 +48,14 @@ val default : entry
 
 val parse_line : string -> (entry option, string) result
 (** [Ok None] for comment and blank lines; [Error _] names the offending
-    field. Fields beyond the 18th are tolerated and ignored (some archive
-    files carry trailing annotations). *)
+    field. Tokens are separated by runs of [' '], ['\t'] and ['\r'] (so
+    CRLF traces parse); a line of those alone is blank, and [';'] starts a
+    comment only in column 0. A line with fewer than 18 tokens is an error
+    citing its token count; otherwise the first of the 18 fields that is
+    neither an integer nor a float is. Float fields truncate, except run
+    and requested time (fields 4 and 9), which round up. Fields beyond the
+    18th are tolerated and ignored (some archive files carry trailing
+    annotations). *)
 
 val parse_string : string -> (entry list, string) result
 (** Whole-file parse; errors are prefixed with the 1-based line number. *)
@@ -52,6 +64,21 @@ val to_line : entry -> string
 
 val to_string : ?comments:string list -> entry list -> string
 (** Render a trace, with optional [';']-prefixed header comments. *)
+
+(** {2 The scanner shared with {!Swf_stream}} *)
+
+val scan : bytes -> pos:int -> stop:int -> int array -> int
+(** [scan b ~pos ~stop fields] scans the line [b.[pos .. stop-1]] (no
+    ['\n'] inside) under {!parse_line}'s rules, writing field [i]
+    (0-based) to [fields.(i)] of an array of at least 18 slots. Returns
+    [0] for a blank or comment line and [18] when all 18 fields were
+    written; anything else is an error, which {!scan_error} renders.
+    Allocates nothing unless a token is not a plain decimal (an optional
+    ['-'] and 1–18 digits). *)
+
+val scan_error : bytes -> pos:int -> stop:int -> int -> string
+(** The message of {!parse_line}'s [Error] for an error code that {!scan}
+    returned on the same line. *)
 
 val to_workload : ?keep_failed:bool -> entry list -> m:int -> (Job.t * int) list
 (** [(job, submit)] pairs ready for the simulator or {!Resa_algos.Online}:
@@ -76,15 +103,25 @@ val to_estimated_workload :
     at least the actual runtime) — the walltime-accuracy data real SWF
     traces carry. Filters entries exactly like {!to_workload}. *)
 
-val keep : keep_failed:bool -> entry -> bool
-(** The filter both converters apply: the entry carries work (positive [run]
-    or [req_time]) and, unless [keep_failed], did not fail. Exposed so the
-    streaming reader ({!Swf_stream}) provably applies the same rule. *)
+type arrival = {
+  job : Job.t;  (** Actual runtime and width, id renumbered over kept entries. *)
+  submit : int;  (** Clamped to [>= 0] like the batch converters. *)
+  estimate : int;  (** Requested walltime, at least [Job.p job]. *)
+  job_number : int;  (** Field 1 of the source line — archive provenance. *)
+}
+(** One kept entry in simulator terms, as {!Swf_stream} yields it. *)
 
-val estimated_of_entry : m:int -> id:int -> entry -> Job.t * int * int
-(** Convert one {e kept} entry exactly as {!to_estimated_workload} does,
-    with the caller supplying the renumbered id — the shared kernel of the
-    batch and streaming paths. *)
+val keep_fields : keep_failed:bool -> int array -> bool
+(** The converters' filter on the fields {!scan} wrote: the entry carries
+    work (positive [run] or [req_time]) and, unless [keep_failed], did not
+    fail. The converters apply the same field-level rule to entries, so
+    the streaming reader cannot drift from the batch one. *)
+
+val arrival_of_fields : m:int -> id:int -> int array -> arrival
+(** Convert the fields {!scan} wrote for one {e kept} entry exactly as
+    {!to_estimated_workload} converts the entry, with the caller supplying
+    the renumbered id, through the same field-level kernel. Allocates
+    only the job and the record. *)
 
 val job_numbers : ?keep_failed:bool -> entry list -> int array
 (** Archive job numbers of the kept entries, indexed by the renumbered job

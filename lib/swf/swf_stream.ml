@@ -1,6 +1,6 @@
 open Resa_core
 
-type arrival = { job : Job.t; submit : int; estimate : int; job_number : int }
+type arrival = Swf.arrival = { job : Job.t; submit : int; estimate : int; job_number : int }
 
 type t = unit -> arrival option
 
@@ -11,40 +11,78 @@ let () =
     | Parse_error { line; msg } -> Some (Printf.sprintf "Swf_stream.Parse_error(line %d: %s)" line msg)
     | _ -> None)
 
-(* Shared kernel with the batch converters: same keep rule, same clamping,
-   ids renumbered consecutively over kept entries. *)
-let of_lines ?(keep_failed = true) ~m next_line =
-  let lineno = ref 0 in
-  let next_id = ref 0 in
+(* The read block; it doubles only to hold a line longer than itself. *)
+let block_size = 65536
+
+(* The one reader behind [of_channel] and [of_string]. Lines are parsed
+   where they sit in [buf]: [buf.[pos .. len-1]] is unread input, and [fill]
+   appends to it, returning 0 at end of input. A refill first moves the
+   unfinished line to the front of the block. *)
+let reader ~keep_failed ~m ~fill ~eof buf len =
+  let buf = ref buf and pos = ref 0 and len = ref len and eof = ref eof in
+  (* Bytes from [!pos] already searched for '\n' in vain. *)
+  let seen = ref 0 in
+  let lineno = ref 0 and next_id = ref 0 in
+  let fields = Array.make 18 0 in
+  let refill () =
+    let rest = !len - !pos in
+    if rest = Bytes.length !buf then begin
+      let b = Bytes.create (2 * rest) in
+      Bytes.blit !buf !pos b 0 rest;
+      buf := b
+    end
+    else Bytes.blit !buf !pos !buf 0 rest;
+    pos := 0;
+    len := rest;
+    let n = fill !buf rest (Bytes.length !buf - rest) in
+    if n = 0 then eof := true else len := rest + n
+  in
+  (* End of the line at [!pos]: its '\n', or [!len] for an unterminated
+     last line. *)
+  let rec line_end () =
+    let b = !buf and stop = !len in
+    let i = ref (!pos + !seen) in
+    while !i < stop && Bytes.unsafe_get b !i <> '\n' do
+      incr i
+    done;
+    if !i < stop || !eof then !i
+    else begin
+      seen := stop - !pos;
+      refill ();
+      line_end ()
+    end
+  in
   let rec next () =
-    match next_line () with
-    | None -> None
-    | Some line ->
+    if !pos = !len && not !eof then refill ();
+    if !pos = !len then None
+    else begin
+      let stop = line_end () in
+      let start = !pos in
+      pos := if stop < !len then stop + 1 else stop;
+      seen := 0;
       incr lineno;
-      (match Swf.parse_line line with
-      | Error msg -> raise (Parse_error { line = !lineno; msg })
-      | Ok None -> next ()
-      | Ok (Some e) ->
-        if Swf.keep ~keep_failed e then begin
+      match Swf.scan !buf ~pos:start ~stop fields with
+      | 0 -> next ()
+      | 18 ->
+        if Swf.keep_fields ~keep_failed fields then begin
           let id = !next_id in
           incr next_id;
-          let job, submit, estimate = Swf.estimated_of_entry ~m ~id e in
-          Some { job; submit; estimate; job_number = e.job_number }
+          Some (Swf.arrival_of_fields ~m ~id fields)
         end
-        else next ())
+        else next ()
+      | r -> raise (Parse_error { line = !lineno; msg = Swf.scan_error !buf ~pos:start ~stop r })
+    end
   in
   next
 
-let of_channel ?keep_failed ~m ic = of_lines ?keep_failed ~m (fun () -> In_channel.input_line ic)
+let of_channel ?(keep_failed = true) ~m ic =
+  reader ~keep_failed ~m ~fill:(In_channel.input ic) ~eof:false (Bytes.create block_size) 0
 
-let of_string ?keep_failed ~m text =
-  let lines = ref (String.split_on_char '\n' text) in
-  of_lines ?keep_failed ~m (fun () ->
-      match !lines with
-      | [] -> None
-      | l :: rest ->
-        lines := rest;
-        Some l)
+(* The whole text is the block and there is nothing to refill, so the
+   reader never writes to it. *)
+let of_string ?(keep_failed = true) ~m text =
+  reader ~keep_failed ~m ~fill:(fun _ _ _ -> 0) ~eof:true (Bytes.unsafe_of_string text)
+    (String.length text)
 
 let with_file ?keep_failed ~m path f =
   In_channel.with_open_text path (fun ic -> f (of_channel ?keep_failed ~m ic))

@@ -6,16 +6,22 @@
     is the input side of the streaming replay path (DESIGN.md §9): a 10M-job
     archive trace flows through the simulator in one pass at flat RSS.
 
+    The file reader fills one reused 64 KiB block with [In_channel.input]
+    and parses each line where it sits with {!Swf.scan}, the tokenizer
+    behind [Swf.parse_line], into one reused field array. The block grows
+    only to hold a line longer than itself. A kept line allocates its job,
+    its arrival and the option around it, nothing else.
+
     Conversion semantics are shared with the batch converters by
-    construction — the same {!Swf.keep} filter and the same
-    {!Swf.estimated_of_entry} kernel, ids renumbered consecutively over kept
-    entries — so draining a stream yields exactly
+    construction — {!Swf.keep_fields} and {!Swf.arrival_of_fields} run the
+    field-level rules the converters apply to entries, ids renumbered
+    consecutively over kept entries — so draining a stream yields exactly
     [Swf.to_estimated_workload] plus the archive job number (the
     differential suite in [test/test_stream.ml] pins this). *)
 
 open Resa_core
 
-type arrival = {
+type arrival = Swf.arrival = {
   job : Job.t;  (** Actual runtime and width, id renumbered over kept entries. *)
   submit : int;  (** Clamped to [>= 0] like the batch converters. *)
   estimate : int;  (** Requested walltime, at least [Job.p job]. *)
@@ -31,17 +37,18 @@ exception Parse_error of { line : int; msg : string }
     streaming counterpart of [Swf.parse_string]'s [Error]. *)
 
 val of_channel : ?keep_failed:bool -> m:int -> in_channel -> t
-(** Read lines lazily from a channel. The caller owns the channel and must
-    keep it open while pulling ({!with_file} scopes this). [keep_failed]
-    defaults to true, as in the batch converters. *)
+(** Read the channel block by block, on demand. The caller owns the
+    channel and must keep it open while pulling ({!with_file} scopes
+    this). [keep_failed] defaults to true, as in the batch converters. *)
 
 val with_file : ?keep_failed:bool -> m:int -> string -> (t -> 'a) -> 'a
 (** [with_file path f] opens [path], hands [f] the stream and closes the
     channel when [f] returns or raises. *)
 
 val of_string : ?keep_failed:bool -> m:int -> string -> t
-(** Stream over an in-memory trace — the small-n differential oracle
-    against [Swf.parse_string] + [Swf.to_estimated_workload]. *)
+(** Stream over an in-memory trace: the same reader, with the text as its
+    one block. The small-n differential oracle against [Swf.parse_string]
+    + [Swf.to_estimated_workload]. *)
 
 val synthetic :
   ?overestimate:float -> Prng.t -> m:int -> n:int -> max_runtime:int -> mean_gap:float -> t

@@ -310,6 +310,36 @@ let prop_estimated_executions_feasible =
           && List.for_all (fun (r : Simulator.record) -> r.start >= r.submit) trace.records)
         Policy.all)
 
+(* After its first [None] the source must not be called again: on a
+   reservation-dense instance every reservation edge is a decision instant
+   after the last arrival, and each used to re-poll it. *)
+let test_exhausted_source_not_repolled () =
+  let rng = Prng.create ~seed:57 in
+  let inst = Resa_gen.Random_inst.alpha_restricted rng ~m:8 ~n:30 ~alpha:0.5 ~pmax:6 () in
+  let reservations = Array.to_list (Instance.reservations inst) in
+  if List.length reservations < 2 then Alcotest.fail "instance without reservations";
+  let subs = submit_all_at inst 0 in
+  List.iter
+    (fun (policy : Policy.t) ->
+      let calls = ref 0 and rest = ref subs in
+      let next () =
+        incr calls;
+        match !rest with
+        | [] -> None
+        | (s : Simulator.submitted) :: tl ->
+          rest := tl;
+          Some Simulator.{ job = s.job; submit = s.submit; estimate = Job.p s.job }
+      in
+      let obs_s = Resa_obs.Trace.buffer () in
+      let stats = Simulator.run_stream ~obs:obs_s ~policy ~m:8 ~reservations next in
+      Alcotest.(check int) (policy.name ^ ": jobs") 30 stats.jobs;
+      Alcotest.(check int) (policy.name ^ ": source calls") 31 !calls;
+      let obs_b = Resa_obs.Trace.buffer () in
+      ignore (Simulator.run ~obs:obs_b ~policy ~m:8 ~reservations subs : Simulator.trace);
+      let jsonl obs = List.map Resa_obs.Trace.to_json (Resa_obs.Trace.contents obs) in
+      Alcotest.(check (list string)) (policy.name ^ ": trace") (jsonl obs_b) (jsonl obs_s))
+    Policy.all
+
 let suite =
   List.map
     (fun (online, policy, name, offline) ->
@@ -326,6 +356,7 @@ let suite =
     Alcotest.test_case "EASY policy backfills" `Quick test_easy_policy_backfills;
     Alcotest.test_case "rogue policies are caught" `Quick test_policy_error_on_rogue_policy;
     Alcotest.test_case "bad submissions rejected" `Quick test_simulator_rejects_bad_input;
+    Alcotest.test_case "exhausted source is never re-polled" `Quick test_exhausted_source_not_repolled;
     prop_all_policies_sound;
     Alcotest.test_case "accurate estimates change nothing" `Quick test_estimated_equals_exact_when_accurate;
     Alcotest.test_case "early release unblocks followers" `Quick test_early_release_unblocks_follower;

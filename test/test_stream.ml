@@ -77,6 +77,104 @@ let test_stream_file_roundtrip () =
       Alcotest.(check int) "same length" (List.length from_string) (List.length from_file);
       if from_file <> from_string then Alcotest.fail "file and string streams differ")
 
+(* --- the file reader at its block boundaries ------------------------------ *)
+
+let with_temp_file text f =
+  let path = Filename.temp_file "resa_stream" ".swf" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+      f path)
+
+(* [with_file] on [text] must yield what [parse_string] +
+   [to_estimated_workload] yield, or fail on the line [parse_string]
+   cites, with its message. *)
+let check_file name text =
+  let from_file =
+    with_temp_file text (fun path ->
+        match Swf_stream.with_file ~m:32 path drain with
+        | arrivals ->
+          Ok
+            (List.map
+               (fun (a : Swf_stream.arrival) -> (a.job, a.submit, a.estimate, a.job_number))
+               arrivals)
+        | exception Swf_stream.Parse_error { line; msg } ->
+          Error (Printf.sprintf "line %d: %s" line msg))
+  in
+  let batch =
+    Result.map
+      (fun entries ->
+        let numbers = Swf.job_numbers entries in
+        List.map (fun (job, submit, estimate) -> (job, submit, estimate, numbers.(Job.id job)))
+          (Swf.to_estimated_workload entries ~m:32))
+      (Swf.parse_string text)
+  in
+  match (from_file, batch) with
+  | Ok a, Ok b ->
+    Alcotest.(check int) (name ^ ": jobs") (List.length b) (List.length a);
+    if a <> b then Alcotest.failf "%s: file stream differs from parse_string" name
+  | Error a, Error b -> Alcotest.(check string) (name ^ ": error") b a
+  | Ok _, Error b -> Alcotest.failf "%s: file stream accepted what parse_string rejects (%s)" name b
+  | Error a, Ok _ -> Alcotest.failf "%s: file stream rejected what parse_string accepts (%s)" name a
+
+let block = 65536
+
+(* A comment line that ends at byte [upto - 1], so the next line starts at
+   byte [upto]. *)
+let pad_to upto = ";" ^ String.make (upto - 2) 'x' ^ "\n"
+
+let sample_lines n =
+  let rng = Prng.create ~seed:3 in
+  List.map Swf.to_line (Swf.generate rng ~m:32 ~n ~max_runtime:200 ~mean_gap:6.0)
+
+let test_file_block_boundaries () =
+  let lines = sample_lines 40 in
+  let body = String.concat "\n" lines ^ "\n" in
+  let first = List.hd lines in
+  let l = String.length first in
+  (* The first data line straddles the boundary, or its '\n' is the last
+     byte of the block, or the first byte of the next. *)
+  List.iter
+    (fun start ->
+      check_file (Printf.sprintf "line at %d" start) (pad_to start ^ body))
+    [ block - 20; block - l - 1; block - l; block - 1; block; block + 1 ];
+  (* Lines longer than the block force it to grow: a 200 KiB comment, and
+     a data line spread over 200 KiB of blanks. *)
+  check_file "200 KiB comment" (pad_to (200 * 1024) ^ body);
+  let wide = String.concat (String.make (12 * 1024) ' ') (String.split_on_char ' ' first) in
+  check_file "200 KiB data line" (body ^ wide ^ "\n" ^ body);
+  check_file "no final newline" (String.concat "\n" lines);
+  check_file "no final newline past a block" (pad_to (block + 5) ^ String.concat "\n" lines);
+  check_file "empty file" "";
+  check_file "comments only" "; one\n;two\n\n; three";
+  check_file "CRLF" (String.concat "\r\n" ("; header" :: lines) ^ "\r\n");
+  check_file "CRLF across the boundary"
+    (pad_to (block - 10) ^ String.concat "\r\n" lines ^ "\r\n");
+  (* A bad line that starts right after a refill: the error cites it. *)
+  List.iter
+    (fun start ->
+      check_file (Printf.sprintf "bad line at %d" start)
+        (pad_to start ^ "1 2 3 oops\n" ^ body))
+    [ block - 5; block; block + 1 ];
+  check_file "bad field after the boundary"
+    (pad_to (block - 30) ^ body ^ "1 0 5 abc 8 -1 -1 8 120 -1 1 3 1 1 1 1 -1 -1\n")
+
+(* A kept line allocates its job, its arrival and the option around it:
+   11 words. 20 leaves room for the block's refills, not for a per-line
+   string or token list. *)
+let test_file_reader_allocation () =
+  let n = 20_000 in
+  let text = String.concat "\n" ("; 20k jobs" :: sample_lines n) ^ "\n" in
+  with_temp_file text (fun path ->
+      Swf_stream.with_file ~m:32 path (fun src ->
+          let w0 = Gc.minor_words () in
+          let rec count k = match src () with None -> k | Some _ -> count (k + 1) in
+          let jobs = count 0 in
+          let words = (Gc.minor_words () -. w0) /. float_of_int jobs in
+          Alcotest.(check int) "jobs" n jobs;
+          if words > 20.0 then Alcotest.failf "%.1f minor words per job (budget 20)" words))
+
 let test_synthetic_shape () =
   let gen () =
     let rng = Prng.create ~seed:11 in
@@ -240,6 +338,8 @@ let suite =
     prop_reader_oracle_filtered;
     Alcotest.test_case "parse errors carry line numbers" `Quick test_stream_parse_error_line;
     Alcotest.test_case "file and string streams agree" `Quick test_stream_file_roundtrip;
+    Alcotest.test_case "file reader at block boundaries" `Quick test_file_block_boundaries;
+    Alcotest.test_case "file reader allocates <= 20 words/job" `Quick test_file_reader_allocation;
     Alcotest.test_case "synthetic stream shape and determinism" `Quick test_synthetic_shape;
     Alcotest.test_case "bad arrivals rejected" `Quick test_stream_validates_arrivals;
     Alcotest.test_case "empty stream metrics are degenerate" `Quick test_stream_metrics_empty;

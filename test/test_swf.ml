@@ -156,6 +156,71 @@ let prop_round_trip =
       | Ok entries' -> entries = entries'
       | Error _ -> false)
 
+(* --- the scanner against the split-based reference ---------------------- *)
+
+(* Lines biased toward what the scanner special-cases: blanks of all three
+   kinds, signs, floats, digit separators, hex, 19- and 20-digit integers
+   (past the plain-decimal fast path), ';' in and out of column 0, and
+   0–25 tokens around the 18 a line needs. *)
+let gen_line =
+  let open QCheck.Gen in
+  let digits lo hi = string_size ~gen:(char_range '0' '9') (int_range lo hi) in
+  let sign = frequencyl [ (3, ""); (1, "-") ] in
+  let odd_char =
+    frequency
+      [ (6, char_range '0' '9'); (1, oneofl [ '-'; '+'; '.'; 'e'; '_'; 'x'; ';' ]) ]
+  in
+  let token =
+    frequency
+      [
+        (12, map2 ( ^ ) sign (digits 1 18));
+        (1, map2 ( ^ ) sign (digits 19 20));
+        (3, string_size ~gen:odd_char (int_range 1 6));
+        ( 1,
+          oneofl
+            [
+              "nan"; "inf"; "-inf"; "0x1F"; "0b101"; "0o17"; "1e400"; "-0"; "+7"; "1_000"; "0.9";
+              "-.5"; "-";
+            ] );
+      ]
+  in
+  let blanks lo hi = string_size ~gen:(oneofl [ ' '; ' '; '\t'; '\r' ]) (int_range lo hi) in
+  let* n = frequency [ (1, int_range 0 17); (2, int_range 18 25) ] in
+  let* toks = list_repeat n token and* seps = list_repeat n (blanks 1 3) in
+  let* lead = blanks 0 2 and* trail = blanks 0 2 in
+  let* comment = frequencyl [ (19, ""); (1, ";") ] in
+  let body = List.mapi (fun i (sep, tok) -> if i = 0 then tok else sep ^ tok) (List.combine seps toks) in
+  return (comment ^ lead ^ String.concat "" body ^ trail)
+
+let arb_line = QCheck.make ~print:String.escaped gen_line
+
+let prop_scanner_oracle =
+  Tutil.qcheck ~count:2000 "parse_line = split-based reference" arb_line (fun line ->
+      Swf.parse_line line = Swf_reference.parse_line line)
+
+(* Whole texts: [parse_string] and the stream (over a string) split lines
+   and cite line numbers like the reference. *)
+let prop_text_oracle =
+  let arb =
+    QCheck.make ~print:String.escaped
+      QCheck.Gen.(map (String.concat "\n") (list_size (int_range 0 6) gen_line))
+  in
+  Tutil.qcheck ~count:500 "parse_string and of_string = reference" arb (fun text ->
+      let reference = Swf_reference.parse_string text in
+      let streamed =
+        let src = Swf_stream.of_string ~m:64 text in
+        let rec go acc =
+          match src () with
+          | None -> Ok (List.rev acc)
+          | Some (a : Swf_stream.arrival) -> go ((a.job, a.submit, a.estimate) :: acc)
+          | exception Swf_stream.Parse_error { line; msg } ->
+            Error (Printf.sprintf "line %d: %s" line msg)
+        in
+        go []
+      in
+      Swf.parse_string text = reference
+      && streamed = Result.map (fun es -> Swf.to_estimated_workload es ~m:64) reference)
+
 let suite =
   [
     Alcotest.test_case "parse a standard line" `Quick test_parse_line;
@@ -175,4 +240,6 @@ let suite =
     Alcotest.test_case "of_workload computes waits" `Quick test_of_workload_waits;
     Alcotest.test_case "generated trace drives the simulator" `Quick test_generated_trace_drives_simulator;
     prop_round_trip;
+    prop_scanner_oracle;
+    prop_text_oracle;
   ]
