@@ -46,6 +46,10 @@ type t = {
   mutable ulog : int array;
   mutable ulog_len : int; (* in quads *)
   mutable specs : int; (* outstanding checkpoints *)
+  (* [gc]'s scratch: the live segments as packed (lo, hi, v) triples, kept
+     across rebuilds so compaction allocates nothing per segment. *)
+  mutable segs : int array;
+  mutable n_segs : int;
 }
 
 type mark = int
@@ -87,6 +91,8 @@ let create c =
       ulog = [||];
       ulog_len = 0;
       specs = 0;
+      segs = [||];
+      n_segs = 0;
     }
   in
   t.root <- new_node t c 1;
@@ -333,6 +339,8 @@ let commit t m =
   t.specs <- t.specs - 1;
   if t.specs = 0 then t.ulog_len <- 0
 
+let open_checkpoints t = t.specs
+
 let spec_ops t m = t.ulog_len - m
 
 let spec_op_is_reserve t m ~i ~start ~dur ~need =
@@ -538,6 +546,70 @@ let node_count t = t.n_nodes
 
 let c_gc = Resa_obs.Metrics.counter "timeline.gc"
 
+(* Append the live segment [lo, hi) of value [v] to [t.segs], merging it
+   into the previous one when that ends at [lo] with the same value (tree
+   leaves are not maximal runs). *)
+let push_seg t lo hi v =
+  let k = t.n_segs in
+  let j = 3 * k in
+  if k > 0 && t.segs.(j - 1) = v && t.segs.(j - 2) = lo then t.segs.(j - 2) <- hi
+  else begin
+    if j + 3 > Array.length t.segs then begin
+      let b = Array.make (max 96 (2 * Array.length t.segs)) 0 in
+      Array.blit t.segs 0 b 0 j;
+      t.segs <- b
+    end;
+    t.segs.(j) <- lo;
+    t.segs.(j + 1) <- hi;
+    t.segs.(j + 2) <- v;
+    t.n_segs <- k + 1
+  end
+
+(* In-order walk of the leaves right of internal position [from], pushed
+   as segments shifted so that [from] becomes 0 (the first is clamped to
+   it). *)
+let rec collect_segs t v add lo hi from =
+  if hi > from then begin
+    let a = t.nodes in
+    if a.(v) = 0 then push_seg t (max lo from - from) (hi - from) (add + a.(v + 2))
+    else begin
+      let add = add + a.(v + 4) in
+      let mid = (lo + hi) / 2 in
+      collect_segs t a.(v) add lo mid from;
+      collect_segs t a.(v + 1) add mid hi from
+    end
+  end
+
+(* Bottom-up rebuild of the subtree over [lo, hi) from the segments
+   [t.segs] holds, [t.n_segs] of them. Leaves are built left to right, and
+   [idx] is the cursor: the segment containing the subtree's first instant
+   (or [t.n_segs] once past the last one, where the tail value holds).
+   Returns the subtree's node. *)
+let rec build_segs t idx lo hi =
+  if !idx >= t.n_segs then new_node t t.tail (hi - lo)
+  else begin
+    let j = 3 * !idx in
+    let slo = t.segs.(j) and shi = t.segs.(j + 1) in
+    if slo <= lo && hi <= shi then begin
+      if shi = hi then incr idx;
+      new_node t t.segs.(j + 2) (hi - lo)
+    end
+    else begin
+      let nd = new_node t 0 (hi - lo) in
+      let mid = (lo + hi) / 2 in
+      let l = build_segs t idx lo mid in
+      let r = build_segs t idx mid hi in
+      let a = t.nodes in
+      a.(nd) <- l;
+      a.(nd + 1) <- r;
+      a.(nd + 2) <- min a.(l + 2) a.(r + 2);
+      a.(nd + 3) <- max a.(l + 3) a.(r + 3);
+      a.(nd + 4) <- 0;
+      a.(nd + 5) <- a.(l + 5) + a.(r + 5);
+      nd
+    end
+  end
+
 (* History garbage collection. The committed past of a capacity timeline
    never changes (simulators only mutate and query windows at or after the
    current instant), yet the tree keeps one materialised node chain per
@@ -546,7 +618,9 @@ let c_gc = Resa_obs.Metrics.counter "timeline.gc"
    result is exact on [upto, ∞) and constant [value_at upto] on [0, upto)
    (the same collapse {!to_profile}'s [~from] performs), and the node
    array is reallocated at the live size, returning the dead history to
-   the OCaml heap. Cost: O(live segments · log U). *)
+   the OCaml heap. Cost: O(nodes) — one walk over the old tree into the
+   reused segment buffer, one bottom-up pass building the new one — with
+   no allocation per segment. *)
 let gc t ~upto =
   Resa_obs.Metrics.incr c_gc;
   if upto < 0 then invalid_arg "Timeline.gc: negative upto";
@@ -554,27 +628,15 @@ let gc t ~upto =
   (* The origin never moves backwards: a second gc at an earlier instant
      compacts from the existing origin. *)
   let upto = max upto t.off in
-  (* Collect the live suffix before touching the tree. Chunks are tree
-     leaves in increasing order; the first one is clamped to [upto] and its
-     value — [value_at upto] — becomes the collapsed past. *)
-  let segs = ref [] in
-  let nsegs = ref 0 in
-  iter_chunks_from t ~from:upto ~f:(fun ~lo ~hi ~v ->
-      (match hi with
-      | Some hi ->
-        (* Merge adjacent equal-valued chunks (chunks are tree leaves, not
-           maximal runs) and clamp the first to [upto]: its value is
-           [value_at upto], the collapsed past. *)
-        (match !segs with
-        | (plo, phi, pv) :: rest when pv = v && phi = lo ->
-          segs := (plo, hi, v) :: rest
-        | _ ->
-          segs := (max lo upto, hi, v) :: !segs;
-          incr nsegs)
-      | None -> ());
-      true);
-  let segs = Array.of_list (List.rev !segs) in
-  let k = Array.length segs in
+  (* Collect the live suffix before touching the tree, already in the new
+     internal coordinates: [upto] is internal position [upto - off] today
+     and 0 after the rebase. The first segment is clamped to it, and its
+     value — [value_at upto] — becomes the collapsed past. The tail beyond
+     the tree is not a segment. *)
+  let ifrom = upto - t.off in
+  t.n_segs <- 0;
+  if ifrom < t.size then collect_segs t t.root 0 0 t.size ifrom;
+  let k = t.n_segs in
   let tail = t.tail in
   (* REBASE: [upto] becomes internal position 0, so the universe — and with
      it every descent's depth — tracks the live horizon's width instead of
@@ -595,8 +657,7 @@ let gc t ~upto =
     t.root <- new_node t tail 1
   end
   else begin
-    let _, last_hi, _ = segs.(k - 1) in
-    let width = last_hi - upto in
+    let width = t.segs.((3 * k) - 2) in
     let size = ref 1 and bits = ref 1 in
     while !size < width do
       size := 2 * !size;
@@ -611,36 +672,7 @@ let gc t ~upto =
     t.last_hi <- width;
     t.n_nodes <- 1;
     t.nodes <- Array.make (max 512 (8 * ((4 * k) + (2 * !bits) + 8))) 0;
-    (* Cursor over segments in internal coordinates: leaves are built left
-       to right, so [idx] always points at the segment containing the
-       subtree's first instant (or [k] once past the last breakpoint). *)
-    let idx = ref 0 in
-    let rec build lo hi =
-      if !idx >= k then new_node t tail (hi - lo)
-      else begin
-        let slo, shi, v = segs.(!idx) in
-        let slo = slo - upto and shi = shi - upto in
-        if slo <= lo && hi <= shi then begin
-          if shi = hi then incr idx;
-          new_node t v (hi - lo)
-        end
-        else begin
-          let nd = new_node t 0 (hi - lo) in
-          let mid = (lo + hi) / 2 in
-          let l = build lo mid in
-          let r = build mid hi in
-          let a = t.nodes in
-          a.(nd) <- l;
-          a.(nd + 1) <- r;
-          a.(nd + 2) <- min a.(l + 2) a.(r + 2);
-          a.(nd + 3) <- max a.(l + 3) a.(r + 3);
-          a.(nd + 4) <- 0;
-          a.(nd + 5) <- a.(l + 5) + a.(r + 5);
-          nd
-        end
-      end
-    in
-    t.root <- build 0 size
+    t.root <- build_segs t (ref 0) 0 size
   end
 
 let origin t = t.off

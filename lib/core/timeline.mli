@@ -112,6 +112,9 @@ val rollback : t -> mark -> unit
 val commit : t -> mark -> unit
 (** Close the scope keeping all changes since the mark. *)
 
+val open_checkpoints : t -> int
+(** Scopes opened and not yet rolled back or committed. *)
+
 val spec_ops : t -> mark -> int
 (** Number of mutations recorded since the mark (the scope must still be
     open). With {!spec_op_is_reserve} this lets a caller prove that a
@@ -163,7 +166,9 @@ val gc : t -> upto:int -> unit
     queries below [upto] see the collapsed constant; mutations strictly
     below the origin become unrepresentable and raise [Invalid_argument]
     (see {!origin}), and position searches ({!earliest_fit}) clamp [from]
-    to the origin. Cost: O(live segments · log U). Raises
+    to the origin. Cost: O(nodes) — one walk of the old tree into a
+    segment buffer the timeline reuses across calls, one bottom-up build,
+    no allocation per segment (the new node array is the only one). Raises
     [Invalid_argument] when a checkpoint is outstanding (the undo log
     records origin-relative windows) or [upto < 0]. *)
 

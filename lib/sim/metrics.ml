@@ -118,9 +118,12 @@ let acc_observe a (r : Simulator.record) =
   a.wait_sum <- a.wait_sum + wait;
   if wait > a.max_wait then a.max_wait <- wait;
   a.work <- a.work + (p * q);
-  Stats.Fsum.add a.slow (float_of_int (wait + p) /. float_of_int p);
-  Stats.Fsum.add a.bslow
-    (Float.max 1.0 (float_of_int (wait + p) /. float_of_int (max p a.bound)))
+  (* Integer operands, divided inside [Stats]: no float is boxed on the way.
+     With b = max p bound > 0, max 1 ((wait+p)/b) = (max (wait+p) b)/b
+     exactly — b/b is 1.0, and the quotient is >= 1.0 whenever wait+p >= b. *)
+  Stats.Fsum.add_ratio a.slow (wait + p) p;
+  let b = max p a.bound in
+  Stats.Fsum.add_ratio a.bslow (max (wait + p) b) b
 
 let acc_summary a =
   if a.n = 0 then empty_summary
@@ -165,9 +168,9 @@ module Stream = struct
 
   let observe t r =
     acc_observe t.a r;
-    let wait = float_of_int (r.Simulator.start - r.Simulator.submit) in
-    Stats.P2.add t.wait_p50 wait;
-    Stats.P2.add t.wait_p95 wait
+    let wait = r.Simulator.start - r.Simulator.submit in
+    Stats.P2.add_int t.wait_p50 wait;
+    Stats.P2.add_int t.wait_p95 wait
 
   let count t = t.a.n
   let summary t = acc_summary t.a

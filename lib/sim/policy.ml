@@ -3,8 +3,8 @@ module Trace = Resa_obs.Trace
 module Metrics = Resa_obs.Metrics
 
 type action = {
-  start_now : Job.t list;
-  wake : int option;
+  mutable start_now : Job.t list;
+  mutable wake : int;
 }
 
 type decide = time:int -> queue:Jobq.t -> free:Timeline.t -> action
@@ -14,9 +14,12 @@ type t = {
   create : obs:Resa_obs.Trace.t -> decide;
 }
 
-(* The all-constant action is shared: a decision that starts nothing and
-   requests no wake-up costs zero words. *)
-let idle = { start_now = []; wake = None }
+let no_wake = -1
+
+(* A native policy's one action per run: every [decide] refills and returns
+   it, so a decision costs no record, no option, only the cons cells of the
+   jobs it starts. *)
+let action () = { start_now = []; wake = no_wake }
 
 (* --- timeline-native policies ------------------------------------------- *)
 
@@ -43,31 +46,35 @@ let c_cons = Metrics.counter "policy.decide.CONS"
 (* The scan functions below are top-level and take the queue by index so
    that a decision which starts nothing allocates nothing: no closure per
    decide, no list view of the queue, cons cells only for jobs actually
-   started. *)
+   started. A wake-up is written into the run's action on the way. *)
 
 (* Start the longest startable prefix; the blocked head, if any, yields
    the next wake-up. *)
-let rec fcfs_go ~obs ~time queue free i n =
-  if i >= n then idle
+let rec fcfs_go ~obs ~time act queue free i n =
+  if i >= n then []
   else begin
     let head = Jobq.get queue i in
     if fits free ~time head then begin
       take free ~time head;
-      let rest = fcfs_go ~obs ~time queue free (i + 1) n in
-      { rest with start_now = head :: rest.start_now }
+      head :: fcfs_go ~obs ~time act queue free (i + 1) n
     end
     else begin
       let at = earliest_at free ~from:(time + 1) head in
       if Trace.enabled obs then
         Trace.emit obs (Trace.Planned { time; policy = "FCFS"; job = Job.id head; at });
-      { start_now = []; wake = Some at }
+      act.wake <- at;
+      []
     end
   end
 
 let fcfs =
-  let create ~obs ~time ~queue ~free =
-    Metrics.incr c_fcfs;
-    fcfs_go ~obs ~time queue free 0 (Jobq.length queue)
+  let create ~obs =
+    let act = action () in
+    fun ~time ~queue ~free ->
+      Metrics.incr c_fcfs;
+      act.wake <- no_wake;
+      act.start_now <- fcfs_go ~obs ~time act queue free 0 (Jobq.length queue);
+      act
   in
   { name = "FCFS"; create }
 
@@ -83,11 +90,12 @@ let rec lsrc_go ~time queue free i n =
   end
 
 let aggressive =
-  let create ~obs:_ ~time ~queue ~free =
-    Metrics.incr c_lsrc;
-    match lsrc_go ~time queue free 0 (Jobq.length queue) with
-    | [] -> idle
-    | started -> { start_now = started; wake = None }
+  let create ~obs:_ =
+    let act = action () in
+    fun ~time ~queue ~free ->
+      Metrics.incr c_lsrc;
+      act.start_now <- lsrc_go ~time queue free 0 (Jobq.length queue);
+      act
   in
   { name = "LSRC"; create }
 
@@ -95,24 +103,21 @@ let aggressive =
    guaranteed start while backfilling. Each candidate is tried under a
    checkpoint — reserved, the guarantee re-derived — and kept or rolled
    back. *)
-let rec easy_prefix ~obs ~time queue free i n =
-  if i >= n then idle
+let rec easy_prefix ~obs ~time act queue free i n =
+  if i >= n then []
   else begin
     let head = Jobq.get queue i in
     if fits free ~time head then begin
       take free ~time head;
-      let rest = easy_prefix ~obs ~time queue free (i + 1) n in
-      { rest with start_now = head :: rest.start_now }
+      head :: easy_prefix ~obs ~time act queue free (i + 1) n
     end
     else begin
       let guaranteed = earliest_at free ~from:time head in
       if Trace.enabled obs then
         Trace.emit obs
           (Trace.Planned { time; policy = "EASY"; job = Job.id head; at = guaranteed });
-      {
-        start_now = easy_backfill ~time queue free head guaranteed (i + 1) n;
-        wake = Some guaranteed;
-      }
+      act.wake <- guaranteed;
+      easy_backfill ~time queue free head guaranteed (i + 1) n
     end
   end
 
@@ -136,19 +141,32 @@ and easy_backfill ~time queue free head guaranteed i n =
   end
 
 let easy =
-  let create ~obs ~time ~queue ~free =
-    Metrics.incr c_easy;
-    easy_prefix ~obs ~time queue free 0 (Jobq.length queue)
+  let create ~obs =
+    let act = action () in
+    fun ~time ~queue ~free ->
+      Metrics.incr c_easy;
+      act.wake <- no_wake;
+      act.start_now <- easy_prefix ~obs ~time act queue free 0 (Jobq.length queue);
+      act
   in
   { name = "EASY"; create }
 
+(* CONS rebuilds its plan timeline once the tree passes this many nodes. *)
+let plan_gc_nodes = 16384
+
 let conservative =
   let create ~obs =
+    let act = action () in
     (* Per-run plan state, freshly scoped by the factory: the plan timeline
        holds availability minus every planned (and once-planned) window;
-       [planned] maps job id to its promised start and the estimated job. *)
-    let planned : (int, int * Job.t) Hashtbl.t = Hashtbl.create 64 in
+       [planned] maps job id to its promised start. *)
+    let planned : (int, int) Hashtbl.t = Hashtbl.create 64 in
     let plan = ref None in
+    (* Node count past which the plan is rebuilt: [plan_gc_nodes], or twice
+       what the last rebuild kept when that was already at least as many —
+       a plan whose live future alone exceeds the bound would otherwise be
+       rebuilt at every decision. *)
+    let gc_nodes = ref plan_gc_nodes in
     (* Queued jobs with an index below [known] are exactly the planned
        ones: the simulator only appends arrivals at the tail and removes
        the jobs this policy just started (which leave [planned] too), so
@@ -160,15 +178,15 @@ let conservative =
        dropped when they surface, after checking [planned] still carries
        exactly that promise. *)
     let promises = Int_heap.create () in
-    (* Earliest still-valid promise, popping stale tops on the way. All
-       remaining promises are strictly after the current decision instant
-       (due ones were consumed as start candidates). *)
+    (* Earliest still-valid promise, popping stale tops on the way; -1 when
+       none. All remaining promises are strictly after the current decision
+       instant (due ones were consumed as start candidates). *)
     let rec wake_top () =
-      if Int_heap.length promises = 0 then None
+      if Int_heap.length promises = 0 then no_wake
       else begin
         let s = Int_heap.min_key promises and id = Int_heap.min_value promises in
         match Hashtbl.find planned id with
-        | s', _ when s' = s -> Some s
+        | s' when s' = s -> s
         | _ | exception Not_found ->
           Int_heap.drop_min promises;
           wake_top ()
@@ -179,7 +197,7 @@ let conservative =
     let cand : (int, unit) Hashtbl.t = Hashtbl.create 16 in
     let plan_job p ~time j ~from =
       let s = Timeline.earliest_fit_at p ~from ~dur:(Job.p j) ~need:(Job.q j) in
-      Hashtbl.replace planned (Job.id j) (s, j);
+      Hashtbl.replace planned (Job.id j) s;
       Int_heap.push promises ~key:s ~tie:(Job.id j) (Job.id j);
       if Trace.enabled obs then
         Trace.emit obs (Trace.Planned { time; policy = "CONS"; job = Job.id j; at = s });
@@ -187,6 +205,48 @@ let conservative =
          construction, skip the checked reserve's second descent. *)
       Timeline.reserve_fitting p ~start:s ~dur:(Job.p j) ~need:(Job.q j);
       s
+    in
+    (* Launch jobs whose planned instant has come — walking the queue in
+       order, so starts and defensive replans happen exactly as the old
+       whole-queue filter did. Stragglers (should not happen when wake-ups
+       are honoured) are replanned from now. *)
+    let rec select p queue ~time n i remaining =
+      if remaining = 0 || i >= n then []
+      else begin
+        let j = Jobq.get queue i in
+        let id = Job.id j in
+        if not (Hashtbl.mem cand id) then select p queue ~time n (i + 1) remaining
+        else begin
+          Hashtbl.remove cand id;
+          let s = Hashtbl.find planned id in
+          if s = time then j :: select p queue ~time n (i + 1) (remaining - 1)
+          else if s < time then begin
+            (* Undo the stale window with the inverse range-add (clamped to
+               the plan's gc origin — the collapsed part is never queried
+               again), replan from now. *)
+            let lo = max s (Timeline.origin p) in
+            if lo < s + Job.p j then Timeline.change p ~lo ~hi:(s + Job.p j) ~delta:(Job.q j);
+            if plan_job p ~time j ~from:time = time then
+              j :: select p queue ~time n (i + 1) (remaining - 1)
+            else select p queue ~time n (i + 1) (remaining - 1)
+          end
+          else select p queue ~time n (i + 1) (remaining - 1)
+        end
+      end
+    in
+    (* A started job never reappears in the queue, so its promise entry is
+       dead — dropping it keeps [planned] proportional to the live queue.
+       Its plan window stays reserved: the machine really is occupied. The
+       start is mirrored on the live timeline: the plan guarantees the
+       capacity is there (the plan never exceeds the free capacity), and
+       the simulator commits these reservations directly. Returns the
+       number of starts. *)
+    let rec launch free ~time = function
+      | [] -> 0
+      | j :: rest ->
+        Hashtbl.remove planned (Job.id j);
+        take free ~time j;
+        1 + launch free ~time rest
     in
     fun ~time ~queue ~free ->
       Metrics.incr c_cons;
@@ -210,7 +270,11 @@ let conservative =
          of tree — measured ~10% off CONS replay wall time vs the old
          every-4096-decisions rebuild, now that [Timeline.gc] rebuilds
          bottom-up in one pass. *)
-      if Timeline.node_count p > 16384 then Timeline.gc p ~upto:time;
+      if Timeline.node_count p > !gc_nodes then begin
+        Timeline.gc p ~upto:time;
+        let kept = Timeline.node_count p in
+        gc_nodes := if kept >= plan_gc_nodes then 2 * kept else plan_gc_nodes
+      end;
       let n = Jobq.length queue in
       (* Plan newly arrived jobs at their earliest non-delaying start. *)
       for i = !known to n - 1 do
@@ -222,65 +286,18 @@ let conservative =
         let s = Int_heap.min_key promises and id = Int_heap.min_value promises in
         Int_heap.drop_min promises;
         match Hashtbl.find planned id with
-        | s', _ when s' = s ->
+        | s' when s' = s ->
           if not (Hashtbl.mem cand id) then begin
             Hashtbl.replace cand id ();
             incr ncand
           end
         | _ | exception Not_found -> ()
       done;
-      (* Launch jobs whose planned instant has come — walking the queue in
-         order, so starts and defensive replans happen exactly as the old
-         whole-queue filter did. Stragglers (should not happen when
-         wake-ups are honoured) are replanned from now. *)
-      let start_now =
-        if !ncand = 0 then []
-        else begin
-          let rec sel i remaining =
-            if remaining = 0 || i >= n then []
-            else begin
-              let j = Jobq.get queue i in
-              let id = Job.id j in
-              if not (Hashtbl.mem cand id) then sel (i + 1) remaining
-              else begin
-                Hashtbl.remove cand id;
-                let s, _ = Hashtbl.find planned id in
-                if s = time then j :: sel (i + 1) (remaining - 1)
-                else if s < time then begin
-                  (* Undo the stale window with the inverse range-add
-                     (clamped to the plan's gc origin — the collapsed part
-                     is never queried again), replan from now. *)
-                  let lo = max s (Timeline.origin p) in
-                  if lo < s + Job.p j then
-                    Timeline.change p ~lo ~hi:(s + Job.p j) ~delta:(Job.q j);
-                  if plan_job p ~time j ~from:time = time then
-                    j :: sel (i + 1) (remaining - 1)
-                  else sel (i + 1) (remaining - 1)
-                end
-                else sel (i + 1) (remaining - 1)
-              end
-            end
-          in
-          sel 0 !ncand
-        end
-      in
-      (match start_now with
-      | [] -> ()
-      | _ :: _ ->
-        (* A started job never reappears in the queue, so its promise entry
-           is dead — dropping it here keeps [planned] proportional to the
-           live queue. Its plan window stays reserved: the machine really
-           is occupied. *)
-        List.iter (fun j -> Hashtbl.remove planned (Job.id j)) start_now;
-        (* Mirror the starts on the live timeline: the plan guarantees the
-           capacity is there (the plan never exceeds the free capacity),
-           and the simulator commits these reservations directly. *)
-        List.iter (fun j -> take free ~time j) start_now);
-      known := n - (match start_now with [] -> 0 | l -> List.length l);
-      let wake = wake_top () in
-      match (start_now, wake) with
-      | [], None -> idle
-      | _ -> { start_now; wake }
+      let start_now = if !ncand = 0 then [] else select p queue ~time n 0 !ncand in
+      known := n - launch free ~time start_now;
+      act.start_now <- start_now;
+      act.wake <- wake_top ();
+      act
   in
   { name = "CONS"; create }
 
@@ -316,7 +333,7 @@ let fcfs_reference =
         ([], Some at)
     in
     let start_now, wake = go free queue in
-    { start_now; wake }
+    { start_now; wake = Option.value wake ~default:no_wake }
   in
   { name = "FCFS"; create }
 
@@ -331,7 +348,7 @@ let aggressive_reference =
         j :: go free rest
       | _ :: rest -> go free rest
     in
-    { start_now = go free queue; wake = None }
+    { start_now = go free queue; wake = no_wake }
   in
   { name = "LSRC"; create }
 
@@ -363,7 +380,7 @@ let easy_reference =
         (backfill free rest, Some guaranteed)
     in
     let start_now, wake = pop_prefix free queue in
-    { start_now; wake }
+    { start_now; wake = Option.value wake ~default:no_wake }
   in
   { name = "EASY"; create }
 
@@ -427,7 +444,7 @@ let conservative_reference =
             end)
           None queue
       in
-      { start_now; wake }
+      { start_now; wake = Option.value wake ~default:no_wake }
   in
   { name = "CONS"; create }
 

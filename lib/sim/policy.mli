@@ -6,7 +6,8 @@
     reservations minus windows of running jobs). It answers with the queued
     jobs to start right now — each must fit its whole window at the current
     time — and an optional extra wake-up instant (needed by planning
-    policies whose next action time is not a simulator event).
+    policies whose next action time is not a simulator event), [-1] when
+    it wants none.
 
     Access is speculative: the simulator opens a timeline checkpoint around
     every [decide] call, so a decision may reserve trial windows
@@ -41,9 +42,16 @@
 open Resa_core
 
 type action = {
-  start_now : Job.t list;  (** Subset of the queue, to start at [time]. *)
-  wake : int option;  (** Extra decision instant strictly after [time]. *)
+  mutable start_now : Job.t list;  (** Subset of the queue, to start at [time]. *)
+  mutable wake : int;
+      (** Extra decision instant strictly after [time]; [-1] for none (any
+          value [<= time] requests nothing). *)
 }
+(** A decision's answer, {e valid until the next call} of the same
+    [decide]: the native policies make one action per run in [create] and
+    refill and return it at every decision, so answering costs no record
+    and no option — only one cons cell per started job. The simulator reads
+    it before deciding again; a caller that keeps answers must copy them. *)
 
 type decide = time:int -> queue:Jobq.t -> free:Timeline.t -> action
 (** The queue is the simulator's live array-backed {!Jobq.t}, indexed in

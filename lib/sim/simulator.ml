@@ -62,7 +62,7 @@ let dummy_job = Job.make ~id:0 ~p:1 ~q:1
 (* Maximum distance the timeline's gc origin may trail behind the clock
    before the engine rebases it on its own. Query descents cost log of the
    live span, so this caps them near log2(span + horizon) regardless of the
-   caller's [gc_every] setting; the rebase itself is O(live segments) and
+   caller's [gc_every] setting; the rebase itself is O(nodes) and
    semantically invisible. *)
 let auto_gc_span = 16384
 
@@ -71,7 +71,9 @@ let auto_gc_span = 16384
    where the span alone would let mutation garbage pile up. Both constants
    were picked by sweeping CONS/FCFS 200k-job replays: tighter spans pay
    more in rebuilds than they save in descent depth, looser ones let
-   queries wander a cold tree. *)
+   queries wander a cold tree. A rebuild that keeps at least this many
+   nodes (a long reserved future) raises the run's trigger to twice what
+   it kept, or the trigger would fire at every decision. *)
 let auto_gc_nodes = 16384
 
 (* Rebase [free] at [t]. Both triggers — the caller's [gc_every] cadence
@@ -164,8 +166,10 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
   (* Queue-filter predicate over slot tags, built once: started slots have
      a start time. *)
   let keep_queued slot = (!sstart).(slot) < 0 in
-  (* Slots started by the current decision, in start_now order. *)
+  (* Slots started by the current decision, in start_now order, and their
+     count. *)
   let start_slots = ref (Array.make 64 0) in
+  let nstart = ref 0 in
   let decision_no = ref 0 in
   let forced = ref false in
   let n_jobs = ref 0 and makespan = ref 0 in
@@ -175,6 +179,13 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
      clock. Pure simulation data, so heartbeat cadence is deterministic. *)
   let events_seen = ref 0 in
   let hb_seq = ref 0 and hb_last_ev = ref 0 and hb_last_t = ref 0 in
+  (* Node count past which the timeline is rebuilt (see [auto_gc_nodes]). *)
+  let gc_nodes = ref auto_gc_nodes in
+  let rebase t =
+    gc free t;
+    let kept = Timeline.node_count free in
+    gc_nodes := if kept >= auto_gc_nodes then 2 * kept else auto_gc_nodes
+  in
   let emit_heartbeat t =
     match on_heartbeat with
     | None -> ()
@@ -267,7 +278,7 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
     Metrics.incr m_completed;
     (* Outside any decision checkpoint, with every future query at or
        after [t]: the history left of now is dead weight. *)
-    if gc_every > 0 && !completions mod gc_every = 0 then gc free t;
+    if gc_every > 0 && !completions mod gc_every = 0 then rebase t;
     if tracing then Trace.emit obs (Trace.Job_finish { time = t; job = id })
   in
   let rec drain t =
@@ -282,6 +293,79 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
         if pay >= 0 then complete t pay;
         drain t
       end
+  in
+  (* Retract a failed decision's speculation — its checkpoint [spec] and
+     any the policy left open inside it — so the timeline is consistent
+     when the error propagates. *)
+  let abandon spec =
+    while Timeline.open_checkpoints free > 0 do
+      Timeline.rollback free spec
+    done;
+    Metrics.incr m_checkpoints;
+    Metrics.incr m_rollbacks
+  in
+  (* The post-decision passes are run-level functions recursing over the
+     policy's [start_now], with their state in run-level refs: a decision
+     allocates no closure and no ref.
+
+     Validation: each started job must be queued and not already started
+     this decision. Its slot is appended to [start_slots]; the result says
+     whether the speculative log so far is exactly this decision's
+     reservation sequence — matched against the authoritative slot state,
+     not the policy's job value, so the fast path cannot commit a window
+     the slow path would have rejected. *)
+  let rec validate t spec exact = function
+    | [] -> exact
+    | j :: rest ->
+      let slot =
+        match Hashtbl.find slot_of (Job.id j) with
+        | slot when (!sstart).(slot) < 0 && (!sstamp).(slot) <> !decision_no -> slot
+        | _ | exception Not_found ->
+          abandon spec;
+          raise
+            (Policy_error
+               (Format.asprintf "%s started %a at t=%d which is not in the queue"
+                  policy.Policy.name Job.pp j t))
+      in
+      (!sstamp).(slot) <- !decision_no;
+      let k = !nstart in
+      if k = Array.length !start_slots then
+        start_slots := Array.append !start_slots (Array.make k 0);
+      (!start_slots).(k) <- slot;
+      nstart := k + 1;
+      validate t spec
+        (exact
+        && Timeline.spec_op_is_reserve free spec ~i:k ~start:t ~dur:(!sest).(slot)
+             ~need:(Job.q (!sjob).(slot)))
+        rest
+  in
+  (* Apply the [k]-th start onwards: off the fast path, re-check and
+     reserve its window; then mark it running and schedule its
+     completion. *)
+  let rec apply t fast k = function
+    | [] -> ()
+    | j :: rest ->
+      let slot = (!start_slots).(k) in
+      let est = (!sest).(slot) in
+      if not fast then begin
+        let have = Timeline.min_on free ~lo:t ~hi:(t + est) in
+        if have < Job.q j then
+          raise
+            (Policy_error
+               (Format.asprintf
+                  "%s started %a at t=%d without capacity: window [%d,%d) needs %d but offers %d"
+                  policy.Policy.name Job.pp j t t (t + est) (Job.q j) have));
+        Timeline.change free ~lo:t ~hi:(t + est) ~delta:(-Job.q j)
+      end;
+      (!sstart).(slot) <- t;
+      Metrics.incr m_started;
+      Metrics.observe m_wait (t - (!ssubmit).(slot));
+      forced := false;
+      let finish = t + Job.p (!sjob).(slot) in
+      if finish > !makespan then makespan := finish;
+      Eventq.push events ~time:finish slot;
+      on_record { job = (!sjob).(slot); submit = (!ssubmit).(slot); start = t };
+      apply t fast (k + 1) rest
   in
   let last_t = ref (-1) in
   (* Next instant with something to do, -1 when the run is over — ints all
@@ -320,52 +404,30 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
          taxes every query the policies issue. Rebasing here — outside any
          checkpoint, with all future traffic at or after [t] — is invisible
          to decisions and keeps descents shallow. *)
-      if t - Timeline.origin free > auto_gc_span || Timeline.node_count free > auto_gc_nodes
-      then gc free t;
+      if t - Timeline.origin free > auto_gc_span || Timeline.node_count free > !gc_nodes then
+        rebase t;
       last_t := t;
       let t_decide = if Metrics.enabled () then Prof.now_ns () else 0 in
       decision_no := !decision_no + 1;
       let spec = Timeline.checkpoint free in
-      let action = decide ~time:t ~queue ~free in
+      let action =
+        match decide ~time:t ~queue ~free with
+        | a -> a
+        | exception exn ->
+          abandon spec;
+          raise
+            (Policy_error
+               (Printf.sprintf "%s raised %s at t=%d" policy.Policy.name
+                  (Printexc.to_string exn) t))
+      in
+      (* The action is only valid until the policy's next call: read it now. *)
       let start_now = action.Policy.start_now and wake = action.Policy.wake in
-      (* One pass over the starts: validate each against the slot state — a
-         started id must be queued and not already started this decision —
-         and check whether the speculative log is exactly this decision's
-         reservation sequence. *)
-      let nstart = ref 0 and exact = ref true in
-      (match start_now with
-      | [] -> ()
-      | _ :: _ ->
-        List.iter
-          (fun j ->
-            let slot =
-              match Hashtbl.find slot_of (Job.id j) with
-              | slot when (!sstart).(slot) < 0 && (!sstamp).(slot) <> !decision_no -> slot
-              | _ | exception Not_found ->
-                raise
-                  (Policy_error
-                     (Format.asprintf "%s started %a at t=%d which is not in the queue"
-                        policy.Policy.name Job.pp j t))
-            in
-            (!sstamp).(slot) <- !decision_no;
-            if !nstart = Array.length !start_slots then
-              start_slots := Array.append !start_slots (Array.make !nstart 0);
-            (!start_slots).(!nstart) <- slot;
-            (* Matched against the authoritative slot state, not the
-               policy's job value, so the fast path cannot commit a window
-               the slow path would have rejected. *)
-            if
-              !exact
-              && not
-                   (Timeline.spec_op_is_reserve free spec ~i:!nstart ~start:t
-                      ~dur:(!sest).(slot) ~need:(Job.q (!sjob).(slot)))
-            then exact := false;
-            incr nstart)
-          start_now);
+      nstart := 0;
+      let exact = validate t spec true start_now in
       (* Fast path: the decision's trial reservations *are* the
          authoritative ones — keep them. Slow path: retract everything the
          policy touched and re-apply per start below. *)
-      let fast = !exact && Timeline.spec_ops free spec = !nstart in
+      let fast = exact && Timeline.spec_ops free spec = !nstart in
       if fast then begin
         Timeline.commit free spec;
         Metrics.incr m_commits
@@ -391,7 +453,7 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
                policy = policy.Policy.name;
                queued = Jobq.length queue;
                started = !nstart;
-               wake;
+               wake = (if wake < 0 then None else Some wake);
              });
         if !nstart > 0 then begin
           let nq = Jobq.length queue in
@@ -419,34 +481,7 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
           done
         end
       end;
-      if !nstart > 0 then begin
-        let k = ref 0 in
-        List.iter
-          (fun j ->
-            let slot = (!start_slots).(!k) in
-            incr k;
-            let est = (!sest).(slot) in
-            if not fast then begin
-              let have = Timeline.min_on free ~lo:t ~hi:(t + est) in
-              if have < Job.q j then
-                raise
-                  (Policy_error
-                     (Format.asprintf
-                        "%s started %a at t=%d without capacity: window [%d,%d) needs %d \
-                         but offers %d"
-                        policy.Policy.name Job.pp j t t (t + est) (Job.q j) have));
-              Timeline.change free ~lo:t ~hi:(t + est) ~delta:(-Job.q j)
-            end;
-            (!sstart).(slot) <- t;
-            Metrics.incr m_started;
-            Metrics.observe m_wait (t - (!ssubmit).(slot));
-            forced := false;
-            let finish = t + Job.p (!sjob).(slot) in
-            if finish > !makespan then makespan := finish;
-            Eventq.push events ~time:finish slot;
-            on_record { job = (!sjob).(slot); submit = (!ssubmit).(slot); start = t })
-          start_now
-      end;
+      apply t fast 0 start_now;
       (* Why is the head (the first job left waiting) not running? Checked
          after the starts, against the capacity it actually faces. *)
       if tracing then begin
@@ -503,9 +538,7 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
         end
       end;
       if !nstart > 0 then Jobq.filter queue keep_queued;
-      (match wake with
-      | Some w when w > t -> Eventq.push events ~time:w wake_payload
-      | Some _ | None -> ());
+      if wake > t then Eventq.push events ~time:wake wake_payload;
       if heartbeat_due t then emit_heartbeat t;
       loop ()
     end

@@ -85,9 +85,12 @@ type heartbeat = {
 
 exception Policy_error of string
 (** Raised when a policy starts a job that does not fit, starts a job not in
-    the queue, or deadlocks (never starts a startable queue). The message
-    names the policy, the offending job, the current time and — for capacity
-    violations — the requested window with its needed vs offered width. *)
+    the queue, deadlocks (never starts a startable queue) or raises from its
+    [decide]. The message names the policy, the offending job (or the
+    exception, [Printexc.to_string]), the current time and — for capacity
+    violations — the requested window with its needed vs offered width.
+    The failed decision's timeline checkpoint, and any the policy left open
+    inside it, is rolled back first. *)
 
 val run :
   ?obs:Resa_obs.Trace.t ->

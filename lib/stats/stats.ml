@@ -107,15 +107,17 @@ module Fsum = struct
 
   let create () = { partials = Array.make 4 0.0; n = 0 }
 
-  let add t x =
+  (* Inlined into [add_ratio], so the term it computes is never boxed on its
+     way in. The magnitude comparison picks between two expressions rather
+     than binding a (lo, hi) tuple, which would allocate per partial. *)
+  let[@inline] add t x =
     if not (Float.is_finite x) then invalid_arg "Stats.Fsum.add: non-finite term";
     let x = ref x in
     let i = ref 0 in
     for j = 0 to t.n - 1 do
       let y = t.partials.(j) in
-      let lo, hi = if Float.abs !x < Float.abs y then (!x, y) else (y, !x) in
-      let s = hi +. lo in
-      let err = lo -. (s -. hi) in
+      let s = !x +. y in
+      let err = if Float.abs !x < Float.abs y then !x -. (s -. y) else y -. (s -. !x) in
       if err <> 0.0 then begin
         t.partials.(!i) <- err;
         incr i
@@ -129,6 +131,8 @@ module Fsum = struct
     end;
     t.partials.(!i) <- !x;
     t.n <- !i + 1
+
+  let add_ratio t num den = add t (float_of_int num /. float_of_int den)
 
   let total t =
     (* Sum from largest magnitude down, tracking one rounding error term;
@@ -189,7 +193,7 @@ module P2 = struct
 
   let count t = t.count
 
-  let parabolic t i d =
+  let[@inline] parabolic t i d =
     let h = t.h and pos = t.pos in
     h.(i)
     +. d
@@ -197,10 +201,12 @@ module P2 = struct
        *. (((pos.(i) -. pos.(i - 1) +. d) *. (h.(i + 1) -. h.(i)) /. (pos.(i + 1) -. pos.(i)))
           +. ((pos.(i + 1) -. pos.(i) -. d) *. (h.(i) -. h.(i - 1)) /. (pos.(i) -. pos.(i - 1))))
 
-  let linear t i d =
+  let[@inline] linear t i d =
     t.h.(i) +. (d *. (t.h.(i + int_of_float d) -. t.h.(i)) /. (t.pos.(i + int_of_float d) -. t.pos.(i)))
 
-  let add t x =
+  (* Inlined into [add_int], as [parabolic] and [linear] are into it: a
+     float crossing a call is boxed. *)
+  let[@inline] add t x =
     if t.count < 5 then begin
       t.h.(t.count) <- x;
       t.count <- t.count + 1;
@@ -245,6 +251,8 @@ module P2 = struct
         end
       done
     end
+
+  let add_int t x = add t (float_of_int x)
 
   let value t =
     if t.count = 0 then Float.nan

@@ -60,6 +60,11 @@ module Fsum : sig
   val add : t -> float -> unit
   (** Raises [Invalid_argument] on nan/infinite terms. *)
 
+  val add_ratio : t -> int -> int -> unit
+  (** [add_ratio t num den] is [add t (float num /. float den)], bit for
+      bit, with the quotient computed inside: no boxed float crosses the
+      call, so a caller in another module adds without allocating. *)
+
   val total : t -> float
   (** The exact sum, correctly rounded. 0 when no terms were added. *)
 end
@@ -76,6 +81,10 @@ module P2 : sig
   (** Track the [q]-quantile, [q ∈ (0, 1)] exclusive; raises otherwise. *)
 
   val add : t -> float -> unit
+
+  val add_int : t -> int -> unit
+  (** [add_int t x] is [add t (float x)], without boxing the sample. *)
+
   val count : t -> int
 
   val value : t -> float

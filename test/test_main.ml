@@ -31,5 +31,6 @@ let () =
       ("par", Test_par.suite);
       ("obs", Test_obs.suite);
       ("metrics", Test_metrics.suite);
+      ("alloc", Test_alloc.suite);
       ("instance-io", Test_io.suite);
     ]

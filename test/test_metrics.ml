@@ -196,6 +196,59 @@ let test_auto_gc_counted () =
       Alcotest.(check bool) "reclaimed nodes counted" true
         (Tutil.counter "sim.gc_reclaimed_nodes" > 0))
 
+(* Past the Timeline.gc cliff: with 500 future reservations of
+   resv-alpha's shape, a freshly rebuilt timeline keeps ~19k nodes, above
+   the 16384-node trigger, so a fixed trigger rebuilt at every decision
+   (4590 rebuilds in 5232 decisions under FCFS). Raised past the cliff, the
+   node trigger leaves only the span rule's cadence: every run walks the
+   reservation edges up to 5M, and the origin may trail the clock by at
+   most 16384, so at most 5M / 16384 ~ 305 span rebuilds, plus a few
+   node-count ones. The rebuilds stay invisible in the trace. *)
+let test_gc_cliff () =
+  let arrivals =
+    let rng = Resa_core.Prng.create ~seed:4242 in
+    let src =
+      Swf_stream.synthetic ~overestimate:2.0 rng ~m:64 ~n:2000 ~max_runtime:2000 ~mean_gap:100.0
+    in
+    let rec go acc = match src () with None -> List.rev acc | Some a -> go (a :: acc) in
+    go []
+  in
+  let n_resv = 500 in
+  let reservations =
+    List.init n_resv (fun i ->
+        Resa_core.Reservation.make ~id:i ~start:((10_000 * i) + 5_000) ~p:2_500 ~q:64)
+  in
+  let budget = (10_000 * n_resv / 16384) + 50 in
+  let subs =
+    List.map (fun (a : Swf_stream.arrival) -> Simulator.{ job = a.job; submit = a.submit }) arrivals
+  in
+  let estimates =
+    Array.of_list (List.map (fun (a : Swf_stream.arrival) -> a.estimate) arrivals)
+  in
+  let jsonl obs =
+    String.concat "\n" (List.map (Resa_obs.Trace.to_json ~run:"x") (Resa_obs.Trace.contents obs))
+  in
+  List.iter
+    (fun ((policy : Policy.t), counter) ->
+      let streamed = Resa_obs.Trace.buffer () in
+      let gc_runs =
+        with_metrics (fun () ->
+            ignore
+              (Simulator.run_stream ~obs:streamed ~policy ~m:128 ~reservations (feed arrivals));
+            Tutil.counter counter)
+      in
+      if gc_runs > budget then
+        Alcotest.failf "%s: %s = %d, budget %d" policy.name counter gc_runs budget;
+      let batch = Resa_obs.Trace.buffer () in
+      ignore (Simulator.run ~obs:batch ~policy ~m:128 ~reservations ~estimates subs);
+      Alcotest.(check bool)
+        (policy.name ^ " trace equals run's")
+        true
+        (jsonl streamed = jsonl batch))
+    (* CONS rebuilds its plan timeline on the same rule; [timeline.gc]
+       counts both timelines. *)
+    [ (Policy.fcfs, "sim.gc_runs"); (Policy.conservative, "timeline.gc") ]
+
 let test_traced_replay_byte_identical_off () =
   (* Collection on or off never changes the deterministic event stream. *)
   let text enabled =
@@ -369,6 +422,7 @@ let suite =
     Alcotest.test_case "wall prefix convention" `Quick test_wall_prefix;
     Alcotest.test_case "snapshot deterministic across runs" `Quick test_snapshot_deterministic;
     Alcotest.test_case "auto gc counts reclaimed nodes" `Quick test_auto_gc_counted;
+    Alcotest.test_case "gc trigger past the node-count cliff" `Quick test_gc_cliff;
     Alcotest.test_case "traced replay byte-identical off" `Quick
       test_traced_replay_byte_identical_off;
     Alcotest.test_case "heartbeat sampler cadence and closing" `Quick test_heartbeat_sampler;

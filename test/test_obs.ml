@@ -360,7 +360,7 @@ let test_policy_error_messages () =
         name = "ROGUE";
         create =
           (fun ~obs:_ ~time:_ ~queue ~free:_ ->
-            { start_now = Jobq.to_list queue; wake = None });
+            { start_now = Jobq.to_list queue; wake = -1 });
       }
   in
   let subs =
@@ -383,7 +383,7 @@ let test_policy_error_messages () =
         name = "PHANTOM";
         create =
           (fun ~obs:_ ~time:_ ~queue:_ ~free:_ ->
-            { start_now = [ Job.make ~id:99 ~p:1 ~q:1 ]; wake = None });
+            { start_now = [ Job.make ~id:99 ~p:1 ~q:1 ]; wake = -1 });
       }
   in
   match Simulator.run ~policy:phantom ~m:2 [ List.hd subs ] with
@@ -394,6 +394,63 @@ let test_policy_error_messages () =
           (contains ~sub msg))
       [ "PHANTOM"; "at t="; "not in the queue" ]
   | _ -> Alcotest.fail "phantom start not caught"
+
+(* A failed decision leaves no speculation open: the engine rolls its
+   checkpoint back — and any the policy opened inside it — before the error
+   propagates, whether the policy raised or asked for an impossible
+   start. *)
+let test_failed_decision_rolls_back () =
+  let subs =
+    [
+      Simulator.{ job = Job.make ~id:0 ~p:2 ~q:1; submit = 0 };
+      Simulator.{ job = Job.make ~id:1 ~p:2 ~q:1; submit = 3 };
+    ]
+  in
+  let resolved () =
+    Alcotest.(check int) "every checkpoint resolved" (Tutil.counter "timeline.checkpoint")
+      (Tutil.counter "timeline.commit" + Tutil.counter "timeline.rollback")
+  in
+  let raising ~nested =
+    Policy.
+      {
+        name = "RAISER";
+        create =
+          (fun ~obs:_ ~time ~queue:_ ~free ->
+            if time >= 3 then begin
+              if nested then ignore (Timeline.checkpoint free);
+              Timeline.reserve free ~start:time ~dur:4 ~need:1;
+              failwith "planner bug"
+            end;
+            { start_now = []; wake = 3 });
+      }
+  in
+  List.iter
+    (fun nested ->
+      Tutil.with_metrics (fun () ->
+          match Simulator.run ~policy:(raising ~nested) ~m:2 subs with
+          | exception Simulator.Policy_error msg ->
+            List.iter
+              (fun sub ->
+                Alcotest.(check bool) (Printf.sprintf "raise msg has %S" sub) true
+                  (contains ~sub msg))
+              [ "RAISER"; "t=3"; "planner bug" ];
+            resolved ()
+          | _ -> Alcotest.fail "policy exception not reported"))
+    [ false; true ];
+  let phantom =
+    Policy.
+      {
+        name = "PHANTOM";
+        create =
+          (fun ~obs:_ ~time ~queue:_ ~free ->
+            Timeline.reserve free ~start:time ~dur:1 ~need:1;
+            { start_now = [ Job.make ~id:99 ~p:1 ~q:1 ]; wake = -1 });
+      }
+  in
+  Tutil.with_metrics (fun () ->
+      match Simulator.run ~policy:phantom ~m:2 [ List.hd subs ] with
+      | exception Simulator.Policy_error _ -> resolved ()
+      | _ -> Alcotest.fail "phantom start not caught")
 
 (* --- profiling ----------------------------------------------------------- *)
 
@@ -550,6 +607,7 @@ let suite =
     Alcotest.test_case "per-job rows and CSV" `Quick test_per_job_and_csv;
     Alcotest.test_case "empty summary explicit" `Quick test_empty_summary_is_explicit;
     Alcotest.test_case "policy errors carry context" `Quick test_policy_error_messages;
+    Alcotest.test_case "failed decisions roll back" `Quick test_failed_decision_rolls_back;
     Alcotest.test_case "prof counters and spans" `Quick test_prof_counters;
     Alcotest.test_case "prof disabled is a no-op" `Quick test_prof_disabled_is_noop;
     Alcotest.test_case "prof clock never decreases" `Quick test_clock_monotonic;

@@ -119,7 +119,7 @@ let test_policy_error_on_rogue_policy () =
         create =
           (fun ~obs:_ ~time:_ ~queue ~free:_ ->
             (* Start everything unconditionally: must violate capacity. *)
-            { start_now = Jobq.to_list queue; wake = None });
+            { start_now = Jobq.to_list queue; wake = -1 });
       }
   in
   let subs =

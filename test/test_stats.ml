@@ -198,6 +198,48 @@ let prop_p2_within_range =
       let v = Stats.P2.value p2 in
       !lo <= v && v <= !hi)
 
+(* The int-argument adders are the streaming metrics' allocation-free
+   entry points; they must be the float adders bit for bit. *)
+let bits = Int64.bits_of_float
+
+let prop_fsum_add_ratio_exact =
+  Tutil.qcheck ~count:500 "Fsum.add_ratio equals add of the float quotient" Tutil.seed_arb
+    (fun seed ->
+      let rng = Resa_core.Prng.create ~seed in
+      let a = Stats.Fsum.create () and b = Stats.Fsum.create () in
+      let n = Resa_core.Prng.int_incl rng ~lo:1 ~hi:100 in
+      for _ = 1 to n do
+        let num = Resa_core.Prng.int_incl rng ~lo:(-1_000_000) ~hi:1_000_000_000 in
+        let den = Resa_core.Prng.int_incl rng ~lo:1 ~hi:100_000 in
+        Stats.Fsum.add_ratio a num den;
+        Stats.Fsum.add b (float_of_int num /. float_of_int den)
+      done;
+      bits (Stats.Fsum.total a) = bits (Stats.Fsum.total b))
+
+let prop_p2_add_int_exact =
+  Tutil.qcheck ~count:200 "P2.add_int equals add of the float sample" Tutil.seed_arb (fun seed ->
+      let rng = Resa_core.Prng.create ~seed in
+      let q = [| 0.1; 0.5; 0.95 |].(Resa_core.Prng.int rng ~bound:3) in
+      let a = Stats.P2.create ~q and b = Stats.P2.create ~q in
+      let n = Resa_core.Prng.int_incl rng ~lo:1 ~hi:400 in
+      let same = ref true in
+      for _ = 1 to n do
+        let x = Resa_core.Prng.int_incl rng ~lo:0 ~hi:100_000 in
+        Stats.P2.add_int a x;
+        Stats.P2.add b (float_of_int x);
+        if bits (Stats.P2.value a) <> bits (Stats.P2.value b) then same := false
+      done;
+      !same && Stats.P2.count a = Stats.P2.count b)
+
+(* The bounded slowdown is fed as (max (wait+p) b) / b: the same double as
+   max 1 ((wait+p) / b) for every positive numerator and bound. *)
+let prop_bounded_slowdown_identity =
+  Tutil.qcheck ~count:1000 "max 1 (a/b) = (max a b)/b on positive ints"
+    QCheck.(pair (int_range 1 1_000_000_000) (int_range 1 1_000_000))
+    (fun (a, b) ->
+      let fa = float_of_int a and fb = float_of_int b in
+      bits (Float.max 1.0 (fa /. fb)) = bits (float_of_int (max a b) /. fb))
+
 let suite =
   [
     Alcotest.test_case "mean and variance" `Quick test_mean_variance;
@@ -221,4 +263,7 @@ let suite =
     Alcotest.test_case "P2 rejects degenerate quantiles" `Quick test_p2_rejects_bad_quantile;
     prop_p2_tracks_uniform;
     prop_p2_within_range;
+    prop_fsum_add_ratio_exact;
+    prop_p2_add_int_exact;
+    prop_bounded_slowdown_identity;
   ]
