@@ -434,7 +434,7 @@ let replay_cmd =
       & info [ "heartbeat" ] ~docv:"FILE"
           ~doc:
             "Write periodic telemetry snapshots (JSONL, one run-tagged row per interval: jobs, \
-             queue depth, live jobs, P² wait quantiles, timeline nodes, wall-clock rate and \
+             queue depth, live jobs, P² wait quantiles, timeline segments, wall-clock rate and \
              RSS) to $(docv) ('-' for stdout). Each line is flushed immediately, so \
              $(b,resa top) can follow the file or a pipe live.")
   in

@@ -15,7 +15,7 @@ val conservative : ?priority:Priority.t -> Instance.t -> Schedule.t
 (** Always feasible; satisfies {!no_earlier_job_delayed}. *)
 
 val conservative_order : Instance.t -> int array -> Schedule.t
-(** Timeline-backed (O(log U) per capacity operation). *)
+(** Timeline-backed: capacity operations run on the mutable {!Timeline}. *)
 
 val conservative_order_reference : Instance.t -> int array -> Schedule.t
 (** Original persistent-[Profile] implementation; differential-test oracle

@@ -14,7 +14,7 @@ val run : ?priority:Priority.t -> Instance.t -> Schedule.t
     is always feasible. *)
 
 val run_order : Instance.t -> int array -> Schedule.t
-(** Timeline-backed (O(log U) per capacity operation). *)
+(** Timeline-backed: capacity operations run on the mutable {!Timeline}. *)
 
 val run_order_reference : Instance.t -> int array -> Schedule.t
 (** Original persistent-[Profile] implementation; differential-test oracle

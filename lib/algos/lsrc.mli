@@ -22,8 +22,7 @@ val run : ?priority:Priority.t -> Instance.t -> Schedule.t
 
 val run_order : Instance.t -> int array -> Schedule.t
 (** [run_order inst order] with an explicit index permutation. Drives its
-    capacity bookkeeping through the mutable {!Timeline} (O(log U) per
-    operation). *)
+    capacity bookkeeping through the mutable {!Timeline}. *)
 
 val run_order_reference : Instance.t -> int array -> Schedule.t
 (** The original persistent-[Profile] implementation, whose [reserve]

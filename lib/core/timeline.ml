@@ -1,237 +1,205 @@
-(* Sparse lazy segment tree over [0, size), size a power of two.
+(* Sorted breakpoint blocks.
 
-   Nodes live in one growable int array, interleaved at stride 8: a node's
-   fields sit in adjacent words ([lc, rc, mn, mx, ad, sm], two words of
-   padding), so visiting a node costs one cache line instead of the six a
-   parallel-arrays layout pays — the descents below are the innermost loops
-   of the simulator and the struct-of-arrays shape was the dominant memory
-   traffic. Node references (the [root] field, the [lc]/[rc] slots, every
-   [v] below) are base offsets into that array — the node id shifted left
-   by 3 — so child hops need no arithmetic beyond an add. Offset 0 is the
-   nil sentinel: slot 0 is never written, and [lc = 0] marks a uniform
-   (childless) node.
+   The step function is stored as its normalised segment list: (pos, value)
+   pairs in increasing [pos], adjacent values distinct, the first segment
+   starting at the origin (0 until the first [gc]) and the last one
+   extending to infinity. The list is cut into blocks of at most [bsize]
+   consecutive segments. Blocks are fixed slices of two pooled int arrays:
+   pool block [b] owns indices [b*bsize, b*bsize + len.(b)) of [pos] and
+   [vals]. [order] lists the blocks in time order and [first] caches the
+   first position of each, so locating an instant is one binary search
+   over [first] and one inside a block: two short scans of contiguous
+   memory instead of a pointer-chasing descent.
 
-   A node is either a uniform region (no children, mn = mx = its value) or
-   an internal node with both children. [ad] is the pending range-add
-   already reflected in the node's own mn/mx but not yet pushed to its
-   children; for uniform nodes it is always folded into mn/mx immediately.
-   Everything at or beyond [last_hi] — in particular the whole region the
-   tree has never materialised — carries the constant [tail] value, and the
-   universe is kept strictly larger than [last_hi] so the tree always
-   contains at least one tail-valued position (several descents rely on
-   that to decide "no such instant exists" vs "it exists past the
-   horizon"). *)
+   Each block carries a pending add (a segment's value is
+   [vals.(j) + add.(b)]) and the min and max of its values, pending add
+   included. A range change splits at its two ends, edits the entries of
+   the partial blocks, adds lazily to the whole blocks in between and
+   merges equal neighbours at the two ends. Queries scan partial blocks and
+   read the summaries of whole ones. Freed pool blocks go on a free list
+   and the pool only grows by doubling, so steady-state operation allocates
+   nothing. *)
+
+let bsize = 16 (* segments per block *)
+let bshift = 4 (* bsize = 1 lsl bshift *)
+
+(* Int-typed: the polymorphic [min]/[max] compare through the runtime. *)
+let imin (a : int) b = if a < b then a else b
+let imax (a : int) b = if a > b then a else b
 
 type t = {
-  mutable size : int; (* power of two; root covers [0, size); size > last_hi *)
-  mutable root : int;
-  mutable tail : int; (* value on [last_hi, ∞) *)
-  mutable last_hi : int; (* all changes so far confined to [0, last_hi) *)
-  (* External instant of internal position 0. [gc] rebases the tree onto
-     its live suffix, so after long runs the universe stays as small as the
-     live horizon (shallow descents) instead of growing with absolute time.
-     All public coordinates are external; the conversion happens at the API
-     boundary and internal positions are [x - off]. *)
-  mutable off : int;
-  mutable nodes : int array; (* stride-8 interleaved node records *)
-  mutable n_nodes : int;
-  (* Undo log: packed (lo, hi, delta, checked) quads — internal coordinates
-     — of every mutation applied while at least one checkpoint is
-     outstanding; [checked] marks capacity-verified [reserve]s, which is
-     what lets the simulator prove a speculative log is exactly its
-     authoritative reservation sequence and commit it instead of rolling
-     back and re-applying. Rollback replays inverses from the top; with no
-     checkpoint outstanding nothing is recorded, so the steady-state cost
-     of the log is one branch per mutation. *)
+  (* Pool, indexed by pool block. *)
+  mutable pos : int array;
+  mutable vals : int array;
+  mutable len : int array;
+  mutable add : int array;
+  mutable mn : int array;
+  mutable mx : int array;
+  mutable free : int array; (* stack of unused pool blocks *)
+  mutable nfree : int;
+  (* Blocks in time order. *)
+  mutable order : int array;
+  mutable first : int array;
+  mutable nb : int;
+  mutable finger : int; (* last [locate] answer; a hint, checked on use *)
+  mutable nseg : int;
+  mutable off : int; (* the gc origin: start of the first segment *)
+  (* Undo log: packed (lo, hi, delta, checked) quads of every mutation
+     applied while at least one checkpoint is outstanding; [checked] marks
+     capacity-verified [reserve]s, which is what lets the simulator prove a
+     speculative log is exactly its authoritative reservation sequence and
+     commit it instead of rolling back and re-applying. Rollback replays
+     inverses from the top. Segments are normalised, so the inverses
+     restore exactly the same segment list. With no checkpoint outstanding
+     nothing is recorded: one branch per mutation. *)
   mutable ulog : int array;
   mutable ulog_len : int; (* in quads *)
   mutable specs : int; (* outstanding checkpoints *)
-  (* [gc]'s scratch: the live segments as packed (lo, hi, v) triples, kept
-     across rebuilds so compaction allocates nothing per segment. *)
-  mutable segs : int array;
-  mutable n_segs : int;
 }
 
 type mark = int
 
-(* Field offsets within a node record. *)
-(* lc = +0, rc = +1, mn = +2, mx = +3, ad = +4, sm = +5 *)
+let make blocks =
+  {
+    pos = Array.make (blocks * bsize) 0;
+    vals = Array.make (blocks * bsize) 0;
+    len = Array.make blocks 0;
+    add = Array.make blocks 0;
+    mn = Array.make blocks 0;
+    mx = Array.make blocks 0;
+    free = Array.init blocks (fun i -> blocks - 1 - i);
+    nfree = blocks;
+    order = Array.make blocks 0;
+    first = Array.make blocks 0;
+    nb = 0;
+    finger = 0;
+    nseg = 0;
+    off = 0;
+    ulog = [||];
+    ulog_len = 0;
+    specs = 0;
+  }
 
-(* [w] is the width of the range the node covers: uniform nodes carry
-   sum = value · width so the sum aggregate stays exact without storing
-   widths (a node's width is implied by its depth). Returns the node's
-   base offset. *)
-let new_node t v w =
-  let base = t.n_nodes lsl 3 in
-  if base = Array.length t.nodes then begin
-    let b = Array.make (2 * Array.length t.nodes) 0 in
-    Array.blit t.nodes 0 b 0 base;
-    t.nodes <- b
+(* A pool that fills doubles, but to 64 blocks at least: the small
+   generations in between would land on the minor heap (arrays of up to
+   256 words do), one more set per growth. *)
+let alloc_block t =
+  if t.nfree = 0 then begin
+    let n = Array.length t.len in
+    let n' = imax (2 * n) 64 in
+    let ext a size =
+      let b = Array.make size 0 in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    t.pos <- ext t.pos (n' * bsize);
+    t.vals <- ext t.vals (n' * bsize);
+    t.len <- ext t.len n';
+    t.add <- ext t.add n';
+    t.mn <- ext t.mn n';
+    t.mx <- ext t.mx n';
+    t.order <- ext t.order n';
+    t.first <- ext t.first n';
+    t.free <- ext t.free n';
+    for b = n' - 1 downto n do
+      t.free.(t.nfree) <- b;
+      t.nfree <- t.nfree + 1
+    done
   end;
-  t.n_nodes <- t.n_nodes + 1;
-  let a = t.nodes in
-  a.(base) <- 0;
-  a.(base + 1) <- 0;
-  a.(base + 2) <- v;
-  a.(base + 3) <- v;
-  a.(base + 4) <- 0;
-  a.(base + 5) <- v * w;
-  base
+  t.nfree <- t.nfree - 1;
+  let b = t.free.(t.nfree) in
+  t.len.(b) <- 0;
+  t.add.(b) <- 0;
+  b
 
-let create c =
-  let t =
-    {
-      size = 1;
-      root = 0;
-      tail = c;
-      last_hi = 0;
-      off = 0;
-      nodes = Array.make 512 0;
-      n_nodes = 1; (* slot 0 is the nil sentinel *)
-      ulog = [||];
-      ulog_len = 0;
-      specs = 0;
-      segs = [||];
-      n_segs = 0;
-    }
-  in
-  t.root <- new_node t c 1;
+(* Insert pool block [b], already filled, at time-order position [k]. *)
+let insert_block t k b =
+  Array.blit t.order k t.order (k + 1) (t.nb - k);
+  Array.blit t.first k t.first (k + 1) (t.nb - k);
+  t.order.(k) <- b;
+  t.first.(k) <- t.pos.(b lsl bshift);
+  t.nb <- t.nb + 1
+
+(* Return the [n] blocks at order positions [k, k+n) to the pool. Their
+   segments are the caller's to account for. *)
+let drop_blocks t k n =
+  for i = k to k + n - 1 do
+    t.free.(t.nfree) <- t.order.(i);
+    t.nfree <- t.nfree + 1
+  done;
+  Array.blit t.order (k + n) t.order k (t.nb - k - n);
+  Array.blit t.first (k + n) t.first k (t.nb - k - n);
+  t.nb <- t.nb - n
+
+let refresh t b =
+  let lo = ref max_int and hi = ref min_int in
+  for j = b lsl bshift to (b lsl bshift) + t.len.(b) - 1 do
+    let v = t.vals.(j) in
+    if v < !lo then lo := v;
+    if v > !hi then hi := v
+  done;
+  t.mn.(b) <- !lo + t.add.(b);
+  t.mx.(b) <- !hi + t.add.(b)
+
+(* Largest [j] in [lo, hi) with [a.(j) <= x], given [a.(lo) <= x]. *)
+let last_le a lo hi x =
+  let lo = ref lo and hi = ref hi in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) <= x then lo := mid else hi := mid
+  done;
+  !lo
+
+(* Order position of the block holding instant [x >= off]. Consecutive
+   searches mostly land in the same block: a change searches its two ends
+   five times in all (split, add, merge), and a decision's queries cluster
+   around its instant. So the last answer, kept in [finger], is tried
+   first; it is only a hint, checked on every use. Measured hit rates and
+   the end-to-end gain are in EXPERIMENTS.md "TIMELINE". *)
+let locate t x =
+  let k = t.finger in
+  if k < t.nb && t.first.(k) <= x && (k + 1 = t.nb || x < t.first.(k + 1)) then k
+  else begin
+    let k = last_le t.first 0 t.nb x in
+    t.finger <- k;
+    k
+  end
+
+(* Pool index of the segment of block [b] holding instant [x]. *)
+let entry t b x = last_le t.pos (b lsl bshift) ((b lsl bshift) + t.len.(b)) x
+
+(* Append segment [(x, v)] after the last one, opening a new block once the
+   last is three-quarters full, so the first changes split no block. *)
+let push_back t x v =
+  if t.nb = 0 || t.len.(t.order.(t.nb - 1)) >= bsize - (bsize / 4) then begin
+    let b = alloc_block t in
+    t.pos.(b lsl bshift) <- x;
+    t.mn.(b) <- max_int;
+    t.mx.(b) <- min_int;
+    insert_block t t.nb b
+  end;
+  let b = t.order.(t.nb - 1) in
+  let j = (b lsl bshift) + t.len.(b) in
+  t.pos.(j) <- x;
+  t.vals.(j) <- v;
+  t.len.(b) <- t.len.(b) + 1;
+  t.mn.(b) <- imin t.mn.(b) v;
+  t.mx.(b) <- imax t.mx.(b) v;
+  t.nseg <- t.nseg + 1
+
+let of_profile p =
+  (* Sized up front: growing the pool on the way would allocate each
+     smaller generation too. *)
+  let bps = Profile.breakpoints p in
+  let blocks = ref 4 in
+  while !blocks * (bsize - (bsize / 4)) < Array.length bps do
+    blocks := 2 * !blocks
+  done;
+  let t = make !blocks in
+  Array.iter (fun x -> push_back t x (Profile.value_at p x)) bps;
   t
 
-(* [w] is the width of node [v]'s range. *)
-let apply_add t v d w =
-  let a = t.nodes in
-  a.(v + 2) <- a.(v + 2) + d;
-  a.(v + 3) <- a.(v + 3) + d;
-  a.(v + 4) <- a.(v + 4) + d;
-  a.(v + 5) <- a.(v + 5) + (d * w)
-
-(* Materialise a uniform node's children so a partial update can descend
-   into it. [w] is the width of node [v]'s range (children cover w/2
-   each); the children inherit the node's value — which already folds its
-   pending add — so the pending add is cleared. [new_node] may swap
-   [t.nodes] for a larger array, so children are created before the final
-   writes re-read the field. *)
-let split t v w =
-  if t.nodes.(v) = 0 then begin
-    let u = t.nodes.(v + 2) in
-    let l = new_node t u (w / 2) in
-    let r = new_node t u (w / 2) in
-    let a = t.nodes in
-    a.(v) <- l;
-    a.(v + 1) <- r;
-    a.(v + 4) <- 0
-  end
-
-let ensure t hi =
-  while hi > t.size do
-    let r = new_node t 0 1 in
-    let u = new_node t t.tail t.size in
-    let a = t.nodes in
-    let old = t.root in
-    a.(r) <- old;
-    a.(r + 1) <- u;
-    a.(r + 2) <- min a.(old + 2) t.tail;
-    a.(r + 3) <- max a.(old + 3) t.tail;
-    a.(r + 5) <- a.(old + 5) + a.(u + 5);
-    t.root <- r;
-    t.size <- 2 * t.size
-  done
-
-(* Partial updates never flush a node's pending add to its children — the
-   descent leaves [ad] in place (exactly the invariant the read-only
-   descents below exploit by carrying ancestor adds in a parameter), and
-   the way back up recomputes the node's aggregates as children-aggregate
-   plus own pending add. Compared to the classic push-then-pull shape this
-   touches each interior node once instead of writing all four fields of
-   both children at every level, which matters: [upd] is the body of every
-   reservation and release the simulator performs. *)
-let rec upd t v lo hi qlo qhi d =
-  if qlo <= lo && hi <= qhi then apply_add t v d (hi - lo)
-  else begin
-    split t v (hi - lo);
-    (* Children were written before any recursive reallocation, so reading
-       them from the array as it is now is sound even if a deeper call
-       grows it. *)
-    let a = t.nodes in
-    let mid = (lo + hi) / 2 in
-    if qlo < mid then upd t a.(v) lo mid qlo qhi d;
-    if qhi > mid then upd t a.(v + 1) mid hi qlo qhi d;
-    let a = t.nodes in
-    let l = a.(v) and r = a.(v + 1) in
-    let ad = a.(v + 4) in
-    a.(v + 2) <- min a.(l + 2) a.(r + 2) + ad;
-    a.(v + 3) <- max a.(l + 3) a.(r + 3) + ad;
-    a.(v + 5) <- a.(l + 5) + a.(r + 5) + (ad * (hi - lo))
-  end
-
-(* Read-only descents. Queries pass the pending range-adds of strict
-   ancestors down in [add] instead of flushing them with [push], so the
-   query path performs no writes at all: no child materialisation, no
-   node allocation, no cache-line dirtying — the flat-core property the
-   simulator's decide loop depends on. A node's own mn/mx/sm already
-   include its own pending add; only the ancestors' are outstanding.
-   [push] is paid exclusively by mutations ([upd]). They take the node
-   array directly: nothing below can swap it. *)
-let rec query a v add lo hi qlo qhi ~want_min =
-  if qlo <= lo && hi <= qhi then add + if want_min then a.(v + 2) else a.(v + 3)
-  else if a.(v) = 0 then add + a.(v + 2) (* uniform: mn = mx *)
-  else begin
-    let add = add + a.(v + 4) in
-    let mid = (lo + hi) / 2 in
-    if qhi <= mid then query a a.(v) add lo mid qlo qhi ~want_min
-    else if qlo >= mid then query a a.(v + 1) add mid hi qlo qhi ~want_min
-    else begin
-      let x = query a a.(v) add lo mid qlo qhi ~want_min in
-      let y = query a a.(v + 1) add mid hi qlo qhi ~want_min in
-      if want_min then min x y else max x y
-    end
-  end
-
-(* Leftmost position in [qlo, qhi) whose value satisfies the descent's
-   predicate; -1 when none. [keep] prunes whole subtrees from (mn, mx). *)
-let rec first a v add lo hi qlo qhi ~keep =
-  if qhi <= lo || hi <= qlo || not (keep (add + a.(v + 2)) (add + a.(v + 3))) then -1
-  else if a.(v) = 0 then max lo qlo
-  else begin
-    let add = add + a.(v + 4) in
-    let mid = (lo + hi) / 2 in
-    let p = first a a.(v) add lo mid qlo qhi ~keep in
-    if p >= 0 then p else first a a.(v + 1) add mid hi qlo qhi ~keep
-  end
-
-let rec last a v add lo hi qlo qhi ~keep =
-  if qhi <= lo || hi <= qlo || not (keep (add + a.(v + 2)) (add + a.(v + 3))) then -1
-  else if a.(v) = 0 then min (hi - 1) (qhi - 1)
-  else begin
-    let add = add + a.(v + 4) in
-    let mid = (lo + hi) / 2 in
-    let p = last a a.(v + 1) add mid hi qlo qhi ~keep in
-    if p >= 0 then p else last a a.(v) add lo mid qlo qhi ~keep
-  end
-
-(* Closure-free monomorphic twins of [first] for the two descents inside
-   {!earliest_fit} — the hottest query of the simulator's decide loop
-   allocates nothing, not even the [keep] closures. *)
-let rec first_below a v add lo hi qlo qhi bound =
-  if qhi <= lo || hi <= qlo || add + a.(v + 2) >= bound then -1
-  else if a.(v) = 0 then max lo qlo
-  else begin
-    let add = add + a.(v + 4) in
-    let mid = (lo + hi) / 2 in
-    let p = first_below a a.(v) add lo mid qlo qhi bound in
-    if p >= 0 then p else first_below a a.(v + 1) add mid hi qlo qhi bound
-  end
-
-let rec first_at_least a v add lo hi qlo qhi bound =
-  if qhi <= lo || hi <= qlo || add + a.(v + 3) < bound then -1
-  else if a.(v) = 0 then max lo qlo
-  else begin
-    let add = add + a.(v + 4) in
-    let mid = (lo + hi) / 2 in
-    let p = first_at_least a a.(v) add lo mid qlo qhi bound in
-    if p >= 0 then p else first_at_least a a.(v + 1) add mid hi qlo qhi bound
-  end
+let create c = of_profile (Profile.constant c)
 
 (* Operation counters in the metrics registry (RESA_METRICS): a disabled
    counter costs one flag load per call, cheap enough for these hot ops. *)
@@ -244,47 +212,185 @@ let c_rollback = Resa_obs.Metrics.counter "timeline.rollback"
 let c_commit = Resa_obs.Metrics.counter "timeline.commit"
 let c_undone = Resa_obs.Metrics.counter "timeline.changes_undone"
 let c_fit_attempt = Resa_obs.Metrics.counter "timeline.fit_attempts"
+let c_gc = Resa_obs.Metrics.counter "timeline.gc"
 
-let rec point a x v add lo hi =
-  if a.(v) = 0 then add + a.(v + 2)
-  else begin
-    let add = add + a.(v + 4) in
-    let mid = (lo + hi) / 2 in
-    if x < mid then point a x a.(v) add lo mid else point a x a.(v + 1) add mid hi
-  end
-
-(* On a gc-rebased timeline the whole collapsed past [0, off) carries the
-   value of internal position 0, so clamping window bounds to the origin
-   answers point and window queries below [off] exactly. *)
+(* On a gc-rebased timeline the first segment also covers the collapsed
+   past [0, off), so clamping instants to the origin answers point and
+   window queries below it exactly. *)
 let value_at t x =
   if x < 0 then invalid_arg "Timeline: negative time";
-  let x = if x > t.off then x - t.off else 0 in
-  if x >= t.size then t.tail else point t.nodes x t.root 0 0 t.size
+  let b = t.order.(locate t (imax x t.off)) in
+  t.vals.(entry t b (imax x t.off)) + t.add.(b)
+
+let pick want_min r v = if want_min then imin r v else imax r v
+
+(* Fold [pick] over the values at pool indices [j, stop) of block [b]
+   that start before [hi]. *)
+let rec scan t b j stop hi want_min r =
+  if j < stop && t.pos.(j) < hi then
+    scan t b (j + 1) stop hi want_min (pick want_min r (t.vals.(j) + t.add.(b)))
+  else r
+
+(* Blocks from order position [k] on: whole ones (the next block starts at
+   or before [hi]) by their summary, then the last one entry by entry. *)
+let rec scan_blocks t k hi want_min r =
+  if k >= t.nb || t.first.(k) >= hi then r
+  else begin
+    let b = t.order.(k) in
+    if k + 1 < t.nb && t.first.(k + 1) <= hi then
+      scan_blocks t (k + 1) hi want_min (pick want_min r (if want_min then t.mn.(b) else t.mx.(b)))
+    else scan t b (b lsl bshift) ((b lsl bshift) + t.len.(b)) hi want_min r
+  end
+
+(* Min (or max) over [lo, hi), off <= lo < hi. *)
+let window t lo hi ~want_min =
+  let k = locate t lo in
+  let b = t.order.(k) in
+  scan_blocks t (k + 1) hi want_min
+    (scan t b (entry t b lo) ((b lsl bshift) + t.len.(b)) hi want_min
+       (if want_min then max_int else min_int))
 
 let min_on t ~lo ~hi =
   Resa_obs.Metrics.incr c_min_on;
   if lo < 0 || lo > hi then invalid_arg "Timeline: bad window";
-  if lo = hi then max_int
-  else begin
-    let lo = max 0 (lo - t.off) and hi = max 1 (hi - t.off) in
-    ensure t hi;
-    query t.nodes t.root 0 0 t.size lo hi ~want_min:true
-  end
+  if lo = hi then max_int else window t (imax lo t.off) (imax hi (t.off + 1)) ~want_min:true
 
 let max_on t ~lo ~hi =
   if lo < 0 || lo > hi then invalid_arg "Timeline: bad window";
-  if lo = hi then min_int
-  else begin
-    let lo = max 0 (lo - t.off) and hi = max 1 (hi - t.off) in
-    ensure t hi;
-    query t.nodes t.root 0 0 t.size lo hi ~want_min:false
+  if lo = hi then min_int else window t (imax lo t.off) (imax hi (t.off + 1)) ~want_min:false
+
+(* --- mutation ------------------------------------------------------------ *)
+
+(* Insert instant [x] as a breakpoint inside the segment at pool index [j]
+   of block [b], which has room. *)
+let insert_after t b j x =
+  let stop = (b lsl bshift) + t.len.(b) in
+  Array.blit t.pos (j + 1) t.pos (j + 2) (stop - j - 1);
+  Array.blit t.vals (j + 1) t.vals (j + 2) (stop - j - 1);
+  t.pos.(j + 1) <- x;
+  t.vals.(j + 1) <- t.vals.(j);
+  t.len.(b) <- t.len.(b) + 1;
+  t.nseg <- t.nseg + 1
+
+(* Make [x] a segment start; [true] when it was not one. A full block
+   first gives its upper half to a fresh block placed after it; both
+   halves keep the pending add, so no value is rewritten. *)
+let split_at t x =
+  let k = locate t x in
+  let b = t.order.(k) in
+  let j = entry t b x in
+  t.pos.(j) <> x
+  && begin
+    if t.len.(b) < bsize then insert_after t b j x
+    else begin
+      let b' = alloc_block t in
+      let h = bsize / 2 and base = b lsl bshift in
+      Array.blit t.pos (base + h) t.pos (b' lsl bshift) (bsize - h);
+      Array.blit t.vals (base + h) t.vals (b' lsl bshift) (bsize - h);
+      t.len.(b) <- h;
+      t.len.(b') <- bsize - h;
+      t.add.(b') <- t.add.(b);
+      refresh t b;
+      refresh t b';
+      insert_block t (k + 1) b';
+      if j >= base + h then insert_after t b' (j - base - h + (b' lsl bshift)) x
+      else insert_after t b j x
+    end;
+    true
   end
+
+(* Append block [k+1]'s segments to block [k] and free it. *)
+let merge_blocks t k =
+  let a = t.order.(k) and c = t.order.(k + 1) in
+  let d = t.add.(c) - t.add.(a) and dst = (a lsl bshift) + t.len.(a) and src = c lsl bshift in
+  for i = 0 to t.len.(c) - 1 do
+    t.pos.(dst + i) <- t.pos.(src + i);
+    t.vals.(dst + i) <- t.vals.(src + i) + d
+  done;
+  t.len.(a) <- t.len.(a) + t.len.(c);
+  t.mn.(a) <- imin t.mn.(a) t.mn.(c);
+  t.mx.(a) <- imax t.mx.(a) t.mx.(c);
+  drop_blocks t (k + 1) 1
+
+(* After block [k] shrank: fold it into a neighbour when the two together
+   fill at most half a block, so block count stays within ~4x segments/bsize. *)
+let rebalance t k =
+  let n = t.len.(t.order.(k)) in
+  if k + 1 < t.nb && n + t.len.(t.order.(k + 1)) <= bsize / 2 then merge_blocks t k
+  else if k > 0 && t.len.(t.order.(k - 1)) + n <= bsize / 2 then merge_blocks t (k - 1)
+
+(* Drop the breakpoint at [x > off] when the segment starting there has
+   the value of the one before it. *)
+let merge_at t x =
+  let k = locate t x in
+  let b = t.order.(k) in
+  let base = b lsl bshift in
+  let j = entry t b x in
+  let prev =
+    if j > base then t.vals.(j - 1) + t.add.(b)
+    else
+      let pb = t.order.(k - 1) in
+      t.vals.((pb lsl bshift) + t.len.(pb) - 1) + t.add.(pb)
+  in
+  if t.vals.(j) + t.add.(b) = prev then begin
+    let stop = base + t.len.(b) in
+    Array.blit t.pos (j + 1) t.pos j (stop - j - 1);
+    Array.blit t.vals (j + 1) t.vals j (stop - j - 1);
+    t.len.(b) <- t.len.(b) - 1;
+    t.nseg <- t.nseg - 1;
+    if t.len.(b) = 0 then drop_blocks t k 1
+    else begin
+      (* A value equal to one left in the block cannot have been its only
+         extreme; one carried over from the previous block may have been. *)
+      if j = base then begin
+        t.first.(k) <- t.pos.(base);
+        refresh t b
+      end;
+      rebalance t k
+    end
+  end
+
+(* Add [d] to the entries of block [b] from pool index [j] on that start
+   before [hi]; then its summary is recomputed. *)
+let add_entries t b j hi d =
+  let j = ref j in
+  while !j < (b lsl bshift) + t.len.(b) && t.pos.(!j) < hi do
+    t.vals.(!j) <- t.vals.(!j) + d;
+    incr j
+  done;
+  refresh t b
+
+(* Add [d] on [lo, hi), both already segment starts: entry by entry in the
+   first and last blocks, lazily in the whole blocks between. *)
+let add_range t lo hi d =
+  let k = locate t lo in
+  add_entries t t.order.(k) (entry t t.order.(k) lo) hi d;
+  let k = ref (k + 1) in
+  while !k < t.nb && t.first.(!k) < hi do
+    let b = t.order.(!k) in
+    if !k + 1 < t.nb && t.first.(!k + 1) <= hi then begin
+      t.add.(b) <- t.add.(b) + d;
+      t.mn.(b) <- t.mn.(b) + d;
+      t.mx.(b) <- t.mx.(b) + d
+    end
+    else add_entries t b (b lsl bshift) hi d;
+    incr k
+  done
+
+(* A breakpoint [split_at] just made separates a changed segment from an
+   unchanged one of the same old value, so only pre-existing ones can
+   merge. *)
+let apply t lo hi d =
+  let new_lo = split_at t lo in
+  let new_hi = split_at t hi in
+  add_range t lo hi d;
+  if not new_hi then merge_at t hi;
+  if not (new_lo || lo = t.off) then merge_at t lo
 
 let log_change t lo hi delta checked =
   let i = 4 * t.ulog_len in
   if i + 4 > Array.length t.ulog then begin
-    let cap = max 32 (2 * Array.length t.ulog) in
-    let b = Array.make cap 0 in
+    let b = Array.make (max 32 (2 * Array.length t.ulog)) 0 in
     Array.blit t.ulog 0 b 0 i;
     t.ulog <- b
   end;
@@ -299,12 +405,7 @@ let do_change t ~lo ~hi ~delta ~checked =
   if lo < hi && delta <> 0 then begin
     if lo < 0 then invalid_arg "Timeline.change: negative lo";
     if lo < t.off then invalid_arg "Timeline.change: below the gc origin";
-    let lo = lo - t.off and hi = hi - t.off in
-    (* Strictly past [hi] so at least one tail-valued position stays in
-       range (the size > last_hi invariant). *)
-    ensure t (hi + 1);
-    upd t t.root 0 t.size lo hi delta;
-    if hi > t.last_hi then t.last_hi <- hi;
+    apply t lo hi delta;
     if t.specs > 0 then log_change t lo hi delta checked
   end
 
@@ -325,9 +426,7 @@ let rollback t m =
   Resa_obs.Metrics.add c_undone (t.ulog_len - m);
   for i = t.ulog_len - 1 downto m do
     let j = 4 * i in
-    (* The window was [ensure]d when the change was recorded and the universe
-       never shrinks, so the inverse add can hit the tree directly. *)
-    upd t t.root 0 t.size t.ulog.(j) t.ulog.(j + 1) (-t.ulog.(j + 2))
+    apply t t.ulog.(j) t.ulog.(j + 1) (-t.ulog.(j + 2))
   done;
   t.ulog_len <- m;
   t.specs <- t.specs - 1;
@@ -347,8 +446,8 @@ let spec_op_is_reserve t m ~i ~start ~dur ~need =
   let k = m + i in
   let j = 4 * k in
   k >= 0 && k < t.ulog_len
-  && t.ulog.(j) = start - t.off
-  && t.ulog.(j + 1) = start + dur - t.off
+  && t.ulog.(j) = start
+  && t.ulog.(j + 1) = start + dur
   && t.ulog.(j + 2) = -need
   && t.ulog.(j + 3) = 1
 
@@ -366,22 +465,42 @@ let reserve_fitting t ~start ~dur ~need =
   if need < 0 then invalid_arg "Timeline.reserve_fitting: negative need";
   do_change t ~lo:start ~hi:(start + dur) ~delta:(-need) ~checked:true
 
-(* Top-level so each retry is a direct call: no closure is built per
-   [earliest_fit], and the two inner descents are the monomorphic
-   closure-free twins of [first]. *)
-let rec fit_attempt t dur need s =
-  Resa_obs.Metrics.incr c_fit_attempt;
-  ensure t (s + dur);
-  match first_below t.nodes t.root 0 0 t.size s (s + dur) need with
-  | -1 -> s
-  | p -> (
-    (* The window is blocked at [p]; the next viable candidate is the first
-       later instant with capacity again >= need. Position size-1 carries
-       the tail value (size > last_hi), so finding nothing here proves the
-       tail is below [need] and no window ever fits. *)
-    match first_at_least t.nodes t.root 0 0 t.size (p + 1) t.size need with
-    | -1 -> -1
-    | s' -> fit_attempt t dur need s')
+(* --- earliest fit --------------------------------------------------------- *)
+
+(* One forward walk over the segments. [cand] is the start of the current
+   run of segments with value >= need, or -1 inside a run below it; the
+   walk ends at the first segment starting at or past [cand + dur]. A
+   whole block with max < need is a blocker, one with min >= need extends
+   the run: either way it is consumed without reading its segments.
+   Finishing the last block means the tail was read: [cand] is the answer
+   when the tail fits, -1 otherwise. Each new candidate counts as one fit
+   attempt. *)
+let rec fit_blocks t k cand dur need =
+  if k >= t.nb then cand
+  else begin
+    let b = t.order.(k) in
+    let st = t.first.(k) in
+    if cand >= 0 && st >= cand + dur then cand
+    else if t.mx.(b) < need then fit_blocks t (k + 1) (-1) dur need
+    else if t.mn.(b) >= need then fit_blocks t (k + 1) (new_cand cand st) dur need
+    else fit_entries t k (b lsl bshift) ((b lsl bshift) + t.len.(b)) cand dur need
+  end
+
+and fit_entries t k j stop cand dur need =
+  if j = stop then fit_blocks t (k + 1) cand dur need
+  else begin
+    let st = t.pos.(j) in
+    if cand >= 0 && st >= cand + dur then cand
+    else if t.vals.(j) + t.add.(t.order.(k)) < need then fit_entries t k (j + 1) stop (-1) dur need
+    else fit_entries t k (j + 1) stop (new_cand cand st) dur need
+  end
+
+and new_cand cand st =
+  if cand >= 0 then cand
+  else begin
+    Resa_obs.Metrics.incr c_fit_attempt;
+    st
+  end
 
 let earliest_fit_at t ~from ~dur ~need =
   Resa_obs.Metrics.incr c_earliest_fit;
@@ -389,302 +508,145 @@ let earliest_fit_at t ~from ~dur ~need =
   if from < 0 then invalid_arg "Timeline.earliest_fit: negative from";
   (* Candidates below the gc origin are clamped to it: the collapsed past
      is not schedulable space. *)
-  match fit_attempt t dur need (max 0 (from - t.off)) with
-  | -1 -> -1
-  | s -> s + t.off
+  let s = imax from t.off in
+  Resa_obs.Metrics.incr c_fit_attempt;
+  let k = locate t s in
+  let b = t.order.(k) in
+  let j = entry t b s in
+  let cand = if t.vals.(j) + t.add.(b) >= need then s else -1 in
+  fit_entries t k (j + 1) ((b lsl bshift) + t.len.(b)) cand dur need
 
 let earliest_fit t ~from ~dur ~need =
   match earliest_fit_at t ~from ~dur ~need with -1 -> None | s -> Some s
 
+(* --- segment walks -------------------------------------------------------- *)
+
+(* Start of the segment after the one at pool index [j] of order position
+   [k]; -1 for the tail. *)
+let seg_end t k j =
+  let b = t.order.(k) in
+  if j + 1 < (b lsl bshift) + t.len.(b) then t.pos.(j + 1)
+  else if k + 1 < t.nb then t.first.(k + 1)
+  else -1
+
 let next_breakpoint_after t x =
   if x < 0 then invalid_arg "Timeline: negative time";
-  let x = x - t.off in
-  (* Anywhere in the collapsed past behaves like internal position 0: same
-     reference value, search starts at the origin. *)
-  let xq = max 0 x in
-  let c = if xq >= t.size then t.tail else point t.nodes xq t.root 0 0 t.size in
-  if x + 1 >= t.size then None
-  else
-    match
-      first t.nodes t.root 0 0 t.size (max 0 (x + 1)) t.size
-        ~keep:(fun mn mx -> mn <> c || mx <> c)
-    with
-    | -1 -> None (* constant from x on: [x+1, size) = c and size-1 is tail-valued *)
-    | p -> Some (p + t.off)
+  let x = imax x t.off in
+  let k = locate t x in
+  match seg_end t k (entry t t.order.(k) x) with -1 -> None | e -> Some e
 
 let last_breakpoint t =
-  let c = t.tail in
-  match last t.nodes t.root 0 0 t.size 0 t.size ~keep:(fun mn mx -> mn <> c || mx <> c) with
-  | -1 -> 0
-  | p -> p + 1 + t.off
-
-let final_value t = t.tail
-
-let iter_chunks_from t ~from ~f =
-  if from < 0 then invalid_arg "Timeline.iter_chunks_from: negative from";
-  let off = t.off in
-  let ifrom = max 0 (from - off) in
-  let exception Stop in
-  let visit lo hi v = if not (f ~lo ~hi ~v) then raise Stop in
-  try
-    if ifrom < t.size then begin
-      let a = t.nodes in
-      let rec go v add lo hi =
-        if hi > ifrom then
-          if a.(v) = 0 then visit (max (lo + off) from) (Some (hi + off)) (add + a.(v + 2))
-          else begin
-            let add = add + a.(v + 4) in
-            let mid = (lo + hi) / 2 in
-            go a.(v) add lo mid;
-            go a.(v + 1) add mid hi
-          end
-      in
-      go t.root 0 0 t.size
-    end;
-    visit (max from (t.size + off)) None t.tail
-  with Stop -> ()
-
-let first_reaching_area t ~from ~area ~cap =
-  if from < 0 then invalid_arg "Timeline.first_reaching_area: negative from";
-  if area <= 0 then min from cap
+  if t.nseg = 1 then 0
   else begin
-    (* Prefix below the gc origin: a constant run at internal 0's value,
-       folded in closed form before the tree walk. *)
-    let off = t.off in
-    let pre = ref 0 and pre_found = ref (-1) in
-    let from =
-      if from >= off then from
+    let b = t.order.(t.nb - 1) in
+    t.pos.((b lsl bshift) + t.len.(b) - 1)
+  end
+
+let final_value t =
+  let b = t.order.(t.nb - 1) in
+  t.vals.((b lsl bshift) + t.len.(b) - 1) + t.add.(b)
+
+(* Linear in the segments walked; no allocation. *)
+let first_reaching_area t ~from ~area ~cap:limit =
+  if from < 0 then invalid_arg "Timeline.first_reaching_area: negative from";
+  if area <= 0 then imin from limit
+  else begin
+    let rec go k j x acc =
+      if x >= limit then limit
       else begin
-        let v0 = point t.nodes 0 t.root 0 0 t.size in
-        let w = min off cap - from in
-        if w > 0 then begin
-          if v0 > 0 && v0 * w >= area then pre_found := from + ((area + v0 - 1) / v0)
-          else pre := v0 * w
-        end;
-        off
+        let b = t.order.(k) in
+        let v = t.vals.(j) + t.add.(b) in
+        let e = seg_end t k j in
+        if e < 0 then if v <= 0 then limit else imin limit (x + ((area - acc + v - 1) / v))
+        else begin
+          let gained = v * (e - x) in
+          if v > 0 && acc + gained >= area then imin limit (x + ((area - acc + v - 1) / v))
+          else if j + 1 < (b lsl bshift) + t.len.(b) then go k (j + 1) e (acc + gained)
+          else go (k + 1) (t.order.(k + 1) lsl bshift) e (acc + gained)
+        end
       end
     in
-    if !pre_found >= 0 then min !pre_found cap
-    else begin
-      let ifrom = from - off and icap = cap - off in
-      (* One root-to-answer descent on the sum aggregate: a subtree of
-         non-negative values whose whole sum cannot complete the missing area
-         is consumed in O(1) (prefix sums within it stay below the target, so
-         the answer cannot sit inside); only subtrees on the accumulation
-         frontier are opened. Mixed-sign subtrees are walked to their leaves —
-         their prefix sums can overshoot the total — which keeps the result
-         exact for arbitrary timelines; capacity timelines are non-negative,
-         so the search stays O(log U) there. *)
-      let a = t.nodes in
-      let acc = ref !pre and found = ref (-1) in
-      let rec go v add lo hi =
-        if !found < 0 && hi > ifrom && lo < icap then begin
-          if a.(v) = 0 then begin
-            let value = add + a.(v + 2) in
-            let lo' = if lo > ifrom then lo else ifrom in
-            let gained = value * (hi - lo') in
-            if value > 0 && !acc + gained >= area then
-              found := lo' + ((area - !acc + value - 1) / value)
-            else acc := !acc + gained
-          end
-          else begin
-            let sum = a.(v + 5) + (add * (hi - lo)) in
-            if lo >= ifrom && add + a.(v + 2) >= 0 && !acc + sum < area then
-              acc := !acc + sum
-            else begin
-              let add = add + a.(v + 4) in
-              let mid = (lo + hi) / 2 in
-              go a.(v) add lo mid;
-              go a.(v + 1) add mid hi
-            end
-          end
-        end
-      in
-      if ifrom < t.size then go t.root 0 0 t.size;
-      if !found >= 0 then min (!found + off) cap
-      else begin
-        let start = max ifrom t.size in
-        if start >= icap || t.tail <= 0 then cap
-        else min cap (start + off + ((area - !acc + t.tail - 1) / t.tail))
-      end
-    end
+    let k = locate t (imax from t.off) in
+    go k (entry t t.order.(k) (imax from t.off)) from 0
   end
 
 let to_profile ?(from = 0) t =
   if from < 0 then invalid_arg "Timeline.to_profile: negative from";
-  let acc = ref [] in
-  let emit pos v =
-    match !acc with
-    | (_, v') :: _ when v' = v -> ()
-    | _ -> acc := (pos, v) :: !acc
-  in
-  let off = t.off in
-  let ifrom = max 0 (from - off) in
-  if ifrom >= t.size then emit 0 t.tail
-  else begin
-    let a = t.nodes in
-    let rec go v add lo hi =
-      if hi > ifrom then
-        if a.(v) = 0 then emit (max lo ifrom + off) (add + a.(v + 2))
-        else begin
-          let add = add + a.(v + 4) in
-          let mid = (lo + hi) / 2 in
-          go a.(v) add lo mid;
-          go a.(v + 1) add mid hi
-        end
-    in
-    go t.root 0 0 t.size
-  end;
-  let steps =
-    match List.rev !acc with
-    | (_, v) :: rest -> (0, v) :: rest (* the first run reaches back to 0 *)
-    | [] -> assert false
-  in
-  Profile.of_steps steps
-
-let node_count t = t.n_nodes
-
-let c_gc = Resa_obs.Metrics.counter "timeline.gc"
-
-(* Append the live segment [lo, hi) of value [v] to [t.segs], merging it
-   into the previous one when that ends at [lo] with the same value (tree
-   leaves are not maximal runs). *)
-let push_seg t lo hi v =
-  let k = t.n_segs in
-  let j = 3 * k in
-  if k > 0 && t.segs.(j - 1) = v && t.segs.(j - 2) = lo then t.segs.(j - 2) <- hi
-  else begin
-    if j + 3 > Array.length t.segs then begin
-      let b = Array.make (max 96 (2 * Array.length t.segs)) 0 in
-      Array.blit t.segs 0 b 0 j;
-      t.segs <- b
-    end;
-    t.segs.(j) <- lo;
-    t.segs.(j + 1) <- hi;
-    t.segs.(j + 2) <- v;
-    t.n_segs <- k + 1
-  end
-
-(* In-order walk of the leaves right of internal position [from], pushed
-   as segments shifted so that [from] becomes 0 (the first is clamped to
-   it). *)
-let rec collect_segs t v add lo hi from =
-  if hi > from then begin
-    let a = t.nodes in
-    if a.(v) = 0 then push_seg t (max lo from - from) (hi - from) (add + a.(v + 2))
-    else begin
-      let add = add + a.(v + 4) in
-      let mid = (lo + hi) / 2 in
-      collect_segs t a.(v) add lo mid from;
-      collect_segs t a.(v + 1) add mid hi from
+  let x = imax from t.off in
+  let k = ref (locate t x) in
+  let j = ref (entry t t.order.(!k) x) in
+  let acc = ref [] and go = ref true in
+  while !go do
+    let b = t.order.(!k) in
+    (* The first segment reaches back to 0. *)
+    acc := ((match !acc with [] -> 0 | _ -> t.pos.(!j)), t.vals.(!j) + t.add.(b)) :: !acc;
+    if !j + 1 < (b lsl bshift) + t.len.(b) then incr j
+    else if !k + 1 < t.nb then begin
+      incr k;
+      j := t.order.(!k) lsl bshift
     end
-  end
+    else go := false
+  done;
+  Profile.of_steps (List.rev !acc)
 
-(* Bottom-up rebuild of the subtree over [lo, hi) from the segments
-   [t.segs] holds, [t.n_segs] of them. Leaves are built left to right, and
-   [idx] is the cursor: the segment containing the subtree's first instant
-   (or [t.n_segs] once past the last one, where the tail value holds).
-   Returns the subtree's node. *)
-let rec build_segs t idx lo hi =
-  if !idx >= t.n_segs then new_node t t.tail (hi - lo)
-  else begin
-    let j = 3 * !idx in
-    let slo = t.segs.(j) and shi = t.segs.(j + 1) in
-    if slo <= lo && hi <= shi then begin
-      if shi = hi then incr idx;
-      new_node t t.segs.(j + 2) (hi - lo)
-    end
-    else begin
-      let nd = new_node t 0 (hi - lo) in
-      let mid = (lo + hi) / 2 in
-      let l = build_segs t idx lo mid in
-      let r = build_segs t idx mid hi in
-      let a = t.nodes in
-      a.(nd) <- l;
-      a.(nd + 1) <- r;
-      a.(nd + 2) <- min a.(l + 2) a.(r + 2);
-      a.(nd + 3) <- max a.(l + 3) a.(r + 3);
-      a.(nd + 4) <- 0;
-      a.(nd + 5) <- a.(l + 5) + a.(r + 5);
-      nd
-    end
-  end
+let node_count t = t.nseg
 
-(* History garbage collection. The committed past of a capacity timeline
-   never changes (simulators only mutate and query windows at or after the
-   current instant), yet the tree keeps one materialised node chain per
-   historic segment forever — a 10M-job replay would grow the node arrays
-   without bound. [gc ~upto] rebuilds the tree from the live suffix: the
-   result is exact on [upto, ∞) and constant [value_at upto] on [0, upto)
-   (the same collapse {!to_profile}'s [~from] performs), and the node
-   array is reallocated at the live size, returning the dead history to
-   the OCaml heap. Cost: O(nodes) — one walk over the old tree into the
-   reused segment buffer, one bottom-up pass building the new one — with
-   no allocation per segment. *)
+(* History garbage collection: the blocks wholly before [upto] go back to
+   the pool and the block holding [upto] drops its dead prefix, so [upto]
+   starts the first segment. O(dead blocks + blocks), no rebuild. *)
 let gc t ~upto =
   Resa_obs.Metrics.incr c_gc;
   if upto < 0 then invalid_arg "Timeline.gc: negative upto";
   if t.specs > 0 then invalid_arg "Timeline.gc: checkpoint outstanding";
-  (* The origin never moves backwards: a second gc at an earlier instant
-     compacts from the existing origin. *)
-  let upto = max upto t.off in
-  (* Collect the live suffix before touching the tree, already in the new
-     internal coordinates: [upto] is internal position [upto - off] today
-     and 0 after the rebase. The first segment is clamped to it, and its
-     value — [value_at upto] — becomes the collapsed past. The tail beyond
-     the tree is not a segment. *)
-  let ifrom = upto - t.off in
-  t.n_segs <- 0;
-  if ifrom < t.size then collect_segs t t.root 0 0 t.size ifrom;
-  let k = t.n_segs in
-  let tail = t.tail in
-  (* REBASE: [upto] becomes internal position 0, so the universe — and with
-     it every descent's depth — tracks the live horizon's width instead of
-     absolute time. Consequence: mutations strictly below the origin are no
-     longer representable and are rejected by [change]. The tree is rebuilt
-     bottom-up in one pass over the live segments — O(nodes), not one
-     O(log U) [change] descent per segment — into a fresh right-sized array,
-     which actually releases the dead nodes (growing back is amortised
-     doubling). Cheap rebuilds are what make frequent span-tied gc viable on
-     the schedulers' plan timelines. *)
+  (* The origin never moves backwards. *)
+  let upto = imax upto t.off in
+  let k = locate t upto in
+  for i = 0 to k - 1 do
+    t.nseg <- t.nseg - t.len.(t.order.(i))
+  done;
+  drop_blocks t 0 k;
+  let b = t.order.(0) in
+  let base = b lsl bshift in
+  let dead = entry t b upto - base in
+  if dead > 0 then begin
+    Array.blit t.pos (base + dead) t.pos base (t.len.(b) - dead);
+    Array.blit t.vals (base + dead) t.vals base (t.len.(b) - dead);
+    t.len.(b) <- t.len.(b) - dead;
+    t.nseg <- t.nseg - dead;
+    refresh t b
+  end;
+  t.pos.(base) <- upto;
+  t.first.(0) <- upto;
   t.off <- upto;
-  if k = 0 then begin
-    (* Constant at or after [upto]: the whole timeline is the tail. *)
-    t.size <- 1;
-    t.last_hi <- 0;
-    t.n_nodes <- 1;
-    t.nodes <- Array.make 512 0;
-    t.root <- new_node t tail 1
-  end
-  else begin
-    let width = t.segs.((3 * k) - 2) in
-    let size = ref 1 and bits = ref 1 in
-    while !size < width do
-      size := 2 * !size;
-      incr bits
-    done;
-    let size = !size in
-    (* Contiguous segments share most of their root-to-leaf paths, so the
-       materialised-node count is close to 4·k + 2·depth in practice; start
-       there and let [new_node]'s amortised doubling absorb the worst case
-       rather than over-allocating a fresh array on every rebuild. *)
-    t.size <- size;
-    t.last_hi <- width;
-    t.n_nodes <- 1;
-    t.nodes <- Array.make (max 512 (8 * ((4 * k) + (2 * !bits) + 8))) 0;
-    t.root <- build_segs t (ref 0) 0 size
-  end
+  rebalance t 0
 
 let origin t = t.off
 
-let of_profile ?horizon p =
-  let tail = Profile.final_value p in
-  let t = create tail in
-  (match horizon with Some h when h > 0 -> ensure t h | _ -> ());
-  Profile.fold_segments p ~init:() ~f:(fun () ~lo ~hi ~v ->
-      match hi with
-      | Some hi -> change t ~lo ~hi ~delta:(v - tail)
-      | None -> () (* final segment: already [tail] everywhere *));
-  t
+let check t =
+  let fail fmt = Printf.ksprintf failwith ("Timeline.check: " ^^ fmt) in
+  if t.nb < 1 then fail "no block";
+  if t.first.(0) <> t.off then fail "first segment starts at %d, origin %d" t.first.(0) t.off;
+  let total = ref 0 and last_pos = ref min_int and last_v = ref 0 in
+  for k = 0 to t.nb - 1 do
+    let b = t.order.(k) in
+    let n = t.len.(b) and base = b lsl bshift in
+    if n < 1 || n > bsize then fail "block %d holds %d segments" k n;
+    if t.first.(k) <> t.pos.(base) then fail "block %d: stale first position" k;
+    let lo = ref max_int and hi = ref min_int in
+    for j = base to base + n - 1 do
+      let v = t.vals.(j) + t.add.(b) in
+      if !total > 0 || j > base then begin
+        if t.pos.(j) <= !last_pos then fail "segment at %d out of order" t.pos.(j);
+        if v = !last_v then fail "segments at %d and %d not merged" !last_pos t.pos.(j)
+      end;
+      last_pos := t.pos.(j);
+      last_v := v;
+      lo := imin !lo v;
+      hi := imax !hi v
+    done;
+    if t.mn.(b) <> !lo || t.mx.(b) <> !hi then fail "block %d: stale min/max" k;
+    total := !total + n
+  done;
+  if !total <> t.nseg then fail "%d segments counted, %d stored" t.nseg !total
 
 let pp ppf t = Profile.pp ppf (to_profile t)

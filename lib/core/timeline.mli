@@ -3,13 +3,24 @@
 
     A timeline represents the same mathematical object as {!Profile.t} — an
     integer-valued step function over discrete time [\[0, ∞)] whose last
-    value extends to infinity — but stores it in a sparse lazy segment tree
-    over a fixed power-of-two breakpoint universe [\[0, size)] (grown by
-    root-doubling when an operation touches later instants). Every mutation
-    and query is a single O(log U) tree walk with no allocation beyond node
-    materialisation, versus the O(k) whole-array rebuild that
-    [Profile.change]/[Profile.reserve] pay per job; [U] is the universe
-    size, so [log U <= 63] always and ≈ 20 for realistic horizons.
+    value extends to infinity — stored as its normalised segment list
+    (adjacent values differ) cut into blocks of at most 16 segments. The
+    blocks are slices of pooled int arrays, reached in time order through a
+    block index; each keeps its length, a pending add and the min and max
+    of its values. With [k] segments in [B = k/16 .. 4k/16] blocks:
+    - locating an instant is a binary search over the blocks' first
+      positions, then one inside a block: O(log k), on contiguous memory;
+    - {!change} splits at its two ends (moving at most one block's worth of
+      segments), adds to the partial blocks' entries, adds lazily in O(1)
+      to each whole block between them and merges equal neighbours at the
+      two ends: O(log k + B) worst case, O(log k) for windows inside a
+      block;
+    - window queries and {!earliest_fit} scan the partial blocks and read
+      the summaries of whole ones;
+    versus the O(k) whole-array rebuild that
+    [Profile.change]/[Profile.reserve] pay per job. Freed blocks return to
+    a free list and the pool grows by doubling, so steady-state operation
+    allocates nothing.
 
     Semantics are kept exactly aligned with [Profile] — [min_on], [reserve],
     [change], [earliest_fit], [next_breakpoint_after] and [last_breakpoint]
@@ -19,10 +30,10 @@
     timeline while validation code keeps consuming [Profile.t] through
     {!to_profile}.
 
-    Queries are strictly read-only: descents carry pending ancestor
-    range-adds in an accumulator instead of flushing them, so the hot query
-    path ([min_on]/[earliest_fit]/[value_at]/…) performs no writes and no
-    allocation at all — only mutations materialise or touch nodes.
+    Queries change no segment and allocate nothing; their one write is a
+    cached search finger (the block the last search landed in), so the
+    next search near the same instant skips the binary search. The finger
+    is a hint checked on every use, so concurrent readers stay correct.
     Timelines remain single-owner mutable state; sharing one value across
     concurrent mutating consumers is not supported. *)
 
@@ -31,9 +42,8 @@ type t
 val create : int -> t
 (** [create c] is the everywhere-[c] timeline. *)
 
-val of_profile : ?horizon:int -> Profile.t -> t
-(** Import a profile. [horizon] pre-sizes the breakpoint universe (it still
-    grows on demand); useful when the caller knows the schedule's end. *)
+val of_profile : Profile.t -> t
+(** Import a profile. *)
 
 val to_profile : ?from:int -> t -> Profile.t
 (** Export the current state as a normalized persistent profile. With
@@ -65,17 +75,18 @@ val reserve_fitting : t -> start:int -> dur:int -> need:int -> unit
 (** [reserve] minus the capacity re-check: the caller attests the window
     was just verified to fit ([min_on] or {!earliest_fit_at} on the very
     same [start]/[dur]/[need]). Every scheduler reserve follows such a
-    probe, so the checked variant's second descent over the identical
+    probe, so the checked variant's second scan over the identical
     window is pure overhead on the hot path; the recorded speculation-log
     entry is the same capacity-verified quad either way. On a caller that
     lies, capacity goes negative instead of raising — keep {!reserve} for
     windows that were not just probed. *)
 
 val earliest_fit : t -> from:int -> dur:int -> need:int -> int option
-(** Smallest [s >= from] with [min_on ~lo:s ~hi:(s+dur) >= need], found by
-    alternating two tree descents (leftmost value [< need] in the candidate
-    window / leftmost value [>= need] after the blocker). [None] exactly
-    when the tail value is below [need]. Requires [dur >= 1]. *)
+(** Smallest [s >= from] with [min_on ~lo:s ~hi:(s+dur) >= need], found in
+    one forward walk over the segments from [from]: a whole block whose max
+    is below [need] is skipped as a blocker, one whose min reaches [need] is
+    consumed as fitting. [None] exactly when the tail value is below
+    [need]. Requires [dur >= 1]. *)
 
 val earliest_fit_at : t -> from:int -> dur:int -> need:int -> int
 (** Allocation-free twin of {!earliest_fit}: returns [-1] instead of [None]
@@ -86,8 +97,9 @@ val earliest_fit_at : t -> from:int -> dur:int -> need:int -> int
     A checkpoint opens an undo scope: every {!change} (and hence every
     {!reserve}) applied while at least one checkpoint is outstanding is
     recorded in an internal log, and {!rollback} replays exact inverses —
-    O(ops · log U) to speculate and retract, independent of the timeline's
-    size. This is the primitive behind trial backfills (EASY) and replans
+    one {!change} each to speculate and to retract. Segments are
+    normalised, so a rollback restores exactly the same segment list. This
+    is the primitive behind trial backfills (EASY) and replans
     (conservative): reserve tentatively, inspect the consequences, keep or
     retract.
 
@@ -132,53 +144,47 @@ val final_value : t -> int
     [Profile.final_value] on the normalized profile. Range changes are
     confined to finite windows, so the tail never moves. *)
 
-val iter_chunks_from : t -> from:int -> f:(lo:int -> hi:int option -> v:int -> bool) -> unit
-(** Visit constant-value chunks covering [\[from, ∞)] in increasing order,
-    in one in-order tree traversal (amortized O(chunks + log U), versus one
-    O(log U) descent per segment when walking {!next_breakpoint_after}).
-    Chunks are tree leaves, not maximal runs: adjacent chunks may carry the
-    same value. The last callback gets [hi = None] (the tail). Return
-    [false] from [f] to stop early. The accumulating scans of the exact
-    solver's lower bounds are the intended consumer. *)
-
 val first_reaching_area : t -> from:int -> area:int -> cap:int -> int
 (** Smallest [C >= from] with [Σ_{x ∈ [from, C)} value(x) >= area], computed
-    in one descent on an internal sum aggregate (O(log U) on non-negative
-    timelines: a subtree whose total cannot complete the missing area is
-    consumed in O(1)). Interpolates inside positive-valued runs, exactly
-    like [Lower_bounds.min_time_with_area] on the matching profile. Returns
-    [min cap C]; [cap] both truncates the result and bounds the walk, and is
-    returned whenever the target is never reached (non-positive tail).
-    [area <= 0] yields [min from cap]. *)
+    in one walk over the segments from [from] (linear in the segments
+    walked, no allocation). Interpolates inside positive-valued runs,
+    exactly like [Lower_bounds.min_time_with_area] on the matching profile.
+    Returns [min cap C]; [cap] both truncates the result and bounds the
+    walk, and is returned whenever the target is never reached
+    (non-positive tail). [area <= 0] yields [min from cap]. *)
 
 val gc : t -> upto:int -> unit
 (** History garbage collection. The committed past of a capacity timeline
     never changes — schedulers only mutate and query windows at or after
-    the current instant — so [gc t ~upto] rebuilds the tree from the live
-    suffix alone: the result is exact on [\[upto, ∞)], constant
-    [value_at t upto] on [\[0, upto)] (the same collapse {!to_profile}
-    performs with [~from]), and the node arrays are reallocated at the live
-    size, returning the accumulated history to the OCaml heap. The rebuild
-    also {e rebases} the tree's internal origin to [upto], so the universe
-    — and every descent's depth — tracks the width of the live horizon
-    instead of absolute simulation time. Every query whose window lies at
-    or after [upto] behaves exactly as before the call, and window/point
-    queries below [upto] see the collapsed constant; mutations strictly
-    below the origin become unrepresentable and raise [Invalid_argument]
-    (see {!origin}), and position searches ({!earliest_fit}) clamp [from]
-    to the origin. Cost: O(nodes) — one walk of the old tree into a
-    segment buffer the timeline reuses across calls, one bottom-up build,
-    no allocation per segment (the new node array is the only one). Raises
-    [Invalid_argument] when a checkpoint is outstanding (the undo log
-    records origin-relative windows) or [upto < 0]. *)
+    the current instant — so [gc t ~upto] drops it: the blocks wholly
+    before [upto] return to the pool and the block holding [upto] shifts
+    out its dead prefix, so that the first segment starts at [upto]. The
+    result is exact on [\[upto, ∞)] and constant [value_at t upto] on
+    [\[0, upto)] (the same collapse {!to_profile} performs with [~from]).
+    [upto] becomes the timeline's {e origin}: every query whose window lies
+    at or after it behaves exactly as before the call, window and point
+    queries below it read the value at the origin (changes there included),
+    mutations strictly below
+    it raise [Invalid_argument] (see {!origin}), and position searches
+    ({!earliest_fit}) clamp [from] to it. Cost: O(dead blocks + blocks), no
+    rebuild and no allocation. Raises [Invalid_argument] when a checkpoint
+    is outstanding or [upto < 0]. *)
 
 val origin : t -> int
 (** The gc rebase origin: mutations must lie at or after it. 0 until the
     first {!gc}, then the largest [upto] so far. *)
 
 val node_count : t -> int
-(** Materialised tree nodes (monotone between {!gc} calls) — the memory
-    footprint driver a long replay watches. *)
+(** Stored segments, i.e. breakpoints from the origin on plus one — what
+    sets the memory footprint a long replay watches. *)
+
+val check : t -> unit
+(** Verify the representation: segments in strictly increasing order and
+    normalised (adjacent values differ), the first one starting at the
+    origin, every block holding 1 to 16 segments with its cached first
+    position, min and max equal to recomputed ones, and {!node_count} equal
+    to the sum of block lengths. Raises [Failure] naming the first broken
+    invariant. O(segments); for tests and debugging. *)
 
 val next_breakpoint_after : t -> int -> int option
 (** Smallest instant [> t] where the value changes, if any — agrees with

@@ -119,7 +119,7 @@ let solve_reference ?(node_limit = 2_000_000) inst =
 (*                                                                     *)
 (* One mutable Timeline per search worker; a checkpoint is opened      *)
 (* before every placement trial and rolled back on backtrack, so a     *)
-(* node costs O(log U) instead of an O(segments) persistent-profile    *)
+(* node costs two in-place changes instead of a persistent-profile     *)
 (* copy. The candidate decision-time set is a merged scan of the       *)
 (* static availability breakpoints and a sorted array of live          *)
 (* completion times maintained incrementally across the DFS.           *)
@@ -345,7 +345,6 @@ let solve ?(node_limit = 2_000_000) inst =
       Hashtbl.replace last_twin key i
     done;
     let shared_best = Atomic.make incumbent_cmax in
-    let horizon = max 1 incumbent_cmax in
     let mk_state ~budget ~bound0 =
       {
         n;
@@ -354,7 +353,7 @@ let solve ?(node_limit = 2_000_000) inst =
         areas;
         avail_bps;
         twin_before;
-        free = Timeline.of_profile ~horizon avail;
+        free = Timeline.of_profile avail;
         placed = Array.make n false;
         starts = Array.make n (-1);
         comps = Array.make n 0;

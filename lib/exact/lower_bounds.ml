@@ -31,8 +31,8 @@ let min_time_with_area_tl ?(cap = max_int) tl ~from ~area =
   else begin
     if Timeline.final_value tl <= 0 then
       invalid_arg "Lower_bounds.min_time_with_area_tl: non-positive tail";
-    (* Same accumulation as the profile version, but one O(log U) descent on
-       the timeline's sum aggregate. Once the running answer passes [cap]
+    (* Same accumulation as the profile version, in one allocation-free
+       walk over the timeline's segments. Once the running answer passes [cap]
        the caller's pruning test is already decided, so the walk stops and
        reports [cap]. *)
     Timeline.first_reaching_area tl ~from ~area ~cap

@@ -13,8 +13,8 @@ val min_time_with_area : Profile.t -> from:int -> area:int -> int
 
 val min_time_with_area_tl : ?cap:int -> Timeline.t -> from:int -> area:int -> int
 (** Timeline-native twin of {!min_time_with_area}, queried against the live
-    capacity timeline of the speculative exact solver (one O(log U) descent
-    via [Timeline.first_reaching_area] instead of per-segment profile
+    capacity timeline of the speculative exact solver (one walk via
+    [Timeline.first_reaching_area] instead of per-segment profile
     searches). With [~cap], the scan stops as soon as the answer is known to
     be [>= cap] and returns [cap] — callers prune on [result >= bound], so
     passing [~cap:bound] never changes the outcome while bounding the walk.

@@ -33,7 +33,8 @@ let earliest_at free ~from job =
    exactly the started jobs' reservations, the common case — or rolls them
    back and re-applies authoritatively. Every call site has just verified
    the window ([fits], or CONS's plan which never exceeds free capacity),
-   so the re-checking [Timeline.reserve] would redo a descent per start. *)
+   so the re-checking [Timeline.reserve] would redo a window scan per
+   start. *)
 let take free ~time job =
   Timeline.reserve_fitting free ~start:time ~dur:(Job.p job) ~need:(Job.q job)
 
@@ -78,15 +79,18 @@ let fcfs =
   in
   { name = "FCFS"; create }
 
-let rec lsrc_go ~time queue free i n =
-  if i >= n then []
+(* [cap_now] is the free capacity at [time]: a job wider than it cannot
+   fit, so it is skipped without a window query, and once it reaches 0 no
+   job can start. Each start lowers it by exactly its width. *)
+let rec lsrc_go ~time queue free cap_now i n =
+  if i >= n || cap_now = 0 then []
   else begin
     let j = Jobq.get queue i in
-    if fits free ~time j then begin
+    if Job.q j <= cap_now && fits free ~time j then begin
       take free ~time j;
-      j :: lsrc_go ~time queue free (i + 1) n
+      j :: lsrc_go ~time queue free (cap_now - Job.q j) (i + 1) n
     end
-    else lsrc_go ~time queue free (i + 1) n
+    else lsrc_go ~time queue free cap_now (i + 1) n
   end
 
 let aggressive =
@@ -94,7 +98,8 @@ let aggressive =
     let act = action () in
     fun ~time ~queue ~free ->
       Metrics.incr c_lsrc;
-      act.start_now <- lsrc_go ~time queue free 0 (Jobq.length queue);
+      act.start_now <-
+        lsrc_go ~time queue free (Timeline.value_at free time) 0 (Jobq.length queue);
       act
   in
   { name = "LSRC"; create }
@@ -117,27 +122,29 @@ let rec easy_prefix ~obs ~time act queue free i n =
         Trace.emit obs
           (Trace.Planned { time; policy = "EASY"; job = Job.id head; at = guaranteed });
       act.wake <- guaranteed;
-      easy_backfill ~time queue free head guaranteed (i + 1) n
+      easy_backfill ~time queue free head guaranteed (Timeline.value_at free time) (i + 1) n
     end
   end
 
-and easy_backfill ~time queue free head guaranteed i n =
-  if i >= n then []
+(* The backfill scan pre-filters on [cap_now] exactly like [lsrc_go]:
+   only kept starts lower it, rolled-back trials leave it as it was. *)
+and easy_backfill ~time queue free head guaranteed cap_now i n =
+  if i >= n || cap_now = 0 then []
   else begin
     let j = Jobq.get queue i in
-    if fits free ~time j then begin
+    if Job.q j <= cap_now && fits free ~time j then begin
       let mark = Timeline.checkpoint free in
       take free ~time j;
       if earliest_at free ~from:time head <= guaranteed then begin
         Timeline.commit free mark;
-        j :: easy_backfill ~time queue free head guaranteed (i + 1) n
+        j :: easy_backfill ~time queue free head guaranteed (cap_now - Job.q j) (i + 1) n
       end
       else begin
         Timeline.rollback free mark;
-        easy_backfill ~time queue free head guaranteed (i + 1) n
+        easy_backfill ~time queue free head guaranteed cap_now (i + 1) n
       end
     end
-    else easy_backfill ~time queue free head guaranteed (i + 1) n
+    else easy_backfill ~time queue free head guaranteed cap_now (i + 1) n
   end
 
 let easy =
@@ -151,8 +158,9 @@ let easy =
   in
   { name = "EASY"; create }
 
-(* CONS rebuilds its plan timeline once the tree passes this many nodes. *)
-let plan_gc_nodes = 16384
+(* CONS collects its plan timeline's past once it holds this many
+   segments. *)
+let plan_gc_nodes = 1024
 
 let conservative =
   let create ~obs =
@@ -162,10 +170,10 @@ let conservative =
        [planned] maps job id to its promised start. *)
     let planned : (int, int) Hashtbl.t = Hashtbl.create 64 in
     let plan = ref None in
-    (* Node count past which the plan is rebuilt: [plan_gc_nodes], or twice
-       what the last rebuild kept when that was already at least as many —
-       a plan whose live future alone exceeds the bound would otherwise be
-       rebuilt at every decision. *)
+    (* Segment count past which the plan's past is collected:
+       [plan_gc_nodes], or twice what the last collection kept when that was
+       already at least as many — a plan whose live future alone exceeds the
+       bound would otherwise be collected at every decision. *)
     let gc_nodes = ref plan_gc_nodes in
     (* Queued jobs with an index below [known] are exactly the planned
        ones: the simulator only appends arrivals at the tail and removes
@@ -202,7 +210,7 @@ let conservative =
       if Trace.enabled obs then
         Trace.emit obs (Trace.Planned { time; policy = "CONS"; job = Job.id j; at = s });
       (* [s] came out of [earliest_fit_at] just above: the window fits by
-         construction, skip the checked reserve's second descent. *)
+         construction, skip the checked reserve's second window scan. *)
       Timeline.reserve_fitting p ~start:s ~dur:(Job.p j) ~need:(Job.q j);
       s
     in
@@ -264,12 +272,11 @@ let conservative =
          that history is the policy's only unbounded state. Planning only
          ever queries at or after [time], so compacting the past is
          invisible to decisions (and hence to traces). *)
-      (* Node-count trigger rather than a decision cadence: what makes plan
-         operations slow is the tree outgrowing the cache, and mutation
-         garbage accrues with traffic, not with ticks. 16384 nodes is ~1 MB
-         of tree — measured ~10% off CONS replay wall time vs the old
-         every-4096-decisions rebuild, now that [Timeline.gc] rebuilds
-         bottom-up in one pass. *)
+      (* Segment-count trigger rather than a decision cadence: dead segments
+         accrue with traffic, not with ticks, and every search pays for
+         them. 1024 segments was the fastest of 256…16384 on CONS replays
+         of synth-backlog, swf-replay and resv-alpha (EXPERIMENTS.md
+         "TIMELINE"). *)
       if Timeline.node_count p > !gc_nodes then begin
         Timeline.gc p ~upto:time;
         let kept = Timeline.node_count p in

@@ -13,7 +13,7 @@
     every [decide] call, so a decision may reserve trial windows
     ([Timeline.reserve_fitting], nested [Timeline.checkpoint]/[rollback]/
     [commit]) while reasoning, with every query reflecting its own
-    tentative reservations at O(log U) — no persistent profile is ever
+    tentative reservations in place — no persistent profile is ever
     rebuilt. Afterwards the simulator commits the log when it is exactly
     the started jobs' reservations and rolls it back otherwise.
     Decisions must not inspect instants before the current time: the live

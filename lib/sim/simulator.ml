@@ -50,6 +50,8 @@ let m_heartbeats = Metrics.counter "sim.heartbeats"
 let m_wait = Metrics.histogram "sim.wait"
 let m_queue_depth = Metrics.gauge "sim.queue_depth"
 let m_live_jobs = Metrics.gauge "sim.live_jobs"
+(* Stored timeline segments ([Timeline.node_count]); the name predates the
+   blocked timeline, as does [sim.gc_reclaimed_nodes]'s. *)
 let m_nodes = Metrics.gauge "sim.timeline_nodes"
 let m_decide_ns = Metrics.histogram "wall.decide_ns"
 
@@ -60,20 +62,20 @@ let wake_payload = -1
 let dummy_job = Job.make ~id:0 ~p:1 ~q:1
 
 (* Maximum distance the timeline's gc origin may trail behind the clock
-   before the engine rebases it on its own. Query descents cost log of the
-   live span, so this caps them near log2(span + horizon) regardless of the
-   caller's [gc_every] setting; the rebase itself is O(nodes) and
-   semantically invisible. *)
+   before the engine collects the past on its own, regardless of the
+   caller's [gc_every] setting. Every completion leaves segments behind in
+   the past; collecting them keeps the blocks a search walks, and the pool
+   a replay holds, proportional to the live horizon. The collection costs
+   O(dead blocks + blocks) and is semantically invisible. *)
 let auto_gc_span = 16384
 
-(* Node-count companion to the span trigger: rebuilding also when the tree
-   outgrows ~1 MB keeps descents inside the cache during congested phases
-   where the span alone would let mutation garbage pile up. Both constants
-   were picked by sweeping CONS/FCFS 200k-job replays: tighter spans pay
-   more in rebuilds than they save in descent depth, looser ones let
-   queries wander a cold tree. A rebuild that keeps at least this many
-   nodes (a long reserved future) raises the run's trigger to twice what
-   it kept, or the trigger would fire at every decision. *)
+(* Segment-count companion to the span trigger, for congested phases where
+   the span alone would let dead segments pile up. Both constants date from
+   the segment-tree timeline (picked by sweeping CONS/FCFS 200k-job
+   replays) and were kept for the blocked one, whose collections are
+   cheaper still. A collection that keeps at least this many segments (a
+   long reserved future) raises the run's trigger to twice what it kept,
+   or the trigger would fire at every decision. *)
 let auto_gc_nodes = 16384
 
 (* Rebase [free] at [t]. Both triggers — the caller's [gc_every] cadence
@@ -114,12 +116,13 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
   Array.iter
     (fun t -> Eventq.push events ~time:t wake_payload)
     (Profile.breakpoints (Instance.availability base));
-  (* Free capacity lives in one mutable timeline for the whole run (O(log U)
-     per start/release/query). Policies work against it directly: each
-     decision runs under a checkpoint; when the speculative log turns
-     out to be exactly the started jobs' reservations (every native policy,
-     almost every decision) it is committed as the authoritative mutation,
-     otherwise it is rolled back and the starts re-validated one by one. *)
+  (* Free capacity lives in one mutable timeline for the whole run (a
+     binary search plus the blocks touched per start/release/query).
+     Policies work against it directly: each decision runs under a
+     checkpoint; when the speculative log turns out to be exactly the
+     started jobs' reservations (every native policy, almost every
+     decision) it is committed as the authoritative mutation, otherwise it
+     is rolled back and the starts re-validated one by one. *)
   let free = Timeline.of_profile (Instance.availability base) in
   (* The policy's per-run state is created here — plans cannot leak across
      runs by construction. *)
@@ -179,7 +182,7 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
      clock. Pure simulation data, so heartbeat cadence is deterministic. *)
   let events_seen = ref 0 in
   let hb_seq = ref 0 and hb_last_ev = ref 0 and hb_last_t = ref 0 in
-  (* Node count past which the timeline is rebuilt (see [auto_gc_nodes]). *)
+  (* Segment count past which the timeline is collected (see [auto_gc_nodes]). *)
   let gc_nodes = ref auto_gc_nodes in
   let rebase t =
     gc free t;
@@ -368,6 +371,8 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
       apply t fast (k + 1) rest
   in
   let last_t = ref (-1) in
+  (* The last wake pushed after a decision, -1 before any. *)
+  let last_wake = ref (-1) in
   (* Next instant with something to do, -1 when the run is over — ints all
      the way down so the steady-state loop allocates nothing. *)
   let next_time () =
@@ -398,12 +403,10 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
     end
     else begin
       drain t;
-      (* Keep the timeline's live span bounded independently of the caller's
-         [gc_every] cadence: descent depth is log of the span between the gc
-         origin and the horizon, so letting the origin trail far behind [now]
-         taxes every query the policies issue. Rebasing here — outside any
+      (* Keep the timeline's dead past bounded independently of the
+         caller's [gc_every] cadence. Collecting here — outside any
          checkpoint, with all future traffic at or after [t] — is invisible
-         to decisions and keeps descents shallow. *)
+         to decisions. *)
       if t - Timeline.origin free > auto_gc_span || Timeline.node_count free > !gc_nodes then
         rebase t;
       last_t := t;
@@ -538,7 +541,12 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
         end
       end;
       if !nstart > 0 then Jobq.filter queue keep_queued;
-      if wake > t then Eventq.push events ~time:wake wake_payload;
+      (* A wake already queued for the same instant (still ahead of [t],
+         since it has not popped) would only pop as a no-op. *)
+      if wake > t && wake <> !last_wake then begin
+        Eventq.push events ~time:wake wake_payload;
+        last_wake := wake
+      end;
       if heartbeat_due t then emit_heartbeat t;
       loop ()
     end

@@ -15,7 +15,8 @@
     classifier queries the live timeline and a once-per-run
     reservation-blocked profile built lazily from the instance, and
     queue-membership checks are O(1) via id hash sets — a decision step
-    costs O((starts + queries) · log U) rather than O(history).
+    costs one timeline operation per start and query rather than
+    O(history).
 
     The policy's per-run decision function is created at the start of each
     run ([policy.create ~obs]), so planning state cannot leak across runs.
@@ -75,7 +76,7 @@ type heartbeat = {
   hb_queued : int;  (** Jobs waiting right now. *)
   hb_live : int;  (** Jobs waiting or running right now. *)
   hb_makespan : int;  (** Makespan so far (max finish of started jobs). *)
-  hb_nodes : int;  (** Materialised timeline nodes — the footprint driver. *)
+  hb_nodes : int;  (** Stored timeline segments — what sets the footprint. *)
 }
 (** One periodic telemetry snapshot of a streamed replay. Every field is
     {e simulation} data, hence deterministic: two runs of the same

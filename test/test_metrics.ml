@@ -196,14 +196,16 @@ let test_auto_gc_counted () =
       Alcotest.(check bool) "reclaimed nodes counted" true
         (Tutil.counter "sim.gc_reclaimed_nodes" > 0))
 
-(* Past the Timeline.gc cliff: with 500 future reservations of
-   resv-alpha's shape, a freshly rebuilt timeline keeps ~19k nodes, above
-   the 16384-node trigger, so a fixed trigger rebuilt at every decision
-   (4590 rebuilds in 5232 decisions under FCFS). Raised past the cliff, the
-   node trigger leaves only the span rule's cadence: every run walks the
-   reservation edges up to 5M, and the origin may trail the clock by at
-   most 16384, so at most 5M / 16384 ~ 305 span rebuilds, plus a few
-   node-count ones. The rebuilds stay invisible in the trace. *)
+(* Past the Timeline.gc cliff: with 10000 future reservations of
+   resv-alpha's shape, a freshly collected timeline keeps ~20k segments,
+   above the 16384-segment trigger (and CONS's plan keeps more than its
+   1024), so a fixed trigger collects at almost every decision (FCFS:
+   11944 collections in 24232 decisions; CONS's two timelines: 35909).
+   Raised past the cliff, the segment trigger leaves only the span rule's
+   cadence: every run walks the reservation edges up to 100M, and the
+   origin may trail the clock by at most 16384, so at most 100M / 16384
+   ~ 6104 span collections, plus a few segment-count ones. The
+   collections stay invisible in the trace. *)
 let test_gc_cliff () =
   let arrivals =
     let rng = Resa_core.Prng.create ~seed:4242 in
@@ -213,7 +215,7 @@ let test_gc_cliff () =
     let rec go acc = match src () with None -> List.rev acc | Some a -> go (a :: acc) in
     go []
   in
-  let n_resv = 500 in
+  let n_resv = 10_000 in
   let reservations =
     List.init n_resv (fun i ->
         Resa_core.Reservation.make ~id:i ~start:((10_000 * i) + 5_000) ~p:2_500 ~q:64)

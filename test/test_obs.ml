@@ -454,6 +454,27 @@ let test_failed_decision_rolls_back () =
 
 (* --- profiling ----------------------------------------------------------- *)
 
+(* The capacity pre-filter: a queued job wider than the capacity free now
+   is skipped without a window query. A queue of 1000 jobs wider than the
+   machine's free capacity costs LSRC no [min_on] at all, and EASY only
+   the one that finds its head blocked. *)
+let test_capacity_prefilter () =
+  let queue = Jobq.create () in
+  for i = 0 to 999 do
+    Jobq.append queue (Job.make ~id:i ~p:5 ~q:6) ~tag:i
+  done;
+  List.iter
+    (fun ((policy : Policy.t), expect) ->
+      let free = Timeline.create 8 in
+      Timeline.change free ~lo:0 ~hi:10 ~delta:(-3);
+      Tutil.with_metrics (fun () ->
+          let decide = policy.create ~obs:Trace.null in
+          let act = decide ~time:0 ~queue ~free in
+          Alcotest.(check int) (policy.name ^ " starts nothing") 0 (List.length act.start_now);
+          Alcotest.(check int) (policy.name ^ " min_on calls") expect
+            (Tutil.counter "timeline.min_on")))
+    [ (Policy.aggressive, 0); (Policy.easy, 1) ]
+
 let test_prof_counters () =
   Tutil.with_metrics (fun () ->
       let rng = Prng.create ~seed:5 in
@@ -608,6 +629,7 @@ let suite =
     Alcotest.test_case "empty summary explicit" `Quick test_empty_summary_is_explicit;
     Alcotest.test_case "policy errors carry context" `Quick test_policy_error_messages;
     Alcotest.test_case "failed decisions roll back" `Quick test_failed_decision_rolls_back;
+    Alcotest.test_case "capacity pre-filter skips wide jobs" `Quick test_capacity_prefilter;
     Alcotest.test_case "prof counters and spans" `Quick test_prof_counters;
     Alcotest.test_case "prof disabled is a no-op" `Quick test_prof_disabled_is_noop;
     Alcotest.test_case "prof clock never decreases" `Quick test_clock_monotonic;

@@ -22,8 +22,12 @@ let test_roundtrip () =
   let p = Profile.of_steps [ (0, 5); (3, 1); (6, 8); (11, 2) ] in
   let tl = Timeline.of_profile p in
   Alcotest.(check bool) "roundtrip" true (Profile.equal p (Timeline.to_profile tl));
-  let tl = Timeline.of_profile ~horizon:1024 p in
-  Alcotest.(check bool) "with horizon" true (Profile.equal p (Timeline.to_profile tl))
+  (* A far change and its inverse leave the same normalised segments. *)
+  Timeline.change tl ~lo:1000 ~hi:1024 ~delta:1;
+  Timeline.change tl ~lo:1000 ~hi:1024 ~delta:(-1);
+  Alcotest.(check bool) "after a far change and its inverse" true
+    (Profile.equal p (Timeline.to_profile tl));
+  Alcotest.(check int) "segments" 4 (Timeline.node_count tl)
 
 let test_change_reserve () =
   let tl = Timeline.create 4 in
@@ -124,24 +128,42 @@ let test_stale_marks_rejected () =
     (Invalid_argument "Timeline.rollback: stale or non-LIFO mark") (fun () ->
       Timeline.rollback tl m)
 
+(* [Timeline.check] as a boolean, reporting the broken invariant. *)
+let valid tl =
+  match Timeline.check tl with
+  | () -> true
+  | exception Failure msg ->
+    prerr_endline msg;
+    false
+
 (* Randomized: arbitrary mutations under arbitrarily nested speculation
    (inner scopes randomly rolled back or committed) — rolling back the
    outermost checkpoint must be a perfect identity w.r.t. the rebuilt
-   profile. *)
-let speculation_identity seed =
+   profile. With [scale > 1] windows are [scale] times wider, so the
+   timeline spans several blocks; rounds of committed growth and gc then
+   separate the speculations, each undone across block splits and
+   merges. *)
+let speculation_identity_with ~scale ~rounds seed =
   let rng = Prng.create ~seed in
   let tl = Timeline.of_profile (Tutil.profile_of_seed seed) in
-  let reference = Timeline.to_profile tl in
+  let org = ref 0 and ok = ref true and peak = ref 0 in
+  let step () =
+    if not (valid tl) then ok := false;
+    peak := max !peak (Timeline.node_count tl)
+  in
   let mutate () =
     if Prng.int rng ~bound:2 = 0 then begin
-      let lo = Prng.int rng ~bound:60 and len = Prng.int_incl rng ~lo:1 ~hi:25 in
+      let lo = !org + Prng.int rng ~bound:(60 * scale)
+      and len = Prng.int_incl rng ~lo:1 ~hi:(25 * scale) in
       Timeline.change tl ~lo ~hi:(lo + len) ~delta:(Prng.int_incl rng ~lo:(-5) ~hi:5)
     end
     else begin
-      let start = Prng.int rng ~bound:50 and dur = Prng.int_incl rng ~lo:1 ~hi:12 in
+      let start = !org + Prng.int rng ~bound:(50 * scale)
+      and dur = Prng.int_incl rng ~lo:1 ~hi:(12 * scale) in
       let mn = Timeline.min_on tl ~lo:start ~hi:(start + dur) in
       if mn >= 1 then Timeline.reserve tl ~start ~dur ~need:(Prng.int_incl rng ~lo:1 ~hi:mn)
-    end
+    end;
+    step ()
   in
   let rec churn depth =
     for _ = 1 to 6 do
@@ -149,7 +171,8 @@ let speculation_identity seed =
       | 1 when depth < 3 ->
         let m = Timeline.checkpoint tl in
         churn (depth + 1);
-        Timeline.rollback tl m
+        Timeline.rollback tl m;
+        step ()
       | 2 when depth < 3 ->
         let m = Timeline.checkpoint tl in
         churn (depth + 1);
@@ -157,41 +180,88 @@ let speculation_identity seed =
       | _ -> mutate ()
     done
   in
-  let m0 = Timeline.checkpoint tl in
-  churn 0;
-  Timeline.rollback tl m0;
-  Profile.equal reference (Timeline.to_profile tl)
+  for round = 1 to rounds do
+    if round > 1 then begin
+      for _ = 1 to 20 do
+        mutate ()
+      done;
+      if Prng.int rng ~bound:3 = 0 then begin
+        org := !org + Prng.int rng ~bound:(3 * scale);
+        Timeline.gc tl ~upto:!org;
+        step ()
+      end
+    end;
+    let reference = Timeline.to_profile tl and segments = Timeline.node_count tl in
+    let m0 = Timeline.checkpoint tl in
+    churn 0;
+    Timeline.rollback tl m0;
+    step ();
+    if not (Profile.equal reference (Timeline.to_profile tl) && segments = Timeline.node_count tl)
+    then ok := false
+  done;
+  (* At least 8 blocks of 16 segments at some point. *)
+  !ok && (scale = 1 || !peak >= 128)
+
+let speculation_identity = speculation_identity_with ~scale:1 ~rounds:1
 
 (* --- randomized differential: operation sequences ----------------------- *)
 
-let ops_agree seed =
+(* [p] collapsed below [upto]: what [gc ~upto] and [to_profile ~from:upto]
+   produce. *)
+let collapse p upto =
+  Profile.of_steps
+    ((0, Profile.value_at p upto) :: List.filter (fun (x, _) -> x > upto) (Profile.to_steps p))
+
+(* [ops] random operations against the Profile oracle, [Timeline.check]
+   after each. With [scale > 1] every coordinate range is [scale] times
+   wider and each operation follows one more range change, so the
+   timeline grows past 8 blocks; one iteration in 50 then collects the
+   history before a random instant instead. *)
+let ops_agree_with ~scale ~ops seed =
   let rng = Prng.create ~seed in
   let p = ref (Tutil.profile_of_seed seed) in
   let tl = Timeline.of_profile !p in
+  let org = ref 0 and peak = ref 0 in
   let ok = ref true in
   let check name b = if not b then (Printf.eprintf "mismatch: %s (seed %d)\n" name seed; ok := false) in
-  for _ = 1 to 40 do
-    match Prng.int rng ~bound:10 with
-    | 0 ->
-      let lo = Prng.int rng ~bound:50 and len = Prng.int_incl rng ~lo:1 ~hi:20 in
-      let delta = Prng.int_incl rng ~lo:(-4) ~hi:4 in
-      p := Profile.change !p ~lo ~hi:(lo + len) ~delta;
-      Timeline.change tl ~lo ~hi:(lo + len) ~delta
+  let at bound = !org + Prng.int rng ~bound:(bound * scale) in
+  let width hi = Prng.int_incl rng ~lo:1 ~hi:(hi * scale) in
+  (* Below the origin a timeline reads the origin's value, whatever
+     changes there since. *)
+  let update ~lo p' = p := if lo = !org && lo > 0 then collapse p' lo else p' in
+  let change () =
+    let lo = at 50 and len = width 20 in
+    let delta = Prng.int_incl rng ~lo:(-4) ~hi:4 in
+    update ~lo (Profile.change !p ~lo ~hi:(lo + len) ~delta);
+    Timeline.change tl ~lo ~hi:(lo + len) ~delta
+  in
+  for _ = 1 to ops do
+    if scale > 1 then begin
+      if Prng.int rng ~bound:50 = 0 then begin
+        org := at 3;
+        update ~lo:!org !p;
+        Timeline.gc tl ~upto:!org
+      end
+      else change ();
+      check "valid" (valid tl)
+    end;
+    (match Prng.int rng ~bound:10 with
+    | 0 -> change ()
     | 1 ->
-      let start = Prng.int rng ~bound:40 and dur = Prng.int_incl rng ~lo:1 ~hi:10 in
+      let start = at 40 and dur = width 10 in
       let mn = Profile.min_on !p ~lo:start ~hi:(start + dur) in
       check "min before reserve" (mn = Timeline.min_on tl ~lo:start ~hi:(start + dur));
       if mn >= 1 then begin
         let need = Prng.int_incl rng ~lo:1 ~hi:mn in
-        p := Profile.reserve !p ~start ~dur ~need;
+        update ~lo:start (Profile.reserve !p ~start ~dur ~need);
         Timeline.reserve tl ~start ~dur ~need
       end
     | 2 ->
-      let x = Prng.int rng ~bound:100 in
+      let x = at 100 in
       check "value_at" (Profile.value_at !p x = Timeline.value_at tl x)
     | 3 ->
-      let lo = Prng.int rng ~bound:60 in
-      let hi = lo + Prng.int rng ~bound:25 in
+      let lo = at 60 in
+      let hi = lo + Prng.int rng ~bound:(25 * scale) in
       if lo = hi then begin
         check "empty min" (Timeline.min_on tl ~lo ~hi = max_int);
         check "empty max" (Timeline.max_on tl ~lo ~hi = min_int)
@@ -201,56 +271,39 @@ let ops_agree seed =
         check "max_on" (Profile.max_on !p ~lo ~hi = Timeline.max_on tl ~lo ~hi)
       end
     | 4 ->
-      let from = Prng.int rng ~bound:60 and dur = Prng.int_incl rng ~lo:1 ~hi:10 in
+      let from = at 60 and dur = width 10 in
       let need = Prng.int_incl rng ~lo:(-1) ~hi:12 in
       check "earliest_fit"
         (Profile.earliest_fit !p ~from ~dur ~need = Timeline.earliest_fit tl ~from ~dur ~need)
     | 5 ->
-      let x = Prng.int rng ~bound:80 in
+      let x = at 80 in
       check "next_breakpoint_after"
         (Profile.next_breakpoint_after !p x = Timeline.next_breakpoint_after tl x)
     | 6 -> check "last_breakpoint" (Profile.last_breakpoint !p = Timeline.last_breakpoint tl)
     | 7 ->
-      check "final_value" (Profile.final_value !p = Timeline.final_value tl);
-      (* Chunks must tile [from, ∞) in order, carry the pointwise values of
-         the profile, and end with the tail (hi = None). *)
-      let from = Prng.int rng ~bound:60 in
-      let cursor = ref from and saw_tail = ref false in
-      Timeline.iter_chunks_from tl ~from ~f:(fun ~lo ~hi ~v ->
-          check "chunk contiguous" (lo = !cursor);
-          check "chunk value" (Profile.value_at !p lo = v);
-          (match hi with
-          | Some hi ->
-            check "chunk non-empty" (hi > lo);
-            check "chunk constant" (Profile.min_on !p ~lo ~hi = v && Profile.max_on !p ~lo ~hi = v);
-            cursor := hi
-          | None ->
-            check "tail value" (Profile.final_value !p = v);
-            saw_tail := true);
-          true);
-      check "tail visited" !saw_tail
+      check "final_value" (Profile.final_value !p = Timeline.final_value tl)
     | 8 ->
       if Profile.final_value !p > 0 then begin
-        let from = Prng.int rng ~bound:60 in
-        let area = Prng.int_incl rng ~lo:1 ~hi:600 in
+        let from = at 60 in
+        let area = Prng.int_incl rng ~lo:1 ~hi:(600 * scale) in
         let expect = Resa_exact.Lower_bounds.min_time_with_area !p ~from ~area in
         check "first_reaching_area (uncapped)"
           (Timeline.first_reaching_area tl ~from ~area ~cap:max_int = expect);
-        let cap = Prng.int_incl rng ~lo:1 ~hi:120 in
+        let cap = !org + Prng.int_incl rng ~lo:1 ~hi:(120 * scale) in
         check "first_reaching_area (capped)"
           (Timeline.first_reaching_area tl ~from ~area ~cap = min cap expect)
       end
     | _ ->
-      let from = Prng.int rng ~bound:50 in
-      let fwd = Timeline.to_profile ~from tl in
-      let expect x = if x < from then Profile.value_at !p from else Profile.value_at !p x in
-      let agree = ref true in
-      for x = 0 to 70 do
-        if Profile.value_at fwd x <> expect x then agree := false
-      done;
-      check "forward view" !agree
+      let from = at 50 in
+      check "forward view" (Profile.equal (collapse !p from) (Timeline.to_profile ~from tl)));
+    check "valid" (valid tl);
+    peak := max !peak (Timeline.node_count tl)
   done;
+  (* At least 8 blocks of 16 segments at some point. *)
+  if scale > 1 then check "8 blocks" (!peak >= 128);
   !ok && Profile.equal !p (Timeline.to_profile tl)
+
+let ops_agree = ops_agree_with ~scale:1 ~ops:40
 
 (* --- randomized differential: whole scheduler runs ---------------------- *)
 
@@ -365,6 +418,10 @@ let suite =
     Tutil.qcheck ~count:500 "nested speculation rolls back to identity" Tutil.seed_arb
       speculation_identity;
     Tutil.qcheck ~count:1000 "random op sequences match Profile" Tutil.seed_arb ops_agree;
+    Tutil.qcheck ~count:25 "multi-block op sequences match Profile, with gc"
+      Tutil.seed_arb (ops_agree_with ~scale:200 ~ops:500);
+    Tutil.qcheck ~count:25 "multi-block speculation rolls back, with gc"
+      Tutil.seed_arb (speculation_identity_with ~scale:200 ~rounds:30);
     Tutil.qcheck ~count:300 "LSRC = Profile-backed LSRC" Tutil.seed_arb
       (same_schedule "lsrc" Resa_algos.Lsrc.run_order Resa_algos.Lsrc.run_order_reference);
     Tutil.qcheck ~count:300 "FCFS = Profile-backed FCFS" Tutil.seed_arb
