@@ -309,22 +309,7 @@ let sim_scaling () =
       }
   in
   Bench_json.write "sim"
-    (List.rev !records
-    @ [
-        phase "prepare" prepare_s;
-        phase "measure" measure_s;
-        (* Which event-queue implementation produced these numbers. *)
-        Bench_json.
-          {
-            experiment = "sim";
-            n = 0;
-            algo = "eventq:" ^ Resa_sim.Eventq.impl_name;
-            wall_s = 0.;
-            speedup = None;
-            domains = Resa_par.domain_count ();
-            seed = sim_workload_seed;
-          };
-      ])
+    (List.rev !records @ [ phase "prepare" prepare_s; phase "measure" measure_s ])
 
 let run () =
   Printf.printf "\n=== PERF: Bechamel microbenchmarks (ns/run, OLS fit) ===\n";

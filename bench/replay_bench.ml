@@ -17,13 +17,11 @@
    is monotone across rows — only the first row of a given size regime
    measures that regime cleanly.
 
-   Two further row families ride on the same schema:
-   - algo = "allocs_ev:<policy>": minor words allocated per event (arrival
-     or completion) over the whole replay, iterator and incremental metrics
-     included. Deterministic, so benchdiff gates it like a wall row — the
-     flat-core engine keeps it O(1) and small.
-   - algo = "eventq:<impl>" (one row, n = 0): stamps which event-queue
-     implementation produced the numbers; informational.
+   A further row family rides on the same schema: algo =
+   "allocs_ev:<policy>" carries minor words allocated per event (arrival
+   or completion) over the whole replay, iterator and incremental metrics
+   included. Deterministic, so benchdiff gates it like a wall row — the
+   flat-core engine keeps it O(1) and small.
 
    The per-layer split of a replay's wall time (ingest, event queue,
    decide, timeline, metrics) lives in the benchmark/ ledger. *)
@@ -101,18 +99,4 @@ let run () =
         Resa_sim.Policy.all)
     sizes;
   print_string (Resa_stats.Table.render t);
-  (* Which event-queue implementation produced these numbers (n = 0: one
-     stamp per harness run, not per size). *)
-  records :=
-    Bench_json.
-      {
-        experiment = "replay";
-        n = 0;
-        algo = "eventq:" ^ Resa_sim.Eventq.impl_name;
-        wall_s = 0.;
-        speedup = None;
-        domains = Resa_par.domain_count ();
-        seed = replay_seed;
-      }
-    :: !records;
   Bench_json.write "replay" (List.rev !records)

@@ -8,15 +8,15 @@
    usual bench convention — reruns only ever add noise upward). The gate
    compares new/old wall ratios against a threshold:
 
-   - algo names under the "rss_mb:", "phase:" and "eventq:" prefixes are
-     compared but reported as informational, never failing the gate:
-     RSS is a process-wide high-water mark (monotone across rows of one
-     harness run, so only regressions of the *first* row of a regime would
-     be meaningful), phase splits are coarse wall-clock shape, and eventq
-     rows merely stamp the queue implementation. "allocs_ev:" rows carry
-     minor words per event — deterministic, so they gate exactly like wall
-     rows and catch allocation regressions the timer would hide in noise
-     (they are far above the [min_wall] floor by construction).
+   - algo names under the "rss_mb:" and "phase:" prefixes are compared
+     but reported as informational, never failing the gate: RSS is a
+     process-wide high-water mark (monotone across rows of one harness
+     run, so only regressions of the *first* row of a regime would be
+     meaningful), and phase splits are coarse wall-clock shape.
+     "allocs_ev:" rows carry minor words per event — deterministic, so
+     they gate exactly like wall rows and catch allocation regressions the
+     timer would hide in noise (they are far above the [min_wall] floor by
+     construction).
    - rows whose wall time is below [min_wall] in both files sit under the
      timer noise floor and are skipped from gating.
    - a non-finite wall (RSS off-Linux serialises as nan -> null) skips the
@@ -41,7 +41,7 @@ let informational r =
     let n = String.length p in
     String.length r.algo >= n && String.sub r.algo 0 n = p
   in
-  has_prefix "rss_mb:" || has_prefix "phase:" || has_prefix "eventq:"
+  has_prefix "rss_mb:" || has_prefix "phase:"
 
 let row_of_json j =
   let ( let* ) o f = Option.bind o f in

@@ -2,10 +2,10 @@
     parallel arrays, ordered lexicographically by [(key, tie)]: no
     allocation per operation once the arrays have grown (by doubling).
 
-    The engine's one priority queue: {!Eventq}'s overflow region (key =
-    time, tie = insertion sequence, so equal times pop FIFO) and the
-    conservative policy's promise heap (key = promised start, value = job
-    id). Single-owner mutable state. *)
+    The engine's one priority queue: it backs {!Eventq} (key = time, tie =
+    insertion sequence, so equal times pop FIFO) and the conservative
+    policy's promise heap (key = promised start, value = job id).
+    Single-owner mutable state. *)
 
 type t
 

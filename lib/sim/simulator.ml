@@ -55,7 +55,7 @@ let m_live_jobs = Metrics.gauge "sim.live_jobs"
 let m_nodes = Metrics.gauge "sim.timeline_nodes"
 let m_decide_ns = Metrics.histogram "wall.decide_ns"
 
-(* Event payloads in the calendar queue are plain ints: a wake-up, or the
+(* Event payloads in the event queue are plain ints: a wake-up, or the
    completing job's live slot (so completion touches no hash table). *)
 let wake_payload = -1
 
@@ -132,7 +132,7 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
      (duplicate-start detection without a per-decision set); [spos] is a
      tracing-only scratch for queue positions, valid when the stamp
      matches. *)
-  let cap = ref 1024 in
+  let cap = ref 16 in
   let sjob = ref (Array.make !cap dummy_job) in
   let sid = ref (Array.make !cap 0) in
   let ssubmit = ref (Array.make !cap 0) in
@@ -142,7 +142,7 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
   let spos = ref (Array.make !cap 0) in
   let free_slots = ref (Array.init !cap (fun i -> !cap - 1 - i)) in
   let free_top = ref !cap in
-  let slot_of : (int, int) Hashtbl.t = Hashtbl.create 1024 in
+  let slot_of : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let live_count = ref 0 in
   let grow_slots () =
     let old = !cap in
@@ -171,7 +171,7 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
   let keep_queued slot = (!sstart).(slot) < 0 in
   (* Slots started by the current decision, in start_now order, and their
      count. *)
-  let start_slots = ref (Array.make 64 0) in
+  let start_slots = ref (Array.make 16 0) in
   let nstart = ref 0 in
   let decision_no = ref 0 in
   let forced = ref false in

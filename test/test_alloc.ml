@@ -3,7 +3,8 @@
    estimated job and the slot-table bucket made at admit, one cons cell per
    started job in the policy's answer, and the record handed to
    [on_record] — so a closure, a ref or a boxed float slipping back into
-   the loop shows up here as a budget overrun, on any machine. *)
+   the loop shows up here as a budget overrun, on any machine. A second
+   budget bounds the fixed cost of starting one small run. *)
 
 open Resa_core
 open Resa_sim
@@ -86,6 +87,33 @@ let test_stream_observe_budget () =
   let per = words /. float_of_int (n - 1000) in
   if per > 0.05 then Alcotest.failf "Metrics.Stream.observe allocates %.3f words/record" per
 
+(* Fixed cost of one engine run: minor words plus the words allocated
+   directly in the major heap (large arrays skip the minor heap, so
+   [Gc.minor_words] alone would not see an oversized start-up table). A
+   5-job run on 8 processors must not pay for structures sized for a
+   large replay. *)
+let startup_words policy =
+  let subs =
+    List.init 5 (fun i ->
+        Simulator.{ job = Job.make ~id:i ~p:(3 + (2 * i)) ~q:(1 + (3 * i mod 8)); submit = i })
+  in
+  let direct_major (s : Gc.stat) = s.major_words -. s.promoted_words in
+  Tutil.without_metrics (fun () ->
+      let s0 = Gc.quick_stat () in
+      let minor =
+        minor_words (fun () -> ignore (Simulator.run ~policy ~m:8 subs : Simulator.trace))
+      in
+      let s1 = Gc.quick_stat () in
+      minor +. direct_major s1 -. direct_major s0)
+
+let startup_budget = 4000.
+
+let test_startup_budget (policy : Policy.t) () =
+  let w = startup_words policy in
+  if w > startup_budget then
+    Alcotest.failf "%s allocates %.0f words for a 5-job run, budget %.0f" policy.name w
+      startup_budget
+
 let suite =
   List.map
     (fun ((p : Policy.t), budget) ->
@@ -94,3 +122,9 @@ let suite =
         `Quick (test_replay_budget (p, budget)))
     budgets
   @ [ Alcotest.test_case "Metrics.Stream.observe allocation-free" `Quick test_stream_observe_budget ]
+  @ List.map
+      (fun (p : Policy.t) ->
+        Alcotest.test_case
+          (Printf.sprintf "%s start-up within %.0f words" p.name startup_budget)
+          `Quick (test_startup_budget p))
+      Policy.all

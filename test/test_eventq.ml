@@ -1,10 +1,9 @@
-(* Differential suite for the engine's priority queues against a
-   sorted-list model: the calendar event queue (Eventq) under operation
-   mixes that exercise every structural path — bucket hits inside the
-   window, the overflow heap beyond it, migration as the cursor advances,
-   and rebase on pushes before the cursor (which the simulator never
-   issues, so only this suite covers it) — and the shared Int_heap it
-   overflows into. *)
+(* Differential suite for the engine's one priority queue against a
+   sorted-list model: the event queue (Eventq, a (time, seq) wrapper over
+   Int_heap) under operation mixes with heavy same-time ties, far-apart
+   times and pushes before the earliest queued event, and Int_heap on its
+   own. The named cases below pin the FIFO contract across far-apart
+   times and across a push before every queued event. *)
 
 open Resa_core
 open Resa_sim
@@ -31,9 +30,9 @@ let eventq_matches_model seed =
   for _step = 0 to 600 do
     let r = Prng.int rng ~bound:100 in
     if r < 55 || !model = [] then begin
-      (* Four time regimes: dense ties near zero (rebase after the clock
-         has advanced), in-window, beyond the 2^15 window (overflow heap),
-         and just behind the last pop (rebase by a small margin). *)
+      (* Four time regimes: dense ties near zero (behind the clock once
+         it has advanced), just ahead of the last pop, far ahead of it,
+         and just behind it. *)
       let time =
         match Prng.int rng ~bound:4 with
         | 0 -> Prng.int rng ~bound:64
@@ -129,10 +128,9 @@ let test_fifo_ties () =
     pops;
   Alcotest.(check int) "empty peek" (-1) (Eventq.peek_time q)
 
-(* Same-time pushes that straddle the overflow boundary: the first three
-   land in the far heap (beyond cursor + 2^15), migrate into a bucket when
-   the cursor reaches them, and a fourth in-window push appends behind
-   them — FIFO must survive the structure change. *)
+(* Same-time pushes far beyond the earliest event, and a fourth push at
+   that time after the earlier event has popped: FIFO must hold across
+   the gap. *)
 let test_fifo_across_migration () =
   let q = Eventq.create () in
   Eventq.push q ~time:0 0;
@@ -149,8 +147,8 @@ let test_rebase () =
   Eventq.push q ~time:100_000 1;
   Eventq.push q ~time:100_000 2;
   Eventq.push q ~time:170_000 3;
-  (* Window is anchored at 100_000; this push rewinds it and evicts the
-     now-out-of-window chains back to the heap. *)
+  (* A push before every queued event becomes the new minimum without
+     disturbing the FIFO order of the later ones. *)
   Eventq.push q ~time:10 4;
   Alcotest.(check int) "rewound min" 10 (Eventq.peek_time q);
   Alcotest.(check (list int)) "order preserved through rebase" [ 4; 1; 2; 3 ]
