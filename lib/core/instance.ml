@@ -6,43 +6,43 @@ type t = {
   avail : Profile.t; (* cached m − U(t): availability is on every hot path *)
 }
 
-let build_unavail reservations =
-  let deltas =
-    Array.fold_left
-      (fun acc r -> (Reservation.start r, Reservation.q r) :: (Reservation.stop r, -Reservation.q r) :: acc)
-      [] reservations
-  in
-  Profile.of_events ~base:0 deltas
+(* Sorts an int array, not a list: validation allocates two words per id. *)
+let distinct_ids id l =
+  let a = Array.make (List.length l) 0 in
+  List.iteri (fun i x -> a.(i) <- id x) l;
+  Resv_sweep.sort_ints a;
+  let rec ok i = i >= Array.length a || (a.(i) <> a.(i - 1) && ok (i + 1)) in
+  ok 1
 
-let distinct_ids ids =
-  let sorted = List.sort Int.compare ids in
-  let rec ok = function
-    | a :: (b :: _ as rest) -> a <> b && ok rest
-    | _ -> true
-  in
-  ok sorted
-
-let availability_of ~m ~reservations =
-  let unavail = build_unavail (Array.of_list reservations) in
-  Profile.add_const (Profile.neg unavail) m
-
-let create ~m ~jobs ~reservations =
+let validate ~m ~jobs ~reservations =
   if m < 1 then Error "Instance.create: m must be >= 1"
-  else if not (distinct_ids (List.map Job.id jobs)) then Error "Instance.create: duplicate job ids"
-  else if not (distinct_ids (List.map Reservation.id reservations)) then
+  else if not (distinct_ids Job.id jobs) then Error "Instance.create: duplicate job ids"
+  else if not (distinct_ids Reservation.id reservations) then
     Error "Instance.create: duplicate reservation ids"
   else
     match List.find_opt (fun j -> Job.q j > m) jobs with
     | Some j -> Error (Format.asprintf "Instance.create: %a requires more than m=%d processors" Job.pp j m)
-    | None ->
+    | None -> Ok ()
+
+let availability_of ~m ~reservations = Resv_sweep.availability (Resv_sweep.run ~m reservations)
+
+let create ~m ~jobs ~reservations =
+  match validate ~m ~jobs ~reservations with
+  | Error _ as e -> e
+  | Ok () -> (
+    match Resv_sweep.run ~m reservations with
+    | exception Invalid_argument msg -> Error msg
+    | sweep ->
       let reservations = Array.of_list reservations in
       Array.sort Reservation.compare reservations;
-      let unavail = build_unavail reservations in
-      if Profile.max_value unavail > m then
-        Error "Instance.create: reservations exceed machine capacity"
-      else
-        let avail = Profile.add_const (Profile.neg unavail) m in
-        Ok { m; jobs = Array.of_list jobs; reservations; unavail; avail }
+      Ok
+        {
+          m;
+          jobs = Array.of_list jobs;
+          reservations;
+          unavail = Resv_sweep.unavailability sweep;
+          avail = Resv_sweep.availability sweep;
+        })
 
 let create_exn ~m ~jobs ~reservations =
   match create ~m ~jobs ~reservations with Ok t -> t | Error msg -> invalid_arg msg

@@ -14,7 +14,15 @@ val create :
   m:int -> jobs:Job.t list -> reservations:Reservation.t list -> (t, string) result
 (** Checks: [m >= 1]; every job fits the machine ([q <= m]); job ids are
     distinct; reservation ids are distinct; the reservations alone never
-    exceed [m] processors. *)
+    exceed [m] processors, and end within the sweep's packed time range
+    (see {!Resv_sweep.run}). *)
+
+val validate :
+  m:int -> jobs:Job.t list -> reservations:Reservation.t list -> (unit, string) result
+(** Every check of {!create} but the sweep's (capacity and time range),
+    in the same order and with the same messages — for consumers that
+    sweep the reservations themselves with {!Resv_sweep.run}, which raises
+    the rest, and never build an instance. *)
 
 val create_exn : m:int -> jobs:Job.t list -> reservations:Reservation.t list -> t
 (** Like {!create}; raises [Invalid_argument] with the error message. *)
@@ -46,11 +54,11 @@ val availability : t -> Profile.t
     value without reallocating. *)
 
 val availability_of : m:int -> reservations:Reservation.t list -> Profile.t
-(** [m − U(t)] computed directly from a reservation list, without
-    constructing an instance — what streaming consumers (the replay engine,
-    incremental metrics) use when no job array ever exists. Agrees with
-    {!availability} on [create_exn ~m ~jobs:_ ~reservations]. Performs no
-    capacity validation. *)
+(** [m − U(t)] computed directly from a reservation list by
+    {!Resv_sweep.run}, without constructing an instance. Agrees with
+    {!availability} on [create_exn ~m ~jobs:_ ~reservations]. Checks the
+    capacity (raising [Invalid_argument] with {!create}'s message) but
+    neither [m] nor the ids. *)
 
 val total_work : t -> int
 (** [W(I) = Σ p_i·q_i] over jobs (reservations excluded). *)

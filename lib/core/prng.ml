@@ -1,40 +1,56 @@
-type t = { mutable state : int64 }
+(* SplitMix64 state, unboxed: eight bytes read and written as one
+   little-endian int64. A [mutable int64] field would box a fresh state at
+   every step; here [bits64] and its callers inside this module keep the
+   state and the output in registers once inlined, so an integer draw
+   allocates nothing and a float draw only its boxed result. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state s =
+  let g = Bytes.create 8 in
+  Bytes.set_int64_le g 0 s;
+  g
 
-let copy g = { state = g.state }
+let create ~seed = of_state (Int64.of_int seed)
+
+let copy g = Bytes.copy g
 
 (* SplitMix64 output function (Steele, Lea & Flood 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  mix g.state
+let[@inline] bits64 g =
+  let s = Int64.add (Bytes.get_int64_le g 0) golden_gamma in
+  Bytes.set_int64_le g 0 s;
+  mix s
 
 let split g =
   let s = bits64 g in
-  { state = mix (Int64.logxor s 0xA5A5A5A5A5A5A5A5L) }
+  of_state (mix (Int64.logxor s 0xA5A5A5A5A5A5A5A5L))
+
+(* Rejection sampling against modulo bias, as a top-level loop so a call
+   builds no closure. The threshold [max_int lsr 1] discards every draw at
+   or above 2^61, about half of the 62-bit draws, where one at the top of
+   the range would keep nearly all of them. It is kept on purpose: moving
+   it would change the stream drawn from every seed, and with it every
+   table and digest computed from one. *)
+let rec draw g bound =
+  let r = Int64.to_int (Int64.shift_right_logical (bits64 g) 2) in
+  let v = r mod bound in
+  if r - v > (max_int lsr 1) - bound + 1 then draw g bound else v
 
 let int g ~bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
-  let rec draw () =
-    let r = Int64.to_int (Int64.shift_right_logical (bits64 g) 2) in
-    let v = r mod bound in
-    if r - v > (max_int lsr 1) - bound + 1 then draw () else v
-  in
-  draw ()
+  draw g bound
 
 let int_incl g ~lo ~hi =
   if lo > hi then invalid_arg "Prng.int_incl: lo > hi";
   lo + int g ~bound:(hi - lo + 1)
 
-let float g ~bound =
+let[@inline] float g ~bound =
   let r = Int64.to_float (Int64.shift_right_logical (bits64 g) 11) in
   bound *. (r /. 9007199254740992.0 (* 2^53 *))
 

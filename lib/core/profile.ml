@@ -5,8 +5,8 @@ type t = {
 
 (* Invariant: adjacent caps differ (normal form), |times| = |caps| >= 1. *)
 
-let normalize times caps =
-  let n = Array.length times in
+(* Normal form of the first [n] steps. *)
+let normalize_prefix n times caps =
   let out_t = Array.make n 0 and out_c = Array.make n 0 in
   let k = ref 0 in
   for i = 0 to n - 1 do
@@ -18,7 +18,19 @@ let normalize times caps =
   done;
   { times = Array.sub out_t 0 !k; caps = Array.sub out_c 0 !k }
 
+let normalize times caps = normalize_prefix (Array.length times) times caps
+
 let constant c = { times = [| 0 |]; caps = [| c |] }
+
+let of_breakpoints times caps n =
+  if n < 1 || n > Array.length times || n > Array.length caps then
+    invalid_arg "Profile.of_breakpoints: bad length";
+  if times.(0) <> 0 then invalid_arg "Profile.of_breakpoints: first breakpoint must be 0";
+  for i = 1 to n - 1 do
+    if times.(i) <= times.(i - 1) then
+      invalid_arg "Profile.of_breakpoints: breakpoints must increase"
+  done;
+  normalize_prefix n times caps
 
 let of_steps steps =
   match steps with

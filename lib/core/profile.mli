@@ -22,6 +22,13 @@ val of_steps : (int * int) list -> t
     the smallest time, which must be 0. Raises [Invalid_argument] on an empty
     list, duplicate times, or if no step starts at time 0. *)
 
+val of_breakpoints : int array -> int array -> int -> t
+(** [of_breakpoints times values n] has value [values.(i)] on
+    [\[times.(i), times.(i+1))] for [i < n], the last extending to
+    infinity; entries from [n] on are ignored. Requires [times.(0) = 0] and
+    strictly increasing times; equal neighbouring values are merged. Raises
+    [Invalid_argument] otherwise. *)
+
 val of_events : base:int -> (int * int) list -> t
 (** [of_events ~base deltas] builds the sweep profile
     [t ↦ base + Σ {d | (τ,d) ∈ deltas, τ <= t}]. Event times must be >= 0;

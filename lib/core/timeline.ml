@@ -187,17 +187,25 @@ let push_back t x v =
   t.mx.(b) <- imax t.mx.(b) v;
   t.nseg <- t.nseg + 1
 
-let of_profile p =
+let of_steps times values n =
+  if n < 1 || times.(0) <> 0 then invalid_arg "Timeline.of_steps: first step must start at 0";
   (* Sized up front: growing the pool on the way would allocate each
      smaller generation too. *)
-  let bps = Profile.breakpoints p in
   let blocks = ref 4 in
-  while !blocks * (bsize - (bsize / 4)) < Array.length bps do
+  while !blocks * (bsize - (bsize / 4)) < n do
     blocks := 2 * !blocks
   done;
   let t = make !blocks in
-  Array.iter (fun x -> push_back t x (Profile.value_at p x)) bps;
+  for i = 0 to n - 1 do
+    if i > 0 && (times.(i) <= times.(i - 1) || values.(i) = values.(i - 1)) then
+      invalid_arg "Timeline.of_steps: steps not in normal form";
+    push_back t times.(i) values.(i)
+  done;
   t
+
+let of_profile p =
+  let bps = Profile.breakpoints p in
+  of_steps bps (Array.map (Profile.value_at p) bps) (Array.length bps)
 
 let create c = of_profile (Profile.constant c)
 

@@ -45,6 +45,14 @@ val create : int -> t
 val of_profile : Profile.t -> t
 (** Import a profile. *)
 
+val of_steps : int array -> int array -> int -> t
+(** [of_steps times values n] holds [values.(i)] on
+    [\[times.(i), times.(i+1))] for [i < n], the last extending to
+    infinity; entries from [n] on are ignored. The steps must be in normal
+    form, as {!Resv_sweep.run} returns them: [times.(0) = 0], times
+    strictly increasing, neighbouring values distinct. Raises
+    [Invalid_argument] otherwise. *)
+
 val to_profile : ?from:int -> t -> Profile.t
 (** Export the current state as a normalized persistent profile. With
     [~from:t], the past is collapsed: the result is constant at

@@ -87,7 +87,8 @@ let empty_summary =
    order). *)
 type acc = {
   bound : int;
-  avail : Profile.t Lazy.t; (* m − U(t), for the utilization denominator *)
+  m : int;
+  reservations : Reservation.t list; (* with [m], the utilization denominator *)
   mutable n : int;
   mutable makespan : int;
   mutable wait_sum : int;
@@ -100,7 +101,8 @@ type acc = {
 let acc_create ~bound ~m ~reservations =
   {
     bound;
-    avail = lazy (Instance.availability_of ~m ~reservations);
+    m;
+    reservations;
     n = 0;
     makespan = 0;
     wait_sum = 0;
@@ -125,6 +127,16 @@ let acc_observe a (r : Simulator.record) =
   let b = max p a.bound in
   Stats.Fsum.add_ratio a.bslow (max (wait + p) b) b
 
+(* Available processor·time on [\[0, c)]: m·c less each reservation's
+   blocked area inside the window, in exact integers — the integral of
+   [m − U(t)] without building it. *)
+let avail_area a c =
+  List.fold_left
+    (fun acc r ->
+      let inside = min (Reservation.stop r) c - Reservation.start r in
+      if inside > 0 then acc - (Reservation.q r * inside) else acc)
+    (a.m * c) a.reservations
+
 let acc_summary a =
   if a.n = 0 then empty_summary
   else begin
@@ -134,7 +146,7 @@ let acc_summary a =
          work over available area on [0, makespan). *)
       if a.makespan = 0 then 1.0
       else
-        let avail_area = Profile.integral_on (Lazy.force a.avail) ~lo:0 ~hi:a.makespan in
+        let avail_area = avail_area a a.makespan in
         if avail_area = 0 then 1.0 else float_of_int a.work /. float_of_int avail_area
     in
     {

@@ -89,6 +89,9 @@ let gc free t =
   end
   else Timeline.gc free ~upto:t
 
+let validate_input ~m ~jobs ~reservations =
+  match Instance.validate ~m ~jobs ~reservations with Ok () -> () | Error msg -> invalid_arg msg
+
 (* The single event loop behind [run_stream] and [run]. Arrivals are pulled
    from [next] (submit times non-decreasing) with one arrival of lookahead.
    At any instant, due arrivals are admitted first, then queued events pop
@@ -102,28 +105,33 @@ let gc free t =
    reads flat int arrays instead of chasing a record per job. *)
 let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartbeat ~on_record
     (next : unit -> arrival option) =
-  (* Instance construction validates the machine and the reservation set. *)
-  let base = Instance.create_exn ~m ~jobs:[] ~reservations in
+  (* The machine and the reservation ids are validated as [Instance.create]
+     would, with its messages; the sweep checks the capacity. No instance
+     and no profile is built. *)
+  validate_input ~m ~jobs:[] ~reservations;
+  let sweep = Resv_sweep.run ~m reservations in
   let tracing = Trace.enabled obs in
   (* Capacity blocked by reservations alone, for classifying why a job does
      not fit: if it would fit with the blocked windows given back, the
      reservation is the binding constraint. Only built when tracing. *)
-  let resv_blocked =
-    lazy (Profile.sub (Profile.constant m) (Instance.availability base))
-  in
-  let events = Eventq.create () in
-  (* Reservation edges are decision opportunities for every policy. *)
-  Array.iter
-    (fun t -> Eventq.push events ~time:t wake_payload)
-    (Profile.breakpoints (Instance.availability base));
+  let resv_blocked = lazy (Resv_sweep.unavailability sweep) in
   (* Free capacity lives in one mutable timeline for the whole run (a
-     binary search plus the blocks touched per start/release/query).
-     Policies work against it directly: each decision runs under a
-     checkpoint; when the speculative log turns out to be exactly the
-     started jobs' reservations (every native policy, almost every
-     decision) it is committed as the authoritative mutation, otherwise it
-     is rolled back and the starts re-validated one by one. *)
-  let free = Timeline.of_profile (Instance.availability base) in
+     binary search plus the blocks touched per start/release/query),
+     filled straight from the sweep. Policies work against it directly:
+     each decision runs under a checkpoint; when the speculative log turns
+     out to be exactly the started jobs' reservations (every native policy,
+     almost every decision) it is committed as the authoritative mutation,
+     otherwise it is rolled back and the starts re-validated one by one. *)
+  let free = Timeline.of_steps sweep.times sweep.free sweep.len in
+  (* Reservation edges — every availability breakpoint, 0 included — are
+     decision opportunities for every policy. They are read through a
+     cursor over the sweep's breakpoints, not pushed into the event queue:
+     [edge] is the next one not yet reached. An edge is a no-op wake that
+     only makes its instant a decision instant; at equal times it is
+     passed after the arrivals and before the queued events (DESIGN.md
+     §7). *)
+  let edge = ref 0 in
+  let events = Eventq.create () in
   (* The policy's per-run state is created here — plans cannot leak across
      runs by construction. *)
   let decide = policy.Policy.create ~obs in
@@ -291,6 +299,7 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
       admit t a;
       drain t
     | _ ->
+      if !edge < sweep.len && sweep.times.(!edge) = t then incr edge;
       if Eventq.peek_time events = t then begin
         let pay = Eventq.pop events in
         if pay >= 0 then complete t pay;
@@ -377,6 +386,12 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
      the way down so the steady-state loop allocates nothing. *)
   let next_time () =
     let th = Eventq.peek_time events in
+    let th =
+      if !edge >= sweep.len then th
+      else
+        let te = sweep.times.(!edge) in
+        if th >= 0 && th < te then th else te
+    in
     match peek_arrival () with
     | Some a -> if th >= 0 && th < a.submit then th else a.submit
     | None -> th
@@ -589,11 +604,9 @@ let run ?(obs = Trace.null) ~policy ~m ?(reservations = []) ?estimates
       if estimates.(i) < Job.p s.job then
         invalid_arg "Simulator.run: estimate below the actual runtime")
     subs;
-  (* Instance construction validates ids, widths and reservations. *)
-  ignore
-    (Instance.create_exn ~m ~jobs:(List.map (fun (s : submitted) -> s.job) submissions)
-       ~reservations
-      : Instance.t);
+  (* Ids and widths are validated as [Instance.create] would; the engine
+     checks the reservations. *)
+  validate_input ~m ~jobs:(List.map (fun (s : submitted) -> s.job) submissions) ~reservations;
   (* Feed the engine in (submit, list position) order: equal submits are
      admitted in list order. *)
   let order = Array.init n (fun i -> i) in

@@ -114,6 +114,52 @@ let test_startup_budget (policy : Policy.t) () =
     Alcotest.failf "%s allocates %.0f words for a 5-job run, budget %.0f" policy.name w
       startup_budget
 
+(* Fixed cost of one reserved run, the unit of the exact-resv benchmark
+   workload: the first instance of the exact solver's reserved family
+   (6 jobs on 64 processors, 100 reservations over 4000 time units),
+   every job submitted at 0, through the engine, the streaming metrics and
+   the closing heartbeat. Turning the reservations into availability is
+   most of the cost: a reservation-edge sweep written straight into the
+   timeline keeps it near 3,400 words, where building profiles for the
+   instance, the timeline and the utilization took ~21,800. *)
+let reserved_startup_budget = 8000.
+
+let reserved_startup_words () =
+  let inst =
+    Resa_gen.Random_inst.alpha_restricted (Prng.create ~seed:1) ~m:64 ~n:6 ~alpha:0.6 ~pmax:200
+      ~n_reservations:100 ~horizon:4000 ()
+  in
+  let jobs = Instance.jobs inst and reservations = Array.to_list (Instance.reservations inst) in
+  let direct_major (s : Gc.stat) = s.major_words -. s.promoted_words in
+  Tutil.without_metrics (fun () ->
+      let s0 = Gc.quick_stat () in
+      let minor =
+        minor_words (fun () ->
+            let ms = Metrics.Stream.create ~m:64 ~reservations () in
+            let i = ref 0 in
+            let next () =
+              if !i >= Array.length jobs then None
+              else begin
+                let job = jobs.(!i) in
+                incr i;
+                Some Simulator.{ job; submit = 0; estimate = Job.p job }
+              end
+            in
+            let on_heartbeat hb = ignore (Heartbeat.make ~stream:ms hb : Heartbeat.row) in
+            ignore
+              (Simulator.run_stream ~on_heartbeat ~on_record:(Metrics.Stream.observe ms)
+                 ~policy:Policy.fcfs ~m:64 ~reservations next
+                : Simulator.stream_stats))
+      in
+      let s1 = Gc.quick_stat () in
+      minor +. direct_major s1 -. direct_major s0)
+
+let test_reserved_startup_budget () =
+  let w = reserved_startup_words () in
+  if w > reserved_startup_budget then
+    Alcotest.failf "a reserved 6-job run allocates %.0f words, budget %.0f" w
+      reserved_startup_budget
+
 let suite =
   List.map
     (fun ((p : Policy.t), budget) ->
@@ -128,3 +174,8 @@ let suite =
           (Printf.sprintf "%s start-up within %.0f words" p.name startup_budget)
           `Quick (test_startup_budget p))
       Policy.all
+  @ [
+      Alcotest.test_case
+        (Printf.sprintf "reserved start-up within %.0f words" reserved_startup_budget)
+        `Quick test_reserved_startup_budget;
+    ]

@@ -6,6 +6,7 @@ let () =
       ("prng", Test_prng.suite);
       ("profile", Test_profile.suite);
       ("timeline", Test_timeline.suite);
+      ("sweep", Test_sweep.suite);
       ("core-types", Test_core_types.suite);
       ("priority", Test_priority.suite);
       ("lsrc", Test_lsrc.suite);
