@@ -187,15 +187,19 @@ let push_back t x v =
   t.mx.(b) <- imax t.mx.(b) v;
   t.nseg <- t.nseg + 1
 
-let of_steps times values n =
-  if n < 1 || times.(0) <> 0 then invalid_arg "Timeline.of_steps: first step must start at 0";
-  (* Sized up front: growing the pool on the way would allocate each
-     smaller generation too. *)
+(* An empty timeline whose pool holds [n] segments appended by [push_back]
+   without growing: growing on the way would allocate each smaller
+   generation too. *)
+let sized n =
   let blocks = ref 4 in
   while !blocks * (bsize - (bsize / 4)) < n do
     blocks := 2 * !blocks
   done;
-  let t = make !blocks in
+  make !blocks
+
+let of_steps times values n =
+  if n < 1 || times.(0) <> 0 then invalid_arg "Timeline.of_steps: first step must start at 0";
+  let t = sized n in
   for i = 0 to n - 1 do
     if i > 0 && (times.(i) <= times.(i - 1) || values.(i) = values.(i - 1)) then
       invalid_arg "Timeline.of_steps: steps not in normal form";
@@ -596,6 +600,29 @@ let to_profile ?(from = 0) t =
     else go := false
   done;
   Profile.of_steps (List.rev !acc)
+
+(* The segments from the one holding [max from off] on, in one walk over
+   the blocks with each block's pending add folded in, appended to a pool
+   sized for them; the first is moved back to 0. *)
+let copy ?(from = 0) t =
+  if from < 0 then invalid_arg "Timeline.copy: negative from";
+  let x = imax from t.off in
+  let k0 = locate t x in
+  let b0 = t.order.(k0) in
+  let j0 = entry t b0 x in
+  let n = ref ((b0 lsl bshift) - j0) in
+  for k = k0 to t.nb - 1 do
+    n := !n + t.len.(t.order.(k))
+  done;
+  let c = sized !n in
+  push_back c 0 (t.vals.(j0) + t.add.(b0));
+  for k = k0 to t.nb - 1 do
+    let b = t.order.(k) in
+    for j = (if k = k0 then j0 + 1 else b lsl bshift) to (b lsl bshift) + t.len.(b) - 1 do
+      push_back c t.pos.(j) (t.vals.(j) + t.add.(b))
+    done
+  done;
+  c
 
 let node_count t = t.nseg
 

@@ -59,6 +59,14 @@ val to_profile : ?from:int -> t -> Profile.t
     [value_at t] on [\[0, t\]] and exact afterwards — the cheap "forward
     view" handed to simulator policies, whose decisions never look back. *)
 
+val copy : ?from:int -> t -> t
+(** A fresh timeline equal to [of_profile (to_profile ?from t)]: its first
+    segment reaches back to 0 with [value_at t (max from (origin t))], the
+    rest are [t]'s; origin 0, no checkpoint. Built in one pass over the
+    segments from [from] on, straight into a pool sized for them — no
+    profile, no list, no sort. The two timelines share nothing: mutating
+    either leaves the other unchanged. *)
+
 val value_at : t -> int -> int
 (** Value at time [x >= 0]. *)
 

@@ -262,9 +262,9 @@ let conservative =
         match !plan with
         | Some p -> p
         | None ->
-          (* First decision: seed the plan with the forward capacity (the
-             only profile export conservative ever pays, once per run). *)
-          let p = Timeline.of_profile (Timeline.to_profile ~from:time free) in
+          (* First decision: seed the plan with the forward capacity, copied
+             block by block. *)
+          let p = Timeline.copy ~from:time free in
           plan := Some p;
           p
       in

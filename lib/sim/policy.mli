@@ -1,13 +1,15 @@
 (** Pluggable online scheduling policies for the simulator.
 
-    A policy is consulted at every simulation event. It sees the current
-    time, the submission-ordered queue of waiting jobs, and the simulator's
-    live capacity {!Resa_core.Timeline.t} (machine availability minus
-    reservations minus windows of running jobs). It answers with the queued
-    jobs to start right now — each must fit its whole window at the current
-    time — and an optional extra wake-up instant (needed by planning
-    policies whose next action time is not a simulator event), [-1] when
-    it wants none.
+    A policy is consulted at every decision instant where a job is queued.
+    The simulator answers the instants with an empty queue itself: nothing
+    can start then, and a policy must not need a wake-up while its queue is
+    empty. It sees the current time, the submission-ordered queue of
+    waiting jobs, and the simulator's live capacity
+    {!Resa_core.Timeline.t} (machine availability minus reservations minus
+    windows of running jobs). It answers with the queued jobs to start
+    right now — each must fit its whole window at the current time — and an
+    optional extra wake-up instant (needed by planning policies whose next
+    action time is not a simulator event), [-1] when it wants none.
 
     Access is speculative: the simulator opens a timeline checkpoint around
     every [decide] call, so a decision may reserve trial windows

@@ -425,146 +425,162 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
       if t - Timeline.origin free > auto_gc_span || Timeline.node_count free > !gc_nodes then
         rebase t;
       last_t := t;
-      let t_decide = if Metrics.enabled () then Prof.now_ns () else 0 in
-      decision_no := !decision_no + 1;
-      let spec = Timeline.checkpoint free in
-      let action =
-        match decide ~time:t ~queue ~free with
-        | a -> a
-        | exception exn ->
-          abandon spec;
-          raise
-            (Policy_error
-               (Printf.sprintf "%s raised %s at t=%d" policy.Policy.name
-                  (Printexc.to_string exn) t))
-      in
-      (* The action is only valid until the policy's next call: read it now. *)
-      let start_now = action.Policy.start_now and wake = action.Policy.wake in
-      nstart := 0;
-      let exact = validate t spec true start_now in
-      (* Fast path: the decision's trial reservations *are* the
-         authoritative ones — keep them. Slow path: retract everything the
-         policy touched and re-apply per start below. *)
-      let fast = exact && Timeline.spec_ops free spec = !nstart in
-      if fast then begin
-        Timeline.commit free spec;
-        Metrics.incr m_commits
-      end
-      else begin
-        Timeline.rollback free spec;
-        Metrics.incr m_rollbacks
-      end;
-      Metrics.incr m_decisions;
-      Metrics.incr m_checkpoints;
-      if Metrics.enabled () then begin
-        Metrics.observe m_decide_ns (Prof.now_ns () - t_decide);
-        Metrics.set m_queue_depth (Jobq.length queue)
-      end;
-      (* Start provenance: a job that overtakes an earlier-queued job that
-         stays waiting was backfilled; classification happens against the
-         pre-start queue order, before the queue compacts. *)
-      if tracing then begin
-        Trace.emit obs
-          (Trace.Decision
-             {
-               time = t;
-               policy = policy.Policy.name;
-               queued = Jobq.length queue;
-               started = !nstart;
-               wake = (if wake < 0 then None else Some wake);
-             });
-        if !nstart > 0 then begin
-          let nq = Jobq.length queue in
-          let first_wait = ref (-1) in
-          for i = 0 to nq - 1 do
-            let slot = Jobq.tag queue i in
-            if (!sstamp).(slot) = !decision_no then (!spos).(slot) <- i
-            else if !first_wait < 0 then first_wait := i
-          done;
-          for k = 0 to !nstart - 1 do
-            let slot = (!start_slots).(k) in
-            let pos = (!spos).(slot) in
-            let provenance =
-              if !first_wait >= 0 && pos > !first_wait then Trace.Backfilled_ahead_of_head
-              else Trace.Started_now
-            in
-            Trace.emit obs
-              (Trace.Job_start
-                 {
-                   time = t;
-                   job = (!sid).(slot);
-                   wait = t - (!ssubmit).(slot);
-                   provenance;
-                 })
-          done
-        end
-      end;
-      apply t fast 0 start_now;
-      (* Why is the head (the first job left waiting) not running? Checked
-         after the starts, against the capacity it actually faces. *)
-      if tracing then begin
-        let nq = Jobq.length queue in
-        let rec first_waiting i =
-          if i >= nq then -1
-          else if (!sstamp).(Jobq.tag queue i) = !decision_no then first_waiting (i + 1)
-          else i
-        in
-        let w = first_waiting 0 in
-        if w >= 0 then begin
-          let jh = Jobq.get queue w in
-          let slot = Jobq.tag queue w in
-          let est = (!sest).(slot) in
-          let need = Job.q jh in
-          let have = Timeline.min_on free ~lo:t ~hi:(t + est) in
-          let reason =
-            if have >= need then Trace.Held_by_policy
-            else begin
-              (* Would the job fit with the reservation-blocked windows
-                 given back? The blocked profile is piecewise constant, so
-                 walk its segments and add each constant to the live
-                 timeline's minimum on that span — no profile export. *)
-              let rb = Lazy.force resv_blocked in
-              let hi = t + est in
-              let rec scan lo acc =
-                if lo >= hi then acc
-                else begin
-                  let seg_hi =
-                    match Profile.next_breakpoint_after rb lo with
-                    | Some b when b < hi -> b
-                    | _ -> hi
-                  in
-                  let v = Timeline.min_on free ~lo ~hi:seg_hi + Profile.value_at rb lo in
-                  scan seg_hi (min acc v)
-                end
-              in
-              if scan t max_int >= need then Trace.Blocked_by_reservation
-              else Trace.Blocked_by_capacity
-            end
-          in
+      (* A decision with nothing queued can start nothing, and no policy
+         asks for a wake-up then: the engine answers it without consulting
+         the policy — no checkpoint, no decide, no validation, no commit.
+         Its trace line is the one a consultation would have written. *)
+      if Jobq.length queue = 0 then begin
+        Metrics.set m_queue_depth 0;
+        if tracing then
           Trace.emit obs
-            (Trace.Head_blocked
-               {
-                 time = t;
-                 policy = policy.Policy.name;
-                 job = (!sid).(slot);
-                 reason;
-                 lo = t;
-                 hi = t + est;
-                 need;
-                 have;
-               })
-        end
-      end;
-      if !nstart > 0 then Jobq.filter queue keep_queued;
-      (* A wake already queued for the same instant (still ahead of [t],
-         since it has not popped) would only pop as a no-op. *)
-      if wake > t && wake <> !last_wake then begin
-        Eventq.push events ~time:wake wake_payload;
-        last_wake := wake
-      end;
+            (Trace.Decision
+               { time = t; policy = policy.Policy.name; queued = 0; started = 0; wake = None })
+      end
+      else consult t;
       if heartbeat_due t then emit_heartbeat t;
       loop ()
     end
+  (* Consult the policy at [t], with at least one job queued: decide under
+     a checkpoint, validate and apply its starts, trace the decision and
+     push its wake-up. *)
+  and consult t =
+    let t_decide = if Metrics.enabled () then Prof.now_ns () else 0 in
+    decision_no := !decision_no + 1;
+    let spec = Timeline.checkpoint free in
+    let action =
+      match decide ~time:t ~queue ~free with
+      | a -> a
+      | exception exn ->
+        abandon spec;
+        raise
+          (Policy_error
+             (Printf.sprintf "%s raised %s at t=%d" policy.Policy.name
+                (Printexc.to_string exn) t))
+    in
+    (* The action is only valid until the policy's next call: read it now. *)
+    let start_now = action.Policy.start_now and wake = action.Policy.wake in
+    nstart := 0;
+    let exact = validate t spec true start_now in
+    (* Fast path: the decision's trial reservations *are* the
+       authoritative ones — keep them. Slow path: retract everything the
+       policy touched and re-apply per start below. *)
+    let fast = exact && Timeline.spec_ops free spec = !nstart in
+    if fast then begin
+      Timeline.commit free spec;
+      Metrics.incr m_commits
+    end
+    else begin
+      Timeline.rollback free spec;
+      Metrics.incr m_rollbacks
+    end;
+    Metrics.incr m_decisions;
+    Metrics.incr m_checkpoints;
+    if Metrics.enabled () then begin
+      Metrics.observe m_decide_ns (Prof.now_ns () - t_decide);
+      Metrics.set m_queue_depth (Jobq.length queue)
+    end;
+    (* Start provenance: a job that overtakes an earlier-queued job that
+       stays waiting was backfilled; classification happens against the
+       pre-start queue order, before the queue compacts. *)
+    if tracing then begin
+      Trace.emit obs
+        (Trace.Decision
+           {
+             time = t;
+             policy = policy.Policy.name;
+             queued = Jobq.length queue;
+             started = !nstart;
+             wake = (if wake < 0 then None else Some wake);
+           });
+      if !nstart > 0 then begin
+        let nq = Jobq.length queue in
+        let first_wait = ref (-1) in
+        for i = 0 to nq - 1 do
+          let slot = Jobq.tag queue i in
+          if (!sstamp).(slot) = !decision_no then (!spos).(slot) <- i
+          else if !first_wait < 0 then first_wait := i
+        done;
+        for k = 0 to !nstart - 1 do
+          let slot = (!start_slots).(k) in
+          let pos = (!spos).(slot) in
+          let provenance =
+            if !first_wait >= 0 && pos > !first_wait then Trace.Backfilled_ahead_of_head
+            else Trace.Started_now
+          in
+          Trace.emit obs
+            (Trace.Job_start
+               {
+                 time = t;
+                 job = (!sid).(slot);
+                 wait = t - (!ssubmit).(slot);
+                 provenance;
+               })
+        done
+      end
+    end;
+    apply t fast 0 start_now;
+    (* Why is the head (the first job left waiting) not running? Checked
+       after the starts, against the capacity it actually faces. *)
+    if tracing then begin
+      let nq = Jobq.length queue in
+      let rec first_waiting i =
+        if i >= nq then -1
+        else if (!sstamp).(Jobq.tag queue i) = !decision_no then first_waiting (i + 1)
+        else i
+      in
+      let w = first_waiting 0 in
+      if w >= 0 then begin
+        let jh = Jobq.get queue w in
+        let slot = Jobq.tag queue w in
+        let est = (!sest).(slot) in
+        let need = Job.q jh in
+        let have = Timeline.min_on free ~lo:t ~hi:(t + est) in
+        let reason =
+          if have >= need then Trace.Held_by_policy
+          else begin
+            (* Would the job fit with the reservation-blocked windows
+               given back? The blocked profile is piecewise constant, so
+               walk its segments and add each constant to the live
+               timeline's minimum on that span — no profile export. *)
+            let rb = Lazy.force resv_blocked in
+            let hi = t + est in
+            let rec scan lo acc =
+              if lo >= hi then acc
+              else begin
+                let seg_hi =
+                  match Profile.next_breakpoint_after rb lo with
+                  | Some b when b < hi -> b
+                  | _ -> hi
+                in
+                let v = Timeline.min_on free ~lo ~hi:seg_hi + Profile.value_at rb lo in
+                scan seg_hi (min acc v)
+              end
+            in
+            if scan t max_int >= need then Trace.Blocked_by_reservation
+            else Trace.Blocked_by_capacity
+          end
+        in
+        Trace.emit obs
+          (Trace.Head_blocked
+             {
+               time = t;
+               policy = policy.Policy.name;
+               job = (!sid).(slot);
+               reason;
+               lo = t;
+               hi = t + est;
+               need;
+               have;
+             })
+      end
+    end;
+    if !nstart > 0 then Jobq.filter queue keep_queued;
+    (* A wake already queued for the same instant (still ahead of [t],
+       since it has not popped) would only pop as a no-op. *)
+    if wake > t && wake <> !last_wake then begin
+      Eventq.push events ~time:wake wake_payload;
+      last_wake := wake
+    end;
   in
   Prof.with_span ~cat:"sim" ("simulate/" ^ policy.Policy.name) loop;
   (* One closing snapshot so the stream always ends on the final state,

@@ -32,7 +32,10 @@
     {!run_stream} and {!run} take an optional tracer [?obs] (default
     {!Resa_obs.Trace.null}). With a live sink the simulator emits, in
     deterministic order: [Job_submit] / [Job_finish] while draining events,
-    one [Decision] per decision instant, one [Job_start] per started job
+    one [Decision] per decision instant (an instant with an empty queue
+    writes [queued = 0; started = 0; wake = None] without consulting the
+    policy, so the registry's [sim.decisions] counts consultations only,
+    fewer than the [Decision] events), one [Job_start] per started job
     carrying its wait time and provenance ([Started_now] when it started in
     queue-prefix order, [Backfilled_ahead_of_head] when it overtook an
     earlier-queued job left waiting), one [Head_blocked] for the first job

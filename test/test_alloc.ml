@@ -118,13 +118,15 @@ let test_startup_budget (policy : Policy.t) () =
    workload: the first instance of the exact solver's reserved family
    (6 jobs on 64 processors, 100 reservations over 4000 time units),
    every job submitted at 0, through the engine, the streaming metrics and
-   the closing heartbeat. Turning the reservations into availability is
-   most of the cost: a reservation-edge sweep written straight into the
-   timeline keeps it near 3,400 words, where building profiles for the
-   instance, the timeline and the utilization took ~21,800. *)
-let reserved_startup_budget = 8000.
+   the closing heartbeat, for each policy. A reservation-edge sweep
+   written straight into the timeline keeps FCFS, EASY and LSRC near 2,500
+   words, and CONS near 3,150 with its plan copied block by block.
+   Building profiles for the instance, the timeline and the utilization
+   took ~21,800; seeding CONS's plan through a profile round trip took
+   ~7,500. *)
+let reserved_startup_budget = 4000.
 
-let reserved_startup_words () =
+let reserved_startup_words policy =
   let inst =
     Resa_gen.Random_inst.alpha_restricted (Prng.create ~seed:1) ~m:64 ~n:6 ~alpha:0.6 ~pmax:200
       ~n_reservations:100 ~horizon:4000 ()
@@ -147,18 +149,21 @@ let reserved_startup_words () =
             in
             let on_heartbeat hb = ignore (Heartbeat.make ~stream:ms hb : Heartbeat.row) in
             ignore
-              (Simulator.run_stream ~on_heartbeat ~on_record:(Metrics.Stream.observe ms)
-                 ~policy:Policy.fcfs ~m:64 ~reservations next
+              (Simulator.run_stream ~on_heartbeat ~on_record:(Metrics.Stream.observe ms) ~policy
+                 ~m:64 ~reservations next
                 : Simulator.stream_stats))
       in
       let s1 = Gc.quick_stat () in
       minor +. direct_major s1 -. direct_major s0)
 
 let test_reserved_startup_budget () =
-  let w = reserved_startup_words () in
-  if w > reserved_startup_budget then
-    Alcotest.failf "a reserved 6-job run allocates %.0f words, budget %.0f" w
-      reserved_startup_budget
+  List.iter
+    (fun (policy : Policy.t) ->
+      let w = reserved_startup_words policy in
+      if w > reserved_startup_budget then
+        Alcotest.failf "%s: a reserved 6-job run allocates %.0f words, budget %.0f" policy.name
+          w reserved_startup_budget)
+    Policy.all
 
 let suite =
   List.map

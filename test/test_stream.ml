@@ -258,6 +258,79 @@ let test_stream_validates_arrivals () =
     (Invalid_argument "Simulator.run_stream: job wider than the machine") (fun () ->
       run Simulator.{ job = wide; submit = 0; estimate = 5 })
 
+(* --- reserved replays: pinned trace digests ------------------------------ *)
+
+(* One reserved instance (32 processors, 40 jobs, reservations over 3000
+   time units) fed over time: bursts of arrivals separated by long gaps,
+   so the queue empties between bursts and for the whole reserved tail
+   after the last job. Walltimes overestimate, so completions release
+   capacity early. The run is traced and sampled (every 150 time units,
+   plus the closing snapshot); the digest covers the JSONL events and the
+   heartbeat rows, in that order. *)
+let reserved_replay_digest (policy : Policy.t) =
+  let inst =
+    Resa_gen.Random_inst.alpha_restricted (Prng.create ~seed:19) ~m:32 ~n:40 ~alpha:0.5
+      ~pmax:40 ~n_reservations:30 ~horizon:3000 ()
+  in
+  let jobs = Instance.jobs inst and reservations = Array.to_list (Instance.reservations inst) in
+  let rng = Prng.create ~seed:23 in
+  let submit = ref 0 in
+  let arrivals =
+    Array.map
+      (fun job ->
+        submit :=
+          !submit
+          + (if Prng.int rng ~bound:6 = 0 then Prng.int_incl rng ~lo:150 ~hi:300
+             else Prng.int rng ~bound:12);
+        Simulator.
+          { job; submit = !submit; estimate = Job.p job + Prng.int rng ~bound:(Job.p job + 1) })
+      jobs
+  in
+  let i = ref 0 in
+  let next () =
+    if !i >= Array.length arrivals then None
+    else begin
+      incr i;
+      Some arrivals.(!i - 1)
+    end
+  in
+  let obs = Resa_obs.Trace.buffer () in
+  let ms = Metrics.Stream.create ~m:32 ~reservations () in
+  let rows = ref [] in
+  let on_heartbeat hb = rows := Heartbeat.make ~stream:ms hb :: !rows in
+  ignore
+    (Simulator.run_stream ~obs ~heartbeat_dt:150 ~on_heartbeat
+       ~on_record:(Metrics.Stream.observe ms) ~policy ~m:32 ~reservations next
+      : Simulator.stream_stats);
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun e -> Buffer.add_string buf (Resa_obs.Trace.to_json e ^ "\n"))
+    (Resa_obs.Trace.contents obs);
+  List.iter
+    (fun r -> Buffer.add_string buf (Resa_obs.Jsonu.to_string (Heartbeat.to_json r) ^ "\n"))
+    (List.rev !rows);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Recorded when every decision instant still consulted the policy, queue
+   empty or not: skipping the empty-queue consultations must leave these
+   runs byte-identical. *)
+let pinned_reserved_digests =
+  [
+    ("FCFS", "7d2a616bb868bb3480734d37363a0fd8");
+    ("EASY", "6be0606644a672fd3275bd3c46e5f4eb");
+    ("CONS", "deff1fd0179329cc23077112c81563df");
+    ("LSRC", "2361b868629a48a90f774301c6a3c6ae");
+  ]
+
+let test_reserved_digests () =
+  List.iter
+    (fun (policy : Policy.t) ->
+      Alcotest.(check string)
+        (policy.name ^ " traced reserved replay")
+        (List.assoc policy.name pinned_reserved_digests)
+        (reserved_replay_digest policy))
+    policies
+
 (* --- metrics: Stream vs summarize --------------------------------------- *)
 
 let bits = Int64.bits_of_float
@@ -343,6 +416,8 @@ let suite =
     Alcotest.test_case "synthetic stream shape and determinism" `Quick test_synthetic_shape;
     Alcotest.test_case "bad arrivals rejected" `Quick test_stream_validates_arrivals;
     Alcotest.test_case "empty stream metrics are degenerate" `Quick test_stream_metrics_empty;
+    Alcotest.test_case "traced reserved replays match pinned digests" `Quick
+      test_reserved_digests;
     prop_metrics_bitwise;
     prop_jobq_model;
   ]

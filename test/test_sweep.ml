@@ -92,10 +92,12 @@ let prop_profiles seed =
     then QCheck.Test.fail_report "Instance.unavailability differs");
   true
 
-(* A policy that starts nothing and records, at each decision, the
-   instant and the engine's own timeline (checked, exported). *)
-let probe () =
-  let seen = ref [] in
+(* A policy holding [job]: it starts it at instant [start_at] and nothing
+   before, and records each decision's instant and the engine's own
+   timeline (checked, exported). Calls with an empty queue are counted:
+   the engine must answer those instants itself. *)
+let probe ~job ~start_at =
+  let seen = ref [] and empty_calls = ref 0 in
   let policy =
     Policy.
       {
@@ -103,23 +105,58 @@ let probe () =
         create =
           (fun ~obs:_ ->
             let action = { start_now = []; wake = -1 } in
-            fun ~time ~queue:_ ~free ->
+            fun ~time ~queue ~free ->
+              if Jobq.length queue = 0 then incr empty_calls;
               Timeline.check free;
               seen := (time, Timeline.to_profile free) :: !seen;
+              action.start_now <- (if time = start_at then [ job ] else []);
               action);
       }
   in
-  (policy, seen)
+  (policy, seen, empty_calls)
 
-(* With no jobs, the engine decides exactly at the availability
-   breakpoints, against a timeline equal to the oracle's profile. *)
+(* The engine decides exactly at the availability breakpoints. With no
+   jobs every decision instant has an empty queue: a traced run writes one
+   [Decision] per breakpoint, and the policy is never consulted. With one
+   1-wide, 1-long job submitted at 0 and held until the last breakpoint,
+   the policy is consulted at every breakpoint, against a timeline equal
+   to the oracle's profile, and never with an empty queue. *)
 let prop_engine seed =
   let m, reservations = resv_case ~fit:true seed in
   let avail = oracle_avail ~m reservations in
-  let policy, seen = probe () in
-  ignore (Simulator.run_stream ~policy ~m ~reservations (fun () -> None) : Simulator.stream_stats);
+  let bps = Profile.breakpoints avail in
+  let last = bps.(Array.length bps - 1) in
+  let job = Job.make ~id:0 ~p:1 ~q:1 in
+  let policy, seen, empty_calls = probe ~job ~start_at:last in
+  let obs = Resa_obs.Trace.buffer () in
+  ignore
+    (Simulator.run_stream ~obs ~policy ~m ~reservations (fun () -> None)
+      : Simulator.stream_stats);
+  if !seen <> [] then QCheck.Test.fail_report "a policy was consulted with no job";
+  let decisions =
+    List.map
+      (function
+        | Resa_obs.Trace.Decision { time; policy = "probe"; queued = 0; started = 0; wake = None } ->
+          time
+        | e -> QCheck.Test.fail_reportf "unexpected event %s" (Resa_obs.Trace.to_json e))
+      (Resa_obs.Trace.contents obs)
+  in
+  if Array.of_list decisions <> bps then
+    QCheck.Test.fail_report "traced decision instants differ from the breakpoints";
+  let fed = ref false in
+  let stats =
+    Simulator.run_stream ~policy ~m ~reservations (fun () ->
+        if !fed then None
+        else begin
+          fed := true;
+          Some Simulator.{ job; submit = 0; estimate = 1 }
+        end)
+  in
+  if !empty_calls > 0 then QCheck.Test.fail_report "the policy was consulted with an empty queue";
+  if stats.makespan <> last + 1 then
+    QCheck.Test.fail_reportf "the held job finished at %d, not %d" stats.makespan (last + 1);
   let seen = List.rev !seen in
-  if Array.of_list (List.map fst seen) <> Profile.breakpoints avail then
+  if Array.of_list (List.map fst seen) <> bps then
     QCheck.Test.fail_reportf "decision instants differ from the breakpoints";
   List.iter
     (fun (t, p) ->

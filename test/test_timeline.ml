@@ -390,6 +390,82 @@ let gc_is_collapse seed =
   done;
   !ok
 
+(* --- block copy ------------------------------------------------------------ *)
+
+(* Randomized: rounds of changes (some under checkpoints that are then
+   committed or rolled back) and gc at random instants, on windows wide
+   enough that the timeline spans 8+ blocks. After each round, [copy ~from]
+   for [from] below, at and above the origin must hold the segments of the
+   profile round trip it replaces and pass [check]; then mutating the copy
+   must leave the source as it was and the reverse, the source's change
+   made under a checkpoint that is open while the copy is taken, as the
+   engine's decision checkpoint is when CONS seeds its plan. *)
+let copy_is_round_trip seed =
+  let rng = Prng.create ~seed in
+  let scale = 200 in
+  let tl = Timeline.of_profile (Tutil.profile_of_seed seed) in
+  let org = ref 0 and peak = ref 0 and ok = ref true in
+  let check name b =
+    if not b then begin
+      Printf.eprintf "copy: %s (seed %d)\n" name seed;
+      ok := false
+    end
+  in
+  let segs t = Profile.to_steps (Timeline.to_profile t) in
+  let window () =
+    let lo = !org + Prng.int rng ~bound:(60 * scale) in
+    (lo, lo + Prng.int_incl rng ~lo:1 ~hi:(25 * scale))
+  in
+  let mutate () =
+    let lo, hi = window () in
+    Timeline.change tl ~lo ~hi ~delta:(Prng.int_incl rng ~lo:(-5) ~hi:5);
+    peak := max !peak (Timeline.node_count tl)
+  in
+  let try_copy from =
+    let spec = Timeline.checkpoint tl in
+    let c = Timeline.copy ~from tl in
+    let r = Timeline.of_profile (Timeline.to_profile ~from tl) in
+    check "segments" (segs c = segs r && Timeline.node_count c = Timeline.node_count r);
+    check "origin and checkpoints"
+      (Timeline.origin c = 0 && Timeline.open_checkpoints c = 0);
+    check "valid" (valid c);
+    let source = segs tl in
+    let lo, hi = window () in
+    Timeline.change c ~lo ~hi ~delta:(1 + Prng.int rng ~bound:4);
+    check "copy valid after a change" (valid c);
+    check "mutating the copy leaves the source" (segs tl = source);
+    let copied = segs c in
+    let lo, hi = window () in
+    Timeline.change tl ~lo ~hi ~delta:(-1 - Prng.int rng ~bound:4);
+    Timeline.rollback tl spec;
+    check "mutating the source leaves the copy" (segs c = copied);
+    check "source rolled back" (segs tl = source)
+  in
+  for _ = 1 to 15 do
+    for _ = 1 to 20 do
+      match Prng.int rng ~bound:8 with
+      | 0 ->
+        let m = Timeline.checkpoint tl in
+        mutate ();
+        mutate ();
+        Timeline.rollback tl m
+      | 1 ->
+        let m = Timeline.checkpoint tl in
+        mutate ();
+        Timeline.commit tl m
+      | 2 when Prng.int rng ~bound:4 = 0 ->
+        org := !org + Prng.int rng ~bound:(3 * scale);
+        Timeline.gc tl ~upto:!org
+      | _ -> mutate ()
+    done;
+    if !org > 0 then try_copy (Prng.int rng ~bound:!org);
+    try_copy !org;
+    try_copy (!org + Prng.int_incl rng ~lo:1 ~hi:(80 * scale))
+  done;
+  (* At least 8 blocks of 16 segments at some point. *)
+  check "8 blocks" (!peak >= 128);
+  !ok
+
 let starts inst sched = List.init (Instance.n_jobs inst) (Schedule.start sched)
 
 let same_schedule name fast reference seed =
@@ -422,6 +498,8 @@ let suite =
       Tutil.seed_arb (ops_agree_with ~scale:200 ~ops:500);
     Tutil.qcheck ~count:25 "multi-block speculation rolls back, with gc"
       Tutil.seed_arb (speculation_identity_with ~scale:200 ~rounds:30);
+    Tutil.qcheck ~count:15 "copy ~from = of_profile (to_profile ~from), independent"
+      Tutil.seed_arb copy_is_round_trip;
     Tutil.qcheck ~count:300 "LSRC = Profile-backed LSRC" Tutil.seed_arb
       (same_schedule "lsrc" Resa_algos.Lsrc.run_order Resa_algos.Lsrc.run_order_reference);
     Tutil.qcheck ~count:300 "FCFS = Profile-backed FCFS" Tutil.seed_arb
