@@ -1,6 +1,6 @@
 (* Exact-solver benchmark: the speculative timeline-native Bnb.solve against
-   the frozen persistent-profile Bnb.solve_reference, on the FIG2 staircase
-   family and on random reserved instances.
+   the frozen persistent-profile Resa_oracles.Bnb.solve_reference, on the
+   FIG2 staircase family and on random reserved instances.
 
    Each family is a batch of instances (consecutive seeds) solved to
    optimality; batches keep single-instance search-tree noise out of the
@@ -102,7 +102,7 @@ let run () =
             (r.Resa_exact.Bnb.makespan :: cmaxes, nodes + r.Resa_exact.Bnb.nodes))
           ([], 0) insts
       in
-      let (ref_cmaxes, ref_nodes), ref_s = time (fun () -> solve_all Resa_exact.Bnb.solve_reference) in
+      let (ref_cmaxes, ref_nodes), ref_s = time (fun () -> solve_all Resa_oracles.Bnb.solve_reference) in
       let (new_cmaxes, new_nodes), seq_s =
         time (fun () -> Resa_par.with_domains 1 (fun () -> solve_all Resa_exact.Bnb.solve))
       in

@@ -83,10 +83,91 @@ let size_of_name name =
     | Some n -> n
     | None -> 0)
 
+(* --- engine at 0 vs offline ---------------------------------------------- *)
+
+let engine_seed = 7
+
+(* An offline list scheduler may be replaced by its online policy run with
+   every job submitted at 0 ([Simulator.run_order], as [Backfill.easy_order]
+   is) once the engine is within 1.5x of it. These rows measure that ratio
+   on small alpha-restricted instances (m=16, alpha=0.5, pmax=20, n/4
+   reservations, seed 7), where the engine's per-run set-up weighs most.
+   Each cell is the median per-run time of 7 batches, the engine and the
+   offline batches alternating; a batch repeats the run until it lasts at
+   least 2 ms. The two must agree on every start, or the bench fails. *)
+let engine_vs_offline () =
+  Printf.printf
+    "\n=== PERF: engine at 0 vs offline (m=16, alpha=0.5, pmax=20, n/4 reservations) ===\n";
+  let batch f k =
+    let t0 = Resa_obs.Prof.now_ns () in
+    for _ = 1 to k do
+      ignore (f () : Schedule.t)
+    done;
+    Resa_obs.Prof.now_ns () - t0
+  in
+  let rec calibrate f k = if k >= 1 lsl 20 || batch f k >= 2_000_000 then k else calibrate f (2 * k) in
+  let median a =
+    Array.sort Float.compare a;
+    a.(Array.length a / 2)
+  in
+  let algos =
+    [
+      ("lsrc", Resa_sim.Policy.aggressive, Resa_algos.Lsrc.run_order);
+      ("fcfs", Resa_sim.Policy.fcfs, Resa_algos.Fcfs.run_order);
+      ("conservative", Resa_sim.Policy.conservative, Resa_algos.Backfill.conservative_order);
+    ]
+  in
+  let t =
+    Resa_stats.Table.create ~headers:[ "algorithm"; "n"; "engine"; "offline"; "engine/offline" ]
+  in
+  let records = ref [] in
+  List.iter
+    (fun n ->
+      let inst =
+        Random_inst.alpha_restricted (Prng.create ~seed:engine_seed) ~m:16 ~n ~alpha:0.5
+          ~pmax:20 ()
+      in
+      let order = Resa_algos.Priority.order Resa_algos.Priority.Fifo inst in
+      List.iter
+        (fun (name, policy, offline) ->
+          let engine () = Resa_sim.Simulator.run_order ~policy inst order in
+          let offline () = offline inst order in
+          if Schedule.starts (engine ()) <> Schedule.starts (offline ()) then
+            failwith (Printf.sprintf "engine-vs-offline: %s differs from its policy at n=%d" name n);
+          let ke = calibrate engine 1 and ko = calibrate offline 1 in
+          let es = Array.make 7 0. and os = Array.make 7 0. in
+          for b = 0 to 6 do
+            es.(b) <- float_of_int (batch engine ke) /. float_of_int ke /. 1e9;
+            os.(b) <- float_of_int (batch offline ko) /. float_of_int ko /. 1e9
+          done;
+          let engine_s = median es and offline_s = median os in
+          let us s = Printf.sprintf "%.1f us" (s *. 1e6) in
+          Resa_stats.Table.add_row t
+            [
+              name; string_of_int n; us engine_s; us offline_s;
+              Printf.sprintf "%.2fx" (engine_s /. offline_s);
+            ];
+          records :=
+            Bench_json.
+              {
+                experiment = "scaling";
+                n;
+                algo = "engine@0:" ^ name;
+                wall_s = engine_s;
+                speedup = Some (offline_s /. Float.max engine_s 1e-12);
+                domains = Resa_par.domain_count ();
+                seed = engine_seed;
+              }
+            :: !records)
+        algos)
+    [ 5; 50; 1000 ];
+  print_string (Resa_stats.Table.render t);
+  List.rev !records
+
 (* --- timeline vs profile scaling series --------------------------------- *)
 
-(* Whole-schedule wall clock at n in {1k, 5k, 20k}: the segment-tree
-   timeline path against the retained Profile-backed reference. The
+(* Whole-schedule wall clock at n in {1k, 5k, 20k}: the blocked timeline
+   (sorted breakpoint blocks) against the Profile-backed oracle. The
    quadratic reference is capped per algorithm so the series itself stays
    tractable; above the cap only the timeline column is measured. LSRC is
    left uncapped — its 20k row is the headline before/after number.
@@ -107,13 +188,13 @@ let scaling () =
   in
   let algos =
     [
-      ("lsrc", Resa_algos.Lsrc.run_order, Resa_algos.Lsrc.run_order_reference, max_int);
-      ("fcfs", Resa_algos.Fcfs.run_order, Resa_algos.Fcfs.run_order_reference, 5_000);
+      ("lsrc", Resa_algos.Lsrc.run_order, Resa_oracles.Lsrc.run_order_reference, max_int);
+      ("fcfs", Resa_algos.Fcfs.run_order, Resa_oracles.Fcfs.run_order_reference, 5_000);
       ( "conservative",
         Resa_algos.Backfill.conservative_order,
-        Resa_algos.Backfill.conservative_order_reference,
+        Resa_oracles.Backfill.conservative_order_reference,
         5_000 );
-      ("easy", Resa_algos.Backfill.easy_order, Resa_algos.Backfill.easy_order_reference, 1_000);
+      ("easy", Resa_algos.Backfill.easy_order, Resa_oracles.Backfill.easy_order_reference, 1_000);
     ]
   in
   let sizes = if !small then [| 1_000 |] else [| 1_000; 5_000; 20_000 |] in
@@ -164,8 +245,9 @@ let scaling () =
             [ name; string_of_int n; pretty fast_s; ref_cell; speedup_cell ])
         algos)
     prepared;
-  let measure_s = float_of_int (Resa_obs.Prof.now_ns () - t_meas0) /. 1e9 in
   print_string (Resa_stats.Table.render t);
+  let engine_rows = engine_vs_offline () in
+  let measure_s = float_of_int (Resa_obs.Prof.now_ns () - t_meas0) /. 1e9 in
   (* Per-phase wall-time rows ride along in the same trajectory file; the
      "phase:" prefix keeps them apart from per-algorithm measurements. *)
   let phase name wall_s =
@@ -181,7 +263,7 @@ let scaling () =
       }
   in
   Bench_json.write "scaling"
-    (List.rev !records @ [ phase "prepare" prepare_s; phase "measure" measure_s ])
+    (List.rev !records @ engine_rows @ [ phase "prepare" prepare_s; phase "measure" measure_s ])
 
 (* --- simulator scaling series ------------------------------------------- *)
 
@@ -223,13 +305,13 @@ let sim_scaling () =
   in
   let policies =
     [
-      ("fcfs", Resa_sim.Policy.fcfs, Resa_sim.Policy.fcfs_reference, 10_000);
+      ("fcfs", Resa_sim.Policy.fcfs, Resa_oracles.Policy.fcfs_reference, 10_000);
       ( "conservative",
         Resa_sim.Policy.conservative,
-        Resa_sim.Policy.conservative_reference,
+        Resa_oracles.Policy.conservative_reference,
         10_000 );
-      ("easy", Resa_sim.Policy.easy, Resa_sim.Policy.easy_reference, 50_000);
-      ("lsrc", Resa_sim.Policy.aggressive, Resa_sim.Policy.aggressive_reference, 10_000);
+      ("easy", Resa_sim.Policy.easy, Resa_oracles.Policy.easy_reference, 50_000);
+      ("lsrc", Resa_sim.Policy.aggressive, Resa_oracles.Policy.aggressive_reference, 10_000);
     ]
   in
   let sizes = if !small then [| 2_000 |] else [| 10_000; 50_000; 200_000 |] in

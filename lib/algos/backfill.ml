@@ -1,24 +1,8 @@
 open Resa_core
 
-let conservative_order_reference inst order =
-  let n = Instance.n_jobs inst in
-  if Array.length order <> n then invalid_arg "Backfill.conservative_order: order length mismatch";
-  let starts = Array.make n (-1) in
-  let free = ref (Instance.availability inst) in
-  Array.iter
-    (fun i ->
-      let j = Instance.job inst i in
-      match Profile.earliest_fit !free ~from:0 ~dur:(Job.p j) ~need:(Job.q j) with
-      | None -> assert false
-      | Some s ->
-        starts.(i) <- s;
-        free := Profile.reserve !free ~start:s ~dur:(Job.p j) ~need:(Job.q j))
-    order;
-  Schedule.make starts
-
 let conservative_order inst order =
+  Priority.check_order "Backfill.conservative_order" inst order;
   let n = Instance.n_jobs inst in
-  if Array.length order <> n then invalid_arg "Backfill.conservative_order: order length mismatch";
   let starts = Array.make n (-1) in
   let free = Timeline.of_profile (Instance.availability inst) in
   Array.iter
@@ -35,114 +19,9 @@ let conservative_order inst order =
 let conservative ?(priority = Priority.Fifo) inst =
   conservative_order inst (Priority.order priority inst)
 
-let easy_order_reference inst order =
-  let n = Instance.n_jobs inst in
-  if Array.length order <> n then invalid_arg "Backfill.easy_order: order length mismatch";
-  let starts = Array.make n (-1) in
-  let free = ref (Instance.availability inst) in
-  let fits t i =
-    let j = Instance.job inst i in
-    Profile.min_on !free ~lo:t ~hi:(t + Job.p j) >= Job.q j
-  in
-  let start_job t i =
-    let j = Instance.job inst i in
-    starts.(i) <- t;
-    free := Profile.reserve !free ~start:t ~dur:(Job.p j) ~need:(Job.q j)
-  in
-  let earliest i ~from =
-    let j = Instance.job inst i in
-    Option.get (Profile.earliest_fit !free ~from ~dur:(Job.p j) ~need:(Job.q j))
-  in
-  (* Pop the longest startable prefix, then backfill behind the head without
-     pushing the head's guaranteed start. *)
-  let rec step t = function
-    | [] -> ()
-    | head :: rest when fits t head ->
-      start_job t head;
-      step t rest
-    | head :: rest ->
-      let guaranteed = earliest head ~from:t in
-      (* Backfill candidates in queue order; keep the ones that must wait. *)
-      let rec backfill = function
-        | [] -> []
-        | i :: tl ->
-          if not (fits t i) then i :: backfill tl
-          else begin
-            (* Tentatively start i; undo if it pushes the head. *)
-            let saved = !free in
-            start_job t i;
-            if earliest head ~from:t > guaranteed then begin
-              free := saved;
-              starts.(i) <- -1;
-              i :: backfill tl
-            end
-            else backfill tl
-          end
-      in
-      let rest = backfill rest in
-      (match Profile.next_breakpoint_after !free t with
-      | Some t' -> step t' (head :: rest)
-      | None -> assert false)
-  in
-  step 0 (Array.to_list order);
-  Schedule.make starts
-
 let easy_order inst order =
-  let n = Instance.n_jobs inst in
-  if Array.length order <> n then invalid_arg "Backfill.easy_order: order length mismatch";
-  let starts = Array.make n (-1) in
-  let free = Timeline.of_profile (Instance.availability inst) in
-  let fits t i =
-    let j = Instance.job inst i in
-    Job.q j <= Timeline.value_at free t
-    && Timeline.min_on free ~lo:t ~hi:(t + Job.p j) >= Job.q j
-  in
-  let start_job t i =
-    let j = Instance.job inst i in
-    starts.(i) <- t;
-    Timeline.reserve free ~start:t ~dur:(Job.p j) ~need:(Job.q j)
-  in
-  let undo_start i =
-    let j = Instance.job inst i in
-    (* Inverse range-add: exact undo of the tentative reservation. *)
-    Timeline.change free ~lo:starts.(i) ~hi:(starts.(i) + Job.p j) ~delta:(Job.q j);
-    starts.(i) <- -1
-  in
-  let earliest i ~from =
-    let j = Instance.job inst i in
-    Option.get (Timeline.earliest_fit free ~from ~dur:(Job.p j) ~need:(Job.q j))
-  in
-  (* Pop the longest startable prefix, then backfill behind the head without
-     pushing the head's guaranteed start. *)
-  let rec step t = function
-    | [] -> ()
-    | head :: rest when fits t head ->
-      start_job t head;
-      step t rest
-    | head :: rest ->
-      let guaranteed = earliest head ~from:t in
-      (* Backfill candidates in queue order; keep the ones that must wait. *)
-      let rec backfill = function
-        | [] -> []
-        | i :: tl ->
-          if not (fits t i) then i :: backfill tl
-          else begin
-            (* Tentatively start i; undo if it pushes the head. *)
-            start_job t i;
-            if earliest head ~from:t > guaranteed then begin
-              undo_start i;
-              i :: backfill tl
-            end
-            else backfill tl
-          end
-      in
-      let rest = backfill rest in
-      (match Timeline.next_breakpoint_after free t with
-      | Some t' -> step t' (head :: rest)
-      | None -> assert false)
-  in
-  step 0 (Array.to_list order);
-  Schedule.make starts
+  Priority.check_order "Backfill.easy_order" inst order;
+  Resa_sim.Simulator.run_order ~policy:Resa_sim.Policy.easy inst order
 
 let easy ?(priority = Priority.Fifo) inst = easy_order inst (Priority.order priority inst)
 

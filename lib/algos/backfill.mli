@@ -15,23 +15,17 @@ val conservative : ?priority:Priority.t -> Instance.t -> Schedule.t
 (** Always feasible; satisfies {!no_earlier_job_delayed}. *)
 
 val conservative_order : Instance.t -> int array -> Schedule.t
-(** Timeline-backed: capacity operations run on the mutable {!Timeline}. *)
-
-val conservative_order_reference : Instance.t -> int array -> Schedule.t
-(** Original persistent-[Profile] implementation; differential-test oracle
-    and bench baseline. Same schedules as {!conservative_order}. *)
+(** Timeline-backed: capacity operations run on the mutable {!Timeline}.
+    Raises [Invalid_argument] if [order] is not a permutation. *)
 
 val easy : ?priority:Priority.t -> Instance.t -> Schedule.t
-(** Offline emulation of EASY backfilling (all jobs ready at time 0):
-    event-driven simulation with head-reservation protection. *)
+(** Offline EASY backfilling (all jobs ready at time 0): the online policy
+    under the simulator, with head-reservation protection. *)
 
 val easy_order : Instance.t -> int array -> Schedule.t
-(** Timeline-backed; the tentative backfill start is undone with an inverse
-    range-add instead of restoring a persistent snapshot. *)
-
-val easy_order_reference : Instance.t -> int array -> Schedule.t
-(** Original persistent-[Profile] implementation; differential-test oracle
-    and bench baseline. Same schedules as {!easy_order}. *)
+(** {!Resa_sim.Policy.easy} run by the simulator with every job submitted
+    at time 0, in [order]. Raises [Invalid_argument] if [order] is not a
+    permutation. *)
 
 val no_earlier_job_delayed : Instance.t -> int array -> Schedule.t -> bool
 (** Conservative-backfilling certificate: removing any suffix of the queue

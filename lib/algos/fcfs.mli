@@ -14,11 +14,8 @@ val run : ?priority:Priority.t -> Instance.t -> Schedule.t
     is always feasible. *)
 
 val run_order : Instance.t -> int array -> Schedule.t
-(** Timeline-backed: capacity operations run on the mutable {!Timeline}. *)
-
-val run_order_reference : Instance.t -> int array -> Schedule.t
-(** Original persistent-[Profile] implementation; differential-test oracle
-    and bench baseline. Same schedules as {!run_order}. *)
+(** Timeline-backed: capacity operations run on the mutable {!Timeline}.
+    Raises [Invalid_argument] if [order] is not a permutation. *)
 
 val respects_order : Instance.t -> Schedule.t -> int array -> bool
 (** FCFS invariant: start times are non-decreasing along the queue order. *)

@@ -22,14 +22,8 @@ val run : ?priority:Priority.t -> Instance.t -> Schedule.t
 
 val run_order : Instance.t -> int array -> Schedule.t
 (** [run_order inst order] with an explicit index permutation. Drives its
-    capacity bookkeeping through the mutable {!Timeline}. *)
-
-val run_order_reference : Instance.t -> int array -> Schedule.t
-(** The original persistent-[Profile] implementation, whose [reserve]
-    rebuilds the whole breakpoint array per job (O(n·k) overall). Kept as
-    the oracle of the randomized differential suite and as the baseline the
-    perf bench measures the timeline speedup against; always produces the
-    same schedule as {!run_order}. *)
+    capacity bookkeeping through the mutable {!Timeline}. Raises
+    [Invalid_argument] if [order] is not a permutation. *)
 
 val decision_times : Instance.t -> Schedule.t -> int list
 (** The event times at which the sweep made decisions when producing this

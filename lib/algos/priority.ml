@@ -45,6 +45,10 @@ let is_permutation n a =
       end)
     a
 
+let check_order fn inst order =
+  if not (is_permutation (Instance.n_jobs inst) order) then
+    invalid_arg (fn ^ ": order is not a permutation")
+
 let order t inst =
   let n = Instance.n_jobs inst in
   match t with

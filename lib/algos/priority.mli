@@ -25,6 +25,11 @@ val order : t -> Instance.t -> int array
     is deterministic. Raises [Invalid_argument] if an [Explicit] array is not
     a permutation of [0..n_jobs-1]. *)
 
+val check_order : string -> Instance.t -> int array -> unit
+(** [check_order fn inst order] raises [Invalid_argument
+    (fn ^ ": order is not a permutation")] unless [order] is a permutation
+    of [0..n_jobs-1]: the guard of every offline [*_order] entry point. *)
+
 val standard : t list
 (** The deterministic rules benchmarked throughout: FIFO, LPT, SPT,
     widest-first, narrowest-first, largest-area-first. *)

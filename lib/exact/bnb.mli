@@ -11,8 +11,8 @@
     {!Timeline} per search worker with checkpoint/rollback around every
     placement trial, incrementally maintained candidate decision times, and
     deterministic parallel root splitting over {!Resa_par} — results are
-    bit-identical at any [RESA_DOMAINS]. {!solve_reference} is the frozen
-    persistent-profile solver kept as its oracle twin: both always agree on
+    bit-identical at any [RESA_DOMAINS]. Its oracle, the frozen
+    persistent-profile solver, lives in [test/oracles]: both always agree on
     [makespan] and [optimal] (schedules may differ between the two — each is
     feasible and achieves the reported makespan — because the speculative
     solver uses a strictly stronger chain-twin symmetry rule).
@@ -35,10 +35,6 @@ val solve : ?node_limit:int -> Instance.t -> result
     [optimal = true] certifies [makespan] is the true C_opt. Deterministic:
     the full result record (including [nodes] and the schedule's starts) is
     independent of the pool size. *)
-
-val solve_reference : ?node_limit:int -> Instance.t -> result
-(** The pre-speculation persistent-profile solver, kept as the oracle twin
-    for the randomized differential suite ([bnb-diff]) and benchmarks. *)
 
 val optimal_makespan : ?node_limit:int -> Instance.t -> int option
 (** [Some c] only when proved optimal within the budget. *)

@@ -31,15 +31,8 @@
     start instant they currently promise a blocked or planned job — the
     policy-side half of decision provenance. With the null sink the
     decision logic is byte-identical to the untraced build. Each [decide]
-    call also bumps a per-policy [Prof] counter when profiling is enabled.
-
-    The [*_reference] values are the retained Profile-based oracles (repo
-    convention: every timeline hot path keeps its persistent twin): same
-    names, same decisions, but each decision snapshots the forward profile
-    ([Timeline.to_profile ~from:time]) and re-derives plans with persistent
-    [Profile.reserve]/[earliest_fit] chains — exactly the
-    pre-timeline-native engine, kept for the differential suite and the
-    before/after benchmark. *)
+    call also bumps the policy's registry counter [policy.decide.<name>]
+    (see {!Resa_obs.Metrics}) when collection is enabled. *)
 
 open Resa_core
 
@@ -58,8 +51,7 @@ type action = {
 type decide = time:int -> queue:Jobq.t -> free:Timeline.t -> action
 (** The queue is the simulator's live array-backed {!Jobq.t}, indexed in
     submission order; policies read it in place ([Jobq.get]/[Jobq.length])
-    instead of receiving a freshly materialised list per decision. The
-    [*_reference] oracles convert once with [Jobq.to_list]. *)
+    instead of receiving a freshly materialised list per decision. *)
 
 type t = {
   name : string;
@@ -84,7 +76,8 @@ val easy : t
 (** EASY backfilling: the head holds a guaranteed earliest start; any other
     job may start now if that guarantee is not pushed back — checked by a
     trial reservation under a checkpoint, kept on success and rolled back
-    otherwise. Emits the head's guarantee as a [Planned] event. *)
+    otherwise. Emits the head's guarantee as a [Planned] event. With all
+    jobs submitted at time 0 this is [Backfill.easy]. *)
 
 val aggressive : t
 (** List scheduling (LSRC): start every queued job that fits, in queue
@@ -94,12 +87,3 @@ val aggressive : t
 
 val all : t list
 (** The four policies, in the order above. *)
-
-val fcfs_reference : t
-val conservative_reference : t
-val easy_reference : t
-val aggressive_reference : t
-
-val all_reference : t list
-(** Profile-based oracle twins of {!all}, same order and names: identical
-    decisions derived from a per-decision forward-profile snapshot. *)

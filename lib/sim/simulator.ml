@@ -650,6 +650,21 @@ let run ?(obs = Trace.null) ~policy ~m ?(reservations = []) ?estimates
   in
   { m; reservations; records; makespan = stats.makespan }
 
+(* Record k is job [order.(k)]: mapped back by submission position, as
+   job ids are only required to be distinct. *)
+let run_order ~policy inst order =
+  let subs =
+    Array.fold_right (fun i acc -> { job = Instance.job inst i; submit = 0 } :: acc) order []
+  in
+  let trace =
+    run ~policy ~m:(Instance.m inst)
+      ~reservations:(Array.to_list (Instance.reservations inst))
+      subs
+  in
+  let starts = Array.make (Array.length order) (-1) in
+  List.iteri (fun k (r : record) -> starts.(order.(k)) <- r.start) trace.records;
+  Schedule.make starts
+
 let to_offline trace =
   let jobs =
     List.mapi (fun i r -> Job.make ~id:i ~p:(Job.p r.job) ~q:(Job.q r.job)) trace.records

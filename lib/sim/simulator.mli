@@ -13,10 +13,10 @@
     trial reservations made while deciding never leak. No persistent profile is
     rebuilt anywhere — decision path or tracing path: the head-blocked
     classifier queries the live timeline and a once-per-run
-    reservation-blocked profile built lazily from the instance, and
-    queue-membership checks are O(1) via id hash sets — a decision step
-    costs one timeline operation per start and query rather than
-    O(history).
+    reservation-blocked profile built lazily from the reservation sweep
+    ({!Resa_core.Resv_sweep.unavailability}), and queue-membership checks
+    are O(1) via id hash sets — a decision step costs one timeline
+    operation per start and query rather than O(history).
 
     The policy's per-run decision function is created at the start of each
     run ([policy.create ~obs]), so planning state cannot leak across runs.
@@ -160,6 +160,10 @@ val run_stream :
     validation (negative submit, decreasing submit, estimate below
     runtime, width over [m], duplicate live id) raises [Invalid_argument]
     at the offending pull. *)
+
+val run_order : policy:Policy.t -> Instance.t -> int array -> Schedule.t
+(** The offline schedule of [policy]: every job of the instance submitted
+    at time 0, in [order] (a permutation of the job indices, unchecked). *)
 
 val to_offline : trace -> Instance.t * Schedule.t
 (** Forget release dates: the instance/schedule pair actually executed,

@@ -96,6 +96,28 @@ let prop_backfillers_above_lower_bound =
       Schedule.makespan inst (Backfill.easy inst) >= lb
       && Schedule.makespan inst (Backfill.conservative inst) >= lb)
 
+(* Offline EASY runs the online policy and maps records back by
+   submission position: job ids need only be distinct, so here they are a
+   shuffle of the positions or far outside them, and the orders are not
+   the identity. The oracle indexes jobs by position throughout. *)
+let test_easy_order_maps_by_position () =
+  let sizes = [ (2, 3); (2, 4); (3, 1); (1, 2); (4, 1) ] in
+  List.iter
+    (fun ids ->
+      let jobs = List.map2 (fun id (p, q) -> Job.make ~id ~p ~q) ids sizes in
+      let reservations = [ Reservation.make ~id:0 ~start:3 ~p:2 ~q:2 ] in
+      let inst = Instance.create_exn ~m:4 ~jobs ~reservations in
+      List.iter
+        (fun priority ->
+          let order = Priority.order priority inst in
+          Alcotest.(check (array int))
+            (Printf.sprintf "ids %s, %s" (String.concat "," (List.map string_of_int ids))
+               (Priority.name priority))
+            (Schedule.starts (Resa_oracles.Backfill.easy_order_reference inst order))
+            (Schedule.starts (Backfill.easy_order inst order)))
+        [ Priority.Fifo; Priority.Lpt; Priority.Spt; Priority.Explicit [| 4; 2; 0; 3; 1 |] ])
+    [ [ 3; 0; 4; 1; 2 ]; [ 40; 7; 1000; 12; 5 ] ]
+
 let suite =
   [
     Alcotest.test_case "conservative backfills holes" `Quick test_conservative_backfills;
@@ -110,4 +132,6 @@ let suite =
     prop_conservative_certificate;
     prop_conservative_head_equals_fcfs_head;
     prop_backfillers_above_lower_bound;
+    Alcotest.test_case "EASY adapter maps back by position" `Quick
+      test_easy_order_maps_by_position;
   ]

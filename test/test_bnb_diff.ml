@@ -1,7 +1,7 @@
 (* Randomized differential suite for the speculative exact solver: the
    timeline-native parallel Bnb.solve against its frozen persistent-profile
-   oracle twin Bnb.solve_reference, plus the pool bit-identity and
-   speculation-hygiene guarantees of DESIGN.md §8. *)
+   oracle twin Resa_oracles.Bnb.solve_reference, plus the pool
+   bit-identity and speculation-hygiene guarantees of DESIGN.md §8. *)
 
 open Resa_core
 open Resa_exact
@@ -17,7 +17,7 @@ let starts inst sched = List.init (Instance.n_jobs inst) (Schedule.start sched)
 let agrees_with_reference name mk seed =
   let inst = mk seed in
   let r = Bnb.solve ~node_limit inst in
-  let oracle = Bnb.solve_reference ~node_limit inst in
+  let oracle = Resa_oracles.Bnb.solve_reference ~node_limit inst in
   Tutil.check_feasible name inst r.Bnb.schedule;
   let ok = ref true in
   let check what b =

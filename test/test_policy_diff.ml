@@ -1,5 +1,5 @@
 (* Differential suite: the timeline-native policies must take exactly the
-   decisions of the retained Profile-based oracles ([Policy.*_reference],
+   decisions of the Profile-based oracles ([Resa_oracles.Policy.*_reference],
    the pre-timeline-native engine) — same starts, same makespan, and the
    same traced event stream (plans, wakes, provenance) — on random reserved
    workloads, with exact runtimes and with overestimated walltimes. *)
@@ -10,10 +10,10 @@ module Trace = Resa_obs.Trace
 
 let pairs =
   [
-    ("FCFS", Policy.fcfs, Policy.fcfs_reference);
-    ("CONS", Policy.conservative, Policy.conservative_reference);
-    ("EASY", Policy.easy, Policy.easy_reference);
-    ("LSRC", Policy.aggressive, Policy.aggressive_reference);
+    ("FCFS", Policy.fcfs, Resa_oracles.Policy.fcfs_reference);
+    ("CONS", Policy.conservative, Resa_oracles.Policy.conservative_reference);
+    ("EASY", Policy.easy, Resa_oracles.Policy.easy_reference);
+    ("LSRC", Policy.aggressive, Resa_oracles.Policy.aggressive_reference);
   ]
 
 let starts (t : Simulator.trace) =
@@ -87,7 +87,7 @@ let test_easy_pinned () =
   let estimates = [| 4; 4; 4 |] in
   let a, sa = run_traced ~policy:Policy.easy ~m:4 ~reservations:[] ~estimates subs in
   let b, sb =
-    run_traced ~policy:Policy.easy_reference ~m:4 ~reservations:[] ~estimates subs
+    run_traced ~policy:Resa_oracles.Policy.easy_reference ~m:4 ~reservations:[] ~estimates subs
   in
   Alcotest.(check (list int)) "same starts" (starts b) (starts a);
   Alcotest.(check string) "same event stream" sb sa;

@@ -16,7 +16,13 @@ let online_offline_pairs =
     ("aggressive", Policy.aggressive, "LSRC", fun inst -> Resa_algos.Lsrc.run inst);
     ("fcfs", Policy.fcfs, "FCFS", fun inst -> Resa_algos.Fcfs.run inst);
     ("conservative", Policy.conservative, "CONS", fun inst -> Resa_algos.Backfill.conservative inst);
-    ("easy", Policy.easy, "EASY", fun inst -> Resa_algos.Backfill.easy inst);
+    (* [Backfill.easy] runs [Policy.easy] itself: compare with the oracle. *)
+    ( "easy",
+      Policy.easy,
+      "EASY",
+      fun inst ->
+        Resa_oracles.Backfill.easy_order_reference inst
+          (Resa_algos.Priority.order Resa_algos.Priority.Fifo inst) );
   ]
 
 let test_online_equals_offline policy offline () =

@@ -468,13 +468,21 @@ let copy_is_round_trip seed =
 
 let starts inst sched = List.init (Instance.n_jobs inst) (Schedule.start sched)
 
+(* FIFO and a random permutation drawn from the same seed: Bnb's
+   incumbent, [resa solve --priority] and the experiments schedule in
+   orders other than submission order. *)
 let same_schedule name fast reference seed =
   let inst = resa_instance_of_seed seed in
-  let order = Resa_algos.Priority.order Resa_algos.Priority.Fifo inst in
-  let a = starts inst (fast inst order) in
-  let b = starts inst (reference inst order) in
-  if a <> b then Printf.eprintf "%s diverges on seed %d\n" name seed;
-  a = b
+  List.for_all
+    (fun priority ->
+      let order = Resa_algos.Priority.order priority inst in
+      let a = starts inst (fast inst order) in
+      let b = starts inst (reference inst order) in
+      if a <> b then
+        Printf.eprintf "%s diverges on seed %d, order %s\n" name seed
+          (Resa_algos.Priority.name priority);
+      a = b)
+    [ Resa_algos.Priority.Fifo; Resa_algos.Priority.Random seed ]
 
 let suite =
   [
@@ -501,13 +509,13 @@ let suite =
     Tutil.qcheck ~count:15 "copy ~from = of_profile (to_profile ~from), independent"
       Tutil.seed_arb copy_is_round_trip;
     Tutil.qcheck ~count:300 "LSRC = Profile-backed LSRC" Tutil.seed_arb
-      (same_schedule "lsrc" Resa_algos.Lsrc.run_order Resa_algos.Lsrc.run_order_reference);
+      (same_schedule "lsrc" Resa_algos.Lsrc.run_order Resa_oracles.Lsrc.run_order_reference);
     Tutil.qcheck ~count:300 "FCFS = Profile-backed FCFS" Tutil.seed_arb
-      (same_schedule "fcfs" Resa_algos.Fcfs.run_order Resa_algos.Fcfs.run_order_reference);
+      (same_schedule "fcfs" Resa_algos.Fcfs.run_order Resa_oracles.Fcfs.run_order_reference);
     Tutil.qcheck ~count:300 "conservative = Profile-backed conservative" Tutil.seed_arb
       (same_schedule "conservative" Resa_algos.Backfill.conservative_order
-         Resa_algos.Backfill.conservative_order_reference);
+         Resa_oracles.Backfill.conservative_order_reference);
     Tutil.qcheck ~count:300 "EASY = Profile-backed EASY" Tutil.seed_arb
       (same_schedule "easy" Resa_algos.Backfill.easy_order
-         Resa_algos.Backfill.easy_order_reference);
+         Resa_oracles.Backfill.easy_order_reference);
   ]
