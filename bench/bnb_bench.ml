@@ -9,12 +9,7 @@
      - time-to-optimal wall clock, reference vs speculative (sequential),
      - node throughput (nodes/sec) for both solvers — the data-structure
        win, independent of the speculative solver's stronger pruning,
-     - speculative wall clock at pool sizes 1, 2 and 4.
-
-   JSON rows (experiment "bnb") follow the usual record shape; throughput
-   rows use the "nps:" algo prefix with wall_s holding nodes/sec and
-   speedup holding the nodes/sec ratio over the reference (same field
-   overloading convention as the "phase:" rows). *)
+     - speculative wall clock at pool sizes 1, 2 and 4. *)
 
 open Resa_core
 open Resa_gen
@@ -74,25 +69,9 @@ let run () =
       ~headers:
         [ "family"; "insts"; "reference"; "speculative"; "speedup"; "nps-ratio"; "pool=2"; "pool=4" ]
   in
-  let records = ref [] in
-  let emit ~n ~algo ~wall_s ~speedup ~seed =
-    records :=
-      Bench_json.
-        {
-          experiment = "bnb";
-          n;
-          algo;
-          wall_s;
-          speedup;
-          domains = Resa_par.domain_count ();
-          seed;
-        }
-      :: !records
-  in
   List.iter
-    (fun (family, seed, insts) ->
+    (fun (family, _seed, insts) ->
       let count = List.length insts in
-      let total_n = List.fold_left (fun a i -> a + Instance.n_jobs i) 0 insts in
       let solve_all solver =
         List.fold_left
           (fun (cmaxes, nodes) inst ->
@@ -116,13 +95,6 @@ let run () =
       let nps_new = float_of_int new_nodes /. Float.max seq_s 1e-9 in
       let speedup = ref_s /. Float.max seq_s 1e-9 in
       let nps_ratio = nps_new /. Float.max nps_ref 1e-9 in
-      emit ~n:total_n ~algo:(family ^ ":reference") ~wall_s:ref_s ~speedup:None ~seed;
-      emit ~n:total_n ~algo:(family ^ ":solve") ~wall_s:seq_s ~speedup:(Some speedup) ~seed;
-      emit ~n:total_n ~algo:("nps:" ^ family) ~wall_s:nps_new ~speedup:(Some nps_ratio) ~seed;
-      emit ~n:total_n ~algo:(family ^ ":solve@d2") ~wall_s:pool2_s
-        ~speedup:(Some (seq_s /. Float.max pool2_s 1e-9)) ~seed;
-      emit ~n:total_n ~algo:(family ^ ":solve@d4") ~wall_s:pool4_s
-        ~speedup:(Some (seq_s /. Float.max pool4_s 1e-9)) ~seed;
       Resa_stats.Table.add_row t
         [
           family;
@@ -135,5 +107,4 @@ let run () =
           pretty pool4_s;
         ])
     (families ());
-  print_string (Resa_stats.Table.render t);
-  Bench_json.write "bnb" (List.rev !records)
+  print_string (Resa_stats.Table.render t)

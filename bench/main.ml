@@ -6,10 +6,10 @@
    Flags:
      --jobs N     executor pool size (overrides RESA_DOMAINS; default:
                   Domain.recommended_domain_count, capped at 8)
-     --json PATH  write BENCH_<experiment>.json trajectory records for the
-                  perf experiments into directory PATH (also settable via
-                  RESA_BENCH_JSON)
-     --small      reduced problem sizes for the scaling sweep (CI smoke) *)
+     --small      reduced problem sizes for the scaling sweep (CI smoke)
+
+   Machine-readable performance numbers come from the replay benchmark,
+   benchmark/run.py, not from these tables. *)
 
 open Resa_bench
 
@@ -29,13 +29,10 @@ let registry =
     ("scaling", Perf.scaling);
     ("sim", Perf.sim_scaling);
     ("bnb", Bnb_bench.run);
-    (* Registry-only: replays up to 10M jobs per policy, so it is not in
-       the default phase list below. *)
-    ("replay", Replay_bench.run);
   ]
 
 let usage () =
-  Printf.eprintf "usage: main.exe [--jobs N] [--json DIR] [--small] [experiment ...]\n";
+  Printf.eprintf "usage: main.exe [--jobs N] [--small] [experiment ...]\n";
   Printf.eprintf "available experiments: %s\n" (String.concat " " (List.map fst registry));
   exit 1
 
@@ -50,53 +47,24 @@ let () =
       | _ ->
         Printf.eprintf "--jobs expects a positive integer, got %S\n" v;
         exit 1)
-    | "--json" :: dir :: rest ->
-      Bench_json.set_dir dir;
-      parse names rest
     | "--small" :: rest ->
       Perf.small := true;
       parse names rest
-    | ("--jobs" | "--json") :: [] -> usage ()
+    | "--jobs" :: [] -> usage ()
     | name :: rest -> parse (name :: names) rest
   in
   let names = parse [] (List.tl (Array.to_list Sys.argv)) in
-  match names with
-  | [] ->
-    (* Full run: every experiment in the canonical order, each timed, with
-       the per-phase wall clocks recorded to BENCH_phases.json when a JSON
-       directory is configured. Stdout is identical either way. *)
-    let phases =
-      [
-        "fig1"; "fig2"; "fig3"; "fig4"; "t1"; "t2"; "t3"; "t4"; "t5"; "ablation"; "perf";
-        "sim"; "bnb";
-      ]
-    in
-    let records =
-      List.map
-        (fun name ->
-          let t0 = Resa_obs.Prof.now_ns () in
-          (List.assoc name registry) ();
-          let wall_s = float_of_int (Resa_obs.Prof.now_ns () - t0) /. 1e9 in
-          Bench_json.
-            {
-              experiment = "phases";
-              n = 0;
-              algo = name;
-              wall_s;
-              speedup = None;
-              domains = Resa_par.domain_count ();
-              seed = 0;
-            })
-        phases
-    in
-    Bench_json.write "phases" records
-  | names ->
-    List.iter
-      (fun name ->
-        match List.assoc_opt (String.lowercase_ascii name) registry with
-        | Some f -> f ()
-        | None ->
-          Printf.eprintf "unknown experiment %S; available: %s\n" name
-            (String.concat " " (List.map fst registry));
-          exit 1)
-      names
+  (* No names: every experiment in the registry's order, but for scaling,
+     which perf ends with. *)
+  let names =
+    if names = [] then List.filter (( <> ) "scaling") (List.map fst registry) else names
+  in
+  List.iter
+    (fun name ->
+      match List.assoc_opt (String.lowercase_ascii name) registry with
+      | Some f -> f ()
+      | None ->
+        Printf.eprintf "unknown experiment %S; available: %s\n" name
+          (String.concat " " (List.map fst registry));
+        exit 1)
+    names

@@ -73,16 +73,6 @@ let simulator_tests =
 
 let all_tests = algorithm_tests @ profile_tests @ eventq_tests @ simulator_tests
 
-(* Parse the trailing "n=<d>" convention of benchmark names, for the JSON
-   records ("lsrc/n=200" -> 200); 0 when the name carries no size. *)
-let size_of_name name =
-  match String.rindex_opt name '=' with
-  | None -> 0
-  | Some i -> (
-    match int_of_string_opt (String.sub name (i + 1) (String.length name - i - 1)) with
-    | Some n -> n
-    | None -> 0)
-
 (* --- engine at 0 vs offline ---------------------------------------------- *)
 
 let engine_seed = 7
@@ -120,7 +110,6 @@ let engine_vs_offline () =
   let t =
     Resa_stats.Table.create ~headers:[ "algorithm"; "n"; "engine"; "offline"; "engine/offline" ]
   in
-  let records = ref [] in
   List.iter
     (fun n ->
       let inst =
@@ -146,23 +135,10 @@ let engine_vs_offline () =
             [
               name; string_of_int n; us engine_s; us offline_s;
               Printf.sprintf "%.2fx" (engine_s /. offline_s);
-            ];
-          records :=
-            Bench_json.
-              {
-                experiment = "scaling";
-                n;
-                algo = "engine@0:" ^ name;
-                wall_s = engine_s;
-                speedup = Some (offline_s /. Float.max engine_s 1e-12);
-                domains = Resa_par.domain_count ();
-                seed = engine_seed;
-              }
-            :: !records)
+            ])
         algos)
     [ 5; 50; 1000 ];
-  print_string (Resa_stats.Table.render t);
-  List.rev !records
+  print_string (Resa_stats.Table.render t)
 
 (* --- timeline vs profile scaling series --------------------------------- *)
 
@@ -198,7 +174,6 @@ let scaling () =
     ]
   in
   let sizes = if !small then [| 1_000 |] else [| 1_000; 5_000; 20_000 |] in
-  let t_prep0 = Resa_obs.Prof.now_ns () in
   let prepared =
     Resa_par.parallel_map
       (fun n ->
@@ -206,12 +181,9 @@ let scaling () =
         (n, inst, Resa_algos.Priority.order Resa_algos.Priority.Fifo inst))
       sizes
   in
-  let prepare_s = float_of_int (Resa_obs.Prof.now_ns () - t_prep0) /. 1e9 in
-  let t_meas0 = Resa_obs.Prof.now_ns () in
   let t =
     Resa_stats.Table.create ~headers:[ "algorithm"; "n"; "timeline"; "profile"; "speedup" ]
   in
-  let records = ref [] in
   Array.iter
     (fun (n, inst, order) ->
       List.iter
@@ -229,41 +201,12 @@ let scaling () =
             | None -> ("(skipped)", "-")
             | Some (ref_s, sp) -> (pretty ref_s, Printf.sprintf "%.1fx" sp)
           in
-          records :=
-            Bench_json.
-              {
-                experiment = "scaling";
-                n;
-                algo = name;
-                wall_s = fast_s;
-                speedup = Option.map snd speedup;
-                domains = Resa_par.domain_count ();
-                seed = reserved_workload_seed;
-              }
-            :: !records;
           Resa_stats.Table.add_row t
             [ name; string_of_int n; pretty fast_s; ref_cell; speedup_cell ])
         algos)
     prepared;
   print_string (Resa_stats.Table.render t);
-  let engine_rows = engine_vs_offline () in
-  let measure_s = float_of_int (Resa_obs.Prof.now_ns () - t_meas0) /. 1e9 in
-  (* Per-phase wall-time rows ride along in the same trajectory file; the
-     "phase:" prefix keeps them apart from per-algorithm measurements. *)
-  let phase name wall_s =
-    Bench_json.
-      {
-        experiment = "scaling";
-        n = 0;
-        algo = "phase:" ^ name;
-        wall_s;
-        speedup = None;
-        domains = Resa_par.domain_count ();
-        seed = reserved_workload_seed;
-      }
-  in
-  Bench_json.write "scaling"
-    (List.rev !records @ engine_rows @ [ phase "prepare" prepare_s; phase "measure" measure_s ])
+  engine_vs_offline ()
 
 (* --- simulator scaling series ------------------------------------------- *)
 
@@ -315,14 +258,10 @@ let sim_scaling () =
     ]
   in
   let sizes = if !small then [| 2_000 |] else [| 10_000; 50_000; 200_000 |] in
-  let t_prep0 = Resa_obs.Prof.now_ns () in
   let prepared = Resa_par.parallel_map (fun n -> (n, sim_subs n)) sizes in
-  let prepare_s = float_of_int (Resa_obs.Prof.now_ns () - t_prep0) /. 1e9 in
-  let t_meas0 = Resa_obs.Prof.now_ns () in
   let t =
     Resa_stats.Table.create ~headers:[ "policy"; "n"; "timeline"; "profile"; "speedup" ]
   in
-  let records = ref [] in
   Array.iter
     (fun (n, (subs, reservations)) ->
       List.iter
@@ -330,12 +269,7 @@ let sim_scaling () =
           let run policy =
             Resa_sim.Simulator.run ~policy ~m:128 ~reservations subs
           in
-          let mw0 = Gc.minor_words () in
           let fast_s = time run native in
-          (* Minor words per event (admit or completion) of the native run
-             just timed: deterministic, so benchdiff gates it alongside the
-             wall rows. *)
-          let allocs_ev = (Gc.minor_words () -. mw0) /. float_of_int (max 1 (2 * n)) in
           let speedup =
             if n > ref_cap then None
             else begin
@@ -348,50 +282,11 @@ let sim_scaling () =
             | None -> ("(skipped)", "-")
             | Some (ref_s, sp) -> (pretty ref_s, Printf.sprintf "%.1fx" sp)
           in
-          records :=
-            Bench_json.
-              {
-                experiment = "sim";
-                n;
-                algo = name;
-                wall_s = fast_s;
-                speedup = Option.map snd speedup;
-                domains = Resa_par.domain_count ();
-                seed = sim_workload_seed;
-              }
-            :: !records;
-          records :=
-            Bench_json.
-              {
-                experiment = "sim";
-                n;
-                algo = "allocs_ev:" ^ name;
-                wall_s = allocs_ev;
-                speedup = None;
-                domains = Resa_par.domain_count ();
-                seed = sim_workload_seed;
-              }
-            :: !records;
           Resa_stats.Table.add_row t
             [ name; string_of_int n; pretty fast_s; ref_cell; speedup_cell ])
         policies)
     prepared;
-  let measure_s = float_of_int (Resa_obs.Prof.now_ns () - t_meas0) /. 1e9 in
-  print_string (Resa_stats.Table.render t);
-  let phase name wall_s =
-    Bench_json.
-      {
-        experiment = "sim";
-        n = 0;
-        algo = "phase:" ^ name;
-        wall_s;
-        speedup = None;
-        domains = Resa_par.domain_count ();
-        seed = sim_workload_seed;
-      }
-  in
-  Bench_json.write "sim"
-    (List.rev !records @ [ phase "prepare" prepare_s; phase "measure" measure_s ])
+  print_string (Resa_stats.Table.render t)
 
 let run () =
   Printf.printf "\n=== PERF: Bechamel microbenchmarks (ns/run, OLS fit) ===\n";
@@ -401,8 +296,6 @@ let run () =
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~stabilize:false () in
   let t = Resa_stats.Table.create ~headers:[ "benchmark"; "time/run"; "r^2" ] in
-  let records = ref [] in
-  let t_bench0 = Resa_obs.Prof.now_ns () in
   List.iter
     (fun test ->
       let results = Benchmark.all cfg instances test in
@@ -427,34 +320,8 @@ let run () =
             else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
             else Printf.sprintf "%.0f ns" ns
           in
-          records :=
-            Bench_json.
-              {
-                experiment = "perf";
-                n = size_of_name name;
-                algo = name;
-                wall_s = (if Float.is_nan ns then 0.0 else ns /. 1e9);
-                speedup = None;
-                domains = Resa_par.domain_count ();
-                seed = reserved_workload_seed;
-              }
-            :: !records;
           Resa_stats.Table.add_row t [ name; pretty; Printf.sprintf "%.3f" r2 ])
         rows)
     all_tests;
-  let microbench_s = float_of_int (Resa_obs.Prof.now_ns () - t_bench0) /. 1e9 in
   print_string (Resa_stats.Table.render t);
-  Bench_json.write "perf"
-    (List.rev !records
-    @ [
-        {
-          Bench_json.experiment = "perf";
-          n = 0;
-          algo = "phase:microbench";
-          wall_s = microbench_s;
-          speedup = None;
-          domains = Resa_par.domain_count ();
-          seed = reserved_workload_seed;
-        };
-      ]);
   scaling ()

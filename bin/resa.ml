@@ -9,7 +9,7 @@
                 export the observability streams)
      explain    replay a JSONL event trace: per job, why it started when it did
      top        live terminal view of a heartbeat stream (replay --heartbeat)
-     benchdiff  regression gate over two bench trajectory JSON files
+     benchdiff  regression gate over two benchmark/run.py result files
      trace      emit a synthetic Standard Workload Format trace
      bounds     print the Figure 4 bound curves for a list of alphas
      info       summarise an instance file (bounds, alpha interval, profile)
@@ -677,58 +677,37 @@ let top_cmd =
 (* benchdiff                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let benchdiff old_path new_path threshold min_wall warn_only =
-  let read path =
-    let contents =
-      if path = "-" then In_channel.input_all stdin
-      else
-        match In_channel.with_open_text path In_channel.input_all with
-        | s -> s
-        | exception Sys_error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 2
-    in
-    match Resa_obs.Benchdiff.rows_of_string contents with
-    | Ok rows -> rows
-    | Error msg ->
-      Printf.eprintf "error: %s: %s\n" path msg;
-      exit 2
+let benchdiff parent_path change_path =
+  (* Exit 2 on anything that is not a comparison: an unreadable or
+     malformed file, or inputs that cannot be compared. *)
+  let refuse fmt = Printf.ksprintf (fun msg -> prerr_endline ("benchdiff: " ^ msg); exit 2) fmt in
+  let read parse path =
+    match In_channel.with_open_text path In_channel.input_all with
+    | exception Sys_error msg -> refuse "%s" msg
+    | s -> ( match parse s with Ok v -> v | Error msg -> refuse "%s: %s" path msg)
   in
-  let old_rows = read old_path in
-  let new_rows = read new_path in
-  let report = Resa_obs.Benchdiff.compare_rows ~threshold ~min_wall ~old_rows ~new_rows () in
-  print_string (Resa_obs.Benchdiff.render report);
-  if report.Resa_obs.Benchdiff.regressions > 0 then
-    if warn_only then print_endline "benchdiff: regressions found (warn-only, not failing)"
-    else exit 1
+  let module B = Resa_obs.Benchdiff in
+  let declared = read B.declared_of_string "BENCHMARK.json" in
+  let parent = read B.results_of_string parent_path in
+  let change = read B.results_of_string change_path in
+  match B.compare declared ~parent ~change with
+  | Error msg -> refuse "%s" msg
+  | Ok report ->
+    print_string (B.render report);
+    if report.B.regressions > 0 then exit 1
 
 let benchdiff_cmd =
-  let old_path = Arg.(required & pos 0 (some string) None & info [] ~docv:"OLD" ~doc:"Baseline BENCH_*.json trajectory.") in
-  let new_path = Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW" ~doc:"Candidate BENCH_*.json trajectory.") in
-  let threshold =
-    Arg.(
-      value & opt float 1.10
-      & info [ "threshold" ] ~docv:"R"
-          ~doc:"Flag pairs whose new/old wall ratio exceeds $(docv) (must be > 1).")
-  in
-  let min_wall =
-    Arg.(
-      value & opt float 0.05
-      & info [ "min-wall" ] ~docv:"S"
-          ~doc:"Timer noise floor: pairs under $(docv) seconds in both files never gate.")
-  in
-  let warn_only =
-    Arg.(
-      value & flag
-      & info [ "warn-only" ]
-          ~doc:"Report regressions but exit 0 — for advisory CI gates on noisy runners.")
-  in
+  let path i docv doc = Arg.(required & pos i (some string) None & info [] ~docv ~doc) in
   Cmd.v
     (Cmd.info "benchdiff"
        ~doc:
-         "Compare two bench trajectory JSON files row-by-row and exit non-zero on relative \
-          slowdowns past the threshold")
-    Term.(const benchdiff $ old_path $ new_path $ threshold $ min_wall $ warn_only)
+         "Compare two benchmark/run.py BENCHMARK_results.json files metric by metric, by the \
+          directions and bounds of ./BENCHMARK.json; exit 1 on a regression, 2 when the two \
+          cannot be compared")
+    Term.(
+      const benchdiff
+      $ path 0 "PARENT" "Results of the parent commit."
+      $ path 1 "CHANGE" "Results of the change.")
 
 (* ------------------------------------------------------------------ *)
 (* trace                                                               *)

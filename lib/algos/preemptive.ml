@@ -175,8 +175,3 @@ let validate inst t =
   let usage = Profile.of_events ~base:0 !deltas in
   Profile.min_value (Profile.sub (Instance.availability inst) usage) >= 0
   && makespan_of t.intervals <= t.makespan
-
-let lower_bound_gap inst =
-  let pre = (optimal inst).makespan in
-  let lsrc = Schedule.makespan inst (Lsrc.run inst) in
-  (pre, lsrc)

@@ -41,7 +41,3 @@ val validate : Instance.t -> t -> bool
 (** Independent check of a claimed preemptive schedule: interval lengths sum
     to each [p_j], a job never overlaps itself, and at every instant the
     number of running jobs is within the availability. *)
-
-val lower_bound_gap : Instance.t -> int * int
-(** [(preemptive_opt, lsrc)] — the two ends of the non-preemption gap, for
-    convenience in experiments. *)

@@ -105,14 +105,3 @@ let theorem2_integral_certificate inst sched ~opt =
     }
   end
 
-let pp_integral_certificate ppf c =
-  Format.fprintf ppf
-    "C_A=%d C*=%d : (m+1)(C_A-C*)=%d <= X=%d <= W-(2C*-C_A)=%d, W=%d : %s" c.c_list c.c_opt
-    c.lemma1_lhs c.x_integral c.work_rhs c.total_work
-    (if c.chain_holds then "chain OK" else "chain VIOLATED")
-
-let pp_certificate ppf c =
-  Format.fprintf ppf "Cmax=%d vs (2-1/m)*%d = %.2f : %s (W=%d)" c.makespan c.opt_bound
-    c.graham_rhs
-    (if c.holds then "OK" else "VIOLATED")
-    c.work

@@ -29,8 +29,6 @@ val theorem2_certificate : Instance.t -> Schedule.t -> opt:int -> certificate
 (** Checks the Theorem 2 inequality [C_lsrc <= (2 − 1/m)·opt] against a
     claimed optimal (or lower-bound) value [opt]. *)
 
-val pp_certificate : Format.formatter -> certificate -> unit
-
 type integral_certificate = {
   c_list : int;  (** The list schedule's makespan C_A. *)
   c_opt : int;  (** The reference optimum Copt. *)
@@ -53,5 +51,3 @@ val theorem2_integral_certificate :
     [C_A ≤ Copt] the chain is vacuous and [chain_holds] is true. Requires a
     reservation-free instance, a feasible *greedy* schedule, and [opt >=
     pmax] (as in the proof). *)
-
-val pp_integral_certificate : Format.formatter -> integral_certificate -> unit

@@ -8,9 +8,6 @@
 
     Legend: ['#'] reservation, ['.'] idle, letters/digits cycle over jobs. *)
 
-val job_char : int -> char
-(** Deterministic display character for job index [i]. *)
-
 val assign_processors : Instance.t -> Schedule.t -> int array array
 (** [assign_processors inst s] returns, for each job index, the sorted list
     of processors (in [0..m-1]) it occupies. Raises [Invalid_argument] if the

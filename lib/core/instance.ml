@@ -79,15 +79,6 @@ let is_alpha_restricted t ~alpha =
   && float_of_int (qmax t) <= (alpha *. float_of_int t.m) +. 1e-9
   && float_of_int (umax t) <= ((1. -. alpha) *. float_of_int t.m) +. 1e-9
 
-let without_reservations t =
-  {
-    m = t.m;
-    jobs = Array.copy t.jobs;
-    reservations = [||];
-    unavail = Profile.constant 0;
-    avail = Profile.constant t.m;
-  }
-
 let with_jobs t jobs =
   let jobs = List.mapi (fun i j -> Job.make ~id:i ~p:(Job.p j) ~q:(Job.q j)) jobs in
   { t with jobs = Array.of_list jobs }

@@ -83,9 +83,6 @@ val alpha_interval : t -> (float * float) option
 val is_alpha_restricted : t -> alpha:float -> bool
 (** [∀t, U(t) <= (1−α)m] and [∀i, q_i <= αm] (paper §4.2). *)
 
-val without_reservations : t -> t
-(** Same jobs, empty reservation set. *)
-
 val with_jobs : t -> Job.t list -> t
 (** Same machine and reservations, replaced job set (ids renumbered). *)
 

@@ -53,6 +53,3 @@ let read_file path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> of_string text
   | exception Sys_error msg -> Error msg
-
-let write_file path inst =
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc (to_string inst))

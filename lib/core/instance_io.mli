@@ -18,4 +18,3 @@ val of_string : string -> (Instance.t, string) result
 
 val read_file : string -> (Instance.t, string) result
 
-val write_file : string -> Instance.t -> unit

@@ -1,189 +1,192 @@
-(* Bench-trajectory regression gate: compare two BENCH_*.json files
-   row-by-row and flag relative slowdowns.
+(* Benchmark regression gate: compare two BENCHMARK_results.json files
+   metric by metric against the directions and bounds BENCHMARK.json
+   declares (the reading benchmark/run.py writes and its readers apply).
 
-   Rows are the uniform records Bench_json emits ({experiment, n, algo,
-   wall_s, domains, seed, git_rev} plus the ts/host stamp). Two rows match
-   when their (experiment, n, algo, domains, seed) keys coincide; within a
-   file, duplicate keys collapse to the minimum wall time (best-of, the
-   usual bench convention — reruns only ever add noise upward). The gate
-   compares new/old wall ratios against a threshold:
+   A metric's verdict compares headline values, [change / parent - 1],
+   signed by its direction. It is unresolved when the parent's own q1-q3
+   spread is wider than the bound: a difference the size of the bound is
+   then inside the parent's noise. Metrics declared without a bound (the
+   per-layer ones) are printed and never judged. *)
 
-   - algo names under the "rss_mb:" and "phase:" prefixes are compared
-     but reported as informational, never failing the gate: RSS is a
-     process-wide high-water mark (monotone across rows of one harness
-     run, so only regressions of the *first* row of a regime would be
-     meaningful), and phase splits are coarse wall-clock shape.
-     "allocs_ev:" rows carry minor words per event — deterministic, so
-     they gate exactly like wall rows and catch allocation regressions the
-     timer would hide in noise (they are far above the [min_wall] floor by
-     construction).
-   - rows whose wall time is below [min_wall] in both files sit under the
-     timer noise floor and are skipped from gating.
-   - a non-finite wall (RSS off-Linux serialises as nan -> null) skips the
-     row. *)
+type better = Higher | Lower
+type declared = (string * (better * float option)) list
+type metric = { value : float; median : float; q1 : float; q3 : float; unit : string }
 
-type row = {
-  experiment : string;
-  n : int;
-  algo : string;
-  wall_s : float;
-  domains : int;
+type results = {
+  workload : string;
   seed : int;
-  git_rev : string;
-  ts : string option;
-  host : string option;
+  trace : int;
+  attempted : int;
+  failed : int;
+  errors : string list;
+  metrics : (string * metric) list;
 }
 
-let key r = Printf.sprintf "%s/n=%d/%s/d=%d/seed=%d" r.experiment r.n r.algo r.domains r.seed
+let ( let* ) = Result.bind
+let field k j = Option.to_result ~none:(Printf.sprintf "missing or ill-typed %S" k) j
+let num k j = match Jsonu.member k j with Some (Jsonu.Num f) -> Some f | _ -> None
+let int k j = Option.bind (Jsonu.member k j) Jsonu.to_int
+let str k j = Option.bind (Jsonu.member k j) Jsonu.to_str
 
-let informational r =
-  let has_prefix p =
-    let n = String.length p in
-    String.length r.algo >= n && String.sub r.algo 0 n = p
+(* Fails on the first element [f] rejects. *)
+let map_all f l =
+  List.fold_right
+    (fun x acc ->
+      let* acc = acc in
+      let* y = f x in
+      Ok (y :: acc))
+    l (Ok [])
+
+let declared_entry j =
+  let* name = field "name" (str "name" j) in
+  let* better =
+    match str "better" j with
+    | Some "higher" -> Ok Higher
+    | Some "lower" -> Ok Lower
+    | _ -> Error (Printf.sprintf "%s: \"better\" must be \"higher\" or \"lower\"" name)
   in
-  has_prefix "rss_mb:" || has_prefix "phase:"
+  Ok (name, (better, num "bound" j))
 
-let row_of_json j =
-  let ( let* ) o f = Option.bind o f in
-  let int k = Option.bind (Jsonu.member k j) Jsonu.to_int in
-  let str k = Option.bind (Jsonu.member k j) Jsonu.to_str in
-  let* experiment = str "experiment" in
-  let* n = int "n" in
-  let* algo = str "algo" in
-  let* wall_s =
-    match Jsonu.member "wall_s" j with
-    | Some (Jsonu.Num f) -> Some f
-    | Some Jsonu.Null -> Some Float.nan
-    | _ -> None
+let declared_of_string s =
+  let* j = Jsonu.of_string s in
+  let list k = match Jsonu.member k j with Some (Jsonu.List l) -> l | _ -> [] in
+  map_all declared_entry (list "end_to_end" @ list "per_layer")
+
+let metric_of (name, j) =
+  let get k = field (name ^ "." ^ k) (num k j) in
+  let* value = get "value" in
+  let* median = get "median" in
+  let* q1 = get "q1" in
+  let* q3 = get "q3" in
+  let* unit = field (name ^ ".unit") (str "unit" j) in
+  Ok (name, { value; median; q1; q3; unit })
+
+let results_of_string s =
+  let* j = Jsonu.of_string s in
+  let* workload = field "workload" (str "workload" j) in
+  let* seed = field "seed" (int "seed" j) in
+  let* trace = field "trace" (int "trace" j) in
+  let* attempted = field "attempted" (int "attempted" j) in
+  let* failed = field "failed" (int "failed" j) in
+  let* errors =
+    match Jsonu.member "errors" j with
+    | Some (Jsonu.List l) -> map_all (fun e -> field "errors" (Jsonu.to_str e)) l
+    | _ -> Error "missing or ill-typed \"errors\""
   in
-  let* domains = int "domains" in
-  let* seed = int "seed" in
-  let git_rev = Option.value (str "git_rev") ~default:"unknown" in
-  Some { experiment; n; algo; wall_s; domains; seed; git_rev; ts = str "ts"; host = str "host" }
-
-let rows_of_json = function
-  | Jsonu.List items ->
-    let rows = List.filter_map row_of_json items in
-    if rows = [] && items <> [] then Error "no bench records recognised" else Ok rows
-  | _ -> Error "expected a JSON array of bench records"
-
-let rows_of_string s =
-  match Jsonu.of_string s with Error m -> Error m | Ok j -> rows_of_json j
+  let* metrics =
+    match Jsonu.member "metrics" j with
+    | Some (Jsonu.Obj l) -> map_all metric_of l
+    | _ -> Error "missing or ill-typed \"metrics\""
+  in
+  let metrics = List.sort (fun (a, _) (b, _) -> String.compare a b) metrics in
+  Ok { workload; seed; trace; attempted; failed; errors; metrics }
 
 (* --- comparison ---------------------------------------------------------- *)
 
-type verdict = Regression | Improvement | Within | Info | Noise
+type verdict = Worse | Better | Within | Unresolved | Unbounded
 
 type comparison = {
-  ckey : string;
-  old_wall : float;
-  new_wall : float;
-  ratio : float;  (* new / old *)
+  name : string;
+  parent : metric;
+  change : metric;
+  delta : float;
+  bound : float option;
+  spread : float;
   verdict : verdict;
 }
 
 type report = {
-  threshold : float;
-  min_wall : float;
-  comparisons : comparison list;  (* ratio-descending *)
-  only_old : string list;
-  only_new : string list;
+  run : string;
+  comparisons : comparison list;
+  only_parent : string list;
+  only_change : string list;
+  parent_failed : float;
+  change_failed : float;
   regressions : int;
-  improvements : int;
-  old_stamp : string;
-  new_stamp : string;
 }
 
-let stamp_of = function
-  | [] -> "empty"
-  | r :: _ ->
-    Printf.sprintf "%s%s%s"
-      (match r.ts with Some t -> t ^ " " | None -> "")
-      (match r.host with Some h -> h ^ " " | None -> "")
-      r.git_rev
-
-let index rows =
-  let tbl : (string, row) Hashtbl.t = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun r ->
-      if Float.is_finite r.wall_s then
-        match Hashtbl.find_opt tbl (key r) with
-        | Some prev -> if r.wall_s < prev.wall_s then Hashtbl.replace tbl (key r) r
-        | None ->
-          Hashtbl.add tbl (key r) r;
-          order := key r :: !order)
-    rows;
-  (tbl, List.rev !order)
-
-let compare_rows ?(threshold = 1.10) ?(min_wall = 0.05) ~old_rows ~new_rows () =
-  if not (threshold > 1.0) then invalid_arg "Benchdiff.compare_rows: threshold must be > 1";
-  let old_tbl, old_order = index old_rows in
-  let new_tbl, new_order = index new_rows in
-  let comparisons =
-    List.filter_map
-      (fun k ->
-        match (Hashtbl.find_opt old_tbl k, Hashtbl.find_opt new_tbl k) with
-        | Some o, Some n ->
-          let ratio = if o.wall_s > 0.0 then n.wall_s /. o.wall_s else Float.nan in
-          let verdict =
-            if informational o then Info
-            else if o.wall_s < min_wall && n.wall_s < min_wall then Noise
-            else if Float.is_finite ratio && ratio > threshold then Regression
-            else if Float.is_finite ratio && ratio < 1.0 /. threshold then Improvement
-            else Within
-          in
-          Some { ckey = k; old_wall = o.wall_s; new_wall = n.wall_s; ratio; verdict }
-        | _ -> None)
-      old_order
-    |> List.stable_sort (fun a b -> compare b.ratio a.ratio)
+let judge declared name (parent : metric) (change : metric) =
+  let delta = (change.value /. parent.value) -. 1. in
+  let spread = (parent.q3 -. parent.q1) /. Float.abs parent.median in
+  let bound, verdict =
+    match List.assoc_opt name declared with
+    | Some (better, Some bound) ->
+      let worse_by = match better with Lower -> delta | Higher -> -.delta in
+      ( Some bound,
+        if spread > bound then Unresolved
+        else if worse_by > bound then Worse
+        else if worse_by < -.bound then Better
+        else Within )
+    | _ -> (None, Unbounded)
   in
-  let missing_from tbl order = List.filter (fun k -> not (Hashtbl.mem tbl k)) order in
-  let count v = List.length (List.filter (fun c -> c.verdict = v) comparisons) in
-  {
-    threshold;
-    min_wall;
-    comparisons;
-    only_old = missing_from new_tbl old_order;
-    only_new = missing_from old_tbl new_order;
-    regressions = count Regression;
-    improvements = count Improvement;
-    old_stamp = stamp_of old_rows;
-    new_stamp = stamp_of new_rows;
-  }
+  { name; parent; change; delta; bound; spread; verdict }
 
-let verdict_tag = function
-  | Regression -> "REGRESSION"
-  | Improvement -> "improved"
-  | Within -> "ok"
-  | Info -> "info"
-  | Noise -> "noise"
+let run_of r = Printf.sprintf "%s, seed %d, trace %d" r.workload r.seed r.trace
+let failed_share r = float_of_int r.failed /. float_of_int (max 1 r.attempted)
+
+let compare declared ~parent ~change =
+  let with_errors who r =
+    match r.errors with
+    | [] -> Ok ()
+    | e :: _ ->
+      Error (Printf.sprintf "the %s run reported %d error(s), first: %s" who (List.length r.errors) e)
+  in
+  let* () = with_errors "parent" parent in
+  let* () = with_errors "change" change in
+  if run_of parent <> run_of change then
+    Error
+      (Printf.sprintf "different runs: parent is %s, change is %s" (run_of parent) (run_of change))
+  else
+    let comparisons =
+      List.filter_map
+        (fun (name, p) ->
+          Option.map (judge declared name p) (List.assoc_opt name change.metrics))
+        parent.metrics
+    in
+    let missing_from a b = List.filter (fun (k, _) -> not (List.mem_assoc k b)) a |> List.map fst in
+    if comparisons = [] then Error "no metric in common"
+    else
+      let parent_failed = failed_share parent and change_failed = failed_share change in
+      let worse = List.length (List.filter (fun c -> c.verdict = Worse) comparisons) in
+      Ok
+        {
+          run = run_of parent;
+          comparisons;
+          only_parent = missing_from parent.metrics change.metrics;
+          only_change = missing_from change.metrics parent.metrics;
+          parent_failed;
+          change_failed;
+          regressions = (worse + if change_failed > parent_failed then 1 else 0);
+        }
+
+let verdict_tag c =
+  match c.verdict with
+  | Worse -> "WORSE"
+  | Better -> "better"
+  | Within -> "within"
+  | Unresolved -> Printf.sprintf "unresolved (parent spread %.0f%%)" (100. *. c.spread)
+  | Unbounded -> "no bound"
 
 let render r =
   let b = Buffer.create 1024 in
-  Buffer.add_string b (Printf.sprintf "old: %s\nnew: %s\n" r.old_stamp r.new_stamp);
-  Buffer.add_string b
-    (Printf.sprintf "threshold: %.2fx (noise floor %.3fs), %d row pairs\n" r.threshold
-       r.min_wall (List.length r.comparisons));
-  let w =
-    List.fold_left (fun acc c -> max acc (String.length c.ckey)) 24 r.comparisons
-  in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  line "run: %s" r.run;
+  let w = List.fold_left (fun acc c -> max acc (String.length c.name)) 24 r.comparisons in
+  line "%-*s %14s    %14s %-11s %8s  %5s  %s" w "metric" "parent" "change" "unit" "delta" "bound"
+    "verdict";
   List.iter
     (fun c ->
-      Buffer.add_string b
-        (Printf.sprintf "%-*s  %10.4f -> %10.4f  %6s  %s\n" w c.ckey c.old_wall c.new_wall
-           (if Float.is_finite c.ratio then Printf.sprintf "%.2fx" c.ratio else "-")
-           (verdict_tag c.verdict)))
+      line "%-*s %14.6g -> %14.6g %-11s %+7.1f%%  %5s  %s" w c.name c.parent.value c.change.value
+        c.parent.unit (100. *. c.delta)
+        (match c.bound with Some x -> Printf.sprintf "%.0f%%" (100. *. x) | None -> "-")
+        (verdict_tag c))
     r.comparisons;
-  List.iter
-    (fun k -> Buffer.add_string b (Printf.sprintf "%-*s  only in old\n" w k))
-    r.only_old;
-  List.iter
-    (fun k -> Buffer.add_string b (Printf.sprintf "%-*s  only in new\n" w k))
-    r.only_new;
-  Buffer.add_string b
-    (Printf.sprintf "%d regression%s, %d improvement%s\n" r.regressions
-       (if r.regressions = 1 then "" else "s")
-       r.improvements
-       (if r.improvements = 1 then "" else "s"));
+  List.iter (fun k -> line "%-*s only in parent" w k) r.only_parent;
+  List.iter (fun k -> line "%-*s only in change" w k) r.only_change;
+  line "failed share: %.3f -> %.3f%s" r.parent_failed r.change_failed
+    (if r.change_failed > r.parent_failed then "  WORSE" else "");
+  let worse = List.filter_map (fun c -> if c.verdict = Worse then Some c.name else None) r.comparisons in
+  line "%d regression%s%s" r.regressions
+    (if r.regressions = 1 then "" else "s")
+    (if worse = [] then "" else ": " ^ String.concat ", " worse);
   Buffer.contents b

@@ -21,8 +21,6 @@ val to_string : slice list -> string
 (** The complete JSON document ([{"traceEvents": [...]}]). Deterministic:
     pids/tids are assigned in first-appearance order. *)
 
-val to_json_value : slice list -> Jsonu.t
-
 val write : out_channel -> slice list -> unit
 (** {!to_string} plus a trailing newline. *)
 

@@ -57,8 +57,8 @@ type event =
           avoidance wake-up past the last breakpoint). *)
   | Truncated of { dropped : int }
       (** A bounded sink overflowed: [dropped] older events are missing
-          before this point. Emitted by flush paths ({!write_jsonl},
-          {!flush_jsonl}), never by the simulator; [resa explain] warns
+          before this point. Emitted by {!flush_jsonl}, never by the
+          simulator; [resa explain] warns
           when it sees one. *)
 
 type t
@@ -95,14 +95,10 @@ val of_json : Jsonu.t -> (string option * event, string) result
 
 val parse_line : string -> (string option * event, string) result
 
-val write_jsonl : ?run:string -> ?dropped:int -> out_channel -> event list -> unit
-(** One event per line. When [dropped > 0] a trailing {!Truncated} line
-    records that the stream is incomplete (default [0]: no line). *)
-
 val flush_jsonl : ?run:string -> out_channel -> t -> unit
-(** [write_jsonl] of a ring buffer's {!contents} with its {!dropped} count
-    — the one call sites should use to persist a ring, so truncation is
-    never silently lost. *)
+(** A ring buffer's {!contents}, one event per line, followed by a
+    {!Truncated} line when its {!dropped} count is positive — so
+    truncation is never silently lost. *)
 
 val start_provenances : event list -> (int * provenance) list
 (** Per started job id, its start provenance, in event order — the

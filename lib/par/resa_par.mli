@@ -31,14 +31,6 @@
 
 open Resa_core
 
-val default_domains : unit -> int
-(** Pool size from [RESA_DOMAINS] (when set to a positive integer),
-    otherwise [Domain.recommended_domain_count ()] capped at 8. *)
-
-val domain_count : unit -> int
-(** The currently configured pool size: the {!set_domains} override if
-    any, otherwise {!default_domains}. *)
-
 val set_domains : int -> unit
 (** Override the pool size (values [< 1] are clamped to 1). If a pool of
     a different size is already running, it is shut down and respawned
@@ -79,7 +71,3 @@ val parallel_replicates :
     starts, so replicate [i] sees the same random stream whether the
     batch runs on 1 or 64 domains; [rng] itself is advanced by exactly
     [n] splits. Results land by replicate index. *)
-
-val shutdown : unit -> unit
-(** Stop and join the worker domains, if any. Idempotent; the pool
-    respawns lazily on the next parallel call. Registered [at_exit]. *)

@@ -25,9 +25,6 @@ type job_row = {
   provenance : string;
 }
 
-let wait_times (trace : Simulator.trace) =
-  List.map (fun (r : Simulator.record) -> r.start - r.submit) trace.records
-
 let per_job ?(bound = 10) ?provenance ?job_numbers (trace : Simulator.trace) =
   let provenance = match provenance with Some f -> f | None -> fun _ -> "" in
   let number =
@@ -189,11 +186,6 @@ module Stream = struct
   let wait_p50 t = Stats.P2.value t.wait_p50
   let wait_p95 t = Stats.P2.value t.wait_p95
 end
-
-let pp_summary ppf (s : summary) =
-  Format.fprintf ppf
-    "n=%d Cmax=%d wait(mean=%.1f,max=%d) slowdown(mean=%.2f,bounded=%.2f) util=%.3f" s.n
-    s.makespan s.mean_wait s.max_wait s.mean_slowdown s.mean_bounded_slowdown s.utilization
 
 let header =
   Printf.sprintf "%-8s %6s %10s %8s %8s %10s %6s" "policy" "Cmax" "mean_wait" "max_wait"

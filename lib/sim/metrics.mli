@@ -71,9 +71,6 @@ val per_job_csv : ?run:string -> job_row list -> string
 (** Render rows as CSV with a header line. With [?run], a leading [run]
     column carrying that name is prepended to every row. *)
 
-val wait_times : Simulator.trace -> int list
-(** Per-job waits, in submission order. *)
-
 (** Incremental metrics for streamed replays: observe each record as the
     simulator emits it ([Simulator.run_stream]'s [on_record]), in O(1)
     memory, and summarise at any point. Means, extrema and utilization are
@@ -102,8 +99,6 @@ module Stream : sig
   (** P² estimate of the 95th-percentile wait; [nan] before any
       observation. *)
 end
-
-val pp_summary : Format.formatter -> summary -> unit
 
 val header : string
 (** Column header matching {!row}. *)

@@ -650,19 +650,31 @@ let run ?(obs = Trace.null) ~policy ~m ?(reservations = []) ?estimates
   in
   { m; reservations; records; makespan = stats.makespan }
 
-(* Record k is job [order.(k)]: mapped back by submission position, as
-   job ids are only required to be distinct. *)
+(* Every job submitted at 0, fed to the engine straight from [order]; each
+   start is written back to the job's index in the instance as it is
+   recorded. Job ids are only required to be distinct, so the records are
+   mapped back through an id -> index table, not by id. *)
 let run_order ~policy inst order =
-  let subs =
-    Array.fold_right (fun i acc -> { job = Instance.job inst i; submit = 0 } :: acc) order []
+  let n = Array.length order in
+  let index = Hashtbl.create (max 16 n) in
+  Array.iter (fun i -> Hashtbl.replace index (Job.id (Instance.job inst i)) i) order;
+  let starts = Array.make n (-1) in
+  let k = ref 0 in
+  let next () =
+    if !k >= n then None
+    else begin
+      let job = Instance.job inst order.(!k) in
+      incr k;
+      Some { job; submit = 0; estimate = Job.p job }
+    end
   in
-  let trace =
-    run ~policy ~m:(Instance.m inst)
-      ~reservations:(Array.to_list (Instance.reservations inst))
-      subs
-  in
-  let starts = Array.make (Array.length order) (-1) in
-  List.iteri (fun k (r : record) -> starts.(order.(k)) <- r.start) trace.records;
+  ignore
+    (run_core ~obs:Trace.null ~policy ~m:(Instance.m inst)
+       ~reservations:(Array.to_list (Instance.reservations inst))
+       ~gc_every:0 ~hb_every:0 ~hb_dt:0 ~on_heartbeat:None
+       ~on_record:(fun r -> starts.(Hashtbl.find index (Job.id r.job)) <- r.start)
+       next
+      : stream_stats);
   Schedule.make starts
 
 let to_offline trace =

@@ -36,14 +36,10 @@ exception Parse_error of { line : int; msg : string }
 (** Raised by pulls on a malformed line, with its 1-based line number — the
     streaming counterpart of [Swf.parse_string]'s [Error]. *)
 
-val of_channel : ?keep_failed:bool -> m:int -> in_channel -> t
-(** Read the channel block by block, on demand. The caller owns the
-    channel and must keep it open while pulling ({!with_file} scopes
-    this). [keep_failed] defaults to true, as in the batch converters. *)
-
 val with_file : ?keep_failed:bool -> m:int -> string -> (t -> 'a) -> 'a
-(** [with_file path f] opens [path], hands [f] the stream and closes the
-    channel when [f] returns or raises. *)
+(** [with_file path f] opens [path] and hands [f] a stream that reads it
+    block by block, on demand; the channel is closed when [f] returns or
+    raises. [keep_failed] defaults to true, as in the batch converters. *)
 
 val of_string : ?keep_failed:bool -> m:int -> string -> t
 (** Stream over an in-memory trace: the same reader, with the text as its

@@ -61,6 +61,25 @@ let test_replay_budget (policy, budget) () =
 let budgets =
   [ (Policy.fcfs, 10.); (Policy.easy, 10.); (Policy.aggressive, 10.); (Policy.conservative, 24.) ]
 
+(* The materialised path with reservations: [Simulator.run] on the bench's
+   [sim] workload at n = 2000 (m=128, n/20 reservations, seed 1236),
+   minor words per event (admit or completion), list conversion and
+   record collection included. It measures 19–24 words/event. *)
+let sim_workload = lazy (Resa_bench.Perf.sim_subs 2000)
+let sim_budget = 30.
+
+let test_sim_budget (policy : Policy.t) () =
+  let subs, reservations = Lazy.force sim_workload in
+  let words =
+    Tutil.without_metrics (fun () ->
+        minor_words (fun () ->
+            ignore (Simulator.run ~policy ~m:128 ~reservations subs : Simulator.trace)))
+  in
+  let w = words /. float_of_int (2 * List.length subs) in
+  if w > sim_budget then
+    Alcotest.failf "%s: Simulator.run allocates %.2f minor words/event, budget %.0f" policy.name w
+      sim_budget
+
 let test_stream_observe_budget () =
   let n = 100_000 in
   let rng = Prng.create ~seed:7 in
@@ -184,3 +203,9 @@ let suite =
         (Printf.sprintf "reserved start-up within %.0f words" reserved_startup_budget)
         `Quick test_reserved_startup_budget;
     ]
+  @ List.map
+      (fun (p : Policy.t) ->
+        Alcotest.test_case
+          (Printf.sprintf "%s sim run within %.0f words/event" p.name sim_budget)
+          `Quick (test_sim_budget p))
+      Policy.all

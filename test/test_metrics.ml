@@ -1,7 +1,7 @@
 (* Telemetry layer: the typed metrics registry (bucket goldens, snapshot
    determinism, exposition, disabled-path contracts), heartbeat snapshots
    (sampler cadence, JSONL round-trip, wall segregation) and the benchdiff
-   regression gate. *)
+   regression gate over benchmark results. *)
 
 open Resa_sim
 module M = Resa_obs.Metrics
@@ -347,72 +347,141 @@ let test_heartbeat_roundtrip () =
 
 (* --- benchdiff ----------------------------------------------------------- *)
 
-let brow ?(experiment = "perf") ?(n = 1000) ?(algo = "easy") ?(domains = 4) ?(seed = 42)
-    ?(git_rev = "abc") ?ts ?host wall_s =
-  { B.experiment; n; algo; wall_s; domains; seed; git_rev; ts; host }
+(* Declared as BENCHMARK.json declares: one bounded metric per direction,
+   and a per-layer metric with no bound. *)
+let declared =
+  Result.get_ok
+    (B.declared_of_string
+       {|{"end_to_end": [
+  {"name": "jobs_per_s.fcfs", "unit": "jobs/s", "better": "higher", "bound": 0.15},
+  {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.2}],
+ "per_layer": [{"name": "policy.share.fcfs", "unit": "", "better": "lower"}]}|})
+
+(* A results file as benchmark/run.py writes it; [metrics] are
+   (name, value, q1, q3), the median equal to the value. *)
+let results ?(workload = "swf-replay") ?(seed = 4242) ?(trace = 0) ?(failed = 0)
+    ?(errors = []) metrics =
+  let open Resa_obs.Jsonu in
+  let metric (name, v, q1, q3) =
+    ( name,
+      Obj
+        [
+          ("value", Num v); ("median", Num v); ("q1", Num q1); ("q3", Num q3);
+          ("samples", Num 10.); ("raw", List [ Num v ]); ("unit", Str "u");
+        ] )
+  in
+  to_string
+    (Obj
+       [
+         ("workload", Str workload); ("seed", Num (float_of_int seed));
+         ("trace", Num (float_of_int trace)); ("seconds", Num 12.5); ("attempted", Num 40.);
+         ("failed", Num (float_of_int failed)); ("errors", List (List.map (fun e -> Str e) errors));
+         ("metrics", Obj (List.map metric metrics)); ("digests", Obj []);
+         ("time_scales", List [ Num 1.02 ]);
+       ])
+  |> B.results_of_string |> Result.get_ok
+
+let compare_ok parent change =
+  match B.compare declared ~parent ~change with Ok r -> r | Error e -> Alcotest.fail e
+
+let verdict r name = (List.find (fun c -> c.B.name = name) r.B.comparisons).B.verdict
 
 let test_benchdiff_flags_slowdown () =
-  let old_rows = [ brow 1.0; brow ~algo:"fcfs" 2.0 ] in
-  let new_rows = [ brow 1.2; brow ~algo:"fcfs" 2.0 ] in
-  let r = B.compare_rows ~old_rows ~new_rows () in
+  let parent = results [ ("jobs_per_s.fcfs", 100., 98., 102.) ] in
+  let r = compare_ok parent (results [ ("jobs_per_s.fcfs", 80., 78., 82.) ]) in
   Alcotest.(check int) "20% slowdown flagged" 1 r.B.regressions;
-  Alcotest.(check int) "no improvements" 0 r.B.improvements;
-  Alcotest.(check bool) "render names the regression" true
-    (contains ~sub:"REGRESSION" (B.render r));
-  let same = B.compare_rows ~old_rows ~new_rows:old_rows () in
-  Alcotest.(check int) "identical inputs pass" 0 same.B.regressions
+  Alcotest.(check bool) "worse" true (verdict r "jobs_per_s.fcfs" = B.Worse);
+  Alcotest.(check bool) "render names the metric" true
+    (contains ~sub:"1 regression: jobs_per_s.fcfs" (B.render r));
+  let faster = compare_ok parent (results [ ("jobs_per_s.fcfs", 120., 118., 122.) ]) in
+  Alcotest.(check bool) "20% speed-up is better" true (verdict faster "jobs_per_s.fcfs" = B.Better);
+  Alcotest.(check int) "identical inputs pass" 0 (compare_ok parent parent).B.regressions
 
 let test_benchdiff_special_rows () =
+  (* Peak RSS gates by its bound; a parent whose q1-q3 spread is wider
+     than the bound cannot tell the change, and a metric with no declared
+     bound is never judged. *)
   let r =
-    B.compare_rows
-      ~old_rows:[ brow ~algo:"rss_mb:easy" 10.0; brow ~algo:"tiny" 0.001; brow 1.0 ]
-      ~new_rows:[ brow ~algo:"rss_mb:easy" 30.0; brow ~algo:"tiny" 0.004; brow 1.0 ]
-      ()
+    compare_ok
+      (results [ ("peak_rss_mb", 10., 9.9, 10.1); ("policy.share.fcfs", 0.2, 0.2, 0.2) ])
+      (results [ ("peak_rss_mb", 13., 12.9, 13.1); ("policy.share.fcfs", 0.9, 0.9, 0.9) ])
   in
-  Alcotest.(check int) "rss and noise rows never gate" 0 r.B.regressions;
-  let verdict key =
-    let c = List.find (fun c -> contains ~sub:key c.B.ckey) r.B.comparisons in
-    c.B.verdict
+  Alcotest.(check bool) "rss 30% up is worse" true (verdict r "peak_rss_mb" = B.Worse);
+  Alcotest.(check bool) "per-layer metric unbounded" true (verdict r "policy.share.fcfs" = B.Unbounded);
+  Alcotest.(check int) "only rss gates" 1 r.B.regressions;
+  let noisy =
+    compare_ok (results [ ("jobs_per_s.fcfs", 100., 80., 120.) ]) (results [ ("jobs_per_s.fcfs", 50., 49., 51.) ])
   in
-  Alcotest.(check bool) "rss is informational" true (verdict "rss_mb:easy" = B.Info);
-  Alcotest.(check bool) "sub-noise-floor is noise" true (verdict "tiny" = B.Noise)
+  Alcotest.(check bool) "40% spread > 15% bound: unresolved" true
+    (verdict noisy "jobs_per_s.fcfs" = B.Unresolved);
+  Alcotest.(check int) "unresolved never gates" 0 noisy.B.regressions
 
 let test_benchdiff_dedup_and_missing () =
-  (* Duplicate keys collapse to the best (minimum) wall; unmatched keys are
-     reported, not compared. *)
+  (* Unmatched metrics are reported, not compared; a higher failed share
+     is a regression of its own. *)
   let r =
-    B.compare_rows
-      ~old_rows:[ brow 1.5; brow 1.0; brow ~algo:"gone" 1.0 ]
-      ~new_rows:[ brow 1.05; brow ~algo:"new" 1.0 ]
-      ()
+    compare_ok
+      (results [ ("jobs_per_s.fcfs", 100., 99., 101.); ("gone", 1., 1., 1.) ])
+      (results ~failed:2 [ ("jobs_per_s.fcfs", 100., 99., 101.); ("new", 1., 1., 1.) ])
   in
-  Alcotest.(check int) "one matched pair" 1 (List.length r.B.comparisons);
-  let c = List.hd r.B.comparisons in
-  Alcotest.(check bool) "old collapsed to min" true (c.B.old_wall = 1.0);
-  Alcotest.(check int) "1.05x is within threshold" 0 r.B.regressions;
-  Alcotest.(check bool) "only_old reported" true
-    (List.exists (contains ~sub:"gone") r.B.only_old);
-  Alcotest.(check bool) "only_new reported" true
-    (List.exists (contains ~sub:"new") r.B.only_new)
+  Alcotest.(check int) "one matched metric" 1 (List.length r.B.comparisons);
+  Alcotest.(check (list string)) "only_parent" [ "gone" ] r.B.only_parent;
+  Alcotest.(check (list string)) "only_change" [ "new" ] r.B.only_change;
+  Alcotest.(check int) "higher failed share gates" 1 r.B.regressions;
+  Alcotest.(check bool) "render flags the failed share" true
+    (contains ~sub:"failed share: 0.000 -> 0.050  WORSE" (B.render r))
 
 let test_benchdiff_parses_bench_json () =
-  (* The exact shape Bench_json.write emits, stamp included. *)
+  (* The exact shape benchmark/run.py writes, extra members included. *)
   let text =
-    {|[
-  {"experiment": "perf", "n": 500, "algo": "easy", "wall_s": 0.123456, "speedup": null, "domains": 4, "seed": 42, "git_rev": "abc1234", "ts": "2026-08-09T12:00:00Z", "host": "ci"},
-  {"experiment": "perf", "n": 500, "algo": "rss_mb:easy", "wall_s": 13.500000, "speedup": 1.500, "domains": 4, "seed": 42, "git_rev": "abc1234", "ts": "2026-08-09T12:00:00Z", "host": "ci"}
-]|}
+    {|{
+ "workload": "swf-replay", "seed": 4242, "trace": 0, "seconds": 12.877,
+ "attempted": 41, "failed": 0, "errors": [],
+ "metrics": {
+  "setup_s": {"value": 0.13462747011512555, "median": 0.13462747011512555,
+   "q1": 0.11860660339688553, "q3": 0.14079373233471854, "samples": 2,
+   "raw": [0.13733390282473829, 1.2e-05], "unit": "s"},
+  "jobs_per_s.fcfs": {"value": 456275.3865197422, "median": 456275.3865197422,
+   "q1": 408360.1308532103, "q3": 483477.9099015664, "samples": 1, "raw": [456275.3865197422],
+   "unit": "jobs/s"}},
+ "digests": {"fcfs": [{"makespan": "3056904"}]}, "time_scales": [1.0]
+}|}
   in
-  match B.rows_of_string text with
+  match B.results_of_string text with
   | Error e -> Alcotest.fail e
-  | Ok rows ->
-    Alcotest.(check int) "two rows" 2 (List.length rows);
-    let r = List.hd rows in
-    Alcotest.(check (option string)) "ts parsed" (Some "2026-08-09T12:00:00Z") r.B.ts;
-    Alcotest.(check (option string)) "host parsed" (Some "ci") r.B.host;
-    let report = B.compare_rows ~old_rows:rows ~new_rows:rows () in
-    Alcotest.(check bool) "stamp surfaces in report" true
-      (contains ~sub:"2026-08-09T12:00:00Z ci abc1234" report.B.old_stamp)
+  | Ok r ->
+    Alcotest.(check string) "workload" "swf-replay" r.B.workload;
+    Alcotest.(check (list string)) "metrics by name" [ "jobs_per_s.fcfs"; "setup_s" ]
+      (List.map fst r.B.metrics);
+    let m = List.assoc "setup_s" r.B.metrics in
+    Alcotest.(check (float 1e-12)) "q3" 0.14079373233471854 m.B.q3;
+    Alcotest.(check string) "unit" "s" m.B.unit;
+    Alcotest.(check bool) "a metric missing q1 is refused" true
+      (Result.is_error
+         (B.results_of_string
+            {|{"workload": "w", "seed": 1, "trace": 0, "attempted": 1, "failed": 0, "errors": [],
+               "metrics": {"x": {"value": 1, "median": 1, "q3": 1, "unit": "s"}}}|}))
+
+(* Inputs that cannot be compared are refused, never passed. *)
+let refused parent change =
+  match B.compare declared ~parent ~change with Error _ -> true | Ok _ -> false
+
+let test_benchdiff_no_common_metric () =
+  Alcotest.(check bool) "no metric in common" true
+    (refused (results [ ("a", 1., 1., 1.) ]) (results [ ("b", 1., 1., 1.) ]))
+
+let test_benchdiff_different_runs () =
+  let m = [ ("jobs_per_s.fcfs", 100., 99., 101.) ] in
+  let base = results m in
+  Alcotest.(check bool) "workload" true (refused base (results ~workload:"resv-alpha" m));
+  Alcotest.(check bool) "seed" true (refused base (results ~seed:1 m));
+  Alcotest.(check bool) "trace" true (refused base (results ~trace:1 m))
+
+let test_benchdiff_errors_refused () =
+  let m = [ ("jobs_per_s.fcfs", 100., 99., 101.) ] in
+  let bad = results ~errors:[ "fcfs: output differs from benchmark/expected.json" ] m in
+  Alcotest.(check bool) "change with errors" true (refused (results m) bad);
+  Alcotest.(check bool) "parent with errors" true (refused bad (results m))
 
 let suite =
   [
@@ -434,4 +503,7 @@ let suite =
     Alcotest.test_case "benchdiff dedup and missing keys" `Quick
       test_benchdiff_dedup_and_missing;
     Alcotest.test_case "benchdiff reads bench json" `Quick test_benchdiff_parses_bench_json;
+    Alcotest.test_case "benchdiff refuses no common metric" `Quick test_benchdiff_no_common_metric;
+    Alcotest.test_case "benchdiff refuses different runs" `Quick test_benchdiff_different_runs;
+    Alcotest.test_case "benchdiff refuses inputs with errors" `Quick test_benchdiff_errors_refused;
   ]
