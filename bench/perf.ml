@@ -73,21 +73,24 @@ let simulator_tests =
 
 let all_tests = algorithm_tests @ profile_tests @ eventq_tests @ simulator_tests
 
-(* --- engine at 0 vs offline ---------------------------------------------- *)
+(* --- engine at 0 ----------------------------------------------------------- *)
 
 let engine_seed = 7
 
-(* An offline list scheduler may be replaced by its online policy run with
-   every job submitted at 0 ([Simulator.run_order], as [Backfill.easy_order]
-   is) once the engine is within 1.5x of it. These rows measure that ratio
-   on small alpha-restricted instances (m=16, alpha=0.5, pmax=20, n/4
-   reservations, seed 7), where the engine's per-run set-up weighs most.
-   Each cell is the median per-run time of 7 batches, the engine and the
-   offline batches alternating; a batch repeats the run until it lasts at
-   least 2 ms. The two must agree on every start, or the bench fails. *)
-let engine_vs_offline () =
+(* Each policy's offline schedule is its online policy run with every job
+   submitted at 0 ([Simulator.run_order]): [Lsrc.run_order] and
+   [Backfill.easy_order] are exactly that. These rows time it on small
+   alpha-restricted instances (m=16, alpha=0.5, pmax=20, n/4 reservations,
+   seed 7, FIFO), where the engine's per-run set-up weighs most, against
+   the offline bodies FCFS and CONS still keep (DESIGN.md §3). Each cell is
+   the median per-run time of 7 batches, alternating when there are two
+   columns; a batch repeats the run until it lasts at least 2 ms. Up to
+   n=1000 every start must agree with the policy's Profile oracle
+   ([Resa_oracles]), or the bench fails; the kept offline bodies must agree
+   with the engine at every n. *)
+let engine_at_zero () =
   Printf.printf
-    "\n=== PERF: engine at 0 vs offline (m=16, alpha=0.5, pmax=20, n/4 reservations) ===\n";
+    "\n=== PERF: engine at 0 (m=16, alpha=0.5, pmax=20, n/4 reservations, FIFO) ===\n";
   let batch f k =
     let t0 = Resa_obs.Prof.now_ns () in
     for _ = 1 to k do
@@ -102,13 +105,21 @@ let engine_vs_offline () =
   in
   let algos =
     [
-      ("lsrc", Resa_sim.Policy.aggressive, Resa_algos.Lsrc.run_order);
-      ("fcfs", Resa_sim.Policy.fcfs, Resa_algos.Fcfs.run_order);
-      ("conservative", Resa_sim.Policy.conservative, Resa_algos.Backfill.conservative_order);
+      ("lsrc", Resa_sim.Policy.aggressive, Resa_oracles.Lsrc.run_order_reference, None);
+      ( "fcfs",
+        Resa_sim.Policy.fcfs,
+        Resa_oracles.Fcfs.run_order_reference,
+        Some Resa_algos.Fcfs.run_order );
+      ( "conservative",
+        Resa_sim.Policy.conservative,
+        Resa_oracles.Backfill.conservative_order_reference,
+        Some Resa_algos.Backfill.conservative_order );
+      ("easy", Resa_sim.Policy.easy, Resa_oracles.Backfill.easy_order_reference, None);
     ]
   in
   let t =
-    Resa_stats.Table.create ~headers:[ "algorithm"; "n"; "engine"; "offline"; "engine/offline" ]
+    Resa_stats.Table.create
+      ~headers:[ "algorithm"; "n"; "engine"; "kept offline"; "engine/offline" ]
   in
   List.iter
     (fun n ->
@@ -118,26 +129,39 @@ let engine_vs_offline () =
       in
       let order = Resa_algos.Priority.order Resa_algos.Priority.Fifo inst in
       List.iter
-        (fun (name, policy, offline) ->
-          let engine () = Resa_sim.Simulator.run_order ~policy inst order in
-          let offline () = offline inst order in
-          if Schedule.starts (engine ()) <> Schedule.starts (offline ()) then
-            failwith (Printf.sprintf "engine-vs-offline: %s differs from its policy at n=%d" name n);
-          let ke = calibrate engine 1 and ko = calibrate offline 1 in
-          let es = Array.make 7 0. and os = Array.make 7 0. in
-          for b = 0 to 6 do
-            es.(b) <- float_of_int (batch engine ke) /. float_of_int ke /. 1e9;
-            os.(b) <- float_of_int (batch offline ko) /. float_of_int ko /. 1e9
-          done;
-          let engine_s = median es and offline_s = median os in
+        (fun (name, policy, oracle, offline) ->
+          let engine () =
+            Resa_algos.Priority.check_order name inst order;
+            Resa_sim.Simulator.run_order ~policy inst order
+          in
+          let starts = Schedule.starts (engine ()) in
+          let differs f = Schedule.starts (f inst order) <> starts in
+          if (n <= 1000 && differs oracle) || Option.fold ~none:false ~some:differs offline then
+            failwith (Printf.sprintf "engine at 0: %s differs at n=%d" name n);
           let us s = Printf.sprintf "%.1f us" (s *. 1e6) in
-          Resa_stats.Table.add_row t
-            [
-              name; string_of_int n; us engine_s; us offline_s;
-              Printf.sprintf "%.2fx" (engine_s /. offline_s);
-            ])
+          let ke = calibrate engine 1 in
+          let es = Array.make 7 0. in
+          let cells =
+            match offline with
+            | None ->
+              for b = 0 to 6 do
+                es.(b) <- float_of_int (batch engine ke) /. float_of_int ke /. 1e9
+              done;
+              [ us (median es); "-"; "-" ]
+            | Some off ->
+              let offline () = off inst order in
+              let ko = calibrate offline 1 in
+              let os = Array.make 7 0. in
+              for b = 0 to 6 do
+                es.(b) <- float_of_int (batch engine ke) /. float_of_int ke /. 1e9;
+                os.(b) <- float_of_int (batch offline ko) /. float_of_int ko /. 1e9
+              done;
+              let e = median es and o = median os in
+              [ us e; us o; Printf.sprintf "%.2fx" (e /. o) ]
+          in
+          Resa_stats.Table.add_row t (name :: string_of_int n :: cells))
         algos)
-    [ 5; 50; 1000 ];
+    (if !small then [ 5; 50; 1000 ] else [ 5; 50; 1000; 20_000 ]);
   print_string (Resa_stats.Table.render t)
 
 (* --- timeline vs profile scaling series --------------------------------- *)
@@ -206,7 +230,7 @@ let scaling () =
         algos)
     prepared;
   print_string (Resa_stats.Table.render t);
-  engine_vs_offline ()
+  engine_at_zero ()
 
 (* --- simulator scaling series ------------------------------------------- *)
 

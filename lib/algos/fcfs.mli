@@ -14,8 +14,12 @@ val run : ?priority:Priority.t -> Instance.t -> Schedule.t
     is always feasible. *)
 
 val run_order : Instance.t -> int array -> Schedule.t
-(** Timeline-backed: capacity operations run on the mutable {!Timeline}.
-    Raises [Invalid_argument] if [order] is not a permutation. *)
+(** Timeline-backed: each job, in [order], takes its earliest fit not
+    before its predecessor's start on the mutable {!Timeline}. This is
+    {!Resa_sim.Policy.fcfs} with every job submitted at 0 (the differential
+    tests hold them to the same starts), kept as an offline body because it
+    runs about twice as fast as the simulator here (DESIGN.md §3). Raises
+    [Invalid_argument] if [order] is not a permutation. *)
 
 val respects_order : Instance.t -> Schedule.t -> int array -> bool
 (** FCFS invariant: start times are non-decreasing along the queue order. *)

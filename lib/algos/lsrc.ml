@@ -1,54 +1,8 @@
 open Resa_core
 
-(* Registry counters (RESA_METRICS): decision instants visited and jobs
-   placed by the production list scheduler. *)
-let c_instants = Resa_obs.Metrics.counter "lsrc.decision_instants"
-let c_placed = Resa_obs.Metrics.counter "lsrc.jobs_placed"
-
 let run_order inst order =
   Priority.check_order "Lsrc.run_order" inst order;
-  let n = Instance.n_jobs inst in
-  let starts = Array.make n (-1) in
-  let free = Timeline.of_profile (Instance.availability inst) in
-  let pending = Array.copy order in
-  let n_pend = ref n in
-  (* Start, in list order, every pending job whose whole window fits at [t],
-     compacting survivors in place. [cap_now] (capacity at the instant [t])
-     bounds every window minimum from above, so jobs wider than it are
-     rejected with an integer compare instead of a tree query. *)
-  let place_fitting t =
-    let cap_now = ref (Timeline.value_at free t) in
-    let w = ref 0 in
-    for k = 0 to !n_pend - 1 do
-      let i = pending.(k) in
-      let j = Instance.job inst i in
-      let q = Job.q j in
-      if q <= !cap_now && Timeline.min_on free ~lo:t ~hi:(t + Job.p j) >= q then begin
-        starts.(i) <- t;
-        Timeline.reserve free ~start:t ~dur:(Job.p j) ~need:q;
-        Resa_obs.Metrics.incr c_placed;
-        cap_now := !cap_now - q
-      end
-      else begin
-        pending.(!w) <- i;
-        incr w
-      end
-    done;
-    n_pend := !w
-  in
-  let rec loop t =
-    Resa_obs.Metrics.incr c_instants;
-    place_fitting t;
-    if !n_pend > 0 then
-      match Timeline.next_breakpoint_after free t with
-      | Some t' -> loop t'
-      | None ->
-        (* Unreachable: past the last breakpoint the capacity is the full
-           machine, so every pending job fits (DESIGN.md §1). *)
-        assert false
-  in
-  Resa_obs.Prof.with_span ~cat:"algo" "lsrc.run_order" (fun () -> loop 0);
-  Schedule.make starts
+  Resa_sim.Simulator.run_order ~policy:Resa_sim.Policy.aggressive inst order
 
 let run ?(priority = Priority.Fifo) inst = run_order inst (Priority.order priority inst)
 

@@ -5,8 +5,10 @@
     some listed job fits. With advance reservations, "fits at time t" means
     the job's whole execution window [\[t, t+p)] fits inside the remaining
     capacity [m − U − running]; feasible starts only open at breakpoints of
-    that profile, so an event-driven sweep over breakpoints implements the
-    continuous-time greedy exactly (DESIGN.md §1).
+    that profile, so deciding at 0, at each completion and at each
+    availability breakpoint implements the continuous-time greedy exactly
+    (DESIGN.md §1). That is the online policy {!Resa_sim.Policy.aggressive}
+    with every job submitted at 0: this module runs it on the simulator.
 
     Guarantees reproduced in this repository:
     - no reservations: makespan ≤ (2 − 1/m)·OPT (Theorem 2, appendix);
@@ -21,9 +23,9 @@ val run : ?priority:Priority.t -> Instance.t -> Schedule.t
     The result is always feasible ([Schedule.validate] succeeds). *)
 
 val run_order : Instance.t -> int array -> Schedule.t
-(** [run_order inst order] with an explicit index permutation. Drives its
-    capacity bookkeeping through the mutable {!Timeline}. Raises
-    [Invalid_argument] if [order] is not a permutation. *)
+(** [run_order inst order] with an explicit index permutation:
+    {!Resa_sim.Simulator.run_order} of {!Resa_sim.Policy.aggressive}.
+    Raises [Invalid_argument] if [order] is not a permutation. *)
 
 val decision_times : Instance.t -> Schedule.t -> int list
 (** The event times at which the sweep made decisions when producing this

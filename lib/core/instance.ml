@@ -4,6 +4,7 @@ type t = {
   reservations : Reservation.t array; (* sorted by Reservation.compare *)
   unavail : Profile.t; (* cached U(t) *)
   avail : Profile.t; (* cached m − U(t): availability is on every hot path *)
+  sweep : Resv_sweep.t; (* the same steps, as an engine run reads them *)
 }
 
 (* Sorts an int array, not a list: validation allocates two words per id. *)
@@ -42,6 +43,7 @@ let create ~m ~jobs ~reservations =
           reservations;
           unavail = Resv_sweep.unavailability sweep;
           avail = Resv_sweep.availability sweep;
+          sweep;
         })
 
 let create_exn ~m ~jobs ~reservations =
@@ -60,6 +62,7 @@ let jobs t = Array.copy t.jobs
 let reservations t = Array.copy t.reservations
 let unavailability t = t.unavail
 let availability t = t.avail
+let sweep t = t.sweep
 let total_work t = Array.fold_left (fun acc j -> acc + Job.area j) 0 t.jobs
 let pmax t = Array.fold_left (fun acc j -> max acc (Job.p j)) 0 t.jobs
 let qmax t = Array.fold_left (fun acc j -> max acc (Job.q j)) 0 t.jobs

@@ -53,6 +53,10 @@ val availability : t -> Profile.t
     instance (profiles are persistent), so repeated calls return the same
     value without reallocating. *)
 
+val sweep : t -> Resv_sweep.t
+(** The reservation sweep behind {!availability}, kept from {!create}: what
+    a simulator run over this instance's reservations starts from. *)
+
 val availability_of : m:int -> reservations:Reservation.t list -> Profile.t
 (** [m − U(t)] computed directly from a reservation list by
     {!Resv_sweep.run}, without constructing an instance. Agrees with

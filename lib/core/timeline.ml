@@ -112,6 +112,19 @@ let alloc_block t =
   t.add.(b) <- 0;
   b
 
+(* Move [n] ints of [a] from [src] to [dst] (the ranges may overlap).
+   Within a block that is at most [bsize] entries, where a loop beats the
+   runtime call [Array.blit] makes. *)
+let shift (a : int array) src dst n =
+  if dst > src then
+    for i = n - 1 downto 0 do
+      a.(dst + i) <- a.(src + i)
+    done
+  else
+    for i = 0 to n - 1 do
+      a.(dst + i) <- a.(src + i)
+    done
+
 (* Insert pool block [b], already filled, at time-order position [k]. *)
 let insert_block t k b =
   Array.blit t.order k t.order (k + 1) (t.nb - k);
@@ -277,8 +290,8 @@ let max_on t ~lo ~hi =
    of block [b], which has room. *)
 let insert_after t b j x =
   let stop = (b lsl bshift) + t.len.(b) in
-  Array.blit t.pos (j + 1) t.pos (j + 2) (stop - j - 1);
-  Array.blit t.vals (j + 1) t.vals (j + 2) (stop - j - 1);
+  shift t.pos (j + 1) (j + 2) (stop - j - 1);
+  shift t.vals (j + 1) (j + 2) (stop - j - 1);
   t.pos.(j + 1) <- x;
   t.vals.(j + 1) <- t.vals.(j);
   t.len.(b) <- t.len.(b) + 1;
@@ -297,8 +310,8 @@ let split_at t x =
     else begin
       let b' = alloc_block t in
       let h = bsize / 2 and base = b lsl bshift in
-      Array.blit t.pos (base + h) t.pos (b' lsl bshift) (bsize - h);
-      Array.blit t.vals (base + h) t.vals (b' lsl bshift) (bsize - h);
+      shift t.pos (base + h) (b' lsl bshift) (bsize - h);
+      shift t.vals (base + h) (b' lsl bshift) (bsize - h);
       t.len.(b) <- h;
       t.len.(b') <- bsize - h;
       t.add.(b') <- t.add.(b);
@@ -346,8 +359,8 @@ let merge_at t x =
   in
   if t.vals.(j) + t.add.(b) = prev then begin
     let stop = base + t.len.(b) in
-    Array.blit t.pos (j + 1) t.pos j (stop - j - 1);
-    Array.blit t.vals (j + 1) t.vals j (stop - j - 1);
+    shift t.pos (j + 1) j (stop - j - 1);
+    shift t.vals (j + 1) j (stop - j - 1);
     t.len.(b) <- t.len.(b) - 1;
     t.nseg <- t.nseg - 1;
     if t.len.(b) = 0 then drop_blocks t k 1
@@ -540,12 +553,6 @@ let seg_end t k j =
   if j + 1 < (b lsl bshift) + t.len.(b) then t.pos.(j + 1)
   else if k + 1 < t.nb then t.first.(k + 1)
   else -1
-
-let next_breakpoint_after t x =
-  if x < 0 then invalid_arg "Timeline: negative time";
-  let x = imax x t.off in
-  let k = locate t x in
-  match seg_end t k (entry t t.order.(k) x) with -1 -> None | e -> Some e
 
 let last_breakpoint t =
   if t.nseg = 1 then 0

@@ -23,7 +23,7 @@
     allocates nothing.
 
     Semantics are kept exactly aligned with [Profile] — [min_on], [reserve],
-    [change], [earliest_fit], [next_breakpoint_after] and [last_breakpoint]
+    [change], [earliest_fit] and [last_breakpoint]
     return bit-identical results to the persistent versions applied to the
     same operation history (enforced by the randomized differential suite in
     [test/test_timeline.ml]) — so schedulers can switch their hot loops to a
@@ -201,10 +201,6 @@ val check : t -> unit
     position, min and max equal to recomputed ones, and {!node_count} equal
     to the sum of block lengths. Raises [Failure] naming the first broken
     invariant. O(segments); for tests and debugging. *)
-
-val next_breakpoint_after : t -> int -> int option
-(** Smallest instant [> t] where the value changes, if any — agrees with
-    [Profile.next_breakpoint_after] on the normalized profile. *)
 
 val last_breakpoint : t -> int
 (** Start of the final constant segment (0 for a constant timeline). *)

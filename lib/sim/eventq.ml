@@ -11,11 +11,13 @@ let push q ~time pay =
   Int_heap.push q.heap ~key:time ~tie:q.next_seq pay;
   q.next_seq <- q.next_seq + 1
 
-let peek_time q = if is_empty q then -1 else Int_heap.min_key q.heap
+(* The heap's fields are read in place: the event loop peeks at every
+   step. *)
+let peek_time q = if q.heap.len = 0 then -1 else q.heap.a.(0)
 
 let pop q =
-  if is_empty q then invalid_arg "Eventq.pop: empty";
-  let pay = Int_heap.min_value q.heap in
+  if q.heap.len = 0 then invalid_arg "Eventq.pop: empty";
+  let pay = q.heap.a.(2) in
   Int_heap.drop_min q.heap;
   pay
 

@@ -1,13 +1,17 @@
-(** Binary min-heap of [(key, tie, value)] int triples over unboxed
-    parallel arrays, ordered lexicographically by [(key, tie)]: no
-    allocation per operation once the arrays have grown (by doubling).
+(** Binary min-heap of [(key, tie, value)] int triples interleaved in one
+    unboxed array, ordered lexicographically by [(key, tie)]: no
+    allocation per operation once the array has grown (by doubling).
 
     The engine's one priority queue: it backs {!Eventq} (key = time, tie =
     insertion sequence, so equal times pop FIFO) and the conservative
-    policy's promise heap (key = promised start, value = job id).
+    policy's promise heap (key = promised start, tie = admission order,
+    value = job id).
     Single-owner mutable state. *)
 
-type t
+type t = private { mutable a : int array; mutable len : int }
+(** [len] triples, the one at index [i] in [a.(3i)], [a.(3i+1)] and
+    [a.(3i+2)]; the minimum is at index 0. Readable so that a caller on the
+    event loop's path can peek without a call. *)
 
 val create : unit -> t
 

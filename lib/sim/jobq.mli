@@ -1,17 +1,17 @@
 (** The simulator's waiting queue: a growable array of jobs in FIFO
-    (submission) order, indexed directly by policies.
+    (submission) order, read in place by position. Each entry carries a
+    non-negative [tag]; the simulator stores the job's live slot there.
 
-    Policies used to receive the queue as a [Job.t list] snapshot rebuilt
-    before every decision; they now walk the backing array in place
-    through {!length}/{!get}, so the no-decision path of the event loop
-    allocates nothing. Each job carries an integer [tag] — the simulator
-    stores the job's dense live-slot index there, which is what lets the
-    post-start {!filter} and the start validation run without a hash
-    lookup per queued job.
+    A started job is not removed but {!kill}ed: its cell becomes a
+    tombstone that readers skip, so a decision that starts [k] jobs costs
+    [O(k)]. The live entries slide to the front once dead cells outnumber
+    them; a slide moves fewer entries than were killed since the last one,
+    so moves never exceed appends.
 
-    Aliasing contract: indices are valid only until the next {!append} or
-    {!filter} — exactly the simulator's use, where a decision consumes
-    the queue before the next event is drained. Single-owner, not
+    Aliasing contract: a position names the same entry from its {!append}
+    until the entry is killed or a slide moves it, and the {!kill} that
+    slides reports every entry it moves. {!append} never moves an entry.
+    Live positions increase in submission order. Single-owner, not
     thread-safe (each simulated run owns its queue). *)
 
 open Resa_core
@@ -21,23 +21,33 @@ type t
 val create : unit -> t
 
 val length : t -> int
-(** O(1). *)
+(** Number of live entries, O(1). *)
 
-val get : t -> int -> Job.t
-(** [get q i] is the [i]-th queued job in FIFO order, O(1). *)
+val first : t -> int
+(** A position with no live entry below it: the head's position when the
+    queue is non-empty. *)
 
-val tag : t -> int -> int
-(** The integer tag appended with the [i]-th job. *)
+val stop : t -> int
+(** One past the last position in use; every live position is in
+    [\[first, stop)]. *)
 
-val append : t -> Job.t -> tag:int -> unit
-(** Enqueue at the tail, O(1) amortised (backing arrays double). *)
+val jobs : t -> Job.t array
+(** The backing job array: [(jobs q).(i)] is the job at live position [i].
+    Scans read it in place rather than paying a call per entry. Valid
+    until the next {!append} or {!kill}; callers must not write it. *)
 
-val filter : t -> (int -> bool) -> unit
-(** [filter q keep] drops every entry whose {e tag} fails [keep],
-    preserving order — an in-place compaction of the backing store, paid
-    once per decision that started jobs. Dropped cells are cleared so the
-    queue never retains a started job's record. *)
+val tags : t -> int array
+(** The backing tag array, on {!jobs}' terms: [(tags q).(i)] is the tag of
+    the entry at position [i] in [\[first, stop)], or [-1] when the cell
+    is dead. *)
 
-val to_list : t -> Job.t list
-(** The queued jobs as a fresh list, O(n) — for the Profile-based
-    reference policies and diagnostics, never on the engine's hot path. *)
+val append : t -> Job.t -> tag:int -> int
+(** Enqueue at the tail and return the entry's position, O(1) amortised
+    (backing arrays double). Raises [Invalid_argument] on a negative tag. *)
+
+val kill : t -> int -> moved:(int -> int -> unit) -> unit
+(** [kill q i ~moved] turns the live entry at [i] into a tombstone (its
+    cell is cleared, so the queue never retains a started job). If dead
+    cells then outnumber live entries, the live ones slide to the front in
+    order and [moved tag pos] is called for each entry whose position
+    changes. Raises [Invalid_argument] if [i] holds no live entry. *)

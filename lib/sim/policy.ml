@@ -23,10 +23,12 @@ let action () = { start_now = []; wake = no_wake }
 
 (* --- timeline-native policies ------------------------------------------- *)
 
-let fits free ~time job = Timeline.min_on free ~lo:time ~hi:(time + Job.p job) >= Job.q job
+(* Job fields are read in place here and in the simulator: the library is
+   built without cross-module inlining, so [Job.p] would be a call. *)
+let fits free ~time job = Timeline.min_on free ~lo:time ~hi:(time + job.Job.p) >= job.Job.q
 
 let earliest_at free ~from job =
-  Timeline.earliest_fit_at free ~from ~dur:(Job.p job) ~need:(Job.q job)
+  Timeline.earliest_fit_at free ~from ~dur:job.Job.p ~need:job.Job.q
 
 (* Speculative allocation of [job]'s window at [time]. The simulator's
    post-decision pass either commits these wholesale — when the log is
@@ -36,7 +38,7 @@ let earliest_at free ~from job =
    so the re-checking [Timeline.reserve] would redo a window scan per
    start. *)
 let take free ~time job =
-  Timeline.reserve_fitting free ~start:time ~dur:(Job.p job) ~need:(Job.q job)
+  Timeline.reserve_fitting free ~start:time ~dur:job.Job.p ~need:job.Job.q
 
 (* Per-policy decision counters (RESA_METRICS). *)
 let c_fcfs = Metrics.counter "policy.decide.FCFS"
@@ -44,25 +46,28 @@ let c_lsrc = Metrics.counter "policy.decide.LSRC"
 let c_easy = Metrics.counter "policy.decide.EASY"
 let c_cons = Metrics.counter "policy.decide.CONS"
 
-(* The scan functions below are top-level and take the queue by index so
-   that a decision which starts nothing allocates nothing: no closure per
-   decide, no list view of the queue, cons cells only for jobs actually
-   started. A wake-up is written into the run's action on the way. *)
+(* The scan functions below are top-level and read the queue's backing
+   arrays by position ([jobs], and [tags] to skip the dead cells of started
+   jobs), so that a decision which starts nothing allocates nothing: no
+   closure per decide, no list view of the queue, no call per entry, cons
+   cells only for jobs actually started. A wake-up is written into the
+   run's action on the way. *)
 
 (* Start the longest startable prefix; the blocked head, if any, yields
    the next wake-up. *)
-let rec fcfs_go ~obs ~time act queue free i n =
-  if i >= n then []
+let rec fcfs_go ~obs ~time act jobs tags free i stop =
+  if i >= stop then []
+  else if tags.(i) < 0 then fcfs_go ~obs ~time act jobs tags free (i + 1) stop
   else begin
-    let head = Jobq.get queue i in
+    let head = jobs.(i) in
     if fits free ~time head then begin
       take free ~time head;
-      head :: fcfs_go ~obs ~time act queue free (i + 1) n
+      head :: fcfs_go ~obs ~time act jobs tags free (i + 1) stop
     end
     else begin
       let at = earliest_at free ~from:(time + 1) head in
       if Trace.enabled obs then
-        Trace.emit obs (Trace.Planned { time; policy = "FCFS"; job = Job.id head; at });
+        Trace.emit obs (Trace.Planned { time; policy = "FCFS"; job = head.Job.id; at });
       act.wake <- at;
       []
     end
@@ -74,7 +79,9 @@ let fcfs =
     fun ~time ~queue ~free ->
       Metrics.incr c_fcfs;
       act.wake <- no_wake;
-      act.start_now <- fcfs_go ~obs ~time act queue free 0 (Jobq.length queue);
+      act.start_now <-
+        fcfs_go ~obs ~time act (Jobq.jobs queue) (Jobq.tags queue) free (Jobq.first queue)
+          (Jobq.stop queue);
       act
   in
   { name = "FCFS"; create }
@@ -82,15 +89,15 @@ let fcfs =
 (* [cap_now] is the free capacity at [time]: a job wider than it cannot
    fit, so it is skipped without a window query, and once it reaches 0 no
    job can start. Each start lowers it by exactly its width. *)
-let rec lsrc_go ~time queue free cap_now i n =
-  if i >= n || cap_now = 0 then []
+let rec lsrc_go ~time jobs tags free cap_now i stop =
+  if cap_now = 0 || i >= stop then []
   else begin
-    let j = Jobq.get queue i in
-    if Job.q j <= cap_now && fits free ~time j then begin
+    let j = jobs.(i) in
+    if tags.(i) >= 0 && j.Job.q <= cap_now && fits free ~time j then begin
       take free ~time j;
-      j :: lsrc_go ~time queue free (cap_now - Job.q j) (i + 1) n
+      j :: lsrc_go ~time jobs tags free (cap_now - j.Job.q) (i + 1) stop
     end
-    else lsrc_go ~time queue free cap_now (i + 1) n
+    else lsrc_go ~time jobs tags free cap_now (i + 1) stop
   end
 
 let aggressive =
@@ -99,7 +106,8 @@ let aggressive =
     fun ~time ~queue ~free ->
       Metrics.incr c_lsrc;
       act.start_now <-
-        lsrc_go ~time queue free (Timeline.value_at free time) 0 (Jobq.length queue);
+        lsrc_go ~time (Jobq.jobs queue) (Jobq.tags queue) free (Timeline.value_at free time)
+          (Jobq.first queue) (Jobq.stop queue);
       act
   in
   { name = "LSRC"; create }
@@ -108,43 +116,45 @@ let aggressive =
    guaranteed start while backfilling. Each candidate is tried under a
    checkpoint — reserved, the guarantee re-derived — and kept or rolled
    back. *)
-let rec easy_prefix ~obs ~time act queue free i n =
-  if i >= n then []
+let rec easy_prefix ~obs ~time act jobs tags free i stop =
+  if i >= stop then []
+  else if tags.(i) < 0 then easy_prefix ~obs ~time act jobs tags free (i + 1) stop
   else begin
-    let head = Jobq.get queue i in
+    let head = jobs.(i) in
     if fits free ~time head then begin
       take free ~time head;
-      head :: easy_prefix ~obs ~time act queue free (i + 1) n
+      head :: easy_prefix ~obs ~time act jobs tags free (i + 1) stop
     end
     else begin
       let guaranteed = earliest_at free ~from:time head in
       if Trace.enabled obs then
         Trace.emit obs
-          (Trace.Planned { time; policy = "EASY"; job = Job.id head; at = guaranteed });
+          (Trace.Planned { time; policy = "EASY"; job = head.Job.id; at = guaranteed });
       act.wake <- guaranteed;
-      easy_backfill ~time queue free head guaranteed (Timeline.value_at free time) (i + 1) n
+      easy_backfill ~time jobs tags free head guaranteed (Timeline.value_at free time) (i + 1)
+        stop
     end
   end
 
 (* The backfill scan pre-filters on [cap_now] exactly like [lsrc_go]:
    only kept starts lower it, rolled-back trials leave it as it was. *)
-and easy_backfill ~time queue free head guaranteed cap_now i n =
-  if i >= n || cap_now = 0 then []
+and easy_backfill ~time jobs tags free head guaranteed cap_now i stop =
+  if cap_now = 0 || i >= stop then []
   else begin
-    let j = Jobq.get queue i in
-    if Job.q j <= cap_now && fits free ~time j then begin
+    let j = jobs.(i) in
+    if tags.(i) >= 0 && j.Job.q <= cap_now && fits free ~time j then begin
       let mark = Timeline.checkpoint free in
       take free ~time j;
       if earliest_at free ~from:time head <= guaranteed then begin
         Timeline.commit free mark;
-        j :: easy_backfill ~time queue free head guaranteed (cap_now - Job.q j) (i + 1) n
+        j :: easy_backfill ~time jobs tags free head guaranteed (cap_now - j.Job.q) (i + 1) stop
       end
       else begin
         Timeline.rollback free mark;
-        easy_backfill ~time queue free head guaranteed cap_now (i + 1) n
+        easy_backfill ~time jobs tags free head guaranteed cap_now (i + 1) stop
       end
     end
-    else easy_backfill ~time queue free head guaranteed cap_now (i + 1) n
+    else easy_backfill ~time jobs tags free head guaranteed cap_now (i + 1) stop
   end
 
 let easy =
@@ -153,7 +163,9 @@ let easy =
     fun ~time ~queue ~free ->
       Metrics.incr c_easy;
       act.wake <- no_wake;
-      act.start_now <- easy_prefix ~obs ~time act queue free 0 (Jobq.length queue);
+      act.start_now <-
+        easy_prefix ~obs ~time act (Jobq.jobs queue) (Jobq.tags queue) free (Jobq.first queue)
+          (Jobq.stop queue);
       act
   in
   { name = "EASY"; create }
@@ -162,29 +174,34 @@ let easy =
    segments. *)
 let plan_gc_nodes = 1024
 
+(* A queued job's current promise: [seq] numbers the jobs in admission
+   order, [at] is the start the plan holds for it. *)
+type promise = { job : Job.t; seq : int; mutable at : int }
+
 let conservative =
   let create ~obs =
     let act = action () in
     (* Per-run plan state, freshly scoped by the factory: the plan timeline
        holds availability minus every planned (and once-planned) window;
-       [planned] maps job id to its promised start. *)
-    let planned : (int, int) Hashtbl.t = Hashtbl.create 64 in
+       [planned] maps a queued job's id to its promise. *)
+    let planned : promise Ids.t = Ids.create 64 in
     let plan = ref None in
     (* Segment count past which the plan's past is collected:
        [plan_gc_nodes], or twice what the last collection kept when that was
        already at least as many — a plan whose live future alone exceeds the
        bound would otherwise be collected at every decision. *)
     let gc_nodes = ref plan_gc_nodes in
-    (* Queued jobs with an index below [known] are exactly the planned
-       ones: the simulator only appends arrivals at the tail and removes
-       the jobs this policy just started (which leave [planned] too), so
-       planning scans the fresh tail instead of the whole queue. *)
+    (* The number of queued jobs already planned: the simulator only
+       appends arrivals at the tail and removes the jobs this policy just
+       started, so the unplanned ones are the last [length - known] live
+       entries, and planning visits only them. *)
     let known = ref 0 in
-    (* Lazy min-heap of (start, id) promises: the wake-up instant and the
-       jobs due now are read off the top instead of folding over the
-       queue. Entries go stale when a job starts or is replanned; they are
-       dropped when they surface, after checking [planned] still carries
-       exactly that promise. *)
+    let seq = ref 0 in
+    (* Lazy min-heap of (start, seq) promises keyed by job id: the wake-up
+       instant and the jobs due now are read off the top, in admission
+       order among equal starts. An entry goes stale when its job is
+       replanned; it is dropped when it surfaces, after checking [planned]
+       still carries exactly that promise. *)
     let promises = Int_heap.create () in
     (* Earliest still-valid promise, popping stale tops on the way; -1 when
        none. All remaining promises are strictly after the current decision
@@ -193,68 +210,57 @@ let conservative =
       if Int_heap.length promises = 0 then no_wake
       else begin
         let s = Int_heap.min_key promises and id = Int_heap.min_value promises in
-        match Hashtbl.find planned id with
-        | s' when s' = s -> s
+        match Ids.find planned id with
+        | pr when pr.at = s -> s
         | _ | exception Not_found ->
           Int_heap.drop_min promises;
           wake_top ()
       end
     in
-    (* Promises due at (or overdue before) the decision instant, as an id
-       set: consumed by one in-order queue pass per starting decision. *)
-    let cand : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-    let plan_job p ~time j ~from =
-      let s = Timeline.earliest_fit_at p ~from ~dur:(Job.p j) ~need:(Job.q j) in
-      Hashtbl.replace planned (Job.id j) s;
-      Int_heap.push promises ~key:s ~tie:(Job.id j) (Job.id j);
+    let plan_job p ~time pr ~from =
+      let j = pr.job in
+      let s = Timeline.earliest_fit_at p ~from ~dur:j.Job.p ~need:j.Job.q in
+      pr.at <- s;
+      Int_heap.push promises ~key:s ~tie:pr.seq j.Job.id;
       if Trace.enabled obs then
-        Trace.emit obs (Trace.Planned { time; policy = "CONS"; job = Job.id j; at = s });
+        Trace.emit obs (Trace.Planned { time; policy = "CONS"; job = j.Job.id; at = s });
       (* [s] came out of [earliest_fit_at] just above: the window fits by
          construction, skip the checked reserve's second window scan. *)
-      Timeline.reserve_fitting p ~start:s ~dur:(Job.p j) ~need:(Job.q j);
-      s
+      Timeline.reserve_fitting p ~start:s ~dur:j.Job.p ~need:j.Job.q
     in
-    (* Launch jobs whose planned instant has come — walking the queue in
-       order, so starts and defensive replans happen exactly as the old
-       whole-queue filter did. Stragglers (should not happen when wake-ups
-       are honoured) are replanned from now. *)
-    let rec select p queue ~time n i remaining =
-      if remaining = 0 || i >= n then []
+    let started = ref 0 in
+    (* Launch the jobs whose promise is due, as they surface from the heap.
+       A started job never reappears in the queue, so its promise is
+       dropped — keeping [planned] proportional to the live queue. Its plan
+       window stays reserved: the machine really is occupied. The start is
+       mirrored on the live timeline: the plan guarantees the capacity is
+       there (the plan never exceeds the free capacity), and the simulator
+       commits these reservations directly. A straggler, due before now
+       (the simulator wakes the policy at every promise, so none should
+       be), is replanned from now; if that is now, its new entry surfaces
+       in this same pass, in admission order among the jobs due now. *)
+    let rec launch_due p free ~time =
+      if Int_heap.length promises = 0 || Int_heap.min_key promises > time then []
       else begin
-        let j = Jobq.get queue i in
-        let id = Job.id j in
-        if not (Hashtbl.mem cand id) then select p queue ~time n (i + 1) remaining
-        else begin
-          Hashtbl.remove cand id;
-          let s = Hashtbl.find planned id in
-          if s = time then j :: select p queue ~time n (i + 1) (remaining - 1)
-          else if s < time then begin
-            (* Undo the stale window with the inverse range-add (clamped to
-               the plan's gc origin — the collapsed part is never queried
-               again), replan from now. *)
-            let lo = max s (Timeline.origin p) in
-            if lo < s + Job.p j then Timeline.change p ~lo ~hi:(s + Job.p j) ~delta:(Job.q j);
-            if plan_job p ~time j ~from:time = time then
-              j :: select p queue ~time n (i + 1) (remaining - 1)
-            else select p queue ~time n (i + 1) (remaining - 1)
-          end
-          else select p queue ~time n (i + 1) (remaining - 1)
-        end
+        let s = Int_heap.min_key promises and id = Int_heap.min_value promises in
+        Int_heap.drop_min promises;
+        match Ids.find planned id with
+        | pr when pr.at = s && s = time ->
+          Ids.remove planned id;
+          take free ~time pr.job;
+          incr started;
+          pr.job :: launch_due p free ~time
+        | pr when pr.at = s ->
+          (* Undo the stale window with the inverse range-add (clamped to
+             the plan's gc origin — the collapsed part is never queried
+             again), replan from now. *)
+          let j = pr.job in
+          let lo = max s (Timeline.origin p) in
+          if lo < s + j.Job.p then Timeline.change p ~lo ~hi:(s + j.Job.p) ~delta:j.Job.q;
+          plan_job p ~time pr ~from:time;
+          launch_due p free ~time
+        | _ | exception Not_found -> launch_due p free ~time
       end
-    in
-    (* A started job never reappears in the queue, so its promise entry is
-       dead — dropping it keeps [planned] proportional to the live queue.
-       Its plan window stays reserved: the machine really is occupied. The
-       start is mirrored on the live timeline: the plan guarantees the
-       capacity is there (the plan never exceeds the free capacity), and
-       the simulator commits these reservations directly. Returns the
-       number of starts. *)
-    let rec launch free ~time = function
-      | [] -> 0
-      | j :: rest ->
-        Hashtbl.remove planned (Job.id j);
-        take free ~time j;
-        1 + launch free ~time rest
     in
     fun ~time ~queue ~free ->
       Metrics.incr c_cons;
@@ -282,27 +288,18 @@ let conservative =
         let kept = Timeline.node_count p in
         gc_nodes := if kept >= plan_gc_nodes then 2 * kept else plan_gc_nodes
       end;
-      let n = Jobq.length queue in
+      let n = Jobq.length queue and stop = Jobq.stop queue in
       (* Plan newly arrived jobs at their earliest non-delaying start. *)
-      for i = !known to n - 1 do
-        ignore (plan_job p ~time (Jobq.get queue i) ~from:time)
+      for i = stop - (n - !known) to stop - 1 do
+        let j = (Jobq.jobs queue).(i) in
+        let pr = { job = j; seq = !seq; at = -1 } in
+        incr seq;
+        ignore (Ids.add planned j.Job.id pr : bool);
+        plan_job p ~time pr ~from:time
       done;
-      (* Pull every promise due by now off the heap. *)
-      let ncand = ref 0 in
-      while Int_heap.length promises > 0 && Int_heap.min_key promises <= time do
-        let s = Int_heap.min_key promises and id = Int_heap.min_value promises in
-        Int_heap.drop_min promises;
-        match Hashtbl.find planned id with
-        | s' when s' = s ->
-          if not (Hashtbl.mem cand id) then begin
-            Hashtbl.replace cand id ();
-            incr ncand
-          end
-        | _ | exception Not_found -> ()
-      done;
-      let start_now = if !ncand = 0 then [] else select p queue ~time n 0 !ncand in
-      known := n - launch free ~time start_now;
-      act.start_now <- start_now;
+      started := 0;
+      act.start_now <- launch_due p free ~time;
+      known := n - !started;
       act.wake <- wake_top ();
       act
   in

@@ -49,9 +49,10 @@ type action = {
     it before deciding again; a caller that keeps answers must copy them. *)
 
 type decide = time:int -> queue:Jobq.t -> free:Timeline.t -> action
-(** The queue is the simulator's live array-backed {!Jobq.t}, indexed in
-    submission order; policies read it in place ([Jobq.get]/[Jobq.length])
-    instead of receiving a freshly materialised list per decision. *)
+(** The queue is the simulator's live array-backed {!Jobq.t}, in
+    submission order; policies read it in place ([Jobq.jobs]/[Jobq.tags]
+    over [\[Jobq.first, Jobq.stop)], skipping dead cells) instead of
+    receiving a freshly materialised list per decision. *)
 
 type t = {
   name : string;
@@ -81,9 +82,10 @@ val easy : t
 
 val aggressive : t
 (** List scheduling (LSRC): start every queued job that fits, in queue
-    order. With all jobs submitted at time 0 this reproduces [Lsrc.run]
-    exactly (tested). Emits no policy events (the simulator's provenance
-    classification covers it). *)
+    order. With all jobs submitted at time 0 this is [Lsrc.run], which
+    runs it so; the differential tests hold it to the Profile oracle.
+    Emits no policy events (the simulator's provenance classification
+    covers it). *)
 
 val all : t list
 (** The four policies, in the order above. *)

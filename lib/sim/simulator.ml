@@ -32,6 +32,7 @@ type heartbeat = {
 
 exception Policy_error of string
 
+
 (* Registry instruments for the always-on telemetry surface. All sites are
    flag-gated inside [Metrics] (one load + branch when disabled); values
    derived from simulation data are deterministic, the decision-latency
@@ -92,37 +93,36 @@ let gc free t =
 let validate_input ~m ~jobs ~reservations =
   match Instance.validate ~m ~jobs ~reservations with Ok () -> () | Error msg -> invalid_arg msg
 
-(* The single event loop behind [run_stream] and [run]. Arrivals are pulled
-   from [next] (submit times non-decreasing) with one arrival of lookahead.
-   At any instant, due arrivals are admitted first, then queued events pop
-   in push order — so traces are byte-identical whichever entry point feeds
-   the loop (enforced by test/test_stream.ml).
+(* The state of one run of the event loop behind [run_stream], [run] and
+   [run_order]: one record, so that a run's set-up allocates a handful of
+   blocks and the loop's steps are top-level functions over it, not
+   closures over refs.
 
    Per-job state lives in struct-of-arrays keyed by a dense slot index
    recycled through a free list, held only while the job is waiting or
    running — a streamed replay's footprint stays proportional to the number
    of *live* jobs rather than the trace length, and the per-event path
-   reads flat int arrays instead of chasing a record per job. *)
-let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartbeat ~on_record
-    (next : unit -> arrival option) =
-  (* The machine and the reservation ids are validated as [Instance.create]
-     would, with its messages; the sweep checks the capacity. No instance
-     and no profile is built. *)
-  validate_input ~m ~jobs:[] ~reservations;
-  let sweep = Resv_sweep.run ~m reservations in
-  let tracing = Trace.enabled obs in
-  (* Capacity blocked by reservations alone, for classifying why a job does
-     not fit: if it would fit with the blocked windows given back, the
-     reservation is the binding constraint. Only built when tracing. *)
-  let resv_blocked = lazy (Resv_sweep.unavailability sweep) in
-  (* Free capacity lives in one mutable timeline for the whole run (a
-     binary search plus the blocks touched per start/release/query),
-     filled straight from the sweep. Policies work against it directly:
-     each decision runs under a checkpoint; when the speculative log turns
-     out to be exactly the started jobs' reservations (every native policy,
-     almost every decision) it is committed as the authoritative mutation,
-     otherwise it is rolled back and the starts re-validated one by one. *)
-  let free = Timeline.of_steps sweep.times sweep.free sweep.len in
+   reads flat int arrays instead of chasing a record per job: [sjob] holds
+   each slot's job and [sint] its int fields, [width] apart (below). *)
+type run = {
+  obs : Trace.t;
+  tracing : bool;
+  name : string;
+  m : int;
+  decide : Policy.decide;
+  (* Fills the lookahead ([a_job], [a_submit], [a_est]) with the next
+     arrival, the run's [n_jobs]-th, and says whether there was one. *)
+  pull : run -> bool;
+  on_start : int -> Job.t -> int -> int -> unit;
+  on_heartbeat : (heartbeat -> unit) option;
+  gc_every : int;
+  hb_every : int;
+  hb_dt : int;
+  sweep : Resv_sweep.t;
+  free : Timeline.t;
+  events : Eventq.t;
+  queue : Jobq.t;
+  slot_of : int Ids.t;
   (* Reservation edges — every availability breakpoint, 0 included — are
      decision opportunities for every policy. They are read through a
      cursor over the sweep's breakpoints, not pushed into the event queue:
@@ -130,463 +130,525 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
      only makes its instant a decision instant; at equal times it is
      passed after the arrivals and before the queued events (DESIGN.md
      §7). *)
-  let edge = ref 0 in
-  let events = Eventq.create () in
-  (* The policy's per-run state is created here — plans cannot leak across
-     runs by construction. *)
-  let decide = policy.Policy.create ~obs in
-  let queue = Jobq.create () in
-  (* Flat live-job state. [sstamp] marks the decision that started a slot
-     (duplicate-start detection without a per-decision set); [spos] is a
-     tracing-only scratch for queue positions, valid when the stamp
-     matches. *)
-  let cap = ref 16 in
-  let sjob = ref (Array.make !cap dummy_job) in
-  let sid = ref (Array.make !cap 0) in
-  let ssubmit = ref (Array.make !cap 0) in
-  let sest = ref (Array.make !cap 0) in
-  let sstart = ref (Array.make !cap (-1)) in
-  let sstamp = ref (Array.make !cap 0) in
-  let spos = ref (Array.make !cap 0) in
-  let free_slots = ref (Array.init !cap (fun i -> !cap - 1 - i)) in
-  let free_top = ref !cap in
-  let slot_of : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let live_count = ref 0 in
-  let grow_slots () =
-    let old = !cap in
-    let gi r = r := Array.append !r (Array.make old 0) in
-    gi sid;
-    gi ssubmit;
-    gi sest;
-    gi sstamp;
-    gi spos;
-    gi free_slots;
-    sstart := Array.append !sstart (Array.make old (-1));
-    sjob := Array.append !sjob (Array.make old dummy_job);
-    for s = (2 * old) - 1 downto old do
-      (!free_slots).(!free_top) <- s;
-      incr free_top
-    done;
-    cap := 2 * old
-  in
-  let alloc_slot () =
-    if !free_top = 0 then grow_slots ();
-    decr free_top;
-    (!free_slots).(!free_top)
-  in
-  (* Queue-filter predicate over slot tags, built once: started slots have
-     a start time. *)
-  let keep_queued slot = (!sstart).(slot) < 0 in
+  mutable edge : int;
+  mutable sjob : Job.t array;
+  mutable sint : int array;
+  (* Recycled slots on a stack, and the first never-used one. *)
+  mutable free_slots : int array;
+  mutable free_top : int;
+  mutable fresh : int;
+  mutable moved : int -> int -> unit;
   (* Slots started by the current decision, in start_now order, and their
      count. *)
-  let start_slots = ref (Array.make 16 0) in
-  let nstart = ref 0 in
-  let decision_no = ref 0 in
-  let forced = ref false in
-  let n_jobs = ref 0 and makespan = ref 0 in
-  let max_queued = ref 0 and max_live = ref 0 in
-  let completions = ref 0 in
-  (* Arrivals admitted + completions drained: the heartbeat sampler's event
-     clock. Pure simulation data, so heartbeat cadence is deterministic. *)
-  let events_seen = ref 0 in
-  let hb_seq = ref 0 and hb_last_ev = ref 0 and hb_last_t = ref 0 in
-  (* Segment count past which the timeline is collected (see [auto_gc_nodes]). *)
-  let gc_nodes = ref auto_gc_nodes in
-  let rebase t =
-    gc free t;
-    let kept = Timeline.node_count free in
-    gc_nodes := if kept >= auto_gc_nodes then 2 * kept else auto_gc_nodes
-  in
-  let emit_heartbeat t =
-    match on_heartbeat with
-    | None -> ()
-    | Some f ->
-      hb_seq := !hb_seq + 1;
-      Metrics.incr m_heartbeats;
-      Metrics.set m_live_jobs !live_count;
-      Metrics.set m_nodes (Timeline.node_count free);
-      f
-        {
-          hb_seq = !hb_seq;
-          hb_time = t;
-          hb_events = !events_seen;
-          hb_admitted = !n_jobs;
-          hb_completed = !completions;
-          hb_queued = Jobq.length queue;
-          hb_live = !live_count;
-          hb_makespan = !makespan;
-          hb_nodes = Timeline.node_count free;
-        };
-      hb_last_ev := !events_seen;
-      hb_last_t := t
-  in
-  let heartbeat_due t =
-    on_heartbeat <> None
-    && ((hb_every > 0 && !events_seen - !hb_last_ev >= hb_every)
-       || (hb_dt > 0 && t - !hb_last_t >= hb_dt))
-  in
+  mutable start_slots : int array;
+  mutable nstart : int;
+  mutable decision_no : int;
+  mutable forced : bool;
+  (* Arrivals admitted and completions drained: their difference is the
+     live jobs, their sum the heartbeat sampler's event clock (simulation
+     data, so heartbeat cadence is deterministic). *)
+  mutable n_jobs : int;
+  mutable completions : int;
+  mutable makespan : int;
+  mutable max_queued : int;
+  mutable max_live : int;
+  mutable hb_seq : int;
+  mutable hb_last_ev : int;
+  mutable hb_last_t : int;
+  (* Segment count past which the timeline is collected (see
+     [auto_gc_nodes]). *)
+  mutable gc_nodes : int;
   (* Submit of the last arrival pulled, or -1 once the source has returned
      [None]: from then on it is never called again. Validated submits are
-     non-negative, so the mark is unambiguous, and it costs no allocation. *)
-  let last_submit = ref 0 in
-  let ahead = ref None in
-  let peek_arrival () =
-    match !ahead with
-    | Some _ as a -> a
-    | None when !last_submit < 0 -> None
-    | None -> (
-      match next () with
-      | None ->
-        last_submit := -1;
-        None
-      | Some a as r ->
-        if a.submit < 0 then invalid_arg "Simulator.run_stream: negative submit time";
-        if a.submit < !last_submit then
-          invalid_arg "Simulator.run_stream: submit times must be non-decreasing";
-        if a.estimate < Job.p a.job then
-          invalid_arg "Simulator.run_stream: estimate below the actual runtime";
-        if Job.q a.job > m then
-          invalid_arg "Simulator.run_stream: job wider than the machine";
-        last_submit := a.submit;
-        ahead := r;
-        r)
-  in
-  let admit t (a : arrival) =
-    let id = Job.id a.job in
-    if Hashtbl.mem slot_of id then invalid_arg "Simulator.run_stream: duplicate live job id";
-    let slot = alloc_slot () in
-    Hashtbl.replace slot_of id slot;
-    (!sjob).(slot) <- a.job;
-    (!sid).(slot) <- id;
-    (!ssubmit).(slot) <- a.submit;
-    (!sest).(slot) <- a.estimate;
-    (!sstart).(slot) <- -1;
-    incr live_count;
-    incr n_jobs;
-    incr events_seen;
-    Metrics.incr m_admitted;
-    if !live_count > !max_live then max_live := !live_count;
-    (* Policies see the *estimated* job. *)
-    Jobq.append queue (Job.make ~id ~p:a.estimate ~q:(Job.q a.job)) ~tag:slot;
-    if Jobq.length queue > !max_queued then max_queued := Jobq.length queue;
-    if tracing then
-      Trace.emit obs (Trace.Job_submit { time = t; job = id; p = Job.p a.job; q = Job.q a.job })
-  in
-  (* Completion of the job in [slot] at [t]: give back the over-reserved
-     tail, recycle the slot. *)
-  let complete t slot =
-    let planned_end = (!sstart).(slot) + (!sest).(slot) in
-    if t < planned_end then
-      Timeline.change free ~lo:t ~hi:planned_end ~delta:(Job.q (!sjob).(slot));
-    let id = (!sid).(slot) in
-    Hashtbl.remove slot_of id;
-    (!sjob).(slot) <- dummy_job;
-    (!free_slots).(!free_top) <- slot;
-    incr free_top;
-    decr live_count;
-    incr completions;
-    incr events_seen;
-    Metrics.incr m_completed;
-    (* Outside any decision checkpoint, with every future query at or
-       after [t]: the history left of now is dead weight. *)
-    if gc_every > 0 && !completions mod gc_every = 0 then rebase t;
-    if tracing then Trace.emit obs (Trace.Job_finish { time = t; job = id })
-  in
-  let rec drain t =
-    match peek_arrival () with
-    | Some a when a.submit <= t ->
-      ahead := None;
-      admit t a;
-      drain t
-    | _ ->
-      if !edge < sweep.len && sweep.times.(!edge) = t then incr edge;
-      if Eventq.peek_time events = t then begin
-        let pay = Eventq.pop events in
-        if pay >= 0 then complete t pay;
-        drain t
-      end
-  in
-  (* Retract a failed decision's speculation — its checkpoint [spec] and
-     any the policy left open inside it — so the timeline is consistent
-     when the error propagates. *)
-  let abandon spec =
-    while Timeline.open_checkpoints free > 0 do
-      Timeline.rollback free spec
-    done;
-    Metrics.incr m_checkpoints;
-    Metrics.incr m_rollbacks
-  in
-  (* The post-decision passes are run-level functions recursing over the
-     policy's [start_now], with their state in run-level refs: a decision
-     allocates no closure and no ref.
-
-     Validation: each started job must be queued and not already started
-     this decision. Its slot is appended to [start_slots]; the result says
-     whether the speculative log so far is exactly this decision's
-     reservation sequence — matched against the authoritative slot state,
-     not the policy's job value, so the fast path cannot commit a window
-     the slow path would have rejected. *)
-  let rec validate t spec exact = function
-    | [] -> exact
-    | j :: rest ->
-      let slot =
-        match Hashtbl.find slot_of (Job.id j) with
-        | slot when (!sstart).(slot) < 0 && (!sstamp).(slot) <> !decision_no -> slot
-        | _ | exception Not_found ->
-          abandon spec;
-          raise
-            (Policy_error
-               (Format.asprintf "%s started %a at t=%d which is not in the queue"
-                  policy.Policy.name Job.pp j t))
-      in
-      (!sstamp).(slot) <- !decision_no;
-      let k = !nstart in
-      if k = Array.length !start_slots then
-        start_slots := Array.append !start_slots (Array.make k 0);
-      (!start_slots).(k) <- slot;
-      nstart := k + 1;
-      validate t spec
-        (exact
-        && Timeline.spec_op_is_reserve free spec ~i:k ~start:t ~dur:(!sest).(slot)
-             ~need:(Job.q (!sjob).(slot)))
-        rest
-  in
-  (* Apply the [k]-th start onwards: off the fast path, re-check and
-     reserve its window; then mark it running and schedule its
-     completion. *)
-  let rec apply t fast k = function
-    | [] -> ()
-    | j :: rest ->
-      let slot = (!start_slots).(k) in
-      let est = (!sest).(slot) in
-      if not fast then begin
-        let have = Timeline.min_on free ~lo:t ~hi:(t + est) in
-        if have < Job.q j then
-          raise
-            (Policy_error
-               (Format.asprintf
-                  "%s started %a at t=%d without capacity: window [%d,%d) needs %d but offers %d"
-                  policy.Policy.name Job.pp j t t (t + est) (Job.q j) have));
-        Timeline.change free ~lo:t ~hi:(t + est) ~delta:(-Job.q j)
-      end;
-      (!sstart).(slot) <- t;
-      Metrics.incr m_started;
-      Metrics.observe m_wait (t - (!ssubmit).(slot));
-      forced := false;
-      let finish = t + Job.p (!sjob).(slot) in
-      if finish > !makespan then makespan := finish;
-      Eventq.push events ~time:finish slot;
-      on_record { job = (!sjob).(slot); submit = (!ssubmit).(slot); start = t };
-      apply t fast (k + 1) rest
-  in
-  let last_t = ref (-1) in
+     non-negative, so the mark is unambiguous, and it costs no
+     allocation. *)
+  mutable last_submit : int;
+  (* The one arrival of lookahead, valid when [ready]: fields, not an
+     [arrival], so a source held in memory allocates nothing per job. *)
+  mutable ready : bool;
+  mutable a_job : Job.t;
+  mutable a_submit : int;
+  mutable a_est : int;
+  mutable last_t : int;
   (* The last wake pushed after a decision, -1 before any. *)
-  let last_wake = ref (-1) in
-  (* Next instant with something to do, -1 when the run is over — ints all
-     the way down so the steady-state loop allocates nothing. *)
-  let next_time () =
-    let th = Eventq.peek_time events in
-    let th =
-      if !edge >= sweep.len then th
-      else
-        let te = sweep.times.(!edge) in
-        if th >= 0 && th < te then th else te
-    in
-    match peek_arrival () with
-    | Some a -> if th >= 0 && th < a.submit then th else a.submit
-    | None -> th
-  in
-  let rec loop () =
-    let t = next_time () in
-    if t < 0 then begin
-      if Jobq.length queue > 0 then
-        if !forced then
-          raise
-            (Policy_error
-               (Format.asprintf "%s deadlocked at t=%d with %d queued jobs (head %a)"
-                  policy.Policy.name !last_t (Jobq.length queue) Job.pp (Jobq.get queue 0)))
-        else begin
-          (* No event left but jobs wait: past the last breakpoint the whole
-             machine is free, so a correct policy must start them; wake it
-             once. *)
-          forced := true;
-          let wake_at = max (!last_t + 1) (Timeline.last_breakpoint free) in
-          if tracing then Trace.emit obs (Trace.Sim_wake { time = wake_at; forced = true });
-          Eventq.push events ~time:wake_at wake_payload;
-          loop ()
-        end
+  mutable last_wake : int;
+  (* Capacity blocked by reservations alone, for classifying why a job does
+     not fit: if it would fit with the blocked windows given back, the
+     reservation is the binding constraint. Built on first use, which only
+     tracing makes. *)
+  mutable resv_blocked : Profile.t option;
+}
+
+(* A slot's int fields: its admission index, submit time, estimate and
+   start (-1 while waiting); the decision that started it (duplicate-start
+   detection without a per-decision set); and its queue position while it
+   waits, kept current through the queue's move reports. *)
+let width = 6
+let o_adm = 0
+let o_submit = 1
+let o_est = 2
+let o_start = 3
+let o_stamp = 4
+let o_pos = 5
+let sget r slot o = r.sint.((width * slot) + o)
+let sset r slot o v = r.sint.((width * slot) + o) <- v
+
+let live r = r.n_jobs - r.completions
+let events_seen r = r.n_jobs + r.completions
+
+let alloc_slot r =
+  if r.free_top > 0 then begin
+    r.free_top <- r.free_top - 1;
+    r.free_slots.(r.free_top)
+  end
+  else begin
+    let cap = Array.length r.sjob in
+    if r.fresh = cap then begin
+      r.sjob <- Array.append r.sjob (Array.make cap dummy_job);
+      r.sint <- Array.append r.sint (Array.make (width * cap) 0);
+      r.free_slots <- Array.append r.free_slots (Array.make cap 0)
+    end;
+    r.fresh <- r.fresh + 1;
+    r.fresh - 1
+  end
+
+let rebase r t =
+  gc r.free t;
+  let kept = Timeline.node_count r.free in
+  r.gc_nodes <- (if kept >= auto_gc_nodes then 2 * kept else auto_gc_nodes)
+
+let emit_heartbeat r t =
+  match r.on_heartbeat with
+  | None -> ()
+  | Some f ->
+    r.hb_seq <- r.hb_seq + 1;
+    Metrics.incr m_heartbeats;
+    Metrics.set m_live_jobs (live r);
+    Metrics.set m_nodes (Timeline.node_count r.free);
+    f
+      {
+        hb_seq = r.hb_seq;
+        hb_time = t;
+        hb_events = events_seen r;
+        hb_admitted = r.n_jobs;
+        hb_completed = r.completions;
+        hb_queued = Jobq.length r.queue;
+        hb_live = live r;
+        hb_makespan = r.makespan;
+        hb_nodes = Timeline.node_count r.free;
+      };
+    r.hb_last_ev <- events_seen r;
+    r.hb_last_t <- t
+
+let heartbeat_due r t =
+  match r.on_heartbeat with
+  | None -> false
+  | Some _ ->
+    (r.hb_every > 0 && events_seen r - r.hb_last_ev >= r.hb_every)
+    || (r.hb_dt > 0 && t - r.hb_last_t >= r.hb_dt)
+
+(* Whether an arrival is ready in the lookahead, pulling one if none is. *)
+let peek_arrival r =
+  r.ready
+  || r.last_submit >= 0
+     &&
+     if r.pull r then begin
+       if r.a_submit < 0 then invalid_arg "Simulator.run_stream: negative submit time";
+       if r.a_submit < r.last_submit then
+         invalid_arg "Simulator.run_stream: submit times must be non-decreasing";
+       if r.a_est < r.a_job.Job.p then
+         invalid_arg "Simulator.run_stream: estimate below the actual runtime";
+       if r.a_job.Job.q > r.m then invalid_arg "Simulator.run_stream: job wider than the machine";
+       r.last_submit <- r.a_submit;
+       r.ready <- true;
+       true
+     end
+     else begin
+       r.last_submit <- -1;
+       false
+     end
+
+(* Admit the lookahead's arrival. *)
+let admit r t =
+  r.ready <- false;
+  let job = r.a_job in
+  let id = job.Job.id in
+  let slot = alloc_slot r in
+  if not (Ids.add r.slot_of id slot) then
+    invalid_arg "Simulator.run_stream: duplicate live job id";
+  r.sjob.(slot) <- job;
+  sset r slot o_adm r.n_jobs;
+  sset r slot o_submit r.a_submit;
+  sset r slot o_est r.a_est;
+  sset r slot o_start (-1);
+  r.n_jobs <- r.n_jobs + 1;
+  Metrics.incr m_admitted;
+  if live r > r.max_live then r.max_live <- live r;
+  (* Policies see the *estimated* job. *)
+  sset r slot o_pos (Jobq.append r.queue (Job.make ~id ~p:r.a_est ~q:job.Job.q) ~tag:slot);
+  let queued = Jobq.length r.queue in
+  if queued > r.max_queued then r.max_queued <- queued;
+  if r.tracing then
+    Trace.emit r.obs (Trace.Job_submit { time = t; job = id; p = job.Job.p; q = job.Job.q })
+
+(* Completion of the job in [slot] at [t]: give back the over-reserved
+   tail, recycle the slot. *)
+let complete r t slot =
+  let planned_end = sget r slot o_start + sget r slot o_est in
+  if t < planned_end then
+    Timeline.change r.free ~lo:t ~hi:planned_end ~delta:r.sjob.(slot).Job.q;
+  let id = r.sjob.(slot).Job.id in
+  Ids.remove r.slot_of id;
+  r.sjob.(slot) <- dummy_job;
+  r.free_slots.(r.free_top) <- slot;
+  r.free_top <- r.free_top + 1;
+  r.completions <- r.completions + 1;
+  Metrics.incr m_completed;
+  (* Outside any decision checkpoint, with every future query at or after
+     [t]: the history left of now is dead weight. *)
+  if r.gc_every > 0 && r.completions mod r.gc_every = 0 then rebase r t;
+  if r.tracing then Trace.emit r.obs (Trace.Job_finish { time = t; job = id })
+
+let rec drain r t =
+  if peek_arrival r && r.a_submit <= t then begin
+    admit r t;
+    drain r t
+  end
+  else begin
+    if r.edge < r.sweep.len && r.sweep.times.(r.edge) = t then r.edge <- r.edge + 1;
+    if Eventq.peek_time r.events = t then begin
+      let pay = Eventq.pop r.events in
+      if pay >= 0 then complete r t pay;
+      drain r t
     end
-    else begin
-      drain t;
-      (* Keep the timeline's dead past bounded independently of the
-         caller's [gc_every] cadence. Collecting here — outside any
-         checkpoint, with all future traffic at or after [t] — is invisible
-         to decisions. *)
-      if t - Timeline.origin free > auto_gc_span || Timeline.node_count free > !gc_nodes then
-        rebase t;
-      last_t := t;
-      (* A decision with nothing queued can start nothing, and no policy
-         asks for a wake-up then: the engine answers it without consulting
-         the policy — no checkpoint, no decide, no validation, no commit.
-         Its trace line is the one a consultation would have written. *)
-      if Jobq.length queue = 0 then begin
-        Metrics.set m_queue_depth 0;
-        if tracing then
-          Trace.emit obs
-            (Trace.Decision
-               { time = t; policy = policy.Policy.name; queued = 0; started = 0; wake = None })
-      end
-      else consult t;
-      if heartbeat_due t then emit_heartbeat t;
-      loop ()
-    end
-  (* Consult the policy at [t], with at least one job queued: decide under
-     a checkpoint, validate and apply its starts, trace the decision and
-     push its wake-up. *)
-  and consult t =
-    let t_decide = if Metrics.enabled () then Prof.now_ns () else 0 in
-    decision_no := !decision_no + 1;
-    let spec = Timeline.checkpoint free in
-    let action =
-      match decide ~time:t ~queue ~free with
-      | a -> a
-      | exception exn ->
-        abandon spec;
+  end
+
+(* Retract a failed decision's speculation — its checkpoint [spec] and any
+   the policy left open inside it — so the timeline is consistent when the
+   error propagates. *)
+let abandon r spec =
+  while Timeline.open_checkpoints r.free > 0 do
+    Timeline.rollback r.free spec
+  done;
+  Metrics.incr m_checkpoints;
+  Metrics.incr m_rollbacks
+
+(* The post-decision passes recurse over the policy's [start_now] with
+   their state in the run record: a decision allocates no closure and no
+   ref.
+
+   Validation: each started job must be queued and not already started
+   this decision. Its slot is appended to [start_slots]; the result says
+   whether the speculative log so far is exactly this decision's
+   reservation sequence — matched against the authoritative slot state, not
+   the policy's job value, so the fast path cannot commit a window the slow
+   path would have rejected. *)
+let rec validate r t spec exact = function
+  | [] -> exact
+  | j :: rest ->
+    let slot =
+      match Ids.find r.slot_of j.Job.id with
+      | slot when sget r slot o_start < 0 && sget r slot o_stamp <> r.decision_no -> slot
+      | _ | exception Not_found ->
+        abandon r spec;
         raise
           (Policy_error
-             (Printf.sprintf "%s raised %s at t=%d" policy.Policy.name
-                (Printexc.to_string exn) t))
+             (Format.asprintf "%s started %a at t=%d which is not in the queue" r.name Job.pp j t))
     in
-    (* The action is only valid until the policy's next call: read it now. *)
-    let start_now = action.Policy.start_now and wake = action.Policy.wake in
-    nstart := 0;
-    let exact = validate t spec true start_now in
-    (* Fast path: the decision's trial reservations *are* the
-       authoritative ones — keep them. Slow path: retract everything the
-       policy touched and re-apply per start below. *)
-    let fast = exact && Timeline.spec_ops free spec = !nstart in
-    if fast then begin
-      Timeline.commit free spec;
-      Metrics.incr m_commits
-    end
-    else begin
-      Timeline.rollback free spec;
-      Metrics.incr m_rollbacks
+    sset r slot o_stamp r.decision_no;
+    let k = r.nstart in
+    if k = Array.length r.start_slots then
+      r.start_slots <- Array.append r.start_slots (Array.make k 0);
+    r.start_slots.(k) <- slot;
+    r.nstart <- k + 1;
+    validate r t spec
+      (exact
+      && Timeline.spec_op_is_reserve r.free spec ~i:k ~start:t ~dur:(sget r slot o_est)
+           ~need:r.sjob.(slot).Job.q)
+      rest
+
+(* Apply the [k]-th start onwards: off the fast path, re-check and reserve
+   its window; then mark it running, leave the queue and schedule its
+   completion. *)
+let rec apply r t ~metrics fast k = function
+  | [] -> ()
+  | j :: rest ->
+    let slot = r.start_slots.(k) in
+    let est = sget r slot o_est in
+    if not fast then begin
+      let have = Timeline.min_on r.free ~lo:t ~hi:(t + est) in
+      if have < j.Job.q then
+        raise
+          (Policy_error
+             (Format.asprintf
+                "%s started %a at t=%d without capacity: window [%d,%d) needs %d but offers %d"
+                r.name Job.pp j t t (t + est) j.Job.q have));
+      Timeline.change r.free ~lo:t ~hi:(t + est) ~delta:(-j.Job.q)
     end;
+    sset r slot o_start t;
+    Jobq.kill r.queue (sget r slot o_pos) ~moved:r.moved;
+    if metrics then begin
+      Metrics.incr m_started;
+      Metrics.observe m_wait (t - sget r slot o_submit)
+    end;
+    r.forced <- false;
+    let finish = t + r.sjob.(slot).Job.p in
+    if finish > r.makespan then r.makespan <- finish;
+    Eventq.push r.events ~time:finish slot;
+    r.on_start (sget r slot o_adm) r.sjob.(slot) (sget r slot o_submit) t;
+    apply r t ~metrics fast (k + 1) rest
+
+(* Next instant with something to do, -1 when the run is over — ints all
+   the way down so the steady-state loop allocates nothing. *)
+let next_time r =
+  let th = Eventq.peek_time r.events in
+  let th =
+    if r.edge >= r.sweep.len then th
+    else
+      let te = r.sweep.times.(r.edge) in
+      if th >= 0 && th < te then th else te
+  in
+  if not (peek_arrival r) then th else if th >= 0 && th < r.a_submit then th else r.a_submit
+
+(* Start provenance: a job that overtakes an earlier-queued job that stays
+   waiting was backfilled; classification happens against the pre-start
+   queue order, before the started jobs leave the queue. *)
+let trace_starts r t =
+  let tags = Jobq.tags r.queue and stop = Jobq.stop r.queue in
+  let rec first_wait i =
+    if i < stop && (tags.(i) < 0 || sget r tags.(i) o_stamp = r.decision_no) then
+      first_wait (i + 1)
+    else i
+  in
+  let first_wait = first_wait (Jobq.first r.queue) in
+  for k = 0 to r.nstart - 1 do
+    let slot = r.start_slots.(k) in
+    let provenance =
+      if sget r slot o_pos > first_wait then Trace.Backfilled_ahead_of_head else Trace.Started_now
+    in
+    Trace.emit r.obs
+      (Trace.Job_start
+         { time = t; job = r.sjob.(slot).Job.id; wait = t - sget r slot o_submit; provenance })
+  done
+
+(* Why is the head (the first job left waiting) not running? Checked after
+   the starts, against the capacity it actually faces. *)
+let trace_head_blocked r t =
+  let w = Jobq.first r.queue in
+  let jh = (Jobq.jobs r.queue).(w) in
+  let slot = (Jobq.tags r.queue).(w) in
+  let est = sget r slot o_est in
+  let need = jh.Job.q in
+  let have = Timeline.min_on r.free ~lo:t ~hi:(t + est) in
+  let reason =
+    if have >= need then Trace.Held_by_policy
+    else begin
+      (* Would the job fit with the reservation-blocked windows given back?
+         The blocked profile is piecewise constant, so walk its segments
+         and add each constant to the live timeline's minimum on that span
+         — no profile export. *)
+      let rb =
+        match r.resv_blocked with
+        | Some rb -> rb
+        | None ->
+          let rb = Resv_sweep.unavailability r.sweep in
+          r.resv_blocked <- Some rb;
+          rb
+      in
+      let hi = t + est in
+      let rec scan lo acc =
+        if lo >= hi then acc
+        else begin
+          let seg_hi =
+            match Profile.next_breakpoint_after rb lo with Some b when b < hi -> b | _ -> hi
+          in
+          let v = Timeline.min_on r.free ~lo ~hi:seg_hi + Profile.value_at rb lo in
+          scan seg_hi (min acc v)
+        end
+      in
+      if scan t max_int >= need then Trace.Blocked_by_reservation else Trace.Blocked_by_capacity
+    end
+  in
+  Trace.emit r.obs
+    (Trace.Head_blocked
+       { time = t; policy = r.name; job = r.sjob.(slot).Job.id; reason; lo = t; hi = t + est; need; have })
+
+(* Consult the policy at [t], with at least one job queued: decide under a
+   checkpoint, validate and apply its starts, trace the decision and push
+   its wake-up. *)
+let consult r t =
+  let metrics = Metrics.enabled () in
+  let t_decide = if metrics then Prof.now_ns () else 0 in
+  r.decision_no <- r.decision_no + 1;
+  let spec = Timeline.checkpoint r.free in
+  let action =
+    match r.decide ~time:t ~queue:r.queue ~free:r.free with
+    | a -> a
+    | exception exn ->
+      abandon r spec;
+      raise
+        (Policy_error (Printf.sprintf "%s raised %s at t=%d" r.name (Printexc.to_string exn) t))
+  in
+  (* The action is only valid until the policy's next call: read it now. *)
+  let start_now = action.Policy.start_now and wake = action.Policy.wake in
+  r.nstart <- 0;
+  let exact = validate r t spec true start_now in
+  (* Fast path: the decision's trial reservations *are* the authoritative
+     ones — keep them. Slow path: retract everything the policy touched and
+     re-apply per start below. *)
+  let fast = exact && Timeline.spec_ops r.free spec = r.nstart in
+  if fast then Timeline.commit r.free spec else Timeline.rollback r.free spec;
+  if metrics then begin
+    Metrics.incr (if fast then m_commits else m_rollbacks);
     Metrics.incr m_decisions;
     Metrics.incr m_checkpoints;
-    if Metrics.enabled () then begin
-      Metrics.observe m_decide_ns (Prof.now_ns () - t_decide);
-      Metrics.set m_queue_depth (Jobq.length queue)
-    end;
-    (* Start provenance: a job that overtakes an earlier-queued job that
-       stays waiting was backfilled; classification happens against the
-       pre-start queue order, before the queue compacts. *)
-    if tracing then begin
-      Trace.emit obs
-        (Trace.Decision
-           {
-             time = t;
-             policy = policy.Policy.name;
-             queued = Jobq.length queue;
-             started = !nstart;
-             wake = (if wake < 0 then None else Some wake);
-           });
-      if !nstart > 0 then begin
-        let nq = Jobq.length queue in
-        let first_wait = ref (-1) in
-        for i = 0 to nq - 1 do
-          let slot = Jobq.tag queue i in
-          if (!sstamp).(slot) = !decision_no then (!spos).(slot) <- i
-          else if !first_wait < 0 then first_wait := i
-        done;
-        for k = 0 to !nstart - 1 do
-          let slot = (!start_slots).(k) in
-          let pos = (!spos).(slot) in
-          let provenance =
-            if !first_wait >= 0 && pos > !first_wait then Trace.Backfilled_ahead_of_head
-            else Trace.Started_now
-          in
-          Trace.emit obs
-            (Trace.Job_start
-               {
-                 time = t;
-                 job = (!sid).(slot);
-                 wait = t - (!ssubmit).(slot);
-                 provenance;
-               })
-        done
+    Metrics.observe m_decide_ns (Prof.now_ns () - t_decide);
+    Metrics.set m_queue_depth (Jobq.length r.queue)
+  end;
+  if r.tracing then begin
+    Trace.emit r.obs
+      (Trace.Decision
+         {
+           time = t;
+           policy = r.name;
+           queued = Jobq.length r.queue;
+           started = r.nstart;
+           wake = (if wake < 0 then None else Some wake);
+         });
+    if r.nstart > 0 then trace_starts r t
+  end;
+  apply r t ~metrics fast 0 start_now;
+  if r.tracing && Jobq.length r.queue > 0 then trace_head_blocked r t;
+  (* A wake already queued for the same instant (still ahead of [t], since
+     it has not popped) would only pop as a no-op. *)
+  if wake > t && wake <> r.last_wake then begin
+    Eventq.push r.events ~time:wake wake_payload;
+    r.last_wake <- wake
+  end
+
+let rec loop r =
+  let t = next_time r in
+  if t < 0 then begin
+    if Jobq.length r.queue > 0 then
+      if r.forced then
+        raise
+          (Policy_error
+             (Format.asprintf "%s deadlocked at t=%d with %d queued jobs (head %a)" r.name r.last_t
+                (Jobq.length r.queue) Job.pp
+                (Jobq.jobs r.queue).(Jobq.first r.queue)))
+      else begin
+        (* No event left but jobs wait: past the last breakpoint the whole
+           machine is free, so a correct policy must start them; wake it
+           once. *)
+        r.forced <- true;
+        let wake_at = max (r.last_t + 1) (Timeline.last_breakpoint r.free) in
+        if r.tracing then Trace.emit r.obs (Trace.Sim_wake { time = wake_at; forced = true });
+        Eventq.push r.events ~time:wake_at wake_payload;
+        loop r
       end
-    end;
-    apply t fast 0 start_now;
-    (* Why is the head (the first job left waiting) not running? Checked
-       after the starts, against the capacity it actually faces. *)
-    if tracing then begin
-      let nq = Jobq.length queue in
-      let rec first_waiting i =
-        if i >= nq then -1
-        else if (!sstamp).(Jobq.tag queue i) = !decision_no then first_waiting (i + 1)
-        else i
-      in
-      let w = first_waiting 0 in
-      if w >= 0 then begin
-        let jh = Jobq.get queue w in
-        let slot = Jobq.tag queue w in
-        let est = (!sest).(slot) in
-        let need = Job.q jh in
-        let have = Timeline.min_on free ~lo:t ~hi:(t + est) in
-        let reason =
-          if have >= need then Trace.Held_by_policy
-          else begin
-            (* Would the job fit with the reservation-blocked windows
-               given back? The blocked profile is piecewise constant, so
-               walk its segments and add each constant to the live
-               timeline's minimum on that span — no profile export. *)
-            let rb = Lazy.force resv_blocked in
-            let hi = t + est in
-            let rec scan lo acc =
-              if lo >= hi then acc
-              else begin
-                let seg_hi =
-                  match Profile.next_breakpoint_after rb lo with
-                  | Some b when b < hi -> b
-                  | _ -> hi
-                in
-                let v = Timeline.min_on free ~lo ~hi:seg_hi + Profile.value_at rb lo in
-                scan seg_hi (min acc v)
-              end
-            in
-            if scan t max_int >= need then Trace.Blocked_by_reservation
-            else Trace.Blocked_by_capacity
-          end
-        in
-        Trace.emit obs
-          (Trace.Head_blocked
-             {
-               time = t;
-               policy = policy.Policy.name;
-               job = (!sid).(slot);
-               reason;
-               lo = t;
-               hi = t + est;
-               need;
-               have;
-             })
-      end
-    end;
-    if !nstart > 0 then Jobq.filter queue keep_queued;
-    (* A wake already queued for the same instant (still ahead of [t],
-       since it has not popped) would only pop as a no-op. *)
-    if wake > t && wake <> !last_wake then begin
-      Eventq.push events ~time:wake wake_payload;
-      last_wake := wake
-    end;
+  end
+  else begin
+    drain r t;
+    (* Keep the timeline's dead past bounded independently of the caller's
+       [gc_every] cadence. Collecting here — outside any checkpoint, with
+       all future traffic at or after [t] — is invisible to decisions. *)
+    if t - Timeline.origin r.free > auto_gc_span || Timeline.node_count r.free > r.gc_nodes then
+      rebase r t;
+    r.last_t <- t;
+    (* A decision with nothing queued can start nothing, and no policy asks
+       for a wake-up then: the engine answers it without consulting the
+       policy — no checkpoint, no decide, no validation, no commit. Its
+       trace line is the one a consultation would have written. *)
+    if Jobq.length r.queue = 0 then begin
+      Metrics.set m_queue_depth 0;
+      if r.tracing then
+        Trace.emit r.obs
+          (Trace.Decision { time = t; policy = r.name; queued = 0; started = 0; wake = None })
+    end
+    else consult r t;
+    if heartbeat_due r t then emit_heartbeat r t;
+    loop r
+  end
+
+(* One run of the event loop. Arrivals are pulled with [pull] (submit times
+   non-decreasing) with one arrival of lookahead. At any instant, due
+   arrivals are admitted first, then queued events pop in push order — so
+   traces are byte-identical whichever entry point feeds the loop
+   (enforced by test/test_stream.ml).
+
+   [sweep] is the reservations' sweep over [m] processors (validated by the
+   caller). [on_start k job submit start] observes each start, where [k] is the
+   job's admission index (0 for the first arrival pulled), so callers
+   holding the arrivals in an array write each start back by position.
+   [slots] is the initial per-job capacity (it doubles as needed). *)
+let run_core ~obs ~policy ~m ~sweep ~gc_every ~hb_every ~hb_dt ~on_heartbeat ~on_start ~slots
+    pull =
+  let r =
+    {
+      obs;
+      tracing = Trace.enabled obs;
+      name = policy.Policy.name;
+      m;
+      (* The policy's per-run state is created here — plans cannot leak
+         across runs by construction. *)
+      decide = policy.Policy.create ~obs;
+      pull;
+      on_start;
+      on_heartbeat;
+      gc_every;
+      hb_every;
+      hb_dt;
+      sweep;
+      (* Free capacity lives in one mutable timeline for the whole run (a
+         binary search plus the blocks touched per start/release/query),
+         filled straight from the sweep. Policies work against it
+         directly: each decision runs under a checkpoint; when the
+         speculative log turns out to be exactly the started jobs'
+         reservations (every native policy, almost every decision) it is
+         committed as the authoritative mutation, otherwise it is rolled
+         back and the starts re-validated one by one. *)
+      free = Timeline.of_steps sweep.times sweep.free sweep.len;
+      events = Eventq.create ();
+      queue = Jobq.create ();
+      slot_of = Ids.create slots;
+      edge = 0;
+      sjob = Array.make slots dummy_job;
+      sint = Array.make (width * slots) 0;
+      free_slots = Array.make slots 0;
+      free_top = 0;
+      fresh = 0;
+      moved = (fun _ _ -> ());
+      start_slots = Array.make 8 0;
+      nstart = 0;
+      decision_no = 0;
+      forced = false;
+      n_jobs = 0;
+      makespan = 0;
+      max_queued = 0;
+      max_live = 0;
+      completions = 0;
+      hb_seq = 0;
+      hb_last_ev = 0;
+      hb_last_t = 0;
+      gc_nodes = auto_gc_nodes;
+      last_submit = 0;
+      ready = false;
+      a_job = dummy_job;
+      a_submit = 0;
+      a_est = 0;
+      last_t = -1;
+      last_wake = -1;
+      resv_blocked = None;
+    }
   in
-  Prof.with_span ~cat:"sim" ("simulate/" ^ policy.Policy.name) loop;
+  (* The queue's compaction report. *)
+  r.moved <- (fun slot pos -> sset r slot o_pos pos);
+  if Metrics.enabled () then Prof.with_span ~cat:"sim" ("simulate/" ^ r.name) (fun () -> loop r)
+  else loop r;
   (* One closing snapshot so the stream always ends on the final state,
      whatever the cadence (also the only row on short runs). *)
-  if on_heartbeat <> None then emit_heartbeat (max !last_t !makespan);
-  { jobs = !n_jobs; makespan = !makespan; max_queued = !max_queued; max_live = !max_live }
+  emit_heartbeat r (max r.last_t r.makespan);
+  { jobs = r.n_jobs; makespan = r.makespan; max_queued = r.max_queued; max_live = r.max_live }
 
 let run_stream ?(obs = Trace.null) ?(gc_every = 0) ?(heartbeat_every = 0) ?(heartbeat_dt = 0)
     ?on_heartbeat ?(on_record = fun (_ : record) -> ()) ~policy ~m ?(reservations = []) next =
@@ -600,8 +662,22 @@ let run_stream ?(obs = Trace.null) ?(gc_every = 0) ?(heartbeat_every = 0) ?(hear
     if on_heartbeat <> None && heartbeat_every = 0 && heartbeat_dt = 0 then 65536
     else heartbeat_every
   in
-  run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt:heartbeat_dt ~on_heartbeat
-    ~on_record next
+  (* The machine and the reservation ids are validated as [Instance.create]
+     would, with its messages; the sweep checks the capacity. No instance
+     and no profile is built. *)
+  validate_input ~m ~jobs:[] ~reservations;
+  run_core ~obs ~policy ~m ~sweep:(Resv_sweep.run ~m reservations) ~gc_every ~hb_every
+    ~hb_dt:heartbeat_dt ~on_heartbeat
+    ~on_start:(fun _ job submit start -> on_record { job; submit; start })
+    ~slots:8
+    (fun r ->
+      match next () with
+      | None -> false
+      | Some (a : arrival) ->
+        r.a_job <- a.job;
+        r.a_submit <- a.submit;
+        r.a_est <- a.estimate;
+        true)
 
 let run ?(obs = Trace.null) ~policy ~m ?(reservations = []) ?estimates
     (submissions : submitted list) =
@@ -609,7 +685,7 @@ let run ?(obs = Trace.null) ~policy ~m ?(reservations = []) ?estimates
   let n = Array.length subs in
   let estimates =
     match estimates with
-    | None -> Array.map (fun (s : submitted) -> Job.p s.job) subs
+    | None -> Array.map (fun (s : submitted) -> s.job.Job.p) subs
     | Some e ->
       if Array.length e <> n then invalid_arg "Simulator.run: estimates length mismatch";
       e
@@ -617,11 +693,11 @@ let run ?(obs = Trace.null) ~policy ~m ?(reservations = []) ?estimates
   Array.iteri
     (fun i (s : submitted) ->
       if s.submit < 0 then invalid_arg "Simulator.run: negative submit time";
-      if estimates.(i) < Job.p s.job then
+      if estimates.(i) < s.job.Job.p then
         invalid_arg "Simulator.run: estimate below the actual runtime")
     subs;
-  (* Ids and widths are validated as [Instance.create] would; the engine
-     checks the reservations. *)
+  (* Ids and widths are validated as [Instance.create] would; the sweep
+     checks the capacity. *)
   validate_input ~m ~jobs:(List.map (fun (s : submitted) -> s.job) submissions) ~reservations;
   (* Feed the engine in (submit, list position) order: equal submits are
      admitted in list order. *)
@@ -630,56 +706,50 @@ let run ?(obs = Trace.null) ~policy ~m ?(reservations = []) ?estimates
     (fun i j ->
       match Int.compare subs.(i).submit subs.(j).submit with 0 -> Int.compare i j | c -> c)
     order;
-  let k = ref 0 in
-  let next () =
-    if !k >= n then None
-    else begin
-      let i = order.(!k) in
-      incr k;
-      Some { job = subs.(i).job; submit = subs.(i).submit; estimate = estimates.(i) }
-    end
-  in
-  let by_id : (int, record) Hashtbl.t = Hashtbl.create (max 16 n) in
+  (* The [k]-th admission is submission [order.(k)]: each record is written
+     straight into its submission's cell. *)
+  let records = Array.make n { job = dummy_job; submit = 0; start = -1 } in
   let stats =
-    run_core ~obs ~policy ~m ~reservations ~gc_every:0 ~hb_every:0 ~hb_dt:0 ~on_heartbeat:None
-      ~on_record:(fun r -> Hashtbl.replace by_id (Job.id r.job) r)
-      next
+    run_core ~obs ~policy ~m ~sweep:(Resv_sweep.run ~m reservations) ~gc_every:0 ~hb_every:0
+      ~hb_dt:0 ~on_heartbeat:None
+      ~on_start:(fun k job submit start -> records.(order.(k)) <- { job; submit; start })
+      ~slots:(max 1 n)
+      (fun r ->
+        r.n_jobs < n
+        &&
+        let i = order.(r.n_jobs) in
+        r.a_job <- subs.(i).job;
+        r.a_submit <- subs.(i).submit;
+        r.a_est <- estimates.(i);
+        true)
   in
-  let records =
-    List.map (fun (s : submitted) -> Hashtbl.find by_id (Job.id s.job)) submissions
-  in
-  { m; reservations; records; makespan = stats.makespan }
+  { m; reservations; records = Array.to_list records; makespan = stats.makespan }
 
-(* Every job submitted at 0, fed to the engine straight from [order]; each
-   start is written back to the job's index in the instance as it is
-   recorded. Job ids are only required to be distinct, so the records are
-   mapped back through an id -> index table, not by id. *)
+(* Every job submitted at 0, fed to the engine straight from [order]; the
+   [k]-th admission is job [order.(k)], so each start is written back to
+   its index in the instance as it happens. *)
 let run_order ~policy inst order =
   let n = Array.length order in
-  let index = Hashtbl.create (max 16 n) in
-  Array.iter (fun i -> Hashtbl.replace index (Job.id (Instance.job inst i)) i) order;
   let starts = Array.make n (-1) in
-  let k = ref 0 in
-  let next () =
-    if !k >= n then None
-    else begin
-      let job = Instance.job inst order.(!k) in
-      incr k;
-      Some { job; submit = 0; estimate = Job.p job }
-    end
-  in
   ignore
-    (run_core ~obs:Trace.null ~policy ~m:(Instance.m inst)
-       ~reservations:(Array.to_list (Instance.reservations inst))
+    (run_core ~obs:Trace.null ~policy ~m:(Instance.m inst) ~sweep:(Instance.sweep inst)
        ~gc_every:0 ~hb_every:0 ~hb_dt:0 ~on_heartbeat:None
-       ~on_record:(fun r -> starts.(Hashtbl.find index (Job.id r.job)) <- r.start)
-       next
+       ~on_start:(fun k _ _ start -> starts.(order.(k)) <- start)
+       ~slots:(max 1 n)
+       (fun r ->
+         r.n_jobs < n
+         &&
+         let job = Instance.job inst order.(r.n_jobs) in
+         r.a_job <- job;
+         r.a_submit <- 0;
+         r.a_est <- job.Job.p;
+         true)
       : stream_stats);
   Schedule.make starts
 
 let to_offline trace =
   let jobs =
-    List.mapi (fun i r -> Job.make ~id:i ~p:(Job.p r.job) ~q:(Job.q r.job)) trace.records
+    List.mapi (fun i r -> Job.make ~id:i ~p:r.job.Job.p ~q:r.job.Job.q) trace.records
   in
   let inst = Instance.create_exn ~m:trace.m ~jobs ~reservations:trace.reservations in
   let starts = Array.of_list (List.map (fun r -> r.start) trace.records) in

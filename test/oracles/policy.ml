@@ -1,5 +1,4 @@
 open Resa_core
-open Resa_sim
 open Resa_sim.Policy
 module Trace = Resa_obs.Trace
 
@@ -19,7 +18,7 @@ let p_earliest free ~from job =
 
 let fcfs_reference =
   let create ~obs ~time ~queue ~free =
-    let queue = Jobq.to_list queue in
+    let queue = Jobq_view.to_list queue in
     let free = Timeline.to_profile ~from:time free in
     let rec go free = function
       | [] -> ([], None)
@@ -40,7 +39,7 @@ let fcfs_reference =
 
 let aggressive_reference =
   let create ~obs:_ ~time ~queue ~free =
-    let queue = Jobq.to_list queue in
+    let queue = Jobq_view.to_list queue in
     let free = Timeline.to_profile ~from:time free in
     let rec go free = function
       | [] -> []
@@ -55,7 +54,7 @@ let aggressive_reference =
 
 let easy_reference =
   let create ~obs ~time ~queue ~free =
-    let queue = Jobq.to_list queue in
+    let queue = Jobq_view.to_list queue in
     let free = Timeline.to_profile ~from:time free in
     let rec pop_prefix free = function
       | head :: rest when p_fits free ~time head ->
@@ -90,7 +89,7 @@ let conservative_reference =
     let planned : (int, int) Hashtbl.t = Hashtbl.create 64 in
     let plan = ref None in
     fun ~time ~queue ~free ->
-      let queue = Jobq.to_list queue in
+      let queue = Jobq_view.to_list queue in
       (* The per-decision snapshot is the cost being measured: the old
          engine rebuilt this profile at every event whether or not the
          decision consulted it. *)

@@ -5,7 +5,7 @@
     persistent [Profile.reserve]/[earliest_fit] chains — exactly the
     pre-timeline-native engine, kept for the differential suite and the
     before/after benchmark. They convert the queue once with
-    [Jobq.to_list]. *)
+    [Jobq_view.to_list]. *)
 
 val fcfs_reference : Resa_sim.Policy.t
 val conservative_reference : Resa_sim.Policy.t

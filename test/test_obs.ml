@@ -360,7 +360,7 @@ let test_policy_error_messages () =
         name = "ROGUE";
         create =
           (fun ~obs:_ ~time:_ ~queue ~free:_ ->
-            { start_now = Jobq.to_list queue; wake = -1 });
+            { start_now = Resa_oracles.Jobq_view.to_list queue; wake = -1 });
       }
   in
   let subs =
@@ -461,7 +461,7 @@ let test_failed_decision_rolls_back () =
 let test_capacity_prefilter () =
   let queue = Jobq.create () in
   for i = 0 to 999 do
-    Jobq.append queue (Job.make ~id:i ~p:5 ~q:6) ~tag:i
+    ignore (Jobq.append queue (Job.make ~id:i ~p:5 ~q:6) ~tag:i : int)
   done;
   List.iter
     (fun ((policy : Policy.t), expect) ->
@@ -481,8 +481,10 @@ let test_prof_counters () =
       let inst = Resa_gen.Random_inst.alpha_restricted rng ~m:8 ~n:20 ~alpha:0.5 ~pmax:9 () in
       ignore (Resa_algos.Lsrc.run inst);
       let find = Tutil.counter in
-      Alcotest.(check bool) "lsrc instants counted" true (find "lsrc.decision_instants" > 0);
-      Alcotest.(check int) "all jobs placed" 20 (find "lsrc.jobs_placed");
+      (* Offline LSRC is the LSRC policy on the engine: its decisions and
+         starts are the engine's and the policy's counters. *)
+      Alcotest.(check bool) "lsrc decisions counted" true (find "policy.decide.LSRC" > 0);
+      Alcotest.(check int) "all jobs placed" 20 (find "sim.jobs_started");
       Alcotest.(check bool) "timeline ops counted" true (find "timeline.min_on" > 0);
       (* The simulator opens one speculation scope per decision; every
          checkpoint must be paired with a rollback. *)
@@ -492,11 +494,11 @@ let test_prof_counters () =
       Alcotest.(check int) "checkpoints all resolved" (find "timeline.checkpoint")
         (find "timeline.rollback" + find "timeline.commit");
       Alcotest.(check bool) "spans recorded" true
-        (List.exists (fun s -> s.Prof.name = "lsrc.run_order") (Prof.spans ()));
+        (List.exists (fun s -> s.Prof.name = "simulate/LSRC") (Prof.spans ()));
       Alcotest.(check bool) "engine counts reach the exposition" true
         (contains ~sub:"resa_timeline_checkpoint " (Registry.expose ()));
       Prof.reset ();
-      Alcotest.(check int) "reset zeroes counters" 0 (find "lsrc.jobs_placed");
+      Alcotest.(check int) "reset zeroes counters" 0 (find "policy.decide.LSRC");
       Alcotest.(check (list reject)) "reset drops spans" [] (Prof.spans ()))
 
 let test_prof_disabled_is_noop () =
@@ -505,7 +507,7 @@ let test_prof_disabled_is_noop () =
       let rng = Prng.create ~seed:5 in
       let inst = Resa_gen.Random_inst.alpha_restricted rng ~m:8 ~n:20 ~alpha:0.5 ~pmax:9 () in
       ignore (Resa_algos.Lsrc.run inst);
-      Alcotest.(check int) "disabled counter stays 0" 0 (Tutil.counter "lsrc.jobs_placed");
+      Alcotest.(check int) "disabled counter stays 0" 0 (Tutil.counter "policy.decide.LSRC");
       Alcotest.(check int) "disabled timeline ops stay 0" 0 (Tutil.counter "timeline.min_on");
       Alcotest.(check (list reject)) "disabled spans not recorded" [] (Prof.spans ()))
 

@@ -93,9 +93,43 @@ let test_easy_pinned () =
   Alcotest.(check string) "same event stream" sb sa;
   Alcotest.(check (list int)) "expected schedule" [ 0; 4; 0 ] (starts a)
 
+(* Deep queues: hundreds of jobs submitted at 0, so every policy starts far
+   more jobs than stay queued and the waiting queue compacts several times
+   per run. The engine must keep agreeing start for start with the offline
+   Profile oracles, which share none of its queue code. *)
+let offline_oracles =
+  [
+    ("LSRC", Policy.aggressive, Resa_oracles.Lsrc.run_order_reference);
+    ("FCFS", Policy.fcfs, Resa_oracles.Fcfs.run_order_reference);
+    ("CONS", Policy.conservative, Resa_oracles.Backfill.conservative_order_reference);
+    ("EASY", Policy.easy, Resa_oracles.Backfill.easy_order_reference);
+  ]
+
+let test_deep_queue_at_zero () =
+  List.iter
+    (fun seed ->
+      let inst =
+        Resa_gen.Random_inst.alpha_restricted (Prng.create ~seed) ~m:16 ~n:240 ~alpha:0.5
+          ~pmax:20 ()
+      in
+      if Instance.n_reservations inst = 0 then Alcotest.fail "instance without reservations";
+      List.iter
+        (fun priority ->
+          let order = Resa_algos.Priority.order priority inst in
+          List.iter
+            (fun (name, policy, oracle) ->
+              Alcotest.(check (array int))
+                (Printf.sprintf "%s seed %d %s" name seed (Resa_algos.Priority.name priority))
+                (Schedule.starts (oracle inst order))
+                (Schedule.starts (Simulator.run_order ~policy inst order)))
+            offline_oracles)
+        [ Resa_algos.Priority.Fifo; Resa_algos.Priority.Random seed ])
+    [ 7; 8 ]
+
 let suite =
   [
     Alcotest.test_case "EASY pinned example agrees traced" `Quick test_easy_pinned;
+    Alcotest.test_case "engine = offline oracles on 240 jobs at 0" `Quick test_deep_queue_at_zero;
     prop_exact;
     prop_overestimated;
   ]

@@ -10,19 +10,19 @@ let submit_all_at inst t0 =
       Simulator.{ job = Instance.job inst i; submit = t0 })
 
 (* With everything submitted at 0, each online policy IS its offline
-   list algorithm: same starts on reserved alpha-restricted instances. *)
+   list algorithm: same starts on reserved alpha-restricted instances. The
+   offline side is the Profile oracle, not [Resa_algos]: offline LSRC and
+   EASY run these very policies on the engine. *)
 let online_offline_pairs =
+  let fifo f inst = f inst (Resa_algos.Priority.order Resa_algos.Priority.Fifo inst) in
   [
-    ("aggressive", Policy.aggressive, "LSRC", fun inst -> Resa_algos.Lsrc.run inst);
-    ("fcfs", Policy.fcfs, "FCFS", fun inst -> Resa_algos.Fcfs.run inst);
-    ("conservative", Policy.conservative, "CONS", fun inst -> Resa_algos.Backfill.conservative inst);
-    (* [Backfill.easy] runs [Policy.easy] itself: compare with the oracle. *)
-    ( "easy",
-      Policy.easy,
-      "EASY",
-      fun inst ->
-        Resa_oracles.Backfill.easy_order_reference inst
-          (Resa_algos.Priority.order Resa_algos.Priority.Fifo inst) );
+    ("aggressive", Policy.aggressive, "LSRC", fifo Resa_oracles.Lsrc.run_order_reference);
+    ("fcfs", Policy.fcfs, "FCFS", fifo Resa_oracles.Fcfs.run_order_reference);
+    ( "conservative",
+      Policy.conservative,
+      "CONS",
+      fifo Resa_oracles.Backfill.conservative_order_reference );
+    ("easy", Policy.easy, "EASY", fifo Resa_oracles.Backfill.easy_order_reference);
   ]
 
 let test_online_equals_offline policy offline () =
@@ -125,7 +125,7 @@ let test_policy_error_on_rogue_policy () =
         create =
           (fun ~obs:_ ~time:_ ~queue ~free:_ ->
             (* Start everything unconditionally: must violate capacity. *)
-            { start_now = Jobq.to_list queue; wake = -1 });
+            { start_now = Resa_oracles.Jobq_view.to_list queue; wake = -1 });
       }
   in
   let subs =

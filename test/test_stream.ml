@@ -372,38 +372,89 @@ let test_stream_metrics_empty () =
 
 (* --- queue: Jobq vs a list model ---------------------------------------- *)
 
+(* Appends and kills against a list model, as the simulator drives the
+   queue: each entry's position is remembered at its append, killed by that
+   position, and kept current through the compaction reports. After every
+   step the live entries must be the model's, in order, each at its
+   remembered position, and the compactions must have moved no more entries
+   than were appended. *)
 let jobq_matches_model seed =
   let rng = Prng.create ~seed in
   let q = Jobq.create () in
   let model = ref [] in
+  let pos = Hashtbl.create 64 in
+  let moves = ref 0 and appends = ref 0 in
+  let moved tag p =
+    incr moves;
+    Hashtbl.replace pos tag p
+  in
   let ok = ref true in
-  for i = 0 to 120 do
-    (match Prng.int rng ~bound:3 with
-    | 0 | 1 ->
+  for i = 0 to 400 do
+    (* Append-heavy phases then kill-heavy ones, so the queue both grows
+       and drains through several compactions. *)
+    let append_weight = if i / 100 mod 2 = 0 then 3 else 1 in
+    (match Prng.int rng ~bound:4 with
+    | r when r < append_weight || !model = [] ->
       let j = Job.make ~id:i ~p:1 ~q:1 in
-      (* The simulator tags each entry with its live slot; here the tag is
-         an arbitrary function of the id so the filter exercises it. *)
-      Jobq.append q j ~tag:(i * 7);
-      model := !model @ [ (j, i * 7) ]
+      Hashtbl.replace pos i (Jobq.append q j ~tag:i);
+      incr appends;
+      model := !model @ [ (j, i) ]
     | _ ->
-      let bit = Prng.int rng ~bound:2 in
-      let keep tag = tag / 7 land 1 = bit in
-      Jobq.filter q keep;
-      model := List.filter (fun (_, tag) -> keep tag) !model);
-    let n = Jobq.length q in
-    if n <> List.length !model then ok := false
+      let _, tag = List.nth !model (Prng.int rng ~bound:(List.length !model)) in
+      Jobq.kill q (Hashtbl.find pos tag) ~moved;
+      Hashtbl.remove pos tag;
+      model := List.filter (fun (_, t) -> t <> tag) !model);
+    let jobs = Jobq.jobs q and tags = Jobq.tags q in
+    let rec live i acc =
+      if i >= Jobq.stop q then List.rev acc
+      else live (i + 1) (if tags.(i) < 0 then acc else (jobs.(i), tags.(i), i) :: acc)
+    in
+    let entries = live (Jobq.first q) [] in
+    if Jobq.length q <> List.length !model || List.length entries <> List.length !model then
+      ok := false
     else
-      List.iteri
-        (fun i (j, tag) ->
-          if not (Jobq.get q i == j && Jobq.tag q i = tag) then ok := false)
-        !model;
-    if Jobq.to_list q <> List.map fst !model then ok := false
+      List.iter2
+        (fun (j, tag) (j', tag', p) ->
+          if not (j == j' && tag = tag' && Hashtbl.find pos tag = p) then
+            ok := false)
+        !model entries;
+    if (match !model with [] -> false | _ -> Jobq.first q <> Hashtbl.find pos (snd (List.hd !model)))
+    then ok := false;
+    if Resa_oracles.Jobq_view.to_list q <> List.map fst !model then ok := false;
+    if !moves > !appends then ok := false
   done;
   !ok
 
 let prop_jobq_model =
   Tutil.qcheck ~count:300 "Jobq behaves as a tagged FIFO array" Tutil.seed_arb
     jobq_matches_model
+
+(* The engine's id table against [Hashtbl], with ids that share their low
+   bits (a stride of 1024) and enough of them to resize the table. *)
+let ids_match_model seed =
+  let rng = Prng.create ~seed in
+  let t = Ids.create 4 and model = Hashtbl.create 16 in
+  let ok = ref true in
+  for _ = 1 to 600 do
+    let id = 1024 * Prng.int rng ~bound:200 in
+    match Prng.int rng ~bound:3 with
+    | 0 | 1 ->
+      let fresh = not (Hashtbl.mem model id) in
+      if Ids.add t id (id + 1) <> fresh then ok := false;
+      if fresh then Hashtbl.replace model id (id + 1)
+    | _ ->
+      Ids.remove t id;
+      Hashtbl.remove model id
+  done;
+  for k = 0 to 199 do
+    let id = 1024 * k in
+    let got = match Ids.find t id with v -> Some v | exception Not_found -> None in
+    if got <> Hashtbl.find_opt model id then ok := false
+  done;
+  !ok
+
+let prop_ids_model =
+  Tutil.qcheck ~count:100 "Ids agrees with Hashtbl on strided ids" Tutil.seed_arb ids_match_model
 
 let suite =
   [
@@ -420,5 +471,6 @@ let suite =
       test_reserved_digests;
     prop_metrics_bitwise;
     prop_jobq_model;
+    prop_ids_model;
   ]
   @ engine_props

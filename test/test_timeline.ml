@@ -15,7 +15,6 @@ let test_constant () =
   Alcotest.(check int) "value at 0" 7 (Timeline.value_at tl 0);
   Alcotest.(check int) "value far out" 7 (Timeline.value_at tl 123_456);
   Alcotest.(check int) "last breakpoint" 0 (Timeline.last_breakpoint tl);
-  Alcotest.(check (option int)) "no breakpoint" None (Timeline.next_breakpoint_after tl 3);
   Alcotest.check steps "to_profile" [ (0, 7) ] (Profile.to_steps (Timeline.to_profile tl))
 
 let test_roundtrip () =
@@ -275,11 +274,7 @@ let ops_agree_with ~scale ~ops seed =
       let need = Prng.int_incl rng ~lo:(-1) ~hi:12 in
       check "earliest_fit"
         (Profile.earliest_fit !p ~from ~dur ~need = Timeline.earliest_fit tl ~from ~dur ~need)
-    | 5 ->
-      let x = at 80 in
-      check "next_breakpoint_after"
-        (Profile.next_breakpoint_after !p x = Timeline.next_breakpoint_after tl x)
-    | 6 -> check "last_breakpoint" (Profile.last_breakpoint !p = Timeline.last_breakpoint tl)
+    | 5 | 6 -> check "last_breakpoint" (Profile.last_breakpoint !p = Timeline.last_breakpoint tl)
     | 7 ->
       check "final_value" (Profile.final_value !p = Timeline.final_value tl)
     | 8 ->
