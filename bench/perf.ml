@@ -17,7 +17,11 @@ let reserved_workload n =
   let rng = Prng.create ~seed:reserved_workload_seed in
   Random_inst.alpha_restricted rng ~m:128 ~n ~alpha:0.5 ~pmax:100 ~n_reservations:(n / 5) ()
 
-let algorithm_tests =
+(* The Bechamel rows are functions, built only when [run] asks for them:
+   as toplevel values they would generate workloads and schedule them at
+   load time in every executable linking this library, test binary
+   included. *)
+let algorithm_tests () =
   let make_algo name f =
     List.map
       (fun n ->
@@ -31,7 +35,7 @@ let algorithm_tests =
   @ make_algo "easy" (fun i -> ignore (Resa_algos.Backfill.easy i))
   @ make_algo "shelf-ffdh" (fun i -> ignore (Resa_algos.Shelf.run Resa_algos.Shelf.Ffdh i))
 
-let profile_tests =
+let profile_tests () =
   let inst = workload 500 in
   let sched = Resa_algos.Lsrc.run inst in
   let usage = Schedule.usage inst sched in
@@ -44,7 +48,7 @@ let profile_tests =
       (Staged.stage (fun () -> ignore (Profile.integral_on usage ~lo:0 ~hi:10_000)));
   ]
 
-let eventq_tests =
+let eventq_tests () =
   [
     Test.make ~name:"eventq/push-pop-1k"
       (Staged.stage (fun () ->
@@ -57,7 +61,7 @@ let eventq_tests =
            done));
   ]
 
-let simulator_tests =
+let simulator_tests () =
   let subs =
     let inst = workload 200 in
     let rng = Prng.create ~seed:7 in
@@ -70,8 +74,6 @@ let simulator_tests =
            ignore
              (Resa_sim.Simulator.run ~policy:Resa_sim.Policy.easy ~m:128 subs)));
   ]
-
-let all_tests = algorithm_tests @ profile_tests @ eventq_tests @ simulator_tests
 
 (* --- engine at 0 ----------------------------------------------------------- *)
 
@@ -346,6 +348,6 @@ let run () =
           in
           Resa_stats.Table.add_row t [ name; pretty; Printf.sprintf "%.3f" r2 ])
         rows)
-    all_tests;
+    (algorithm_tests () @ profile_tests () @ eventq_tests () @ simulator_tests ());
   print_string (Resa_stats.Table.render t);
   scaling ()

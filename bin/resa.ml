@@ -271,18 +271,18 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate gc_ev
                 flush oc)
               hb_oc
           in
+          (* Built once per run: a closure made inside the pull thunk would
+             cost five words per job. *)
+          let to_arrival (a : Resa_swf.Swf_stream.arrival) =
+            if collect then job_numbers := a.job_number :: !job_numbers;
+            Resa_sim.Simulator.{ job = a.job; submit = a.submit; estimate = a.estimate }
+          in
           let stats =
             try
               with_stream (fun src ->
                   Resa_sim.Simulator.run_stream ~obs ~gc_every ~heartbeat_every:hb_every
                     ~heartbeat_dt:hb_dt ?on_heartbeat ~on_record ~policy ~m
-                    (fun () ->
-                      Option.map
-                        (fun (a : Resa_swf.Swf_stream.arrival) ->
-                          if collect then job_numbers := a.job_number :: !job_numbers;
-                          Resa_sim.Simulator.
-                            { job = a.job; submit = a.submit; estimate = a.estimate })
-                        (src ())))
+                    (fun () -> Option.map to_arrival (src ())))
             with Resa_swf.Swf_stream.Parse_error { line; msg } ->
               Printf.eprintf "error: line %d: %s\n" line msg;
               exit 2

@@ -2,7 +2,8 @@
    little-endian int64. A [mutable int64] field would box a fresh state at
    every step; here [bits64] and its callers inside this module keep the
    state and the output in registers once inlined, so an integer draw
-   allocates nothing and a float draw only its boxed result. *)
+   allocates nothing and a float draw only its boxed result. A caller that
+   must not box one writes the float formula out on [bits53]. *)
 type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
@@ -50,9 +51,9 @@ let int_incl g ~lo ~hi =
   if lo > hi then invalid_arg "Prng.int_incl: lo > hi";
   lo + int g ~bound:(hi - lo + 1)
 
-let[@inline] float g ~bound =
-  let r = Int64.to_float (Int64.shift_right_logical (bits64 g) 11) in
-  bound *. (r /. 9007199254740992.0 (* 2^53 *))
+let[@inline] bits53 g = Int64.to_int (Int64.shift_right_logical (bits64 g) 11)
+
+let[@inline] float g ~bound = bound *. (float_of_int (bits53 g) /. 0x1p53)
 
 let bool g = Int64.logand (bits64 g) 1L = 1L
 

@@ -28,8 +28,15 @@ val int : t -> bound:int -> int
 val int_incl : t -> lo:int -> hi:int -> int
 (** [int_incl g ~lo ~hi] is uniform in [\[lo, hi\]]. Requires [lo <= hi]. *)
 
+val bits53 : t -> int
+(** Next output's top 53 bits, uniform in [\[0, 2{^53})]: the int primitive
+    behind {!float} and {!exponential}. *)
+
 val float : t -> bound:float -> float
-(** [float g ~bound] is uniform in [\[0, bound)]. *)
+(** [float g ~bound] is uniform in [\[0, bound)]: exactly
+    [bound *. (float_of_int (bits53 g) /. 0x1p53)], so a caller that must
+    not box the result (a float returned across a module boundary is boxed)
+    can compute it in place, bit-identically. *)
 
 val bool : t -> bool
 (** Fair coin. *)
@@ -41,7 +48,8 @@ val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 
 val exponential : t -> mean:float -> float
-(** Exponentially distributed sample with the given mean (> 0). *)
+(** Exponentially distributed sample with the given mean (> 0): exactly
+    [-.mean *. log (1.0 -. (float_of_int (bits53 g) /. 0x1p53))]. *)
 
 val log_uniform_int : t -> lo:int -> hi:int -> int
 (** Integer whose logarithm is uniform over [\[log lo, log hi\]]; the classic

@@ -1,58 +1,97 @@
-(* Chained buckets, as in [Hashtbl], so a binding costs the same four
-   words; keys compare as ints, and the table size is a power of two. *)
-type 'a bucket = Empty | Cons of { key : int; data : 'a; mutable next : 'a bucket }
-type 'a t = { mutable size : int; mutable data : 'a bucket array }
+(* Linear probing over power-of-two arrays kept at most half full, so every
+   probe run ends at a free cell. [empty] marks a free key cell; the one id
+   equal to it is bound aside, in [aside]/[aside_val]. *)
+let empty = min_int
+
+type t = {
+  mutable keys : int array;
+  mutable vals : int array;
+  mutable size : int;  (* bindings in [keys] *)
+  mutable aside : bool;
+  mutable aside_val : int;
+}
 
 let create n =
-  let rec pow k = if k >= n then k else pow (2 * k) in
-  { size = 0; data = Array.make (pow 16) Empty }
+  let rec pow k = if k >= 2 * n then k else pow (2 * k) in
+  let cap = pow 16 in
+  { keys = Array.make cap empty; vals = Array.make cap 0; size = 0; aside = false; aside_val = 0 }
 
 (* Ids may agree in their low bits (a strided numbering), so the key is
-   mixed before its low bits pick the bucket. *)
-let index t key =
+   mixed before its low bits pick the home cell. *)
+let home keys key =
   let h = key * 0x9E3779B1 in
-  (h lxor (h lsr 32)) land (Array.length t.data - 1)
+  (h lxor (h lsr 32)) land (Array.length keys - 1)
 
-let rec find_in key = function
-  | Empty -> raise Not_found
-  | Cons c -> if c.key = key then c.data else find_in key c.next
+(* The cell holding [key], or the free cell that ends its probe run. *)
+let rec probe keys key i =
+  let k = keys.(i) in
+  if k = key || k = empty then i else probe keys key ((i + 1) land (Array.length keys - 1))
 
-let find t key = find_in key t.data.(index t key)
+let find t key =
+  if key = empty then if t.aside then t.aside_val else raise Not_found
+  else begin
+    let i = probe t.keys key (home t.keys key) in
+    if t.keys.(i) = empty then raise Not_found;
+    t.vals.(i)
+  end
 
-let rec mem_in key = function Empty -> false | Cons c -> c.key = key || mem_in key c.next
-
-(* Double the bucket array once bindings outnumber buckets twice over,
-   relinking the existing cells: a resize allocates only the new array. *)
+(* Double both arrays and re-probe every binding: only a resize
+   allocates. *)
 let resize t =
-  let old = t.data in
-  t.data <- Array.make (2 * Array.length old) Empty;
-  let rec relink = function
-    | Empty -> ()
-    | Cons c as cell ->
-      let next = c.next and i = index t c.key in
-      c.next <- t.data.(i);
-      t.data.(i) <- cell;
-      relink next
-  in
-  Array.iter relink old
+  let keys = t.keys and vals = t.vals in
+  t.keys <- Array.make (2 * Array.length keys) empty;
+  t.vals <- Array.make (2 * Array.length keys) 0;
+  for j = 0 to Array.length keys - 1 do
+    let k = keys.(j) in
+    if k <> empty then begin
+      let i = probe t.keys k (home t.keys k) in
+      t.keys.(i) <- k;
+      t.vals.(i) <- vals.(j)
+    end
+  done
 
-let add t key data =
-  let i = index t key in
-  (not (mem_in key t.data.(i)))
-  && begin
-       t.data.(i) <- Cons { key; data; next = t.data.(i) };
-       t.size <- t.size + 1;
-       if t.size > 2 * Array.length t.data then resize t;
-       true
-     end
+let add t key v =
+  if key = empty then
+    (not t.aside)
+    && begin
+         t.aside <- true;
+         t.aside_val <- v;
+         true
+       end
+  else begin
+    let i = probe t.keys key (home t.keys key) in
+    t.keys.(i) = empty
+    && begin
+         t.keys.(i) <- key;
+         t.vals.(i) <- v;
+         t.size <- t.size + 1;
+         if 2 * t.size > Array.length t.keys then resize t;
+         true
+       end
+  end
 
-(* Top-level rather than a closure over [t] and [key]: a removal
-   allocates nothing. *)
-let rec unlink t key prev = function
-  | Empty -> ()
-  | Cons c as cell when c.key <> key -> unlink t key cell c.next
-  | Cons c -> (
-    t.size <- t.size - 1;
-    match prev with Empty -> t.data.(index t key) <- c.next | Cons p -> p.next <- c.next)
+(* Backward-shift deletion: walk the run after the [hole] and move back
+   each entry whose home is not cyclically after the hole (its distance
+   from home is at least its distance from the hole), leaving the hole at
+   the moved entry's cell; the free cell that ends the run ends the walk.
+   No tombstones, so lookups never slow down with deletions. *)
+let rec shift keys vals hole j =
+  let mask = Array.length keys - 1 in
+  let k = keys.(j) in
+  if k = empty then keys.(hole) <- empty
+  else if (j - home keys k) land mask >= (j - hole) land mask then begin
+    keys.(hole) <- k;
+    vals.(hole) <- vals.(j);
+    shift keys vals j ((j + 1) land mask)
+  end
+  else shift keys vals hole ((j + 1) land mask)
 
-let remove t key = unlink t key Empty t.data.(index t key)
+let remove t key =
+  if key = empty then t.aside <- false
+  else begin
+    let i = probe t.keys key (home t.keys key) in
+    if t.keys.(i) <> empty then begin
+      t.size <- t.size - 1;
+      shift t.keys t.vals i ((i + 1) land (Array.length t.keys - 1))
+    end
+  end

@@ -38,7 +38,11 @@ let rec sift_down a len i =
   end
 
 let push h ~key ~tie value =
-  if 3 * h.len = Array.length h.a then h.a <- Array.append h.a (Array.make (Array.length h.a) 0);
+  if 3 * h.len = Array.length h.a then begin
+    let a = Array.make (2 * Array.length h.a) 0 in
+    Array.blit h.a 0 a 0 (Array.length h.a);
+    h.a <- a
+  end;
   let i = h.len in
   h.len <- i + 1;
   let a = h.a in

@@ -5,7 +5,7 @@
     The engine's one priority queue: it backs {!Eventq} (key = time, tie =
     insertion sequence, so equal times pop FIFO) and the conservative
     policy's promise heap (key = promised start, tie = admission order,
-    value = job id).
+    value = tag).
     Single-owner mutable state. *)
 
 type t = private { mutable a : int array; mutable len : int }

@@ -1,36 +1,53 @@
-open Resa_core
-
-(* Filler for never-written and dead cells, so the arrays hold no stale job
-   references. *)
-let dummy = Job.make ~id:0 ~p:1 ~q:1
-
 (* A dead cell's tag. *)
 let dead = -1
 
 type t = {
-  mutable jobs : Job.t array;
+  mutable ids : int array;
+  mutable ests : int array;
+  mutable widths : int array;
   mutable tags : int array;
   mutable first : int;  (* no live entry below *)
   mutable stop : int;  (* positions in use: [0, stop) *)
   mutable live : int;
 }
 
-let create () = { jobs = Array.make 8 dummy; tags = Array.make 8 dead; first = 0; stop = 0; live = 0 }
+let create () =
+  {
+    ids = Array.make 8 0;
+    ests = Array.make 8 0;
+    widths = Array.make 8 0;
+    tags = Array.make 8 dead;
+    first = 0;
+    stop = 0;
+    live = 0;
+  }
+
 let length t = t.live
 let first t = t.first
 let stop t = t.stop
-let jobs t = t.jobs
 let tags t = t.tags
+let ids t = t.ids
+let estimates t = t.ests
+let widths t = t.widths
 
-let append t j ~tag =
+(* Doubled, in one allocation. *)
+let grow a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let append t ~id ~estimate ~width ~tag =
   if tag < 0 then invalid_arg "Jobq.append: negative tag";
-  let cap = Array.length t.jobs in
-  if t.stop = cap then begin
-    t.jobs <- Array.append t.jobs (Array.make cap dummy);
-    t.tags <- Array.append t.tags (Array.make cap dead)
+  if t.stop = Array.length t.tags then begin
+    t.ids <- grow t.ids 0;
+    t.ests <- grow t.ests 0;
+    t.widths <- grow t.widths 0;
+    t.tags <- grow t.tags dead
   end;
   let i = t.stop in
-  t.jobs.(i) <- j;
+  t.ids.(i) <- id;
+  t.ests.(i) <- estimate;
+  t.widths.(i) <- width;
   t.tags.(i) <- tag;
   t.stop <- i + 1;
   t.live <- t.live + 1;
@@ -44,9 +61,10 @@ let compact t ~moved =
     let tg = t.tags.(i) in
     if tg <> dead then begin
       if !k < i then begin
-        t.jobs.(!k) <- t.jobs.(i);
+        t.ids.(!k) <- t.ids.(i);
+        t.ests.(!k) <- t.ests.(i);
+        t.widths.(!k) <- t.widths.(i);
         t.tags.(!k) <- tg;
-        t.jobs.(i) <- dummy;
         t.tags.(i) <- dead;
         moved tg !k
       end;
@@ -58,7 +76,6 @@ let compact t ~moved =
 
 let kill t i ~moved =
   if i < t.first || i >= t.stop || t.tags.(i) = dead then invalid_arg "Jobq.kill: dead position";
-  t.jobs.(i) <- dummy;
   t.tags.(i) <- dead;
   t.live <- t.live - 1;
   if i = t.first then

@@ -3,7 +3,7 @@ module Trace = Resa_obs.Trace
 module Metrics = Resa_obs.Metrics
 
 type action = {
-  mutable start_now : Job.t list;
+  mutable start_now : int list;
   mutable wake : int;
 }
 
@@ -18,27 +18,23 @@ let no_wake = -1
 
 (* A native policy's one action per run: every [decide] refills and returns
    it, so a decision costs no record, no option, only the cons cells of the
-   jobs it starts. *)
+   tags it starts. *)
 let action () = { start_now = []; wake = no_wake }
 
 (* --- timeline-native policies ------------------------------------------- *)
 
-(* Job fields are read in place here and in the simulator: the library is
-   built without cross-module inlining, so [Job.p] would be a call. *)
-let fits free ~time job = Timeline.min_on free ~lo:time ~hi:(time + job.Job.p) >= job.Job.q
+(* A queued job is its estimate [p] and width [q], read from the queue's
+   arrays. *)
+let fits free ~time ~p ~q = Timeline.min_on free ~lo:time ~hi:(time + p) >= q
 
-let earliest_at free ~from job =
-  Timeline.earliest_fit_at free ~from ~dur:job.Job.p ~need:job.Job.q
-
-(* Speculative allocation of [job]'s window at [time]. The simulator's
-   post-decision pass either commits these wholesale — when the log is
-   exactly the started jobs' reservations, the common case — or rolls them
-   back and re-applies authoritatively. Every call site has just verified
-   the window ([fits], or CONS's plan which never exceeds free capacity),
-   so the re-checking [Timeline.reserve] would redo a window scan per
-   start. *)
-let take free ~time job =
-  Timeline.reserve_fitting free ~start:time ~dur:job.Job.p ~need:job.Job.q
+(* Speculative allocation of a [p]-long, [q]-wide window at [time]. The
+   simulator's post-decision pass either commits these wholesale — when the
+   log is exactly the started jobs' reservations, the common case — or
+   rolls them back and re-applies authoritatively. Every call site has just
+   verified the window ([fits], or CONS's plan which never exceeds free
+   capacity), so the re-checking [Timeline.reserve] would redo a window
+   scan per start. *)
+let take free ~time ~p ~q = Timeline.reserve_fitting free ~start:time ~dur:p ~need:q
 
 (* Per-policy decision counters (RESA_METRICS). *)
 let c_fcfs = Metrics.counter "policy.decide.FCFS"
@@ -47,27 +43,28 @@ let c_easy = Metrics.counter "policy.decide.EASY"
 let c_cons = Metrics.counter "policy.decide.CONS"
 
 (* The scan functions below are top-level and read the queue's backing
-   arrays by position ([jobs], and [tags] to skip the dead cells of started
-   jobs), so that a decision which starts nothing allocates nothing: no
+   arrays by position ([ps] the estimates, [qs] the widths, [tags] to skip
+   the dead cells of started jobs and to name the starts, [ids] for trace
+   events), so that a decision which starts nothing allocates nothing: no
    closure per decide, no list view of the queue, no call per entry, cons
-   cells only for jobs actually started. A wake-up is written into the
+   cells only for the tags actually started. A wake-up is written into the
    run's action on the way. *)
 
 (* Start the longest startable prefix; the blocked head, if any, yields
    the next wake-up. *)
-let rec fcfs_go ~obs ~time act jobs tags free i stop =
+let rec fcfs_go ~obs ~time act ids ps qs tags free i stop =
   if i >= stop then []
-  else if tags.(i) < 0 then fcfs_go ~obs ~time act jobs tags free (i + 1) stop
+  else if tags.(i) < 0 then fcfs_go ~obs ~time act ids ps qs tags free (i + 1) stop
   else begin
-    let head = jobs.(i) in
-    if fits free ~time head then begin
-      take free ~time head;
-      head :: fcfs_go ~obs ~time act jobs tags free (i + 1) stop
+    let p = ps.(i) and q = qs.(i) in
+    if fits free ~time ~p ~q then begin
+      take free ~time ~p ~q;
+      tags.(i) :: fcfs_go ~obs ~time act ids ps qs tags free (i + 1) stop
     end
     else begin
-      let at = earliest_at free ~from:(time + 1) head in
+      let at = Timeline.earliest_fit_at free ~from:(time + 1) ~dur:p ~need:q in
       if Trace.enabled obs then
-        Trace.emit obs (Trace.Planned { time; policy = "FCFS"; job = head.Job.id; at });
+        Trace.emit obs (Trace.Planned { time; policy = "FCFS"; job = ids.(i); at });
       act.wake <- at;
       []
     end
@@ -80,8 +77,8 @@ let fcfs =
       Metrics.incr c_fcfs;
       act.wake <- no_wake;
       act.start_now <-
-        fcfs_go ~obs ~time act (Jobq.jobs queue) (Jobq.tags queue) free (Jobq.first queue)
-          (Jobq.stop queue);
+        fcfs_go ~obs ~time act (Jobq.ids queue) (Jobq.estimates queue) (Jobq.widths queue)
+          (Jobq.tags queue) free (Jobq.first queue) (Jobq.stop queue);
       act
   in
   { name = "FCFS"; create }
@@ -89,15 +86,15 @@ let fcfs =
 (* [cap_now] is the free capacity at [time]: a job wider than it cannot
    fit, so it is skipped without a window query, and once it reaches 0 no
    job can start. Each start lowers it by exactly its width. *)
-let rec lsrc_go ~time jobs tags free cap_now i stop =
+let rec lsrc_go ~time ps qs tags free cap_now i stop =
   if cap_now = 0 || i >= stop then []
   else begin
-    let j = jobs.(i) in
-    if tags.(i) >= 0 && j.Job.q <= cap_now && fits free ~time j then begin
-      take free ~time j;
-      j :: lsrc_go ~time jobs tags free (cap_now - j.Job.q) (i + 1) stop
+    let p = ps.(i) and q = qs.(i) in
+    if tags.(i) >= 0 && q <= cap_now && fits free ~time ~p ~q then begin
+      take free ~time ~p ~q;
+      tags.(i) :: lsrc_go ~time ps qs tags free (cap_now - q) (i + 1) stop
     end
-    else lsrc_go ~time jobs tags free cap_now (i + 1) stop
+    else lsrc_go ~time ps qs tags free cap_now (i + 1) stop
   end
 
 let aggressive =
@@ -106,8 +103,8 @@ let aggressive =
     fun ~time ~queue ~free ->
       Metrics.incr c_lsrc;
       act.start_now <-
-        lsrc_go ~time (Jobq.jobs queue) (Jobq.tags queue) free (Timeline.value_at free time)
-          (Jobq.first queue) (Jobq.stop queue);
+        lsrc_go ~time (Jobq.estimates queue) (Jobq.widths queue) (Jobq.tags queue) free
+          (Timeline.value_at free time) (Jobq.first queue) (Jobq.stop queue);
       act
   in
   { name = "LSRC"; create }
@@ -116,45 +113,46 @@ let aggressive =
    guaranteed start while backfilling. Each candidate is tried under a
    checkpoint — reserved, the guarantee re-derived — and kept or rolled
    back. *)
-let rec easy_prefix ~obs ~time act jobs tags free i stop =
+let rec easy_prefix ~obs ~time act ids ps qs tags free i stop =
   if i >= stop then []
-  else if tags.(i) < 0 then easy_prefix ~obs ~time act jobs tags free (i + 1) stop
+  else if tags.(i) < 0 then easy_prefix ~obs ~time act ids ps qs tags free (i + 1) stop
   else begin
-    let head = jobs.(i) in
-    if fits free ~time head then begin
-      take free ~time head;
-      head :: easy_prefix ~obs ~time act jobs tags free (i + 1) stop
+    let p = ps.(i) and q = qs.(i) in
+    if fits free ~time ~p ~q then begin
+      take free ~time ~p ~q;
+      tags.(i) :: easy_prefix ~obs ~time act ids ps qs tags free (i + 1) stop
     end
     else begin
-      let guaranteed = earliest_at free ~from:time head in
+      let guaranteed = Timeline.earliest_fit_at free ~from:time ~dur:p ~need:q in
       if Trace.enabled obs then
-        Trace.emit obs
-          (Trace.Planned { time; policy = "EASY"; job = head.Job.id; at = guaranteed });
+        Trace.emit obs (Trace.Planned { time; policy = "EASY"; job = ids.(i); at = guaranteed });
       act.wake <- guaranteed;
-      easy_backfill ~time jobs tags free head guaranteed (Timeline.value_at free time) (i + 1)
-        stop
+      easy_backfill ~time ps qs tags free ~hp:p ~hq:q guaranteed (Timeline.value_at free time)
+        (i + 1) stop
     end
   end
 
 (* The backfill scan pre-filters on [cap_now] exactly like [lsrc_go]:
-   only kept starts lower it, rolled-back trials leave it as it was. *)
-and easy_backfill ~time jobs tags free head guaranteed cap_now i stop =
+   only kept starts lower it, rolled-back trials leave it as it was. The
+   head is its estimate [hp] and width [hq]. *)
+and easy_backfill ~time ps qs tags free ~hp ~hq guaranteed cap_now i stop =
   if cap_now = 0 || i >= stop then []
   else begin
-    let j = jobs.(i) in
-    if tags.(i) >= 0 && j.Job.q <= cap_now && fits free ~time j then begin
+    let p = ps.(i) and q = qs.(i) in
+    if tags.(i) >= 0 && q <= cap_now && fits free ~time ~p ~q then begin
       let mark = Timeline.checkpoint free in
-      take free ~time j;
-      if earliest_at free ~from:time head <= guaranteed then begin
+      take free ~time ~p ~q;
+      if Timeline.earliest_fit_at free ~from:time ~dur:hp ~need:hq <= guaranteed then begin
         Timeline.commit free mark;
-        j :: easy_backfill ~time jobs tags free head guaranteed (cap_now - j.Job.q) (i + 1) stop
+        tags.(i)
+        :: easy_backfill ~time ps qs tags free ~hp ~hq guaranteed (cap_now - q) (i + 1) stop
       end
       else begin
         Timeline.rollback free mark;
-        easy_backfill ~time jobs tags free head guaranteed cap_now (i + 1) stop
+        easy_backfill ~time ps qs tags free ~hp ~hq guaranteed cap_now (i + 1) stop
       end
     end
-    else easy_backfill ~time jobs tags free head guaranteed cap_now (i + 1) stop
+    else easy_backfill ~time ps qs tags free ~hp ~hq guaranteed cap_now (i + 1) stop
   end
 
 let easy =
@@ -164,8 +162,8 @@ let easy =
       Metrics.incr c_easy;
       act.wake <- no_wake;
       act.start_now <-
-        easy_prefix ~obs ~time act (Jobq.jobs queue) (Jobq.tags queue) free (Jobq.first queue)
-          (Jobq.stop queue);
+        easy_prefix ~obs ~time act (Jobq.ids queue) (Jobq.estimates queue) (Jobq.widths queue)
+          (Jobq.tags queue) free (Jobq.first queue) (Jobq.stop queue);
       act
   in
   { name = "EASY"; create }
@@ -174,17 +172,27 @@ let easy =
    segments. *)
 let plan_gc_nodes = 1024
 
-(* A queued job's current promise: [seq] numbers the jobs in admission
-   order, [at] is the start the plan holds for it. *)
-type promise = { job : Job.t; seq : int; mutable at : int }
+(* A queued job's promise lives in [stride] ints at [stride * tag] of one
+   tag-indexed array (tags are the engine's live slots, dense from 0):
+   [seq] numbers the planned jobs in admission order (-1 once launched),
+   [start] is the start the plan holds for it, and the job's estimate,
+   width and id are copied from the queue at planning, since its queue
+   position moves. *)
+let stride = 5
+let o_seq = 0
+let o_start = 1
+let o_est = 2
+let o_width = 3
+let o_id = 4
 
 let conservative =
   let create ~obs =
     let act = action () in
     (* Per-run plan state, freshly scoped by the factory: the plan timeline
        holds availability minus every planned (and once-planned) window;
-       [planned] maps a queued job's id to its promise. *)
-    let planned : promise Ids.t = Ids.create 64 in
+       [pr] holds the promises, grown (doubling) when a larger tag shows
+       up. *)
+    let pr = ref (Array.make (8 * stride) (-1)) in
     let plan = ref None in
     (* Segment count past which the plan's past is collected:
        [plan_gc_nodes], or twice what the last collection kept when that was
@@ -197,69 +205,78 @@ let conservative =
        entries, and planning visits only them. *)
     let known = ref 0 in
     let seq = ref 0 in
-    (* Lazy min-heap of (start, seq) promises keyed by job id: the wake-up
-       instant and the jobs due now are read off the top, in admission
-       order among equal starts. An entry goes stale when its job is
-       replanned; it is dropped when it surfaces, after checking [planned]
-       still carries exactly that promise. *)
+    (* Lazy min-heap of (start, seq, tag) promises: the wake-up instant and
+       the jobs due now are read off the top, in admission order among
+       equal starts. An entry goes stale when its job is replanned or
+       launched, or its tag is reused by a later job; it is dropped when it
+       surfaces, unless its tag still carries exactly that seq and
+       start. *)
     let promises = Int_heap.create () in
+    let current s sq tag =
+      let o = stride * tag in
+      !pr.(o + o_seq) = sq && !pr.(o + o_start) = s
+    in
     (* Earliest still-valid promise, popping stale tops on the way; -1 when
        none. All remaining promises are strictly after the current decision
        instant (due ones were consumed as start candidates). *)
     let rec wake_top () =
       if Int_heap.length promises = 0 then no_wake
       else begin
-        let s = Int_heap.min_key promises and id = Int_heap.min_value promises in
-        match Ids.find planned id with
-        | pr when pr.at = s -> s
-        | _ | exception Not_found ->
+        let s = Int_heap.min_key promises in
+        if current s (Int_heap.min_tie promises) (Int_heap.min_value promises) then s
+        else begin
           Int_heap.drop_min promises;
           wake_top ()
+        end
       end
     in
-    let plan_job p ~time pr ~from =
-      let j = pr.job in
-      let s = Timeline.earliest_fit_at p ~from ~dur:j.Job.p ~need:j.Job.q in
-      pr.at <- s;
-      Int_heap.push promises ~key:s ~tie:pr.seq j.Job.id;
+    let plan_job p ~time tag ~from =
+      let a = !pr and o = stride * tag in
+      let est = a.(o + o_est) and q = a.(o + o_width) in
+      let s = Timeline.earliest_fit_at p ~from ~dur:est ~need:q in
+      a.(o + o_start) <- s;
+      Int_heap.push promises ~key:s ~tie:a.(o + o_seq) tag;
       if Trace.enabled obs then
-        Trace.emit obs (Trace.Planned { time; policy = "CONS"; job = j.Job.id; at = s });
+        Trace.emit obs (Trace.Planned { time; policy = "CONS"; job = a.(o + o_id); at = s });
       (* [s] came out of [earliest_fit_at] just above: the window fits by
          construction, skip the checked reserve's second window scan. *)
-      Timeline.reserve_fitting p ~start:s ~dur:j.Job.p ~need:j.Job.q
+      Timeline.reserve_fitting p ~start:s ~dur:est ~need:q
     in
     let started = ref 0 in
     (* Launch the jobs whose promise is due, as they surface from the heap.
        A started job never reappears in the queue, so its promise is
-       dropped — keeping [planned] proportional to the live queue. Its plan
-       window stays reserved: the machine really is occupied. The start is
-       mirrored on the live timeline: the plan guarantees the capacity is
-       there (the plan never exceeds the free capacity), and the simulator
-       commits these reservations directly. A straggler, due before now
-       (the simulator wakes the policy at every promise, so none should
-       be), is replanned from now; if that is now, its new entry surfaces
-       in this same pass, in admission order among the jobs due now. *)
+       retired. Its plan window stays reserved: the machine really is
+       occupied. The start is mirrored on the live timeline: the plan
+       guarantees the capacity is there (the plan never exceeds the free
+       capacity), and the simulator commits these reservations directly. A
+       straggler, due before now (the simulator wakes the policy at every
+       promise, so none should be), is replanned from now; if that is now,
+       its new entry surfaces in this same pass, in admission order among
+       the jobs due now. *)
     let rec launch_due p free ~time =
       if Int_heap.length promises = 0 || Int_heap.min_key promises > time then []
       else begin
-        let s = Int_heap.min_key promises and id = Int_heap.min_value promises in
+        let s = Int_heap.min_key promises and tag = Int_heap.min_value promises in
+        let live = current s (Int_heap.min_tie promises) tag in
         Int_heap.drop_min promises;
-        match Ids.find planned id with
-        | pr when pr.at = s && s = time ->
-          Ids.remove planned id;
-          take free ~time pr.job;
+        let a = !pr and o = stride * tag in
+        if live && s = time then begin
+          a.(o + o_seq) <- -1;
+          take free ~time ~p:a.(o + o_est) ~q:a.(o + o_width);
           incr started;
-          pr.job :: launch_due p free ~time
-        | pr when pr.at = s ->
+          tag :: launch_due p free ~time
+        end
+        else if live then begin
           (* Undo the stale window with the inverse range-add (clamped to
              the plan's gc origin — the collapsed part is never queried
              again), replan from now. *)
-          let j = pr.job in
+          let hi = s + a.(o + o_est) in
           let lo = max s (Timeline.origin p) in
-          if lo < s + j.Job.p then Timeline.change p ~lo ~hi:(s + j.Job.p) ~delta:j.Job.q;
-          plan_job p ~time pr ~from:time;
+          if lo < hi then Timeline.change p ~lo ~hi ~delta:a.(o + o_width);
+          plan_job p ~time tag ~from:time;
           launch_due p free ~time
-        | _ | exception Not_found -> launch_due p free ~time
+        end
+        else launch_due p free ~time
       end
     in
     fun ~time ~queue ~free ->
@@ -289,13 +306,23 @@ let conservative =
         gc_nodes := if kept >= plan_gc_nodes then 2 * kept else plan_gc_nodes
       end;
       let n = Jobq.length queue and stop = Jobq.stop queue in
+      let ids = Jobq.ids queue and ests = Jobq.estimates queue and qs = Jobq.widths queue in
+      let tags = Jobq.tags queue in
       (* Plan newly arrived jobs at their earliest non-delaying start. *)
       for i = stop - (n - !known) to stop - 1 do
-        let j = (Jobq.jobs queue).(i) in
-        let pr = { job = j; seq = !seq; at = -1 } in
+        let tag = tags.(i) in
+        while stride * (tag + 1) > Array.length !pr do
+          let a = Array.make (2 * Array.length !pr) (-1) in
+          Array.blit !pr 0 a 0 (Array.length !pr);
+          pr := a
+        done;
+        let a = !pr and o = stride * tag in
+        a.(o + o_seq) <- !seq;
+        a.(o + o_est) <- ests.(i);
+        a.(o + o_width) <- qs.(i);
+        a.(o + o_id) <- ids.(i);
         incr seq;
-        ignore (Ids.add planned j.Job.id pr : bool);
-        plan_job p ~time pr ~from:time
+        plan_job p ~time tag ~from:time
       done;
       started := 0;
       act.start_now <- launch_due p free ~time;

@@ -4,12 +4,13 @@
     The simulator answers the instants with an empty queue itself: nothing
     can start then, and a policy must not need a wake-up while its queue is
     empty. It sees the current time, the submission-ordered queue of
-    waiting jobs, and the simulator's live capacity
-    {!Resa_core.Timeline.t} (machine availability minus reservations minus
-    windows of running jobs). It answers with the queued jobs to start
-    right now — each must fit its whole window at the current time — and an
-    optional extra wake-up instant (needed by planning policies whose next
-    action time is not a simulator event), [-1] when it wants none.
+    waiting jobs (ids, estimates and widths: no actual runtime), and the
+    simulator's live capacity {!Resa_core.Timeline.t} (machine availability
+    minus reservations minus windows of running jobs). It answers with the
+    queued jobs to start right now, named by their queue tags — each must
+    fit its whole window at the current time — and an optional extra
+    wake-up instant (needed by planning policies whose next action time is
+    not a simulator event), [-1] when it wants none.
 
     Access is speculative: the simulator opens a timeline checkpoint around
     every [decide] call, so a decision may reserve trial windows
@@ -37,7 +38,9 @@
 open Resa_core
 
 type action = {
-  mutable start_now : Job.t list;  (** Subset of the queue, to start at [time]. *)
+  mutable start_now : int list;
+      (** Tags of queued entries ({!Jobq.tags}), to start at [time], in
+          start order. *)
   mutable wake : int;
       (** Extra decision instant strictly after [time]; [-1] for none (any
           value [<= time] requests nothing). *)
@@ -46,13 +49,18 @@ type action = {
     [decide]: the native policies make one action per run in [create] and
     refill and return it at every decision, so answering costs no record
     and no option — only one cons cell per started job. The simulator reads
-    it before deciding again; a caller that keeps answers must copy them. *)
+    it before deciding again; a caller that keeps answers must copy them.
+    A tag names its entry from admission until the job starts, across
+    decisions; once the job has finished, the engine may give its tag to a
+    later arrival. *)
 
 type decide = time:int -> queue:Jobq.t -> free:Timeline.t -> action
 (** The queue is the simulator's live array-backed {!Jobq.t}, in
-    submission order; policies read it in place ([Jobq.jobs]/[Jobq.tags]
-    over [\[Jobq.first, Jobq.stop)], skipping dead cells) instead of
-    receiving a freshly materialised list per decision. *)
+    submission order; policies read it in place ([Jobq.estimates],
+    [Jobq.widths], [Jobq.ids] and [Jobq.tags] over
+    [\[Jobq.first, Jobq.stop)], skipping dead cells) instead of receiving
+    a freshly materialised list per decision. Each entry carries the job's
+    runtime {e estimate}, never its actual runtime. *)
 
 type t = {
   name : string;

@@ -122,7 +122,8 @@ type run = {
   free : Timeline.t;
   events : Eventq.t;
   queue : Jobq.t;
-  slot_of : int Ids.t;
+  (* The live ids, bound to their slots: admission rejects a duplicate. *)
+  slot_of : Ids.t;
   (* Reservation edges — every availability breakpoint, 0 included — are
      decision opportunities for every policy. They are read through a
      cursor over the sweep's breakpoints, not pushed into the event queue:
@@ -138,9 +139,7 @@ type run = {
   mutable free_top : int;
   mutable fresh : int;
   mutable moved : int -> int -> unit;
-  (* Slots started by the current decision, in start_now order, and their
-     count. *)
-  mutable start_slots : int array;
+  (* The number of slots started by the current decision. *)
   mutable nstart : int;
   mutable decision_no : int;
   mutable forced : bool;
@@ -196,17 +195,22 @@ let sset r slot o v = r.sint.((width * slot) + o) <- v
 let live r = r.n_jobs - r.completions
 let events_seen r = r.n_jobs + r.completions
 
+(* Doubled, in one allocation. *)
+let grow a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let alloc_slot r =
   if r.free_top > 0 then begin
     r.free_top <- r.free_top - 1;
     r.free_slots.(r.free_top)
   end
   else begin
-    let cap = Array.length r.sjob in
-    if r.fresh = cap then begin
-      r.sjob <- Array.append r.sjob (Array.make cap dummy_job);
-      r.sint <- Array.append r.sint (Array.make (width * cap) 0);
-      r.free_slots <- Array.append r.free_slots (Array.make cap 0)
+    if r.fresh = Array.length r.sjob then begin
+      r.sjob <- grow r.sjob dummy_job;
+      r.sint <- grow r.sint 0;
+      r.free_slots <- grow r.free_slots 0
     end;
     r.fresh <- r.fresh + 1;
     r.fresh - 1
@@ -284,8 +288,8 @@ let admit r t =
   r.n_jobs <- r.n_jobs + 1;
   Metrics.incr m_admitted;
   if live r > r.max_live then r.max_live <- live r;
-  (* Policies see the *estimated* job. *)
-  sset r slot o_pos (Jobq.append r.queue (Job.make ~id ~p:r.a_est ~q:job.Job.q) ~tag:slot);
+  (* Policies see the estimate, never the actual runtime. *)
+  sset r slot o_pos (Jobq.append r.queue ~id ~estimate:r.a_est ~width:job.Job.q ~tag:slot);
   let queued = Jobq.length r.queue in
   if queued > r.max_queued then r.max_queued <- queued;
   if r.tracing then
@@ -333,33 +337,30 @@ let abandon r spec =
   Metrics.incr m_checkpoints;
   Metrics.incr m_rollbacks
 
-(* The post-decision passes recurse over the policy's [start_now] with
-   their state in the run record: a decision allocates no closure and no
-   ref.
+(* The post-decision passes recurse over the policy's [start_now], whose
+   tags are the started jobs' slots, with their state in the run record: a
+   decision allocates no closure and no ref.
 
-   Validation: each started job must be queued and not already started
-   this decision. Its slot is appended to [start_slots]; the result says
+   Validation: each started slot must hold a waiting job not already
+   started this decision; it is stamped with the decision. The result says
    whether the speculative log so far is exactly this decision's
-   reservation sequence — matched against the authoritative slot state, not
-   the policy's job value, so the fast path cannot commit a window the slow
-   path would have rejected. *)
+   reservation sequence — matched against the authoritative slot state, so
+   the fast path cannot commit a window the slow path would have
+   rejected. *)
 let rec validate r t spec exact = function
   | [] -> exact
-  | j :: rest ->
-    let slot =
-      match Ids.find r.slot_of j.Job.id with
-      | slot when sget r slot o_start < 0 && sget r slot o_stamp <> r.decision_no -> slot
-      | _ | exception Not_found ->
-        abandon r spec;
-        raise
-          (Policy_error
-             (Format.asprintf "%s started %a at t=%d which is not in the queue" r.name Job.pp j t))
-    in
+  | slot :: rest ->
+    if
+      slot < 0 || slot >= r.fresh || sget r slot o_start >= 0
+      || sget r slot o_stamp = r.decision_no
+    then begin
+      abandon r spec;
+      raise
+        (Policy_error
+           (Printf.sprintf "%s started tag %d at t=%d which is not in the queue" r.name slot t))
+    end;
     sset r slot o_stamp r.decision_no;
     let k = r.nstart in
-    if k = Array.length r.start_slots then
-      r.start_slots <- Array.append r.start_slots (Array.make k 0);
-    r.start_slots.(k) <- slot;
     r.nstart <- k + 1;
     validate r t spec
       (exact
@@ -367,23 +368,24 @@ let rec validate r t spec exact = function
            ~need:r.sjob.(slot).Job.q)
       rest
 
-(* Apply the [k]-th start onwards: off the fast path, re-check and reserve
-   its window; then mark it running, leave the queue and schedule its
-   completion. *)
-let rec apply r t ~metrics fast k = function
+(* Apply the starts: off the fast path, re-check and reserve each window;
+   then mark it running, leave the queue and schedule its completion. *)
+let rec apply r t ~metrics fast = function
   | [] -> ()
-  | j :: rest ->
-    let slot = r.start_slots.(k) in
-    let est = sget r slot o_est in
+  | slot :: rest ->
+    let est = sget r slot o_est and job = r.sjob.(slot) in
     if not fast then begin
+      let q = job.Job.q in
       let have = Timeline.min_on r.free ~lo:t ~hi:(t + est) in
-      if have < j.Job.q then
+      if have < q then
         raise
           (Policy_error
              (Format.asprintf
                 "%s started %a at t=%d without capacity: window [%d,%d) needs %d but offers %d"
-                r.name Job.pp j t t (t + est) j.Job.q have));
-      Timeline.change r.free ~lo:t ~hi:(t + est) ~delta:(-j.Job.q)
+                r.name Job.pp
+                (Job.make ~id:job.Job.id ~p:est ~q)
+                t t (t + est) q have));
+      Timeline.change r.free ~lo:t ~hi:(t + est) ~delta:(-q)
     end;
     sset r slot o_start t;
     Jobq.kill r.queue (sget r slot o_pos) ~moved:r.moved;
@@ -392,11 +394,11 @@ let rec apply r t ~metrics fast k = function
       Metrics.observe m_wait (t - sget r slot o_submit)
     end;
     r.forced <- false;
-    let finish = t + r.sjob.(slot).Job.p in
+    let finish = t + job.Job.p in
     if finish > r.makespan then r.makespan <- finish;
     Eventq.push r.events ~time:finish slot;
-    r.on_start (sget r slot o_adm) r.sjob.(slot) (sget r slot o_submit) t;
-    apply r t ~metrics fast (k + 1) rest
+    r.on_start (sget r slot o_adm) job (sget r slot o_submit) t;
+    apply r t ~metrics fast rest
 
 (* Next instant with something to do, -1 when the run is over — ints all
    the way down so the steady-state loop allocates nothing. *)
@@ -413,7 +415,7 @@ let next_time r =
 (* Start provenance: a job that overtakes an earlier-queued job that stays
    waiting was backfilled; classification happens against the pre-start
    queue order, before the started jobs leave the queue. *)
-let trace_starts r t =
+let trace_starts r t start_now =
   let tags = Jobq.tags r.queue and stop = Jobq.stop r.queue in
   let rec first_wait i =
     if i < stop && (tags.(i) < 0 || sget r tags.(i) o_stamp = r.decision_no) then
@@ -421,24 +423,24 @@ let trace_starts r t =
     else i
   in
   let first_wait = first_wait (Jobq.first r.queue) in
-  for k = 0 to r.nstart - 1 do
-    let slot = r.start_slots.(k) in
-    let provenance =
-      if sget r slot o_pos > first_wait then Trace.Backfilled_ahead_of_head else Trace.Started_now
-    in
-    Trace.emit r.obs
-      (Trace.Job_start
-         { time = t; job = r.sjob.(slot).Job.id; wait = t - sget r slot o_submit; provenance })
-  done
+  List.iter
+    (fun slot ->
+      let provenance =
+        if sget r slot o_pos > first_wait then Trace.Backfilled_ahead_of_head
+        else Trace.Started_now
+      in
+      Trace.emit r.obs
+        (Trace.Job_start
+           { time = t; job = r.sjob.(slot).Job.id; wait = t - sget r slot o_submit; provenance }))
+    start_now
 
 (* Why is the head (the first job left waiting) not running? Checked after
    the starts, against the capacity it actually faces. *)
 let trace_head_blocked r t =
   let w = Jobq.first r.queue in
-  let jh = (Jobq.jobs r.queue).(w) in
   let slot = (Jobq.tags r.queue).(w) in
   let est = sget r slot o_est in
-  let need = jh.Job.q in
+  let need = (Jobq.widths r.queue).(w) in
   let have = Timeline.min_on r.free ~lo:t ~hi:(t + est) in
   let reason =
     if have >= need then Trace.Held_by_policy
@@ -515,9 +517,9 @@ let consult r t =
            started = r.nstart;
            wake = (if wake < 0 then None else Some wake);
          });
-    if r.nstart > 0 then trace_starts r t
+    if r.nstart > 0 then trace_starts r t start_now
   end;
-  apply r t ~metrics fast 0 start_now;
+  apply r t ~metrics fast start_now;
   if r.tracing && Jobq.length r.queue > 0 then trace_head_blocked r t;
   (* A wake already queued for the same instant (still ahead of [t], since
      it has not popped) would only pop as a no-op. *)
@@ -530,12 +532,14 @@ let rec loop r =
   let t = next_time r in
   if t < 0 then begin
     if Jobq.length r.queue > 0 then
-      if r.forced then
+      if r.forced then begin
+        let q = r.queue and h = Jobq.first r.queue in
         raise
           (Policy_error
              (Format.asprintf "%s deadlocked at t=%d with %d queued jobs (head %a)" r.name r.last_t
-                (Jobq.length r.queue) Job.pp
-                (Jobq.jobs r.queue).(Jobq.first r.queue)))
+                (Jobq.length q) Job.pp
+                (Job.make ~id:(Jobq.ids q).(h) ~p:(Jobq.estimates q).(h) ~q:(Jobq.widths q).(h))))
+      end
       else begin
         (* No event left but jobs wait: past the last breakpoint the whole
            machine is free, so a correct policy must start them; wake it
@@ -618,7 +622,6 @@ let run_core ~obs ~policy ~m ~sweep ~gc_every ~hb_every ~hb_dt ~on_heartbeat ~on
       free_top = 0;
       fresh = 0;
       moved = (fun _ _ -> ());
-      start_slots = Array.make 8 0;
       nstart = 0;
       decision_no = 0;
       forced = false;

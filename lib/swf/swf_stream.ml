@@ -87,15 +87,22 @@ let of_string ?(keep_failed = true) ~m text =
 let with_file ?keep_failed ~m path f =
   In_channel.with_open_text path (fun ic -> f (of_channel ?keep_failed ~m ic))
 
+(* The synthetic stream's one float of state, in an all-float record so
+   that advancing it stores the float in place instead of boxing it. *)
+type clock = { mutable now : float }
+
 let synthetic ?(overestimate = 1.0) rng ~m ~n ~max_runtime ~mean_gap =
   if overestimate < 1.0 then invalid_arg "Swf_stream.synthetic: overestimate must be >= 1.0";
   if n < 0 then invalid_arg "Swf_stream.synthetic: negative n";
+  if not (mean_gap > 0.0) then invalid_arg "Swf_stream.synthetic: mean_gap must be positive";
   let max_exp =
     let rec go e = if 1 lsl (e + 1) > m then e else go (e + 1) in
     go 0
   in
+  (* Walltime factors are uniform in [1, 1 + spread]: mean = overestimate. *)
+  let spread = 2.0 *. (overestimate -. 1.0) in
   let i = ref 0 in
-  let clock = ref 0.0 in
+  let clock = { now = 0.0 } in
   fun () ->
     if !i >= n then None
     else begin
@@ -107,20 +114,25 @@ let synthetic ?(overestimate = 1.0) rng ~m ~n ~max_runtime ~mean_gap =
          The marginals match [Swf.generate] (power-of-two-biased widths,
          log-uniform runtimes, exponential gaps) but the interleaving
          differs, so the two are distinct deterministic families: replays
-         cite one or the other, never mix. *)
+         cite one or the other, never mix. The two float draws are
+         [Prng.exponential] and [Prng.float] written out on their int
+         primitive [Prng.bits53], so no float crosses a call and none is
+         boxed; the values are bit-identical. *)
       let q0 = 1 lsl Prng.int_incl rng ~lo:0 ~hi:max_exp in
       let q =
         if Prng.int rng ~bound:5 = 0 then max 1 (min m (q0 + Prng.int_incl rng ~lo:(-1) ~hi:1))
         else q0
       in
       let p = Prng.log_uniform_int rng ~lo:1 ~hi:max_runtime in
-      if id > 0 then clock := !clock +. Prng.exponential rng ~mean:mean_gap;
-      let submit = int_of_float !clock in
+      if id > 0 then begin
+        let u = 1.0 -. (float_of_int (Prng.bits53 rng) /. 0x1p53) in
+        clock.now <- clock.now +. (-.mean_gap *. log u)
+      end;
+      let submit = int_of_float clock.now in
       let estimate =
         if overestimate <= 1.0 then p
         else begin
-          (* Factor uniform in [1, 2*overestimate - 1]: mean = overestimate. *)
-          let f = 1.0 +. Prng.float rng ~bound:(2.0 *. (overestimate -. 1.0)) in
+          let f = 1.0 +. (spread *. (float_of_int (Prng.bits53 rng) /. 0x1p53)) in
           max p (int_of_float (f *. float_of_int p))
         end
       in

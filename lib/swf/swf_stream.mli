@@ -56,4 +56,6 @@ val synthetic :
     but all draws for job [i] are interleaved at pull time, so for a given
     seed this is its {e own} reproducible family, not bit-equal to the
     materialised generator. Submit times are non-decreasing; job numbers
-    are [1..n]. *)
+    are [1..n]. A pull allocates only the job, its arrival and the
+    option. Raises [Invalid_argument] if [overestimate < 1.0], [n < 0] or
+    [mean_gap <= 0.0]. *)

@@ -5,7 +5,7 @@
     persistent [Profile.reserve]/[earliest_fit] chains — exactly the
     pre-timeline-native engine, kept for the differential suite and the
     before/after benchmark. They convert the queue once with
-    [Jobq_view.to_list]. *)
+    [Jobq_view.to_list], and answer with [Jobq_view.tags_of]. *)
 
 val fcfs_reference : Resa_sim.Policy.t
 val conservative_reference : Resa_sim.Policy.t

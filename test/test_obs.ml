@@ -360,7 +360,7 @@ let test_policy_error_messages () =
         name = "ROGUE";
         create =
           (fun ~obs:_ ~time:_ ~queue ~free:_ ->
-            { start_now = Resa_oracles.Jobq_view.to_list queue; wake = -1 });
+            { start_now = Resa_oracles.Jobq_view.(tags_of queue (to_list queue)); wake = -1 });
       }
   in
   let subs =
@@ -377,23 +377,43 @@ let test_policy_error_messages () =
           (contains ~sub msg))
       [ "ROGUE"; "at t=0"; "window [0,2)"; "needs 2" ]
   | _ -> Alcotest.fail "capacity violation not caught");
-  let phantom =
-    Policy.
-      {
-        name = "PHANTOM";
-        create =
-          (fun ~obs:_ ~time:_ ~queue:_ ~free:_ ->
-            { start_now = [ Job.make ~id:99 ~p:1 ~q:1 ]; wake = -1 });
-      }
+  (* A start must name, once, a tag the queue holds now. [answer ~seen
+     live] is the policy's start list, given the tags queued now and those
+     queued at earlier decisions. *)
+  let refused name answer subs =
+    let policy =
+      Policy.
+        {
+          name;
+          create =
+            (fun ~obs:_ ->
+              let seen = ref [] in
+              fun ~time:_ ~queue ~free:_ ->
+                let live = Resa_oracles.Jobq_view.(tags_of queue (to_list queue)) in
+                let start_now = answer ~seen:!seen live in
+                seen := !seen @ live;
+                { start_now; wake = -1 });
+        }
+    in
+    match Simulator.run ~policy ~m:2 subs with
+    | exception Simulator.Policy_error msg ->
+      List.iter
+        (fun sub ->
+          Alcotest.(check bool) (Printf.sprintf "%s msg has %S" name sub) true (contains ~sub msg))
+        [ name; "at t="; "not in the queue" ]
+    | _ -> Alcotest.failf "%s start not caught" name
   in
-  match Simulator.run ~policy:phantom ~m:2 [ List.hd subs ] with
-  | exception Simulator.Policy_error msg ->
-    List.iter
-      (fun sub ->
-        Alcotest.(check bool) (Printf.sprintf "phantom msg has %S" sub) true
-          (contains ~sub msg))
-      [ "PHANTOM"; "at t="; "not in the queue" ]
-  | _ -> Alcotest.fail "phantom start not caught"
+  (* A tag no slot has ever held. *)
+  refused "PHANTOM" (fun ~seen:_ _ -> [ 99 ]) [ List.hd subs ];
+  (* The tag of a job started at 0 and still running at 1. *)
+  refused "DEAD"
+    (fun ~seen live -> if seen = [] then live else seen)
+    [
+      Simulator.{ job = Job.make ~id:0 ~p:10 ~q:1; submit = 0 };
+      Simulator.{ job = Job.make ~id:1 ~p:2 ~q:1; submit = 1 };
+    ];
+  (* A queued tag named twice in one answer. *)
+  refused "TWICE" (fun ~seen:_ live -> List.concat_map (fun t -> [ t; t ]) live) [ List.hd subs ]
 
 (* A failed decision leaves no speculation open: the engine rolls its
    checkpoint back — and any the policy opened inside it — before the error
@@ -444,7 +464,7 @@ let test_failed_decision_rolls_back () =
         create =
           (fun ~obs:_ ~time ~queue:_ ~free ->
             Timeline.reserve free ~start:time ~dur:1 ~need:1;
-            { start_now = [ Job.make ~id:99 ~p:1 ~q:1 ]; wake = -1 });
+            { start_now = [ 99 ]; wake = -1 });
       }
   in
   Tutil.with_metrics (fun () ->
@@ -461,7 +481,7 @@ let test_failed_decision_rolls_back () =
 let test_capacity_prefilter () =
   let queue = Jobq.create () in
   for i = 0 to 999 do
-    ignore (Jobq.append queue (Job.make ~id:i ~p:5 ~q:6) ~tag:i : int)
+    ignore (Jobq.append queue ~id:i ~estimate:5 ~width:6 ~tag:i : int)
   done;
   List.iter
     (fun ((policy : Policy.t), expect) ->

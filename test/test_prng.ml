@@ -555,6 +555,29 @@ let test_golden () =
   let covered = List.length int64s + List.length ints + List.length floats in
   Alcotest.(check int) "seven draws, three seeds each" (7 * List.length seeds) covered
 
+(* [float] and [exponential] are exactly their documented formulas on
+   [bits53]: the synthetic stream writes them out that way so that no
+   float is boxed, and its digests depend on the equality. *)
+let test_formulas_on_bits53 () =
+  let u g = float_of_int (Prng.bits53 g) /. 0x1p53 in
+  List.iter
+    (fun seed ->
+      let g = Prng.create ~seed in
+      for i = 0 to 999 do
+        let bound = float_bound i and mean = mean i in
+        let h = Prng.copy g in
+        let r = Prng.bits53 (Prng.copy g) in
+        if r < 0 || r >= 1 lsl 53 then Alcotest.failf "bits53 out of range: %d" r;
+        let want = Int64.bits_of_float (bound *. u h) in
+        if Int64.bits_of_float (Prng.float g ~bound) <> want then
+          Alcotest.failf "float differs at draw %d, seed %d" i seed;
+        let h = Prng.copy g in
+        let want = Int64.bits_of_float (-.mean *. log (1.0 -. u h)) in
+        if Int64.bits_of_float (Prng.exponential g ~mean) <> want then
+          Alcotest.failf "exponential differs at draw %d, seed %d" i seed
+      done)
+    seeds
+
 let suite =
   [
     Alcotest.test_case "same seed, same stream" `Quick test_determinism;
@@ -574,4 +597,6 @@ let suite =
     Alcotest.test_case "log_uniform_int is log-skewed" `Slow test_log_uniform_skew;
     Alcotest.test_case "invalid arguments are rejected" `Quick test_invalid_args;
     Alcotest.test_case "golden vectors of every draw" `Quick test_golden;
+    Alcotest.test_case "float and exponential are formulas on bits53" `Quick
+      test_formulas_on_bits53;
   ]

@@ -125,7 +125,7 @@ let test_policy_error_on_rogue_policy () =
         create =
           (fun ~obs:_ ~time:_ ~queue ~free:_ ->
             (* Start everything unconditionally: must violate capacity. *)
-            { start_now = Resa_oracles.Jobq_view.to_list queue; wake = -1 });
+            { start_now = Resa_oracles.Jobq_view.(tags_of queue (to_list queue)); wake = -1 });
       }
   in
   let subs =

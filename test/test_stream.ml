@@ -193,6 +193,23 @@ let test_synthetic_shape () =
       if Job.q a.job < 1 || Job.q a.job > 64 then Alcotest.fail "width out of range")
     xs
 
+(* A pull allocates the job, its arrival and the option, 11 words, and
+   boxes no float: the clock lives in an all-float record and the two
+   float draws are computed in place. A boxed float costs 2 words, so one
+   slipping back in shows as 13. *)
+let test_synthetic_allocation () =
+  let n = 20_000 in
+  let src =
+    Swf_stream.synthetic ~overestimate:2.0 (Prng.create ~seed:4242) ~m:64 ~n ~max_runtime:400
+      ~mean_gap:40.0
+  in
+  let w0 = Gc.minor_words () in
+  let rec count k = match src () with None -> k | Some _ -> count (k + 1) in
+  let jobs = count 0 in
+  let words = (Gc.minor_words () -. w0) /. float_of_int jobs in
+  Alcotest.(check int) "jobs" n jobs;
+  if words > 12.0 then Alcotest.failf "%.2f minor words per job (budget 12)" words
+
 (* --- simulator: run_stream vs the estimated batch run (run ~estimates) --- *)
 
 let arrivals_of_seed seed ~n =
@@ -376,11 +393,12 @@ let test_stream_metrics_empty () =
    queue: each entry's position is remembered at its append, killed by that
    position, and kept current through the compaction reports. After every
    step the live entries must be the model's, in order, each at its
-   remembered position, and the compactions must have moved no more entries
-   than were appended. *)
+   remembered position with its id, estimate, width and tag, and the
+   compactions must have moved no more entries than were appended. *)
 let jobq_matches_model seed =
   let rng = Prng.create ~seed in
   let q = Jobq.create () in
+  (* (id, estimate, width, tag) *)
   let model = ref [] in
   let pos = Hashtbl.create 64 in
   let moves = ref 0 and appends = ref 0 in
@@ -388,6 +406,7 @@ let jobq_matches_model seed =
     incr moves;
     Hashtbl.replace pos tag p
   in
+  let tag_of (_, _, _, tag) = tag in
   let ok = ref true in
   for i = 0 to 400 do
     (* Append-heavy phases then kill-heavy ones, so the queue both grows
@@ -395,32 +414,36 @@ let jobq_matches_model seed =
     let append_weight = if i / 100 mod 2 = 0 then 3 else 1 in
     (match Prng.int rng ~bound:4 with
     | r when r < append_weight || !model = [] ->
-      let j = Job.make ~id:i ~p:1 ~q:1 in
-      Hashtbl.replace pos i (Jobq.append q j ~tag:i);
+      let e = ((7 * i) + 3, Prng.int_incl rng ~lo:1 ~hi:1000, Prng.int_incl rng ~lo:1 ~hi:64, i) in
+      let id, estimate, width, tag = e in
+      Hashtbl.replace pos i (Jobq.append q ~id ~estimate ~width ~tag);
       incr appends;
-      model := !model @ [ (j, i) ]
+      model := !model @ [ e ]
     | _ ->
-      let _, tag = List.nth !model (Prng.int rng ~bound:(List.length !model)) in
+      let tag = tag_of (List.nth !model (Prng.int rng ~bound:(List.length !model))) in
       Jobq.kill q (Hashtbl.find pos tag) ~moved;
       Hashtbl.remove pos tag;
-      model := List.filter (fun (_, t) -> t <> tag) !model);
-    let jobs = Jobq.jobs q and tags = Jobq.tags q in
+      model := List.filter (fun e -> tag_of e <> tag) !model);
+    let ids = Jobq.ids q and ests = Jobq.estimates q and widths = Jobq.widths q in
+    let tags = Jobq.tags q in
     let rec live i acc =
       if i >= Jobq.stop q then List.rev acc
-      else live (i + 1) (if tags.(i) < 0 then acc else (jobs.(i), tags.(i), i) :: acc)
+      else if tags.(i) < 0 then live (i + 1) acc
+      else live (i + 1) (((ids.(i), ests.(i), widths.(i), tags.(i)), i) :: acc)
     in
     let entries = live (Jobq.first q) [] in
     if Jobq.length q <> List.length !model || List.length entries <> List.length !model then
       ok := false
     else
       List.iter2
-        (fun (j, tag) (j', tag', p) ->
-          if not (j == j' && tag = tag' && Hashtbl.find pos tag = p) then
-            ok := false)
+        (fun e (e', p) -> if not (e = e' && Hashtbl.find pos (tag_of e) = p) then ok := false)
         !model entries;
-    if (match !model with [] -> false | _ -> Jobq.first q <> Hashtbl.find pos (snd (List.hd !model)))
+    if (match !model with [] -> false | e :: _ -> Jobq.first q <> Hashtbl.find pos (tag_of e))
     then ok := false;
-    if Resa_oracles.Jobq_view.to_list q <> List.map fst !model then ok := false;
+    if
+      Resa_oracles.Jobq_view.to_list q
+      <> List.map (fun (id, p, q, _) -> Job.make ~id ~p ~q) !model
+    then ok := false;
     if !moves > !appends then ok := false
   done;
   !ok
@@ -429,28 +452,58 @@ let prop_jobq_model =
   Tutil.qcheck ~count:300 "Jobq behaves as a tagged FIFO array" Tutil.seed_arb
     jobq_matches_model
 
-(* The engine's id table against [Hashtbl], with ids that share their low
-   bits (a stride of 1024) and enough of them to resize the table. *)
+(* The engine's id table against [Hashtbl]. Three pools of ids: 200 that
+   share their low bits (a stride of 1024); 36 colliding ones,
+   [(k lsl 40) + c] for c < 6, which the table's multiplicative mix sends
+   to one home cell per c at every size below 256, so removals run
+   backward shifts through long interleaved clusters; and [min_int], the
+   table's free-cell marker. Four phases: mixed operations on the strided
+   ids, delete-heavy ones on the colliding ids, growth with every binding
+   live (the table doubles under them), and a delete-heavy drain of
+   everything. Each operation's id is checked right after it, the
+   colliding pool after every operation of its phase, and every pool at
+   the end of each phase. *)
 let ids_match_model seed =
   let rng = Prng.create ~seed in
   let t = Ids.create 4 and model = Hashtbl.create 16 in
+  let strided = Array.init 200 (fun k -> 1024 * k) in
+  let colliding = Array.init 36 (fun i -> ((i / 6) lsl 40) + (i mod 6)) in
+  let pool = Array.concat [ strided; colliding; [| min_int |] ] in
   let ok = ref true in
-  for _ = 1 to 600 do
-    let id = 1024 * Prng.int rng ~bound:200 in
-    match Prng.int rng ~bound:3 with
-    | 0 | 1 ->
-      let fresh = not (Hashtbl.mem model id) in
-      if Ids.add t id (id + 1) <> fresh then ok := false;
-      if fresh then Hashtbl.replace model id (id + 1)
-    | _ ->
-      Ids.remove t id;
-      Hashtbl.remove model id
-  done;
-  for k = 0 to 199 do
-    let id = 1024 * k in
+  let check id =
     let got = match Ids.find t id with v -> Some v | exception Not_found -> None in
     if got <> Hashtbl.find_opt model id then ok := false
+  in
+  let add id =
+    let fresh = not (Hashtbl.mem model id) in
+    if Ids.add t id (id + 1) <> fresh then ok := false;
+    if fresh then Hashtbl.replace model id (id + 1);
+    check id
+  in
+  let remove id =
+    Ids.remove t id;
+    Hashtbl.remove model id;
+    check id
+  in
+  let pick a = a.(Prng.int rng ~bound:(Array.length a)) in
+  for _ = 1 to 600 do
+    let id = pick strided in
+    if Prng.int rng ~bound:3 < 2 then add id else remove id
   done;
+  Array.iter check pool;
+  for _ = 1 to 600 do
+    let id = pick colliding in
+    if Prng.int rng ~bound:3 = 0 then add id else remove id;
+    Array.iter check colliding
+  done;
+  Array.iter check pool;
+  Array.iter (fun id -> if Prng.int rng ~bound:4 > 0 then add id) pool;
+  Array.iter check pool;
+  for _ = 1 to 2000 do
+    let id = pick pool in
+    if Prng.int rng ~bound:4 = 0 then add id else remove id
+  done;
+  Array.iter check pool;
   !ok
 
 let prop_ids_model =
@@ -472,5 +525,7 @@ let suite =
     prop_metrics_bitwise;
     prop_jobq_model;
     prop_ids_model;
+    Alcotest.test_case "synthetic stream allocates <= 12 words/job" `Quick
+      test_synthetic_allocation;
   ]
   @ engine_props

@@ -109,7 +109,8 @@ let probe ~job ~start_at =
               if Jobq.length queue = 0 then incr empty_calls;
               Timeline.check free;
               seen := (time, Timeline.to_profile free) :: !seen;
-              action.start_now <- (if time = start_at then [ job ] else []);
+              action.start_now <-
+                (if time = start_at then Resa_oracles.Jobq_view.tags_of queue [ job ] else []);
               action);
       }
   in
