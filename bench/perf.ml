@@ -260,14 +260,16 @@ let sim_subs n =
    reference engine is effectively quadratic in n and is capped per policy
    (EASY is allowed the 50k column — that speedup is the headline number —
    the rest stop at 10k). Above the cap only the native column is
-   measured; the EASY row at 200k is native-only by construction. *)
+   measured; the EASY row at 200k is native-only by construction. Where
+   both run, their records and makespans must agree: the bench fails on
+   any difference. *)
 let sim_scaling () =
   Printf.printf
     "\n=== PERF: simulator scaling (one full replay, m=128, n/20 reservations) ===\n";
   let time f x =
     let t0 = Resa_obs.Prof.now_ns () in
-    ignore (f x);
-    float_of_int (Resa_obs.Prof.now_ns () - t0) /. 1e9
+    let r = f x in
+    (r, float_of_int (Resa_obs.Prof.now_ns () - t0) /. 1e9)
   in
   let pretty s =
     if s >= 1.0 then Printf.sprintf "%.2f s" s else Printf.sprintf "%.1f ms" (s *. 1000.)
@@ -295,11 +297,13 @@ let sim_scaling () =
           let run policy =
             Resa_sim.Simulator.run ~policy ~m:128 ~reservations subs
           in
-          let fast_s = time run native in
+          let fast, fast_s = time run native in
           let speedup =
             if n > ref_cap then None
             else begin
-              let ref_s = time run reference in
+              let slow, ref_s = time run reference in
+              if slow.records <> fast.records || slow.makespan <> fast.makespan then
+                failwith (Printf.sprintf "simulator scaling: %s differs at n=%d" name n);
               Some (ref_s, ref_s /. Float.max fast_s 1e-9)
             end
           in

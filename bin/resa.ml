@@ -111,6 +111,15 @@ let solve path algo priority show_gantt width =
   let inst = read_instance path in
   let priority = priority_of_string priority in
   let named name sched = (name, sched) in
+  (* The exact DP (one machine, at most 20 jobs) and the preemptive optimum
+     (unit-width jobs) reject other instances: a usage error, not a crash. *)
+  let restricted solver =
+    match solver inst with
+    | r -> r
+    | exception Invalid_argument msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 2
+  in
   let name, sched =
     match String.lowercase_ascii algo with
     | "lsrc" -> named "LSRC" (Lsrc.run ~priority inst)
@@ -123,11 +132,11 @@ let solve path algo priority show_gantt width =
       let r = Resa_exact.Bnb.solve inst in
       named (if r.optimal then "OPT" else "B&B(budget hit)") r.schedule
     | "dp" ->
-      let sched, _ = Resa_exact.Single_machine.solve inst in
+      let sched, _ = restricted Resa_exact.Single_machine.solve in
       named "OPT(dp)" sched
     | "preemptive" ->
       (* Preemptive optimum reported on its own (it has no Schedule.t). *)
-      let r = Preemptive.optimal inst in
+      let r = restricted Preemptive.optimal in
       Printf.printf "preemptive optimal makespan: %d\n" r.makespan;
       Array.iteri
         (fun i l ->
@@ -179,8 +188,8 @@ let solve_cmd =
 (* replay                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let replay swf_path m n max_runtime mean_gap seed policy_name overestimate gc_every
-    heartbeat_out hb_every hb_dt prom_out metrics_on max_allocs trace_out chrome_out csv_out =
+let replay swf_path m n max_runtime mean_gap seed policy_name overestimate heartbeat_out hb_every
+    hb_dt prom_out metrics_on max_allocs trace_out chrome_out csv_out =
   (* --prom needs the registry populated; --metrics asks for it explicitly
      (same switch as RESA_METRICS=1). *)
   if metrics_on || prom_out <> None then Resa_obs.Metrics.enable ();
@@ -188,10 +197,10 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate gc_ev
     match trace_out with Some _ as p -> p | None -> Sys.getenv_opt "RESA_TRACE"
   in
   (* Exports are opt-in: without them a run keeps no per-job state, so the
-     constant-memory replay is unchanged. The event stream (for --trace and
-     the CSV provenance column) goes to a per-run ring buffer; start records
+     constant-memory replay is unchanged. The event stream goes to one
+     callback per run, which writes each event to --trace as it happens and
+     keeps each start's provenance, by job id, for the CSV; start records
      and archive job numbers are collected only for --chrome/--csv. *)
-  let tracing = trace_out <> None || csv_out <> None in
   let collect = chrome_out <> None || csv_out <> None in
   let exports = ref [] in
   let policies =
@@ -227,6 +236,13 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate gc_ev
     | Some "-" -> k (Some stdout)
     | Some path -> Out_channel.with_open_text path (fun oc -> k (Some oc))
   in
+  let trace_oc =
+    match Option.map open_out trace_out with
+    | oc -> oc
+    | exception Sys_error msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 2
+  in
   (* Policies that blew the --max-allocs-per-event budget, reported (and
      failing the process) after the table so every row still prints. *)
   let over_budget = ref [] in
@@ -237,7 +253,22 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate gc_ev
       List.iter
         (fun policy ->
           let ms = Resa_sim.Metrics.Stream.create ~m ~reservations:[] () in
-          let obs = if tracing then Resa_obs.Trace.buffer () else Resa_obs.Trace.null in
+          let name = policy.Resa_sim.Policy.name in
+          let provenances = Hashtbl.create 16 in
+          let obs =
+            if trace_oc = None && csv_out = None then Resa_obs.Trace.null
+            else
+              Resa_obs.Trace.sink (fun ev ->
+                  Option.iter
+                    (fun oc ->
+                      output_string oc (Resa_obs.Trace.to_json ~run:name ev);
+                      output_char oc '\n')
+                    trace_oc;
+                  match ev with
+                  | Resa_obs.Trace.Job_start { job; provenance; _ } when csv_out <> None ->
+                    Hashtbl.replace provenances job provenance
+                  | _ -> ())
+          in
           let records = ref [] and job_numbers = ref [] in
           let on_record =
             if collect then (fun r ->
@@ -266,8 +297,7 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate gc_ev
                     }
                 in
                 Resa_sim.Heartbeat.write oc
-                  (Resa_sim.Heartbeat.make ~run:policy.Resa_sim.Policy.name ~stream:ms
-                     ~registry:true ~wall hb);
+                  (Resa_sim.Heartbeat.make ~run:name ~stream:ms ~registry:true ~wall hb);
                 flush oc)
               hb_oc
           in
@@ -280,7 +310,7 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate gc_ev
           let stats =
             try
               with_stream (fun src ->
-                  Resa_sim.Simulator.run_stream ~obs ~gc_every ~heartbeat_every:hb_every
+                  Resa_sim.Simulator.run_stream ~obs ~heartbeat_every:hb_every
                     ~heartbeat_dt:hb_dt ?on_heartbeat ~on_record ~policy ~m
                     (fun () -> Option.map to_arrival (src ())))
             with Resa_swf.Swf_stream.Parse_error { line; msg } ->
@@ -296,7 +326,7 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate gc_ev
             /. float_of_int (max 1 (2 * stats.Resa_sim.Simulator.jobs))
           in
           if max_allocs > 0.0 && allocs_ev > max_allocs then
-            over_budget := (policy.Resa_sim.Policy.name, allocs_ev) :: !over_budget;
+            over_budget := (name, allocs_ev) :: !over_budget;
           let s = Resa_sim.Metrics.Stream.summary ms in
           let rss_mb =
             match Resa_obs.Prof.peak_rss_kb () with
@@ -305,8 +335,8 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate gc_ev
           in
           Printf.printf
             "%-8s %9d %10d %10.1f %9.0f %9.0f %7.2f %6.3f %8.2f %9.0f %8d %8s %9.1f\n"
-            policy.Resa_sim.Policy.name stats.Resa_sim.Simulator.jobs
-            stats.Resa_sim.Simulator.makespan s.Resa_sim.Metrics.mean_wait
+            name stats.Resa_sim.Simulator.jobs stats.Resa_sim.Simulator.makespan
+            s.Resa_sim.Metrics.mean_wait
             (Resa_sim.Metrics.Stream.wait_p50 ms)
             (Resa_sim.Metrics.Stream.wait_p95 ms)
             s.Resa_sim.Metrics.mean_slowdown s.Resa_sim.Metrics.utilization wall_s
@@ -325,15 +355,10 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate gc_ev
               { m; reservations = []; records; makespan = stats.Resa_sim.Simulator.makespan }
           in
           exports :=
-            (policy.Resa_sim.Policy.name, obs, trace, Array.of_list (List.rev !job_numbers))
-            :: !exports)
+            (name, provenances, trace, Array.of_list (List.rev !job_numbers)) :: !exports)
         policies);
+  Option.iter close_out trace_oc;
   let exports = List.rev !exports in
-  Option.iter
-    (fun path ->
-      Out_channel.with_open_text path (fun oc ->
-          List.iter (fun (name, obs, _, _) -> Resa_obs.Trace.flush_jsonl ~run:name oc obs) exports))
-    trace_out;
   Option.iter
     (fun path ->
       let slices =
@@ -350,10 +375,9 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate gc_ev
     (fun path ->
       Out_channel.with_open_text path (fun oc ->
           List.iteri
-            (fun i (name, obs, trace, job_numbers) ->
-              let provs = Resa_obs.Trace.start_provenances (Resa_obs.Trace.contents obs) in
+            (fun i (name, provenances, trace, job_numbers) ->
               let provenance id =
-                match List.assoc_opt id provs with
+                match Hashtbl.find_opt provenances id with
                 | Some p -> Resa_obs.Trace.provenance_to_string p
                 | None -> ""
               in
@@ -415,18 +439,6 @@ let replay_cmd =
       & info [ "overestimate" ]
           ~doc:"Mean walltime overestimation factor for synthetic traces (>= 1).")
   in
-  let gc_every =
-    (* The timeline's node arrays grow with the completions elapsed since
-       the last compaction, so this interval sets the replay's peak
-       footprint; 1000 holds a multi-million-job replay near ~13 MB at no
-       measurable throughput cost. *)
-    Arg.(
-      value & opt int 1000
-      & info [ "gc-every" ] ~docv:"K"
-          ~doc:
-            "Compact the capacity timeline every $(docv) job completions (0 disables); \
-             compaction is invisible to scheduling decisions.")
-  in
   let heartbeat_out =
     Arg.(
       value
@@ -487,8 +499,9 @@ let replay_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
             "Write the structured event stream (JSONL, one event per line, tagged with the \
-             policy name) to $(docv). Each run keeps its most recent 2^20 events and marks a \
-             longer stream as truncated. Defaults to $(b,RESA_TRACE) when set.")
+             policy name) to $(docv), each event as it happens. The file holds every event of \
+             every run, so it grows with the replay's length. Defaults to $(b,RESA_TRACE) when \
+             set.")
   in
   let chrome_out =
     Arg.(
@@ -516,7 +529,7 @@ let replay_cmd =
           event-trace, Gantt and per-job exports")
     Term.(
       const replay $ swf $ m $ n $ max_runtime $ mean_gap $ seed_arg $ policy $ overestimate
-      $ gc_every $ heartbeat_out $ hb_every $ hb_dt $ prom_out $ metrics_on $ max_allocs
+      $ heartbeat_out $ hb_every $ hb_dt $ prom_out $ metrics_on $ max_allocs
       $ trace_out $ chrome_out $ csv_out)
 
 (* ------------------------------------------------------------------ *)

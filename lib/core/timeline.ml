@@ -247,42 +247,33 @@ let value_at t x =
   let b = t.order.(locate t (imax x t.off)) in
   t.vals.(entry t b (imax x t.off)) + t.add.(b)
 
-let pick want_min r v = if want_min then imin r v else imax r v
-
-(* Fold [pick] over the values at pool indices [j, stop) of block [b]
-   that start before [hi]. *)
-let rec scan t b j stop hi want_min r =
-  if j < stop && t.pos.(j) < hi then
-    scan t b (j + 1) stop hi want_min (pick want_min r (t.vals.(j) + t.add.(b)))
+(* Min of [r] and the values at pool indices [j, stop) of block [b] that
+   start before [hi]. *)
+let rec scan t b j stop hi r =
+  if j < stop && t.pos.(j) < hi then scan t b (j + 1) stop hi (imin r (t.vals.(j) + t.add.(b)))
   else r
 
 (* Blocks from order position [k] on: whole ones (the next block starts at
    or before [hi]) by their summary, then the last one entry by entry. *)
-let rec scan_blocks t k hi want_min r =
+let rec scan_blocks t k hi r =
   if k >= t.nb || t.first.(k) >= hi then r
   else begin
     let b = t.order.(k) in
-    if k + 1 < t.nb && t.first.(k + 1) <= hi then
-      scan_blocks t (k + 1) hi want_min (pick want_min r (if want_min then t.mn.(b) else t.mx.(b)))
-    else scan t b (b lsl bshift) ((b lsl bshift) + t.len.(b)) hi want_min r
+    if k + 1 < t.nb && t.first.(k + 1) <= hi then scan_blocks t (k + 1) hi (imin r t.mn.(b))
+    else scan t b (b lsl bshift) ((b lsl bshift) + t.len.(b)) hi r
   end
-
-(* Min (or max) over [lo, hi), off <= lo < hi. *)
-let window t lo hi ~want_min =
-  let k = locate t lo in
-  let b = t.order.(k) in
-  scan_blocks t (k + 1) hi want_min
-    (scan t b (entry t b lo) ((b lsl bshift) + t.len.(b)) hi want_min
-       (if want_min then max_int else min_int))
 
 let min_on t ~lo ~hi =
   Resa_obs.Metrics.incr c_min_on;
   if lo < 0 || lo > hi then invalid_arg "Timeline: bad window";
-  if lo = hi then max_int else window t (imax lo t.off) (imax hi (t.off + 1)) ~want_min:true
-
-let max_on t ~lo ~hi =
-  if lo < 0 || lo > hi then invalid_arg "Timeline: bad window";
-  if lo = hi then min_int else window t (imax lo t.off) (imax hi (t.off + 1)) ~want_min:false
+  if lo = hi then max_int
+  else begin
+    (* off <= lo < hi *)
+    let lo = imax lo t.off and hi = imax hi (t.off + 1) in
+    let k = locate t lo in
+    let b = t.order.(k) in
+    scan_blocks t (k + 1) hi (scan t b (entry t b lo) ((b lsl bshift) + t.len.(b)) hi max_int)
+  end
 
 (* --- mutation ------------------------------------------------------------ *)
 
@@ -690,5 +681,3 @@ let check t =
     total := !total + n
   done;
   if !total <> t.nseg then fail "%d segments counted, %d stored" t.nseg !total
-
-let pp ppf t = Profile.pp ppf (to_profile t)

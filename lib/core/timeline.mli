@@ -74,9 +74,6 @@ val min_on : t -> lo:int -> hi:int -> int
 (** Minimum over [\[lo, hi)], [0 <= lo <= hi]; [max_int] (the identity of
     [min]) on the empty window — same convention as [Profile.min_on]. *)
 
-val max_on : t -> lo:int -> hi:int -> int
-(** Maximum over the window; [min_int] on the empty window. *)
-
 val change : t -> lo:int -> hi:int -> delta:int -> unit
 (** Add [delta] on [\[lo, hi)]; no-op when [lo >= hi] or [delta = 0].
     Raises [Invalid_argument] on negative [lo]. *)
@@ -204,5 +201,3 @@ val check : t -> unit
 
 val last_breakpoint : t -> int
 (** Start of the final constant segment (0 for a constant timeline). *)
-
-val pp : Format.formatter -> t -> unit

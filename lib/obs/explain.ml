@@ -25,7 +25,6 @@ type run_acc = {
   mutable rejected : int;
   mutable decisions : int;
   mutable wakes : int;
-  mutable truncated : int; (* events dropped by a bounded sink before flush *)
 }
 
 let story acc id =
@@ -65,7 +64,6 @@ let feed acc = function
   | Trace.Resv_accept _ -> acc.accepted <- acc.accepted + 1
   | Trace.Resv_reject _ -> acc.rejected <- acc.rejected + 1
   | Trace.Sim_wake _ -> acc.wakes <- acc.wakes + 1
-  | Trace.Truncated { dropped } -> acc.truncated <- acc.truncated + dropped
 
 let render_story b s =
   Buffer.add_string b (Printf.sprintf "job %d" s.id);
@@ -102,15 +100,7 @@ let render events =
     | Some acc -> acc
     | None ->
       let acc =
-        {
-          jobs = [];
-          by_id = Hashtbl.create 64;
-          accepted = 0;
-          rejected = 0;
-          decisions = 0;
-          wakes = 0;
-          truncated = 0;
-        }
+        { jobs = []; by_id = Hashtbl.create 64; accepted = 0; rejected = 0; decisions = 0; wakes = 0 }
       in
       Hashtbl.add runs name acc;
       order := name :: !order;
@@ -128,12 +118,6 @@ let render events =
         Buffer.add_string b
           (Printf.sprintf ", reservations: %d accepted / %d rejected" acc.accepted acc.rejected);
       Buffer.add_char b '\n';
-      if acc.truncated > 0 then
-        Buffer.add_string b
-          (Printf.sprintf
-             "warning: %d event%s dropped (ring buffer overflow) — stories may be incomplete\n"
-             acc.truncated
-             (if acc.truncated = 1 then "" else "s"));
       let jobs = List.sort (fun a b -> compare a.id b.id) acc.jobs in
       List.iter (render_story b) jobs;
       Buffer.add_char b '\n')

@@ -56,27 +56,18 @@ type event =
   | Resv_accept of { resv : int; start : int; p : int; q : int }
   | Resv_reject of { start : int; p : int; q : int; reason : string }
   | Sim_wake of { time : int; forced : bool }
-  | Truncated of { dropped : int }
-      (* A bounded sink overflowed: [dropped] older events are missing
-         before this point. Emitted by flush paths, never by the
-         simulator. *)
 
 (* --- sinks -------------------------------------------------------------- *)
 
-type t =
-  | Null
-  | Ring of { cap : int; buf : event Queue.t; mutable dropped : int }
-  | File of { oc : out_channel; run : string option; mutex : Mutex.t }
+(* The callback decides what an event becomes — a JSONL line, a table
+   entry, a list cell in a test — as it happens, so no sink holds events
+   back, bounds them or drops them. *)
+type t = Null | Sink of (event -> unit)
 
 let null = Null
-
-let buffer ?(cap = 1 lsl 20) () =
-  if cap < 1 then invalid_arg "Trace.buffer: cap must be >= 1";
-  Ring { cap; buf = Queue.create (); dropped = 0 }
-
-let file ?run oc = File { oc; run; mutex = Mutex.create () }
-
+let sink f = Sink f
 let enabled t = t != Null [@@inline]
+let emit t ev = match t with Null -> () | Sink f -> f ev
 
 (* --- JSONL -------------------------------------------------------------- *)
 
@@ -116,7 +107,6 @@ let to_json ?run ev =
       ]
     | Sim_wake { time; forced } ->
       [ ("ev", Str "sim_wake"); ("t", i time); ("forced", Bool forced) ]
-    | Truncated { dropped } -> [ ("ev", Str "truncated"); ("dropped", i dropped) ]
   in
   let fields = match run with None -> fields | Some r -> ("run", Str r) :: fields in
   Jsonu.to_string (Obj fields)
@@ -183,9 +173,6 @@ let of_json j =
       let* time = int "t" in
       let* forced = (match Jsonu.member "forced" j with Some (Jsonu.Bool b) -> Some b | _ -> None) in
       Some (Sim_wake { time; forced })
-    | "truncated" ->
-      let* dropped = int "dropped" in
-      Some (Truncated { dropped })
     | _ -> None
   in
   match ev with
@@ -196,50 +183,3 @@ let parse_line line =
   match Jsonu.of_string line with
   | Error m -> Error m
   | Ok j -> of_json j
-
-(* --- emission ----------------------------------------------------------- *)
-
-let emit t ev =
-  match t with
-  | Null -> ()
-  | Ring r ->
-    Queue.push ev r.buf;
-    if Queue.length r.buf > r.cap then begin
-      ignore (Queue.pop r.buf);
-      r.dropped <- r.dropped + 1
-    end
-  | File f ->
-    let line = to_json ?run:f.run ev in
-    Mutex.lock f.mutex;
-    output_string f.oc line;
-    output_char f.oc '\n';
-    Mutex.unlock f.mutex
-
-let contents = function
-  | Null | File _ -> []
-  | Ring r -> List.of_seq (Queue.to_seq r.buf)
-
-let dropped = function Null | File _ -> 0 | Ring r -> r.dropped
-
-let write_jsonl ?run ?(dropped = 0) oc events =
-  List.iter
-    (fun ev ->
-      output_string oc (to_json ?run ev);
-      output_char oc '\n')
-    events;
-  (* Truncation is data, not a log line: a trailing summary event makes
-     the gap visible to every consumer of the file (resa explain warns on
-     it) instead of silently shipping an incomplete stream. *)
-  if dropped > 0 then begin
-    output_string oc (to_json ?run (Truncated { dropped }));
-    output_char oc '\n'
-  end
-
-let flush_jsonl ?run oc t = write_jsonl ?run ~dropped:(dropped t) oc (contents t)
-
-(* --- derived views ------------------------------------------------------ *)
-
-let start_provenances events =
-  List.filter_map
-    (function Job_start { job; provenance; _ } -> Some (job, provenance) | _ -> None)
-    events

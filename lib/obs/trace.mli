@@ -55,37 +55,24 @@ type event =
   | Sim_wake of { time : int; forced : bool }
       (** Simulator-scheduled extra decision instant ([forced] = deadlock
           avoidance wake-up past the last breakpoint). *)
-  | Truncated of { dropped : int }
-      (** A bounded sink overflowed: [dropped] older events are missing
-          before this point. Emitted by {!flush_jsonl}, never by the
-          simulator; [resa explain] warns
-          when it sees one. *)
 
 type t
-(** A sink. Values are single-owner within one simulation run; the [file]
-    sink serialises concurrent writers internally. *)
+(** A sink: {!null} or a {!sink} callback. *)
 
 val null : t
 (** Drops everything; [enabled null = false]. The default sink. *)
 
-val buffer : ?cap:int -> unit -> t
-(** Bounded ring buffer keeping the most recent [cap] events (default
-    2{^20}); older events are dropped and counted. *)
-
-val file : ?run:string -> out_channel -> t
-(** JSONL sink: one event per line, written immediately (mutex-protected).
-    [run] tags every line — used when several runs share one file. *)
+val sink : (event -> unit) -> t
+(** Hands every event to the callback as it is emitted, in emission
+    order: nothing is buffered, bounded or dropped, so what the callback
+    keeps — a JSONL line per event, a table, nothing — decides the
+    memory a traced run holds. Nothing serialises the calls: runs on
+    different domains need sinks of their own. *)
 
 val enabled : t -> bool
 (** [false] exactly for {!null}. Check before building an event. *)
 
 val emit : t -> event -> unit
-
-val contents : t -> event list
-(** Ring-buffer contents, oldest first; [[]] for [null] and [file] sinks. *)
-
-val dropped : t -> int
-(** Events evicted from a ring buffer so far. *)
 
 val to_json : ?run:string -> event -> string
 (** One JSONL line (no trailing newline). *)
@@ -94,12 +81,3 @@ val of_json : Jsonu.t -> (string option * event, string) result
 (** Inverse of {!to_json}: the optional ["run"] tag and the event. *)
 
 val parse_line : string -> (string option * event, string) result
-
-val flush_jsonl : ?run:string -> out_channel -> t -> unit
-(** A ring buffer's {!contents}, one event per line, followed by a
-    {!Truncated} line when its {!dropped} count is positive — so
-    truncation is never silently lost. *)
-
-val start_provenances : event list -> (int * provenance) list
-(** Per started job id, its start provenance, in event order — the
-    provenance hook behind [Metrics.per_job]. *)

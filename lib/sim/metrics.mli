@@ -62,8 +62,8 @@ val per_job :
   Simulator.trace ->
   job_row list
 (** Per-job metric rows, in submission order. [bound] as in {!summarize}.
-    [provenance] maps a job id to its provenance label (see
-    {!Resa_obs.Trace.start_provenances}); defaults to [fun _ -> ""].
+    [provenance] maps a job id to its provenance label (the provenance of
+    the job's [Job_start] trace event); defaults to [fun _ -> ""].
     [job_numbers] maps the renumbered id to the source trace's job number
     (as built by [Swf.job_numbers]); defaults to the identity. *)
 

@@ -63,8 +63,9 @@ let wake_payload = -1
 let dummy_job = Job.make ~id:0 ~p:1 ~q:1
 
 (* Maximum distance the timeline's gc origin may trail behind the clock
-   before the engine collects the past on its own, regardless of the
-   caller's [gc_every] setting. Every completion leaves segments behind in
+   before the engine collects the past on its own. With this and the
+   segment trigger below, a replay stays flat without [run_stream]'s
+   optional [gc_every] cadence. Every completion leaves segments behind in
    the past; collecting them keeps the blocks a search walks, and the pool
    a replay holds, proportional to the live horizon. The collection costs
    O(dead blocks + blocks) and is semantically invisible. *)
@@ -79,7 +80,7 @@ let auto_gc_span = 16384
    or the trigger would fire at every decision. *)
 let auto_gc_nodes = 16384
 
-(* Rebase [free] at [t]. Both triggers — the caller's [gc_every] cadence
+(* Rebase [free] at [t]. Both triggers — the optional [gc_every] cadence
    and the span/node bound above — go through here, so both count. *)
 let gc free t =
   if Metrics.enabled () then begin
@@ -553,9 +554,9 @@ let rec loop r =
   end
   else begin
     drain r t;
-    (* Keep the timeline's dead past bounded independently of the caller's
-       [gc_every] cadence. Collecting here — outside any checkpoint, with
-       all future traffic at or after [t] — is invisible to decisions. *)
+    (* Keep the timeline's dead past bounded whether or not a [gc_every]
+       cadence is set. Collecting here — outside any checkpoint, with all
+       future traffic at or after [t] — is invisible to decisions. *)
     if t - Timeline.origin r.free > auto_gc_span || Timeline.node_count r.free > r.gc_nodes then
       rebase r t;
     r.last_t <- t;

@@ -136,11 +136,12 @@ val run_stream :
     [(job, submit, start)] at the instant the job starts, in start order.
     Memory is O(live jobs + timeline), independent of trace length.
 
-    [gc_every] (default 0 = never) compacts the capacity timeline with
-    [Timeline.gc ~upto:now] every that many completions, bounding the
-    third memory consumer on multi-million-job runs. Compaction is
-    invisible: every simulator and policy access touches windows at or
-    after now.
+    [gc_every] (default 0 = never) also compacts the capacity timeline
+    with [Timeline.gc ~upto:now] every that many completions. The engine
+    already collects on its own once the timeline's past spans or holds
+    too much, which keeps multi-million-job runs flat without it.
+    Compaction is invisible: every simulator and policy access touches
+    windows at or after now.
 
     [on_heartbeat] (default: none) attaches a periodic telemetry sampler:
     after processing a decision instant, if at least [heartbeat_every]

@@ -227,12 +227,12 @@ let test_gc_cliff () =
   let estimates =
     Array.of_list (List.map (fun (a : Swf_stream.arrival) -> a.estimate) arrivals)
   in
-  let jsonl obs =
-    String.concat "\n" (List.map (Resa_obs.Trace.to_json ~run:"x") (Resa_obs.Trace.contents obs))
+  let jsonl events =
+    String.concat "\n" (List.map (Resa_obs.Trace.to_json ~run:"x") (events ()))
   in
   List.iter
     (fun ((policy : Policy.t), counter) ->
-      let streamed = Resa_obs.Trace.buffer () in
+      let streamed, streamed_events = Tutil.recorder () in
       let gc_runs =
         with_metrics (fun () ->
             ignore
@@ -241,12 +241,12 @@ let test_gc_cliff () =
       in
       if gc_runs > budget then
         Alcotest.failf "%s: %s = %d, budget %d" policy.name counter gc_runs budget;
-      let batch = Resa_obs.Trace.buffer () in
+      let batch, batch_events = Tutil.recorder () in
       ignore (Simulator.run ~obs:batch ~policy ~m:128 ~reservations ~estimates subs);
       Alcotest.(check bool)
         (policy.name ^ " trace equals run's")
         true
-        (jsonl streamed = jsonl batch))
+        (jsonl streamed_events = jsonl batch_events))
     (* CONS rebuilds its plan timeline on the same rule; [timeline.gc]
        counts both timelines. *)
     [ (Policy.fcfs, "sim.gc_runs"); (Policy.conservative, "timeline.gc") ]
@@ -255,10 +255,10 @@ let test_traced_replay_byte_identical_off () =
   (* Collection on or off never changes the deterministic event stream. *)
   let text enabled =
     let doit () =
-      let obs = Resa_obs.Trace.buffer () in
+      let obs, obs_events = Tutil.recorder () in
       ignore (Simulator.run_stream ~obs ~policy:Policy.easy ~m:16 (feed (arrivals ~n:200 ())));
       String.concat "\n"
-        (List.map (Resa_obs.Trace.to_json ~run:"x") (Resa_obs.Trace.contents obs))
+        (List.map (Resa_obs.Trace.to_json ~run:"x") (obs_events ()))
     in
     if enabled then with_metrics doit else without_metrics doit
   in

@@ -24,49 +24,16 @@ let workload ?(seed = 77) ?(n = 25) ?(m = 8) () =
    simulator hands its tracer to the policy's [create], so policy events
    land in the same sink without extra plumbing. *)
 let event_stream ~policy ~name ~m ~reservations subs =
-  let obs = Trace.buffer () in
+  let obs, obs_events = Tutil.recorder () in
   let trace = Simulator.run ~obs ~policy ~m ~reservations subs in
-  let text =
-    String.concat "\n" (List.map (Trace.to_json ~run:name) (Trace.contents obs))
-  in
-  (trace, text)
+  (trace, String.concat "\n" (List.map (Trace.to_json ~run:name) (obs_events ())))
 
 (* --- sinks -------------------------------------------------------------- *)
 
-let test_ring_bounded () =
-  let obs = Trace.buffer ~cap:4 () in
-  for t = 0 to 9 do
-    Trace.emit obs (Trace.Sim_wake { time = t; forced = false })
-  done;
-  let times =
-    List.map
-      (function Trace.Sim_wake { time; _ } -> time | _ -> -1)
-      (Trace.contents obs)
-  in
-  Alcotest.(check (list int)) "most recent cap events, oldest first" [ 6; 7; 8; 9 ] times;
-  Alcotest.(check int) "dropped count" 6 (Trace.dropped obs)
-
 let test_null_sink_disabled () =
   Alcotest.(check bool) "null disabled" false (Trace.enabled Trace.null);
-  Alcotest.(check bool) "buffer enabled" true (Trace.enabled (Trace.buffer ()));
-  Trace.emit Trace.null (Trace.Job_finish { time = 0; job = 0 });
-  Alcotest.(check (list reject)) "null keeps nothing" [] (Trace.contents Trace.null)
-
-let test_file_sink_jsonl () =
-  let path = Filename.temp_file "resa_obs" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Out_channel.with_open_text path (fun oc ->
-          let obs = Trace.file ~run:"smoke" oc in
-          Trace.emit obs (Trace.Job_submit { time = 1; job = 7; p = 3; q = 2 });
-          Trace.emit obs (Trace.Job_finish { time = 4; job = 7 }));
-      let lines = In_channel.with_open_text path In_channel.input_lines in
-      Alcotest.(check int) "two lines" 2 (List.length lines);
-      match Trace.parse_line (List.hd lines) with
-      | Ok (Some "smoke", Trace.Job_submit { time = 1; job = 7; p = 3; q = 2 }) -> ()
-      | Ok _ -> Alcotest.fail "wrong event parsed back"
-      | Error e -> Alcotest.fail e)
+  Alcotest.(check bool) "sink enabled" true (Trace.enabled (Trace.sink ignore));
+  Trace.emit Trace.null (Trace.Job_finish { time = 0; job = 0 })
 
 (* --- JSONL round-trip --------------------------------------------------- *)
 
@@ -94,7 +61,6 @@ let all_constructors =
     Trace.Resv_accept { resv = 0; start = 10; p = 4; q = 3 };
     Trace.Resv_reject { start = 10; p = 4; q = 30; reason = "too wide \"quoted\"" };
     Trace.Sim_wake { time = 42; forced = true };
-    Trace.Truncated { dropped = 6 };
   ]
 
 let test_jsonl_roundtrip () =
@@ -114,6 +80,26 @@ let test_jsonl_roundtrip () =
     Alcotest.(check bool) "untagged" true (List.hd all_constructors = ev')
   | Ok (Some _, _) -> Alcotest.fail "phantom run tag"
   | Error e -> Alcotest.fail e
+
+let test_sink_sees_every_event () =
+  (* The callback sink holds nothing back and drops nothing: it sees every
+     event, in emission order, and a traced run hands it a start and a
+     finish for every job. *)
+  let seen = ref [] in
+  let obs = Trace.sink (fun ev -> seen := ev :: !seen) in
+  List.iter (Trace.emit obs) all_constructors;
+  Alcotest.(check bool) "every event, in order" true (List.rev !seen = all_constructors);
+  let subs, reservations = workload ~n:40 () in
+  let starts = ref [] and finishes = ref 0 in
+  let obs =
+    Trace.sink (function
+      | Trace.Job_start { job; _ } -> starts := job :: !starts
+      | Trace.Job_finish _ -> incr finishes
+      | _ -> ())
+  in
+  ignore (Simulator.run ~obs ~policy:Policy.easy ~m:8 ~reservations subs : Simulator.trace);
+  Alcotest.(check (list int)) "one start per job" (List.init 40 Fun.id) (List.sort compare !starts);
+  Alcotest.(check int) "one finish per job" 40 !finishes
 
 let test_provenance_strings () =
   List.iter
@@ -136,7 +122,7 @@ let test_tracing_off_identical () =
   List.iter
     (fun (name, policy) ->
       let plain = Simulator.run ~policy ~m:8 ~reservations subs in
-      let obs = Trace.buffer () in
+      let obs, obs_events = Tutil.recorder () in
       let traced = Simulator.run ~obs ~policy ~m:8 ~reservations subs in
       let starts (t : Simulator.trace) =
         List.map (fun (r : Simulator.record) -> r.start) t.records
@@ -151,7 +137,7 @@ let test_tracing_off_identical () =
       (match Schedule.validate inst sched with
       | Ok () -> ()
       | Error v -> Alcotest.failf "%s: infeasible: %a" name Schedule.pp_violation v);
-      Alcotest.(check bool) (name ^ ": events collected") true (Trace.contents obs <> []))
+      Alcotest.(check bool) (name ^ ": events collected") true (obs_events () <> []))
     [
       ("FCFS", Policy.fcfs);
       ("CONS", Policy.conservative);
@@ -184,13 +170,13 @@ let test_deterministic_across_domains () =
 
 (* --- provenance classification ------------------------------------------ *)
 
-let start_event_of obs id =
+let start_event_of events id =
   List.find_map
     (function
       | Trace.Job_start { job; provenance; wait; time } when job = id ->
         Some (time, wait, provenance)
       | _ -> None)
-    (Trace.contents obs)
+    (events ())
 
 let test_backfill_provenance () =
   (* The EASY example from test_sim: j2 backfills past the blocked head j1. *)
@@ -201,14 +187,14 @@ let test_backfill_provenance () =
       Simulator.{ job = Job.make ~id:2 ~p:4 ~q:1; submit = 0 };
     ]
   in
-  let obs = Trace.buffer () in
+  let obs, obs_events = Tutil.recorder () in
   let _ = Simulator.run ~obs ~policy:Policy.easy ~m:4 subs in
-  (match start_event_of obs 2 with
+  (match start_event_of obs_events 2 with
   | Some (0, 0, Trace.Backfilled_ahead_of_head) -> ()
   | Some (t, w, p) ->
     Alcotest.failf "j2: got t=%d wait=%d %s" t w (Trace.provenance_to_string p)
   | None -> Alcotest.fail "j2 start event missing");
-  (match start_event_of obs 0 with
+  (match start_event_of obs_events 0 with
   | Some (0, 0, Trace.Started_now) -> ()
   | _ -> Alcotest.fail "j0 should be started-now");
   (* The blocked head j1 must be reported blocked by capacity (running j0
@@ -218,7 +204,7 @@ let test_backfill_provenance () =
       (function
         | Trace.Head_blocked { job = 1; reason; need; have; _ } -> Some (reason, need, have)
         | _ -> None)
-      (Trace.contents obs)
+      (obs_events ())
   in
   match head_blocks with
   | (Trace.Blocked_by_capacity, 4, have) :: _ when have < 4 -> ()
@@ -231,12 +217,12 @@ let test_reservation_blocked_provenance () =
      by it, not by running jobs. *)
   let resv = [ Reservation.make ~id:0 ~start:0 ~p:5 ~q:4 ] in
   let subs = [ Simulator.{ job = Job.make ~id:0 ~p:3 ~q:2; submit = 0 } ] in
-  let obs = Trace.buffer () in
+  let obs, obs_events = Tutil.recorder () in
   let _ = Simulator.run ~obs ~policy:Policy.fcfs ~m:4 ~reservations:resv subs in
   let reasons =
     List.filter_map
       (function Trace.Head_blocked { reason; _ } -> Some reason | _ -> None)
-      (Trace.contents obs)
+      (obs_events ())
   in
   match reasons with
   | Trace.Blocked_by_reservation :: _ -> ()
@@ -246,7 +232,7 @@ let test_reservation_blocked_provenance () =
 (* --- reservation book events -------------------------------------------- *)
 
 let test_book_emits_admission_events () =
-  let obs = Trace.buffer () in
+  let obs, obs_events = Tutil.recorder () in
   let book = Reservation_book.create ~obs ~m:10 ~alpha:0.6 () in
   (match Reservation_book.request book ~start:0 ~p:5 ~q:3 with
   | Ok _ -> ()
@@ -254,7 +240,7 @@ let test_book_emits_admission_events () =
   (match Reservation_book.request book ~start:2 ~p:5 ~q:3 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "saturating request accepted");
-  match Trace.contents obs with
+  match obs_events () with
   | [ Trace.Resv_accept { resv = 0; start = 0; p = 5; q = 3 }; Trace.Resv_reject { reason; _ } ]
     ->
     Alcotest.(check bool) "reject reason rendered" true (String.length reason > 0)
@@ -264,7 +250,7 @@ let test_book_emits_admission_events () =
 
 let test_chrome_export_wellformed () =
   let subs, reservations = workload ~n:12 () in
-  let obs = Trace.buffer () in
+  let obs = Trace.sink ignore in
   let trace = Simulator.run ~obs ~policy:Policy.easy ~m:8 ~reservations subs in
   let slices = Sim_trace.chrome_slices ~process:"EASY" trace in
   Alcotest.(check bool) "has slices" true (slices <> []);
@@ -306,11 +292,15 @@ let test_chrome_of_spans_tracks () =
 
 let test_per_job_and_csv () =
   let subs, reservations = workload ~n:15 () in
-  let obs = Trace.buffer () in
+  let provs = Hashtbl.create 15 in
+  let obs =
+    Trace.sink (function
+      | Trace.Job_start { job; provenance; _ } -> Hashtbl.replace provs job provenance
+      | _ -> ())
+  in
   let trace = Simulator.run ~obs ~policy:Policy.easy ~m:8 ~reservations subs in
-  let provs = Trace.start_provenances (Trace.contents obs) in
   let provenance id =
-    match List.assoc_opt id provs with
+    match Hashtbl.find_opt provs id with
     | Some p -> Trace.provenance_to_string p
     | None -> ""
   in
@@ -563,45 +553,6 @@ let test_explain_render () =
         (contains ~sub out))
     [ "== FCFS =="; "== EASY =="; "decisions:"; "job 0"; "started" ]
 
-(* --- truncation surfacing ------------------------------------------------ *)
-
-let test_truncation_surfaced () =
-  (* An overflowed ring flushes with a trailing truncated summary line,
-     and explain turns it into a visible warning. *)
-  let obs = Trace.buffer ~cap:4 () in
-  for t = 0 to 9 do
-    Trace.emit obs (Trace.Sim_wake { time = t; forced = false })
-  done;
-  let path = Filename.temp_file "resa_trunc" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Out_channel.with_open_text path (fun oc -> Trace.flush_jsonl ~run:"r" oc obs);
-      let lines = In_channel.with_open_text path In_channel.input_lines in
-      Alcotest.(check int) "4 kept events + 1 summary" 5 (List.length lines);
-      (match Trace.parse_line (List.nth lines 4) with
-      | Ok (Some "r", Trace.Truncated { dropped = 6 }) -> ()
-      | Ok _ -> Alcotest.fail "trailing line is not the truncation summary"
-      | Error e -> Alcotest.fail e);
-      let events =
-        List.map
-          (fun l -> match Trace.parse_line l with Ok e -> e | Error e -> Alcotest.fail e)
-          lines
-      in
-      let out = Resa_obs.Explain.render events in
-      Alcotest.(check bool) "explain warns about the gap" true
-        (contains ~sub:"6 events dropped" out));
-  (* No summary line when nothing was dropped. *)
-  let obs = Trace.buffer () in
-  Trace.emit obs (Trace.Sim_wake { time = 0; forced = false });
-  let path = Filename.temp_file "resa_notrunc" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Out_channel.with_open_text path (fun oc -> Trace.flush_jsonl oc obs);
-      let lines = In_channel.with_open_text path In_channel.input_lines in
-      Alcotest.(check int) "just the event" 1 (List.length lines))
-
 (* --- executor busy accounting ---------------------------------------------- *)
 
 let test_busy_high_domain_ids () =
@@ -633,9 +584,8 @@ let test_busy_high_domain_ids () =
 
 let suite =
   [
-    Alcotest.test_case "ring buffer bounded" `Quick test_ring_bounded;
     Alcotest.test_case "null sink disabled" `Quick test_null_sink_disabled;
-    Alcotest.test_case "file sink writes JSONL" `Quick test_file_sink_jsonl;
+    Alcotest.test_case "sink sees every event in order" `Quick test_sink_sees_every_event;
     Alcotest.test_case "JSONL round-trip (all constructors)" `Quick test_jsonl_roundtrip;
     Alcotest.test_case "provenance string round-trip" `Quick test_provenance_strings;
     Alcotest.test_case "tracing off is byte-identical" `Quick test_tracing_off_identical;
@@ -657,6 +607,4 @@ let suite =
     Alcotest.test_case "prof clock never decreases" `Quick test_clock_monotonic;
     Alcotest.test_case "busy accounting at high domain ids" `Quick test_busy_high_domain_ids;
     Alcotest.test_case "explain renders a trace" `Quick test_explain_render;
-    Alcotest.test_case "truncation surfaced on flush and explain" `Quick
-      test_truncation_surfaced;
   ]

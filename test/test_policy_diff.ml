@@ -32,12 +32,12 @@ let workload_of_seed seed =
   in
   (n, subs, Array.to_list (Instance.reservations inst))
 
-let stream obs = String.concat "\n" (List.map Trace.to_json (Trace.contents obs))
+let stream events = String.concat "\n" (List.map Trace.to_json (events ()))
 
 let run_traced ~policy ~m ~reservations ~estimates subs =
-  let obs = Trace.buffer () in
+  let obs, obs_events = Tutil.recorder () in
   let trace = Simulator.run ~obs ~policy ~m ~reservations ~estimates subs in
-  (trace, stream obs)
+  (trace, stream obs_events)
 
 let agree ~estimates ~reservations subs seed =
   List.for_all

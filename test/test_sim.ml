@@ -336,14 +336,15 @@ let test_exhausted_source_not_repolled () =
           rest := tl;
           Some Simulator.{ job = s.job; submit = s.submit; estimate = Job.p s.job }
       in
-      let obs_s = Resa_obs.Trace.buffer () in
+      let obs_s, obs_s_events = Tutil.recorder () in
       let stats = Simulator.run_stream ~obs:obs_s ~policy ~m:8 ~reservations next in
       Alcotest.(check int) (policy.name ^ ": jobs") 30 stats.jobs;
       Alcotest.(check int) (policy.name ^ ": source calls") 31 !calls;
-      let obs_b = Resa_obs.Trace.buffer () in
+      let obs_b, obs_b_events = Tutil.recorder () in
       ignore (Simulator.run ~obs:obs_b ~policy ~m:8 ~reservations subs : Simulator.trace);
-      let jsonl obs = List.map Resa_obs.Trace.to_json (Resa_obs.Trace.contents obs) in
-      Alcotest.(check (list string)) (policy.name ^ ": trace") (jsonl obs_b) (jsonl obs_s))
+      let jsonl events = List.map Resa_obs.Trace.to_json (events ()) in
+      Alcotest.(check (list string)) (policy.name ^ ": trace") (jsonl obs_b_events)
+        (jsonl obs_s_events))
     Policy.all
 
 let suite =

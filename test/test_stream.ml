@@ -225,9 +225,9 @@ let engines_agree ~gc_every policy seed =
   let estimates =
     Array.of_list (List.map (fun (a : Swf_stream.arrival) -> a.Swf_stream.estimate) arrivals)
   in
-  let obs_b = Resa_obs.Trace.buffer () in
+  let obs_b, obs_b_events = Tutil.recorder () in
   let trace = Simulator.run ~obs:obs_b ~policy ~m:16 ~estimates subs in
-  let obs_s = Resa_obs.Trace.buffer () in
+  let obs_s, obs_s_events = Tutil.recorder () in
   let records = ref [] in
   let stats =
     Simulator.run_stream ~obs:obs_s ~gc_every ~policy ~m:16
@@ -240,7 +240,7 @@ let engines_agree ~gc_every policy seed =
   stats.Simulator.jobs = List.length arrivals
   && stats.Simulator.makespan = trace.Simulator.makespan
   && by_id !records = by_id trace.Simulator.records
-  && Resa_obs.Trace.contents obs_s = Resa_obs.Trace.contents obs_b
+  && obs_s_events () = obs_b_events ()
 
 let engine_props =
   List.concat_map
@@ -311,7 +311,7 @@ let reserved_replay_digest (policy : Policy.t) =
       Some arrivals.(!i - 1)
     end
   in
-  let obs = Resa_obs.Trace.buffer () in
+  let obs, obs_events = Tutil.recorder () in
   let ms = Metrics.Stream.create ~m:32 ~reservations () in
   let rows = ref [] in
   let on_heartbeat hb = rows := Heartbeat.make ~stream:ms hb :: !rows in
@@ -322,7 +322,7 @@ let reserved_replay_digest (policy : Policy.t) =
   let buf = Buffer.create 4096 in
   List.iter
     (fun e -> Buffer.add_string buf (Resa_obs.Trace.to_json e ^ "\n"))
-    (Resa_obs.Trace.contents obs);
+    (obs_events ());
   List.iter
     (fun r -> Buffer.add_string buf (Resa_obs.Jsonu.to_string (Heartbeat.to_json r) ^ "\n"))
     (List.rev !rows);

@@ -129,7 +129,7 @@ let prop_engine seed =
   let last = bps.(Array.length bps - 1) in
   let job = Job.make ~id:0 ~p:1 ~q:1 in
   let policy, seen, empty_calls = probe ~job ~start_at:last in
-  let obs = Resa_obs.Trace.buffer () in
+  let obs, obs_events = Tutil.recorder () in
   ignore
     (Simulator.run_stream ~obs ~policy ~m ~reservations (fun () -> None)
       : Simulator.stream_stats);
@@ -140,7 +140,7 @@ let prop_engine seed =
         | Resa_obs.Trace.Decision { time; policy = "probe"; queued = 0; started = 0; wake = None } ->
           time
         | e -> QCheck.Test.fail_reportf "unexpected event %s" (Resa_obs.Trace.to_json e))
-      (Resa_obs.Trace.contents obs)
+      (obs_events ())
   in
   if Array.of_list decisions <> bps then
     QCheck.Test.fail_report "traced decision instants differ from the breakpoints";

@@ -47,7 +47,6 @@ let test_change_reserve () =
 let test_empty_window () =
   let tl = Timeline.create 3 in
   Alcotest.(check int) "min identity" max_int (Timeline.min_on tl ~lo:5 ~hi:5);
-  Alcotest.(check int) "max identity" min_int (Timeline.max_on tl ~lo:5 ~hi:5);
   Alcotest.check_raises "bad window" (Invalid_argument "Timeline: bad window") (fun () ->
       ignore (Timeline.min_on tl ~lo:6 ~hi:5))
 
@@ -261,14 +260,8 @@ let ops_agree_with ~scale ~ops seed =
     | 3 ->
       let lo = at 60 in
       let hi = lo + Prng.int rng ~bound:(25 * scale) in
-      if lo = hi then begin
-        check "empty min" (Timeline.min_on tl ~lo ~hi = max_int);
-        check "empty max" (Timeline.max_on tl ~lo ~hi = min_int)
-      end
-      else begin
-        check "min_on" (Profile.min_on !p ~lo ~hi = Timeline.min_on tl ~lo ~hi);
-        check "max_on" (Profile.max_on !p ~lo ~hi = Timeline.max_on tl ~lo ~hi)
-      end
+      if lo = hi then check "empty min" (Timeline.min_on tl ~lo ~hi = max_int)
+      else check "min_on" (Profile.min_on !p ~lo ~hi = Timeline.min_on tl ~lo ~hi)
     | 4 ->
       let from = at 60 and dur = width 10 in
       let need = Prng.int_incl rng ~lo:(-1) ~hi:12 in

@@ -94,3 +94,9 @@ let profile_of_seed seed =
   (* Shift up so it is capacity-like (non-negative). *)
   let lift = max 0 (-Profile.min_value p) in
   Profile.add_const p lift
+
+(* A trace sink that keeps every event it is handed, and a reader of what it
+   kept so far, in emission order. *)
+let recorder () =
+  let events = ref [] in
+  (Resa_obs.Trace.sink (fun ev -> events := ev :: !events), fun () -> List.rev !events)
