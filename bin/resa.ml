@@ -537,29 +537,29 @@ let replay_cmd =
 (* ------------------------------------------------------------------ *)
 
 let explain path =
-  let lines =
-    if path = "-" then In_channel.input_lines stdin
-    else
-      match In_channel.with_open_text path In_channel.input_lines with
-      | lines -> lines
-      | exception Sys_error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 2
+  (* One line at a time: the events are parsed as [Explain.render] asks
+     for them, so memory follows the jobs, not the size of the trace. *)
+  let render ic =
+    let rec events lineno () =
+      match In_channel.input_line ic with
+      | None -> Seq.Nil
+      | Some line when String.trim line = "" -> events (lineno + 1) ()
+      | Some line -> (
+        match Resa_obs.Trace.parse_line line with
+        | Ok ev -> Seq.Cons (ev, events (lineno + 1))
+        | Error msg ->
+          Printf.eprintf "error: %s:%d: %s\n" path lineno msg;
+          exit 2)
+    in
+    Resa_obs.Explain.render stdout (events 1)
   in
-  let events =
-    List.concat
-      (List.mapi
-         (fun lineno line ->
-           if String.trim line = "" then []
-           else
-             match Resa_obs.Trace.parse_line line with
-             | Ok ev -> [ ev ]
-             | Error msg ->
-               Printf.eprintf "error: %s:%d: %s\n" path (lineno + 1) msg;
-               exit 2)
-         lines)
-  in
-  print_string (Resa_obs.Explain.render events)
+  if path = "-" then render stdin
+  else
+    match In_channel.with_open_text path render with
+    | () -> ()
+    | exception Sys_error msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 2
 
 let explain_cmd =
   let path =

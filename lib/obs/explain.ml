@@ -3,7 +3,9 @@
    constraint, policy plans, the start provenance and the completion.
 
    Pure string processing over parsed events, so it can replay traces
-   produced by any past run of any policy. *)
+   produced by any past run of any policy. Events are consumed as they
+   come and each story is written out once rendered: what is kept is one
+   story per job, not the trace and not the report. *)
 
 type blocked = { reason : Trace.provenance; first : int; lo : int; hi : int; need : int; have : int; count : int }
 
@@ -92,7 +94,7 @@ let render_story b s =
   | None -> ());
   Buffer.add_char b '\n'
 
-let render events =
+let render oc events =
   let runs : (string, run_acc) Hashtbl.t = Hashtbl.create 4 in
   let order = ref [] in
   let run_acc name =
@@ -106,7 +108,7 @@ let render events =
       order := name :: !order;
       acc
   in
-  List.iter (fun (run, ev) -> feed (run_acc (Option.value run ~default:"run")) ev) events;
+  Seq.iter (fun (run, ev) -> feed (run_acc (Option.value run ~default:"run")) ev) events;
   let b = Buffer.create 4096 in
   List.iter
     (fun name ->
@@ -119,7 +121,12 @@ let render events =
           (Printf.sprintf ", reservations: %d accepted / %d rejected" acc.accepted acc.rejected);
       Buffer.add_char b '\n';
       let jobs = List.sort (fun a b -> compare a.id b.id) acc.jobs in
-      List.iter (render_story b) jobs;
+      List.iter
+        (fun s ->
+          render_story b s;
+          Buffer.output_buffer oc b;
+          Buffer.clear b)
+        jobs;
       Buffer.add_char b '\n')
     (List.rev !order);
-  Buffer.contents b
+  Buffer.output_buffer oc b

@@ -1,9 +1,16 @@
-(* Minimal self-contained JSON: a value type, a recursive-descent parser
-   and string escaping. Exists so the observability layer (JSONL traces,
-   Chrome exports, `resa explain`) stays free of third-party dependencies;
-   it is not a general-purpose JSON library — numbers are floats, and the
-   parser accepts exactly the documents this repository emits (strict
-   RFC 8259 core: no comments, no trailing commas). *)
+(* Minimal self-contained JSON: a value type, a writer, a
+   recursive-descent parser and string escaping. Exists so the
+   observability layer (JSONL traces, heartbeat rows, Chrome exports,
+   `resa explain`) stays free of third-party dependencies; it is not a
+   general-purpose JSON library — numbers are floats, and the parser
+   accepts exactly the documents this repository emits (strict RFC 8259
+   core: no comments, no trailing commas).
+
+   The writer is on the path of every trace line and heartbeat row, so it
+   formats without [Printf]: integral numbers are written digit by digit
+   into the output buffer, strings and keys are escaped straight into it,
+   and a string with nothing to escape is copied as is. Its bytes are those
+   of the [Printf "%.0f"] / ["%.6g"] formulas it replaces. *)
 
 type t =
   | Null
@@ -13,51 +20,98 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(* --- writer ------------------------------------------------------------ *)
+
+(* Bytes that must be escaped inside a JSON string. Non-ASCII bytes pass
+   through untouched: strings are written as the bytes they hold. *)
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* No byte of [s] from [i] on needs escaping. A toplevel loop rather than
+   [String.exists], whose local closure would cost words on every key. *)
+let rec clean s i = i >= String.length s || ((not (needs_escape s.[i])) && clean s (i + 1))
+
+let add_escaped b s =
+  if clean s 0 then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\t' -> Buffer.add_string b "\\t"
+        | '\r' -> Buffer.add_string b "\\r"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string b "\\u00";
+          Buffer.add_char b "0123456789abcdef".[Char.code c lsr 4];
+          Buffer.add_char b "0123456789abcdef".[Char.code c land 15]
+        | c -> Buffer.add_char b c)
+      s
+
 let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+  if clean s 0 then s
+  else begin
+    let b = Buffer.create (String.length s + 8) in
+    add_escaped b s;
+    Buffer.contents b
+  end
+
+(* Decimal digits of [n > 0], most significant first. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+(* The primitive behind [Printf]'s float conversions. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Integral numbers below 1e15 in magnitude are exact ints: their digits
+   go straight into the buffer, with the bytes of [Printf "%.0f"] ("-0"
+   for [-0.0] included) but none of its formatting machinery. Anything
+   else prints as [Printf "%.6g"] would, through the same primitive. *)
+let add_num b f =
+  if Float.is_integer f && Float.abs f < 1e15 then begin
+    if Float.sign_bit f then Buffer.add_char b '-';
+    let n = int_of_float (Float.abs f) in
+    if n = 0 then Buffer.add_char b '0' else add_digits b n
+  end
+  else Buffer.add_string b (format_float "%.6g" f)
+
+let add_str b s =
+  Buffer.add_char b '"';
+  add_escaped b s;
+  Buffer.add_char b '"'
 
 let rec write b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
-  | Num f ->
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Buffer.add_string b (Printf.sprintf "%.0f" f)
-    else Buffer.add_string b (Printf.sprintf "%.6g" f)
-  | Str s ->
-    Buffer.add_char b '"';
-    Buffer.add_string b (escape s);
-    Buffer.add_char b '"'
-  | List l ->
+  | Num f -> add_num b f
+  | Str s -> add_str b s
+  | List vs ->
     Buffer.add_char b '[';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char b ',';
-        write b v)
-      l;
+    write_items b 0 vs;
     Buffer.add_char b ']'
   | Obj kvs ->
     Buffer.add_char b '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_char b '"';
-        Buffer.add_string b (escape k);
-        Buffer.add_string b "\":";
-        write b v)
-      kvs;
+    write_members b 0 kvs;
     Buffer.add_char b '}'
+
+(* Element [i] onward of a list or an object, comma-separated: plain
+   recursion, so no closure is built per container. *)
+and write_items b i = function
+  | [] -> ()
+  | v :: vs ->
+    if i > 0 then Buffer.add_char b ',';
+    write b v;
+    write_items b (i + 1) vs
+
+and write_members b i = function
+  | [] -> ()
+  | (k, v) :: kvs ->
+    if i > 0 then Buffer.add_char b ',';
+    add_str b k;
+    Buffer.add_char b ':';
+    write b v;
+    write_members b (i + 1) kvs
 
 let to_string v =
   let b = Buffer.create 256 in

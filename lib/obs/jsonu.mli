@@ -15,10 +15,13 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Compact single-line rendering (no trailing newline). *)
+(** Compact single-line rendering (no trailing newline). Integral numbers
+    below 1e15 in magnitude print as [Printf "%.0f"] would, other numbers
+    as ["%.6g"] would, without going through [Printf]. *)
 
 val escape : string -> string
-(** JSON string-body escaping (no surrounding quotes). *)
+(** JSON string-body escaping (no surrounding quotes); [s] itself when no
+    byte needs escaping. *)
 
 val of_string : string -> (t, string) result
 (** Parse a complete document; [Error] carries a position message. *)

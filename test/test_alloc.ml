@@ -148,33 +148,38 @@ let test_startup_budget (policy : Policy.t) () =
    ~7,500. *)
 let reserved_startup_budget = 4000.
 
-let reserved_startup_words policy =
+let reserved_instance () =
   let inst =
     Resa_gen.Random_inst.alpha_restricted (Prng.create ~seed:1) ~m:64 ~n:6 ~alpha:0.6 ~pmax:200
       ~n_reservations:100 ~horizon:4000 ()
   in
-  let jobs = Instance.jobs inst and reservations = Array.to_list (Instance.reservations inst) in
+  (Instance.jobs inst, Array.to_list (Instance.reservations inst))
+
+(* One replay of it with streaming metrics; [on_row] gets each heartbeat
+   row, the closing one included. *)
+let reserved_run ~on_row policy (jobs, reservations) =
+  let ms = Metrics.Stream.create ~m:64 ~reservations () in
+  let i = ref 0 in
+  let next () =
+    if !i >= Array.length jobs then None
+    else begin
+      let job = jobs.(!i) in
+      incr i;
+      Some Simulator.{ job; submit = 0; estimate = Job.p job }
+    end
+  in
+  let on_heartbeat hb = on_row (Heartbeat.make ~stream:ms hb) in
+  ignore
+    (Simulator.run_stream ~on_heartbeat ~on_record:(Metrics.Stream.observe ms) ~policy ~m:64
+       ~reservations next
+      : Simulator.stream_stats)
+
+let reserved_startup_words policy =
+  let instance = reserved_instance () in
   let direct_major (s : Gc.stat) = s.major_words -. s.promoted_words in
   Tutil.without_metrics (fun () ->
       let s0 = Gc.quick_stat () in
-      let minor =
-        minor_words (fun () ->
-            let ms = Metrics.Stream.create ~m:64 ~reservations () in
-            let i = ref 0 in
-            let next () =
-              if !i >= Array.length jobs then None
-              else begin
-                let job = jobs.(!i) in
-                incr i;
-                Some Simulator.{ job; submit = 0; estimate = Job.p job }
-              end
-            in
-            let on_heartbeat hb = ignore (Heartbeat.make ~stream:ms hb : Heartbeat.row) in
-            ignore
-              (Simulator.run_stream ~on_heartbeat ~on_record:(Metrics.Stream.observe ms) ~policy
-                 ~m:64 ~reservations next
-                : Simulator.stream_stats))
-      in
+      let minor = minor_words (fun () -> reserved_run ~on_row:ignore policy instance) in
       let s1 = Gc.quick_stat () in
       minor +. direct_major s1 -. direct_major s0)
 
@@ -186,6 +191,64 @@ let test_reserved_startup_budget () =
         Alcotest.failf "%s: a reserved 6-job run allocates %.0f words, budget %.0f" policy.name
           w reserved_startup_budget)
     Policy.all
+
+(* Encoding cost of the observability wire formats, in minor words: one
+   JSONL line for each [Trace] constructor, run-tagged as [resa replay]
+   writes them, and the closing heartbeat row of a reserved run as the
+   exact-resv benchmark writes it (no run tag, no registry, no wall
+   section). Every line is built as a [Jsonu] tree and printed by
+   [Jsonu.to_string]; the counts below are that tree, the output buffer
+   and the returned string. *)
+let trace_events =
+  Resa_obs.Trace.
+    [
+      Job_submit { time = 29_955_774; job = 199_999; p = 1_234; q = 17 };
+      Job_start
+        { time = 29_955_774; job = 199_999; wait = 16_357; provenance = Backfilled_ahead_of_head };
+      Job_finish { time = 29_955_774; job = 199_999 };
+      Decision
+        { time = 29_955_774; policy = "FCFS"; queued = 264; started = 3; wake = Some 29_956_000 };
+      Head_blocked
+        {
+          time = 29_955_774; policy = "FCFS"; job = 199_999; reason = Blocked_by_capacity;
+          lo = 29_955_774; hi = 29_957_008; need = 17; have = 3;
+        };
+      Planned { time = 29_955_774; policy = "CONS"; job = 199_999; at = 29_957_008 };
+      Resv_accept { resv = 41; start = 29_955_774; p = 1_234; q = 17 };
+      Resv_reject { start = 29_955_774; p = 1_234; q = 17; reason = "alpha" };
+      Sim_wake { time = 29_955_774; forced = true };
+    ]
+
+(* 956 words for the nine lines (~106 a line: ~60 of tree, ~40 of output
+   buffer, the string). Formatting every number through [Printf] and
+   escaping every key through a fresh buffer took 3,878. *)
+let trace_lines_budget = 1095.
+
+let test_trace_lines_budget () =
+  let w =
+    minor_words (fun () ->
+        List.iter (fun ev -> ignore (Resa_obs.Trace.to_json ~run:"FCFS" ev : string)) trace_events)
+  in
+  if w > trace_lines_budget then
+    Alcotest.failf "encoding %d run-tagged trace lines allocates %.0f words, budget %.0f"
+      (List.length trace_events) w trace_lines_budget
+
+let closing_row () =
+  let last = ref None in
+  reserved_run ~on_row:(fun r -> last := Some r) Policy.fcfs (reserved_instance ());
+  Option.get !last
+
+(* 185 words: ~120 of tree, ~40 of output buffer, the 175-byte string
+   and the one non-integral number. Through [Printf] it took 1,062. *)
+let heartbeat_row_budget = 210.
+
+let test_heartbeat_row_budget () =
+  let row = Tutil.without_metrics closing_row in
+  Out_channel.with_open_bin Filename.null (fun oc ->
+      let w = minor_words (fun () -> Heartbeat.write oc row) in
+      if w > heartbeat_row_budget then
+        Alcotest.failf "Heartbeat.write of a closing row allocates %.0f words, budget %.0f" w
+          heartbeat_row_budget)
 
 let suite =
   List.map
@@ -212,3 +275,11 @@ let suite =
           (Printf.sprintf "%s sim run within %.0f words/event" p.name sim_budget)
           `Quick (test_sim_budget p))
       Policy.all
+  @ [
+      Alcotest.test_case
+        (Printf.sprintf "trace lines within %.0f words" trace_lines_budget)
+        `Quick test_trace_lines_budget;
+      Alcotest.test_case
+        (Printf.sprintf "heartbeat row within %.0f words" heartbeat_row_budget)
+        `Quick test_heartbeat_row_budget;
+    ]

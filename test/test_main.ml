@@ -31,6 +31,7 @@ let () =
       ("stats", Test_stats.suite);
       ("par", Test_par.suite);
       ("obs", Test_obs.suite);
+      ("jsonu", Test_jsonu.suite);
       ("metrics", Test_metrics.suite);
       ("alloc", Test_alloc.suite);
       ("instance-io", Test_io.suite);

@@ -546,7 +546,10 @@ let test_explain_render () =
         match Trace.parse_line line with Ok e -> e | Error e -> Alcotest.fail e)
       (List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' text))
   in
-  let out = Resa_obs.Explain.render events in
+  let path = Filename.temp_file "explain" ".txt" in
+  Out_channel.with_open_text path (fun oc -> Resa_obs.Explain.render oc (List.to_seq events));
+  let out = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
   List.iter
     (fun sub ->
       Alcotest.(check bool) (Printf.sprintf "explain mentions %S" sub) true
