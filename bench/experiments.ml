@@ -35,6 +35,11 @@ let emit name t =
    schedule arbitrarily bad.                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* A generated trace read the way an archive file is: rendered as SWF text
+   and pulled through the one reader. *)
+let read_swf ~m entries =
+  List.of_seq (Seq.of_dispenser (Resa_swf.Swf_stream.of_string ~m (Resa_swf.Swf.to_string entries)))
+
 let witness_schedule tp inst =
   (* Schedule group l inside window l of the reduction instance. *)
   match Threepartition.solve tp with
@@ -354,8 +359,7 @@ let t3 () =
   section "T3: online policies on a synthetic SWF trace with admitted reservations (a=0.5)";
   let m = 64 and n = 250 in
   let rng = Prng.create ~seed:777 in
-  let entries = Resa_swf.Swf.generate rng ~m ~n ~max_runtime:200 ~mean_gap:6.0 in
-  let workload = Resa_swf.Swf.to_workload entries ~m in
+  let arrivals = read_swf ~m (Resa_swf.Swf.generate rng ~m ~n ~max_runtime:200 ~mean_gap:6.0) in
   (* Admit periodic demo reservations under the alpha cap. *)
   let book = Resa_sim.Reservation_book.create ~m ~alpha:0.5 () in
   let granted = ref 0 and rejected = ref 0 in
@@ -371,7 +375,10 @@ let t3 () =
   let reservations = Resa_sim.Reservation_book.accepted book in
   Printf.printf "Reservation book: %d granted, %d rejected by the alpha cap.\n\n" !granted !rejected;
   let subs =
-    List.map (fun (job, submit) -> Resa_sim.Simulator.{ job; submit }) workload
+    List.map
+      (fun (a : Resa_swf.Swf_stream.arrival) ->
+        Resa_sim.Simulator.{ job = a.job; submit = a.submit })
+      arrivals
   in
   print_endline Resa_sim.Metrics.header;
   (* One simulation per policy, in parallel; each policy value carries its
@@ -467,15 +474,20 @@ let t4 () =
   in
   let row (factor, policy_idx) =
     let rng = Prng.create ~seed:31337 in
-    let entries =
-      Resa_swf.Swf.generate ~overestimate:factor rng ~m:32 ~n:150 ~max_runtime:100
-        ~mean_gap:6.0
+    let arrivals =
+      read_swf ~m:32
+        (Resa_swf.Swf.generate ~overestimate:factor rng ~m:32 ~n:150 ~max_runtime:100
+           ~mean_gap:6.0)
     in
-    let triples = Resa_swf.Swf.to_estimated_workload entries ~m:32 in
     let subs =
-      List.map (fun (job, submit, _) -> Resa_sim.Simulator.{ job; submit }) triples
+      List.map
+        (fun (a : Resa_swf.Swf_stream.arrival) ->
+          Resa_sim.Simulator.{ job = a.job; submit = a.submit })
+        arrivals
     in
-    let estimates = Array.of_list (List.map (fun (_, _, e) -> e) triples) in
+    let estimates =
+      Array.of_list (List.map (fun (a : Resa_swf.Swf_stream.arrival) -> a.estimate) arrivals)
+    in
     let policy = List.nth Resa_sim.Policy.all policy_idx in
     let trace = Resa_sim.Simulator.run ~policy ~m:32 ~estimates subs in
     let s = Resa_sim.Metrics.summarize trace in

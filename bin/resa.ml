@@ -189,13 +189,10 @@ let solve_cmd =
 (* ------------------------------------------------------------------ *)
 
 let replay swf_path m n max_runtime mean_gap seed policy_name overestimate heartbeat_out hb_every
-    hb_dt prom_out metrics_on max_allocs trace_out chrome_out csv_out =
+    prom_out metrics_on max_allocs trace_out chrome_out csv_out =
   (* --prom needs the registry populated; --metrics asks for it explicitly
      (same switch as RESA_METRICS=1). *)
   if metrics_on || prom_out <> None then Resa_obs.Metrics.enable ();
-  let trace_out =
-    match trace_out with Some _ as p -> p | None -> Sys.getenv_opt "RESA_TRACE"
-  in
   (* Exports are opt-in: without them a run keeps no per-job state, so the
      constant-memory replay is unchanged. The event stream goes to one
      callback per run, which writes each event to --trace as it happens and
@@ -310,8 +307,8 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate heart
           let stats =
             try
               with_stream (fun src ->
-                  Resa_sim.Simulator.run_stream ~obs ~heartbeat_every:hb_every
-                    ~heartbeat_dt:hb_dt ?on_heartbeat ~on_record ~policy ~m
+                  Resa_sim.Simulator.run_stream ~obs ~heartbeat_every:hb_every ?on_heartbeat
+                    ~on_record ~policy ~m
                     (fun () -> Option.map to_arrival (src ())))
             with Resa_swf.Swf_stream.Parse_error { line; msg } ->
               Printf.eprintf "error: line %d: %s\n" line msg;
@@ -458,12 +455,6 @@ let replay_cmd =
             "Snapshot every $(docv) events (arrivals + completions). Default with --heartbeat \
              and no cadence: 65536.")
   in
-  let hb_dt =
-    Arg.(
-      value & opt int 0
-      & info [ "heartbeat-dt" ] ~docv:"T"
-          ~doc:"Snapshot every $(docv) simulation time units (0 disables the time cadence).")
-  in
   let prom_out =
     Arg.(
       value
@@ -500,8 +491,7 @@ let replay_cmd =
           ~doc:
             "Write the structured event stream (JSONL, one event per line, tagged with the \
              policy name) to $(docv), each event as it happens. The file holds every event of \
-             every run, so it grows with the replay's length. Defaults to $(b,RESA_TRACE) when \
-             set.")
+             every run, so it grows with the replay's length.")
   in
   let chrome_out =
     Arg.(
@@ -529,7 +519,7 @@ let replay_cmd =
           event-trace, Gantt and per-job exports")
     Term.(
       const replay $ swf $ m $ n $ max_runtime $ mean_gap $ seed_arg $ policy $ overestimate
-      $ heartbeat_out $ hb_every $ hb_dt $ prom_out $ metrics_on $ max_allocs
+      $ heartbeat_out $ hb_every $ prom_out $ metrics_on $ max_allocs
       $ trace_out $ chrome_out $ csv_out)
 
 (* ------------------------------------------------------------------ *)

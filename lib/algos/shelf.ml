@@ -2,8 +2,6 @@ open Resa_core
 
 type variant = Nfdh | Ffdh
 
-let variant_name = function Nfdh -> "NFDH" | Ffdh -> "FFDH"
-
 (* Shelves are built over jobs sorted by decreasing duration, so the first
    job of each shelf realises the shelf height. *)
 type shelf = { mutable width_left : int; mutable members : int list; height : int }

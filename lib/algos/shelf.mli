@@ -20,8 +20,6 @@ open Resa_core
 
 type variant = Nfdh | Ffdh
 
-val variant_name : variant -> string
-
 val run : variant -> Instance.t -> Schedule.t
 (** Feasible for any instance (reservation-aware stacking as described
     above). *)

@@ -65,10 +65,6 @@ let shuffle g a =
     a.(j) <- tmp
   done
 
-let choose g a =
-  if Array.length a = 0 then invalid_arg "Prng.choose: empty array";
-  a.(int g ~bound:(Array.length a))
-
 let exponential g ~mean =
   if mean <= 0.0 then invalid_arg "Prng.exponential: mean must be positive";
   let u = 1.0 -. float g ~bound:1.0 in

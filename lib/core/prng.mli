@@ -44,9 +44,6 @@ val bool : t -> bool
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean (> 0): exactly
     [-.mean *. log (1.0 -. (float_of_int (bits53 g) /. 0x1p53))]. *)

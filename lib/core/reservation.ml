@@ -12,9 +12,6 @@ let p r = r.p
 let q r = r.q
 let stop r = r.start + r.p
 
-let active_at r t = r.start <= t && t < stop r
-let overlaps r ~lo ~hi = r.start < hi && lo < stop r
-
 let equal a b = a.id = b.id && a.start = b.start && a.p = b.p && a.q = b.q
 
 let compare a b =

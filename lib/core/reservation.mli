@@ -17,12 +17,6 @@ val q : t -> int
 val stop : t -> int
 (** [stop r = start r + p r], the first instant after the reservation. *)
 
-val active_at : t -> int -> bool
-(** [active_at r t] iff [start r <= t < stop r]. *)
-
-val overlaps : t -> lo:int -> hi:int -> bool
-(** Whether the reservation intersects the half-open window [\[lo, hi)]. *)
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Order by [(start, stop, q, id)] — chronological sweep order. *)

@@ -65,19 +65,6 @@ let utilization inst s =
     if avail_area = 0 then 1.0
     else float_of_int (Instance.total_work inst) /. float_of_int avail_area
 
-let idle_area inst s =
-  let cmax = makespan inst s in
-  if cmax = 0 then 0
-  else Profile.integral_on (Instance.availability inst) ~lo:0 ~hi:cmax - Instance.total_work inst
-
-let running_at inst s time =
-  let acc = ref [] in
-  for i = Array.length s.starts - 1 downto 0 do
-    let st = s.starts.(i) in
-    if st <= time && time < st + Job.p (Instance.job inst i) then acc := i :: !acc
-  done;
-  !acc
-
 let pp ppf s =
   Format.fprintf ppf "@[<hov>[%a]@]"
     (Format.pp_print_seq ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") Format.pp_print_int)

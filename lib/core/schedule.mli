@@ -42,12 +42,6 @@ val utilization : Instance.t -> t -> float
     by jobs over [\[0, makespan)]; 1.0 means no available processor was ever
     idle. Returns 1.0 for an empty schedule. *)
 
-val idle_area : Instance.t -> t -> int
-(** Available-but-idle processor·time over [\[0, makespan)]. *)
-
-val running_at : Instance.t -> t -> int -> int list
-(** Indices of jobs running at a given time (the set I_t of the paper). *)
-
 val pp : Format.formatter -> t -> unit
 
 val pp_violation : Format.formatter -> violation -> unit

@@ -15,8 +15,3 @@ let uniform rng ~n ~horizon =
   let a = Array.init n (fun _ -> Prng.int rng ~bound:horizon) in
   Array.sort Int.compare a;
   a
-
-let bursts rng ~n ~burst_size ~gap =
-  if burst_size < 1 || gap < 1 then invalid_arg "Arrivals.bursts: bad parameters";
-  ignore rng;
-  Array.init n (fun i -> i / burst_size * gap)

@@ -8,8 +8,3 @@ val poisson : Prng.t -> n:int -> mean_gap:float -> int array
 
 val uniform : Prng.t -> n:int -> horizon:int -> int array
 (** [n] sorted arrival times uniform over [\[0, horizon)]. *)
-
-val bursts : Prng.t -> n:int -> burst_size:int -> gap:int -> int array
-(** Arrivals in bursts of [burst_size] simultaneous jobs, bursts separated
-    by [gap] time units — the "demonstration at a scheduled meeting"
-    pattern. *)

@@ -65,7 +65,8 @@ val per_job :
     [provenance] maps a job id to its provenance label (the provenance of
     the job's [Job_start] trace event); defaults to [fun _ -> ""].
     [job_numbers] maps the renumbered id to the source trace's job number
-    (as built by [Swf.job_numbers]); defaults to the identity. *)
+    (the [job_number] of each [Swf_stream.arrival], in arrival
+    order); defaults to the identity. *)
 
 val per_job_csv : ?run:string -> job_row list -> string
 (** Render rows as CSV with a header line. With [?run], a leading [run]

@@ -91,8 +91,14 @@ let gc free t =
   end
   else Timeline.gc free ~upto:t
 
-let validate_input ~m ~jobs ~reservations =
-  match Instance.validate ~m ~jobs ~reservations with Ok () -> () | Error msg -> invalid_arg msg
+(* The machine and the reservation ids, as [Instance.create] checks them
+   and with its messages; the sweep checks the capacity. No instance and no
+   profile is built. Arrivals are checked one by one as they are pulled
+   ([peek_arrival], [admit]). *)
+let validate_machine ~m ~reservations =
+  match Instance.validate ~m ~jobs:[] ~reservations with
+  | Ok () -> ()
+  | Error msg -> invalid_arg msg
 
 (* The state of one run of the event loop behind [run_stream], [run] and
    [run_order]: one record, so that a run's set-up allocates a handful of
@@ -118,7 +124,6 @@ type run = {
   on_heartbeat : (heartbeat -> unit) option;
   gc_every : int;
   hb_every : int;
-  hb_dt : int;
   sweep : Resv_sweep.t;
   free : Timeline.t;
   events : Eventq.t;
@@ -154,7 +159,6 @@ type run = {
   mutable max_live : int;
   mutable hb_seq : int;
   mutable hb_last_ev : int;
-  mutable hb_last_t : int;
   (* Segment count past which the timeline is collected (see
      [auto_gc_nodes]). *)
   mutable gc_nodes : int;
@@ -242,28 +246,27 @@ let emit_heartbeat r t =
         hb_makespan = r.makespan;
         hb_nodes = Timeline.node_count r.free;
       };
-    r.hb_last_ev <- events_seen r;
-    r.hb_last_t <- t
+    r.hb_last_ev <- events_seen r
 
-let heartbeat_due r t =
+(* A sampler always has a positive cadence ([run_stream]). *)
+let heartbeat_due r =
   match r.on_heartbeat with
   | None -> false
-  | Some _ ->
-    (r.hb_every > 0 && events_seen r - r.hb_last_ev >= r.hb_every)
-    || (r.hb_dt > 0 && t - r.hb_last_t >= r.hb_dt)
+  | Some _ -> events_seen r - r.hb_last_ev >= r.hb_every
 
-(* Whether an arrival is ready in the lookahead, pulling one if none is. *)
+(* Whether an arrival is ready in the lookahead, pulling one if none is.
+   This and [admit] are the engine's one check of its input: every entry
+   point feeds its arrivals through them. *)
 let peek_arrival r =
   r.ready
   || r.last_submit >= 0
      &&
      if r.pull r then begin
-       if r.a_submit < 0 then invalid_arg "Simulator.run_stream: negative submit time";
+       if r.a_submit < 0 then invalid_arg "Simulator: negative submit time";
        if r.a_submit < r.last_submit then
-         invalid_arg "Simulator.run_stream: submit times must be non-decreasing";
-       if r.a_est < r.a_job.Job.p then
-         invalid_arg "Simulator.run_stream: estimate below the actual runtime";
-       if r.a_job.Job.q > r.m then invalid_arg "Simulator.run_stream: job wider than the machine";
+         invalid_arg "Simulator: submit times must be non-decreasing";
+       if r.a_est < r.a_job.Job.p then invalid_arg "Simulator: estimate below the actual runtime";
+       if r.a_job.Job.q > r.m then invalid_arg "Simulator: job wider than the machine";
        r.last_submit <- r.a_submit;
        r.ready <- true;
        true
@@ -280,7 +283,7 @@ let admit r t =
   let id = job.Job.id in
   let slot = alloc_slot r in
   if not (Ids.add r.slot_of id slot) then
-    invalid_arg "Simulator.run_stream: duplicate live job id";
+    invalid_arg "Simulator: duplicate live job id";
   r.sjob.(slot) <- job;
   sset r slot o_adm r.n_jobs;
   sset r slot o_submit r.a_submit;
@@ -571,7 +574,7 @@ let rec loop r =
           (Trace.Decision { time = t; policy = r.name; queued = 0; started = 0; wake = None })
     end
     else consult r t;
-    if heartbeat_due r t then emit_heartbeat r t;
+    if heartbeat_due r then emit_heartbeat r t;
     loop r
   end
 
@@ -586,8 +589,7 @@ let rec loop r =
    job's admission index (0 for the first arrival pulled), so callers
    holding the arrivals in an array write each start back by position.
    [slots] is the initial per-job capacity (it doubles as needed). *)
-let run_core ~obs ~policy ~m ~sweep ~gc_every ~hb_every ~hb_dt ~on_heartbeat ~on_start ~slots
-    pull =
+let run_core ~obs ~policy ~m ~sweep ~gc_every ~hb_every ~on_heartbeat ~on_start ~slots pull =
   let r =
     {
       obs;
@@ -602,7 +604,6 @@ let run_core ~obs ~policy ~m ~sweep ~gc_every ~hb_every ~hb_dt ~on_heartbeat ~on
       on_heartbeat;
       gc_every;
       hb_every;
-      hb_dt;
       sweep;
       (* Free capacity lives in one mutable timeline for the whole run (a
          binary search plus the blocks touched per start/release/query),
@@ -633,7 +634,6 @@ let run_core ~obs ~policy ~m ~sweep ~gc_every ~hb_every ~hb_dt ~on_heartbeat ~on
       completions = 0;
       hb_seq = 0;
       hb_last_ev = 0;
-      hb_last_t = 0;
       gc_nodes = auto_gc_nodes;
       last_submit = 0;
       ready = false;
@@ -654,24 +654,17 @@ let run_core ~obs ~policy ~m ~sweep ~gc_every ~hb_every ~hb_dt ~on_heartbeat ~on
   emit_heartbeat r (max r.last_t r.makespan);
   { jobs = r.n_jobs; makespan = r.makespan; max_queued = r.max_queued; max_live = r.max_live }
 
-let run_stream ?(obs = Trace.null) ?(gc_every = 0) ?(heartbeat_every = 0) ?(heartbeat_dt = 0)
-    ?on_heartbeat ?(on_record = fun (_ : record) -> ()) ~policy ~m ?(reservations = []) next =
+let run_stream ?(obs = Trace.null) ?(gc_every = 0) ?(heartbeat_every = 0) ?on_heartbeat
+    ?(on_record = fun (_ : record) -> ()) ~policy ~m ?(reservations = []) next =
   if gc_every < 0 then invalid_arg "Simulator.run_stream: negative gc_every";
   if heartbeat_every < 0 then invalid_arg "Simulator.run_stream: negative heartbeat_every";
-  if heartbeat_dt < 0 then invalid_arg "Simulator.run_stream: negative heartbeat_dt";
   (* With a sampler attached but no cadence given, default to one snapshot
      every 65536 events — frequent enough to watch a replay live, sparse
      enough to stay invisible in the wall clock. *)
-  let hb_every =
-    if on_heartbeat <> None && heartbeat_every = 0 && heartbeat_dt = 0 then 65536
-    else heartbeat_every
-  in
-  (* The machine and the reservation ids are validated as [Instance.create]
-     would, with its messages; the sweep checks the capacity. No instance
-     and no profile is built. *)
-  validate_input ~m ~jobs:[] ~reservations;
+  let hb_every = if on_heartbeat <> None && heartbeat_every = 0 then 65536 else heartbeat_every in
+  validate_machine ~m ~reservations;
   run_core ~obs ~policy ~m ~sweep:(Resv_sweep.run ~m reservations) ~gc_every ~hb_every
-    ~hb_dt:heartbeat_dt ~on_heartbeat
+    ~on_heartbeat
     ~on_start:(fun _ job submit start -> on_record { job; submit; start })
     ~slots:8
     (fun r ->
@@ -694,15 +687,7 @@ let run ?(obs = Trace.null) ~policy ~m ?(reservations = []) ?estimates
       if Array.length e <> n then invalid_arg "Simulator.run: estimates length mismatch";
       e
   in
-  Array.iteri
-    (fun i (s : submitted) ->
-      if s.submit < 0 then invalid_arg "Simulator.run: negative submit time";
-      if estimates.(i) < s.job.Job.p then
-        invalid_arg "Simulator.run: estimate below the actual runtime")
-    subs;
-  (* Ids and widths are validated as [Instance.create] would; the sweep
-     checks the capacity. *)
-  validate_input ~m ~jobs:(List.map (fun (s : submitted) -> s.job) submissions) ~reservations;
+  validate_machine ~m ~reservations;
   (* Feed the engine in (submit, list position) order: equal submits are
      admitted in list order. *)
   let order = Array.init n (fun i -> i) in
@@ -715,7 +700,7 @@ let run ?(obs = Trace.null) ~policy ~m ?(reservations = []) ?estimates
   let records = Array.make n { job = dummy_job; submit = 0; start = -1 } in
   let stats =
     run_core ~obs ~policy ~m ~sweep:(Resv_sweep.run ~m reservations) ~gc_every:0 ~hb_every:0
-      ~hb_dt:0 ~on_heartbeat:None
+      ~on_heartbeat:None
       ~on_start:(fun k job submit start -> records.(order.(k)) <- { job; submit; start })
       ~slots:(max 1 n)
       (fun r ->
@@ -737,7 +722,7 @@ let run_order ~policy inst order =
   let starts = Array.make n (-1) in
   ignore
     (run_core ~obs:Trace.null ~policy ~m:(Instance.m inst) ~sweep:(Instance.sweep inst)
-       ~gc_every:0 ~hb_every:0 ~hb_dt:0 ~on_heartbeat:None
+       ~gc_every:0 ~hb_every:0 ~on_heartbeat:None
        ~on_start:(fun k _ _ start -> starts.(order.(k)) <- start)
        ~slots:(max 1 n)
        (fun r ->

@@ -106,8 +106,14 @@ val run :
   trace
 (** Simulate a materialised submission list to completion — {!run_stream}
     fed in (submit, list position) order, with the records collected back
-    into submission order. Jobs must have distinct ids, [q <= m] and
-    non-negative submit times; reservations must fit the machine.
+    into submission order. Reservations must fit the machine, checked
+    before the run starts. Each submission is checked as the engine pulls
+    it, as {!run_stream} checks its arrivals and with the same
+    [Invalid_argument] texts: a negative submit time, an estimate below the
+    actual runtime, [q > m], or an id shared with a job still waiting or
+    running. An id reused by jobs that are never live together is
+    accepted. A fault raises mid-run, after the events before it were
+    traced.
 
     [estimates] (default: the actual runtimes) gives each submission, in
     order, a {e requested} walltime [estimates.(i) >= actual p]: policies
@@ -115,13 +121,13 @@ val run :
     true runtime, and the capacity reserved for the unused tail is released
     at completion — the mechanism behind backfilling's well-known
     sensitivity to user walltime overestimation. The returned records carry
-    the {e actual} jobs. *)
+    the {e actual} jobs. An [estimates] array of the wrong length raises
+    [Invalid_argument] before the run. *)
 
 val run_stream :
   ?obs:Resa_obs.Trace.t ->
   ?gc_every:int ->
   ?heartbeat_every:int ->
-  ?heartbeat_dt:int ->
   ?on_heartbeat:(heartbeat -> unit) ->
   ?on_record:(record -> unit) ->
   policy:Policy.t ->
@@ -145,22 +151,26 @@ val run_stream :
 
     [on_heartbeat] (default: none) attaches a periodic telemetry sampler:
     after processing a decision instant, if at least [heartbeat_every]
-    events (arrivals + completions) or [heartbeat_dt] sim-time units have
-    elapsed since the previous snapshot, one {!heartbeat} is emitted; a
-    closing snapshot always follows the last event. With a sampler but no
-    cadence the default is one snapshot per 65536 events. Heartbeats are
-    pure simulation data — deterministic, and with no sampler attached
-    the run is byte-identical to one without the feature. Cadences must
-    be non-negative ([Invalid_argument] otherwise).
+    events (arrivals + completions) have elapsed since the previous
+    snapshot, one {!heartbeat} is emitted; a closing snapshot always
+    follows the last event. With a sampler but no cadence ([0], the
+    default) it is one snapshot per 65536 events. Heartbeats are pure
+    simulation data — deterministic, and with no sampler attached the run
+    is byte-identical to one without the feature. [gc_every] and
+    [heartbeat_every] must be non-negative ([Invalid_argument]
+    otherwise).
 
     Semantics are those of {!run} [~estimates] on the drained arrival list:
     same decisions, same starts, and byte-identical [?obs] traces — at any
     instant due arrivals are admitted before queued events, which pop in
     push order (enforced by the differential suite in
-    [test/test_stream.ml], including under [gc_every:1]). Per-arrival
-    validation (negative submit, decreasing submit, estimate below
-    runtime, width over [m], duplicate live id) raises [Invalid_argument]
-    at the offending pull. *)
+    [test/test_stream.ml], including under [gc_every:1]). The machine and
+    the reservations are checked before the run. Each arrival is checked
+    at its pull, with one [Invalid_argument] text per fault:
+    ["Simulator: negative submit time"], ["Simulator: submit times must be
+    non-decreasing"], ["Simulator: estimate below the actual runtime"],
+    ["Simulator: job wider than the machine"] and ["Simulator: duplicate
+    live job id"] (an id shared with a job still waiting or running). *)
 
 val run_order : policy:Policy.t -> Instance.t -> int array -> Schedule.t
 (** The offline schedule of [policy]: every job of the instance submitted

@@ -2,16 +2,6 @@ let mean = function
   | [] -> 0.0
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let variance xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    let mu = mean xs in
-    List.fold_left (fun acc x -> acc +. ((x -. mu) *. (x -. mu))) 0.0 xs
-    /. float_of_int (List.length xs)
-
-let stddev xs = sqrt (variance xs)
-
 let min_max = function
   | [] -> invalid_arg "Stats.min_max: empty list"
   | x :: xs -> List.fold_left (fun (lo, hi) v -> (Float.min lo v, Float.max hi v)) (x, x) xs
@@ -65,12 +55,9 @@ let describe xs =
         max = a.(n - 1);
       }
 
-let percentile xs ~p =
-  match xs with
-  | [] -> invalid_arg "Stats.percentile: empty list"
-  | _ -> percentile_of_sorted (sorted_of_list xs) ~p
-
-let median xs = percentile xs ~p:50.0
+let median = function
+  | [] -> invalid_arg "Stats.median: empty list"
+  | xs -> percentile_of_sorted (sorted_of_list xs) ~p:50.0
 
 let histogram ~bins xs =
   if bins < 1 then invalid_arg "Stats.histogram: bins must be >= 1";
@@ -264,13 +251,6 @@ module P2 = struct
     end
     else t.h.(2)
 end
-
-let summary_line xs =
-  match describe xs with
-  | None -> "n=0"
-  | Some d ->
-    Printf.sprintf "n=%d mean=%.3f std=%.3f min=%.3f p50=%.3f max=%.3f" d.count d.mean d.std
-      d.min d.p50 d.max
 
 (* --- terminal sparklines -------------------------------------------------- *)
 

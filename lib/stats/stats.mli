@@ -3,14 +3,6 @@
 val mean : float list -> float
 (** 0 on the empty list. *)
 
-val variance : float list -> float
-(** Population variance; 0 on lists shorter than 2. *)
-
-val stddev : float list -> float
-
-val min_max : float list -> float * float
-(** Raises [Invalid_argument] on the empty list. *)
-
 type summary = {
   count : int;
   mean : float;
@@ -23,23 +15,17 @@ type summary = {
 
 val describe : float list -> summary option
 (** Full summary in a single pass: one sort plus one fold. [None] on the
-    empty list. {!summary_line}, {!median} and {!percentile} are thin
-    wrappers over the same sorted-array machinery. *)
-
-val percentile : float list -> p:float -> float
-(** Nearest-rank percentile, [p ∈ [0, 100]]. Raises on the empty list.
-    Sorts into an array once; the rank lookup itself is O(1). *)
+    empty list. {!median} is a thin wrapper over the same sorted-array
+    machinery. *)
 
 val median : float list -> float
+(** Nearest-rank median. Raises [Invalid_argument] on the empty list. *)
 
 val histogram : bins:int -> float list -> (float * float * int) list
 (** Equal-width bins [(lo, hi, count)] spanning the data range. When the
     range is degenerate (all samples equal) the result collapses to the
     single bin [(lo, lo, n)] instead of reporting [bins - 1] fabricated
     empty ranges beyond the data. *)
-
-val summary_line : float list -> string
-(** "n=… mean=… std=… min=… p50=… max=…" *)
 
 (** {2 Streaming accumulators}
 
@@ -73,7 +59,7 @@ end
     O(1) memory and per-observation time. Exact while [count <= 5] (the
     observations are buffered); afterwards a heuristic whose error on
     smooth distributions is typically well under a percent of the value —
-    the differential tests pin it against {!percentile}. Not mergeable. *)
+    the tests pin its exact prefix and its range. Not mergeable. *)
 module P2 : sig
   type t
 

@@ -12,11 +12,6 @@ let add_row t row =
       (Printf.sprintf "Table.add_row: expected %d cells, got %d" t.width (List.length row));
   t.rows <- row :: t.rows
 
-let add_float_row t ?(decimals = 3) row =
-  add_row t (List.map (fun v -> Printf.sprintf "%.*f" decimals v) row)
-
-let n_rows t = List.length t.rows
-
 let render t =
   let rows = List.rev t.rows in
   let all = t.headers :: rows in

@@ -7,11 +7,7 @@ val create : headers:string list -> t
 val add_row : t -> string list -> unit
 (** Raises [Invalid_argument] on a row of the wrong width. *)
 
-val add_float_row : t -> ?decimals:int -> float list -> unit
-
 val render : t -> string
 (** Column-aligned text, header underlined. *)
 
 val to_csv : t -> string
-
-val n_rows : t -> int

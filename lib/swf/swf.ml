@@ -48,12 +48,12 @@ let default =
 
 (* --- the line scanner -------------------------------------------------------
 
-   One tokenizer for every reader: [parse_line] and [parse_string] view a
-   string through it, [Swf_stream] runs it over its read block. Tokens are
-   maximal runs of anything but the blanks ' ', '\t' and '\r' ('\r' is a
-   blank so CRLF traces parse). A plain decimal token — an optional '-' and
-   1–18 digits, which cannot overflow — is converted while it is scanned;
-   any other token takes the slow path below on a substring. *)
+   The tokenizer behind [Swf_stream], which runs it in place over its read
+   block. Tokens are maximal runs of anything but the blanks ' ', '\t' and
+   '\r' ('\r' is a blank so CRLF traces parse). A plain decimal token — an
+   optional '-' and 1–18 digits, which cannot overflow — is converted while
+   it is scanned; any other token takes the slow path below on a
+   substring. *)
 
 let is_blank c = c = ' ' || c = '\t' || c = '\r'
 let is_digit c = c >= '0' && c <= '9'
@@ -61,7 +61,7 @@ let is_digit c = c >= '0' && c <= '9'
 (* The archive stores a few fields (e.g. average CPU) as floats; accept
    them. Durations (fields 4 and 9) round {e up}: truncating a 0.9-second
    runtime to 0 would turn a job that occupied the machine into a no-work
-   entry that [kept] drops. *)
+   entry that [keep_fields] drops. *)
 let convert_slow i tok =
   match int_of_string_opt tok with
   | Some _ as v -> v
@@ -129,51 +129,6 @@ let scan_error b ~pos ~stop r =
     Printf.sprintf "field %s: %S is not a number" field_names.(k) (nth pos k)
   end
 
-let entry_of_fields f =
-  {
-    job_number = f.(0);
-    submit = f.(1);
-    wait = f.(2);
-    run = f.(3);
-    alloc_procs = f.(4);
-    avg_cpu = f.(5);
-    used_mem = f.(6);
-    req_procs = f.(7);
-    req_time = f.(8);
-    req_mem = f.(9);
-    status = f.(10);
-    user = f.(11);
-    group = f.(12);
-    app = f.(13);
-    queue = f.(14);
-    partition = f.(15);
-    preceding = f.(16);
-    think_time = f.(17);
-  }
-
-(* [parse_line] and [parse_string] on one line of [b]. *)
-let parse_in b ~pos ~stop fields =
-  match scan b ~pos ~stop fields with
-  | 0 -> Ok None
-  | 18 -> Ok (Some (entry_of_fields fields))
-  | r -> Error (scan_error b ~pos ~stop r)
-
-let parse_line line =
-  parse_in (Bytes.unsafe_of_string line) ~pos:0 ~stop:(String.length line) (Array.make 18 0)
-
-let parse_string text =
-  let b = Bytes.unsafe_of_string text and len = String.length text in
-  let fields = Array.make 18 0 in
-  let rec go lineno pos acc =
-    let stop = match String.index_from_opt text pos '\n' with Some i -> i | None -> len in
-    match parse_in b ~pos ~stop fields with
-    | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
-    | Ok e ->
-      let acc = match e with Some e -> e :: acc | None -> acc in
-      if stop = len then Ok (List.rev acc) else go (lineno + 1) (stop + 1) acc
-  in
-  go 1 0 []
-
 let to_line e =
   Printf.sprintf "%d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d" e.job_number e.submit
     e.wait e.run e.alloc_procs e.avg_cpu e.used_mem e.req_procs e.req_time e.req_mem e.status
@@ -189,74 +144,27 @@ let to_string ?(comments = []) entries =
     entries;
   Buffer.contents buf
 
-(* --- conversion rules, on bare fields ---------------------------------------
+(* --- the conversion rule, on bare fields -------------------------------------
 
-   The batch converters apply these to an [entry], [Swf_stream] to its
-   scanned field array ([keep_fields], [arrival_of_fields]): one rule set,
-   no per-line record on the stream path. *)
+   [Swf_stream] applies these to the field array [scan] wrote: no per-line
+   record. Entries with neither a positive runtime nor a positive request
+   carry no work at all (jobs cancelled before starting, archive status 0/5
+   stubs) and are dropped; converting them used to fabricate phantom
+   1-second jobs. A kept entry's runtime is [run], or [req_time] when the
+   archive does not know the runtime ([run <= 0]). *)
 
-(* Entries with neither a positive runtime nor a positive request carry no
-   work at all (jobs cancelled before starting, archive status 0/5 stubs);
-   converting them used to fabricate phantom 1-second jobs via [max 1]. *)
-let kept ~keep_failed ~run ~req_time ~status =
-  (run > 0 || req_time > 0) && (keep_failed || status <> 0)
+let keep_fields ~keep_failed f =
+  (f.(3) > 0 || f.(8) > 0) && (keep_failed || f.(10) <> 0)
 
-let width ~m ~req_procs ~alloc_procs =
-  max 1 (min m (if req_procs > 0 then req_procs else alloc_procs))
-
-let estimated ~m ~id ~job_number ~submit ~run ~req_procs ~alloc_procs ~req_time : arrival =
-  let p = max 1 run in
+let arrival_of_fields ~m ~id f : arrival =
+  let run = f.(3) and req_procs = f.(7) and req_time = f.(8) in
+  let p = max 1 (if run > 0 then run else req_time) in
   {
-    job = Job.make ~id ~p ~q:(width ~m ~req_procs ~alloc_procs);
-    submit = max 0 submit;
+    job = Job.make ~id ~p ~q:(max 1 (min m (if req_procs > 0 then req_procs else f.(4))));
+    submit = max 0 f.(1);
     estimate = max p req_time;
-    job_number;
+    job_number = f.(0);
   }
-
-let keep ~keep_failed e = kept ~keep_failed ~run:e.run ~req_time:e.req_time ~status:e.status
-
-let keep_fields ~keep_failed f = kept ~keep_failed ~run:f.(3) ~req_time:f.(8) ~status:f.(10)
-
-let arrival_of_fields ~m ~id f =
-  estimated ~m ~id ~job_number:f.(0) ~submit:f.(1) ~run:f.(3) ~req_procs:f.(7) ~alloc_procs:f.(4)
-    ~req_time:f.(8)
-
-let to_workload ?(keep_failed = true) entries ~m =
-  List.filter (keep ~keep_failed) entries
-  |> List.mapi (fun i e ->
-         let q = width ~m ~req_procs:e.req_procs ~alloc_procs:e.alloc_procs in
-         let p0 = if e.run > 0 then e.run else e.req_time in
-         let p = max 1 p0 in
-         (Job.make ~id:i ~p ~q, max 0 e.submit))
-
-let of_workload triples =
-  List.mapi
-    (fun i (job, submit, start) ->
-      {
-        default with
-        job_number = i + 1;
-        submit;
-        wait = start - submit;
-        run = Job.p job;
-        alloc_procs = Job.q job;
-        req_procs = Job.q job;
-        req_time = Job.p job;
-        status = 1;
-      })
-    triples
-
-let estimated_of_entry ~m ~id e =
-  let a =
-    estimated ~m ~id ~job_number:e.job_number ~submit:e.submit ~run:e.run ~req_procs:e.req_procs
-      ~alloc_procs:e.alloc_procs ~req_time:e.req_time
-  in
-  (a.job, a.submit, a.estimate)
-
-let to_estimated_workload ?(keep_failed = true) entries ~m =
-  List.filter (keep ~keep_failed) entries |> List.mapi (fun i e -> estimated_of_entry ~m ~id:i e)
-
-let job_numbers ?(keep_failed = true) entries =
-  List.filter (keep ~keep_failed) entries |> List.map (fun e -> e.job_number) |> Array.of_list
 
 let generate ?(overestimate = 1.0) rng ~m ~n ~max_runtime ~mean_gap =
   if overestimate < 1.0 then invalid_arg "Swf.generate: overestimate must be >= 1.0";

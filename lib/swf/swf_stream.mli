@@ -6,24 +6,27 @@
     is the input side of the streaming replay path (DESIGN.md §9): a 10M-job
     archive trace flows through the simulator in one pass at flat RSS.
 
-    The file reader fills one reused 64 KiB block with [In_channel.input]
-    and parses each line where it sits with {!Swf.scan}, the tokenizer
-    behind [Swf.parse_line], into one reused field array. The block grows
-    only to hold a line longer than itself. A kept line allocates its job,
-    its arrival and the option around it, nothing else.
+    This is the repository's one SWF reader: archive files, and the
+    entries experiments generate (rendered with {!Swf.to_string} and read
+    back with {!of_string}), all go through it.
 
-    Conversion semantics are shared with the batch converters by
-    construction — {!Swf.keep_fields} and {!Swf.arrival_of_fields} run the
-    field-level rules the converters apply to entries, ids renumbered
-    consecutively over kept entries — so draining a stream yields exactly
-    [Swf.to_estimated_workload] plus the archive job number (the
-    differential suite in [test/test_stream.ml] pins this). *)
+    The file reader fills one reused 64 KiB block with [In_channel.input]
+    and parses each line where it sits with {!Swf.scan} into one reused
+    field array. The block grows only to hold a line longer than itself.
+    A kept line allocates its job, its arrival and the option around it,
+    nothing else.
+
+    Each line {!Swf.keep_fields} keeps is converted by
+    {!Swf.arrival_of_fields}, the one conversion rule, with ids renumbered
+    consecutively over kept entries. The differential suites in
+    [test/test_swf.ml] and [test/test_stream.ml] pin the reader against an
+    independent split-based reference ([test/swf_reference.ml]). *)
 
 open Resa_core
 
 type arrival = Swf.arrival = {
   job : Job.t;  (** Actual runtime and width, id renumbered over kept entries. *)
-  submit : int;  (** Clamped to [>= 0] like the batch converters. *)
+  submit : int;  (** Clamped to [>= 0]. *)
   estimate : int;  (** Requested walltime, at least [Job.p job]. *)
   job_number : int;  (** Field 1 of the source line — archive provenance. *)
 }
@@ -33,18 +36,19 @@ type t = unit -> arrival option
     source defined here). Streams are single-pass and not thread-safe. *)
 
 exception Parse_error of { line : int; msg : string }
-(** Raised by pulls on a malformed line, with its 1-based line number — the
-    streaming counterpart of [Swf.parse_string]'s [Error]. *)
+(** Raised by pulls on a malformed line, with its 1-based line number and
+    {!Swf.scan_error}'s message. *)
 
 val with_file : ?keep_failed:bool -> m:int -> string -> (t -> 'a) -> 'a
 (** [with_file path f] opens [path] and hands [f] a stream that reads it
     block by block, on demand; the channel is closed when [f] returns or
-    raises. [keep_failed] defaults to true, as in the batch converters. *)
+    raises. [keep_failed] (default true) keeps failed jobs
+    ({!Swf.keep_fields}). *)
 
 val of_string : ?keep_failed:bool -> m:int -> string -> t
 (** Stream over an in-memory trace: the same reader, with the text as its
-    one block. The small-n differential oracle against [Swf.parse_string]
-    + [Swf.to_estimated_workload]. *)
+    one block. This is how a trace held as entries is read:
+    [of_string ~m (Swf.to_string entries)]. *)
 
 val synthetic :
   ?overestimate:float -> Prng.t -> m:int -> n:int -> max_runtime:int -> mean_gap:float -> t

@@ -1,7 +1,10 @@
-(* Reference SWF line parser: the split-based tokenizer [Swf.parse_line]
-   used before the in-place scanner, kept verbatim as the oracle of the
-   scanner's differential property in [test_swf.ml]. *)
+(* Reference SWF reader, independent of [Swf.scan] and
+   [Swf.arrival_of_fields]: the split-based line parser the library used
+   before its in-place scanner, kept verbatim, and the conversion rule
+   stated on its own. The stream-versus-reference properties in
+   [test_swf.ml] and [test_stream.ml] compare [Swf_stream] against it. *)
 
+open Resa_core
 open Resa_swf
 
 let field_names =
@@ -84,3 +87,42 @@ let parse_string text =
       | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
   in
   go 1 [] lines
+
+(* The conversion rule. An entry carries work if its runtime or its
+   request is positive (cancelled jobs carry neither); failed jobs
+   (status 0) are kept unless [keep_failed] is false. A kept entry runs
+   for its runtime, or for its request when the runtime is unknown
+   (run <= 0), and at least 1; it is [req_procs] wide ([alloc_procs] when
+   that is unknown), clamped to [1, m]; a negative submit is 0; the
+   estimate is the request, never below the runtime. Kept entries are
+   numbered 0, 1, ... in file order. *)
+type arrival = { job : Job.t; submit : int; estimate : int; job_number : int }
+
+let convert ?(keep_failed = true) ~m entries =
+  let kept (e : Swf.entry) = (e.run > 0 || e.req_time > 0) && (keep_failed || e.status <> 0) in
+  List.filter kept entries
+  |> List.mapi (fun id (e : Swf.entry) ->
+         let p = if e.run > 0 then e.run else max 1 e.req_time in
+         let q = if e.req_procs > 0 then e.req_procs else e.alloc_procs in
+         {
+           job = Job.make ~id ~p ~q:(min m (max 1 q));
+           submit = max 0 e.submit;
+           estimate = max p e.req_time;
+           job_number = e.job_number;
+         })
+
+let read ?keep_failed ~m text = Result.map (convert ?keep_failed ~m) (parse_string text)
+
+(* A stream drained into the reference's terms: its arrivals, or its
+   [Parse_error] rendered as the reference renders an error. *)
+let drain (src : Swf_stream.t) =
+  let rec go acc =
+    match src () with
+    | None -> Ok (List.rev acc)
+    | Some (a : Swf_stream.arrival) ->
+      go ({ job = a.job; submit = a.submit; estimate = a.estimate; job_number = a.job_number }
+          :: acc)
+    | exception Swf_stream.Parse_error { line; msg } ->
+      Error (Printf.sprintf "line %d: %s" line msg)
+  in
+  go []

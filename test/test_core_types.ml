@@ -17,12 +17,8 @@ let test_job_rejects () =
 
 let test_reservation_basics () =
   let r = Reservation.make ~id:1 ~start:4 ~p:3 ~q:2 in
-  Alcotest.(check int) "stop" 7 (Reservation.stop r);
-  Alcotest.(check bool) "active inside" true (Reservation.active_at r 5);
-  Alcotest.(check bool) "active at start" true (Reservation.active_at r 4);
-  Alcotest.(check bool) "inactive at stop" false (Reservation.active_at r 7);
-  Alcotest.(check bool) "overlaps" true (Reservation.overlaps r ~lo:6 ~hi:10);
-  Alcotest.(check bool) "touching is not overlap" false (Reservation.overlaps r ~lo:7 ~hi:10)
+  Alcotest.(check int) "start" 4 (Reservation.start r);
+  Alcotest.(check int) "stop" 7 (Reservation.stop r)
 
 let test_reservation_rejects () =
   Alcotest.check_raises "negative start"
@@ -94,9 +90,7 @@ let test_schedule_feasible () =
   let s = Schedule.make [| 0; 0; 2 |] in
   Tutil.check_feasible "valid packing" inst s;
   Alcotest.(check int) "makespan" 3 (Schedule.makespan inst s);
-  Alcotest.(check int) "completion of job 2" 3 (Schedule.completion inst s 2);
-  Alcotest.(check (list int)) "running at 0" [ 0; 1 ] (Schedule.running_at inst s 0);
-  Alcotest.(check (list int)) "running at 2" [ 2 ] (Schedule.running_at inst s 2)
+  Alcotest.(check int) "completion of job 2" 3 (Schedule.completion inst s 2)
 
 let test_schedule_overload_detected () =
   let inst = Instance.of_sizes ~m:3 [ (2, 2); (2, 2) ] in
@@ -126,11 +120,10 @@ let test_schedule_utilization () =
   let inst = Instance.of_sizes ~m:2 [ (3, 2) ] in
   let s = Schedule.make [| 0 |] in
   Alcotest.(check (float 1e-9)) "full" 1.0 (Schedule.utilization inst s);
-  Alcotest.(check int) "no idle" 0 (Schedule.idle_area inst s);
+  (* Half the available area idle. *)
   let inst2 = Instance.of_sizes ~m:2 [ (3, 1) ] in
   let s2 = Schedule.make [| 0 |] in
-  Alcotest.(check (float 1e-9)) "half" 0.5 (Schedule.utilization inst2 s2);
-  Alcotest.(check int) "idle half" 3 (Schedule.idle_area inst2 s2)
+  Alcotest.(check (float 1e-9)) "half" 0.5 (Schedule.utilization inst2 s2)
 
 let test_usage_profile () =
   let inst = Instance.of_sizes ~m:5 [ (4, 2); (2, 3) ] in

@@ -193,11 +193,6 @@ let test_arrivals_uniform_sorted_and_bounded () =
     if a.(i) < a.(i - 1) then Alcotest.fail "not sorted"
   done
 
-let test_arrivals_bursts () =
-  let rng = Prng.create ~seed:26 in
-  let a = Arrivals.bursts rng ~n:10 ~burst_size:3 ~gap:7 in
-  Alcotest.(check (array int)) "burst pattern" [| 0; 0; 0; 7; 7; 7; 14; 14; 14; 21 |] a
-
 let suite =
   [
     Alcotest.test_case "3-partition validation" `Quick test_tp_validation;
@@ -222,5 +217,4 @@ let suite =
     Alcotest.test_case "non-increasing generator" `Quick test_non_increasing_generator;
     Alcotest.test_case "poisson arrivals" `Quick test_arrivals_poisson_sorted;
     Alcotest.test_case "uniform arrivals" `Quick test_arrivals_uniform_sorted_and_bounded;
-    Alcotest.test_case "burst arrivals" `Quick test_arrivals_bursts;
   ]

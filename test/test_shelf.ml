@@ -42,7 +42,8 @@ let test_width_never_exceeded () =
       List.iter
         (fun shelf ->
           let w = List.fold_left (fun acc i -> acc + Job.q (Instance.job inst i)) 0 shelf in
-          Alcotest.(check bool) (Shelf.variant_name v ^ " width ok") true (w <= 3))
+          let name = match v with Shelf.Nfdh -> "NFDH" | Shelf.Ffdh -> "FFDH" in
+          Alcotest.(check bool) (name ^ " width ok") true (w <= 3))
         (Shelf.shelves v inst))
     [ Shelf.Nfdh; Shelf.Ffdh ]
 

@@ -144,6 +144,21 @@ let test_simulator_rejects_bad_input () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "oversized job accepted"
 
+(* [run] checks each submission as the engine pulls it, with the texts
+   [run_stream] uses; an id is only rejected while its first job is live. *)
+let test_run_checks_at_the_pull () =
+  let sub ?(q = 1) id p submit = Simulator.{ job = Job.make ~id ~p ~q; submit } in
+  let run subs = ignore (Simulator.run ~policy:Policy.fcfs ~m:2 subs : Simulator.trace) in
+  Alcotest.check_raises "negative submit" (Invalid_argument "Simulator: negative submit time")
+    (fun () -> run [ sub 0 1 3; sub 1 1 (-1) ]);
+  Alcotest.check_raises "too wide" (Invalid_argument "Simulator: job wider than the machine")
+    (fun () -> run [ sub ~q:3 0 1 0 ]);
+  Alcotest.check_raises "duplicate live id" (Invalid_argument "Simulator: duplicate live job id")
+    (fun () -> run [ sub 0 5 0; sub 0 5 1 ]);
+  let trace = Simulator.run ~policy:Policy.fcfs ~m:2 [ sub 7 2 0; sub 7 3 5 ] in
+  Alcotest.(check (list int)) "an id reused after its job finished" [ 0; 5 ]
+    (List.map (fun (r : Simulator.record) -> r.start) trace.records)
+
 let prop_all_policies_sound =
   Tutil.qcheck ~count:60 "all policies produce feasible executions"
     QCheck.(pair Tutil.seed_arb Tutil.seed_arb)
@@ -287,7 +302,7 @@ let test_early_release_unblocks_follower () =
 let test_estimates_validated () =
   let subs = [ Simulator.{ job = Job.make ~id:0 ~p:5 ~q:1; submit = 0 } ] in
   Alcotest.check_raises "estimate below runtime"
-    (Invalid_argument "Simulator.run: estimate below the actual runtime") (fun () ->
+    (Invalid_argument "Simulator: estimate below the actual runtime") (fun () ->
       ignore (Simulator.run ~policy:Policy.fcfs ~m:2 ~estimates:[| 3 |] subs));
   Alcotest.check_raises "wrong length"
     (Invalid_argument "Simulator.run: estimates length mismatch") (fun () ->
@@ -368,6 +383,7 @@ let suite =
     Alcotest.test_case "accurate estimates change nothing" `Quick test_estimated_equals_exact_when_accurate;
     Alcotest.test_case "early release unblocks followers" `Quick test_early_release_unblocks_follower;
     Alcotest.test_case "estimates are validated" `Quick test_estimates_validated;
+    Alcotest.test_case "run checks each submission at the pull" `Quick test_run_checks_at_the_pull;
     prop_estimated_executions_feasible;
     Alcotest.test_case "metrics on a hand example" `Quick test_metrics_values;
     Alcotest.test_case "metrics on empty trace" `Quick test_metrics_empty;

@@ -31,30 +31,23 @@ let feed (arrivals : Swf_stream.arrival list) =
       Some Simulator.{ job = a.Swf_stream.job; submit = a.Swf_stream.submit;
                        estimate = a.Swf_stream.estimate }
 
-(* --- reader: stream vs parse_string ------------------------------------- *)
+(* --- reader: stream vs the split-based reference ------------------------- *)
 
-let stream_matches_batch keep_failed seed =
+let stream_matches_reference keep_failed seed =
   let text = synthetic_text seed ~n:25 in
-  let streamed = drain (Swf_stream.of_string ~keep_failed ~m:32 text) in
-  match Swf.parse_string text with
+  match Swf_reference.read ~keep_failed ~m:32 text with
   | Error _ -> false
-  | Ok entries ->
-    let batch = Swf.to_estimated_workload ~keep_failed entries ~m:32 in
-    let numbers = Swf.job_numbers ~keep_failed entries in
-    List.length streamed = List.length batch
-    && List.for_all2
-         (fun (a : Swf_stream.arrival) (job, submit, estimate) ->
-           a.job = job && a.submit = submit && a.estimate = estimate
-           && a.job_number = numbers.(Job.id job))
-         streamed batch
+  | Ok reference as r ->
+    List.length reference = 25
+    && Swf_reference.drain (Swf_stream.of_string ~keep_failed ~m:32 text) = r
 
 let prop_reader_oracle =
-  Tutil.qcheck ~count:200 "of_string = parse_string |> to_estimated_workload" Tutil.seed_arb
-    (stream_matches_batch true)
+  Tutil.qcheck ~count:200 "of_string = reference on generated traces" Tutil.seed_arb
+    (stream_matches_reference true)
 
 let prop_reader_oracle_filtered =
   Tutil.qcheck ~count:100 "reader oracle with keep_failed:false" Tutil.seed_arb
-    (stream_matches_batch false)
+    (stream_matches_reference false)
 
 let test_stream_parse_error_line () =
   let text = "; header\n" ^ "1 0 5 100 8 -1 -1 8 120 -1 1 3 1 1 1 1 -1 -1" ^ "\nbad line\n" in
@@ -87,36 +80,21 @@ let with_temp_file text f =
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
       f path)
 
-(* [with_file] on [text] must yield what [parse_string] +
-   [to_estimated_workload] yield, or fail on the line [parse_string]
-   cites, with its message. *)
+(* [with_file] on [text] must yield the reference's arrivals, or fail on
+   the line the reference cites, with its message. *)
 let check_file name text =
   let from_file =
-    with_temp_file text (fun path ->
-        match Swf_stream.with_file ~m:32 path drain with
-        | arrivals ->
-          Ok
-            (List.map
-               (fun (a : Swf_stream.arrival) -> (a.job, a.submit, a.estimate, a.job_number))
-               arrivals)
-        | exception Swf_stream.Parse_error { line; msg } ->
-          Error (Printf.sprintf "line %d: %s" line msg))
+    with_temp_file text (fun path -> Swf_stream.with_file ~m:32 path Swf_reference.drain)
   in
-  let batch =
-    Result.map
-      (fun entries ->
-        let numbers = Swf.job_numbers entries in
-        List.map (fun (job, submit, estimate) -> (job, submit, estimate, numbers.(Job.id job)))
-          (Swf.to_estimated_workload entries ~m:32))
-      (Swf.parse_string text)
-  in
-  match (from_file, batch) with
+  match (from_file, Swf_reference.read ~m:32 text) with
   | Ok a, Ok b ->
     Alcotest.(check int) (name ^ ": jobs") (List.length b) (List.length a);
-    if a <> b then Alcotest.failf "%s: file stream differs from parse_string" name
+    if a <> b then Alcotest.failf "%s: file stream differs from the reference" name
   | Error a, Error b -> Alcotest.(check string) (name ^ ": error") b a
-  | Ok _, Error b -> Alcotest.failf "%s: file stream accepted what parse_string rejects (%s)" name b
-  | Error a, Ok _ -> Alcotest.failf "%s: file stream rejected what parse_string accepts (%s)" name a
+  | Ok _, Error b ->
+    Alcotest.failf "%s: file stream accepted what the reference rejects (%s)" name b
+  | Error a, Ok _ ->
+    Alcotest.failf "%s: file stream rejected what the reference accepts (%s)" name a
 
 let block = 65536
 
@@ -264,16 +242,14 @@ let test_stream_validates_arrivals () =
     fun () -> if !sent then None else (sent := true; Some a)
   in
   let run a = ignore (Simulator.run_stream ~policy:Policy.fcfs ~m:4 (once a)) in
-  Alcotest.check_raises "negative submit"
-    (Invalid_argument "Simulator.run_stream: negative submit time") (fun () ->
-      run Simulator.{ job; submit = -1; estimate = 5 });
+  Alcotest.check_raises "negative submit" (Invalid_argument "Simulator: negative submit time")
+    (fun () -> run Simulator.{ job; submit = -1; estimate = 5 });
   Alcotest.check_raises "estimate below runtime"
-    (Invalid_argument "Simulator.run_stream: estimate below the actual runtime") (fun () ->
+    (Invalid_argument "Simulator: estimate below the actual runtime") (fun () ->
       run Simulator.{ job; submit = 0; estimate = 4 });
   let wide = Job.make ~id:0 ~p:5 ~q:9 in
-  Alcotest.check_raises "too wide"
-    (Invalid_argument "Simulator.run_stream: job wider than the machine") (fun () ->
-      run Simulator.{ job = wide; submit = 0; estimate = 5 })
+  Alcotest.check_raises "too wide" (Invalid_argument "Simulator: job wider than the machine")
+    (fun () -> run Simulator.{ job = wide; submit = 0; estimate = 5 })
 
 (* --- reserved replays: pinned trace digests ------------------------------ *)
 
@@ -281,8 +257,8 @@ let test_stream_validates_arrivals () =
    time units) fed over time: bursts of arrivals separated by long gaps,
    so the queue empties between bursts and for the whole reserved tail
    after the last job. Walltimes overestimate, so completions release
-   capacity early. The run is traced and sampled (every 150 time units,
-   plus the closing snapshot); the digest covers the JSONL events and the
+   capacity early. The run is traced and sampled (every 10 events, plus
+   the closing snapshot); the digest covers the JSONL events and the
    heartbeat rows, in that order. *)
 let reserved_replay_digest (policy : Policy.t) =
   let inst =
@@ -316,7 +292,7 @@ let reserved_replay_digest (policy : Policy.t) =
   let rows = ref [] in
   let on_heartbeat hb = rows := Heartbeat.make ~stream:ms hb :: !rows in
   ignore
-    (Simulator.run_stream ~obs ~heartbeat_dt:150 ~on_heartbeat
+    (Simulator.run_stream ~obs ~heartbeat_every:10 ~on_heartbeat
        ~on_record:(Metrics.Stream.observe ms) ~policy ~m:32 ~reservations next
       : Simulator.stream_stats);
   let buf = Buffer.create 4096 in
@@ -328,15 +304,14 @@ let reserved_replay_digest (policy : Policy.t) =
     (List.rev !rows);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* Recorded when every decision instant still consulted the policy, queue
-   empty or not: skipping the empty-queue consultations must leave these
-   runs byte-identical. *)
+(* Any change to the engine, its tracing or its heartbeat sampler that
+   moves one event or one row of these runs shows here. *)
 let pinned_reserved_digests =
   [
-    ("FCFS", "7d2a616bb868bb3480734d37363a0fd8");
-    ("EASY", "6be0606644a672fd3275bd3c46e5f4eb");
-    ("CONS", "deff1fd0179329cc23077112c81563df");
-    ("LSRC", "2361b868629a48a90f774301c6a3c6ae");
+    ("FCFS", "74d350e892cca760b5a2aae4d78bd1ee");
+    ("EASY", "6acad936a7a41f628d44b863f07d612d");
+    ("CONS", "600d34a64fbc27baecbb8d5b3dd36503");
+    ("LSRC", "230cfed669c3cf710df5d2cd264b8941");
   ]
 
 let test_reserved_digests () =
