@@ -93,6 +93,17 @@ let prop_describe_agrees_with_wrappers =
         && d.Stats.p50 = ref_percentile xs ~p:50.0
         && d.Stats.p95 = ref_percentile xs ~p:95.0)
 
+let test_sparkline () =
+  let str = Alcotest.(check string) in
+  str "empty" "" (Stats.sparkline []);
+  str "flat series sits at the lowest level" "\xe2\x96\x81\xe2\x96\x81" (Stats.sparkline [ 3.0; 3.0 ]);
+  str "min to max spans the levels" "\xe2\x96\x81\xe2\x96\x85\xe2\x96\x88"
+    (Stats.sparkline [ 0.0; 0.5; 1.0 ]);
+  str "non-finite samples skipped" "\xe2\x96\x81\xe2\x96\x88"
+    (Stats.sparkline [ 0.0; Float.nan; Float.infinity; 1.0 ]);
+  str "width keeps the trailing samples" "\xe2\x96\x81\xe2\x96\x88"
+    (Stats.sparkline ~width:2 [ 9.0; 0.0; 1.0 ])
+
 let test_table_render () =
   let t = Table.create ~headers:[ "alpha"; "ratio" ] in
   Table.add_row t [ "0.5"; "3.25" ];
@@ -262,6 +273,7 @@ let suite =
     Alcotest.test_case "describe summary" `Quick test_describe;
     Alcotest.test_case "describe of empty list" `Quick test_describe_empty;
     prop_describe_agrees_with_wrappers;
+    Alcotest.test_case "sparkline scales, skips and scrolls" `Quick test_sparkline;
     Alcotest.test_case "table rendering" `Quick test_table_render;
     Alcotest.test_case "table rejects ragged rows" `Quick test_table_rejects_ragged;
     Alcotest.test_case "CSV escaping" `Quick test_table_csv;

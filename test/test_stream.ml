@@ -42,7 +42,7 @@ let stream_matches_reference keep_failed seed =
     && Swf_reference.drain (Swf_stream.of_string ~keep_failed ~m:32 text) = r
 
 let prop_reader_oracle =
-  Tutil.qcheck ~count:200 "of_string = reference on generated traces" Tutil.seed_arb
+  Tutil.qcheck ~count:200 "of_string = reference on traces" Tutil.seed_arb
     (stream_matches_reference true)
 
 let prop_reader_oracle_filtered =

@@ -218,7 +218,7 @@ let arb_line = QCheck.make ~print:String.escaped gen_line
 (* One line: the scanner's 18 fields, and the stream's arrival or error,
    against the reference's. *)
 let prop_line_oracle =
-  Tutil.qcheck ~count:2000 "stream = split-based reference (lines)" arb_line (fun line ->
+  Tutil.qcheck ~count:2000 "stream = reference reader (lines)" arb_line (fun line ->
       scan_line line = Result.map (Option.map fields_of_entry) (Swf_reference.parse_line line)
       && Swf_reference.drain (Swf_stream.of_string ~m:64 line) = Swf_reference.read ~m:64 line)
 
@@ -230,7 +230,7 @@ let prop_text_oracle =
     QCheck.make ~print:String.escaped
       QCheck.Gen.(map (String.concat "\n") (list_size (int_range 0 6) gen_line))
   in
-  Tutil.qcheck ~count:500 "stream = split-based reference (texts)" arb (fun text ->
+  Tutil.qcheck ~count:500 "stream = reference reader (texts)" arb (fun text ->
       List.for_all
         (fun keep_failed ->
           Swf_reference.drain (Swf_stream.of_string ~keep_failed ~m:64 text)
