@@ -9,10 +9,9 @@ let conservative_order inst order =
     (fun i ->
       let j = Instance.job inst i in
       match Timeline.earliest_fit free ~from:0 ~dur:(Job.p j) ~need:(Job.q j) with
-      | None -> assert false
-      | Some s ->
-        starts.(i) <- s;
-        Timeline.reserve free ~start:s ~dur:(Job.p j) ~need:(Job.q j))
+      | Some s when Timeline.reserve free ~start:s ~dur:(Job.p j) ~need:(Job.q j) ->
+        starts.(i) <- s
+      | _ -> assert false)
     order;
   Schedule.make starts
 

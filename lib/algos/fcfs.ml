@@ -10,11 +10,10 @@ let run_order inst order =
     (fun i ->
       let j = Instance.job inst i in
       match Timeline.earliest_fit free ~from:!frontier ~dur:(Job.p j) ~need:(Job.q j) with
-      | None -> assert false (* q <= m and the tail capacity is m *)
-      | Some s ->
+      | Some s when Timeline.reserve free ~start:s ~dur:(Job.p j) ~need:(Job.q j) ->
         starts.(i) <- s;
-        Timeline.reserve free ~start:s ~dur:(Job.p j) ~need:(Job.q j);
-        frontier := s)
+        frontier := s
+      | _ -> assert false (* q <= m and the tail capacity is m *))
     order;
   Schedule.make starts
 

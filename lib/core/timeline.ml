@@ -46,12 +46,12 @@ type t = {
   mutable off : int; (* the gc origin: start of the first segment *)
   (* Undo log: packed (lo, hi, delta, checked) quads of every mutation
      applied while at least one checkpoint is outstanding; [checked] marks
-     capacity-verified [reserve]s, which is what lets the simulator prove a
-     speculative log is exactly its authoritative reservation sequence and
-     commit it instead of rolling back and re-applying. Rollback replays
-     inverses from the top. Segments are normalised, so the inverses
-     restore exactly the same segment list. With no checkpoint outstanding
-     nothing is recorded: one branch per mutation. *)
+     the changes made by a [reserve] whose capacity check passed, which is
+     what lets the simulator prove a decision's log is exactly its starts'
+     reservations. Rollback replays inverses from the top. Segments are
+     normalised, so the inverses restore exactly the same segment list.
+     With no checkpoint outstanding nothing is recorded: one branch per
+     mutation. *)
   mutable ulog : int array;
   mutable ulog_len : int; (* in quads *)
   mutable specs : int; (* outstanding checkpoints *)
@@ -231,6 +231,7 @@ let create c = of_profile (Profile.constant c)
 let c_min_on = Resa_obs.Metrics.counter "timeline.min_on"
 let c_change = Resa_obs.Metrics.counter "timeline.change"
 let c_reserve = Resa_obs.Metrics.counter "timeline.reserve"
+let c_reserve_failed = Resa_obs.Metrics.counter "timeline.reserve_failed"
 let c_earliest_fit = Resa_obs.Metrics.counter "timeline.earliest_fit"
 let c_checkpoint = Resa_obs.Metrics.counter "timeline.checkpoint"
 let c_rollback = Resa_obs.Metrics.counter "timeline.rollback"
@@ -427,39 +428,48 @@ let do_change t ~lo ~hi ~delta ~checked =
 
 let change t ~lo ~hi ~delta = do_change t ~lo ~hi ~delta ~checked:false
 
+(* A mark packs the log length at its checkpoint with the depth of the
+   scope it opens (1 for the outermost), so a scope can be resolved only
+   by its own mark: a scope nested inside another never hands out the
+   enclosing one's mark, even when no change separates the two. *)
+let depth_bits = 20
+let depth_mask = (1 lsl depth_bits) - 1
+let mark_pos m = m asr depth_bits
+let mark_depth m = m land depth_mask
+
 let checkpoint t =
   Resa_obs.Metrics.incr c_checkpoint;
   t.specs <- t.specs + 1;
-  t.ulog_len
+  (t.ulog_len lsl depth_bits) lor t.specs
 
-let check_mark t m name =
-  if t.specs = 0 || m < 0 || m > t.ulog_len then
-    invalid_arg (name ^ ": stale or non-LIFO mark")
+let stale name = invalid_arg (name ^ ": stale or non-LIFO mark")
 
 let rollback t m =
-  Resa_obs.Metrics.incr c_rollback;
-  check_mark t m "Timeline.rollback";
-  Resa_obs.Metrics.add c_undone (t.ulog_len - m);
-  for i = t.ulog_len - 1 downto m do
+  let depth = mark_depth m and pos = mark_pos m in
+  if depth < 1 || depth > t.specs || pos < 0 || pos > t.ulog_len then stale "Timeline.rollback";
+  Resa_obs.Metrics.add c_rollback (t.specs - depth + 1);
+  Resa_obs.Metrics.add c_undone (t.ulog_len - pos);
+  for i = t.ulog_len - 1 downto pos do
     let j = 4 * i in
     apply t t.ulog.(j) t.ulog.(j + 1) (-t.ulog.(j + 2))
   done;
-  t.ulog_len <- m;
-  t.specs <- t.specs - 1;
+  t.ulog_len <- pos;
+  t.specs <- depth - 1;
   if t.specs = 0 then t.ulog_len <- 0
 
 let commit t m =
+  if t.specs = 0 || mark_depth m <> t.specs || m < 0 || mark_pos m > t.ulog_len then
+    stale "Timeline.commit";
   Resa_obs.Metrics.incr c_commit;
-  check_mark t m "Timeline.commit";
   t.specs <- t.specs - 1;
   if t.specs = 0 then t.ulog_len <- 0
 
 let open_checkpoints t = t.specs
 
-let spec_ops t m = t.ulog_len - m
+let spec_ops t m = t.ulog_len - mark_pos m
 
 let spec_op_is_reserve t m ~i ~start ~dur ~need =
-  let k = m + i in
+  let k = mark_pos m + i in
   let j = 4 * k in
   k >= 0 && k < t.ulog_len
   && t.ulog.(j) = start
@@ -468,18 +478,17 @@ let spec_op_is_reserve t m ~i ~start ~dur ~need =
   && t.ulog.(j + 3) = 1
 
 let reserve t ~start ~dur ~need =
-  Resa_obs.Metrics.incr c_reserve;
   if dur < 1 then invalid_arg "Timeline.reserve: dur must be >= 1";
   if need < 0 then invalid_arg "Timeline.reserve: negative need";
-  if min_on t ~lo:start ~hi:(start + dur) < need then
-    invalid_arg "Timeline.reserve: insufficient capacity in window";
-  do_change t ~lo:start ~hi:(start + dur) ~delta:(-need) ~checked:true
-
-let reserve_fitting t ~start ~dur ~need =
-  Resa_obs.Metrics.incr c_reserve;
-  if dur < 1 then invalid_arg "Timeline.reserve_fitting: dur must be >= 1";
-  if need < 0 then invalid_arg "Timeline.reserve_fitting: negative need";
-  do_change t ~lo:start ~hi:(start + dur) ~delta:(-need) ~checked:true
+  if min_on t ~lo:start ~hi:(start + dur) >= need then begin
+    Resa_obs.Metrics.incr c_reserve;
+    do_change t ~lo:start ~hi:(start + dur) ~delta:(-need) ~checked:true;
+    true
+  end
+  else begin
+    Resa_obs.Metrics.incr c_reserve_failed;
+    false
+  end
 
 (* --- earliest fit --------------------------------------------------------- *)
 

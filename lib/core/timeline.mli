@@ -22,7 +22,8 @@
     a free list and the pool grows by doubling, so steady-state operation
     allocates nothing.
 
-    Semantics are kept exactly aligned with [Profile] — [min_on], [reserve],
+    Semantics are kept exactly aligned with [Profile] — [min_on], [reserve]
+    (which answers [false] where [Profile.reserve] raises),
     [change], [earliest_fit] and [last_breakpoint]
     return bit-identical results to the persistent versions applied to the
     same operation history (enforced by the randomized differential suite in
@@ -78,21 +79,17 @@ val change : t -> lo:int -> hi:int -> delta:int -> unit
 (** Add [delta] on [\[lo, hi)]; no-op when [lo >= hi] or [delta = 0].
     Raises [Invalid_argument] on negative [lo]. *)
 
-val reserve : t -> start:int -> dur:int -> need:int -> unit
-(** Subtract [need] on [\[start, start+dur)] after checking the window has
-    capacity [need] everywhere; raises [Invalid_argument] otherwise, leaving
-    the timeline unchanged. The checked allocation used by schedulers; undo
-    a reservation with [change ~delta:need] (exact inverse). *)
-
-val reserve_fitting : t -> start:int -> dur:int -> need:int -> unit
-(** [reserve] minus the capacity re-check: the caller attests the window
-    was just verified to fit ([min_on] or {!earliest_fit_at} on the very
-    same [start]/[dur]/[need]). Every scheduler reserve follows such a
-    probe, so the checked variant's second scan over the identical
-    window is pure overhead on the hot path; the recorded speculation-log
-    entry is the same capacity-verified quad either way. On a caller that
-    lies, capacity goes negative instead of raising — keep {!reserve} for
-    windows that were not just probed. *)
+val reserve : t -> start:int -> dur:int -> need:int -> bool
+(** [reserve t ~start ~dur ~need] subtracts [need] on
+    [\[start, start+dur)] and returns [true] when the window has capacity
+    [need] everywhere ([min_on] over it reaches [need]); otherwise it
+    returns [false] and leaves the timeline unchanged. Raises
+    [Invalid_argument] when [dur < 1] or [need < 0]. Under a checkpoint,
+    a reservation made is logged as {e checked}: {!spec_op_is_reserve}
+    tells it apart from a {!change} by the same amount. Undo one with
+    [change ~delta:need] (exact inverse). The registry counts the
+    reservations made ([timeline.reserve]) and refused
+    ([timeline.reserve_failed]). *)
 
 val earliest_fit : t -> from:int -> dur:int -> need:int -> int option
 (** Smallest [s >= from] with [min_on ~lo:s ~hi:(s+dur) >= need], found in
@@ -107,20 +104,21 @@ val earliest_fit_at : t -> from:int -> dur:int -> need:int -> int
 
 (** {2 Speculation}
 
-    A checkpoint opens an undo scope: every {!change} (and hence every
-    {!reserve}) applied while at least one checkpoint is outstanding is
-    recorded in an internal log, and {!rollback} replays exact inverses —
-    one {!change} each to speculate and to retract. Segments are
-    normalised, so a rollback restores exactly the same segment list. This
-    is the primitive behind trial backfills (EASY) and replans
-    (conservative): reserve tentatively, inspect the consequences, keep or
-    retract.
+    A checkpoint opens an undo scope: every {!change} and every
+    reservation made by {!reserve} while at least one checkpoint is
+    outstanding is recorded in an internal log, and {!rollback} replays
+    exact inverses — one {!change} each to speculate and to retract.
+    Segments are normalised, so a rollback restores exactly the same
+    segment list. This is the primitive behind the simulator's decisions
+    and EASY's trial backfills: reserve tentatively, inspect the
+    consequences, keep or retract.
 
-    Checkpoints nest and must be resolved strictly LIFO: the innermost
-    outstanding mark must be rolled back or committed first ([rollback] and
-    [commit] raise [Invalid_argument] on a stale or out-of-order mark where
-    detectable). [commit] keeps the speculated changes but merely closes the
-    scope — an enclosing checkpoint still undoes them on its own rollback.
+    Checkpoints nest. A mark knows the depth of its scope, so only a
+    scope's own mark resolves it: [commit] takes the innermost open mark,
+    [rollback] an open one, and both raise [Invalid_argument] on a mark
+    whose scope is closed or not open at that depth. [commit] keeps the
+    speculated changes but merely closes the scope — an enclosing
+    checkpoint still undoes them on its own rollback.
     With no checkpoint outstanding the log is empty and mutations pay a
     single extra branch. *)
 
@@ -132,7 +130,8 @@ val checkpoint : t -> mark
 
 val rollback : t -> mark -> unit
 (** Undo every change recorded since the mark (inverse range-adds, newest
-    first) and close the scope. *)
+    first) and close its scope, along with every scope still open inside
+    it; [timeline.rollback] counts each scope closed. *)
 
 val commit : t -> mark -> unit
 (** Close the scope keeping all changes since the mark. *)
@@ -141,16 +140,16 @@ val open_checkpoints : t -> int
 (** Scopes opened and not yet rolled back or committed. *)
 
 val spec_ops : t -> mark -> int
-(** Number of mutations recorded since the mark (the scope must still be
-    open). With {!spec_op_is_reserve} this lets a caller prove that a
-    speculative scope performed {e exactly} a known reservation sequence
-    and {!commit} it instead of rolling back and re-applying — the
-    simulator's decide-loop fast path. *)
+(** Number of mutations in effect that were recorded since the mark (the
+    scope must still be open): a rolled-back change leaves the log. With
+    {!spec_op_is_reserve} this lets a caller prove that a scope performed
+    {e exactly} a known sequence of checked reservations before it
+    {!commit}s it — the simulator's one commit rule. *)
 
 val spec_op_is_reserve : t -> mark -> i:int -> start:int -> dur:int -> need:int -> bool
 (** [spec_op_is_reserve t m ~i ~start ~dur ~need] iff the [i]-th mutation
-    recorded since the mark was a capacity-checked
-    [reserve ~start ~dur ~need] (unchecked {!change}s never match). *)
+    in effect since the mark is a reservation that
+    [reserve ~start ~dur ~need] made ({!change}s never match). *)
 
 val final_value : t -> int
 (** Value of the tail segment extending to infinity — O(1), same as

@@ -113,8 +113,3 @@ let random rng ~k:kk ~b =
   done;
   if !total <> target then invalid_arg "Threepartition.random: could not reach target sum";
   make_exn ~xs ~b
-
-let pp ppf t =
-  Format.fprintf ppf "3PART(b=%d, xs=[%a])" t.b
-    (Format.pp_print_seq ~pp_sep:(fun ppf () -> Format.fprintf ppf ";") Format.pp_print_int)
-    (Array.to_seq t.xs)

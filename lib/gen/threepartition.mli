@@ -35,5 +35,3 @@ val random_yes : Prng.t -> k:int -> b:int -> t
 val random : Prng.t -> k:int -> b:int -> t
 (** Random instance with the right total ([Σ = k·b]) but no planted
     solution — may be YES or NO. *)
-
-val pp : Format.formatter -> t -> unit

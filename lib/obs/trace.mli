@@ -77,7 +77,5 @@ val emit : t -> event -> unit
 val to_json : ?run:string -> event -> string
 (** One JSONL line (no trailing newline). *)
 
-val of_json : Jsonu.t -> (string option * event, string) result
-(** Inverse of {!to_json}: the optional ["run"] tag and the event. *)
-
 val parse_line : string -> (string option * event, string) result
+(** Inverse of {!to_json}: the optional ["run"] tag and the event. *)

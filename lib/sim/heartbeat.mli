@@ -46,8 +46,6 @@ val to_json : row -> Resa_obs.Jsonu.t
 (** [nan] floats serialise as [null] (JSON has no NaN) and parse back as
     [nan]. *)
 
-val of_json : Resa_obs.Jsonu.t -> (row, string) result
-
 val parse_line : string -> (row, string) result
 
 val strip_wall : Resa_obs.Jsonu.t -> Resa_obs.Jsonu.t

@@ -23,19 +23,6 @@ let action () = { start_now = []; wake = no_wake }
 
 (* --- timeline-native policies ------------------------------------------- *)
 
-(* A queued job is its estimate [p] and width [q], read from the queue's
-   arrays. *)
-let fits free ~time ~p ~q = Timeline.min_on free ~lo:time ~hi:(time + p) >= q
-
-(* Speculative allocation of a [p]-long, [q]-wide window at [time]. The
-   simulator's post-decision pass either commits these wholesale — when the
-   log is exactly the started jobs' reservations, the common case — or
-   rolls them back and re-applies authoritatively. Every call site has just
-   verified the window ([fits], or CONS's plan which never exceeds free
-   capacity), so the re-checking [Timeline.reserve] would redo a window
-   scan per start. *)
-let take free ~time ~p ~q = Timeline.reserve_fitting free ~start:time ~dur:p ~need:q
-
 (* Per-policy decision counters (RESA_METRICS). *)
 let c_fcfs = Metrics.counter "policy.decide.FCFS"
 let c_lsrc = Metrics.counter "policy.decide.LSRC"
@@ -48,7 +35,10 @@ let c_cons = Metrics.counter "policy.decide.CONS"
    events), so that a decision which starts nothing allocates nothing: no
    closure per decide, no list view of the queue, no call per entry, cons
    cells only for the tags actually started. A wake-up is written into the
-   run's action on the way. *)
+   run's action on the way. A start reserves its [p]-long, [q]-wide window
+   at [time] with one [Timeline.reserve], which is also the query that
+   decides whether the job fits: the simulator commits a decision only when
+   its log is exactly these reservations, in start order. *)
 
 (* Start the longest startable prefix; the blocked head, if any, yields
    the next wake-up. *)
@@ -57,10 +47,8 @@ let rec fcfs_go ~obs ~time act ids ps qs tags free i stop =
   else if tags.(i) < 0 then fcfs_go ~obs ~time act ids ps qs tags free (i + 1) stop
   else begin
     let p = ps.(i) and q = qs.(i) in
-    if fits free ~time ~p ~q then begin
-      take free ~time ~p ~q;
+    if Timeline.reserve free ~start:time ~dur:p ~need:q then
       tags.(i) :: fcfs_go ~obs ~time act ids ps qs tags free (i + 1) stop
-    end
     else begin
       let at = Timeline.earliest_fit_at free ~from:(time + 1) ~dur:p ~need:q in
       if Trace.enabled obs then
@@ -90,10 +78,8 @@ let rec lsrc_go ~time ps qs tags free cap_now i stop =
   if cap_now = 0 || i >= stop then []
   else begin
     let p = ps.(i) and q = qs.(i) in
-    if tags.(i) >= 0 && q <= cap_now && fits free ~time ~p ~q then begin
-      take free ~time ~p ~q;
+    if tags.(i) >= 0 && q <= cap_now && Timeline.reserve free ~start:time ~dur:p ~need:q then
       tags.(i) :: lsrc_go ~time ps qs tags free (cap_now - q) (i + 1) stop
-    end
     else lsrc_go ~time ps qs tags free cap_now (i + 1) stop
   end
 
@@ -111,17 +97,15 @@ let aggressive =
 
 (* EASY: start the fitting prefix; once the head blocks, protect its
    guaranteed start while backfilling. Each candidate is tried under a
-   checkpoint — reserved, the guarantee re-derived — and kept or rolled
-   back. *)
+   checkpoint — reserved if it fits, the guarantee re-derived — and kept or
+   rolled back. *)
 let rec easy_prefix ~obs ~time act ids ps qs tags free i stop =
   if i >= stop then []
   else if tags.(i) < 0 then easy_prefix ~obs ~time act ids ps qs tags free (i + 1) stop
   else begin
     let p = ps.(i) and q = qs.(i) in
-    if fits free ~time ~p ~q then begin
-      take free ~time ~p ~q;
+    if Timeline.reserve free ~start:time ~dur:p ~need:q then
       tags.(i) :: easy_prefix ~obs ~time act ids ps qs tags free (i + 1) stop
-    end
     else begin
       let guaranteed = Timeline.earliest_fit_at free ~from:time ~dur:p ~need:q in
       if Trace.enabled obs then
@@ -139,10 +123,12 @@ and easy_backfill ~time ps qs tags free ~hp ~hq guaranteed cap_now i stop =
   if cap_now = 0 || i >= stop then []
   else begin
     let p = ps.(i) and q = qs.(i) in
-    if tags.(i) >= 0 && q <= cap_now && fits free ~time ~p ~q then begin
+    if tags.(i) >= 0 && q <= cap_now then begin
       let mark = Timeline.checkpoint free in
-      take free ~time ~p ~q;
-      if Timeline.earliest_fit_at free ~from:time ~dur:hp ~need:hq <= guaranteed then begin
+      if
+        Timeline.reserve free ~start:time ~dur:p ~need:q
+        && Timeline.earliest_fit_at free ~from:time ~dur:hp ~need:hq <= guaranteed
+      then begin
         Timeline.commit free mark;
         tags.(i)
         :: easy_backfill ~time ps qs tags free ~hp ~hq guaranteed (cap_now - q) (i + 1) stop
@@ -238,21 +224,19 @@ let conservative =
       Int_heap.push promises ~key:s ~tie:a.(o + o_seq) tag;
       if Trace.enabled obs then
         Trace.emit obs (Trace.Planned { time; policy = "CONS"; job = a.(o + o_id); at = s });
-      (* [s] came out of [earliest_fit_at] just above: the window fits by
-         construction, skip the checked reserve's second window scan. *)
-      Timeline.reserve_fitting p ~start:s ~dur:est ~need:q
+      (* [s] came out of [earliest_fit_at] just above: the window fits. *)
+      Timeline.change p ~lo:s ~hi:(s + est) ~delta:(-q)
     in
     let started = ref 0 in
     (* Launch the jobs whose promise is due, as they surface from the heap.
        A started job never reappears in the queue, so its promise is
        retired. Its plan window stays reserved: the machine really is
-       occupied. The start is mirrored on the live timeline: the plan
-       guarantees the capacity is there (the plan never exceeds the free
-       capacity), and the simulator commits these reservations directly. A
-       straggler, due before now (the simulator wakes the policy at every
-       promise, so none should be), is replanned from now; if that is now,
-       its new entry surfaces in this same pass, in admission order among
-       the jobs due now. *)
+       occupied. The start is reserved on the live timeline too; the plan
+       never exceeds the free capacity, so a window that does not fit there
+       is a planning bug, raised as such. A straggler, due before now (the
+       simulator wakes the policy at every promise, so none should be), is
+       replanned from now; if that is now, its new entry surfaces in this
+       same pass, in admission order among the jobs due now. *)
     let rec launch_due p free ~time =
       if Int_heap.length promises = 0 || Int_heap.min_key promises > time then []
       else begin
@@ -262,7 +246,8 @@ let conservative =
         let a = !pr and o = stride * tag in
         if live && s = time then begin
           a.(o + o_seq) <- -1;
-          take free ~time ~p:a.(o + o_est) ~q:a.(o + o_width);
+          if not (Timeline.reserve free ~start:time ~dur:a.(o + o_est) ~need:a.(o + o_width)) then
+            failwith "CONS: a planned window does not fit the free capacity";
           incr started;
           tag :: launch_due p free ~time
         end

@@ -7,18 +7,23 @@
     waiting jobs (ids, estimates and widths: no actual runtime), and the
     simulator's live capacity {!Resa_core.Timeline.t} (machine availability
     minus reservations minus windows of running jobs). It answers with the
-    queued jobs to start right now, named by their queue tags — each must
-    fit its whole window at the current time — and an optional extra
-    wake-up instant (needed by planning policies whose next action time is
-    not a simulator event), [-1] when it wants none.
+    queued jobs to start right now, named by their queue tags, and an
+    optional extra wake-up instant (needed by planning policies whose next
+    action time is not a simulator event), [-1] when it wants none.
 
+    The contract of a start: the policy reserves the job's window,
+    [Timeline.reserve free ~start:time ~dur:estimate ~need:width] answering
+    [true], and names its tag; the reservations are made in the order of
+    [start_now], and nothing else may be left in the decision's log.
     Access is speculative: the simulator opens a timeline checkpoint around
-    every [decide] call, so a decision may reserve trial windows
-    ([Timeline.reserve_fitting], nested [Timeline.checkpoint]/[rollback]/
-    [commit]) while reasoning, with every query reflecting its own
-    tentative reservations in place — no persistent profile is ever
-    rebuilt. Afterwards the simulator commits the log when it is exactly
-    the started jobs' reservations and rolls it back otherwise.
+    every [decide] call, so a decision may also try windows while reasoning
+    ([Timeline.reserve], [Timeline.change], nested
+    [Timeline.checkpoint]/[rollback]/[commit]), with every query reflecting
+    its own tentative changes in place — no persistent profile is ever
+    rebuilt — as long as it rolls back whatever is not a start and resolves
+    every checkpoint it opens. Afterwards the simulator commits the log
+    when it is exactly the starts' reservations, and otherwise rolls it
+    back and raises [Simulator.Policy_error].
     Decisions must not inspect instants before the current time: the live
     timeline carries real history there ([Timeline.to_profile ~from:time]
     exports the forward view with the past collapsed).
@@ -78,8 +83,10 @@ val conservative : t
     earliest start that delays no previously planned job, and starts exactly
     at its planned time. The plan lives in the policy's own mutable
     timeline, built once per run and updated incrementally (stale windows
-    undone with an inverse range-add on replans). Emits a [Planned] event
-    per (re)planning. *)
+    undone with an inverse range-add on replans). A due job is reserved on
+    the live timeline; a planned window that does not fit there is a
+    planning bug, raised as [Failure]. Emits a [Planned] event per
+    (re)planning. *)
 
 val easy : t
 (** EASY backfilling: the head holds a guaranteed earliest start; any other

@@ -331,13 +331,11 @@ let rec drain r t =
     end
   end
 
-(* Retract a failed decision's speculation — its checkpoint [spec] and any
-   the policy left open inside it — so the timeline is consistent when the
-   error propagates. *)
+(* Retract a failed decision: rolling back its checkpoint [spec] also
+   closes any scope the policy left open inside it, so the timeline is as
+   it was before the decision when the error propagates. *)
 let abandon r spec =
-  while Timeline.open_checkpoints r.free > 0 do
-    Timeline.rollback r.free spec
-  done;
+  Timeline.rollback r.free spec;
   Metrics.incr m_checkpoints;
   Metrics.incr m_rollbacks
 
@@ -346,13 +344,13 @@ let abandon r spec =
    decision allocates no closure and no ref.
 
    Validation: each started slot must hold a waiting job not already
-   started this decision; it is stamped with the decision. The result says
-   whether the speculative log so far is exactly this decision's
-   reservation sequence — matched against the authoritative slot state, so
-   the fast path cannot commit a window the slow path would have
-   rejected. *)
-let rec validate r t spec exact = function
-  | [] -> exact
+   started this decision; it is stamped with the decision. The result is
+   the first started slot whose window is not the [k]-th change in effect
+   in the decision's log, a reservation made by [Timeline.reserve], where
+   [k] is its place in [start_now]; -1 when every start has its
+   reservation. *)
+let rec validate r t spec unreserved = function
+  | [] -> unreserved
   | slot :: rest ->
     if
       slot < 0 || slot >= r.fresh || sget r slot o_start >= 0
@@ -366,31 +364,41 @@ let rec validate r t spec exact = function
     sset r slot o_stamp r.decision_no;
     let k = r.nstart in
     r.nstart <- k + 1;
-    validate r t spec
-      (exact
-      && Timeline.spec_op_is_reserve r.free spec ~i:k ~start:t ~dur:(sget r slot o_est)
-           ~need:r.sjob.(slot).Job.q)
-      rest
+    let reserved =
+      unreserved >= 0
+      || Timeline.spec_op_is_reserve r.free spec ~i:k ~start:t ~dur:(sget r slot o_est)
+           ~need:r.sjob.(slot).Job.q
+    in
+    validate r t spec (if reserved then unreserved else slot) rest
 
-(* Apply the starts: off the fast path, re-check and reserve each window;
-   then mark it running, leave the queue and schedule its completion. *)
-let rec apply r t ~metrics fast = function
+(* The commit rule failed: abandon the decision and say why, naming the
+   first start left unreserved with what its window offered before the
+   decision. *)
+let refuse r t spec unreserved =
+  abandon r spec;
+  if unreserved < 0 then
+    raise
+      (Policy_error
+         (Printf.sprintf "%s left a checkpoint open or changes beyond its %d reservations at t=%d"
+            r.name r.nstart t));
+  let est = sget r unreserved o_est and job = r.sjob.(unreserved) in
+  let q = job.Job.q in
+  raise
+    (Policy_error
+       (Format.asprintf
+          "%s started %a at t=%d without reserving it: window [%d,%d) needs %d, offers %d before \
+           the decision"
+          r.name Job.pp
+          (Job.make ~id:job.Job.id ~p:est ~q)
+          t t (t + est) q
+          (Timeline.min_on r.free ~lo:t ~hi:(t + est))))
+
+(* Apply the validated starts: mark each running, take it out of the queue
+   and schedule its completion. *)
+let rec apply r t ~metrics = function
   | [] -> ()
   | slot :: rest ->
-    let est = sget r slot o_est and job = r.sjob.(slot) in
-    if not fast then begin
-      let q = job.Job.q in
-      let have = Timeline.min_on r.free ~lo:t ~hi:(t + est) in
-      if have < q then
-        raise
-          (Policy_error
-             (Format.asprintf
-                "%s started %a at t=%d without capacity: window [%d,%d) needs %d but offers %d"
-                r.name Job.pp
-                (Job.make ~id:job.Job.id ~p:est ~q)
-                t t (t + est) q have));
-      Timeline.change r.free ~lo:t ~hi:(t + est) ~delta:(-q)
-    end;
+    let job = r.sjob.(slot) in
     sset r slot o_start t;
     Jobq.kill r.queue (sget r slot o_pos) ~moved:r.moved;
     if metrics then begin
@@ -402,7 +410,7 @@ let rec apply r t ~metrics fast = function
     if finish > r.makespan then r.makespan <- finish;
     Eventq.push r.events ~time:finish slot;
     r.on_start (sget r slot o_adm) job (sget r slot o_submit) t;
-    apply r t ~metrics fast rest
+    apply r t ~metrics rest
 
 (* Next instant with something to do, -1 when the run is over — ints all
    the way down so the steady-state loop allocates nothing. *)
@@ -480,8 +488,8 @@ let trace_head_blocked r t =
        { time = t; policy = r.name; job = r.sjob.(slot).Job.id; reason; lo = t; hi = t + est; need; have })
 
 (* Consult the policy at [t], with at least one job queued: decide under a
-   checkpoint, validate and apply its starts, trace the decision and push
-   its wake-up. *)
+   checkpoint, validate its starts and commit its log, apply the starts,
+   trace the decision and push its wake-up. *)
 let consult r t =
   let metrics = Metrics.enabled () in
   let t_decide = if metrics then Prof.now_ns () else 0 in
@@ -498,14 +506,17 @@ let consult r t =
   (* The action is only valid until the policy's next call: read it now. *)
   let start_now = action.Policy.start_now and wake = action.Policy.wake in
   r.nstart <- 0;
-  let exact = validate r t spec true start_now in
-  (* Fast path: the decision's trial reservations *are* the authoritative
-     ones — keep them. Slow path: retract everything the policy touched and
-     re-apply per start below. *)
-  let fast = exact && Timeline.spec_ops r.free spec = r.nstart in
-  if fast then Timeline.commit r.free spec else Timeline.rollback r.free spec;
+  let unreserved = validate r t spec (-1) start_now in
+  (* The one commit rule: the policy resolved its own scopes, and the
+     decision's log is exactly its starts' reservations, in start order. *)
+  if
+    unreserved >= 0
+    || Timeline.open_checkpoints r.free <> 1
+    || Timeline.spec_ops r.free spec <> r.nstart
+  then refuse r t spec unreserved;
+  Timeline.commit r.free spec;
   if metrics then begin
-    Metrics.incr (if fast then m_commits else m_rollbacks);
+    Metrics.incr m_commits;
     Metrics.incr m_decisions;
     Metrics.incr m_checkpoints;
     Metrics.observe m_decide_ns (Prof.now_ns () - t_decide);
@@ -523,7 +534,7 @@ let consult r t =
          });
     if r.nstart > 0 then trace_starts r t start_now
   end;
-  apply r t ~metrics fast start_now;
+  apply r t ~metrics start_now;
   if r.tracing && Jobq.length r.queue > 0 then trace_head_blocked r t;
   (* A wake already queued for the same instant (still ahead of [t], since
      it has not popped) would only pop as a no-op. *)
@@ -608,11 +619,9 @@ let run_core ~obs ~policy ~m ~sweep ~gc_every ~hb_every ~on_heartbeat ~on_start 
       (* Free capacity lives in one mutable timeline for the whole run (a
          binary search plus the blocks touched per start/release/query),
          filled straight from the sweep. Policies work against it
-         directly: each decision runs under a checkpoint; when the
-         speculative log turns out to be exactly the started jobs'
-         reservations (every native policy, almost every decision) it is
-         committed as the authoritative mutation, otherwise it is rolled
-         back and the starts re-validated one by one. *)
+         directly: each decision runs under a checkpoint, committed when
+         its log is exactly the started jobs' reservations and rolled back
+         with a [Policy_error] otherwise. *)
       free = Timeline.of_steps sweep.times sweep.free sweep.len;
       events = Eventq.create ();
       queue = Jobq.create ();

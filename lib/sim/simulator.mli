@@ -14,18 +14,26 @@
     rebuilt anywhere — decision path or tracing path: the head-blocked
     classifier queries the live timeline and a once-per-run
     reservation-blocked profile built lazily from the reservation sweep
-    ({!Resa_core.Resv_sweep.unavailability}), and queue-membership checks
-    are O(1) via id hash sets — a decision step costs one timeline
-    operation per start and query rather than O(history).
+    ({!Resa_core.Resv_sweep.unavailability}), and a start's queue
+    membership is an O(1) read of its slot (waiting, and not stamped by
+    the current decision) — a decision step costs one timeline operation
+    per start and query rather than O(history).
 
     The policy's per-run decision function is created at the start of each
     run ([policy.create ~obs]), so planning state cannot leak across runs.
 
-    Soundness is enforced, not assumed: every start requested by a policy is
-    checked against the capacity timeline (must be queued, not already
-    started this decision, and fit its whole window), and the finished trace
-    converts to an [Instance.t]/[Schedule.t] pair that [Schedule.validate]
-    accepts (tested).
+    Soundness is enforced, not assumed. Every start a policy requests must
+    be queued and not already started this decision, and a decision commits
+    by one rule: every checkpoint the policy opened is resolved, and the
+    decision's log is exactly one reservation made by
+    [Timeline.reserve ~start:now ~dur:estimate ~need:width] per start, in
+    start order. Each such reservation checked its window against the
+    timeline that the earlier ones left, so a committed decision never
+    exceeds the capacity; anything else is rolled back and raised as
+    {!Policy_error}. The engine never re-checks or re-reserves a start on
+    its own. The finished trace converts to an
+    [Instance.t]/[Schedule.t] pair that [Schedule.validate] accepts, for
+    any policy that runs to the end (tested with random policies).
 
     {2 Observability}
 
@@ -88,13 +96,15 @@ type heartbeat = {
     {!Heartbeat} — and stays segregated, as [Resa_obs.Prof] data does. *)
 
 exception Policy_error of string
-(** Raised when a policy starts a job that does not fit, starts a job not in
-    the queue, deadlocks (never starts a startable queue) or raises from its
-    [decide]. The message names the policy, the offending job (or the
-    exception, [Printexc.to_string]), the current time and — for capacity
-    violations — the requested window with its needed vs offered width.
-    The failed decision's timeline checkpoint, and any the policy left open
-    inside it, is rolled back first. *)
+(** Raised when a policy starts a job not in the queue, starts a job it did
+    not reserve (in start order), leaves other changes in the decision's
+    log or a checkpoint open, deadlocks (never starts a startable queue) or
+    raises from its [decide]. The message names the policy, the offending
+    job (or the exception, [Printexc.to_string]) and the current time; for
+    a start left unreserved, also its window, its width and the width the
+    window offered before the decision. The failed decision's timeline
+    checkpoint, and any the policy left open inside it, is rolled back
+    first. *)
 
 val run :
   ?obs:Resa_obs.Trace.t ->

@@ -2,85 +2,12 @@ let mean = function
   | [] -> 0.0
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let min_max = function
-  | [] -> invalid_arg "Stats.min_max: empty list"
-  | x :: xs -> List.fold_left (fun (lo, hi) v -> (Float.min lo v, Float.max hi v)) (x, x) xs
-
 (* Nearest-rank percentile on an already sorted array: O(1). *)
 let percentile_of_sorted a ~p =
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
   let n = Array.length a in
   let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
   a.(max 0 (min (n - 1) (rank - 1)))
-
-let sorted_of_list xs =
-  let a = Array.of_list xs in
-  Array.sort Float.compare a;
-  a
-
-type summary = {
-  count : int;
-  mean : float;
-  std : float;
-  min : float;
-  p50 : float;
-  p95 : float;
-  max : float;
-}
-
-let describe xs =
-  match xs with
-  | [] -> None
-  | _ ->
-    let a = sorted_of_list xs in
-    let n = Array.length a in
-    (* Welford's recurrence: mean and second moment in one fold. *)
-    let _, mu, m2 =
-      Array.fold_left
-        (fun (k, mu, m2) x ->
-          let k = k + 1 in
-          let d = x -. mu in
-          let mu = mu +. (d /. float_of_int k) in
-          (k, mu, m2 +. (d *. (x -. mu))))
-        (0, 0.0, 0.0) a
-    in
-    Some
-      {
-        count = n;
-        mean = mu;
-        std = sqrt (m2 /. float_of_int n);
-        min = a.(0);
-        p50 = percentile_of_sorted a ~p:50.0;
-        p95 = percentile_of_sorted a ~p:95.0;
-        max = a.(n - 1);
-      }
-
-let median = function
-  | [] -> invalid_arg "Stats.median: empty list"
-  | xs -> percentile_of_sorted (sorted_of_list xs) ~p:50.0
-
-let histogram ~bins xs =
-  if bins < 1 then invalid_arg "Stats.histogram: bins must be >= 1";
-  match xs with
-  | [] -> []
-  | _ ->
-    let lo, hi = min_max xs in
-    if hi <= lo then
-      (* Degenerate range: all samples coincide, so fabricated empty bins
-         beyond the data would be a lie — collapse to one bin. *)
-      [ (lo, hi, List.length xs) ]
-    else begin
-      let width = (hi -. lo) /. float_of_int bins in
-      let counts = Array.make bins 0 in
-      List.iter
-        (fun x ->
-          let b = int_of_float ((x -. lo) /. width) in
-          let b = max 0 (min (bins - 1) b) in
-          counts.(b) <- counts.(b) + 1)
-        xs;
-      List.init bins (fun b ->
-          (lo +. (float_of_int b *. width), lo +. (float_of_int (b + 1) *. width), counts.(b)))
-    end
 
 module Fsum = struct
   (* Shewchuk's growing expansion, with CPython math.fsum's rounding

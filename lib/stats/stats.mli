@@ -1,31 +1,8 @@
-(** Small statistics toolkit used by the benchmark harness. *)
+(** Small statistics toolkit: the list mean, the streaming accumulators
+    behind the replay metrics, and terminal sparklines. *)
 
 val mean : float list -> float
 (** 0 on the empty list. *)
-
-type summary = {
-  count : int;
-  mean : float;
-  std : float;  (** Population standard deviation (Welford). *)
-  min : float;
-  p50 : float;  (** Nearest-rank median. *)
-  p95 : float;  (** Nearest-rank 95th percentile. *)
-  max : float;
-}
-
-val describe : float list -> summary option
-(** Full summary in a single pass: one sort plus one fold. [None] on the
-    empty list. {!median} is a thin wrapper over the same sorted-array
-    machinery. *)
-
-val median : float list -> float
-(** Nearest-rank median. Raises [Invalid_argument] on the empty list. *)
-
-val histogram : bins:int -> float list -> (float * float * int) list
-(** Equal-width bins [(lo, hi, count)] spanning the data range. When the
-    range is degenerate (all samples equal) the result collapses to the
-    single bin [(lo, lo, n)] instead of reporting [bins - 1] fabricated
-    empty ranges beyond the data. *)
 
 (** {2 Streaming accumulators}
 

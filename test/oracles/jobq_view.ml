@@ -18,3 +18,9 @@ let tags_of q jobs =
   let tag_of = Hashtbl.create 16 in
   fold_live q (fun i () -> Hashtbl.replace tag_of ids.(i) tags.(i)) ();
   List.map (fun j -> Hashtbl.find tag_of (Job.id j)) jobs
+
+let start q free ~time jobs =
+  List.iter
+    (fun j -> ignore (Timeline.reserve free ~start:time ~dur:(Job.p j) ~need:(Job.q j) : bool))
+    jobs;
+  tags_of q jobs

@@ -9,8 +9,9 @@ let no_wake = -1
    forward profile once (what the simulator used to hand every policy) and
    re-derives its plan with persistent [Profile] chains. Same names, same
    decisions — the differential suite holds the native policies to that.
-   Being oracles, they consume the queue as a plain list of jobs and map
-   the jobs they start back to queue tags. *)
+   Being oracles, they consume the queue as a plain list of jobs, and start
+   the jobs they pick through [Jobq_view.start], which reserves them on the
+   live timeline and names their queue tags. *)
 
 let p_fits free ~time job = Profile.min_on free ~lo:time ~hi:(time + Job.p job) >= Job.q job
 
@@ -18,9 +19,9 @@ let p_earliest free ~from job =
   Option.get (Profile.earliest_fit free ~from ~dur:(Job.p job) ~need:(Job.q job))
 
 let fcfs_reference =
-  let create ~obs ~time ~queue:q ~free =
+  let create ~obs ~time ~queue:q ~free:live =
     let queue = Jobq_view.to_list q in
-    let free = Timeline.to_profile ~from:time free in
+    let free = Timeline.to_profile ~from:time live in
     let rec go free = function
       | [] -> ([], None)
       | head :: rest when p_fits free ~time head ->
@@ -34,14 +35,17 @@ let fcfs_reference =
         ([], Some at)
     in
     let start_now, wake = go free queue in
-    { start_now = Jobq_view.tags_of q start_now; wake = Option.value wake ~default:no_wake }
+    {
+      start_now = Jobq_view.start q live ~time start_now;
+      wake = Option.value wake ~default:no_wake;
+    }
   in
   { name = "FCFS"; create }
 
 let aggressive_reference =
-  let create ~obs:_ ~time ~queue:q ~free =
+  let create ~obs:_ ~time ~queue:q ~free:live =
     let queue = Jobq_view.to_list q in
-    let free = Timeline.to_profile ~from:time free in
+    let free = Timeline.to_profile ~from:time live in
     let rec go free = function
       | [] -> []
       | j :: rest when p_fits free ~time j ->
@@ -49,14 +53,14 @@ let aggressive_reference =
         j :: go free rest
       | _ :: rest -> go free rest
     in
-    { start_now = Jobq_view.tags_of q (go free queue); wake = no_wake }
+    { start_now = Jobq_view.start q live ~time (go free queue); wake = no_wake }
   in
   { name = "LSRC"; create }
 
 let easy_reference =
-  let create ~obs ~time ~queue:q ~free =
+  let create ~obs ~time ~queue:q ~free:live =
     let queue = Jobq_view.to_list q in
-    let free = Timeline.to_profile ~from:time free in
+    let free = Timeline.to_profile ~from:time live in
     let rec pop_prefix free = function
       | head :: rest when p_fits free ~time head ->
         let free = Profile.reserve free ~start:time ~dur:(Job.p head) ~need:(Job.q head) in
@@ -81,7 +85,10 @@ let easy_reference =
         (backfill free rest, Some guaranteed)
     in
     let start_now, wake = pop_prefix free queue in
-    { start_now = Jobq_view.tags_of q start_now; wake = Option.value wake ~default:no_wake }
+    {
+      start_now = Jobq_view.start q live ~time start_now;
+      wake = Option.value wake ~default:no_wake;
+    }
   in
   { name = "EASY"; create }
 
@@ -89,12 +96,12 @@ let conservative_reference =
   let create ~obs =
     let planned : (int, int) Hashtbl.t = Hashtbl.create 64 in
     let plan = ref None in
-    fun ~time ~queue:q ~free ->
+    fun ~time ~queue:q ~free:live ->
       let queue = Jobq_view.to_list q in
       (* The per-decision snapshot is the cost being measured: the old
          engine rebuilt this profile at every event whether or not the
          decision consulted it. *)
-      let snap = Timeline.to_profile ~from:time free in
+      let snap = Timeline.to_profile ~from:time live in
       let p = match !plan with None -> snap | Some p -> p in
       let p =
         List.fold_left
@@ -145,7 +152,10 @@ let conservative_reference =
             end)
           None queue
       in
-      { start_now = Jobq_view.tags_of q start_now; wake = Option.value wake ~default:no_wake }
+      {
+      start_now = Jobq_view.start q live ~time start_now;
+      wake = Option.value wake ~default:no_wake;
+    }
   in
   { name = "CONS"; create }
 

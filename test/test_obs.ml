@@ -378,9 +378,12 @@ let test_policy_error_messages () =
           create =
             (fun ~obs:_ ->
               let seen = ref [] in
-              fun ~time:_ ~queue ~free:_ ->
-                let live = Resa_oracles.Jobq_view.(tags_of queue (to_list queue)) in
-                let start_now = answer ~seen:!seen live in
+              fun ~time ~queue ~free ->
+                let jobs = Resa_oracles.Jobq_view.to_list queue in
+                let live = Resa_oracles.Jobq_view.tags_of queue jobs in
+                (* Reserve every queued job and name its tag. *)
+                let start () = Resa_oracles.Jobq_view.start queue free ~time jobs in
+                let start_now = answer ~seen:!seen ~start live in
                 seen := !seen @ live;
                 { start_now; wake = -1 });
         }
@@ -394,16 +397,18 @@ let test_policy_error_messages () =
     | _ -> Alcotest.failf "%s start not caught" name
   in
   (* A tag no slot has ever held. *)
-  refused "PHANTOM" (fun ~seen:_ _ -> [ 99 ]) [ List.hd subs ];
+  refused "PHANTOM" (fun ~seen:_ ~start:_ _ -> [ 99 ]) [ List.hd subs ];
   (* The tag of a job started at 0 and still running at 1. *)
   refused "DEAD"
-    (fun ~seen live -> if seen = [] then live else seen)
+    (fun ~seen ~start _ -> if seen = [] then start () else seen)
     [
       Simulator.{ job = Job.make ~id:0 ~p:10 ~q:1; submit = 0 };
       Simulator.{ job = Job.make ~id:1 ~p:2 ~q:1; submit = 1 };
     ];
   (* A queued tag named twice in one answer. *)
-  refused "TWICE" (fun ~seen:_ live -> List.concat_map (fun t -> [ t; t ]) live) [ List.hd subs ]
+  refused "TWICE"
+    (fun ~seen:_ ~start:_ live -> List.concat_map (fun t -> [ t; t ]) live)
+    [ List.hd subs ]
 
 (* A failed decision leaves no speculation open: the engine rolls its
    checkpoint back — and any the policy opened inside it — before the error
@@ -428,7 +433,7 @@ let test_failed_decision_rolls_back () =
           (fun ~obs:_ ~time ~queue:_ ~free ->
             if time >= 3 then begin
               if nested then ignore (Timeline.checkpoint free);
-              Timeline.reserve free ~start:time ~dur:4 ~need:1;
+              ignore (Timeline.reserve free ~start:time ~dur:4 ~need:1 : bool);
               failwith "planner bug"
             end;
             { start_now = []; wake = 3 });
@@ -453,7 +458,7 @@ let test_failed_decision_rolls_back () =
         name = "PHANTOM";
         create =
           (fun ~obs:_ ~time ~queue:_ ~free ->
-            Timeline.reserve free ~start:time ~dur:1 ~need:1;
+            ignore (Timeline.reserve free ~start:time ~dur:1 ~need:1 : bool);
             { start_now = [ 99 ]; wake = -1 });
       }
   in
@@ -462,12 +467,196 @@ let test_failed_decision_rolls_back () =
       | exception Simulator.Policy_error _ -> resolved ()
       | _ -> Alcotest.fail "phantom start not caught")
 
+(* The engine commits a decision only when its log is exactly the starts'
+   checked reservations, in start order, with every scope the policy
+   opened resolved. A policy that marks its starts with [Timeline.change]
+   — same windows, same widths, and here they fit — is refused, as is one
+   that leaves an extra change behind or a checkpoint open; each failure
+   rolls the decision back. *)
+let test_commit_rule_refuses_unproven_logs () =
+  let subs =
+    [
+      Simulator.{ job = Job.make ~id:0 ~p:2 ~q:1; submit = 0 };
+      Simulator.{ job = Job.make ~id:1 ~p:3 ~q:1; submit = 0 };
+    ]
+  in
+  let refused name body expect =
+    let policy =
+      Policy.
+        {
+          name;
+          create =
+            (fun ~obs:_ ~time ~queue ~free ->
+              let jobs = Resa_oracles.Jobq_view.to_list queue in
+              body ~time ~free jobs;
+              { start_now = Resa_oracles.Jobq_view.tags_of queue jobs; wake = -1 });
+        }
+    in
+    Tutil.with_metrics (fun () ->
+        match Simulator.run ~policy ~m:4 subs with
+        | exception Simulator.Policy_error msg ->
+          List.iter
+            (fun sub ->
+              Alcotest.(check bool) (Printf.sprintf "%s msg has %S" name sub) true
+                (contains ~sub msg))
+            (name :: "at t=0" :: expect);
+          Alcotest.(check int) (name ^ ": every checkpoint resolved")
+            (Tutil.counter "timeline.checkpoint")
+            (Tutil.counter "timeline.commit" + Tutil.counter "timeline.rollback")
+        | _ -> Alcotest.failf "%s: decision committed" name)
+  in
+  let reserve free ~time j =
+    Alcotest.(check bool) "window fits" true
+      (Timeline.reserve free ~start:time ~dur:(Job.p j) ~need:(Job.q j))
+  in
+  refused "MARKER"
+    (fun ~time ~free ->
+      List.iter (fun j ->
+          Timeline.change free ~lo:time ~hi:(time + Job.p j) ~delta:(-Job.q j)))
+    [ "without reserving it"; "window [0,2)"; "needs 1" ];
+  refused "EXTRA"
+    (fun ~time ~free jobs ->
+      List.iter (reserve free ~time) jobs;
+      Timeline.change free ~lo:(time + 10) ~hi:(time + 11) ~delta:1)
+    [ "changes beyond its 2 reservations" ];
+  refused "OPEN"
+    (fun ~time ~free jobs ->
+      ignore (Timeline.checkpoint free : Timeline.mark);
+      List.iter (reserve free ~time) jobs)
+    [ "left a checkpoint open" ]
+
+(* Random policies against the commit rule. Each decision runs a random
+   program on the live timeline: reservations of queued jobs (named as
+   starts), changes, and nested checkpoints, each committed or rolled back
+   with the starts made inside it. A clean policy ([fault < 0]) then
+   reserves and starts every queued job that still fits, and its runs must
+   complete. A rogue one now and then commits one kind of fault: [0] a
+   change left in the log, [1] a reservation of a later window, [2] a
+   start not named, [3] the starts of a rolled-back scope kept, [4] a
+   resolved mark used again, [5] scopes left open, [6] a stale, repeated
+   or unknown tag, or [7] any of these. Either way the run fails with [Policy_error] or yields a
+   feasible schedule, and every checkpoint opened is resolved. *)
+let random_policy ~fault seed =
+  let create ~obs:_ =
+    let rng = Prng.create ~seed in
+    let coin k = Prng.int rng ~bound:k = 0 in
+    let slip k = (fault = k || fault = 7) && coin 3 in
+    let last = ref [] in
+    fun ~time ~queue ~free ->
+      let jobs = Array.of_list (Resa_oracles.Jobq_view.to_list queue) in
+      let tags = Array.of_list (Resa_oracles.Jobq_view.tags_of queue (Array.to_list jobs)) in
+      let n = Array.length jobs in
+      (* Starts newest first; open scopes innermost first, each with the
+         number of starts made before it and whether it holds a change. *)
+      let starts = ref [] and scopes = ref [] and resolved = ref [] in
+      let reserve i ~start =
+        let j = jobs.(i) in
+        Timeline.reserve free ~start ~dur:(Job.p j) ~need:(Job.q j)
+      in
+      let try_start i =
+        if (not (List.mem tags.(i) !starts)) && reserve i ~start:time && not (slip 2) then
+          starts := tags.(i) :: !starts
+      in
+      let resolve () =
+        match !scopes with
+        | [] -> ()
+        | (m, before, dirty) :: rest ->
+          scopes := rest;
+          resolved := m :: !resolved;
+          if (dirty && not (slip 0)) || coin 3 then begin
+            Timeline.rollback free m;
+            if not (slip 3) then
+              starts := List.filteri (fun k _ -> k >= List.length !starts - before) !starts
+          end
+          else begin
+            Timeline.commit free m;
+            match rest with
+            | (m', b', _) :: rest' when dirty -> scopes := (m', b', true) :: rest'
+            | _ -> ()
+          end
+      in
+      for _ = 1 to Prng.int rng ~bound:8 do
+        match Prng.int rng ~bound:6 with
+        | (0 | 1) when n > 0 ->
+          let i = Prng.int rng ~bound:n in
+          if slip 1 then ignore (reserve i ~start:(time + 1 + Prng.int rng ~bound:3) : bool)
+          else try_start i
+        | 2 when !scopes <> [] || slip 0 ->
+          let lo = time + Prng.int rng ~bound:2 in
+          Timeline.change free ~lo ~hi:(lo + 1 + Prng.int rng ~bound:4)
+            ~delta:(Prng.int_incl rng ~lo:(-1) ~hi:3);
+          (match !scopes with (m, b, _) :: rest -> scopes := (m, b, true) :: rest | [] -> ())
+        | 3 when List.length !scopes < 3 ->
+          scopes := (Timeline.checkpoint free, List.length !starts, false) :: !scopes
+        | 4 -> resolve ()
+        | 5 when !resolved <> [] && slip 4 ->
+          let m = List.nth !resolved (Prng.int rng ~bound:(List.length !resolved)) in
+          if coin 2 then Timeline.commit free m else Timeline.rollback free m
+        | _ -> ()
+      done;
+      if not (slip 5) then
+        while !scopes <> [] do
+          resolve ()
+        done;
+      for i = 0 to n - 1 do
+        try_start i
+      done;
+      (* Capacity that is not there, left for later decisions to use. *)
+      if slip 0 then
+        Timeline.change free ~lo:time ~hi:(time + 1 + Prng.int rng ~bound:8)
+          ~delta:(1 + Prng.int rng ~bound:3);
+      let start_now = List.rev !starts in
+      let start_now =
+        if not (slip 6) then start_now
+        else
+          match Prng.int rng ~bound:3 with
+          | 0 -> start_now @ [ 1_000_000 ]
+          | 1 -> start_now @ start_now
+          | _ -> !last @ start_now
+      in
+      last := start_now;
+      { Policy.start_now; wake = (if coin 3 then time + 1 + Prng.int rng ~bound:4 else -1) }
+  in
+  { Policy.name = (if fault < 0 then "CLEAN" else "ROGUE"); create }
+
+let prop_random_policies =
+  Tutil.qcheck ~count:500 "random policies refused or feasible" Tutil.seed_arb (fun seed ->
+      let inst = Tutil.small_resa_of_seed seed in
+      let rng = Prng.create ~seed:(seed + 1) in
+      let submits =
+        List.sort compare (List.init (Instance.n_jobs inst) (fun _ -> Prng.int rng ~bound:12))
+      in
+      let subs =
+        List.mapi (fun i submit -> Simulator.{ job = Instance.job inst i; submit }) submits
+      in
+      let reservations = Array.to_list (Instance.reservations inst) in
+      (* Half the runs clean, the others spread over the faults. *)
+      let fault = if seed mod 2 = 0 then -1 else seed / 2 mod 8 in
+      Tutil.with_metrics (fun () ->
+          let outcome =
+            match
+              Simulator.run ~policy:(random_policy ~fault seed) ~m:(Instance.m inst) ~reservations
+                subs
+            with
+            | exception Simulator.Policy_error msg ->
+              if fault < 0 then QCheck.Test.fail_reportf "clean policy refused: %s" msg;
+              true
+            | trace -> (
+              let inst, sched = Simulator.to_offline trace in
+              match Schedule.validate inst sched with
+              | Ok () -> true
+              | Error v -> QCheck.Test.fail_reportf "infeasible: %a" Schedule.pp_violation v)
+          in
+          outcome
+          && Tutil.counter "timeline.checkpoint"
+             = Tutil.counter "timeline.commit" + Tutil.counter "timeline.rollback"))
+
 (* --- profiling ----------------------------------------------------------- *)
 
 (* The capacity pre-filter: a queued job wider than the capacity free now
    is skipped without a window query. A queue of 1000 jobs wider than the
    machine's free capacity costs LSRC no [min_on] at all, and EASY only
-   the one that finds its head blocked. *)
+   the one that finds its head blocked: one refused reservation. *)
 let test_capacity_prefilter () =
   let queue = Jobq.create () in
   for i = 0 to 999 do
@@ -482,7 +671,9 @@ let test_capacity_prefilter () =
           let act = decide ~time:0 ~queue ~free in
           Alcotest.(check int) (policy.name ^ " starts nothing") 0 (List.length act.start_now);
           Alcotest.(check int) (policy.name ^ " min_on calls") expect
-            (Tutil.counter "timeline.min_on")))
+            (Tutil.counter "timeline.min_on");
+          Alcotest.(check int) (policy.name ^ " refused reservations") expect
+            (Tutil.counter "timeline.reserve_failed")))
     [ (Policy.aggressive, 0); (Policy.easy, 1) ]
 
 let test_prof_counters () =
@@ -610,4 +801,7 @@ let suite =
     Alcotest.test_case "prof clock never decreases" `Quick test_clock_monotonic;
     Alcotest.test_case "busy accounting at high domain ids" `Quick test_busy_high_domain_ids;
     Alcotest.test_case "explain renders a trace" `Quick test_explain_render;
+    Alcotest.test_case "commit rule refuses unproven logs" `Quick
+      test_commit_rule_refuses_unproven_logs;
+    prop_random_policies;
   ]

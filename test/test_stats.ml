@@ -2,96 +2,21 @@ open Resa_stats
 
 let feq = Alcotest.(check (float 1e-9))
 
-(* Textbook references for [describe]: two-pass population standard
-   deviation, a fold for the extremes, nearest-rank percentiles. *)
-let ref_stddev xs =
-  let n = float_of_int (List.length xs) in
-  let mu = List.fold_left ( +. ) 0.0 xs /. n in
-  sqrt (List.fold_left (fun acc x -> acc +. ((x -. mu) *. (x -. mu))) 0.0 xs /. n)
-
+(* A fold for the extremes, the reference [mean] is held between. *)
 let ref_min_max = function
   | [] -> invalid_arg "ref_min_max"
   | x :: xs -> List.fold_left (fun (lo, hi) v -> (Float.min lo v, Float.max hi v)) (x, x) xs
 
-let ref_percentile xs ~p =
-  let a = Array.of_list (List.sort Float.compare xs) in
-  let rank = int_of_float (ceil (p /. 100.0 *. float_of_int (Array.length a))) in
-  a.(max 0 (min (Array.length a - 1) (rank - 1)))
-
-let describe xs = match Stats.describe xs with Some d -> d | None -> Alcotest.fail "no summary"
-
 let test_mean_variance () =
   feq "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ]);
   feq "mean empty" 0.0 (Stats.mean []);
-  feq "variance" (2.0 /. 3.0) ((describe [ 1.0; 2.0; 3.0 ]).Stats.std ** 2.0);
-  feq "variance singleton" 0.0 (describe [ 5.0 ]).Stats.std
-
-let test_min_max () =
-  let d = describe [ 3.0; -1.0; 7.0 ] in
-  feq "min" (-1.0) d.Stats.min;
-  feq "max" 7.0 d.Stats.max
-
-let test_percentiles () =
-  let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
-  feq "median" 50.0 (Stats.median xs);
-  feq "p95" 95.0 (describe xs).Stats.p95;
-  feq "singleton" 4.0 (describe [ 4.0 ]).Stats.p95;
-  Alcotest.check_raises "empty" (Invalid_argument "Stats.median: empty list") (fun () ->
-      ignore (Stats.median []))
-
-let test_histogram () =
-  let h = Stats.histogram ~bins:2 [ 0.0; 1.0; 2.0; 3.0 ] in
-  Alcotest.(check int) "two bins" 2 (List.length h);
-  let counts = List.map (fun (_, _, c) -> c) h in
-  Alcotest.(check (list int)) "counts" [ 2; 2 ] counts;
-  Alcotest.(check int) "total preserved" 4 (List.fold_left ( + ) 0 counts)
-
-let test_histogram_constant_data () =
-  (* Degenerate range: no fabricated empty bins beyond the data — the
-     result collapses to the single zero-width bin holding everything. *)
-  let h = Stats.histogram ~bins:3 [ 5.0; 5.0; 5.0 ] in
-  Alcotest.(check int) "collapses to a single bin" 1 (List.length h);
-  (match h with
-  | [ (lo, hi, c) ] ->
-    feq "bin lo" 5.0 lo;
-    feq "bin hi" 5.0 hi;
-    Alcotest.(check int) "bin holds all samples" 3 c
-  | _ -> Alcotest.fail "expected exactly one bin");
-  Alcotest.(check int) "singleton sample too" 1
-    (List.length (Stats.histogram ~bins:10 [ -2.5 ]))
-
-let test_describe () =
-  let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
-  match Stats.describe xs with
-  | None -> Alcotest.fail "describe of non-empty list"
-  | Some d ->
-    Alcotest.(check int) "count" 100 d.Stats.count;
-    feq "mean" 50.5 d.Stats.mean;
-    feq "min" 1.0 d.Stats.min;
-    feq "max" 100.0 d.Stats.max;
-    feq "p50" 50.0 d.Stats.p50;
-    feq "p95" 95.0 d.Stats.p95;
-    Alcotest.(check (float 1e-9)) "std (Welford = two-pass)" (ref_stddev xs) d.Stats.std
-
-let test_describe_empty () =
-  Alcotest.(check bool) "None on empty" true (Stats.describe [] = None)
-
-let prop_describe_agrees_with_wrappers =
-  Tutil.qcheck "describe agrees with the legacy functions"
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 40) (float_range (-50.) 50.))
-    (fun xs ->
-      match Stats.describe xs with
-      | None -> false
-      | Some d ->
-        let lo, hi = ref_min_max xs in
-        let close a b = Float.abs (a -. b) <= 1e-9 in
-        d.Stats.count = List.length xs
-        && close d.Stats.mean (Stats.mean xs)
-        && close d.Stats.std (ref_stddev xs)
-        && d.Stats.min = lo && d.Stats.max = hi
-        && d.Stats.p50 = Stats.median xs
-        && d.Stats.p50 = ref_percentile xs ~p:50.0
-        && d.Stats.p95 = ref_percentile xs ~p:95.0)
+  (* The population variance is the mean of the squared deviations. *)
+  let variance xs =
+    let mu = Stats.mean xs in
+    Stats.mean (List.map (fun x -> (x -. mu) ** 2.0) xs)
+  in
+  feq "variance" (2.0 /. 3.0) (variance [ 1.0; 2.0; 3.0 ]);
+  feq "variance singleton" 0.0 (variance [ 5.0 ])
 
 let test_sparkline () =
   let str = Alcotest.(check string) in
@@ -131,13 +56,6 @@ let prop_mean_bounded =
       let lo, hi = ref_min_max xs in
       let mu = Stats.mean xs in
       lo -. 1e-9 <= mu && mu <= hi +. 1e-9)
-
-let prop_histogram_conserves_count =
-  Tutil.qcheck "histogram conserves the sample count"
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 50) (float_range 0. 10.))
-    (fun xs ->
-      let h = Stats.histogram ~bins:5 xs in
-      List.fold_left (fun acc (_, _, c) -> acc + c) 0 h = List.length xs)
 
 (* --- streaming accumulators --------------------------------------------- *)
 
@@ -266,19 +184,11 @@ let prop_bounded_slowdown_identity =
 let suite =
   [
     Alcotest.test_case "mean and variance" `Quick test_mean_variance;
-    Alcotest.test_case "min and max" `Quick test_min_max;
-    Alcotest.test_case "percentiles" `Quick test_percentiles;
-    Alcotest.test_case "histogram" `Quick test_histogram;
-    Alcotest.test_case "histogram of constant data" `Quick test_histogram_constant_data;
-    Alcotest.test_case "describe summary" `Quick test_describe;
-    Alcotest.test_case "describe of empty list" `Quick test_describe_empty;
-    prop_describe_agrees_with_wrappers;
     Alcotest.test_case "sparkline scales, skips and scrolls" `Quick test_sparkline;
     Alcotest.test_case "table rendering" `Quick test_table_render;
     Alcotest.test_case "table rejects ragged rows" `Quick test_table_rejects_ragged;
     Alcotest.test_case "CSV escaping" `Quick test_table_csv;
     prop_mean_bounded;
-    prop_histogram_conserves_count;
     Alcotest.test_case "Fsum exact summation" `Quick test_fsum_exact;
     Alcotest.test_case "Fsum rejects non-finite terms" `Quick test_fsum_rejects_non_finite;
     prop_fsum_order_independent;

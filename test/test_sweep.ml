@@ -110,7 +110,8 @@ let probe ~job ~start_at =
               Timeline.check free;
               seen := (time, Timeline.to_profile free) :: !seen;
               action.start_now <-
-                (if time = start_at then Resa_oracles.Jobq_view.tags_of queue [ job ] else []);
+                (if time = start_at then Resa_oracles.Jobq_view.start queue free ~time [ job ]
+                 else []);
               action);
       }
   in

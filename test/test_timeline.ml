@@ -33,11 +33,12 @@ let test_change_reserve () =
   Timeline.change tl ~lo:2 ~hi:5 ~delta:(-3);
   Alcotest.(check int) "inside" 1 (Timeline.value_at tl 3);
   Alcotest.(check int) "outside" 4 (Timeline.value_at tl 5);
-  Timeline.reserve tl ~start:0 ~dur:2 ~need:4;
+  Alcotest.(check bool) "fits" true (Timeline.reserve tl ~start:0 ~dur:2 ~need:4);
   Alcotest.(check int) "reserved" 0 (Timeline.value_at tl 1);
-  Alcotest.check_raises "insufficient"
-    (Invalid_argument "Timeline.reserve: insufficient capacity in window") (fun () ->
-      Timeline.reserve tl ~start:1 ~dur:3 ~need:2);
+  let before = Timeline.to_profile tl in
+  Alcotest.(check bool) "insufficient" false (Timeline.reserve tl ~start:1 ~dur:3 ~need:2);
+  Alcotest.(check bool) "refused reserve changes nothing" true
+    (Profile.equal before (Timeline.to_profile tl));
   (* Inverse range-add undoes a reservation exactly. *)
   Timeline.change tl ~lo:0 ~hi:2 ~delta:4;
   Timeline.change tl ~lo:2 ~hi:5 ~delta:3;
@@ -74,7 +75,7 @@ let test_checkpoint_rollback () =
   let tl = Timeline.of_profile (Profile.of_steps [ (0, 6); (4, 2); (9, 6) ]) in
   let before = Timeline.to_profile tl in
   let m = Timeline.checkpoint tl in
-  Timeline.reserve tl ~start:0 ~dur:3 ~need:4;
+  Alcotest.(check bool) "reserved" true (Timeline.reserve tl ~start:0 ~dur:3 ~need:4);
   Timeline.change tl ~lo:10 ~hi:20 ~delta:(-5);
   (* Queries see the speculative state... *)
   Alcotest.(check int) "speculative value" 2 (Timeline.value_at tl 1);
@@ -126,6 +127,34 @@ let test_stale_marks_rejected () =
     (Invalid_argument "Timeline.rollback: stale or non-LIFO mark") (fun () ->
       Timeline.rollback tl m)
 
+(* A mark resolves its own scope only. Nested with no change in between,
+   an inner mark still cannot close the enclosing scope once its own is
+   resolved; an outer mark cannot commit over an open inner scope, and
+   rolling it back closes both. *)
+let test_marks_own_their_scope () =
+  let tl = Timeline.create 4 in
+  let outer = Timeline.checkpoint tl in
+  let inner = Timeline.checkpoint tl in
+  Timeline.rollback tl inner;
+  Alcotest.check_raises "inner mark reused"
+    (Invalid_argument "Timeline.rollback: stale or non-LIFO mark") (fun () ->
+      Timeline.rollback tl inner);
+  Alcotest.(check int) "outer scope still open" 1 (Timeline.open_checkpoints tl);
+  let inner = Timeline.checkpoint tl in
+  Alcotest.(check bool) "reserved" true (Timeline.reserve tl ~start:0 ~dur:2 ~need:3);
+  Alcotest.check_raises "outer commit over an open scope"
+    (Invalid_argument "Timeline.commit: stale or non-LIFO mark") (fun () ->
+      Timeline.commit tl outer);
+  ignore (Timeline.checkpoint tl : Timeline.mark);
+  Timeline.change tl ~lo:1 ~hi:3 ~delta:(-1);
+  Timeline.rollback tl outer;
+  Alcotest.(check int) "every scope closed" 0 (Timeline.open_checkpoints tl);
+  Alcotest.(check bool) "every change undone" true
+    (Profile.equal (Profile.constant 4) (Timeline.to_profile tl));
+  Alcotest.check_raises "inner mark after the outer rollback"
+    (Invalid_argument "Timeline.commit: stale or non-LIFO mark") (fun () ->
+      Timeline.commit tl inner)
+
 (* [Timeline.check] as a boolean, reporting the broken invariant. *)
 let valid tl =
   match Timeline.check tl with
@@ -159,7 +188,8 @@ let speculation_identity_with ~scale ~rounds seed =
       let start = !org + Prng.int rng ~bound:(50 * scale)
       and dur = Prng.int_incl rng ~lo:1 ~hi:(12 * scale) in
       let mn = Timeline.min_on tl ~lo:start ~hi:(start + dur) in
-      if mn >= 1 then Timeline.reserve tl ~start ~dur ~need:(Prng.int_incl rng ~lo:1 ~hi:mn)
+      if mn >= 1 && not (Timeline.reserve tl ~start ~dur ~need:(Prng.int_incl rng ~lo:1 ~hi:mn))
+      then ok := false
     end;
     step ()
   in
@@ -249,11 +279,15 @@ let ops_agree_with ~scale ~ops seed =
       let start = at 40 and dur = width 10 in
       let mn = Profile.min_on !p ~lo:start ~hi:(start + dur) in
       check "min before reserve" (mn = Timeline.min_on tl ~lo:start ~hi:(start + dur));
-      if mn >= 1 then begin
-        let need = Prng.int_incl rng ~lo:1 ~hi:mn in
-        update ~lo:start (Profile.reserve !p ~start ~dur ~need);
-        Timeline.reserve tl ~start ~dur ~need
-      end
+      (* Up to one past the window's capacity: [reserve] answers [false],
+         and changes nothing, exactly where [Profile.reserve] raises. *)
+      let need = Prng.int_incl rng ~lo:1 ~hi:(max 1 (mn + 1)) in
+      (match Profile.reserve !p ~start ~dur ~need with
+      | p' ->
+        update ~lo:start p';
+        check "reserve made" (Timeline.reserve tl ~start ~dur ~need)
+      | exception Invalid_argument _ ->
+        check "reserve refused" (not (Timeline.reserve tl ~start ~dur ~need)))
     | 2 ->
       let x = at 100 in
       check "value_at" (Profile.value_at !p x = Timeline.value_at tl x)
@@ -325,7 +359,7 @@ let resa_instance_of_seed seed =
 
 let test_gc_collapses_past () =
   let tl = Timeline.of_profile (Profile.of_steps [ (0, 9); (2, 1); (5, 6); (40, 3) ]) in
-  Timeline.reserve tl ~start:50 ~dur:10 ~need:2;
+  Alcotest.(check bool) "reserved" true (Timeline.reserve tl ~start:50 ~dur:10 ~need:2);
   (* Pile mutation history into the dead past so there is something to free
      (queries are read-only and materialise nothing, so only mutations
      grow the tree). Net delta zero: values are untouched. *)
@@ -342,7 +376,7 @@ let test_gc_collapses_past () =
   Alcotest.(check int) "past is value_at upto" 3 (Timeline.value_at tl 0);
   Alcotest.(check bool) "history freed" true (Timeline.node_count tl < nodes_before);
   (* The compacted timeline keeps working: mutations and queries as usual. *)
-  Timeline.reserve tl ~start:41 ~dur:4 ~need:1;
+  Alcotest.(check bool) "post-gc reserve made" true (Timeline.reserve tl ~start:41 ~dur:4 ~need:1);
   Alcotest.(check int) "post-gc reserve" 2 (Timeline.value_at tl 42);
   Alcotest.(check (option int)) "post-gc earliest_fit" (Some 45)
     (Timeline.earliest_fit tl ~from:41 ~dur:5 ~need:3)
@@ -506,4 +540,5 @@ let suite =
     Tutil.qcheck ~count:300 "EASY = Profile-backed EASY" Tutil.seed_arb
       (same_schedule "easy" Resa_algos.Backfill.easy_order
          Resa_oracles.Backfill.easy_order_reference);
+    Alcotest.test_case "marks resolve only their own scope" `Quick test_marks_own_their_scope;
   ]
