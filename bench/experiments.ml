@@ -35,10 +35,13 @@ let emit name t =
    schedule arbitrarily bad.                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A generated trace read the way an archive file is: rendered as SWF text
-   and pulled through the one reader. *)
-let read_swf ~m entries =
-  List.of_seq (Seq.of_dispenser (Resa_swf.Swf_stream.of_string ~m (Resa_swf.Swf.to_string entries)))
+(* A synthetic trace drained into the engine's arrival records. *)
+let arrivals_of src =
+  List.of_seq
+    (Seq.map
+       (fun (a : Resa_swf.Swf_stream.arrival) ->
+         Resa_sim.Simulator.{ job = a.job; submit = a.submit; estimate = a.estimate })
+       (Seq.of_dispenser src))
 
 let witness_schedule tp inst =
   (* Schedule group l inside window l of the reduction instance. *)
@@ -359,7 +362,7 @@ let t3 () =
   section "T3: online policies on a synthetic SWF trace with admitted reservations (a=0.5)";
   let m = 64 and n = 250 in
   let rng = Prng.create ~seed:777 in
-  let arrivals = read_swf ~m (Resa_swf.Swf.generate rng ~m ~n ~max_runtime:200 ~mean_gap:6.0) in
+  let subs = arrivals_of (Resa_swf.Swf_stream.synthetic rng ~m ~n ~max_runtime:200 ~mean_gap:6.0) in
   (* Admit periodic demo reservations under the alpha cap. *)
   let book = Resa_sim.Reservation_book.create ~m ~alpha:0.5 () in
   let granted = ref 0 and rejected = ref 0 in
@@ -374,12 +377,6 @@ let t3 () =
   done;
   let reservations = Resa_sim.Reservation_book.accepted book in
   Printf.printf "Reservation book: %d granted, %d rejected by the alpha cap.\n\n" !granted !rejected;
-  let subs =
-    List.map
-      (fun (a : Resa_swf.Swf_stream.arrival) ->
-        Resa_sim.Simulator.{ job = a.job; submit = a.submit })
-      arrivals
-  in
   print_endline Resa_sim.Metrics.header;
   (* One simulation per policy, in parallel; each policy value carries its
      own planning state and is used by exactly one task. *)
@@ -393,8 +390,9 @@ let t3 () =
   in
   List.iter print_endline rows;
   Printf.printf
-    "\nExpected shape: FCFS worst on wait/utilization; backfilling recovers most of it;\n\
-     the aggressive list policy (LSRC) packs tightest, as the paper's theory predicts.\n"
+    "\nFCFS is worst on every column; backfilling recovers most of it. EASY packs\n\
+     tightest here (lowest Cmax, highest utilization), and the aggressive list policy\n\
+     (LSRC) has the shortest mean wait and slowdowns.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: what the alpha cap buys (DESIGN.md design-choice bench).  *)
@@ -466,7 +464,10 @@ let t4 () =
   let n_policies = List.length Resa_sim.Policy.all in
   (* Flattened (factor, policy) grid. The trace of a factor is regenerated
      inside each task from its fixed seed — cheap, and it keeps every task
-     independent of the others. *)
+     independent of the others. Every overestimate above 1.0 draws the same
+     jobs (one factor draw per job), so factor 1.0 takes them from the
+     stream at 2.0 with exact estimates: all three factors replay one set
+     of jobs. *)
   let combos =
     List.concat_map
       (fun factor -> List.init n_policies (fun i -> (factor, i)))
@@ -474,22 +475,18 @@ let t4 () =
   in
   let row (factor, policy_idx) =
     let rng = Prng.create ~seed:31337 in
-    let arrivals =
-      read_swf ~m:32
-        (Resa_swf.Swf.generate ~overestimate:factor rng ~m:32 ~n:150 ~max_runtime:100
-           ~mean_gap:6.0)
+    let subs =
+      arrivals_of
+        (Resa_swf.Swf_stream.synthetic
+           ~overestimate:(if factor > 1.0 then factor else 2.0)
+           rng ~m:32 ~n:150 ~max_runtime:100 ~mean_gap:6.0)
     in
     let subs =
-      List.map
-        (fun (a : Resa_swf.Swf_stream.arrival) ->
-          Resa_sim.Simulator.{ job = a.job; submit = a.submit })
-        arrivals
-    in
-    let estimates =
-      Array.of_list (List.map (fun (a : Resa_swf.Swf_stream.arrival) -> a.estimate) arrivals)
+      if factor > 1.0 then subs
+      else List.map (fun (a : Resa_sim.Simulator.arrival) -> { a with estimate = Job.p a.job }) subs
     in
     let policy = List.nth Resa_sim.Policy.all policy_idx in
-    let trace = Resa_sim.Simulator.run ~policy ~m:32 ~estimates subs in
+    let trace = Resa_sim.Simulator.run ~policy ~m:32 subs in
     let s = Resa_sim.Metrics.summarize trace in
     [
       Printf.sprintf "%.1f" factor;
@@ -503,9 +500,10 @@ let t4 () =
   List.iter (Table.add_row t) (Resa_par.parallel_map_list row combos);
   emit "t4" t;
   Printf.printf
-    "The classic effect: FCFS is estimate-insensitive, planners (CONS/EASY) degrade\n\
-     with inflated requests because backfill windows look too small, while the\n\
-     aggressive list policy recovers capacity the moment the tails are released.\n"
+    "FCFS is estimate-insensitive. CONS, which plans every queued job at its request,\n\
+     degrades steeply with inflated requests because backfill windows look too small;\n\
+     EASY, which protects only the head, pays a little; the aggressive list policy\n\
+     does not change, recovering capacity the moment the tails are released.\n"
 
 (* ------------------------------------------------------------------ *)
 (* T5: the price of non-preemption (related-work model, paper §1.3).   *)

@@ -28,6 +28,16 @@ open Resa_algos
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed (reproducible).")
 
+(* A bad argument value surfaces as [Invalid_argument] from the library
+   code that rejects it, and a path that cannot be opened as [Sys_error]:
+   usage errors, reported as such. *)
+let usage_errors f =
+  match f () with
+  | v -> v
+  | exception (Invalid_argument msg | Sys_error msg) ->
+    Printf.eprintf "error: %s\n" msg;
+    exit 2
+
 let read_instance path =
   match if path = "-" then Instance_io.of_string (In_channel.input_all stdin) else Instance_io.read_file path with
   | Ok inst -> inst
@@ -113,13 +123,7 @@ let solve path algo priority show_gantt width =
   let named name sched = (name, sched) in
   (* The exact DP (one machine, at most 20 jobs) and the preemptive optimum
      (unit-width jobs) reject other instances: a usage error, not a crash. *)
-  let restricted solver =
-    match solver inst with
-    | r -> r
-    | exception Invalid_argument msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 2
-  in
+  let restricted solver = usage_errors (fun () -> solver inst) in
   let name, sched =
     match String.lowercase_ascii algo with
     | "lsrc" -> named "LSRC" (Lsrc.run ~priority inst)
@@ -190,6 +194,7 @@ let solve_cmd =
 
 let replay swf_path m n max_runtime mean_gap seed policy_name overestimate heartbeat_out hb_every
     prom_out metrics_on max_allocs trace_out chrome_out csv_out =
+  usage_errors @@ fun () ->
   (* --prom needs the registry populated; --metrics asks for it explicitly
      (same switch as RESA_METRICS=1). *)
   if metrics_on || prom_out <> None then Resa_obs.Metrics.enable ();
@@ -233,13 +238,7 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate heart
     | Some "-" -> k (Some stdout)
     | Some path -> Out_channel.with_open_text path (fun oc -> k (Some oc))
   in
-  let trace_oc =
-    match Option.map open_out trace_out with
-    | oc -> oc
-    | exception Sys_error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 2
-  in
+  let trace_oc = Option.map open_out trace_out in
   (* Policies that blew the --max-allocs-per-event budget, reported (and
      failing the process) after the table so every row still prints. *)
   let over_budget = ref [] in
@@ -717,17 +716,22 @@ let benchdiff_cmd =
 (* ------------------------------------------------------------------ *)
 
 let trace m n max_runtime mean_gap overestimate seed =
-  let rng = Prng.create ~seed in
-  let entries = Resa_swf.Swf.generate ~overestimate rng ~m ~n ~max_runtime ~mean_gap in
-  print_string
-    (Resa_swf.Swf.to_string
-       ~comments:
-         [
-           "synthetic SWF trace generated by resa";
-           Printf.sprintf "MaxProcs: %d" m;
-           Printf.sprintf "seed: %d, overestimate: %.2f" seed overestimate;
-         ]
-       entries)
+  usage_errors @@ fun () ->
+  let src =
+    Resa_swf.Swf_stream.synthetic ~overestimate (Prng.create ~seed) ~m ~n ~max_runtime ~mean_gap
+  in
+  Printf.printf "; synthetic SWF trace generated by resa\n; MaxProcs: %d\n" m;
+  Printf.printf "; seed: %d, overestimate: %.2f\n" seed overestimate;
+  (* One line per pull: nothing of the trace is held. *)
+  let rec go () =
+    match src () with
+    | None -> ()
+    | Some a ->
+      print_string (Resa_swf.Swf.to_line (Resa_swf.Swf.entry_of_arrival a));
+      print_char '\n';
+      go ()
+  in
+  go ()
 
 let trace_cmd =
   let m = Arg.(value & opt int 64 & info [ "m" ] ~doc:"Number of machines.") in

@@ -32,12 +32,11 @@ let () =
 
   (* --- Online comparison on a synthetic cluster trace --- *)
   let rng = Prng.create ~seed:7 in
-  let entries = Resa_swf.Swf.generate rng ~m:64 ~n:300 ~max_runtime:120 ~mean_gap:2.0 in
-  (* Read back as an archive file is: rendered as SWF text and streamed. *)
   let subs =
-    Seq.of_dispenser (Resa_swf.Swf_stream.of_string ~m:64 (Resa_swf.Swf.to_string entries))
+    Seq.of_dispenser
+      (Resa_swf.Swf_stream.synthetic rng ~m:64 ~n:300 ~max_runtime:120 ~mean_gap:2.0)
     |> Seq.map (fun (a : Resa_swf.Swf_stream.arrival) ->
-           Resa_sim.Simulator.{ job = a.job; submit = a.submit })
+           Resa_sim.Simulator.{ job = a.job; submit = a.submit; estimate = a.estimate })
     |> List.of_seq
   in
   Printf.printf "Online replay of a synthetic SWF trace (m=64, n=300):\n\n%s\n"

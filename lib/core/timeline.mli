@@ -110,8 +110,8 @@ val earliest_fit_at : t -> from:int -> dur:int -> need:int -> int
     exact inverses — one {!change} each to speculate and to retract.
     Segments are normalised, so a rollback restores exactly the same
     segment list. This is the primitive behind the simulator's decisions
-    and EASY's trial backfills: reserve tentatively, inspect the
-    consequences, keep or retract.
+    and the branch-and-bound's placement trials: reserve tentatively,
+    inspect the consequences, keep or retract.
 
     Checkpoints nest. A mark knows the depth of its scope, so only a
     scope's own mark resolves it: [commit] takes the innermost open mark,

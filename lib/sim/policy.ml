@@ -96,9 +96,7 @@ let aggressive =
   { name = "LSRC"; create }
 
 (* EASY: start the fitting prefix; once the head blocks, protect its
-   guaranteed start while backfilling. Each candidate is tried under a
-   checkpoint — reserved if it fits, the guarantee re-derived — and kept or
-   rolled back. *)
+   guaranteed start [g] while backfilling. *)
 let rec easy_prefix ~obs ~time act ids ps qs tags free i stop =
   if i >= stop then []
   else if tags.(i) < 0 then easy_prefix ~obs ~time act ids ps qs tags free (i + 1) stop
@@ -116,29 +114,24 @@ let rec easy_prefix ~obs ~time act ids ps qs tags free i stop =
     end
   end
 
-(* The backfill scan pre-filters on [cap_now] exactly like [lsrc_go]:
-   only kept starts lower it, rolled-back trials leave it as it was. The
-   head is its estimate [hp] and width [hq]. *)
-and easy_backfill ~time ps qs tags free ~hp ~hq guaranteed cap_now i stop =
+(* The backfill scan pre-filters on [cap_now] exactly like [lsrc_go]. The
+   head is its estimate [hp] and width [hq], guaranteed at [g]. Capacity
+   only falls during a decision, so the head never fits before [g], and it
+   fits at [g] before each candidate: a candidate keeps it there unless
+   its window overlaps [\[g, g + hp)] where fewer than [hq + q] processors
+   are free. So one [min_on] decides a candidate before it is reserved,
+   with no trial reservation to undo. *)
+and easy_backfill ~time ps qs tags free ~hp ~hq g cap_now i stop =
   if cap_now = 0 || i >= stop then []
   else begin
     let p = ps.(i) and q = qs.(i) in
-    if tags.(i) >= 0 && q <= cap_now then begin
-      let mark = Timeline.checkpoint free in
-      if
-        Timeline.reserve free ~start:time ~dur:p ~need:q
-        && Timeline.earliest_fit_at free ~from:time ~dur:hp ~need:hq <= guaranteed
-      then begin
-        Timeline.commit free mark;
-        tags.(i)
-        :: easy_backfill ~time ps qs tags free ~hp ~hq guaranteed (cap_now - q) (i + 1) stop
-      end
-      else begin
-        Timeline.rollback free mark;
-        easy_backfill ~time ps qs tags free ~hp ~hq guaranteed cap_now (i + 1) stop
-      end
-    end
-    else easy_backfill ~time ps qs tags free ~hp ~hq guaranteed cap_now (i + 1) stop
+    if
+      tags.(i) >= 0
+      && q <= cap_now
+      && (time + p <= g || Timeline.min_on free ~lo:g ~hi:(min (time + p) (g + hp)) >= hq + q)
+      && Timeline.reserve free ~start:time ~dur:p ~need:q
+    then tags.(i) :: easy_backfill ~time ps qs tags free ~hp ~hq g (cap_now - q) (i + 1) stop
+    else easy_backfill ~time ps qs tags free ~hp ~hq g cap_now (i + 1) stop
   end
 
 let easy =

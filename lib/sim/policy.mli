@@ -90,9 +90,9 @@ val conservative : t
 
 val easy : t
 (** EASY backfilling: the head holds a guaranteed earliest start; any other
-    job may start now if that guarantee is not pushed back — checked by a
-    trial reservation under a checkpoint, kept on success and rolled back
-    otherwise. Emits the head's guarantee as a [Planned] event. With all
+    job may start now if that guarantee is not pushed back — checked by
+    one [min_on] over the overlap of its window with the head's, before
+    it is reserved; no checkpoint is opened. Emits the head's guarantee as a [Planned] event. With all
     jobs submitted at time 0 this is [Backfill.easy]. *)
 
 val aggressive : t

@@ -3,8 +3,6 @@ module Trace = Resa_obs.Trace
 module Prof = Resa_obs.Prof
 module Metrics = Resa_obs.Metrics
 
-type submitted = { job : Job.t; submit : int }
-
 type arrival = { job : Job.t; submit : int; estimate : int }
 
 type record = { job : Job.t; submit : int; start : int }
@@ -685,17 +683,9 @@ let run_stream ?(obs = Trace.null) ?(gc_every = 0) ?(heartbeat_every = 0) ?on_he
         r.a_est <- a.estimate;
         true)
 
-let run ?(obs = Trace.null) ~policy ~m ?(reservations = []) ?estimates
-    (submissions : submitted list) =
-  let subs = Array.of_list submissions in
+let run ?(obs = Trace.null) ~policy ~m ?(reservations = []) (arrivals : arrival list) =
+  let subs = Array.of_list arrivals in
   let n = Array.length subs in
-  let estimates =
-    match estimates with
-    | None -> Array.map (fun (s : submitted) -> s.job.Job.p) subs
-    | Some e ->
-      if Array.length e <> n then invalid_arg "Simulator.run: estimates length mismatch";
-      e
-  in
   validate_machine ~m ~reservations;
   (* Feed the engine in (submit, list position) order: equal submits are
      admitted in list order. *)
@@ -718,7 +708,7 @@ let run ?(obs = Trace.null) ~policy ~m ?(reservations = []) ?estimates
         let i = order.(r.n_jobs) in
         r.a_job <- subs.(i).job;
         r.a_submit <- subs.(i).submit;
-        r.a_est <- estimates.(i);
+        r.a_est <- subs.(i).estimate;
         true)
   in
   { m; reservations; records = Array.to_list records; makespan = stats.makespan }

@@ -56,8 +56,6 @@
 
 open Resa_core
 
-type submitted = { job : Job.t; submit : int }
-
 type arrival = { job : Job.t; submit : int; estimate : int }
 (** One streamed submission: the actual job, its submit time and the
     requested walltime ([estimate >= Job.p job]). *)
@@ -111,28 +109,24 @@ val run :
   policy:Policy.t ->
   m:int ->
   ?reservations:Reservation.t list ->
-  ?estimates:int array ->
-  submitted list ->
+  arrival list ->
   trace
-(** Simulate a materialised submission list to completion — {!run_stream}
+(** Simulate a materialised arrival list to completion — {!run_stream}
     fed in (submit, list position) order, with the records collected back
-    into submission order. Reservations must fit the machine, checked
-    before the run starts. Each submission is checked as the engine pulls
-    it, as {!run_stream} checks its arrivals and with the same
-    [Invalid_argument] texts: a negative submit time, an estimate below the
-    actual runtime, [q > m], or an id shared with a job still waiting or
-    running. An id reused by jobs that are never live together is
-    accepted. A fault raises mid-run, after the events before it were
-    traced.
+    into list order. Reservations must fit the machine, checked before the
+    run starts. Each arrival is checked as the engine pulls it, as
+    {!run_stream} checks its arrivals and with the same [Invalid_argument]
+    texts: a negative submit time, an estimate below the actual runtime,
+    [q > m], or an id shared with a job still waiting or running. An id
+    reused by jobs that are never live together is accepted. A fault
+    raises mid-run, after the events before it were traced.
 
-    [estimates] (default: the actual runtimes) gives each submission, in
-    order, a {e requested} walltime [estimates.(i) >= actual p]: policies
-    see and plan with the estimate, the job actually completes after its
-    true runtime, and the capacity reserved for the unused tail is released
-    at completion — the mechanism behind backfilling's well-known
-    sensitivity to user walltime overestimation. The returned records carry
-    the {e actual} jobs. An [estimates] array of the wrong length raises
-    [Invalid_argument] before the run. *)
+    Each arrival's [estimate] is its {e requested} walltime: policies see
+    and plan with it, the job actually completes after its true runtime,
+    and the capacity reserved for the unused tail is released at
+    completion — the mechanism behind backfilling's well-known sensitivity
+    to user walltime overestimation. An arrival with [estimate = Job.p job]
+    is an exact request. The returned records carry the {e actual} jobs. *)
 
 val run_stream :
   ?obs:Resa_obs.Trace.t ->
@@ -170,8 +164,8 @@ val run_stream :
     [heartbeat_every] must be non-negative ([Invalid_argument]
     otherwise).
 
-    Semantics are those of {!run} [~estimates] on the drained arrival list:
-    same decisions, same starts, and byte-identical [?obs] traces — at any
+    Semantics are those of {!run} on the drained arrival list: same
+    decisions, same starts, and byte-identical [?obs] traces — at any
     instant due arrivals are admitted before queued events, which pop in
     push order (enforced by the differential suite in
     [test/test_stream.ml], including under [gc_every:1]). The machine and

@@ -1,5 +1,4 @@
 open Resa_core
-open Resa_gen
 
 type arrival = { job : Job.t; submit : int; estimate : int; job_number : int }
 
@@ -134,16 +133,6 @@ let to_line e =
     e.wait e.run e.alloc_procs e.avg_cpu e.used_mem e.req_procs e.req_time e.req_mem e.status
     e.user e.group e.app e.queue e.partition e.preceding e.think_time
 
-let to_string ?(comments = []) entries =
-  let buf = Buffer.create 1024 in
-  List.iter (fun c -> Buffer.add_string buf ("; " ^ c ^ "\n")) comments;
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (to_line e);
-      Buffer.add_char buf '\n')
-    entries;
-  Buffer.contents buf
-
 (* --- the conversion rule, on bare fields -------------------------------------
 
    [Swf_stream] applies these to the field array [scan] wrote: no per-line
@@ -166,27 +155,17 @@ let arrival_of_fields ~m ~id f : arrival =
     job_number = f.(0);
   }
 
-let generate ?(overestimate = 1.0) rng ~m ~n ~max_runtime ~mean_gap =
-  if overestimate < 1.0 then invalid_arg "Swf.generate: overestimate must be >= 1.0";
-  let inst = Random_inst.cluster_workload rng ~m ~n ~max_runtime in
-  let arrivals = Arrivals.poisson rng ~n ~mean_gap in
-  List.init n (fun i ->
-      let j = Instance.job inst i in
-      let req_time =
-        if overestimate <= 1.0 then Job.p j
-        else
-          (* Factor uniform in [1, 2*overestimate - 1]: mean = overestimate. *)
-          let f = 1.0 +. Prng.float rng ~bound:(2.0 *. (overestimate -. 1.0)) in
-          max (Job.p j) (int_of_float (f *. float_of_int (Job.p j)))
-      in
-      {
-        default with
-        job_number = i + 1;
-        submit = arrivals.(i);
-        run = Job.p j;
-        req_time;
-        req_procs = Job.q j;
-        alloc_procs = Job.q j;
-        status = 1;
-        user = 1 + (i mod 13);
-      })
+(* The writer's half: [arrival_of_fields] reads this entry back as [a]
+   (its id aside, which readers renumber). *)
+let entry_of_arrival (a : arrival) =
+  let p = Job.p a.job and q = Job.q a.job in
+  {
+    default with
+    job_number = a.job_number;
+    submit = a.submit;
+    run = p;
+    alloc_procs = q;
+    req_procs = q;
+    req_time = a.estimate;
+    status = 1;
+  }

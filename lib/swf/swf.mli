@@ -3,10 +3,11 @@
     The interchange format of the Parallel Workloads Archive: one job per
     line, 18 integer fields, [';'] comment lines. This repository cannot
     ship production traces (DESIGN.md §5), so this module provides the
-    format itself — line scanner, conversion rule, writer — plus a
-    synthetic generator with archive-like marginals, making every
-    trace-driven experiment reproducible from a seed and portable to real
-    SWF files.
+    format itself — line scanner, conversion rule and its inverse, writer.
+    Synthetic traces with archive-like marginals come from
+    {!Swf_stream.synthetic}; [resa trace] writes them out with
+    {!entry_of_arrival} and {!to_line}, so every trace-driven experiment is
+    reproducible from a seed and portable to real SWF files.
 
     Field reference (1-based as in the specification): 1 job number,
     2 submit time, 3 wait time, 4 run time, 5 allocated processors,
@@ -17,9 +18,7 @@
 
     There is one reader, {!Swf_stream}: it runs {!scan} in place over its
     read block and converts each kept line with {!keep_fields} and
-    {!arrival_of_fields}. A trace held as entries (such as {!generate}'s)
-    is read by rendering it with {!to_string} and streaming the text, the
-    path an archive file takes. *)
+    {!arrival_of_fields}. *)
 
 open Resa_core
 
@@ -48,9 +47,7 @@ val default : entry
 (** All fields [-1] except [job_number = 0], [submit = 0]. *)
 
 val to_line : entry -> string
-
-val to_string : ?comments:string list -> entry list -> string
-(** Render a trace, with optional [';']-prefixed header comments. *)
+(** The entry's 18 fields, space-separated, without the newline. *)
 
 (** {2 The line scanner} *)
 
@@ -104,10 +101,12 @@ val arrival_of_fields : m:int -> id:int -> int array -> arrival
 
     Allocates only the job and the record. *)
 
-val generate :
-  ?overestimate:float -> Prng.t -> m:int -> n:int -> max_runtime:int -> mean_gap:float -> entry list
-(** Synthetic archive-like trace: power-of-two-biased widths, log-uniform
-    runtimes, Poisson arrivals ({!Resa_gen.Arrivals.poisson}).
-    [overestimate] (default 1.0, must be >= 1.0) sets the mean factor by
-    which requested walltimes exceed actual runtimes — archive traces
-    commonly show factors of 2–10. *)
+val entry_of_arrival : arrival -> entry
+(** The writer's half of the conversion rule: [run = Job.p job],
+    [req_procs = alloc_procs = Job.q job], [req_time = estimate],
+    [status = 1], [job_number] and [submit] kept, every other field
+    [-1]. On an arrival that {!arrival_of_fields} could have produced
+    (positive runtime, width at most [m], submit [>= 0], estimate at least
+    the runtime), {!scan} on its {!to_line} followed by
+    [arrival_of_fields ~m ~id] gives the arrival back, with the id the
+    reader supplies. *)

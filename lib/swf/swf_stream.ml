@@ -95,6 +95,8 @@ let synthetic ?(overestimate = 1.0) rng ~m ~n ~max_runtime ~mean_gap =
   if overestimate < 1.0 then invalid_arg "Swf_stream.synthetic: overestimate must be >= 1.0";
   if n < 0 then invalid_arg "Swf_stream.synthetic: negative n";
   if not (mean_gap > 0.0) then invalid_arg "Swf_stream.synthetic: mean_gap must be positive";
+  if m < 1 then invalid_arg "Swf_stream.synthetic: m must be positive";
+  if max_runtime < 1 then invalid_arg "Swf_stream.synthetic: max_runtime must be positive";
   let max_exp =
     let rec go e = if 1 lsl (e + 1) > m then e else go (e + 1) in
     go 0
@@ -111,10 +113,7 @@ let synthetic ?(overestimate = 1.0) rng ~m ~n ~max_runtime ~mean_gap =
       (* All randomness for job [id] is drawn here, in one fixed order —
          width, runtime, gap, walltime factor — so the stream is a pure
          function of (seed, id prefix) and never materialises the trace.
-         The marginals match [Swf.generate] (power-of-two-biased widths,
-         log-uniform runtimes, exponential gaps) but the interleaving
-         differs, so the two are distinct deterministic families: replays
-         cite one or the other, never mix. The two float draws are
+         The two float draws are
          [Prng.exponential] and [Prng.float] written out on their int
          primitive [Prng.bits53], so no float crosses a call and none is
          boxed; the values are bit-identical. *)

@@ -6,9 +6,9 @@
     is the input side of the streaming replay path (DESIGN.md §9): a 10M-job
     archive trace flows through the simulator in one pass at flat RSS.
 
-    This is the repository's one SWF reader: archive files, and the
-    entries experiments generate (rendered with {!Swf.to_string} and read
-    back with {!of_string}), all go through it.
+    This is the repository's one SWF reader and its one synthetic
+    workload: archive files and the files [resa trace] writes go through
+    {!with_file}, and experiments draw their traces from {!synthetic}.
 
     The file reader fills one reused 64 KiB block with [In_channel.input]
     and parses each line where it sits with {!Swf.scan} into one reused
@@ -47,19 +47,21 @@ val with_file : ?keep_failed:bool -> m:int -> string -> (t -> 'a) -> 'a
 
 val of_string : ?keep_failed:bool -> m:int -> string -> t
 (** Stream over an in-memory trace: the same reader, with the text as its
-    one block. This is how a trace held as entries is read:
-    [of_string ~m (Swf.to_string entries)]. *)
+    one block. *)
 
 val synthetic :
   ?overestimate:float -> Prng.t -> m:int -> n:int -> max_runtime:int -> mean_gap:float -> t
 (** Deterministic synthetic trace of [n] jobs drawn one at a time — the
-    source behind [resa replay --synthetic], usable at sizes where
-    [Swf.generate] would not fit in memory. Marginals match
-    [Swf.generate] (power-of-two-biased widths, log-uniform runtimes,
-    Poisson arrivals, walltime overestimation factor with the given mean)
-    but all draws for job [i] are interleaved at pull time, so for a given
-    seed this is its {e own} reproducible family, not bit-equal to the
-    materialised generator. Submit times are non-decreasing; job numbers
-    are [1..n]. A pull allocates only the job, its arrival and the
-    option. Raises [Invalid_argument] if [overestimate < 1.0], [n < 0] or
-    [mean_gap <= 0.0]. *)
+    repository's only synthetic workload, behind [resa replay], [resa
+    trace], the T3/T4 experiments and the benchmark. Widths are
+    power-of-two-biased in [\[1, m\]], runtimes log-uniform in
+    [\[1, max_runtime\]], arrivals Poisson with mean gap [mean_gap], and
+    each estimate is the runtime times a factor uniform in
+    [\[1, 2 * overestimate - 1\]] (mean [overestimate]). All draws for job
+    [i] happen at its pull, in one fixed order (width, runtime, gap, then
+    the factor, drawn only when [overestimate > 1.0]), so the stream is a
+    pure function of the seed and the arguments, and every overestimate
+    above 1.0 draws the same jobs. Submit times are non-decreasing; job
+    numbers are [1..n]. A pull allocates only the job, its arrival and the
+    option. Raises [Invalid_argument] if [overestimate < 1.0], [n < 0],
+    [mean_gap <= 0.0], [m < 1] or [max_runtime < 1]. *)

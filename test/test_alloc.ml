@@ -117,7 +117,7 @@ let test_stream_observe_budget () =
 let startup_words policy =
   let subs =
     List.init 5 (fun i ->
-        Simulator.{ job = Job.make ~id:i ~p:(3 + (2 * i)) ~q:(1 + (3 * i mod 8)); submit = i })
+        Tutil.exact (Job.make ~id:i ~p:(3 + (2 * i)) ~q:(1 + (3 * i mod 8))) i)
   in
   let direct_major (s : Gc.stat) = s.major_words -. s.promoted_words in
   Tutil.without_metrics (fun () ->

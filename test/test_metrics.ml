@@ -222,10 +222,10 @@ let test_gc_cliff () =
   in
   let budget = (10_000 * n_resv / 16384) + 50 in
   let subs =
-    List.map (fun (a : Swf_stream.arrival) -> Simulator.{ job = a.job; submit = a.submit }) arrivals
-  in
-  let estimates =
-    Array.of_list (List.map (fun (a : Swf_stream.arrival) -> a.estimate) arrivals)
+    List.map
+      (fun (a : Swf_stream.arrival) ->
+        Simulator.{ job = a.job; submit = a.submit; estimate = a.estimate })
+      arrivals
   in
   let jsonl events =
     String.concat "\n" (List.map (Resa_obs.Trace.to_json ~run:"x") (events ()))
@@ -242,7 +242,7 @@ let test_gc_cliff () =
       if gc_runs > budget then
         Alcotest.failf "%s: %s = %d, budget %d" policy.name counter gc_runs budget;
       let batch, batch_events = Tutil.recorder () in
-      ignore (Simulator.run ~obs:batch ~policy ~m:128 ~reservations ~estimates subs);
+      ignore (Simulator.run ~obs:batch ~policy ~m:128 ~reservations subs);
       Alcotest.(check bool)
         (policy.name ^ " trace equals run's")
         true

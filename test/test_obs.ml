@@ -16,7 +16,7 @@ let workload ?(seed = 77) ?(n = 25) ?(m = 8) () =
   let inst = Resa_gen.Random_inst.alpha_restricted rng ~m ~n ~alpha:0.5 ~pmax:9 () in
   let arr = Resa_gen.Arrivals.poisson rng ~n ~mean_gap:2.0 in
   let subs =
-    List.init n (fun i -> Simulator.{ job = Instance.job inst i; submit = arr.(i) })
+    List.init n (fun i -> Tutil.exact (Instance.job inst i) arr.(i))
   in
   (subs, Array.to_list (Instance.reservations inst))
 
@@ -182,9 +182,9 @@ let test_backfill_provenance () =
   (* The EASY example from test_sim: j2 backfills past the blocked head j1. *)
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:4 ~q:3; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:4 ~q:4; submit = 0 };
-      Simulator.{ job = Job.make ~id:2 ~p:4 ~q:1; submit = 0 };
+      Tutil.exact (Job.make ~id:0 ~p:4 ~q:3) 0;
+      Tutil.exact (Job.make ~id:1 ~p:4 ~q:4) 0;
+      Tutil.exact (Job.make ~id:2 ~p:4 ~q:1) 0;
     ]
   in
   let obs, obs_events = Tutil.recorder () in
@@ -216,7 +216,7 @@ let test_reservation_blocked_provenance () =
   (* One reservation holds the whole machine over [0,5): the head is blocked
      by it, not by running jobs. *)
   let resv = [ Reservation.make ~id:0 ~start:0 ~p:5 ~q:4 ] in
-  let subs = [ Simulator.{ job = Job.make ~id:0 ~p:3 ~q:2; submit = 0 } ] in
+  let subs = [ Tutil.exact (Job.make ~id:0 ~p:3 ~q:2) 0 ] in
   let obs, obs_events = Tutil.recorder () in
   let _ = Simulator.run ~obs ~policy:Policy.fcfs ~m:4 ~reservations:resv subs in
   let reasons =
@@ -355,8 +355,8 @@ let test_policy_error_messages () =
   in
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:2 ~q:2; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:2 ~q:2; submit = 0 };
+      Tutil.exact (Job.make ~id:0 ~p:2 ~q:2) 0;
+      Tutil.exact (Job.make ~id:1 ~p:2 ~q:2) 0;
     ]
   in
   (match Simulator.run ~policy:overcommit ~m:2 subs with
@@ -402,8 +402,8 @@ let test_policy_error_messages () =
   refused "DEAD"
     (fun ~seen ~start _ -> if seen = [] then start () else seen)
     [
-      Simulator.{ job = Job.make ~id:0 ~p:10 ~q:1; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:2 ~q:1; submit = 1 };
+      Tutil.exact (Job.make ~id:0 ~p:10 ~q:1) 0;
+      Tutil.exact (Job.make ~id:1 ~p:2 ~q:1) 1;
     ];
   (* A queued tag named twice in one answer. *)
   refused "TWICE"
@@ -417,8 +417,8 @@ let test_policy_error_messages () =
 let test_failed_decision_rolls_back () =
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:2 ~q:1; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:2 ~q:1; submit = 3 };
+      Tutil.exact (Job.make ~id:0 ~p:2 ~q:1) 0;
+      Tutil.exact (Job.make ~id:1 ~p:2 ~q:1) 3;
     ]
   in
   let resolved () =
@@ -476,8 +476,8 @@ let test_failed_decision_rolls_back () =
 let test_commit_rule_refuses_unproven_logs () =
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:2 ~q:1; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:3 ~q:1; submit = 0 };
+      Tutil.exact (Job.make ~id:0 ~p:2 ~q:1) 0;
+      Tutil.exact (Job.make ~id:1 ~p:3 ~q:1) 0;
     ]
   in
   let refused name body expect =
@@ -627,7 +627,7 @@ let prop_random_policies =
         List.sort compare (List.init (Instance.n_jobs inst) (fun _ -> Prng.int rng ~bound:12))
       in
       let subs =
-        List.mapi (fun i submit -> Simulator.{ job = Instance.job inst i; submit }) submits
+        List.mapi (fun i submit -> Tutil.exact (Instance.job inst i) submit) submits
       in
       let reservations = Array.to_list (Instance.reservations inst) in
       (* Half the runs clean, the others spread over the faults. *)

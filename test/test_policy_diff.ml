@@ -28,22 +28,22 @@ let workload_of_seed seed =
   let inst = Resa_gen.Random_inst.alpha_restricted rng ~m:8 ~n ~alpha:0.5 ~pmax:9 () in
   let arr = Resa_gen.Arrivals.poisson rng ~n ~mean_gap in
   let subs =
-    List.init n (fun i -> Simulator.{ job = Instance.job inst i; submit = arr.(i) })
+    List.init n (fun i -> Tutil.exact (Instance.job inst i) arr.(i))
   in
   (n, subs, Array.to_list (Instance.reservations inst))
 
 let stream events = String.concat "\n" (List.map Trace.to_json (events ()))
 
-let run_traced ~policy ~m ~reservations ~estimates subs =
+let run_traced ~policy ~m ~reservations subs =
   let obs, obs_events = Tutil.recorder () in
-  let trace = Simulator.run ~obs ~policy ~m ~reservations ~estimates subs in
+  let trace = Simulator.run ~obs ~policy ~m ~reservations subs in
   (trace, stream obs_events)
 
-let agree ~estimates ~reservations subs seed =
+let agree ~reservations subs seed =
   List.for_all
     (fun (name, native, reference) ->
-      let a, sa = run_traced ~policy:native ~m:8 ~reservations ~estimates subs in
-      let b, sb = run_traced ~policy:reference ~m:8 ~reservations ~estimates subs in
+      let a, sa = run_traced ~policy:native ~m:8 ~reservations subs in
+      let b, sb = run_traced ~policy:reference ~m:8 ~reservations subs in
       let ok = starts a = starts b && a.makespan = b.makespan && sa = sb in
       if not ok then Printf.eprintf "%s diverges from its oracle on seed %d\n" name seed;
       ok)
@@ -53,10 +53,7 @@ let prop_exact =
   Tutil.qcheck ~count:120 "native = oracle on reserved workloads" Tutil.seed_arb
     (fun seed ->
       let _, subs, reservations = workload_of_seed seed in
-      let estimates =
-        Array.of_list (List.map (fun (s : Simulator.submitted) -> Job.p s.job) subs)
-      in
-      agree ~estimates ~reservations subs seed)
+      agree ~reservations subs seed)
 
 let prop_overestimated =
   Tutil.qcheck ~count:120 "native = oracle under walltime overestimates"
@@ -66,29 +63,26 @@ let prop_overestimated =
       let erng = Prng.create ~seed:s2 in
       (* Factor 1..4 per job: early releases make decision instants that
          neither engine saw at planning time. *)
-      let estimates =
-        Array.of_list
-          (List.map
-             (fun (s : Simulator.submitted) -> Job.p s.job * Prng.int_incl erng ~lo:1 ~hi:4)
-             subs)
+      let subs =
+        List.map
+          (fun (a : Simulator.arrival) ->
+            { a with estimate = Job.p a.job * Prng.int_incl erng ~lo:1 ~hi:4 })
+          subs
       in
-      agree ~estimates ~reservations subs s1)
+      agree ~reservations subs s1)
 
 (* Deterministic pin: the EASY backfill example must also agree traced —
-   guards the checkpoint/commit trial path against silent drift. *)
+   guards the backfill guard against silent drift. *)
 let test_easy_pinned () =
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:4 ~q:3; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:4 ~q:4; submit = 0 };
-      Simulator.{ job = Job.make ~id:2 ~p:4 ~q:1; submit = 0 };
+      Tutil.exact (Job.make ~id:0 ~p:4 ~q:3) 0;
+      Tutil.exact (Job.make ~id:1 ~p:4 ~q:4) 0;
+      Tutil.exact (Job.make ~id:2 ~p:4 ~q:1) 0;
     ]
   in
-  let estimates = [| 4; 4; 4 |] in
-  let a, sa = run_traced ~policy:Policy.easy ~m:4 ~reservations:[] ~estimates subs in
-  let b, sb =
-    run_traced ~policy:Resa_oracles.Policy.easy_reference ~m:4 ~reservations:[] ~estimates subs
-  in
+  let a, sa = run_traced ~policy:Policy.easy ~m:4 ~reservations:[] subs in
+  let b, sb = run_traced ~policy:Resa_oracles.Policy.easy_reference ~m:4 ~reservations:[] subs in
   Alcotest.(check (list int)) "same starts" (starts b) (starts a);
   Alcotest.(check string) "same event stream" sb sa;
   Alcotest.(check (list int)) "expected schedule" [ 0; 4; 0 ] (starts a)

@@ -7,7 +7,7 @@ open Resa_sim
 
 let submit_all_at inst t0 =
   List.init (Instance.n_jobs inst) (fun i ->
-      Simulator.{ job = Instance.job inst i; submit = t0 })
+      Tutil.exact (Instance.job inst i) t0)
 
 (* With everything submitted at 0, each online policy IS its offline
    list algorithm: same starts on reserved alpha-restricted instances. The
@@ -53,8 +53,8 @@ let test_arrival_order_respected () =
   (* A job cannot start before it is submitted, whatever the policy. *)
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:2 ~q:1; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:2 ~q:1; submit = 7 };
+      Tutil.exact (Job.make ~id:0 ~p:2 ~q:1) 0;
+      Tutil.exact (Job.make ~id:1 ~p:2 ~q:1) 7;
     ]
   in
   List.iter
@@ -72,7 +72,7 @@ let test_policies_feasible_with_reservations () =
   let inst = Resa_gen.Random_inst.alpha_restricted rng ~m:12 ~n:15 ~alpha:0.5 ~pmax:8 () in
   let arrivals = Resa_gen.Arrivals.poisson rng ~n:15 ~mean_gap:3.0 in
   let subs =
-    List.init 15 (fun i -> Simulator.{ job = Instance.job inst i; submit = arrivals.(i) })
+    List.init 15 (fun i -> Tutil.exact (Instance.job inst i) arrivals.(i))
   in
   List.iter
     (fun policy ->
@@ -93,9 +93,9 @@ let test_conservative_policy_plans_hold () =
   (* Deterministic example: plans must not shift when later jobs arrive. *)
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:4 ~q:4; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:4 ~q:4; submit = 1 };
-      Simulator.{ job = Job.make ~id:2 ~p:1 ~q:1; submit = 2 };
+      Tutil.exact (Job.make ~id:0 ~p:4 ~q:4) 0;
+      Tutil.exact (Job.make ~id:1 ~p:4 ~q:4) 1;
+      Tutil.exact (Job.make ~id:2 ~p:1 ~q:1) 2;
     ]
   in
   let trace = Simulator.run ~policy:Policy.conservative ~m:4 subs in
@@ -107,9 +107,9 @@ let test_conservative_policy_plans_hold () =
 let test_easy_policy_backfills () =
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:4 ~q:3; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:4 ~q:4; submit = 0 };
-      Simulator.{ job = Job.make ~id:2 ~p:4 ~q:1; submit = 0 };
+      Tutil.exact (Job.make ~id:0 ~p:4 ~q:3) 0;
+      Tutil.exact (Job.make ~id:1 ~p:4 ~q:4) 0;
+      Tutil.exact (Job.make ~id:2 ~p:4 ~q:1) 0;
     ]
   in
   let trace = Simulator.run ~policy:Policy.easy ~m:4 subs in
@@ -130,8 +130,8 @@ let test_policy_error_on_rogue_policy () =
   in
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:2 ~q:2; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:2 ~q:2; submit = 0 };
+      Tutil.exact (Job.make ~id:0 ~p:2 ~q:2) 0;
+      Tutil.exact (Job.make ~id:1 ~p:2 ~q:2) 0;
     ]
   in
   match Simulator.run ~policy:rogue ~m:2 subs with
@@ -139,7 +139,7 @@ let test_policy_error_on_rogue_policy () =
   | _ -> Alcotest.fail "capacity violation not caught"
 
 let test_simulator_rejects_bad_input () =
-  let subs = [ Simulator.{ job = Job.make ~id:0 ~p:1 ~q:5 ; submit = 0 } ] in
+  let subs = [ Tutil.exact (Job.make ~id:0 ~p:1 ~q:5) 0 ] in
   match Simulator.run ~policy:Policy.fcfs ~m:2 subs with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "oversized job accepted"
@@ -147,7 +147,7 @@ let test_simulator_rejects_bad_input () =
 (* [run] checks each submission as the engine pulls it, with the texts
    [run_stream] uses; an id is only rejected while its first job is live. *)
 let test_run_checks_at_the_pull () =
-  let sub ?(q = 1) id p submit = Simulator.{ job = Job.make ~id ~p ~q; submit } in
+  let sub ?(q = 1) id p submit = Tutil.exact (Job.make ~id ~p ~q) submit in
   let run subs = ignore (Simulator.run ~policy:Policy.fcfs ~m:2 subs : Simulator.trace) in
   Alcotest.check_raises "negative submit" (Invalid_argument "Simulator: negative submit time")
     (fun () -> run [ sub 0 1 3; sub 1 1 (-1) ]);
@@ -167,7 +167,7 @@ let prop_all_policies_sound =
       let inst = Resa_gen.Random_inst.alpha_restricted rng ~m:8 ~n:8 ~alpha:0.5 ~pmax:5 () in
       let arr = Resa_gen.Arrivals.uniform (Prng.create ~seed:s2) ~n:8 ~horizon:20 in
       let subs =
-        List.init 8 (fun i -> Simulator.{ job = Instance.job inst i; submit = arr.(i) })
+        List.init 8 (fun i -> Tutil.exact (Instance.job inst i) arr.(i))
       in
       List.for_all
         (fun policy ->
@@ -186,8 +186,8 @@ let prop_all_policies_sound =
 let test_metrics_values () =
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:4 ~q:2; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:2 ~q:2; submit = 0 };
+      Tutil.exact (Job.make ~id:0 ~p:4 ~q:2) 0;
+      Tutil.exact (Job.make ~id:1 ~p:2 ~q:2) 0;
     ]
   in
   let trace = Simulator.run ~policy:Policy.fcfs ~m:2 subs in
@@ -211,8 +211,8 @@ let test_bounded_slowdown_bound () =
   (* Very short job with a long wait: bounded slowdown caps the explosion. *)
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:100 ~q:2; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:1 ~q:2; submit = 0 };
+      Tutil.exact (Job.make ~id:0 ~p:100 ~q:2) 0;
+      Tutil.exact (Job.make ~id:1 ~p:1 ~q:2) 0;
     ]
   in
   let trace = Simulator.run ~policy:Policy.fcfs ~m:2 subs in
@@ -271,17 +271,17 @@ let test_estimated_equals_exact_when_accurate () =
   let rng = Prng.create ~seed:51 in
   let inst = Resa_gen.Random_inst.cluster_workload rng ~m:8 ~n:12 ~max_runtime:20 in
   let subs = submit_all_at inst 0 in
-  let estimates = Array.init 12 (fun i -> Job.p (Instance.job inst i)) in
+  let order = Array.init 12 Fun.id in
   List.iter
     (fun policy ->
-      (* Reusing one policy value across runs must be safe: [create] scopes
-         the planning state per run. *)
+      (* Arrivals requesting exactly their runtimes start where the engine
+         at 0 starts the jobs themselves. Reusing one policy value across
+         runs must be safe: [create] scopes the planning state per run. *)
       let a = Simulator.run ~policy ~m:8 subs in
-      let b = Simulator.run ~policy ~m:8 ~estimates subs in
-      List.iter2
-        (fun (ra : Simulator.record) (rb : Simulator.record) ->
-          Alcotest.(check int) "same start" ra.start rb.start)
-        a.records b.records)
+      let b = Simulator.run_order ~policy inst order in
+      Alcotest.(check (list int)) "same starts"
+        (List.map (fun (r : Simulator.record) -> r.start) a.records)
+        (Array.to_list (Schedule.starts b)))
     [ Policy.fcfs; Policy.easy; Policy.conservative; Policy.aggressive ]
 
 let test_early_release_unblocks_follower () =
@@ -289,24 +289,19 @@ let test_early_release_unblocks_follower () =
      the moment the tail is released. *)
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:2 ~q:2; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:3 ~q:2; submit = 0 };
+      Simulator.{ job = Job.make ~id:0 ~p:2 ~q:2; submit = 0; estimate = 10 };
+      Tutil.exact (Job.make ~id:1 ~p:3 ~q:2) 0;
     ]
   in
-  let trace =
-    Simulator.run ~policy:Policy.fcfs ~m:2 ~estimates:[| 10; 3 |] subs
-  in
+  let trace = Simulator.run ~policy:Policy.fcfs ~m:2 subs in
   let starts = List.map (fun (r : Simulator.record) -> r.start) trace.records in
   Alcotest.(check (list int)) "follower starts at the actual completion" [ 0; 2 ] starts
 
 let test_estimates_validated () =
-  let subs = [ Simulator.{ job = Job.make ~id:0 ~p:5 ~q:1; submit = 0 } ] in
+  let subs = [ Simulator.{ job = Job.make ~id:0 ~p:5 ~q:1; submit = 0; estimate = 3 } ] in
   Alcotest.check_raises "estimate below runtime"
     (Invalid_argument "Simulator: estimate below the actual runtime") (fun () ->
-      ignore (Simulator.run ~policy:Policy.fcfs ~m:2 ~estimates:[| 3 |] subs));
-  Alcotest.check_raises "wrong length"
-    (Invalid_argument "Simulator.run: estimates length mismatch") (fun () ->
-      ignore (Simulator.run ~policy:Policy.fcfs ~m:2 ~estimates:[| 5; 5 |] subs))
+      ignore (Simulator.run ~policy:Policy.fcfs ~m:2 subs))
 
 let prop_estimated_executions_feasible =
   Tutil.qcheck ~count:60 "all policies stay feasible under overestimates"
@@ -321,11 +316,12 @@ let prop_estimated_executions_feasible =
       in
       let arr = Resa_gen.Arrivals.uniform erng ~n:10 ~horizon:25 in
       let subs =
-        List.init 10 (fun i -> Simulator.{ job = Instance.job inst i; submit = arr.(i) })
+        List.init 10 (fun i ->
+            Simulator.{ job = Instance.job inst i; submit = arr.(i); estimate = estimates.(i) })
       in
       List.for_all
         (fun policy ->
-          let trace = Simulator.run ~policy ~m:8 ~estimates subs in
+          let trace = Simulator.run ~policy ~m:8 subs in
           let oi, os = Simulator.to_offline trace in
           Schedule.is_feasible oi os
           && List.for_all (fun (r : Simulator.record) -> r.start >= r.submit) trace.records)
@@ -347,9 +343,9 @@ let test_exhausted_source_not_repolled () =
         incr calls;
         match !rest with
         | [] -> None
-        | (s : Simulator.submitted) :: tl ->
+        | a :: tl ->
           rest := tl;
-          Some Simulator.{ job = s.job; submit = s.submit; estimate = Job.p s.job }
+          Some a
       in
       let obs_s, obs_s_events = Tutil.recorder () in
       let stats = Simulator.run_stream ~obs:obs_s ~policy ~m:8 ~reservations next in

@@ -14,22 +14,24 @@ let policies =
 
 let synthetic_text seed ~n =
   let rng = Prng.create ~seed in
-  Swf.to_string ~comments:[ "oracle" ]
-    (Swf.generate rng ~m:32 ~n ~max_runtime:200 ~mean_gap:6.0)
+  Tutil.swf_text ~comments:[ "oracle" ]
+    (Tutil.synthetic_entries ~overestimate:2.0 rng ~m:32 ~n ~max_runtime:200 ~mean_gap:6.0)
 
 let drain src =
   let rec go acc = match src () with None -> List.rev acc | Some a -> go (a :: acc) in
   go []
 
-let feed (arrivals : Swf_stream.arrival list) =
+let to_sim (a : Swf_stream.arrival) =
+  Simulator.{ job = a.job; submit = a.submit; estimate = a.estimate }
+
+let feed arrivals =
   let rest = ref arrivals in
   fun () ->
     match !rest with
     | [] -> None
     | a :: tl ->
       rest := tl;
-      Some Simulator.{ job = a.Swf_stream.job; submit = a.Swf_stream.submit;
-                       estimate = a.Swf_stream.estimate }
+      Some (to_sim a)
 
 (* --- reader: stream vs the split-based reference ------------------------- *)
 
@@ -104,7 +106,8 @@ let pad_to upto = ";" ^ String.make (upto - 2) 'x' ^ "\n"
 
 let sample_lines n =
   let rng = Prng.create ~seed:3 in
-  List.map Swf.to_line (Swf.generate rng ~m:32 ~n ~max_runtime:200 ~mean_gap:6.0)
+  List.map Swf.to_line
+    (Tutil.synthetic_entries ~overestimate:2.0 rng ~m:32 ~n ~max_runtime:200 ~mean_gap:6.0)
 
 let test_file_block_boundaries () =
   let lines = sample_lines 40 in
@@ -188,7 +191,7 @@ let test_synthetic_allocation () =
   Alcotest.(check int) "jobs" n jobs;
   if words > 12.0 then Alcotest.failf "%.2f minor words per job (budget 12)" words
 
-(* --- simulator: run_stream vs the estimated batch run (run ~estimates) --- *)
+(* --- simulator: run_stream vs the batch run on estimated arrivals -------- *)
 
 let arrivals_of_seed seed ~n =
   let rng = Prng.create ~seed in
@@ -196,15 +199,8 @@ let arrivals_of_seed seed ~n =
 
 let engines_agree ~gc_every policy seed =
   let arrivals = arrivals_of_seed seed ~n:30 in
-  let subs =
-    List.map (fun (a : Swf_stream.arrival) -> Simulator.{ job = a.job; submit = a.submit })
-      arrivals
-  in
-  let estimates =
-    Array.of_list (List.map (fun (a : Swf_stream.arrival) -> a.Swf_stream.estimate) arrivals)
-  in
   let obs_b, obs_b_events = Tutil.recorder () in
-  let trace = Simulator.run ~obs:obs_b ~policy ~m:16 ~estimates subs in
+  let trace = Simulator.run ~obs:obs_b ~policy ~m:16 (List.map to_sim arrivals) in
   let obs_s, obs_s_events = Tutil.recorder () in
   let records = ref [] in
   let stats =
@@ -341,14 +337,7 @@ let metrics_agree seed =
     (Simulator.run_stream ~policy:Policy.easy ~m:16
        ~on_record:(Metrics.Stream.observe ms) (feed arrivals)
       : Simulator.stream_stats);
-  let subs =
-    List.map (fun (a : Swf_stream.arrival) -> Simulator.{ job = a.job; submit = a.submit })
-      arrivals
-  in
-  let estimates =
-    Array.of_list (List.map (fun (a : Swf_stream.arrival) -> a.Swf_stream.estimate) arrivals)
-  in
-  let trace = Simulator.run ~policy:Policy.easy ~m:16 ~estimates subs in
+  let trace = Simulator.run ~policy:Policy.easy ~m:16 (List.map to_sim arrivals) in
   summaries_identical (Metrics.Stream.summary ms) (Metrics.summarize trace)
 
 let prop_metrics_bitwise =

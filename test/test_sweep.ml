@@ -188,7 +188,7 @@ let prop_errors seed =
                   Some Simulator.{ job; submit = 0; estimate = 1 }
                 end)) );
       ( "Simulator.run",
-        raised (fun () -> Simulator.run ~policy ~m ~reservations [ Simulator.{ job; submit = 0 } ])
+        raised (fun () -> Simulator.run ~policy ~m ~reservations [ Tutil.exact job 0 ])
       );
     ]
   in

@@ -19,10 +19,10 @@ let fields_of_entry (e : Swf.entry) =
     e.think_time;
   |]
 
-(* Entries read the way every trace is: rendered as SWF text and
+(* Entries read the way every trace is: written as SWF text and
    streamed. *)
 let read ?keep_failed ~m entries =
-  List.of_seq (Seq.of_dispenser (Swf_stream.of_string ?keep_failed ~m (Swf.to_string entries)))
+  List.of_seq (Seq.of_dispenser (Swf_stream.of_string ?keep_failed ~m (Tutil.swf_text entries)))
 
 let test_parse_line () =
   match scan_line sample_line with
@@ -116,8 +116,10 @@ let scans_back entries text =
 
 let test_round_trip () =
   let rng = Prng.create ~seed:41 in
-  let entries = Swf.generate rng ~m:32 ~n:50 ~max_runtime:500 ~mean_gap:4.0 in
-  let text = Swf.to_string ~comments:[ "synthetic" ] entries in
+  let entries =
+    Tutil.synthetic_entries ~overestimate:2.0 rng ~m:32 ~n:50 ~max_runtime:500 ~mean_gap:4.0
+  in
+  let text = Tutil.swf_text ~comments:[ "synthetic" ] entries in
   Alcotest.(check bool) "entries scan back unchanged" true (scans_back entries text);
   Alcotest.(check int) "every entry kept" 50 (List.length (read entries ~m:32))
 
@@ -161,21 +163,35 @@ let test_keep_failed () =
 
 let test_generated_trace_drives_simulator () =
   let rng = Prng.create ~seed:42 in
-  let entries = Swf.generate rng ~m:16 ~n:30 ~max_runtime:100 ~mean_gap:5.0 in
+  let entries =
+    Tutil.synthetic_entries ~overestimate:2.0 rng ~m:16 ~n:30 ~max_runtime:100 ~mean_gap:5.0
+  in
   let subs =
     List.map
-      (fun (a : Swf_stream.arrival) -> Resa_sim.Simulator.{ job = a.job; submit = a.submit })
+      (fun (a : Swf_stream.arrival) ->
+        Resa_sim.Simulator.{ job = a.job; submit = a.submit; estimate = a.estimate })
       (read entries ~m:16)
   in
   let trace = Resa_sim.Simulator.run ~policy:Resa_sim.Policy.easy ~m:16 subs in
   let inst, sched = Resa_sim.Simulator.to_offline trace in
   Tutil.check_feasible "SWF-driven simulation" inst sched
 
+(* The writer inverts the reader: a streamed arrival written with
+   [entry_of_arrival] and [to_line] reads back as itself, with and without
+   walltime overestimation. *)
 let prop_round_trip =
-  Tutil.qcheck ~count:50 "generate |> print |> parse is the identity" Tutil.seed_arb (fun seed ->
-      let rng = Prng.create ~seed in
-      let entries = Swf.generate rng ~m:8 ~n:10 ~max_runtime:50 ~mean_gap:2.0 in
-      scans_back entries (Swf.to_string entries))
+  Tutil.qcheck ~count:50 "synthetic |> write |> read is the identity" Tutil.seed_arb
+    (fun seed ->
+      List.for_all
+        (fun overestimate ->
+          let arrivals =
+            List.of_seq
+              (Seq.of_dispenser
+                 (Swf_stream.synthetic ~overestimate (Prng.create ~seed) ~m:8 ~n:30
+                    ~max_runtime:50 ~mean_gap:2.0))
+          in
+          read ~m:8 (List.map Swf.entry_of_arrival arrivals) = arrivals)
+        [ 1.0; 3.0 ])
 
 (* --- the reader against the split-based reference ------------------------ *)
 

@@ -100,3 +100,19 @@ let profile_of_seed seed =
 let recorder () =
   let events = ref [] in
   (Resa_obs.Trace.sink (fun ev -> events := ev :: !events), fun () -> List.rev !events)
+
+(* An arrival whose walltime request is exact. *)
+let exact job submit = Resa_sim.Simulator.{ job; submit; estimate = Job.p job }
+
+(* A synthetic stream's arrivals as the SWF entries [resa trace] writes. *)
+let synthetic_entries ?overestimate rng ~m ~n ~max_runtime ~mean_gap =
+  Resa_swf.Swf_stream.synthetic ?overestimate rng ~m ~n ~max_runtime ~mean_gap
+  |> Seq.of_dispenser
+  |> Seq.map Resa_swf.Swf.entry_of_arrival
+  |> List.of_seq
+
+(* SWF text: [';'] comment lines, then one line per entry. *)
+let swf_text ?(comments = []) entries =
+  String.concat ""
+    (List.map (fun c -> "; " ^ c ^ "\n") comments
+    @ List.map (fun e -> Resa_swf.Swf.to_line e ^ "\n") entries)
