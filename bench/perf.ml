@@ -82,16 +82,15 @@ let simulator_tests () =
 let engine_seed = 7
 
 (* Each policy's offline schedule is its online policy run with every job
-   submitted at 0 ([Simulator.run_order]): [Lsrc.run_order] and
+   submitted at 0 ([Simulator.run_order]): [Lsrc.run_order],
+   [Fcfs.run_order], [Backfill.conservative_order] and
    [Backfill.easy_order] are exactly that. These rows time it on small
    alpha-restricted instances (m=16, alpha=0.5, pmax=20, n/4 reservations,
-   seed 7, FIFO), where the engine's per-run set-up weighs most, against
-   the offline bodies FCFS and CONS still keep (DESIGN.md §3). Each cell is
-   the median per-run time of 7 batches, alternating when there are two
-   columns; a batch repeats the run until it lasts at least 2 ms. Up to
-   n=1000 every start must agree with the policy's Profile oracle
-   ([Resa_oracles]), or the bench fails; the kept offline bodies must agree
-   with the engine at every n. *)
+   seed 7, FIFO), where the engine's per-run set-up weighs most
+   (DESIGN.md §3). Each cell is the median per-run time of 7 batches; a
+   batch repeats the run until it lasts at least 2 ms. Up to n=1000 every
+   start must agree with the policy's Profile oracle ([Resa_oracles]), or
+   the bench fails. *)
 let engine_at_zero () =
   Printf.printf
     "\n=== PERF: engine at 0 (m=16, alpha=0.5, pmax=20, n/4 reservations, FIFO) ===\n";
@@ -109,22 +108,15 @@ let engine_at_zero () =
   in
   let algos =
     [
-      ("lsrc", Resa_sim.Policy.aggressive, Resa_oracles.Lsrc.run_order_reference, None);
-      ( "fcfs",
-        Resa_sim.Policy.fcfs,
-        Resa_oracles.Fcfs.run_order_reference,
-        Some Resa_algos.Fcfs.run_order );
+      ("lsrc", Resa_sim.Policy.aggressive, Resa_oracles.Lsrc.run_order_reference);
+      ("fcfs", Resa_sim.Policy.fcfs, Resa_oracles.Fcfs.run_order_reference);
       ( "conservative",
         Resa_sim.Policy.conservative,
-        Resa_oracles.Backfill.conservative_order_reference,
-        Some Resa_algos.Backfill.conservative_order );
-      ("easy", Resa_sim.Policy.easy, Resa_oracles.Backfill.easy_order_reference, None);
+        Resa_oracles.Backfill.conservative_order_reference );
+      ("easy", Resa_sim.Policy.easy, Resa_oracles.Backfill.easy_order_reference);
     ]
   in
-  let t =
-    Resa_stats.Table.create
-      ~headers:[ "algorithm"; "n"; "engine"; "kept offline"; "engine/offline" ]
-  in
+  let t = Resa_stats.Table.create ~headers:[ "algorithm"; "n"; "engine" ] in
   List.iter
     (fun n ->
       let inst =
@@ -133,37 +125,17 @@ let engine_at_zero () =
       in
       let order = Resa_algos.Priority.order Resa_algos.Priority.Fifo inst in
       List.iter
-        (fun (name, policy, oracle, offline) ->
+        (fun (name, policy, oracle) ->
           let engine () =
             Resa_algos.Priority.check_order name inst order;
             Resa_sim.Simulator.run_order ~policy inst order
           in
-          let starts = Schedule.starts (engine ()) in
-          let differs f = Schedule.starts (f inst order) <> starts in
-          if (n <= 1000 && differs oracle) || Option.fold ~none:false ~some:differs offline then
+          if n <= 1000 && Schedule.starts (oracle inst order) <> Schedule.starts (engine ()) then
             failwith (Printf.sprintf "engine at 0: %s differs at n=%d" name n);
-          let us s = Printf.sprintf "%.1f us" (s *. 1e6) in
-          let ke = calibrate engine 1 in
-          let es = Array.make 7 0. in
-          let cells =
-            match offline with
-            | None ->
-              for b = 0 to 6 do
-                es.(b) <- float_of_int (batch engine ke) /. float_of_int ke /. 1e9
-              done;
-              [ us (median es); "-"; "-" ]
-            | Some off ->
-              let offline () = off inst order in
-              let ko = calibrate offline 1 in
-              let os = Array.make 7 0. in
-              for b = 0 to 6 do
-                es.(b) <- float_of_int (batch engine ke) /. float_of_int ke /. 1e9;
-                os.(b) <- float_of_int (batch offline ko) /. float_of_int ko /. 1e9
-              done;
-              let e = median es and o = median os in
-              [ us e; us o; Printf.sprintf "%.2fx" (e /. o) ]
-          in
-          Resa_stats.Table.add_row t (name :: string_of_int n :: cells))
+          let k = calibrate engine 1 in
+          let es = Array.init 7 (fun _ -> float_of_int (batch engine k) /. float_of_int k) in
+          Resa_stats.Table.add_row t
+            [ name; string_of_int n; Printf.sprintf "%.1f us" (median es /. 1e3) ])
         algos)
     (if !small then [ 5; 50; 1000 ] else [ 5; 50; 1000; 20_000 ]);
   print_string (Resa_stats.Table.render t)

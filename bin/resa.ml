@@ -28,22 +28,73 @@ open Resa_algos
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed (reproducible).")
 
+(* A usage error: [error: <message>] on stderr, exit 2. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 2)
+    fmt
+
 (* A bad argument value surfaces as [Invalid_argument] from the library
    code that rejects it, and a path that cannot be opened as [Sys_error]:
    usage errors, reported as such. *)
 let usage_errors f =
   match f () with
   | v -> v
-  | exception (Invalid_argument msg | Sys_error msg) ->
-    Printf.eprintf "error: %s\n" msg;
-    exit 2
+  | exception (Invalid_argument msg | Sys_error msg) -> usage_error "%s" msg
 
 let read_instance path =
   match if path = "-" then Instance_io.of_string (In_channel.input_all stdin) else Instance_io.read_file path with
   | Ok inst -> inst
-  | Error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    exit 2
+  | Error msg -> usage_error "%s" msg
+
+(* The engine's policies by the names the CLI accepts: each one's own
+   name, and the long forms of CONS and LSRC. [solve] runs the policy with
+   every job submitted at 0, [replay] on a stream. *)
+let policy_names =
+  let open Resa_sim.Policy in
+  ("conservative", conservative)
+  :: ("aggressive", aggressive)
+  :: List.map (fun p -> (String.lowercase_ascii p.name, p)) all
+
+(* The synthetic stream's arguments, one set for [trace] and [replay]:
+   [resa trace ARGS > t.swf] then [resa replay --swf t.swf] replays what
+   [resa replay ARGS] draws. *)
+type synthetic = {
+  m : int;
+  n : int;
+  max_runtime : int;
+  mean_gap : float;
+  overestimate : float;
+  seed : int;
+}
+
+let synthetic_args =
+  let m = Arg.(value & opt int 128 & info [ "m" ] ~doc:"Number of machines.") in
+  let n = Arg.(value & opt int 200_000 & info [ "n" ] ~doc:"Synthetic trace length.") in
+  let max_runtime =
+    Arg.(value & opt int 2000 & info [ "max-runtime" ] ~doc:"Synthetic max runtime.")
+  in
+  let mean_gap =
+    (* 150 keeps the synthetic system stable (bounded queue) even under
+       FCFS, so the replay's memory footprint is flat by default. *)
+    Arg.(value & opt float 150.0 & info [ "mean-gap" ] ~doc:"Mean inter-arrival gap.")
+  in
+  let overestimate =
+    Arg.(
+      value & opt float 2.0
+      & info [ "overestimate" ]
+          ~doc:"Mean walltime overestimation factor for synthetic traces (>= 1).")
+  in
+  Term.(
+    const (fun m n max_runtime mean_gap overestimate seed ->
+        { m; n; max_runtime; mean_gap; overestimate; seed })
+    $ m $ n $ max_runtime $ mean_gap $ overestimate $ seed_arg)
+
+let synthetic_stream s =
+  Resa_swf.Swf_stream.synthetic ~overestimate:s.overestimate (Prng.create ~seed:s.seed) ~m:s.m
+    ~n:s.n ~max_runtime:s.max_runtime ~mean_gap:s.mean_gap
 
 (* ------------------------------------------------------------------ *)
 (* generate                                                            *)
@@ -73,9 +124,7 @@ let generate family k m len c n alpha pmax seed =
       p.instance
     | "random" -> Resa_gen.Random_inst.alpha_restricted rng ~m ~n ~alpha ~pmax ()
     | "workload" -> Resa_gen.Random_inst.cluster_workload rng ~m ~n ~max_runtime:pmax
-    | other ->
-      Printf.eprintf "unknown family %S\n" other;
-      exit 2
+    | other -> usage_error "unknown family %S" other
   in
   (match !known_opt with Some v -> Printf.printf "# optimal %d\n" v | None -> ());
   print_string (Instance_io.to_string inst)
@@ -111,34 +160,29 @@ let priority_of_string s =
   | "widest" -> Priority.Widest_first
   | "narrowest" -> Priority.Narrowest_first
   | "area" -> Priority.Largest_area_first
-  | s when String.length s > 7 && String.sub s 0 7 = "random:" ->
-    Priority.Random (int_of_string (String.sub s 7 (String.length s - 7)))
-  | other ->
-    Printf.eprintf "unknown priority %S\n" other;
-    exit 2
+  | other -> (
+    match Scanf.sscanf_opt other "random:%d%!" Fun.id with
+    | Some seed -> Priority.Random seed
+    | None -> usage_error "unknown priority %S" other)
 
 let solve path algo priority show_gantt width =
   let inst = read_instance path in
   let priority = priority_of_string priority in
-  let named name sched = (name, sched) in
   (* The exact DP (one machine, at most 20 jobs) and the preemptive optimum
      (unit-width jobs) reject other instances: a usage error, not a crash. *)
   let restricted solver = usage_errors (fun () -> solver inst) in
+  let algo = String.lowercase_ascii algo in
   let name, sched =
-    match String.lowercase_ascii algo with
-    | "lsrc" -> named "LSRC" (Lsrc.run ~priority inst)
-    | "fcfs" -> named "FCFS" (Fcfs.run ~priority inst)
-    | "easy" -> named "EASY" (Backfill.easy ~priority inst)
-    | "conservative" | "cons" -> named "CONS" (Backfill.conservative ~priority inst)
-    | "shelf-nfdh" -> named "NFDH" (Shelf.run Shelf.Nfdh inst)
-    | "shelf-ffdh" -> named "FFDH" (Shelf.run Shelf.Ffdh inst)
-    | "bnb" | "opt" ->
+    match (List.assoc_opt algo policy_names, algo) with
+    | Some policy, _ ->
+      (policy.name, Resa_sim.Simulator.run_order ~policy inst (Priority.order priority inst))
+    | None, "shelf-nfdh" -> ("NFDH", Shelf.run Shelf.Nfdh inst)
+    | None, "shelf-ffdh" -> ("FFDH", Shelf.run Shelf.Ffdh inst)
+    | None, ("bnb" | "opt") ->
       let r = Resa_exact.Bnb.solve inst in
-      named (if r.optimal then "OPT" else "B&B(budget hit)") r.schedule
-    | "dp" ->
-      let sched, _ = restricted Resa_exact.Single_machine.solve in
-      named "OPT(dp)" sched
-    | "preemptive" ->
+      ((if r.optimal then "OPT" else "B&B(budget hit)"), r.schedule)
+    | None, "dp" -> ("OPT(dp)", fst (restricted Resa_exact.Single_machine.solve))
+    | None, "preemptive" ->
       (* Preemptive optimum reported on its own (it has no Schedule.t). *)
       let r = restricted Preemptive.optimal in
       Printf.printf "preemptive optimal makespan: %d\n" r.makespan;
@@ -149,9 +193,7 @@ let solve path algo priority show_gantt width =
           print_newline ())
         r.intervals;
       exit 0
-    | other ->
-      Printf.eprintf "unknown algorithm %S\n" other;
-      exit 2
+    | None, other -> usage_error "unknown algorithm %S" other
   in
   (match Schedule.validate inst sched with
   | Ok () -> ()
@@ -174,8 +216,8 @@ let solve_cmd =
       value & opt string "lsrc"
       & info [ "algo"; "a" ]
           ~doc:
-            "lsrc, fcfs, easy, conservative, shelf-nfdh, shelf-ffdh, bnb, dp (exact, m=1), \
-             or preemptive (exact, q=1 jobs).")
+            "lsrc (or aggressive), fcfs, easy, cons (or conservative), shelf-nfdh, shelf-ffdh, \
+             bnb, dp (exact, m=1), or preemptive (exact, q=1 jobs).")
   in
   let priority =
     Arg.(
@@ -192,30 +234,17 @@ let solve_cmd =
 (* replay                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let replay swf_path m n max_runtime mean_gap seed policy_name overestimate heartbeat_out hb_every
-    prom_out metrics_on max_allocs trace_out chrome_out csv_out =
+let replay swf_path (synth : synthetic) policy_name heartbeat_out hb_every prom_out metrics_on
+    max_allocs trace_out chrome_out csv_out =
   usage_errors @@ fun () ->
-  (* --prom needs the registry populated; --metrics asks for it explicitly
-     (same switch as RESA_METRICS=1). *)
-  if metrics_on || prom_out <> None then Resa_obs.Metrics.enable ();
-  (* Exports are opt-in: without them a run keeps no per-job state, so the
-     constant-memory replay is unchanged. The event stream goes to one
-     callback per run, which writes each event to --trace as it happens and
-     keeps each start's provenance, by job id, for the CSV; start records
-     and archive job numbers are collected only for --chrome/--csv. *)
-  let collect = chrome_out <> None || csv_out <> None in
-  let exports = ref [] in
+  let m = synth.m in
   let policies =
-    let open Resa_sim.Policy in
     match String.lowercase_ascii policy_name with
-    | "all" -> all
-    | "fcfs" -> [ fcfs ]
-    | "easy" -> [ easy ]
-    | "cons" | "conservative" -> [ conservative ]
-    | "lsrc" | "aggressive" -> [ aggressive ]
-    | other ->
-      Printf.eprintf "unknown policy %S\n" other;
-      exit 2
+    | "all" -> Resa_sim.Policy.all
+    | name -> (
+      match List.assoc_opt name policy_names with
+      | Some policy -> [ policy ]
+      | None -> usage_error "unknown policy %S" name)
   in
   (* One pass per policy over a freshly opened stream (file re-read or
      synthetic re-seeded): nothing is shared across runs and nothing is
@@ -225,138 +254,145 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate heart
   let with_stream k =
     match swf_path with
     | Some path -> Resa_swf.Swf_stream.with_file ~m path k
-    | None ->
-      let rng = Prng.create ~seed in
-      k (Resa_swf.Swf_stream.synthetic ~overestimate rng ~m ~n ~max_runtime ~mean_gap)
+    | None -> k (synthetic_stream synth)
   in
-  (* Heartbeat sink: one JSONL file shared by all runs (run-tagged rows,
-     like --trace); each line is flushed immediately so `resa top` can
-     follow the stream through a pipe while the replay runs. *)
-  let with_hb_channel k =
-    match heartbeat_out with
-    | None -> k None
-    | Some "-" -> k (Some stdout)
-    | Some path -> Out_channel.with_open_text path (fun oc -> k (Some oc))
-  in
-  let trace_oc = Option.map open_out trace_out in
+  (* The arguments are checked before any output is opened or printed, so
+     a usage error leaves stdout empty: the stream's own checks (a bad
+     value, a file that cannot be opened), then the machine's and the
+     heartbeat cadence's. *)
+  with_stream ignore;
+  Result.iter_error invalid_arg (Instance.validate ~m ~jobs:[] ~reservations:[]);
+  if hb_every < 0 then invalid_arg "--heartbeat-every must not be negative";
+  (* --prom needs the registry populated; --metrics asks for it explicitly
+     (same switch as RESA_METRICS=1). *)
+  if metrics_on || prom_out <> None then Resa_obs.Metrics.enable ();
+  (* Exports are opt-in: without them a run keeps no per-job state, so the
+     constant-memory replay is unchanged. The event stream goes to one
+     callback per run, which writes each event to --trace as it happens and
+     keeps each start's provenance, by job id, for the CSV; start records
+     and archive job numbers are collected only for --chrome/--csv. Every
+     output is opened here, before the first run; --heartbeat and --prom
+     take "-" for stdout. *)
+  let collect = chrome_out <> None || csv_out <> None in
+  let exports = ref [] in
+  let file = Option.map open_out in
+  let file_or_stdout = Option.map (function "-" -> stdout | path -> open_out path) in
+  let hb_oc = file_or_stdout heartbeat_out and prom_oc = file_or_stdout prom_out in
+  let trace_oc = file trace_out and chrome_oc = file chrome_out and csv_oc = file csv_out in
   (* Policies that blew the --max-allocs-per-event budget, reported (and
      failing the process) after the table so every row still prints. *)
   let over_budget = ref [] in
-  with_hb_channel (fun hb_oc ->
-      Printf.printf "%-8s %9s %10s %10s %9s %9s %7s %6s %8s %9s %8s %8s %9s\n" "policy" "jobs"
-        "Cmax" "mean_wait" "p50_wait" "p95_wait" "slowdn" "util" "wall_s" "jobs/s" "max_live"
-        "rss_MB" "allocs/ev";
-      List.iter
-        (fun policy ->
-          let ms = Resa_sim.Metrics.Stream.create ~m ~reservations:[] () in
-          let name = policy.Resa_sim.Policy.name in
-          let provenances = Hashtbl.create 16 in
-          let obs =
-            if trace_oc = None && csv_out = None then Resa_obs.Trace.null
-            else
-              Resa_obs.Trace.sink (fun ev ->
-                  Option.iter
-                    (fun oc ->
-                      output_string oc (Resa_obs.Trace.to_json ~run:name ev);
-                      output_char oc '\n')
-                    trace_oc;
-                  match ev with
-                  | Resa_obs.Trace.Job_start { job; provenance; _ } when csv_out <> None ->
-                    Hashtbl.replace provenances job provenance
-                  | _ -> ())
-          in
-          let records = ref [] and job_numbers = ref [] in
-          let on_record =
-            if collect then (fun r ->
-              Resa_sim.Metrics.Stream.observe ms r;
-              records := r :: !records)
-            else Resa_sim.Metrics.Stream.observe ms
-          in
-          let mw0 = Gc.minor_words () in
-          let t0 = Resa_obs.Prof.now_ns () in
-          let on_heartbeat =
-            Option.map
-              (fun oc hb ->
-                let elapsed_s = float_of_int (Resa_obs.Prof.now_ns () - t0) /. 1e9 in
-                let wall =
-                  Resa_sim.Heartbeat.
-                    {
-                      elapsed_s;
-                      jobs_per_s =
-                        float_of_int hb.Resa_sim.Simulator.hb_completed
-                        /. Float.max elapsed_s 1e-9;
-                      rss_mb =
-                        Option.map
-                          (fun kb -> float_of_int kb /. 1024.)
-                          (Resa_obs.Prof.peak_rss_kb ());
-                      wall_metrics = [];
-                    }
-                in
-                Resa_sim.Heartbeat.write oc
-                  (Resa_sim.Heartbeat.make ~run:name ~stream:ms ~registry:true ~wall hb);
-                flush oc)
-              hb_oc
-          in
-          (* Built once per run: a closure made inside the pull thunk would
-             cost five words per job. *)
-          let to_arrival (a : Resa_swf.Swf_stream.arrival) =
-            if collect then job_numbers := a.job_number :: !job_numbers;
-            Resa_sim.Simulator.{ job = a.job; submit = a.submit; estimate = a.estimate }
-          in
-          let stats =
-            try
-              with_stream (fun src ->
-                  Resa_sim.Simulator.run_stream ~obs ~heartbeat_every:hb_every ?on_heartbeat
-                    ~on_record ~policy ~m
-                    (fun () -> Option.map to_arrival (src ())))
-            with Resa_swf.Swf_stream.Parse_error { line; msg } ->
-              Printf.eprintf "error: line %d: %s\n" line msg;
-              exit 2
-          in
-          let wall_s = float_of_int (Resa_obs.Prof.now_ns () - t0) /. 1e9 in
-          (* Minor words per event (arrival or completion): the whole
-             replay, iterator and incremental metrics included — the number
-             the flat-core engine keeps O(1). *)
-          let allocs_ev =
-            (Gc.minor_words () -. mw0)
-            /. float_of_int (max 1 (2 * stats.Resa_sim.Simulator.jobs))
-          in
-          if max_allocs > 0.0 && allocs_ev > max_allocs then
-            over_budget := (name, allocs_ev) :: !over_budget;
-          let s = Resa_sim.Metrics.Stream.summary ms in
-          let rss_mb =
-            match Resa_obs.Prof.peak_rss_kb () with
-            | Some kb -> Printf.sprintf "%.1f" (float_of_int kb /. 1024.)
-            | None -> "-"
-          in
-          Printf.printf
-            "%-8s %9d %10d %10.1f %9.0f %9.0f %7.2f %6.3f %8.2f %9.0f %8d %8s %9.1f\n"
-            name stats.Resa_sim.Simulator.jobs stats.Resa_sim.Simulator.makespan
-            s.Resa_sim.Metrics.mean_wait
-            (Resa_sim.Metrics.Stream.wait_p50 ms)
-            (Resa_sim.Metrics.Stream.wait_p95 ms)
-            s.Resa_sim.Metrics.mean_slowdown s.Resa_sim.Metrics.utilization wall_s
-            (float_of_int stats.Resa_sim.Simulator.jobs /. Float.max wall_s 1e-9)
-            stats.Resa_sim.Simulator.max_live rss_mb allocs_ev;
-          (* Ids number the arrivals in stream order, which is submission
-             order: sorting the start-ordered records by id restores the
-             submission order the batch trace format promises. *)
-          let records =
-            List.sort
-              (fun (a : Resa_sim.Simulator.record) b -> Int.compare (Job.id a.job) (Job.id b.job))
-              !records
-          in
-          let trace =
-            Resa_sim.Simulator.
-              { m; reservations = []; records; makespan = stats.Resa_sim.Simulator.makespan }
-          in
-          exports :=
-            (name, provenances, trace, Array.of_list (List.rev !job_numbers)) :: !exports)
-        policies);
-  Option.iter close_out trace_oc;
+  Printf.printf "%-8s %9s %10s %10s %9s %9s %7s %6s %8s %9s %8s %8s %9s\n" "policy" "jobs"
+    "Cmax" "mean_wait" "p50_wait" "p95_wait" "slowdn" "util" "wall_s" "jobs/s" "max_live"
+    "rss_MB" "allocs/ev";
+  List.iter
+    (fun policy ->
+      let ms = Resa_sim.Metrics.Stream.create ~m ~reservations:[] () in
+      let name = policy.Resa_sim.Policy.name in
+      let provenances = Hashtbl.create 16 in
+      let obs =
+        if trace_oc = None && csv_out = None then Resa_obs.Trace.null
+        else
+          Resa_obs.Trace.sink (fun ev ->
+              Option.iter
+                (fun oc ->
+                  output_string oc (Resa_obs.Trace.to_json ~run:name ev);
+                  output_char oc '\n')
+                trace_oc;
+              match ev with
+              | Resa_obs.Trace.Job_start { job; provenance; _ } when csv_out <> None ->
+                Hashtbl.replace provenances job provenance
+              | _ -> ())
+      in
+      let records = ref [] and job_numbers = ref [] in
+      let on_record =
+        if collect then (fun r ->
+          Resa_sim.Metrics.Stream.observe ms r;
+          records := r :: !records)
+        else Resa_sim.Metrics.Stream.observe ms
+      in
+      let mw0 = Gc.minor_words () in
+      let t0 = Resa_obs.Prof.now_ns () in
+      let on_heartbeat =
+        Option.map
+          (fun oc hb ->
+            let elapsed_s = float_of_int (Resa_obs.Prof.now_ns () - t0) /. 1e9 in
+            let wall =
+              Resa_sim.Heartbeat.
+                {
+                  elapsed_s;
+                  jobs_per_s =
+                    float_of_int hb.Resa_sim.Simulator.hb_completed
+                    /. Float.max elapsed_s 1e-9;
+                  rss_mb =
+                    Option.map
+                      (fun kb -> float_of_int kb /. 1024.)
+                      (Resa_obs.Prof.peak_rss_kb ());
+                  wall_metrics = [];
+                }
+            in
+            Resa_sim.Heartbeat.write oc
+              (Resa_sim.Heartbeat.make ~run:name ~stream:ms ~registry:true ~wall hb);
+            flush oc)
+          hb_oc
+      in
+      (* Built once per run: a closure made inside the pull thunk would
+         cost five words per job. *)
+      let to_arrival (a : Resa_swf.Swf_stream.arrival) =
+        if collect then job_numbers := a.job_number :: !job_numbers;
+        Resa_sim.Simulator.{ job = a.job; submit = a.submit; estimate = a.estimate }
+      in
+      let stats =
+        try
+          with_stream (fun src ->
+              Resa_sim.Simulator.run_stream ~obs ~heartbeat_every:hb_every ?on_heartbeat
+                ~on_record ~policy ~m
+                (fun () -> Option.map to_arrival (src ())))
+        with Resa_swf.Swf_stream.Parse_error { line; msg } -> usage_error "line %d: %s" line msg
+      in
+      let wall_s = float_of_int (Resa_obs.Prof.now_ns () - t0) /. 1e9 in
+      (* Minor words per event (arrival or completion): the whole
+         replay, iterator and incremental metrics included — the number
+         the flat-core engine keeps O(1). *)
+      let allocs_ev =
+        (Gc.minor_words () -. mw0)
+        /. float_of_int (max 1 (2 * stats.Resa_sim.Simulator.jobs))
+      in
+      if max_allocs > 0.0 && allocs_ev > max_allocs then
+        over_budget := (name, allocs_ev) :: !over_budget;
+      let s = Resa_sim.Metrics.Stream.summary ms in
+      let rss_mb =
+        match Resa_obs.Prof.peak_rss_kb () with
+        | Some kb -> Printf.sprintf "%.1f" (float_of_int kb /. 1024.)
+        | None -> "-"
+      in
+      Printf.printf
+        "%-8s %9d %10d %10.1f %9.0f %9.0f %7.2f %6.3f %8.2f %9.0f %8d %8s %9.1f\n"
+        name stats.Resa_sim.Simulator.jobs stats.Resa_sim.Simulator.makespan
+        s.Resa_sim.Metrics.mean_wait
+        (Resa_sim.Metrics.Stream.wait_p50 ms)
+        (Resa_sim.Metrics.Stream.wait_p95 ms)
+        s.Resa_sim.Metrics.mean_slowdown s.Resa_sim.Metrics.utilization wall_s
+        (float_of_int stats.Resa_sim.Simulator.jobs /. Float.max wall_s 1e-9)
+        stats.Resa_sim.Simulator.max_live rss_mb allocs_ev;
+      (* Ids number the arrivals in stream order, which is submission
+         order: sorting the start-ordered records by id restores the
+         submission order the batch trace format promises. *)
+      let records =
+        List.sort
+          (fun (a : Resa_sim.Simulator.record) b -> Int.compare (Job.id a.job) (Job.id b.job))
+          !records
+      in
+      let trace =
+        Resa_sim.Simulator.
+          { m; reservations = []; records; makespan = stats.Resa_sim.Simulator.makespan }
+      in
+      exports :=
+        (name, provenances, trace, Array.of_list (List.rev !job_numbers)) :: !exports)
+    policies;
   let exports = List.rev !exports in
   Option.iter
-    (fun path ->
+    (fun oc ->
       let slices =
         List.concat_map
           (fun (name, _, trace, _) -> Resa_sim.Sim_trace.chrome_slices ~process:name trace)
@@ -365,40 +401,38 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate heart
              Resa_obs.Chrome.of_spans ~process:"executor" (Resa_obs.Prof.spans ())
            else [])
       in
-      Out_channel.with_open_text path (fun oc -> Resa_obs.Chrome.write oc slices))
-    chrome_out;
+      Resa_obs.Chrome.write oc slices)
+    chrome_oc;
   Option.iter
-    (fun path ->
-      Out_channel.with_open_text path (fun oc ->
-          List.iteri
-            (fun i (name, provenances, trace, job_numbers) ->
-              let provenance id =
-                match Hashtbl.find_opt provenances id with
-                | Some p -> Resa_obs.Trace.provenance_to_string p
-                | None -> ""
-              in
-              let csv =
-                Resa_sim.Metrics.per_job_csv ~run:name
-                  (Resa_sim.Metrics.per_job ~provenance ~job_numbers trace)
-              in
-              (* One header for the whole file. *)
-              let csv =
-                if i = 0 then csv
-                else
-                  match String.index_opt csv '\n' with
-                  | Some k -> String.sub csv (k + 1) (String.length csv - k - 1)
-                  | None -> csv
-              in
-              Out_channel.output_string oc csv)
-            exports))
-    csv_out;
+    (fun oc ->
+      List.iteri
+        (fun i (name, provenances, trace, job_numbers) ->
+          let provenance id =
+            match Hashtbl.find_opt provenances id with
+            | Some p -> Resa_obs.Trace.provenance_to_string p
+            | None -> ""
+          in
+          let csv =
+            Resa_sim.Metrics.per_job_csv ~run:name
+              (Resa_sim.Metrics.per_job ~provenance ~job_numbers trace)
+          in
+          (* One header for the whole file. *)
+          let csv =
+            if i = 0 then csv
+            else
+              match String.index_opt csv '\n' with
+              | Some k -> String.sub csv (k + 1) (String.length csv - k - 1)
+              | None -> csv
+          in
+          output_string oc csv)
+        exports)
+    csv_oc;
   (* The registry is process-global and cumulative across the sequential
      runs: the exposition describes the whole replay. *)
-  Option.iter
-    (fun path ->
-      if path = "-" then print_string (Resa_obs.Metrics.expose ())
-      else Out_channel.with_open_text path (fun oc -> output_string oc (Resa_obs.Metrics.expose ())))
-    prom_out;
+  Option.iter (fun oc -> output_string oc (Resa_obs.Metrics.expose ())) prom_oc;
+  List.iter
+    (Option.iter (fun oc -> if oc == stdout then flush oc else close_out oc))
+    [ hb_oc; trace_oc; chrome_oc; csv_oc; prom_oc ];
   if !over_budget <> [] then begin
     List.iter
       (fun (name, allocs_ev) ->
@@ -416,24 +450,11 @@ let replay_cmd =
       & info [ "swf" ] ~docv:"FILE"
           ~doc:"SWF trace file, streamed line by line (otherwise synthetic).")
   in
-  let m = Arg.(value & opt int 128 & info [ "m" ] ~doc:"Number of machines.") in
-  let n = Arg.(value & opt int 200_000 & info [ "n" ] ~doc:"Synthetic trace length.") in
-  let max_runtime =
-    Arg.(value & opt int 2000 & info [ "max-runtime" ] ~doc:"Synthetic max runtime.")
-  in
-  let mean_gap =
-    (* 150 keeps the synthetic system stable (bounded queue) even under
-       FCFS, so the replay's memory footprint is flat by default. *)
-    Arg.(value & opt float 150.0 & info [ "mean-gap" ] ~doc:"Mean inter-arrival gap.")
-  in
   let policy =
-    Arg.(value & opt string "all" & info [ "policy" ] ~doc:"all, fcfs, easy, cons or lsrc.")
-  in
-  let overestimate =
     Arg.(
-      value & opt float 2.0
-      & info [ "overestimate" ]
-          ~doc:"Mean walltime overestimation factor for synthetic traces (>= 1).")
+      value & opt string "all"
+      & info [ "policy" ]
+          ~doc:"all, fcfs, cons (or conservative), easy, or lsrc (or aggressive).")
   in
   let heartbeat_out =
     Arg.(
@@ -517,8 +538,7 @@ let replay_cmd =
           incremental metrics, no materialised job list, timeline history GC; optional \
           event-trace, Gantt and per-job exports")
     Term.(
-      const replay $ swf $ m $ n $ max_runtime $ mean_gap $ seed_arg $ policy $ overestimate
-      $ heartbeat_out $ hb_every $ prom_out $ metrics_on $ max_allocs
+      const replay $ swf $ synthetic_args $ policy $ heartbeat_out $ hb_every $ prom_out $ metrics_on $ max_allocs
       $ trace_out $ chrome_out $ csv_out)
 
 (* ------------------------------------------------------------------ *)
@@ -536,9 +556,7 @@ let explain path =
       | Some line -> (
         match Resa_obs.Trace.parse_line line with
         | Ok ev -> Seq.Cons (ev, events (lineno + 1))
-        | Error msg ->
-          Printf.eprintf "error: %s:%d: %s\n" path lineno msg;
-          exit 2)
+        | Error msg -> usage_error "%s:%d: %s" path lineno msg)
     in
     Resa_obs.Explain.render stdout (events 1)
   in
@@ -546,9 +564,7 @@ let explain path =
   else
     match In_channel.with_open_text path render with
     | () -> ()
-    | exception Sys_error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 2
+    | exception Sys_error msg -> usage_error "%s" msg
 
 let explain_cmd =
   let path =
@@ -577,10 +593,7 @@ let top path =
   let ic =
     if path = "-" then stdin
     else
-      try open_in path
-      with Sys_error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 2
+      try open_in path with Sys_error msg -> usage_error "%s" msg
   in
   let module H = Resa_sim.Heartbeat in
   let hist_cap = 48 in
@@ -715,13 +728,11 @@ let benchdiff_cmd =
 (* trace                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let trace m n max_runtime mean_gap overestimate seed =
+let trace (synth : synthetic) =
   usage_errors @@ fun () ->
-  let src =
-    Resa_swf.Swf_stream.synthetic ~overestimate (Prng.create ~seed) ~m ~n ~max_runtime ~mean_gap
-  in
-  Printf.printf "; synthetic SWF trace generated by resa\n; MaxProcs: %d\n" m;
-  Printf.printf "; seed: %d, overestimate: %.2f\n" seed overestimate;
+  let src = synthetic_stream synth in
+  Printf.printf "; synthetic SWF trace generated by resa\n; MaxProcs: %d\n" synth.m;
+  Printf.printf "; seed: %d, overestimate: %.2f\n" synth.seed synth.overestimate;
   (* One line per pull: nothing of the trace is held. *)
   let rec go () =
     match src () with
@@ -734,16 +745,12 @@ let trace m n max_runtime mean_gap overestimate seed =
   go ()
 
 let trace_cmd =
-  let m = Arg.(value & opt int 64 & info [ "m" ] ~doc:"Number of machines.") in
-  let n = Arg.(value & opt int 200 & info [ "n" ] ~doc:"Trace length.") in
-  let max_runtime = Arg.(value & opt int 200 & info [ "max-runtime" ] ~doc:"Max runtime.") in
-  let mean_gap = Arg.(value & opt float 5.0 & info [ "mean-gap" ] ~doc:"Mean inter-arrival gap.") in
-  let overestimate =
-    Arg.(value & opt float 1.0 & info [ "overestimate" ] ~doc:"Mean walltime overestimation (>= 1).")
-  in
   Cmd.v
-    (Cmd.info "trace" ~doc:"Emit a synthetic Standard Workload Format trace")
-    Term.(const trace $ m $ n $ max_runtime $ mean_gap $ overestimate $ seed_arg)
+    (Cmd.info "trace"
+       ~doc:
+         "Emit a synthetic Standard Workload Format trace: the stream $(b,resa replay) draws \
+          with the same arguments")
+    Term.(const trace $ synthetic_args)
 
 (* ------------------------------------------------------------------ *)
 (* info                                                                *)

@@ -2,18 +2,7 @@ open Resa_core
 
 let conservative_order inst order =
   Priority.check_order "Backfill.conservative_order" inst order;
-  let n = Instance.n_jobs inst in
-  let starts = Array.make n (-1) in
-  let free = Timeline.of_profile (Instance.availability inst) in
-  Array.iter
-    (fun i ->
-      let j = Instance.job inst i in
-      match Timeline.earliest_fit free ~from:0 ~dur:(Job.p j) ~need:(Job.q j) with
-      | Some s when Timeline.reserve free ~start:s ~dur:(Job.p j) ~need:(Job.q j) ->
-        starts.(i) <- s
-      | _ -> assert false)
-    order;
-  Schedule.make starts
+  Resa_sim.Simulator.run_order ~policy:Resa_sim.Policy.conservative inst order
 
 let conservative ?(priority = Priority.Fifo) inst =
   conservative_order inst (Priority.order priority inst)

@@ -15,13 +15,10 @@ val conservative : ?priority:Priority.t -> Instance.t -> Schedule.t
 (** Always feasible; satisfies {!no_earlier_job_delayed}. *)
 
 val conservative_order : Instance.t -> int array -> Schedule.t
-(** Timeline-backed: each job, in [order], takes its earliest fit on the
-    mutable {!Timeline}. This is {!Resa_sim.Policy.conservative} with every
-    job submitted at 0 (the differential tests hold them to the same
-    starts), kept as an offline body because the simulator, which plans
-    every job and then reserves it again when it starts, takes 1.4–3.2x
-    as long here (DESIGN.md §3). Raises [Invalid_argument] if [order] is
-    not a permutation. *)
+(** {!Resa_sim.Policy.conservative} run by the simulator with every job
+    submitted at time 0, in [order]: each job takes its earliest fit in the
+    plan of its predecessors. Raises [Invalid_argument] if [order] is not a
+    permutation. *)
 
 val easy : ?priority:Priority.t -> Instance.t -> Schedule.t
 (** Offline EASY backfilling (all jobs ready at time 0): the online policy

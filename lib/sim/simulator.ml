@@ -174,11 +174,6 @@ type run = {
   mutable last_t : int;
   (* The last wake pushed after a decision, -1 before any. *)
   mutable last_wake : int;
-  (* Capacity blocked by reservations alone, for classifying why a job does
-     not fit: if it would fit with the blocked windows given back, the
-     reservation is the binding constraint. Built on first use, which only
-     tracing makes. *)
-  mutable resv_blocked : Profile.t option;
 }
 
 (* A slot's int fields: its admission index, submit time, estimate and
@@ -456,29 +451,21 @@ let trace_head_blocked r t =
     if have >= need then Trace.Held_by_policy
     else begin
       (* Would the job fit with the reservation-blocked windows given back?
-         The blocked profile is piecewise constant, so walk its segments
-         and add each constant to the live timeline's minimum on that span
-         — no profile export. *)
-      let rb =
-        match r.resv_blocked with
-        | Some rb -> rb
-        | None ->
-          let rb = Resv_sweep.unavailability r.sweep in
-          r.resv_blocked <- Some rb;
-          rb
-      in
-      let hi = t + est in
-      let rec scan lo acc =
+         The sweep's free capacity is constant on each of its segments, and
+         [drain] has passed every edge up to [t], so segment [edge - 1]
+         holds [t]: walk the segments from there and add each one's blocked
+         [m - free] to the live timeline's minimum on that piece. *)
+      let sw = r.sweep and hi = t + est in
+      let rec scan k lo acc =
         if lo >= hi then acc
         else begin
-          let seg_hi =
-            match Profile.next_breakpoint_after rb lo with Some b when b < hi -> b | _ -> hi
-          in
-          let v = Timeline.min_on r.free ~lo ~hi:seg_hi + Profile.value_at rb lo in
-          scan seg_hi (min acc v)
+          let seg_hi = if k + 1 < sw.len && sw.times.(k + 1) < hi then sw.times.(k + 1) else hi in
+          let v = Timeline.min_on r.free ~lo ~hi:seg_hi + sw.m - sw.free.(k) in
+          scan (k + 1) seg_hi (min acc v)
         end
       in
-      if scan t max_int >= need then Trace.Blocked_by_reservation else Trace.Blocked_by_capacity
+      if scan (r.edge - 1) t max_int >= need then Trace.Blocked_by_reservation
+      else Trace.Blocked_by_capacity
     end
   in
   Trace.emit r.obs
@@ -649,7 +636,6 @@ let run_core ~obs ~policy ~m ~sweep ~gc_every ~hb_every ~on_heartbeat ~on_start 
       a_est = 0;
       last_t = -1;
       last_wake = -1;
-      resv_blocked = None;
     }
   in
   (* The queue's compaction report. *)

@@ -12,9 +12,9 @@
     exactly the started jobs' reservations and rolled back otherwise, so
     trial reservations made while deciding never leak. No persistent profile is
     rebuilt anywhere — decision path or tracing path: the head-blocked
-    classifier queries the live timeline and a once-per-run
-    reservation-blocked profile built lazily from the reservation sweep
-    ({!Resa_core.Resv_sweep.unavailability}), and a start's queue
+    classifier queries the live timeline and reads the blocked capacity
+    off the run's reservation sweep ({!Resa_core.Resv_sweep.t}), and a
+    start's queue
     membership is an O(1) read of its slot (waiting, and not stamped by
     the current decision) — a decision step costs one timeline operation
     per start and query rather than O(history).

@@ -90,7 +90,10 @@ let test_easy_pinned () =
 (* Deep queues: hundreds of jobs submitted at 0, so every policy starts far
    more jobs than stay queued and the waiting queue compacts several times
    per run. The engine must keep agreeing start for start with the offline
-   Profile oracles, which share none of its queue code. *)
+   Profile oracles, which share none of its queue code, under every
+   standard order (LPT, SPT, widest, narrowest and area have many equal
+   keys) and a random one. This is the test of every offline [*_order]
+   scheduler, each of which is this engine run. *)
 let offline_oracles =
   [
     ("LSRC", Policy.aggressive, Resa_oracles.Lsrc.run_order_reference);
@@ -117,7 +120,7 @@ let test_deep_queue_at_zero () =
                 (Schedule.starts (oracle inst order))
                 (Schedule.starts (Simulator.run_order ~policy inst order)))
             offline_oracles)
-        [ Resa_algos.Priority.Fifo; Resa_algos.Priority.Random seed ])
+        (Resa_algos.Priority.standard @ [ Resa_algos.Priority.Random seed ]))
     [ 7; 8 ]
 
 let suite =
