@@ -82,18 +82,19 @@ let simulator_tests () =
 let engine_seed = 7
 
 (* Each policy's offline schedule is its online policy run with every job
-   submitted at 0 ([Simulator.run_order]): [Lsrc.run_order],
-   [Fcfs.run_order], [Backfill.conservative_order] and
-   [Backfill.easy_order] are exactly that. These rows time it on small
+   submitted at 0 ([Simulator.run_order], which [Lsrc.run], [Fcfs.run] and
+   [Backfill.conservative]/[easy] call). These rows time it on small
    alpha-restricted instances (m=16, alpha=0.5, pmax=20, n/4 reservations,
    seed 7, FIFO), where the engine's per-run set-up weighs most
-   (DESIGN.md §3). Each cell is the median per-run time of 7 batches; a
-   batch repeats the run until it lasts at least 2 ms. Up to n=1000 every
-   start must agree with the policy's Profile oracle ([Resa_oracles]), or
-   the bench fails. *)
-let engine_at_zero () =
+   (DESIGN.md §3), against the policy's Profile oracle ([Resa_oracles]).
+   Each cell is the median per-run time of 7 batches; a batch repeats the
+   run until it lasts at least 2 ms. The oracle is quadratic, so it runs
+   up to n=1000 only; there every start must agree with it, or the bench
+   fails. *)
+let scaling () =
   Printf.printf
-    "\n=== PERF: engine at 0 (m=16, alpha=0.5, pmax=20, n/4 reservations, FIFO) ===\n";
+    "\n=== PERF: engine at 0 vs Profile oracle (m=16, alpha=0.5, pmax=20, n/4 reservations, \
+     FIFO) ===\n";
   let batch f k =
     let t0 = Resa_obs.Prof.now_ns () in
     for _ = 1 to k do
@@ -102,9 +103,16 @@ let engine_at_zero () =
     Resa_obs.Prof.now_ns () - t0
   in
   let rec calibrate f k = if k >= 1 lsl 20 || batch f k >= 2_000_000 then k else calibrate f (2 * k) in
-  let median a =
-    Array.sort Float.compare a;
-    a.(Array.length a / 2)
+  let per_run f =
+    let k = calibrate f 1 in
+    let ts = Array.init 7 (fun _ -> float_of_int (batch f k) /. float_of_int k) in
+    Array.sort Float.compare ts;
+    ts.(3)
+  in
+  let pretty ns =
+    if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
+    else if ns >= 1e6 then Printf.sprintf "%.1f ms" (ns /. 1e6)
+    else Printf.sprintf "%.1f us" (ns /. 1e3)
   in
   let algos =
     [
@@ -116,7 +124,9 @@ let engine_at_zero () =
       ("easy", Resa_sim.Policy.easy, Resa_oracles.Backfill.easy_order_reference);
     ]
   in
-  let t = Resa_stats.Table.create ~headers:[ "algorithm"; "n"; "engine" ] in
+  let t =
+    Resa_stats.Table.create ~headers:[ "algorithm"; "n"; "engine"; "oracle"; "speedup" ]
+  in
   List.iter
     (fun n ->
       let inst =
@@ -126,87 +136,21 @@ let engine_at_zero () =
       let order = Resa_algos.Priority.order Resa_algos.Priority.Fifo inst in
       List.iter
         (fun (name, policy, oracle) ->
-          let engine () =
-            Resa_algos.Priority.check_order name inst order;
-            Resa_sim.Simulator.run_order ~policy inst order
+          let engine () = Resa_sim.Simulator.run_order ~policy inst order in
+          let e = per_run engine in
+          let oracle_cell, speedup_cell =
+            if n > 1000 then ("(skipped)", "-")
+            else begin
+              if Schedule.starts (oracle inst order) <> Schedule.starts (engine ()) then
+                failwith (Printf.sprintf "engine at 0: %s differs at n=%d" name n);
+              let o = per_run (fun () -> oracle inst order) in
+              (pretty o, Printf.sprintf "%.1fx" (o /. Float.max e 1.))
+            end
           in
-          if n <= 1000 && Schedule.starts (oracle inst order) <> Schedule.starts (engine ()) then
-            failwith (Printf.sprintf "engine at 0: %s differs at n=%d" name n);
-          let k = calibrate engine 1 in
-          let es = Array.init 7 (fun _ -> float_of_int (batch engine k) /. float_of_int k) in
-          Resa_stats.Table.add_row t
-            [ name; string_of_int n; Printf.sprintf "%.1f us" (median es /. 1e3) ])
+          Resa_stats.Table.add_row t [ name; string_of_int n; pretty e; oracle_cell; speedup_cell ])
         algos)
     (if !small then [ 5; 50; 1000 ] else [ 5; 50; 1000; 20_000 ]);
   print_string (Resa_stats.Table.render t)
-
-(* --- timeline vs profile scaling series --------------------------------- *)
-
-(* Whole-schedule wall clock at n in {1k, 5k, 20k}: the blocked timeline
-   (sorted breakpoint blocks) against the Profile-backed oracle. The
-   quadratic reference is capped per algorithm so the series itself stays
-   tractable; above the cap only the timeline column is measured. LSRC is
-   left uncapped — its 20k row is the headline before/after number.
-
-   Workload construction fans out over the Resa_par pool; the timed
-   sections themselves run sequentially so the measurements never contend
-   for cores. *)
-let scaling () =
-  Printf.printf
-    "\n=== PERF: Timeline vs Profile scaling (one full run, m=128, n/5 reservations) ===\n";
-  let time f x y =
-    let t0 = Sys.time () in
-    ignore (f x y);
-    Sys.time () -. t0
-  in
-  let pretty s =
-    if s >= 1.0 then Printf.sprintf "%.2f s" s else Printf.sprintf "%.1f ms" (s *. 1000.)
-  in
-  let algos =
-    [
-      ("lsrc", Resa_algos.Lsrc.run_order, Resa_oracles.Lsrc.run_order_reference, max_int);
-      ("fcfs", Resa_algos.Fcfs.run_order, Resa_oracles.Fcfs.run_order_reference, 5_000);
-      ( "conservative",
-        Resa_algos.Backfill.conservative_order,
-        Resa_oracles.Backfill.conservative_order_reference,
-        5_000 );
-      ("easy", Resa_algos.Backfill.easy_order, Resa_oracles.Backfill.easy_order_reference, 1_000);
-    ]
-  in
-  let sizes = if !small then [| 1_000 |] else [| 1_000; 5_000; 20_000 |] in
-  let prepared =
-    Resa_par.parallel_map
-      (fun n ->
-        let inst = reserved_workload n in
-        (n, inst, Resa_algos.Priority.order Resa_algos.Priority.Fifo inst))
-      sizes
-  in
-  let t =
-    Resa_stats.Table.create ~headers:[ "algorithm"; "n"; "timeline"; "profile"; "speedup" ]
-  in
-  Array.iter
-    (fun (n, inst, order) ->
-      List.iter
-        (fun (name, fast, reference, ref_cap) ->
-          let fast_s = time fast inst order in
-          let speedup =
-            if n > ref_cap then None
-            else begin
-              let ref_s = time reference inst order in
-              Some (ref_s, ref_s /. Float.max fast_s 1e-9)
-            end
-          in
-          let ref_cell, speedup_cell =
-            match speedup with
-            | None -> ("(skipped)", "-")
-            | Some (ref_s, sp) -> (pretty ref_s, Printf.sprintf "%.1fx" sp)
-          in
-          Resa_stats.Table.add_row t
-            [ name; string_of_int n; pretty fast_s; ref_cell; speedup_cell ])
-        algos)
-    prepared;
-  print_string (Resa_stats.Table.render t);
-  engine_at_zero ()
 
 (* --- simulator scaling series ------------------------------------------- *)
 

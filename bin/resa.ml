@@ -282,9 +282,15 @@ let replay swf_path (synth : synthetic) policy_name heartbeat_out hb_every prom_
   (* Policies that blew the --max-allocs-per-event budget, reported (and
      failing the process) after the table so every row still prints. *)
   let over_budget = ref [] in
-  Printf.printf "%-8s %9s %10s %10s %9s %9s %7s %6s %8s %9s %8s %8s %9s\n" "policy" "jobs"
-    "Cmax" "mean_wait" "p50_wait" "p95_wait" "slowdn" "util" "wall_s" "jobs/s" "max_live"
-    "rss_MB" "allocs/ev";
+  (* The header goes out with the first row: a malformed SWF line is only
+     found when the first run reaches it, and its usage error must leave
+     stdout empty. *)
+  let header =
+    lazy
+      (Printf.printf "%-8s %9s %10s %10s %9s %9s %7s %6s %8s %9s %8s %8s %9s\n" "policy" "jobs"
+         "Cmax" "mean_wait" "p50_wait" "p95_wait" "slowdn" "util" "wall_s" "jobs/s" "max_live"
+         "rss_MB" "allocs/ev")
+  in
   List.iter
     (fun policy ->
       let ms = Resa_sim.Metrics.Stream.create ~m ~reservations:[] () in
@@ -366,6 +372,7 @@ let replay swf_path (synth : synthetic) policy_name heartbeat_out hb_every prom_
         | Some kb -> Printf.sprintf "%.1f" (float_of_int kb /. 1024.)
         | None -> "-"
       in
+      Lazy.force header;
       Printf.printf
         "%-8s %9d %10d %10.1f %9.0f %9.0f %7.2f %6.3f %8.2f %9.0f %8d %8s %9.1f\n"
         name stats.Resa_sim.Simulator.jobs stats.Resa_sim.Simulator.makespan

@@ -1,17 +1,11 @@
 open Resa_core
 
-let conservative_order inst order =
-  Priority.check_order "Backfill.conservative_order" inst order;
-  Resa_sim.Simulator.run_order ~policy:Resa_sim.Policy.conservative inst order
-
 let conservative ?(priority = Priority.Fifo) inst =
-  conservative_order inst (Priority.order priority inst)
+  Resa_sim.Simulator.run_order ~policy:Resa_sim.Policy.conservative inst
+    (Priority.order priority inst)
 
-let easy_order inst order =
-  Priority.check_order "Backfill.easy_order" inst order;
-  Resa_sim.Simulator.run_order ~policy:Resa_sim.Policy.easy inst order
-
-let easy ?(priority = Priority.Fifo) inst = easy_order inst (Priority.order priority inst)
+let easy ?(priority = Priority.Fifo) inst =
+  Resa_sim.Simulator.run_order ~policy:Resa_sim.Policy.easy inst (Priority.order priority inst)
 
 let no_earlier_job_delayed inst order sched =
   (* Replan each prefix; every job must sit exactly at its earliest fit given

@@ -12,22 +12,15 @@
 open Resa_core
 
 val conservative : ?priority:Priority.t -> Instance.t -> Schedule.t
-(** Always feasible; satisfies {!no_earlier_job_delayed}. *)
-
-val conservative_order : Instance.t -> int array -> Schedule.t
-(** {!Resa_sim.Policy.conservative} run by the simulator with every job
-    submitted at time 0, in [order]: each job takes its earliest fit in the
-    plan of its predecessors. Raises [Invalid_argument] if [order] is not a
-    permutation. *)
+(** {!Resa_sim.Policy.conservative} run by {!Resa_sim.Simulator.run_order}
+    with every job submitted at time 0, in the priority's order: each job
+    takes its earliest fit in the plan of its predecessors. Always
+    feasible; satisfies {!no_earlier_job_delayed}. *)
 
 val easy : ?priority:Priority.t -> Instance.t -> Schedule.t
-(** Offline EASY backfilling (all jobs ready at time 0): the online policy
-    under the simulator, with head-reservation protection. *)
-
-val easy_order : Instance.t -> int array -> Schedule.t
-(** {!Resa_sim.Policy.easy} run by the simulator with every job submitted
-    at time 0, in [order]. Raises [Invalid_argument] if [order] is not a
-    permutation. *)
+(** Offline EASY backfilling (all jobs ready at time 0):
+    {!Resa_sim.Policy.easy} run by {!Resa_sim.Simulator.run_order}, with
+    head-reservation protection. *)
 
 val no_earlier_job_delayed : Instance.t -> int array -> Schedule.t -> bool
 (** Conservative-backfilling certificate: removing any suffix of the queue

@@ -1,13 +1,9 @@
 open Resa_core
 
-let run_order inst order =
-  Priority.check_order "Fcfs.run_order" inst order;
-  Resa_sim.Simulator.run_order ~policy:Resa_sim.Policy.fcfs inst order
+let run ?(priority = Priority.Fifo) inst =
+  Resa_sim.Simulator.run_order ~policy:Resa_sim.Policy.fcfs inst (Priority.order priority inst)
 
-let run ?(priority = Priority.Fifo) inst = run_order inst (Priority.order priority inst)
-
-let respects_order inst sched order =
-  ignore inst;
+let respects_order sched order =
   let ok = ref true in
   let prev = ref min_int in
   Array.iter

@@ -10,14 +10,10 @@
 open Resa_core
 
 val run : ?priority:Priority.t -> Instance.t -> Schedule.t
-(** Default priority: {!Priority.Fifo} (true submission order). The result
-    is always feasible. *)
-
-val run_order : Instance.t -> int array -> Schedule.t
 (** {!Resa_sim.Simulator.run_order} of {!Resa_sim.Policy.fcfs}: each job,
-    in [order], submitted at time 0, takes its earliest fit not before its
-    predecessor's start. Raises [Invalid_argument] if [order] is not a
-    permutation. *)
+    in the priority's order (default {!Priority.Fifo}, true submission
+    order), submitted at time 0, takes its earliest fit not before its
+    predecessor's start. The result is always feasible. *)
 
-val respects_order : Instance.t -> Schedule.t -> int array -> bool
+val respects_order : Schedule.t -> int array -> bool
 (** FCFS invariant: start times are non-decreasing along the queue order. *)

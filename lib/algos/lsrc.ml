@@ -1,10 +1,8 @@
 open Resa_core
 
-let run_order inst order =
-  Priority.check_order "Lsrc.run_order" inst order;
-  Resa_sim.Simulator.run_order ~policy:Resa_sim.Policy.aggressive inst order
-
-let run ?(priority = Priority.Fifo) inst = run_order inst (Priority.order priority inst)
+let run ?(priority = Priority.Fifo) inst =
+  Resa_sim.Simulator.run_order ~policy:Resa_sim.Policy.aggressive inst
+    (Priority.order priority inst)
 
 let decision_times inst sched =
   let cmax = Schedule.makespan inst sched in

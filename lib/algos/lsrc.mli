@@ -19,13 +19,11 @@
 open Resa_core
 
 val run : ?priority:Priority.t -> Instance.t -> Schedule.t
-(** Schedule every job of the instance. Default priority: {!Priority.Fifo}.
-    The result is always feasible ([Schedule.validate] succeeds). *)
-
-val run_order : Instance.t -> int array -> Schedule.t
-(** [run_order inst order] with an explicit index permutation:
-    {!Resa_sim.Simulator.run_order} of {!Resa_sim.Policy.aggressive}.
-    Raises [Invalid_argument] if [order] is not a permutation. *)
+(** Schedule every job of the instance: {!Resa_sim.Simulator.run_order} of
+    {!Resa_sim.Policy.aggressive} in the priority's order (default
+    {!Priority.Fifo}); an explicit order goes to [Simulator.run_order]
+    directly. The result is always feasible ([Schedule.validate]
+    succeeds). *)
 
 val decision_times : Instance.t -> Schedule.t -> int list
 (** The event times at which the sweep made decisions when producing this

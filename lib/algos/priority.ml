@@ -8,7 +8,6 @@ type t =
   | Narrowest_first
   | Largest_area_first
   | Random of int
-  | Explicit of int array
 
 let name = function
   | Fifo -> "FIFO"
@@ -18,7 +17,6 @@ let name = function
   | Narrowest_first -> "NARROWEST"
   | Largest_area_first -> "AREA"
   | Random seed -> Printf.sprintf "RANDOM(%d)" seed
-  | Explicit _ -> "EXPLICIT"
 
 let identity n = Array.init n (fun i -> i)
 
@@ -31,23 +29,6 @@ let by_key inst key =
   in
   Array.sort cmp idx;
   idx
-
-let is_permutation n a =
-  Array.length a = n
-  &&
-  let seen = Array.make n false in
-  Array.for_all
-    (fun i ->
-      if i < 0 || i >= n || seen.(i) then false
-      else begin
-        seen.(i) <- true;
-        true
-      end)
-    a
-
-let check_order fn inst order =
-  if not (is_permutation (Instance.n_jobs inst) order) then
-    invalid_arg (fn ^ ": order is not a permutation")
 
 let order t inst =
   let n = Instance.n_jobs inst in
@@ -62,9 +43,5 @@ let order t inst =
     let idx = identity n in
     Prng.shuffle (Prng.create ~seed) idx;
     idx
-  | Explicit a ->
-    if not (is_permutation n a) then
-      invalid_arg "Priority.order: Explicit array is not a permutation of job indices";
-    Array.copy a
 
 let standard = [ Fifo; Lpt; Spt; Widest_first; Narrowest_first; Largest_area_first ]

@@ -16,19 +16,13 @@ type t =
   | Narrowest_first  (** Increasing processor requirement. *)
   | Largest_area_first  (** Decreasing [p·q]. *)
   | Random of int  (** Uniform shuffle from the given seed. *)
-  | Explicit of int array  (** A fixed permutation of [0..n-1]. *)
 
 val name : t -> string
 
 val order : t -> Instance.t -> int array
 (** The job indices in scheduling order. Ties broken by index, so every rule
-    is deterministic. Raises [Invalid_argument] if an [Explicit] array is not
-    a permutation of [0..n_jobs-1]. *)
-
-val check_order : string -> Instance.t -> int array -> unit
-(** [check_order fn inst order] raises [Invalid_argument
-    (fn ^ ": order is not a permutation")] unless [order] is a permutation
-    of [0..n_jobs-1]: the guard of every offline [*_order] entry point. *)
+    is deterministic. A fixed order needs no rule: pass it to
+    [Resa_sim.Simulator.run_order], which checks it is a permutation. *)
 
 val standard : t list
 (** The deterministic rules benchmarked throughout: FIFO, LPT, SPT,

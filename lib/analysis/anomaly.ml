@@ -1,7 +1,9 @@
 open Resa_core
 open Resa_algos
 
-let makespan_of_order inst order = Schedule.makespan inst (Lsrc.run_order inst order)
+let makespan_of_order inst order =
+  Schedule.makespan inst
+    (Resa_sim.Simulator.run_order ~policy:Resa_sim.Policy.aggressive inst order)
 
 let worst_order ?(restarts = 4) ?(iterations = 60) rng inst =
   let n = Instance.n_jobs inst in

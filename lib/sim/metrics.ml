@@ -25,7 +25,10 @@ type job_row = {
   provenance : string;
 }
 
-let per_job ?(bound = 10) ?provenance ?job_numbers (trace : Simulator.trace) =
+(* The bounded-slowdown runtime threshold, in the simulator's time unit. *)
+let bound = 10
+
+let per_job ?provenance ?job_numbers (trace : Simulator.trace) =
   let provenance = match provenance with Some f -> f | None -> fun _ -> "" in
   let number =
     match job_numbers with Some a -> fun id -> a.(id) | None -> fun id -> id
@@ -83,7 +86,6 @@ let empty_summary =
    start order) bit-identical to the batch one (records in submission
    order). *)
 type acc = {
-  bound : int;
   m : int;
   reservations : Reservation.t list; (* with [m], the utilization denominator *)
   mutable n : int;
@@ -95,9 +97,8 @@ type acc = {
   bslow : Stats.Fsum.t;
 }
 
-let acc_create ~bound ~m ~reservations =
+let acc_create ~m ~reservations =
   {
-    bound;
     m;
     reservations;
     n = 0;
@@ -121,7 +122,7 @@ let acc_observe a (r : Simulator.record) =
      With b = max p bound > 0, max 1 ((wait+p)/b) = (max (wait+p) b)/b
      exactly — b/b is 1.0, and the quotient is >= 1.0 whenever wait+p >= b. *)
   Stats.Fsum.add_ratio a.slow (wait + p) p;
-  let b = max p a.bound in
+  let b = max p bound in
   Stats.Fsum.add_ratio a.bslow (max (wait + p) b) b
 
 (* Available processor·time on [\[0, c)]: m·c less each reservation's
@@ -157,8 +158,8 @@ let acc_summary a =
     }
   end
 
-let summarize ?(bound = 10) (trace : Simulator.trace) =
-  let a = acc_create ~bound ~m:trace.m ~reservations:trace.reservations in
+let summarize (trace : Simulator.trace) =
+  let a = acc_create ~m:trace.m ~reservations:trace.reservations in
   List.iter (acc_observe a) trace.records;
   let s = acc_summary a in
   (* The trace's makespan is definitionally max (start + p); keep using it
@@ -168,9 +169,9 @@ let summarize ?(bound = 10) (trace : Simulator.trace) =
 module Stream = struct
   type t = { a : acc; wait_p50 : Stats.P2.t; wait_p95 : Stats.P2.t }
 
-  let create ?(bound = 10) ~m ~reservations () =
+  let create ~m ~reservations () =
     {
-      a = acc_create ~bound ~m ~reservations;
+      a = acc_create ~m ~reservations;
       wait_p50 = Stats.P2.create ~q:0.5;
       wait_p95 = Stats.P2.create ~q:0.95;
     }

@@ -17,7 +17,7 @@ type summary = {
   max_wait : int;
   mean_slowdown : float;  (** Mean of [(wait + p) / p]. *)
   mean_bounded_slowdown : float;
-      (** Mean of [max 1 ((wait + p) / max p bound)] — the classic metric
+      (** Mean of [max 1 ((wait + p) / max p 10)] — the classic metric
           that stops very short jobs from dominating. *)
   utilization : float;
       (** Job work over available processor·time in [\[0, makespan)]. *)
@@ -44,24 +44,24 @@ type job_row = {
           stream; [""] when no provenance source was supplied. *)
 }
 
-val summarize : ?bound:int -> Simulator.trace -> summary
+val summarize : Simulator.trace -> summary
 (** One pass over the records — no instance or schedule is rebuilt, no
-    intermediate lists are allocated. [bound] is the bounded-slowdown
-    runtime threshold; it defaults to [10] (in the simulator's abstract
-    time unit), the customary cutoff below which a job's slowdown is
-    clamped so that very short jobs do not dominate the mean. On an
+    intermediate lists are allocated. The bounded-slowdown runtime
+    threshold is [10] (in the simulator's abstract time unit), the
+    customary cutoff below which a job's slowdown is clamped so that very
+    short jobs do not dominate the mean. On an
     {e empty} trace the result is explicit about being degenerate: [n = 0],
     [makespan = 0], means at their neutral values ([mean_wait = 0.],
     slowdowns [1.]) and [utilization = Float.nan] — there is no elapsed
     time to utilise, and [nan] cannot be mistaken for a measured ratio. *)
 
 val per_job :
-  ?bound:int ->
   ?provenance:(int -> string) ->
   ?job_numbers:int array ->
   Simulator.trace ->
   job_row list
-(** Per-job metric rows, in submission order. [bound] as in {!summarize}.
+(** Per-job metric rows, in submission order; bounded slowdown as in
+    {!summarize}.
     [provenance] maps a job id to its provenance label (the provenance of
     the job's [Job_start] trace event); defaults to [fun _ -> ""].
     [job_numbers] maps the renumbered id to the source trace's job number
@@ -82,9 +82,9 @@ val per_job_csv : ?run:string -> job_row list -> string
 module Stream : sig
   type t
 
-  val create : ?bound:int -> m:int -> reservations:Resa_core.Reservation.t list -> unit -> t
-  (** [bound] as in {!summarize}; [m] and [reservations] define the
-      availability the utilization denominator integrates over. *)
+  val create : m:int -> reservations:Resa_core.Reservation.t list -> unit -> t
+  (** [m] and [reservations] define the availability the utilization
+      denominator integrates over. *)
 
   val observe : t -> Simulator.record -> unit
   val count : t -> int

@@ -71,30 +71,6 @@ let fcfs =
   in
   { name = "FCFS"; create }
 
-(* [cap_now] is the free capacity at [time]: a job wider than it cannot
-   fit, so it is skipped without a window query, and once it reaches 0 no
-   job can start. Each start lowers it by exactly its width. *)
-let rec lsrc_go ~time ps qs tags free cap_now i stop =
-  if cap_now = 0 || i >= stop then []
-  else begin
-    let p = ps.(i) and q = qs.(i) in
-    if tags.(i) >= 0 && q <= cap_now && Timeline.reserve free ~start:time ~dur:p ~need:q then
-      tags.(i) :: lsrc_go ~time ps qs tags free (cap_now - q) (i + 1) stop
-    else lsrc_go ~time ps qs tags free cap_now (i + 1) stop
-  end
-
-let aggressive =
-  let create ~obs:_ =
-    let act = action () in
-    fun ~time ~queue ~free ->
-      Metrics.incr c_lsrc;
-      act.start_now <-
-        lsrc_go ~time (Jobq.estimates queue) (Jobq.widths queue) (Jobq.tags queue) free
-          (Timeline.value_at free time) (Jobq.first queue) (Jobq.stop queue);
-      act
-  in
-  { name = "LSRC"; create }
-
 (* EASY: start the fitting prefix; once the head blocks, protect its
    guaranteed start [g] while backfilling. *)
 let rec easy_prefix ~obs ~time act ids ps qs tags free i stop =
@@ -114,13 +90,17 @@ let rec easy_prefix ~obs ~time act ids ps qs tags free i stop =
     end
   end
 
-(* The backfill scan pre-filters on [cap_now] exactly like [lsrc_go]. The
-   head is its estimate [hp] and width [hq], guaranteed at [g]. Capacity
-   only falls during a decision, so the head never fits before [g], and it
-   fits at [g] before each candidate: a candidate keeps it there unless
-   its window overlaps [\[g, g + hp)] where fewer than [hq + q] processors
-   are free. So one [min_on] decides a candidate before it is reserved,
-   with no trial reservation to undo. *)
+(* The backfill scan. [cap_now] is the free capacity at [time]: a job
+   wider than it cannot fit, so it is skipped without a window query, and
+   once it reaches 0 no job can start. Each start lowers it by exactly its
+   width. The head is its estimate [hp] and width [hq], guaranteed at [g].
+   Capacity only falls during a decision, so the head never fits before
+   [g], and it fits at [g] before each candidate: a candidate keeps it
+   there unless its window overlaps [\[g, g + hp)] where fewer than
+   [hq + q] processors are free. So one [min_on] decides a candidate
+   before it is reserved, with no trial reservation to undo. With
+   [g = max_int] there is no head to protect: every window ends by [g],
+   and the scan is LSRC's. *)
 and easy_backfill ~time ps qs tags free ~hp ~hq g cap_now i stop =
   if cap_now = 0 || i >= stop then []
   else begin
@@ -147,22 +127,32 @@ let easy =
   in
   { name = "EASY"; create }
 
+(* LSRC, the most aggressive variant: the backfill scan over the whole
+   queue, with no head. *)
+let aggressive =
+  let create ~obs:_ =
+    let act = action () in
+    fun ~time ~queue ~free ->
+      Metrics.incr c_lsrc;
+      act.start_now <-
+        easy_backfill ~time (Jobq.estimates queue) (Jobq.widths queue) (Jobq.tags queue) free
+          ~hp:0 ~hq:0 max_int (Timeline.value_at free time) (Jobq.first queue) (Jobq.stop queue);
+      act
+  in
+  { name = "LSRC"; create }
+
 (* CONS collects its plan timeline's past once it holds this many
    segments. *)
 let plan_gc_nodes = 1024
 
 (* A queued job's promise lives in [stride] ints at [stride * tag] of one
-   tag-indexed array (tags are the engine's live slots, dense from 0):
-   [seq] numbers the planned jobs in admission order (-1 once launched),
-   [start] is the start the plan holds for it, and the job's estimate,
-   width and id are copied from the queue at planning, since its queue
-   position moves. *)
-let stride = 5
-let o_seq = 0
-let o_start = 1
-let o_est = 2
-let o_width = 3
-let o_id = 4
+   tag-indexed array (tags are the engine's live slots, dense from 0): the
+   job's estimate, width and id, copied from the queue at planning, since
+   its queue position moves. *)
+let stride = 3
+let o_est = 0
+let o_width = 1
+let o_id = 2
 
 let conservative =
   let create ~obs =
@@ -184,37 +174,21 @@ let conservative =
        entries, and planning visits only them. *)
     let known = ref 0 in
     let seq = ref 0 in
-    (* Lazy min-heap of (start, seq, tag) promises: the wake-up instant and
-       the jobs due now are read off the top, in admission order among
-       equal starts. An entry goes stale when its job is replanned or
-       launched, or its tag is reused by a later job; it is dropped when it
-       surfaces, unless its tag still carries exactly that seq and
-       start. *)
+    (* Min-heap of (start, admission number, tag), one entry per queued
+       job: the wake-up instant and the jobs due now are read off the top,
+       in admission order among equal starts. Every entry is current. A job
+       is planned once, at admission, and never moved. The engine consults
+       the policy at every promised instant, because it wakes there and the
+       promised job is still queued, so an entry surfaces exactly at its
+       start. It is popped as its job launches, before the engine can give
+       the tag to a later arrival. *)
     let promises = Int_heap.create () in
-    let current s sq tag =
-      let o = stride * tag in
-      !pr.(o + o_seq) = sq && !pr.(o + o_start) = s
-    in
-    (* Earliest still-valid promise, popping stale tops on the way; -1 when
-       none. All remaining promises are strictly after the current decision
-       instant (due ones were consumed as start candidates). *)
-    let rec wake_top () =
-      if Int_heap.length promises = 0 then no_wake
-      else begin
-        let s = Int_heap.min_key promises in
-        if current s (Int_heap.min_tie promises) (Int_heap.min_value promises) then s
-        else begin
-          Int_heap.drop_min promises;
-          wake_top ()
-        end
-      end
-    in
-    let plan_job p ~time tag ~from =
+    let plan_job p ~time tag =
       let a = !pr and o = stride * tag in
       let est = a.(o + o_est) and q = a.(o + o_width) in
-      let s = Timeline.earliest_fit_at p ~from ~dur:est ~need:q in
-      a.(o + o_start) <- s;
-      Int_heap.push promises ~key:s ~tie:a.(o + o_seq) tag;
+      let s = Timeline.earliest_fit_at p ~from:time ~dur:est ~need:q in
+      Int_heap.push promises ~key:s ~tie:!seq tag;
+      incr seq;
       if Trace.enabled obs then
         Trace.emit obs (Trace.Planned { time; policy = "CONS"; job = a.(o + o_id); at = s });
       (* [s] came out of [earliest_fit_at] just above: the window fits. *)
@@ -226,35 +200,19 @@ let conservative =
        retired. Its plan window stays reserved: the machine really is
        occupied. The start is reserved on the live timeline too; the plan
        never exceeds the free capacity, so a window that does not fit there
-       is a planning bug, raised as such. A straggler, due before now (the
-       simulator wakes the policy at every promise, so none should be), is
-       replanned from now; if that is now, its new entry surfaces in this
-       same pass, in admission order among the jobs due now. *)
-    let rec launch_due p free ~time =
+       is a planning bug, raised as such, and so is a promise found in the
+       past. *)
+    let rec launch_due free ~time =
       if Int_heap.length promises = 0 || Int_heap.min_key promises > time then []
       else begin
-        let s = Int_heap.min_key promises and tag = Int_heap.min_value promises in
-        let live = current s (Int_heap.min_tie promises) tag in
+        if Int_heap.min_key promises < time then failwith "CONS: a planned start was missed";
+        let tag = Int_heap.min_value promises in
         Int_heap.drop_min promises;
         let a = !pr and o = stride * tag in
-        if live && s = time then begin
-          a.(o + o_seq) <- -1;
-          if not (Timeline.reserve free ~start:time ~dur:a.(o + o_est) ~need:a.(o + o_width)) then
-            failwith "CONS: a planned window does not fit the free capacity";
-          incr started;
-          tag :: launch_due p free ~time
-        end
-        else if live then begin
-          (* Undo the stale window with the inverse range-add (clamped to
-             the plan's gc origin — the collapsed part is never queried
-             again), replan from now. *)
-          let hi = s + a.(o + o_est) in
-          let lo = max s (Timeline.origin p) in
-          if lo < hi then Timeline.change p ~lo ~hi ~delta:a.(o + o_width);
-          plan_job p ~time tag ~from:time;
-          launch_due p free ~time
-        end
-        else launch_due p free ~time
+        if not (Timeline.reserve free ~start:time ~dur:a.(o + o_est) ~need:a.(o + o_width)) then
+          failwith "CONS: a planned window does not fit the free capacity";
+        incr started;
+        tag :: launch_due free ~time
       end
     in
     fun ~time ~queue ~free ->
@@ -295,17 +253,15 @@ let conservative =
           pr := a
         done;
         let a = !pr and o = stride * tag in
-        a.(o + o_seq) <- !seq;
         a.(o + o_est) <- ests.(i);
         a.(o + o_width) <- qs.(i);
         a.(o + o_id) <- ids.(i);
-        incr seq;
-        plan_job p ~time tag ~from:time
+        plan_job p ~time tag
       done;
       started := 0;
-      act.start_now <- launch_due p free ~time;
+      act.start_now <- launch_due free ~time;
       known := n - !started;
-      act.wake <- wake_top ();
+      act.wake <- (if Int_heap.length promises = 0 then no_wake else Int_heap.min_key promises);
       act
   in
   { name = "CONS"; create }

@@ -81,26 +81,27 @@ val fcfs : t
 val conservative : t
 (** Conservative backfilling: each job is planned at submission at the
     earliest start that delays no previously planned job, and starts exactly
-    at its planned time. The plan lives in the policy's own mutable
-    timeline, built once per run and updated incrementally (stale windows
-    undone with an inverse range-add on replans). A due job is reserved on
-    the live timeline; a planned window that does not fit there is a
-    planning bug, raised as [Failure]. Emits a [Planned] event per
-    (re)planning. *)
+    at its planned time: a plan is never moved. The plan lives in the
+    policy's own mutable timeline, built once per run and updated
+    incrementally. A due job is reserved on the live timeline; a planned
+    window that does not fit there, or a planned start found in the past,
+    is a planning bug, raised as [Failure]. Emits a [Planned] event per
+    job, at its admission. *)
 
 val easy : t
 (** EASY backfilling: the head holds a guaranteed earliest start; any other
     job may start now if that guarantee is not pushed back — checked by
     one [min_on] over the overlap of its window with the head's, before
-    it is reserved; no checkpoint is opened. Emits the head's guarantee as a [Planned] event. With all
-    jobs submitted at time 0 this is [Backfill.easy]. *)
+    it is reserved; no checkpoint is opened. Emits the head's guarantee as
+    a [Planned] event. With all jobs submitted at time 0 this is
+    [Backfill.easy]. *)
 
 val aggressive : t
 (** List scheduling (LSRC): start every queued job that fits, in queue
-    order. With all jobs submitted at time 0 this is [Lsrc.run], which
-    runs it so; the differential tests hold it to the Profile oracle.
-    Emits no policy events (the simulator's provenance classification
-    covers it). *)
+    order — EASY's backfill scan with no head to protect. With all jobs
+    submitted at time 0 this is [Lsrc.run], which runs it so; the
+    differential tests hold it to the Profile oracle. Emits no policy
+    events (the simulator's provenance classification covers it). *)
 
 val all : t list
 (** The four policies, in the order above. *)

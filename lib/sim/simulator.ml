@@ -699,11 +699,26 @@ let run ?(obs = Trace.null) ~policy ~m ?(reservations = []) (arrivals : arrival 
   in
   { m; reservations; records = Array.to_list records; makespan = stats.makespan }
 
+let is_permutation n a =
+  Array.length a = n
+  &&
+  let seen = Array.make n false in
+  Array.for_all
+    (fun i ->
+      if i < 0 || i >= n || seen.(i) then false
+      else begin
+        seen.(i) <- true;
+        true
+      end)
+    a
+
 (* Every job submitted at 0, fed to the engine straight from [order]; the
    [k]-th admission is job [order.(k)], so each start is written back to
    its index in the instance as it happens. *)
 let run_order ~policy inst order =
-  let n = Array.length order in
+  let n = Instance.n_jobs inst in
+  if not (is_permutation n order) then
+    invalid_arg "Simulator.run_order: order is not a permutation";
   let starts = Array.make n (-1) in
   ignore
     (run_core ~obs:Trace.null ~policy ~m:(Instance.m inst) ~sweep:(Instance.sweep inst)

@@ -178,7 +178,11 @@ val run_stream :
 
 val run_order : policy:Policy.t -> Instance.t -> int array -> Schedule.t
 (** The offline schedule of [policy]: every job of the instance submitted
-    at time 0, in [order] (a permutation of the job indices, unchecked). *)
+    at time 0, in [order]. This is the one offline entry point of the list
+    policies: [Lsrc.run], [Fcfs.run] and [Backfill.conservative]/[easy]
+    pass it their priority order. Raises [Invalid_argument
+    "Simulator.run_order: order is not a permutation"] unless [order] is a
+    permutation of the job indices. *)
 
 val to_offline : trace -> Instance.t * Schedule.t
 (** Forget release dates: the instance/schedule pair actually executed,

@@ -32,6 +32,9 @@ expect_usage_error() {
 }
 "$resa" generate random > "$dir/inst.txt"
 : > "$dir/empty.swf"
+# A good first line, then one with 2 of the 18 fields: the replay finds
+# the error only when it reaches the second line.
+printf '1 0 0 10 1 -1 -1 1 10 -1 1 -1 -1 -1 -1 -1 -1 -1\n2 5\n' > "$dir/short.swf"
 expect_usage_error "Swf_stream.synthetic: overestimate must be >= 1.0" trace --overestimate 0.5
 expect_usage_error "Swf_stream.synthetic: overestimate must be >= 1.0" \
   replay -n 10 --overestimate 0.5
@@ -41,6 +44,7 @@ expect_usage_error "Instance.create: m must be >= 1" replay --swf "$dir/empty.sw
 expect_usage_error "$dir/missing.swf: No such file or directory" \
   replay --swf "$dir/missing.swf" -m 8
 expect_usage_error "unknown policy \"foo\"" replay -n 10 --policy foo
+expect_usage_error "line 2: expected 18 fields, found 2" replay --swf "$dir/short.swf" -m 8
 expect_usage_error "unknown algorithm \"foo\"" solve "$dir/inst.txt" -a foo
 expect_usage_error "unknown priority \"foo\"" solve "$dir/inst.txt" -p foo
 exit $fail

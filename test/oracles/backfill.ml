@@ -1,5 +1,5 @@
 (* The persistent-[Profile] backfilling schedulers, oracles of
-   [Resa_algos.Backfill.conservative_order] and [easy_order]. *)
+   [Simulator.run_order] of [Policy.conservative] and [Policy.easy]. *)
 
 open Resa_core
 

@@ -1,4 +1,4 @@
-(* The persistent-[Profile] FCFS, oracle of [Resa_algos.Fcfs.run_order]. *)
+(* The persistent-[Profile] FCFS, oracle of offline FCFS on the engine. *)
 
 open Resa_core
 

@@ -1,7 +1,9 @@
-(** Oracle of {!Resa_algos.Fcfs.run_order}. *)
+(** Oracle of offline FCFS: [Resa_sim.Simulator.run_order] of
+    [Policy.fcfs]. *)
 
 open Resa_core
 
 val run_order_reference : Instance.t -> int array -> Schedule.t
 (** Original persistent-[Profile] implementation; differential-test oracle
-    and bench baseline. Same schedules as [Resa_algos.Fcfs.run_order]. *)
+    and bench baseline. Same schedules as
+    [Simulator.run_order ~policy:Policy.fcfs]. *)

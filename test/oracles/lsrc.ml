@@ -1,4 +1,4 @@
-(* The persistent-[Profile] LSRC, oracle of [Resa_algos.Lsrc.run_order]. *)
+(* The persistent-[Profile] LSRC, oracle of offline LSRC on the engine. *)
 
 open Resa_core
 

@@ -1,4 +1,5 @@
-(** Oracle of {!Resa_algos.Lsrc.run_order}. *)
+(** Oracle of offline LSRC: [Resa_sim.Simulator.run_order] of
+    [Policy.aggressive]. *)
 
 open Resa_core
 
@@ -7,4 +8,4 @@ val run_order_reference : Instance.t -> int array -> Schedule.t
     rebuilds the whole breakpoint array per job (O(n·k) overall). Kept as
     the oracle of the randomized differential suite and as the baseline the
     perf bench measures the timeline speedup against; always produces the
-    same schedule as [Resa_algos.Lsrc.run_order]. *)
+    same schedule as [Simulator.run_order ~policy:Policy.aggressive]. *)

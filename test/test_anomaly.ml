@@ -11,7 +11,8 @@ let test_worst_order_finds_graham_trap () =
   let order, worst = Anomaly.worst_order rng inst in
   Alcotest.(check int) "finds the 2-1/m order" ((2 * m) - 1) worst;
   Alcotest.(check int) "order achieves it" worst
-    (Schedule.makespan inst (Resa_algos.Lsrc.run_order inst order));
+    (Schedule.makespan inst
+       (Resa_sim.Simulator.run_order ~policy:Resa_sim.Policy.aggressive inst order));
   Alcotest.(check bool) "worse than optimum" true (worst > opt)
 
 let test_worst_order_on_prop2 () =

@@ -77,7 +77,8 @@ let prop_conservative_certificate =
   Tutil.qcheck ~count:150 "conservative never delays earlier jobs" Tutil.seed_arb (fun seed ->
       let inst = Tutil.small_resa_of_seed seed in
       let order = Priority.order Priority.Fifo inst in
-      Backfill.no_earlier_job_delayed inst order (Backfill.conservative_order inst order))
+      Backfill.no_earlier_job_delayed inst order
+        (Resa_sim.Simulator.run_order ~policy:Resa_sim.Policy.conservative inst order))
 
 let prop_conservative_head_equals_fcfs_head =
   (* The first job of the queue starts at the same instant under FCFS and
@@ -99,7 +100,8 @@ let prop_backfillers_above_lower_bound =
 (* Offline EASY runs the online policy and maps records back by
    submission position: job ids need only be distinct, so here they are a
    shuffle of the positions or far outside them, and the orders are not
-   the identity. The oracle indexes jobs by position throughout. *)
+   the identity (the rules', and one fixed permutation). The oracle
+   indexes jobs by position throughout. *)
 let test_easy_order_maps_by_position () =
   let sizes = [ (2, 3); (2, 4); (3, 1); (1, 2); (4, 1) ] in
   List.iter
@@ -108,14 +110,16 @@ let test_easy_order_maps_by_position () =
       let reservations = [ Reservation.make ~id:0 ~start:3 ~p:2 ~q:2 ] in
       let inst = Instance.create_exn ~m:4 ~jobs ~reservations in
       List.iter
-        (fun priority ->
-          let order = Priority.order priority inst in
+        (fun (name, order) ->
           Alcotest.(check (array int))
-            (Printf.sprintf "ids %s, %s" (String.concat "," (List.map string_of_int ids))
-               (Priority.name priority))
+            (Printf.sprintf "ids %s, %s" (String.concat "," (List.map string_of_int ids)) name)
             (Schedule.starts (Resa_oracles.Backfill.easy_order_reference inst order))
-            (Schedule.starts (Backfill.easy_order inst order)))
-        [ Priority.Fifo; Priority.Lpt; Priority.Spt; Priority.Explicit [| 4; 2; 0; 3; 1 |] ])
+            (Schedule.starts
+               (Resa_sim.Simulator.run_order ~policy:Resa_sim.Policy.easy inst order)))
+        (List.map
+           (fun p -> (Priority.name p, Priority.order p inst))
+           [ Priority.Fifo; Priority.Lpt; Priority.Spt ]
+        @ [ ("EXPLICIT", [| 4; 2; 0; 3; 1 |]) ]))
     [ [ 3; 0; 4; 1; 2 ]; [ 40; 7; 1000; 12; 5 ] ]
 
 let suite =

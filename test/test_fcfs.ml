@@ -37,10 +37,10 @@ let test_respects_order_certificate () =
   let inst = Instance.of_sizes ~m:4 [ (2, 3); (2, 2); (2, 1) ] in
   let order = Priority.order Priority.Fifo inst in
   let s = Fcfs.run inst in
-  Alcotest.(check bool) "FCFS respects order" true (Fcfs.respects_order inst s order);
+  Alcotest.(check bool) "FCFS respects order" true (Fcfs.respects_order s order);
   let lsrc = Lsrc.run inst in
   Alcotest.(check bool) "LSRC violates FCFS order here" false
-    (Fcfs.respects_order inst lsrc order)
+    (Fcfs.respects_order lsrc order)
 
 let prop_feasible =
   Tutil.qcheck ~count:200 "FCFS schedules are feasible" Tutil.seed_arb (fun seed ->
@@ -51,7 +51,7 @@ let prop_monotone_starts =
   Tutil.qcheck "starts non-decreasing along queue" Tutil.seed_arb (fun seed ->
       let inst = Tutil.small_resa_of_seed seed in
       let order = Priority.order Priority.Fifo inst in
-      Fcfs.respects_order inst (Fcfs.run inst) order)
+      Fcfs.respects_order (Fcfs.run inst) order)
 
 let prop_never_better_than_lsrc_is_false_but_bounded =
   (* FCFS may beat LSRC on some orders or lose badly, but never beats the

@@ -51,18 +51,18 @@ let test_priority_changes_schedule () =
   Alcotest.(check int) "FIFO hits the bad case" 7 fifo;
   Alcotest.(check int) "LPT fixes this family" 4 lpt
 
-(* Every offline entry point rejects an order that is not a permutation:
-   a wrong length, a repeated index (which would leave a job unscheduled)
-   and an out-of-range one. *)
+(* The one offline entry point rejects an order that is not a permutation,
+   under every policy: a wrong length, a repeated index (which would leave
+   a job unscheduled) and an out-of-range one. *)
 let test_order_length_checked () =
   let inst = Instance.of_sizes ~m:2 [ (1, 1); (2, 1) ] in
   List.iter
-    (fun (fn, run) ->
+    (fun (policy : Resa_sim.Policy.t) ->
       List.iter
         (fun (what, order) ->
-          Alcotest.check_raises (fn ^ ": " ^ what)
-            (Invalid_argument (fn ^ ": order is not a permutation"))
-            (fun () -> ignore (run inst order : Schedule.t)))
+          Alcotest.check_raises (policy.name ^ ": " ^ what)
+            (Invalid_argument "Simulator.run_order: order is not a permutation")
+            (fun () -> ignore (Resa_sim.Simulator.run_order ~policy inst order : Schedule.t)))
         [
           ("too short", [| 0 |]);
           ("too long", [| 0; 1; 0 |]);
@@ -70,12 +70,7 @@ let test_order_length_checked () =
           ("out of range", [| 0; 2 |]);
           ("negative", [| -1; 1 |]);
         ])
-    [
-      ("Lsrc.run_order", Lsrc.run_order);
-      ("Fcfs.run_order", Fcfs.run_order);
-      ("Backfill.conservative_order", Backfill.conservative_order);
-      ("Backfill.easy_order", Backfill.easy_order);
-    ]
+    Resa_sim.Policy.all
 
 let test_empty_instance () =
   let inst = Instance.of_sizes ~m:3 [] in

@@ -92,8 +92,8 @@ let test_easy_pinned () =
    per run. The engine must keep agreeing start for start with the offline
    Profile oracles, which share none of its queue code, under every
    standard order (LPT, SPT, widest, narrowest and area have many equal
-   keys) and a random one. This is the test of every offline [*_order]
-   scheduler, each of which is this engine run. *)
+   keys) and a random one. This is the test of every offline scheduler,
+   each of which is this engine run ([Simulator.run_order]). *)
 let offline_oracles =
   [
     ("LSRC", Policy.aggressive, Resa_oracles.Lsrc.run_order_reference);

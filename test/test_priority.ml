@@ -32,15 +32,6 @@ let test_random_deterministic () =
   let sorted = List.sort Int.compare a in
   Alcotest.(check (list int)) "permutation" [ 0; 1; 2; 3; 4 ] sorted
 
-let test_explicit () =
-  Alcotest.(check (list int)) "passthrough" [ 4; 3; 2; 1; 0 ]
-    (order_of (Priority.Explicit [| 4; 3; 2; 1; 0 |]))
-
-let test_explicit_rejects () =
-  Alcotest.check_raises "not a permutation"
-    (Invalid_argument "Priority.order: Explicit array is not a permutation of job indices")
-    (fun () -> ignore (Priority.order (Priority.Explicit [| 0; 0; 1; 2; 3 |]) inst))
-
 let test_names_distinct () =
   let names = List.map Priority.name Priority.standard in
   Alcotest.(check int) "unique names" (List.length names)
@@ -65,8 +56,6 @@ let suite =
     Alcotest.test_case "narrowest-first" `Quick test_narrowest;
     Alcotest.test_case "largest-area-first" `Quick test_area;
     Alcotest.test_case "random order is seeded" `Quick test_random_deterministic;
-    Alcotest.test_case "explicit order passes through" `Quick test_explicit;
-    Alcotest.test_case "explicit order validated" `Quick test_explicit_rejects;
     Alcotest.test_case "standard rule names are distinct" `Quick test_names_distinct;
     prop_always_permutation;
   ]

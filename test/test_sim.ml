@@ -104,6 +104,22 @@ let test_conservative_policy_plans_hold () =
      machine, so it lands at 8. *)
   Alcotest.(check (list int)) "planned starts" [ 0; 4; 8 ] starts
 
+(* CONS plans each job once and never moves it: the engine consults it at
+   every promised instant, so a promise found in the past is a planning
+   bug, raised, not replanned. Consulted at 0, CONS promises the job 5,
+   after the blocked window; consulted next at 7, it must refuse. *)
+let test_conservative_missed_promise () =
+  let queue = Jobq.create () in
+  ignore (Jobq.append queue ~id:0 ~estimate:2 ~width:4 ~tag:0 : int);
+  let free = Timeline.create 4 in
+  Timeline.change free ~lo:0 ~hi:5 ~delta:(-1);
+  let decide = Policy.conservative.create ~obs:Resa_obs.Trace.null in
+  let act = decide ~time:0 ~queue ~free in
+  Alcotest.(check (list int)) "nothing starts at 0" [] act.start_now;
+  Alcotest.(check int) "wakes at its promise" 5 act.wake;
+  Alcotest.check_raises "promise missed" (Failure "CONS: a planned start was missed") (fun () ->
+      ignore (decide ~time:7 ~queue ~free : Policy.action))
+
 let test_easy_policy_backfills () =
   let subs =
     [
@@ -216,7 +232,7 @@ let test_bounded_slowdown_bound () =
     ]
   in
   let trace = Simulator.run ~policy:Policy.fcfs ~m:2 subs in
-  let s = Metrics.summarize ~bound:10 trace in
+  let s = Metrics.summarize trace in
   Alcotest.(check bool) "raw slowdown explodes" true (s.mean_slowdown > 50.0);
   Alcotest.(check bool) "bounded slowdown tamed" true (s.mean_bounded_slowdown < 10.0)
 
@@ -371,6 +387,8 @@ let suite =
     Alcotest.test_case "no job before its submission" `Quick test_arrival_order_respected;
     Alcotest.test_case "all policies feasible with reservations" `Quick test_policies_feasible_with_reservations;
     Alcotest.test_case "conservative plans are stable" `Quick test_conservative_policy_plans_hold;
+    Alcotest.test_case "conservative refuses a missed promise" `Quick
+      test_conservative_missed_promise;
     Alcotest.test_case "EASY policy backfills" `Quick test_easy_policy_backfills;
     Alcotest.test_case "rogue policies are caught" `Quick test_policy_error_on_rogue_policy;
     Alcotest.test_case "bad submissions rejected" `Quick test_simulator_rejects_bad_input;
