@@ -1,7 +1,7 @@
 (* Benchmark harness: regenerates every figure of the paper (FIG1-FIG4),
    the supplementary validation tables (T1-T5), the alpha-cap ablation, and
    Bechamel microbenchmarks. `dune exec bench/main.exe` prints everything;
-   pass experiment names (fig1 fig3 t2 perf ...) to run a subset.
+   pass experiment names (fig1 fig3 t2 perf timeline ...) to run a subset.
 
    Flags:
      --jobs N     executor pool size (overrides RESA_DOMAINS; default:
@@ -27,6 +27,7 @@ let registry =
     ("ablation", Experiments.ablation_alpha_cap);
     ("perf", Perf.run);
     ("scaling", Perf.scaling);
+    ("timeline", Perf.timeline_ops);
     ("sim", Perf.sim_scaling);
     ("bnb", Bnb_bench.run);
   ]

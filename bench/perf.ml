@@ -152,6 +152,73 @@ let scaling () =
     (if !small then [ 5; 50; 1000 ] else [ 5; 50; 1000; 20_000 ]);
   print_string (Resa_stats.Table.render t)
 
+(* --- timeline operations ------------------------------------------------ *)
+
+(* ns per [Timeline.change] and per [Timeline.min_on] on timelines of 8, 64
+   and 512 segments (steps every 10 time units). Both run over the same
+   1024 random windows of 1 to 30 units: each window is changed by -1 and
+   then by +1, which puts its two ends in as breakpoints and takes them
+   out again, so the timeline is the same after every pair. Each of 11
+   rounds times one batch of changes and then one of queries; a batch
+   repeats the windows until it lasts at least 2 ms (0.2 ms with
+   [--small]). The cells are the medians over the rounds, and the ratio
+   is the median of the rounds' ratios, so a slow spell of the machine
+   weighs on both sides of it. *)
+let timeline_ops () =
+  Printf.printf "\n=== PERF: timeline change vs min_on (ns/op) ===\n";
+  let nwin = 1024 and rounds = 11 in
+  let min_ns = if !small then 200_000 else 2_000_000 in
+  let batch f k =
+    let t0 = Resa_obs.Prof.now_ns () in
+    for _ = 1 to k do
+      f ()
+    done;
+    Resa_obs.Prof.now_ns () - t0
+  in
+  let rec calibrate f k = if k >= 1 lsl 20 || batch f k >= min_ns then k else calibrate f (2 * k) in
+  let median a =
+    Array.sort Float.compare a;
+    a.(Array.length a / 2)
+  in
+  let t = Resa_stats.Table.create ~headers:[ "segments"; "change"; "min_on"; "change/min_on" ] in
+  List.iter
+    (fun n ->
+      let times = Array.init n (fun i -> 10 * i) in
+      let values = Array.init n (fun i -> 100 + (5 * (i mod 3))) in
+      let tl = Timeline.of_steps times values n in
+      let rng = Prng.create ~seed:engine_seed in
+      let lo = Array.init nwin (fun _ -> Prng.int rng ~bound:(10 * n)) in
+      let hi = Array.map (fun l -> l + Prng.int_incl rng ~lo:1 ~hi:30) lo in
+      let change () =
+        for w = 0 to nwin - 1 do
+          Timeline.change tl ~lo:lo.(w) ~hi:hi.(w) ~delta:(-1);
+          Timeline.change tl ~lo:lo.(w) ~hi:hi.(w) ~delta:1
+        done
+      in
+      let sink = ref 0 in
+      let query () =
+        for w = 0 to nwin - 1 do
+          sink := !sink + Timeline.min_on tl ~lo:lo.(w) ~hi:hi.(w)
+        done
+      in
+      let kc = calibrate change 1 and kq = calibrate query 1 in
+      let c = Array.make rounds 0. and q = Array.make rounds 0. in
+      for r = 0 to rounds - 1 do
+        c.(r) <- float_of_int (batch change kc) /. float_of_int (2 * kc * nwin);
+        q.(r) <- float_of_int (batch query kq) /. float_of_int (kq * nwin)
+      done;
+      let ratio = median (Array.init rounds (fun r -> c.(r) /. q.(r))) in
+      if Timeline.node_count tl <> n || !sink = 0 then failwith "timeline ops: timeline changed";
+      Resa_stats.Table.add_row t
+        [
+          string_of_int n;
+          Printf.sprintf "%.0f" (median c);
+          Printf.sprintf "%.0f" (median q);
+          Printf.sprintf "%.2fx" ratio;
+        ])
+    [ 8; 64; 512 ];
+  print_string (Resa_stats.Table.render t)
+
 (* --- simulator scaling series ------------------------------------------- *)
 
 let sim_workload_seed = 1236

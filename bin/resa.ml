@@ -300,11 +300,7 @@ let replay swf_path (synth : synthetic) policy_name heartbeat_out hb_every prom_
         if trace_oc = None && csv_out = None then Resa_obs.Trace.null
         else
           Resa_obs.Trace.sink (fun ev ->
-              Option.iter
-                (fun oc ->
-                  output_string oc (Resa_obs.Trace.to_json ~run:name ev);
-                  output_char oc '\n')
-                trace_oc;
+              Option.iter (fun oc -> Resa_obs.Trace.output oc ~run:name ev) trace_oc;
               match ev with
               | Resa_obs.Trace.Job_start { job; provenance; _ } when csv_out <> None ->
                 Hashtbl.replace provenances job provenance

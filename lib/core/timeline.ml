@@ -13,12 +13,15 @@
 
    Each block carries a pending add (a segment's value is
    [vals.(j) + add.(b)]) and the min and max of its values, pending add
-   included. A range change splits at its two ends, edits the entries of
-   the partial blocks, adds lazily to the whole blocks in between and
-   merges equal neighbours at the two ends. Queries scan partial blocks and
-   read the summaries of whole ones. Freed pool blocks go on a free list
-   and the pool only grows by doubling, so steady-state operation allocates
-   nothing. *)
+   included. A range change is one pass ([apply]): it locates its low end
+   once and reaches the high end by scanning forward, decides from the old
+   values which ends become breakpoints and which merge with their
+   neighbour, then rewrites each end's block with one shift, adds lazily
+   to the whole blocks in between and refreshes each touched block once.
+   Queries scan partial blocks and read the summaries of whole ones. Every
+   mutation advances [version], so a caller can tell that an answer still
+   holds. Freed pool blocks go on a free list and the pool only grows by
+   doubling, so steady-state operation allocates nothing. *)
 
 let bsize = 16 (* segments per block *)
 let bshift = 4 (* bsize = 1 lsl bshift *)
@@ -44,6 +47,7 @@ type t = {
   mutable finger : int; (* last [locate] answer; a hint, checked on use *)
   mutable nseg : int;
   mutable off : int; (* the gc origin: start of the first segment *)
+  mutable version : int; (* bumped by every mutation: [apply] and [gc] *)
   (* Undo log: packed (lo, hi, delta, checked) quads of every mutation
      applied while at least one checkpoint is outstanding; [checked] marks
      the changes made by a [reserve] whose capacity check passed, which is
@@ -75,6 +79,7 @@ let make blocks =
     finger = 0;
     nseg = 0;
     off = 0;
+    version = 0;
     ulog = [||];
     ulog_len = 0;
     specs = 0;
@@ -112,17 +117,20 @@ let alloc_block t =
   t.add.(b) <- 0;
   b
 
-(* Move [n] ints of [a] from [src] to [dst] (the ranges may overlap).
-   Within a block that is at most [bsize] entries, where a loop beats the
-   runtime call [Array.blit] makes. *)
-let shift (a : int array) src dst n =
+(* Move the [n] entries at pool index [src] to [dst], adding [d] to their
+   values (the ranges may overlap). Within a block that is at most [bsize]
+   entries, where a loop beats the runtime call [Array.blit] makes. *)
+let move t src dst n d =
+  let pos = t.pos and vals = t.vals in
   if dst > src then
-    for i = n - 1 downto 0 do
-      a.(dst + i) <- a.(src + i)
+    for x = n - 1 downto 0 do
+      pos.(dst + x) <- pos.(src + x);
+      vals.(dst + x) <- vals.(src + x) + d
     done
-  else
-    for i = 0 to n - 1 do
-      a.(dst + i) <- a.(src + i)
+  else if dst < src || d <> 0 then
+    for x = 0 to n - 1 do
+      pos.(dst + x) <- pos.(src + x);
+      vals.(dst + x) <- vals.(src + x) + d
     done
 
 (* Insert pool block [b], already filled, at time-order position [k]. *)
@@ -164,8 +172,8 @@ let last_le a lo hi x =
   !lo
 
 (* Order position of the block holding instant [x >= off]. Consecutive
-   searches mostly land in the same block: a change searches its two ends
-   five times in all (split, add, merge), and a decision's queries cluster
+   searches mostly land in the same block: a reservation searches where
+   the fit walk that decided it started, and a decision's queries cluster
    around its instant. So the last answer, kept in [finger], is tried
    first; it is only a hint, checked on every use. Measured hit rates and
    the end-to-end gain are in EXPERIMENTS.md "TIMELINE". *)
@@ -278,43 +286,20 @@ let min_on t ~lo ~hi =
 
 (* --- mutation ------------------------------------------------------------ *)
 
-(* Insert instant [x] as a breakpoint inside the segment at pool index [j]
-   of block [b], which has room. *)
-let insert_after t b j x =
-  let stop = (b lsl bshift) + t.len.(b) in
-  shift t.pos (j + 1) (j + 2) (stop - j - 1);
-  shift t.vals (j + 1) (j + 2) (stop - j - 1);
-  t.pos.(j + 1) <- x;
-  t.vals.(j + 1) <- t.vals.(j);
-  t.len.(b) <- t.len.(b) + 1;
-  t.nseg <- t.nseg + 1
-
-(* Make [x] a segment start; [true] when it was not one. A full block
-   first gives its upper half to a fresh block placed after it; both
-   halves keep the pending add, so no value is rewritten. *)
-let split_at t x =
-  let k = locate t x in
+(* Give the entries of the block at order position [k] from index
+   [bsize / 2] on to a fresh block placed after it; both keep the pending
+   add, so no value is rewritten. *)
+let split_block t k =
   let b = t.order.(k) in
-  let j = entry t b x in
-  t.pos.(j) <> x
-  && begin
-    if t.len.(b) < bsize then insert_after t b j x
-    else begin
-      let b' = alloc_block t in
-      let h = bsize / 2 and base = b lsl bshift in
-      shift t.pos (base + h) (b' lsl bshift) (bsize - h);
-      shift t.vals (base + h) (b' lsl bshift) (bsize - h);
-      t.len.(b) <- h;
-      t.len.(b') <- bsize - h;
-      t.add.(b') <- t.add.(b);
-      refresh t b;
-      refresh t b';
-      insert_block t (k + 1) b';
-      if j >= base + h then insert_after t b' (j - base - h + (b' lsl bshift)) x
-      else insert_after t b j x
-    end;
-    true
-  end
+  let b' = alloc_block t in
+  let h = bsize / 2 and base = b lsl bshift and n = t.len.(b) in
+  move t (base + h) (b' lsl bshift) (n - h) 0;
+  t.len.(b) <- h;
+  t.len.(b') <- n - h;
+  t.add.(b') <- t.add.(b);
+  refresh t b;
+  refresh t b';
+  insert_block t (k + 1) b'
 
 (* Append block [k+1]'s segments to block [k] and free it. *)
 let merge_blocks t k =
@@ -336,73 +321,129 @@ let rebalance t k =
   if k + 1 < t.nb && n + t.len.(t.order.(k + 1)) <= bsize / 2 then merge_blocks t k
   else if k > 0 && t.len.(t.order.(k - 1)) + n <= bsize / 2 then merge_blocks t (k - 1)
 
-(* Drop the breakpoint at [x > off] when the segment starting there has
-   the value of the one before it. *)
-let merge_at t x =
-  let k = locate t x in
+(* One block's part of a change of [d], in one shift. The entries at pool
+   indices [m, i) gain [d] and move by [s]: with [s = 1] the breakpoint
+   [lo] is inserted at [m], after the entry it splits; with [s = -1] the
+   entry before [m], whose segment now equals the one before it, is
+   dropped. Then [hi_op = 1] inserts the breakpoint [(hi, hv)], and
+   [hi_op = -1] drops entry [i], whose segment now equals the one before
+   it. The entries after that follow. The block must have room. *)
+let edit t b m s lo i hi_op hi hv d =
+  let stop = (b lsl bshift) + t.len.(b) in
+  let ts = if hi_op < 0 then i + 1 else i in
+  let e = s + hi_op in
+  (* The part moving right goes first, from its far end. *)
+  if e > 0 then begin
+    move t ts (ts + e) (stop - ts) 0;
+    move t m (m + s) (i - m) d
+  end
+  else begin
+    move t m (m + s) (i - m) d;
+    if e < 0 then move t ts (ts + e) (stop - ts) 0
+  end;
+  if s > 0 then begin
+    t.pos.(m) <- lo;
+    t.vals.(m) <- t.vals.(m - 1) + d
+  end;
+  if hi_op > 0 then begin
+    t.pos.(i + s) <- hi;
+    t.vals.(i + s) <- hv
+  end;
+  t.len.(b) <- t.len.(b) + e;
+  t.nseg <- t.nseg + e
+
+(* After an edit that changed block [k]'s length by [e]: drop it if empty,
+   else refresh its first position and summary and, if it shrank, fold it
+   into a small neighbour. *)
+let settle t k e =
   let b = t.order.(k) in
-  let base = b lsl bshift in
-  let j = entry t b x in
-  let prev =
-    if j > base then t.vals.(j - 1) + t.add.(b)
-    else
-      let pb = t.order.(k - 1) in
-      t.vals.((pb lsl bshift) + t.len.(pb) - 1) + t.add.(pb)
-  in
-  if t.vals.(j) + t.add.(b) = prev then begin
-    let stop = base + t.len.(b) in
-    shift t.pos (j + 1) j (stop - j - 1);
-    shift t.vals (j + 1) j (stop - j - 1);
-    t.len.(b) <- t.len.(b) - 1;
-    t.nseg <- t.nseg - 1;
-    if t.len.(b) = 0 then drop_blocks t k 1
-    else begin
-      (* A value equal to one left in the block cannot have been its only
-         extreme; one carried over from the previous block may have been. *)
-      if j = base then begin
-        t.first.(k) <- t.pos.(base);
-        refresh t b
-      end;
-      rebalance t k
-    end
+  if t.len.(b) = 0 then drop_blocks t k 1
+  else begin
+    t.first.(k) <- t.pos.(b lsl bshift);
+    refresh t b;
+    if e < 0 then rebalance t k
   end
 
-(* Add [d] to the entries of block [b] from pool index [j] on that start
-   before [hi]; then its summary is recomputed. *)
-let add_entries t b j hi d =
-  let j = ref j in
-  while !j < (b lsl bshift) + t.len.(b) && t.pos.(!j) < hi do
-    t.vals.(!j) <- t.vals.(!j) + d;
-    incr j
-  done;
-  refresh t b
+(* Value of the last segment of the block at order position [k]. *)
+let last_value t k =
+  let b = t.order.(k) in
+  t.vals.((b lsl bshift) + t.len.(b) - 1) + t.add.(b)
 
-(* Add [d] on [lo, hi), both already segment starts: entry by entry in the
-   first and last blocks, lazily in the whole blocks between. *)
-let add_range t lo hi d =
+(* Add [d <> 0] on [\[lo, hi)], [off <= lo < hi], in one pass. [lo] is
+   located once, from the finger; [hi] is reached by scanning forward.
+   Every test reads the old values: a new breakpoint separates a changed
+   segment from an unchanged one of the same old value, so only an
+   existing breakpoint can merge, at [lo] with the segment before it (its
+   value now equals the previous one) and at [hi] with the changed segment
+   before it. Both ends then go in with one shift of their block
+   ([edit]), the blocks wholly between take the add lazily, and each
+   touched block is settled once. A full block that must grow is split
+   first and the change located again. *)
+let rec apply t lo hi d =
+  t.version <- t.version + 1;
   let k = locate t lo in
-  add_entries t t.order.(k) (entry t t.order.(k) lo) hi d;
-  let k = ref (k + 1) in
-  while !k < t.nb && t.first.(!k) < hi do
-    let b = t.order.(!k) in
-    if !k + 1 < t.nb && t.first.(!k + 1) <= hi then begin
-      t.add.(b) <- t.add.(b) + d;
-      t.mn.(b) <- t.mn.(b) + d;
-      t.mx.(b) <- t.mx.(b) + d
-    end
-    else add_entries t b (b lsl bshift) hi d;
-    incr k
-  done
-
-(* A breakpoint [split_at] just made separates a changed segment from an
-   unchanged one of the same old value, so only pre-existing ones can
-   merge. *)
-let apply t lo hi d =
-  let new_lo = split_at t lo in
-  let new_hi = split_at t hi in
-  add_range t lo hi d;
-  if not new_hi then merge_at t hi;
-  if not (new_lo || lo = t.off) then merge_at t lo
+  let b = t.order.(k) in
+  let base = b lsl bshift in
+  let j = entry t b lo in
+  let kh = ref k in
+  while !kh + 1 < t.nb && t.first.(!kh + 1) <= hi do
+    incr kh
+  done;
+  let kh = !kh in
+  let bh = t.order.(kh) in
+  let baseh = bh lsl bshift in
+  let stoph = baseh + t.len.(bh) in
+  (* [i]: the first entry of block [kh] at or after [hi]. *)
+  let i = ref (if kh = k then j + 1 else baseh) in
+  while !i < stoph && t.pos.(!i) < hi do
+    incr i
+  done;
+  let i = !i in
+  let s =
+    if t.pos.(j) <> lo then 1
+    else if
+      lo > t.off
+      && (if j > base then t.vals.(j - 1) + t.add.(b) else last_value t (k - 1))
+         = t.vals.(j) + t.add.(b) + d
+    then -1
+    else 0
+  in
+  let hi_op =
+    if i = stoph || t.pos.(i) <> hi then 1
+    else if
+      (if i > baseh then t.vals.(i - 1) + t.add.(bh) else last_value t (kh - 1)) + d
+      = t.vals.(i) + t.add.(bh)
+    then -1
+    else 0
+  in
+  let m = if s = 0 then j else j + 1 in
+  let full =
+    if kh = k then if t.len.(b) + s + hi_op > bsize then k else -1
+    else if t.len.(b) + s > bsize then k
+    else if t.len.(bh) + hi_op > bsize then kh
+    else -1
+  in
+  if full >= 0 then begin
+    split_block t full;
+    apply t lo hi d
+  end
+  else if kh = k then begin
+    edit t b m s lo i hi_op hi t.vals.(i - 1) d;
+    settle t k (s + hi_op)
+  end
+  else begin
+    edit t b m s lo (base + t.len.(b)) 0 hi 0 d;
+    for x = k + 1 to kh - 1 do
+      let c = t.order.(x) in
+      t.add.(c) <- t.add.(c) + d;
+      t.mn.(c) <- t.mn.(c) + d;
+      t.mx.(c) <- t.mx.(c) + d
+    done;
+    edit t bh baseh 0 lo i hi_op hi (if hi_op > 0 then t.vals.(i - 1) else 0) d;
+    (* The higher block first: settling it moves no block below it. *)
+    settle t kh hi_op;
+    settle t k s
+  end
 
 let log_change t lo hi delta checked =
   let i = 4 * t.ulog_len in
@@ -544,6 +585,31 @@ let earliest_fit_at t ~from ~dur ~need =
 let earliest_fit t ~from ~dur ~need =
   match earliest_fit_at t ~from ~dur ~need with -1 -> None | s -> Some s
 
+(* The fit walk from [start] answers [start] exactly when every segment
+   meeting [\[start, start + dur)] reaches [need], which is [reserve]'s
+   test; so one walk decides the reservation and, when it is refused,
+   already holds the earliest fit. The counters read as for [reserve]
+   followed, on a refusal, by [earliest_fit_at ~from:start]. *)
+let reserve_or_fit t ~start ~dur ~need =
+  if dur < 1 then invalid_arg "Timeline.reserve_or_fit: dur must be >= 1";
+  if need < 0 then invalid_arg "Timeline.reserve_or_fit: negative need";
+  if start < t.off then invalid_arg "Timeline.reserve_or_fit: start below the gc origin";
+  let k = locate t start in
+  let b = t.order.(k) in
+  let j = entry t b start in
+  let cand = if t.vals.(j) + t.add.(b) >= need then start else -1 in
+  let s = fit_entries t k (j + 1) ((b lsl bshift) + t.len.(b)) cand dur need in
+  if s = start then begin
+    Resa_obs.Metrics.incr c_reserve;
+    do_change t ~lo:start ~hi:(start + dur) ~delta:(-need) ~checked:true
+  end
+  else begin
+    Resa_obs.Metrics.incr c_reserve_failed;
+    Resa_obs.Metrics.incr c_earliest_fit;
+    Resa_obs.Metrics.incr c_fit_attempt
+  end;
+  s
+
 (* --- segment walks -------------------------------------------------------- *)
 
 (* Start of the segment after the one at pool index [j] of order position
@@ -642,6 +708,7 @@ let gc t ~upto =
   if t.specs > 0 then invalid_arg "Timeline.gc: checkpoint outstanding";
   (* The origin never moves backwards. *)
   let upto = imax upto t.off in
+  t.version <- t.version + 1;
   let k = locate t upto in
   for i = 0 to k - 1 do
     t.nseg <- t.nseg - t.len.(t.order.(i))
@@ -663,6 +730,8 @@ let gc t ~upto =
   rebalance t 0
 
 let origin t = t.off
+
+let version t = t.version
 
 let check t =
   let fail fmt = Printf.ksprintf failwith ("Timeline.check: " ^^ fmt) in

@@ -10,11 +10,12 @@
     of its values. With [k] segments in [B = k/16 .. 4k/16] blocks:
     - locating an instant is a binary search over the blocks' first
       positions, then one inside a block: O(log k), on contiguous memory;
-    - {!change} splits at its two ends (moving at most one block's worth of
-      segments), adds to the partial blocks' entries, adds lazily in O(1)
-      to each whole block between them and merges equal neighbours at the
-      two ends: O(log k + B) worst case, O(log k) for windows inside a
-      block;
+    - {!change} is one pass: it locates its low end, scans forward to its
+      high end, and rewrites each end's block with one shift that inserts
+      the new breakpoints and drops those whose segments merged, adding to
+      the entries inside the window; whole blocks between take the add
+      lazily in O(1): O(log k + B) worst case, O(log k) for windows inside
+      a block, about the cost of one {!min_on} on the same window;
     - window queries and {!earliest_fit} scan the partial blocks and read
       the summaries of whole ones;
     versus the O(k) whole-array rebuild that
@@ -101,6 +102,25 @@ val earliest_fit : t -> from:int -> dur:int -> need:int -> int option
 val earliest_fit_at : t -> from:int -> dur:int -> need:int -> int
 (** Allocation-free twin of {!earliest_fit}: returns [-1] instead of [None]
     so the decide loop's hottest query boxes nothing. *)
+
+val reserve_or_fit : t -> start:int -> dur:int -> need:int -> int
+(** [reserve_or_fit t ~start ~dur ~need] is [start] when
+    [reserve t ~start ~dur ~need] would make the reservation, and makes it
+    (checked, as {!reserve} does); otherwise it changes nothing and is
+    [earliest_fit_at t ~from:start ~dur ~need], which is then also the
+    earliest fit from [start + 1]. One forward walk answers both: the fit
+    walk from [start] returns [start] exactly when the window fits. The
+    registry counts it as {!reserve} followed, on a refusal, by
+    {!earliest_fit_at}. Raises [Invalid_argument] when [dur < 1],
+    [need < 0] or [start] is below the {!origin}, where {!reserve} and
+    {!earliest_fit_at} would read different windows. *)
+
+val version : t -> int
+(** A counter that every mutation advances: each {!change} that changes
+    something, each reservation made, each change a {!rollback} undoes,
+    and each {!gc}. Queries, {!checkpoint} and {!commit} leave it. Two
+    equal readings of one timeline bracket no mutation, so a caller may
+    keep an answer computed from it until the version moves. *)
 
 (** {2 Speculation}
 

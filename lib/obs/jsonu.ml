@@ -9,7 +9,8 @@
    The writer is on the path of every trace line and heartbeat row, so it
    formats without [Printf]: integral numbers are written digit by digit
    into the output buffer, strings and keys are escaped straight into it,
-   and a string with nothing to escape is copied as is. Its bytes are those
+   and a string with nothing to escape is copied as is. The buffer is one
+   per domain, reused by every line. Its bytes are those
    of the [Printf "%.0f"] / ["%.6g"] formulas it replaces. *)
 
 type t =
@@ -113,10 +114,31 @@ and write_members b i = function
     write b v;
     write_members b (i + 1) kvs
 
-let to_string v =
-  let b = Buffer.create 256 in
+(* One output buffer per domain, reused by every rendering: each trace
+   line and heartbeat row would otherwise create and drop a 256-byte
+   buffer. Replays run on several domains at once, so the buffer is
+   domain-local. A rendering that grew it past 64 KiB (a Chrome export)
+   hands that memory back. *)
+let scratch = Domain.DLS.new_key (fun () -> Buffer.create 256)
+
+let render v =
+  let b = Domain.DLS.get scratch in
+  Buffer.clear b;
   write b v;
-  Buffer.contents b
+  b
+
+let release b = if Buffer.length b > 65536 then Buffer.reset b
+
+let to_string v =
+  let b = render v in
+  let s = Buffer.contents b in
+  release b;
+  s
+
+let output oc v =
+  let b = render v in
+  Buffer.output_buffer oc b;
+  release b
 
 (* --- parser ------------------------------------------------------------ *)
 

@@ -17,7 +17,13 @@ type t =
 val to_string : t -> string
 (** Compact single-line rendering (no trailing newline). Integral numbers
     below 1e15 in magnitude print as [Printf "%.0f"] would, other numbers
-    as ["%.6g"] would, without going through [Printf]. *)
+    as ["%.6g"] would, without going through [Printf]. Rendered into a
+    buffer kept per domain, so the result string is the only copy. *)
+
+val output : out_channel -> t -> unit
+(** [output oc v] writes [to_string v] to [oc] (no trailing newline)
+    without making the string: the per-domain buffer goes straight to the
+    channel. *)
 
 val escape : string -> string
 (** JSON string-body escaping (no surrounding quotes); [s] itself when no

@@ -71,7 +71,7 @@ let emit t ev = match t with Null -> () | Sink f -> f ev
 
 (* --- JSONL -------------------------------------------------------------- *)
 
-let to_json ?run ev =
+let to_value ?run ev =
   let open Jsonu in
   let i n = Num (float_of_int n) in
   let fields =
@@ -108,8 +108,13 @@ let to_json ?run ev =
     | Sim_wake { time; forced } ->
       [ ("ev", Str "sim_wake"); ("t", i time); ("forced", Bool forced) ]
   in
-  let fields = match run with None -> fields | Some r -> ("run", Str r) :: fields in
-  Jsonu.to_string (Obj fields)
+  Obj (match run with None -> fields | Some r -> ("run", Str r) :: fields)
+
+let to_json ?run ev = Jsonu.to_string (to_value ?run ev)
+
+let output oc ?run ev =
+  Jsonu.output oc (to_value ?run ev);
+  output_char oc '\n'
 
 let of_json j =
   let ( let* ) o f = Option.bind o f in

@@ -77,5 +77,9 @@ val emit : t -> event -> unit
 val to_json : ?run:string -> event -> string
 (** One JSONL line (no trailing newline). *)
 
+val output : out_channel -> ?run:string -> event -> unit
+(** Write [to_json ?run ev] and a newline to the channel, through
+    {!Jsonu.output}: the line is never made a string. *)
+
 val parse_line : string -> (string option * event, string) result
 (** Inverse of {!to_json}: the optional ["run"] tag and the event. *)

@@ -186,5 +186,5 @@ let parse_line line =
   match Jsonu.of_string line with Error m -> Error m | Ok j -> of_json j
 
 let write oc r =
-  output_string oc (Jsonu.to_string (to_json r));
+  Jsonu.output oc (to_json r);
   output_char oc '\n'

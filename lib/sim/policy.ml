@@ -36,37 +36,73 @@ let c_cons = Metrics.counter "policy.decide.CONS"
    closure per decide, no list view of the queue, no call per entry, cons
    cells only for the tags actually started. A wake-up is written into the
    run's action on the way. A start reserves its [p]-long, [q]-wide window
-   at [time] with one [Timeline.reserve], which is also the query that
-   decides whether the job fits: the simulator commits a decision only when
-   its log is exactly these reservations, in start order. *)
+   at [time] with one checked [Timeline.reserve] or [reserve_or_fit], which
+   is also the query that decides whether the job fits: the simulator
+   commits a decision only when its log is exactly these reservations, in
+   start order. *)
+
+(* FCFS's last blocked head: the timeline's version when the decision
+   ended, the head's tag and its start [g]. *)
+type blocked = {
+  mutable version : int;
+  mutable head : int;
+  mutable g : int;
+}
+
+let planned ~obs ~time ~policy job at =
+  if Trace.enabled obs then Trace.emit obs (Trace.Planned { time; policy; job; at })
 
 (* Start the longest startable prefix; the blocked head, if any, yields
-   the next wake-up. *)
-let rec fcfs_go ~obs ~time act ids ps qs tags free i stop =
+   the next wake-up, its earliest start after [time]. One walk answers
+   both questions: [reserve_or_fit] from [time] reserves at [time] or
+   returns [at], the earliest fit from [time], which is then not [time].
+   So [at] is the smallest fitting start at or after [time + 1]: the
+   earliest fit from [time + 1], the head's start before this walk was
+   fused (test_timeline checks both on random timelines). *)
+let rec fcfs_go ~obs ~time act last ids ps qs tags free i stop =
   if i >= stop then []
-  else if tags.(i) < 0 then fcfs_go ~obs ~time act ids ps qs tags free (i + 1) stop
+  else if tags.(i) < 0 then fcfs_go ~obs ~time act last ids ps qs tags free (i + 1) stop
   else begin
-    let p = ps.(i) and q = qs.(i) in
-    if Timeline.reserve free ~start:time ~dur:p ~need:q then
-      tags.(i) :: fcfs_go ~obs ~time act ids ps qs tags free (i + 1) stop
+    let at = Timeline.reserve_or_fit free ~start:time ~dur:ps.(i) ~need:qs.(i) in
+    if at = time then tags.(i) :: fcfs_go ~obs ~time act last ids ps qs tags free (i + 1) stop
     else begin
-      let at = Timeline.earliest_fit_at free ~from:(time + 1) ~dur:p ~need:q in
-      if Trace.enabled obs then
-        Trace.emit obs (Trace.Planned { time; policy = "FCFS"; job = ids.(i); at });
+      planned ~obs ~time ~policy:"FCFS" ids.(i) at;
       act.wake <- at;
+      last.version <- Timeline.version free;
+      last.head <- tags.(i);
+      last.g <- at;
       []
     end
   end
 
+(* A consultation with nothing new to decide is answered from [last]:
+   when the timeline has not changed since the last decision ended
+   blocked, that decision's head is still the first live entry, and
+   [time < g], no window from [time] on has opened before [g], so the
+   head still blocks, with the same start [g], and nothing starts. *)
 let fcfs =
   let create ~obs =
     let act = action () in
+    let last = { version = -1; head = -1; g = -1 } in
     fun ~time ~queue ~free ->
       Metrics.incr c_fcfs;
-      act.wake <- no_wake;
-      act.start_now <-
-        fcfs_go ~obs ~time act (Jobq.ids queue) (Jobq.estimates queue) (Jobq.widths queue)
-          (Jobq.tags queue) free (Jobq.first queue) (Jobq.stop queue);
+      let first = Jobq.first queue in
+      if
+        time < last.g
+        && Timeline.version free = last.version
+        && first < Jobq.stop queue
+        && (Jobq.tags queue).(first) = last.head
+      then begin
+        planned ~obs ~time ~policy:"FCFS" (Jobq.ids queue).(first) last.g;
+        act.wake <- last.g;
+        act.start_now <- []
+      end
+      else begin
+        act.wake <- no_wake;
+        act.start_now <-
+          fcfs_go ~obs ~time act last (Jobq.ids queue) (Jobq.estimates queue)
+            (Jobq.widths queue) (Jobq.tags queue) free first (Jobq.stop queue)
+      end;
       act
   in
   { name = "FCFS"; create }
@@ -78,12 +114,11 @@ let rec easy_prefix ~obs ~time act ids ps qs tags free i stop =
   else if tags.(i) < 0 then easy_prefix ~obs ~time act ids ps qs tags free (i + 1) stop
   else begin
     let p = ps.(i) and q = qs.(i) in
-    if Timeline.reserve free ~start:time ~dur:p ~need:q then
+    let guaranteed = Timeline.reserve_or_fit free ~start:time ~dur:p ~need:q in
+    if guaranteed = time then
       tags.(i) :: easy_prefix ~obs ~time act ids ps qs tags free (i + 1) stop
     else begin
-      let guaranteed = Timeline.earliest_fit_at free ~from:time ~dur:p ~need:q in
-      if Trace.enabled obs then
-        Trace.emit obs (Trace.Planned { time; policy = "EASY"; job = ids.(i); at = guaranteed });
+      planned ~obs ~time ~policy:"EASY" ids.(i) guaranteed;
       act.wake <- guaranteed;
       easy_backfill ~time ps qs tags free ~hp:p ~hq:q guaranteed (Timeline.value_at free time)
         (i + 1) stop

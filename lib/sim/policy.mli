@@ -13,7 +13,8 @@
 
     The contract of a start: the policy reserves the job's window,
     [Timeline.reserve free ~start:time ~dur:estimate ~need:width] answering
-    [true], and names its tag; the reservations are made in the order of
+    [true] (or [Timeline.reserve_or_fit] with the same arguments answering
+    [time]), and names its tag; the reservations are made in the order of
     [start_now], and nothing else may be left in the decision's log.
     Access is speculative: the simulator opens a timeline checkpoint around
     every [decide] call, so a decision may also try windows while reasoning
@@ -75,8 +76,13 @@ type t = {
 
 val fcfs : t
 (** Strict FCFS: only the queue head may start; it starts at the first
-    instant its whole window fits. Emits the blocked head's next feasible
-    start as a [Planned] event. *)
+    instant its whole window fits. One {!Resa_core.Timeline.reserve_or_fit}
+    walk per queue entry reserves it or, for the blocked head, finds its
+    next feasible start [g]. A consultation before [g] that finds the
+    timeline's version and the head unchanged since the last decision is
+    answered from that decision, without a walk: no start can have become
+    feasible. Emits the blocked head's next feasible start as a [Planned]
+    event at every consultation. *)
 
 val conservative : t
 (** Conservative backfilling: each job is planned at submission at the
@@ -92,7 +98,9 @@ val easy : t
 (** EASY backfilling: the head holds a guaranteed earliest start; any other
     job may start now if that guarantee is not pushed back — checked by
     one [min_on] over the overlap of its window with the head's, before
-    it is reserved; no checkpoint is opened. Emits the head's guarantee as
+    it is reserved; no checkpoint is opened. The head's reservation and,
+    when it is refused, its guarantee come from one
+    {!Resa_core.Timeline.reserve_or_fit} walk. Emits the head's guarantee as
     a [Planned] event. With all jobs submitted at time 0 this is
     [Backfill.easy]. *)
 

@@ -192,13 +192,14 @@ let test_reserved_startup_budget () =
           w reserved_startup_budget)
     Policy.all
 
-(* Encoding cost of the observability wire formats, in minor words: one
+(* Writing cost of the observability wire formats, in minor words: one
    JSONL line for each [Trace] constructor, run-tagged as [resa replay]
    writes them, and the closing heartbeat row of a reserved run as the
    exact-resv benchmark writes it (no run tag, no registry, no wall
-   section). Every line is built as a [Jsonu] tree and printed by
-   [Jsonu.to_string]; the counts below are that tree, the output buffer
-   and the returned string. *)
+   section). Every line is built as a [Jsonu] tree and written by
+   [Jsonu.output] from the domain's reused buffer, so the counts below are
+   the tree alone. One line is written before measuring: the buffer is
+   made on a domain's first use. *)
 let trace_events =
   Resa_obs.Trace.
     [
@@ -219,32 +220,37 @@ let trace_events =
       Sim_wake { time = 29_955_774; forced = true };
     ]
 
-(* 956 words for the nine lines (~106 a line: ~60 of tree, ~40 of output
-   buffer, the string). Formatting every number through [Printf] and
-   escaping every key through a fresh buffer took 3,878. *)
-let trace_lines_budget = 1095.
+(* 477 words for the nine lines (~53 a line, the tree). A fresh output
+   buffer and the returned string per line took 956; formatting every
+   number through [Printf] and escaping every key through a fresh buffer
+   took 3,878. *)
+let trace_lines_budget = 549.
 
 let test_trace_lines_budget () =
-  let w =
-    minor_words (fun () ->
-        List.iter (fun ev -> ignore (Resa_obs.Trace.to_json ~run:"FCFS" ev : string)) trace_events)
-  in
-  if w > trace_lines_budget then
-    Alcotest.failf "encoding %d run-tagged trace lines allocates %.0f words, budget %.0f"
-      (List.length trace_events) w trace_lines_budget
+  Out_channel.with_open_bin Filename.null (fun oc ->
+      Resa_obs.Trace.output oc ~run:"FCFS" (List.hd trace_events);
+      let w =
+        minor_words (fun () ->
+            List.iter (fun ev -> Resa_obs.Trace.output oc ~run:"FCFS" ev) trace_events)
+      in
+      if w > trace_lines_budget then
+        Alcotest.failf "writing %d run-tagged trace lines allocates %.0f words, budget %.0f"
+          (List.length trace_events) w trace_lines_budget)
 
 let closing_row () =
   let last = ref None in
   reserved_run ~on_row:(fun r -> last := Some r) Policy.fcfs (reserved_instance ());
   Option.get !last
 
-(* 185 words: ~120 of tree, ~40 of output buffer, the 175-byte string
-   and the one non-integral number. Through [Printf] it took 1,062. *)
-let heartbeat_row_budget = 210.
+(* 122 words: ~120 of tree and the one non-integral number. With a fresh
+   output buffer and the 175-byte string it took 185; through [Printf],
+   1,062. *)
+let heartbeat_row_budget = 141.
 
 let test_heartbeat_row_budget () =
   let row = Tutil.without_metrics closing_row in
   Out_channel.with_open_bin Filename.null (fun oc ->
+      Heartbeat.write oc row;
       let w = minor_words (fun () -> Heartbeat.write oc row) in
       if w > heartbeat_row_budget then
         Alcotest.failf "Heartbeat.write of a closing row allocates %.0f words, budget %.0f" w

@@ -655,8 +655,9 @@ let prop_random_policies =
 
 (* The capacity pre-filter: a queued job wider than the capacity free now
    is skipped without a window query. A queue of 1000 jobs wider than the
-   machine's free capacity costs LSRC no [min_on] at all, and EASY only
-   the one that finds its head blocked: one refused reservation. *)
+   machine's free capacity costs LSRC no window query at all, and EASY
+   only the one walk that finds its head blocked and its guaranteed
+   start: one refused reservation, counted as one [earliest_fit]. *)
 let test_capacity_prefilter () =
   let queue = Jobq.create () in
   for i = 0 to 999 do
@@ -670,11 +671,46 @@ let test_capacity_prefilter () =
           let decide = policy.create ~obs:Trace.null in
           let act = decide ~time:0 ~queue ~free in
           Alcotest.(check int) (policy.name ^ " starts nothing") 0 (List.length act.start_now);
-          Alcotest.(check int) (policy.name ^ " min_on calls") expect
-            (Tutil.counter "timeline.min_on");
+          Alcotest.(check int) (policy.name ^ " window queries") expect
+            (Tutil.counter "timeline.min_on" + Tutil.counter "timeline.earliest_fit");
           Alcotest.(check int) (policy.name ^ " refused reservations") expect
             (Tutil.counter "timeline.reserve_failed")))
     [ (Policy.aggressive, 0); (Policy.easy, 1) ]
+
+(* FCFS answers a consultation with nothing new to decide without a walk.
+   The head (6 wide) is blocked until 10 on 4 free processors. Arrivals
+   that meet it, with no change to the timeline in between, cost no
+   window query; a completion in between (one processor back on [3, 10))
+   costs one walk again, and the head still waits for 10. Each answer is
+   the one a fresh FCFS gives on the same state. *)
+let test_fcfs_skips_unchanged () =
+  let queue = Jobq.create () in
+  let free = Timeline.create 8 in
+  Timeline.change free ~lo:0 ~hi:10 ~delta:(-4);
+  let arrive i width = ignore (Jobq.append queue ~id:i ~estimate:5 ~width ~tag:i : int) in
+  arrive 0 6;
+  Tutil.with_metrics (fun () ->
+      let decide = Policy.fcfs.create ~obs:Trace.null in
+      let walks () = Tutil.counter "timeline.min_on" + Tutil.counter "timeline.earliest_fit" in
+      let consult name ~time ~walked =
+        let before = walks () in
+        let act = decide ~time ~queue ~free in
+        let starts = act.start_now and wake = act.wake in
+        Alcotest.(check int) (name ^ ": walks") walked (walks () - before);
+        let fresh = Policy.fcfs.create ~obs:Trace.null ~time ~queue ~free in
+        Alcotest.(check (list int)) (name ^ ": starts") fresh.start_now starts;
+        Alcotest.(check int) (name ^ ": wake") fresh.wake wake;
+        Alcotest.(check int) (name ^ ": waits for 10") 10 wake
+      in
+      consult "first decision" ~time:0 ~walked:1;
+      arrive 1 1;
+      consult "an arrival" ~time:1 ~walked:0;
+      arrive 2 2;
+      consult "another arrival" ~time:2 ~walked:0;
+      Timeline.change free ~lo:3 ~hi:10 ~delta:1;
+      consult "after a completion" ~time:3 ~walked:1;
+      arrive 3 1;
+      consult "an arrival after it" ~time:4 ~walked:0)
 
 let test_prof_counters () =
   Tutil.with_metrics (fun () ->
@@ -796,6 +832,7 @@ let suite =
     Alcotest.test_case "policy errors carry context" `Quick test_policy_error_messages;
     Alcotest.test_case "failed decisions roll back" `Quick test_failed_decision_rolls_back;
     Alcotest.test_case "capacity pre-filter skips wide jobs" `Quick test_capacity_prefilter;
+    Alcotest.test_case "FCFS skips a decision with nothing new" `Quick test_fcfs_skips_unchanged;
     Alcotest.test_case "prof counters and spans" `Quick test_prof_counters;
     Alcotest.test_case "prof disabled is a no-op" `Quick test_prof_disabled_is_noop;
     Alcotest.test_case "prof clock never decreases" `Quick test_clock_monotonic;

@@ -488,6 +488,190 @@ let copy_is_round_trip seed =
   check "8 blocks" (!peak >= 128);
   !ok
 
+(* --- the one-pass change ----------------------------------------------- *)
+
+(* [n] segments 10 apart, alternating 10 and 20. [of_steps] fills each
+   block to 12 segments before opening the next, so [12 * b] is the index
+   of block [b]'s first segment. *)
+let striped n =
+  let times = Array.init n (fun i -> 10 * i) and values = Array.init n (fun i -> 10 + (10 * (i mod 2))) in
+  (Timeline.of_steps times values n, Profile.of_steps (List.init n (fun i -> (times.(i), values.(i)))))
+
+(* Each path of the one-pass change, with [check] and the Profile oracle
+   after every step: both ends inside one block; a merge at [lo] where
+   [lo] is a block's first segment, which joins the block before; a merge
+   at [hi]; a full block split; a window over several blocks; a rollback
+   of all of them. *)
+let test_change_paths () =
+  let tl, p0 = striped 40 in
+  let p = ref p0 in
+  let step name ~lo ~hi ~delta ~segments =
+    let v = Timeline.version tl in
+    Timeline.change tl ~lo ~hi ~delta;
+    p := Profile.change !p ~lo ~hi ~delta;
+    Alcotest.(check bool) (name ^ ": version moves") true (Timeline.version tl <> v);
+    Alcotest.(check bool) (name ^ ": valid") true (valid tl);
+    Alcotest.(check bool) (name ^ ": = Profile") true (Profile.equal !p (Timeline.to_profile tl));
+    Alcotest.(check int) (name ^ ": segments") segments (Timeline.node_count tl)
+  in
+  let m = Timeline.checkpoint tl in
+  step "inside one block" ~lo:13 ~hi:17 ~delta:(-1) ~segments:42;
+  (* [120, 130) holds 10 and [110, 120) 20: 120 goes, 125 comes in. *)
+  step "merge at a block's first lo" ~lo:120 ~hi:125 ~delta:10 ~segments:42;
+  (* [130, 140) holds 20 and [140, 150) 10: 140 goes, 133 comes in. *)
+  step "merge at hi" ~lo:133 ~hi:140 ~delta:(-10) ~segments:42;
+  step "both ends merge" ~lo:150 ~hi:160 ~delta:(-10) ~segments:40;
+  for i = 0 to 3 do
+    step "split a full block" ~lo:(21 + (2 * i)) ~hi:(22 + (2 * i)) ~delta:3 ~segments:(42 + (2 * i))
+  done;
+  (* Block 2 ([240, 360)) grows by one entry per step to 15, then splits
+     to take two more. *)
+  for i = 0 to 2 do
+    step "one new end" ~lo:(245 + (10 * i)) ~hi:(250 + (10 * i)) ~delta:1 ~segments:(49 + i)
+  done;
+  step "split a block of 15" ~lo:283 ~hi:285 ~delta:1 ~segments:53;
+  step "over several blocks" ~lo:5 ~hi:305 ~delta:(-1) ~segments:55;
+  step "and back" ~lo:5 ~hi:305 ~delta:1 ~segments:53;
+  let v = Timeline.version tl in
+  Timeline.rollback tl m;
+  Alcotest.(check bool) "rolled back: version moves" true (Timeline.version tl <> v);
+  Alcotest.(check bool) "rolled back: valid" true (valid tl);
+  Alcotest.(check bool) "rolled back" true (Profile.equal p0 (Timeline.to_profile tl));
+  Alcotest.(check int) "rolled back: segments" 40 (Timeline.node_count tl)
+
+(* Randomized: on 20 to 200 striped segments, changes whose ends are
+   drawn to be existing breakpoints and whose delta merges them with the
+   segment before ([lo]) or makes the changed segment before [hi] equal
+   the one at [hi]; windows inside a segment, so both ends split; wide
+   windows; reservations; and scopes rolled back. [check] and the Profile
+   oracle after every operation. *)
+let change_paths_agree seed =
+  let rng = Prng.create ~seed in
+  let n = Prng.int_incl rng ~lo:20 ~hi:200 in
+  let tl, p0 = striped n in
+  let p = ref p0 and ok = ref true in
+  let check name b =
+    if not b then begin
+      Printf.eprintf "change paths: %s (seed %d)\n" name seed;
+      ok := false
+    end
+  in
+  let breakpoint () =
+    let bps = Profile.breakpoints !p in
+    bps.(Prng.int_incl rng ~lo:1 ~hi:(Array.length bps - 1))
+  in
+  let change ~lo ~hi ~delta =
+    if lo < hi then begin
+      Timeline.change tl ~lo ~hi ~delta;
+      p := Profile.change !p ~lo ~hi ~delta
+    end
+  in
+  let op () =
+    match Prng.int rng ~bound:6 with
+    | 0 ->
+      let lo = breakpoint () in
+      change ~lo ~hi:(lo + Prng.int_incl rng ~lo:1 ~hi:40)
+        ~delta:(Profile.value_at !p (lo - 1) - Profile.value_at !p lo)
+    | 1 ->
+      let hi = breakpoint () in
+      change ~lo:(max 0 (hi - Prng.int_incl rng ~lo:1 ~hi:40)) ~hi
+        ~delta:(Profile.value_at !p hi - Profile.value_at !p (hi - 1))
+    | 2 ->
+      let lo = Prng.int rng ~bound:(10 * n) in
+      change ~lo ~hi:(lo + Prng.int_incl rng ~lo:1 ~hi:3) ~delta:(Prng.int_incl rng ~lo:1 ~hi:3)
+    | 3 ->
+      let lo = Prng.int rng ~bound:(10 * n) in
+      change ~lo ~hi:(lo + Prng.int_incl rng ~lo:1 ~hi:(5 * n)) ~delta:(Prng.int_incl rng ~lo:(-3) ~hi:3)
+    | 4 ->
+      let start = Prng.int rng ~bound:(10 * n) and dur = Prng.int_incl rng ~lo:1 ~hi:30 in
+      let need = Prng.int_incl rng ~lo:1 ~hi:12 in
+      if Timeline.reserve tl ~start ~dur ~need then
+        p := Profile.change !p ~lo:start ~hi:(start + dur) ~delta:(-need)
+    | _ ->
+      let lo = Prng.int rng ~bound:(10 * n) in
+      change ~lo ~hi:(lo + Prng.int_incl rng ~lo:1 ~hi:25) ~delta:(Prng.int_incl rng ~lo:(-4) ~hi:4)
+  in
+  let verify name =
+    check (name ^ ": valid") (valid tl);
+    check (name ^ ": = Profile") (Profile.equal !p (Timeline.to_profile tl))
+  in
+  for _ = 1 to 10 do
+    let before = !p and segments = Timeline.node_count tl in
+    let m = Timeline.checkpoint tl in
+    for _ = 1 to 15 do
+      op ();
+      verify "speculative op"
+    done;
+    Timeline.rollback tl m;
+    p := before;
+    verify "rollback";
+    check "rollback: segments" (Timeline.node_count tl = segments);
+    for _ = 1 to 15 do
+      op ();
+      verify "op"
+    done
+  done;
+  !ok
+
+(* Randomized: [reserve_or_fit] on one timeline against [reserve], then
+   [earliest_fit_at ~from:start] on a refusal, on a twin that sees the
+   same history (gc included; a start below the origin raises). Same
+   answers, same segments after; a refusal changes nothing, version
+   included, and its answer is also [earliest_fit_at ~from:(start + 1)]:
+   no start in [\[start, s)] fits, [start] itself included. Under a
+   checkpoint, a reservation made is logged as checked. *)
+let reserve_or_fit_agrees seed =
+  let rng = Prng.create ~seed in
+  let p = Tutil.profile_of_seed seed in
+  let a = Timeline.of_profile p and b = Timeline.of_profile p in
+  let org = ref 0 and ok = ref true in
+  let check name c =
+    if not c then begin
+      Printf.eprintf "reserve_or_fit: %s (seed %d)\n" name seed;
+      ok := false
+    end
+  in
+  for _ = 1 to 60 do
+    (match Prng.int rng ~bound:8 with
+    | 0 ->
+      let lo = !org + Prng.int rng ~bound:60 and len = Prng.int_incl rng ~lo:1 ~hi:20 in
+      let delta = Prng.int_incl rng ~lo:(-3) ~hi:3 in
+      Timeline.change a ~lo ~hi:(lo + len) ~delta;
+      Timeline.change b ~lo ~hi:(lo + len) ~delta
+    | 1 ->
+      org := !org + Prng.int rng ~bound:4;
+      Timeline.gc a ~upto:!org;
+      Timeline.gc b ~upto:!org
+    | _ ->
+      let start = max 0 (!org - 2 + Prng.int rng ~bound:60) and dur = Prng.int_incl rng ~lo:1 ~hi:15 in
+      let need = Prng.int_incl rng ~lo:0 ~hi:12 in
+      let v = Timeline.version a in
+      let spec = Timeline.checkpoint a in
+      match Timeline.reserve_or_fit a ~start ~dur ~need with
+      | exception Invalid_argument _ ->
+        Timeline.rollback a spec;
+        check "raises below the origin only" (start < Timeline.origin a)
+      | s ->
+        let made = s = start in
+        check "logged as checked"
+          ((not made) || need = 0 || Timeline.spec_op_is_reserve a spec ~i:0 ~start ~dur ~need);
+        Timeline.commit a spec;
+        let expect =
+          if Timeline.reserve b ~start ~dur ~need then start
+          else Timeline.earliest_fit_at b ~from:start ~dur ~need
+        in
+        check "= reserve || earliest_fit_at" (s = expect);
+        if made then check "a reservation moves the version" (need = 0 || Timeline.version a <> v)
+        else begin
+          check "refusal = earliest_fit_at ~from:(start + 1)"
+            (s = Timeline.earliest_fit_at b ~from:(start + 1) ~dur ~need);
+          check "refusal changes nothing" (Timeline.version a = v)
+        end);
+    check "same segments" (Profile.equal (Timeline.to_profile a) (Timeline.to_profile b));
+    check "valid" (valid a)
+  done;
+  !ok
+
 let starts inst sched = List.init (Instance.n_jobs inst) (Schedule.start sched)
 
 (* FIFO and a random permutation drawn from the same seed: Bnb's
@@ -540,4 +724,9 @@ let suite =
     Tutil.qcheck ~count:300 "EASY = Profile-backed EASY" Tutil.seed_arb
       (same_schedule "easy" Resa_sim.Policy.easy Resa_oracles.Backfill.easy_order_reference);
     Alcotest.test_case "marks resolve only their own scope" `Quick test_marks_own_their_scope;
+    Alcotest.test_case "one-pass change: every path" `Quick test_change_paths;
+    Tutil.qcheck ~count:200 "one-pass change paths match Profile, with rollback" Tutil.seed_arb
+      change_paths_agree;
+    Tutil.qcheck ~count:1000 "reserve_or_fit = reserve || earliest_fit_at" Tutil.seed_arb
+      reserve_or_fit_agrees;
   ]
