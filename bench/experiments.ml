@@ -364,18 +364,18 @@ let t3 () =
   let rng = Prng.create ~seed:777 in
   let subs = arrivals_of (Resa_swf.Swf_stream.synthetic rng ~m ~n ~max_runtime:200 ~mean_gap:6.0) in
   (* Admit periodic demo reservations under the alpha cap. *)
-  let book = Resa_sim.Reservation_book.create ~m ~alpha:0.5 () in
+  let book = Reservation_book.create ~m ~alpha:0.5 () in
   let granted = ref 0 and rejected = ref 0 in
   for i = 0 to 19 do
     match
-      Resa_sim.Reservation_book.request book ~start:(100 + (i * 137))
+      Reservation_book.request book ~start:(100 + (i * 137))
         ~p:(40 + (i mod 3 * 25))
         ~q:(16 + (i mod 4 * 12))
     with
     | Ok _ -> incr granted
     | Error _ -> incr rejected
   done;
-  let reservations = Resa_sim.Reservation_book.accepted book in
+  let reservations = Reservation_book.accepted book in
   Printf.printf "Reservation book: %d granted, %d rejected by the alpha cap.\n\n" !granted !rejected;
   print_endline Resa_sim.Metrics.header;
   (* One simulation per policy, in parallel; each policy value carries its

@@ -28,6 +28,7 @@ let registry =
     ("perf", Perf.run);
     ("scaling", Perf.scaling);
     ("timeline", Perf.timeline_ops);
+    ("admission", Perf.admission);
     ("sim", Perf.sim_scaling);
     ("bnb", Bnb_bench.run);
   ]

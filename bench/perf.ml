@@ -219,6 +219,86 @@ let timeline_ops () =
     [ 8; 64; 512 ];
   print_string (Resa_stats.Table.render t)
 
+(* --- alpha-admission ------------------------------------------------------ *)
+
+(* Wall time of [R] reservation requests on a fresh [Reservation_book] (m =
+   128, alpha = 0.5, so the cap is 64): starts uniform in [\[0, 100R)],
+   durations in [\[1, 1000\]] and widths in [\[1, 64\]] (seed 7), so
+   about five requests overlap an instant and many are refused. Next to it
+   the persistent-profile book of [Resa_oracles], up to 4k requests (1k
+   with [--small]): it is quadratic, and every result must equal the
+   book's, or the bench fails. The last row generates the scaling family's
+   largest instance ([Random_inst.alpha_restricted] at m = 16, n = 20000,
+   alpha = 0.5, pmax = 20, n/4 reservations, seed 7; n = 1000 with
+   [--small]), whose reservations go through the book. Each cell is the
+   median of 5 runs. *)
+let admission () =
+  Printf.printf "\n=== PERF: alpha-admission (book vs Profile oracle) ===\n";
+  let median_s f =
+    let ts =
+      Array.init 5 (fun _ ->
+          let t0 = Resa_obs.Prof.now_ns () in
+          f ();
+          float_of_int (Resa_obs.Prof.now_ns () - t0) /. 1e9)
+    in
+    Array.sort Float.compare ts;
+    ts.(2)
+  in
+  let pretty s = if s >= 1.0 then Printf.sprintf "%.2f s" s else Printf.sprintf "%.2f ms" (s *. 1e3) in
+  let requests r =
+    let rng = Prng.create ~seed:engine_seed in
+    Array.init r (fun _ ->
+        let start = Prng.int rng ~bound:(100 * r) in
+        let p = Prng.int_incl rng ~lo:1 ~hi:1000 in
+        (start, p, Prng.int_incl rng ~lo:1 ~hi:64))
+  in
+  let admit create request reqs =
+    let book = create () in
+    Array.map (fun (start, p, q) -> request book ~start ~p ~q) reqs
+  in
+  let book reqs = admit (Reservation_book.create ~m:128 ~alpha:0.5) Reservation_book.request reqs in
+  let oracle reqs =
+    admit
+      (Resa_oracles.Reservation_book.create ~m:128 ~alpha:0.5)
+      Resa_oracles.Reservation_book.request reqs
+  in
+  let oracle_max = if !small then 1000 else 4000 in
+  let t =
+    Resa_stats.Table.create ~headers:[ "workload"; "requests"; "granted"; "book"; "oracle"; "speedup" ]
+  in
+  List.iter
+    (fun r ->
+      let reqs = requests r in
+      let granted = Array.fold_left (fun k x -> if Result.is_ok x then k + 1 else k) 0 (book reqs) in
+      let b = median_s (fun () -> ignore (book reqs)) in
+      let oracle_cell, speedup_cell =
+        if r > oracle_max then ("(skipped)", "-")
+        else begin
+          if oracle reqs <> book reqs then
+            failwith (Printf.sprintf "admission: book differs from its oracle at %d requests" r);
+          let o = median_s (fun () -> ignore (oracle reqs)) in
+          (pretty o, Printf.sprintf "%.0fx" (o /. b))
+        end
+      in
+      Resa_stats.Table.add_row t
+        [ "book"; string_of_int r; string_of_int granted; pretty b; oracle_cell; speedup_cell ])
+    (if !small then [ 1000; 4000 ] else [ 1000; 4000; 16_000 ]);
+  let n = if !small then 1000 else 20_000 in
+  let generate () =
+    Random_inst.alpha_restricted (Prng.create ~seed:engine_seed) ~m:16 ~n ~alpha:0.5 ~pmax:20 ()
+  in
+  let g = median_s (fun () -> ignore (generate ())) in
+  Resa_stats.Table.add_row t
+    [
+      Printf.sprintf "scaling instance n=%d" n;
+      string_of_int (n / 4);
+      string_of_int (Array.length (Instance.reservations (generate ())));
+      pretty g;
+      "-";
+      "-";
+    ];
+  print_string (Resa_stats.Table.render t)
+
 (* --- simulator scaling series ------------------------------------------- *)
 
 let sim_workload_seed = 1236

@@ -17,7 +17,7 @@ let () =
     m ((1.0 -. alpha) *. 100.0) alpha;
 
   (* --- 1. Users request advance reservations through the book. --- *)
-  let book = Resa_sim.Reservation_book.create ~m ~alpha () in
+  let book = Reservation_book.create ~m ~alpha () in
   let requests =
     [
       ("demo at the 10:00 meeting", 100, 20, 16);
@@ -30,12 +30,12 @@ let () =
   in
   List.iter
     (fun (who, start, p, q) ->
-      match Resa_sim.Reservation_book.request book ~start ~p ~q with
+      match Reservation_book.request book ~start ~p ~q with
       | Ok r -> Format.printf "GRANTED  %-28s -> %a@." who Reservation.pp r
       | Error e ->
-        Format.printf "REJECTED %-28s (%a)@." who Resa_sim.Reservation_book.pp_rejection e)
+        Format.printf "REJECTED %-28s (%a)@." who Reservation_book.pp_rejection e)
     requests;
-  let reservations = Resa_sim.Reservation_book.accepted book in
+  let reservations = Reservation_book.accepted book in
 
   (* --- 2. Meanwhile the batch queue receives ordinary jobs. --- *)
   let rng = Prng.create ~seed:2024 in
@@ -60,5 +60,5 @@ let () =
   Printf.printf "\nBlocked-capacity profile accepted by the book:\n";
   print_string
     (Gantt.render_profile ~width:70 ~height:8
-       (Resa_sim.Reservation_book.blocked_profile book)
+       (Reservation_book.blocked_profile book)
        ~hi:200)

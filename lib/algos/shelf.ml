@@ -34,8 +34,6 @@ let build variant inst =
     order;
   List.rev !shelves
 
-let shelves variant inst = List.map (fun s -> List.rev s.members) (build variant inst)
-
 let run variant inst =
   let n = Instance.n_jobs inst in
   let starts = Array.make n 0 in

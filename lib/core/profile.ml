@@ -140,7 +140,6 @@ let add a b = merge ( + ) a b
 let sub a b = merge ( - ) a b
 let map f p = normalize p.times (Array.map f p.caps)
 let neg p = map (fun v -> -v) p
-let add_const p c = map (fun v -> v + c) p
 
 let change p ~lo ~hi ~delta =
   if lo >= hi || delta = 0 then p

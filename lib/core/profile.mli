@@ -69,8 +69,6 @@ val sub : t -> t -> t
 
 val neg : t -> t
 
-val add_const : t -> int -> t
-
 val change : t -> lo:int -> hi:int -> delta:int -> t
 (** Add [delta] on the window [\[lo, hi)]; identity when [lo >= hi]. *)
 

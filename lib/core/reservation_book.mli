@@ -4,9 +4,12 @@
     ensure a good behavior of the system" (paper §1.4, §4.2). The book
     accepts a reservation request only if the total blocked capacity stays
     within [(1−α)·m] at every instant, which keeps the workload inside
-    α-RESASCHEDULING and therefore inside LSRC's [2/α] guarantee. *)
+    α-RESASCHEDULING and therefore inside LSRC's [2/α] guarantee.
 
-open Resa_core
+    The book keeps its free capacity [(1−α)·m − blocked] as a {!Timeline.t}
+    and admits a request with one checked {!Timeline.reserve}, so each
+    request costs O(log R + B) on R granted reservations held in B blocks;
+    [Resa_gen.Random_inst.alpha_restricted] admits its reservations through it. *)
 
 type t
 
@@ -14,7 +17,9 @@ type rejection =
   | Too_wide of { q : int; cap : int }
       (** The request alone exceeds the per-instant cap. *)
   | Saturated of { time : int; blocked : int; cap : int }
-      (** Granting it would block more than the cap at [time]. *)
+      (** Granting it would block more than the cap at [time], the first
+          such instant of the window; [blocked] is what the granted
+          reservations block there. *)
 
 val create : ?obs:Resa_obs.Trace.t -> m:int -> alpha:float -> unit -> t
 (** Requires [m >= 1] and [alpha ∈ (0, 1]]. With a live tracer [?obs]
@@ -27,12 +32,15 @@ val cap : t -> int
 
 val request : t -> start:int -> p:int -> q:int -> (Reservation.t, rejection) result
 (** Grant or reject; granted reservations get consecutive ids and are
-    remembered. *)
+    remembered. Raises [Invalid_argument] with {!Reservation.make}'s
+    message, and leaves the book unchanged, when [start < 0], [p < 1] or
+    [q < 1]. *)
 
 val accepted : t -> Reservation.t list
 (** Granted reservations, in grant order. *)
 
 val blocked_profile : t -> Profile.t
-(** Current total blocked capacity over time. *)
+(** Current total blocked capacity over time, built from the timeline
+    (O(segments) per call). *)
 
 val pp_rejection : Format.formatter -> rejection -> unit

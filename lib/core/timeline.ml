@@ -286,21 +286,6 @@ let min_on t ~lo ~hi =
 
 (* --- mutation ------------------------------------------------------------ *)
 
-(* Give the entries of the block at order position [k] from index
-   [bsize / 2] on to a fresh block placed after it; both keep the pending
-   add, so no value is rewritten. *)
-let split_block t k =
-  let b = t.order.(k) in
-  let b' = alloc_block t in
-  let h = bsize / 2 and base = b lsl bshift and n = t.len.(b) in
-  move t (base + h) (b' lsl bshift) (n - h) 0;
-  t.len.(b) <- h;
-  t.len.(b') <- n - h;
-  t.add.(b') <- t.add.(b);
-  refresh t b;
-  refresh t b';
-  insert_block t (k + 1) b'
-
 (* Append block [k+1]'s segments to block [k] and free it. *)
 let merge_blocks t k =
   let a = t.order.(k) and c = t.order.(k + 1) in
@@ -314,12 +299,33 @@ let merge_blocks t k =
   t.mx.(a) <- imax t.mx.(a) t.mx.(c);
   drop_blocks t (k + 1) 1
 
-(* After block [k] shrank: fold it into a neighbour when the two together
-   fill at most half a block, so block count stays within ~4x segments/bsize. *)
+let blen t k = t.len.(t.order.(k))
+
+(* After block [k] shrank or split off: fold it into a neighbour when the two
+   together fill at most half a block, first the next one, then the one before,
+   which may now be small beside the merged block. This keeps every two
+   adjacent blocks above half a block ([check] asserts it), so [k]
+   segments take at most [2k/9 + 1] blocks. *)
 let rebalance t k =
-  let n = t.len.(t.order.(k)) in
-  if k + 1 < t.nb && n + t.len.(t.order.(k + 1)) <= bsize / 2 then merge_blocks t k
-  else if k > 0 && t.len.(t.order.(k - 1)) + n <= bsize / 2 then merge_blocks t (k - 1)
+  if k + 1 < t.nb && blen t k + blen t (k + 1) <= bsize / 2 then merge_blocks t k;
+  if k > 0 && blen t (k - 1) + blen t k <= bsize / 2 then merge_blocks t (k - 1)
+
+(* Give the entries of the block at order position [k] from index
+   [bsize / 2] on to a fresh block placed after it; both keep the pending
+   add, so no value is rewritten. The new block may be small beside the
+   one after it, so it is rebalanced. *)
+let split_block t k =
+  let b = t.order.(k) in
+  let b' = alloc_block t in
+  let h = bsize / 2 and base = b lsl bshift and n = t.len.(b) in
+  move t (base + h) (b' lsl bshift) (n - h) 0;
+  t.len.(b) <- h;
+  t.len.(b') <- n - h;
+  t.add.(b') <- t.add.(b);
+  refresh t b;
+  refresh t b';
+  insert_block t (k + 1) b';
+  rebalance t (k + 1)
 
 (* One block's part of a change of [d], in one shift. The entries at pool
    indices [m, i) gain [d] and move by [s]: with [s = 1] the breakpoint
@@ -756,6 +762,8 @@ let check t =
       hi := imax !hi v
     done;
     if t.mn.(b) <> !lo || t.mx.(b) <> !hi then fail "block %d: stale min/max" k;
+    if k > 0 && blen t (k - 1) + n <= bsize / 2 then
+      fail "blocks %d and %d hold %d segments together" (k - 1) k (blen t (k - 1) + n);
     total := !total + n
   done;
   if !total <> t.nseg then fail "%d segments counted, %d stored" t.nseg !total

@@ -7,7 +7,8 @@
     (adjacent values differ) cut into blocks of at most 16 segments. The
     blocks are slices of pooled int arrays, reached in time order through a
     block index; each keeps its length, a pending add and the min and max
-    of its values. With [k] segments in [B = k/16 .. 4k/16] blocks:
+    of its values. Every two adjacent blocks hold more than 8 segments
+    together, so [k] segments take [B] blocks with [k/16 <= B <= 2k/9 + 1]:
     - locating an instant is a binary search over the blocks' first
       positions, then one inside a block: O(log k), on contiguous memory;
     - {!change} is one pass: it locates its low end, scans forward to its
@@ -213,9 +214,10 @@ val node_count : t -> int
 val check : t -> unit
 (** Verify the representation: segments in strictly increasing order and
     normalised (adjacent values differ), the first one starting at the
-    origin, every block holding 1 to 16 segments with its cached first
-    position, min and max equal to recomputed ones, and {!node_count} equal
-    to the sum of block lengths. Raises [Failure] naming the first broken
+    origin, every block holding 1 to 16 segments and every two adjacent
+    ones more than 8, each block's cached first position, min and max
+    equal to recomputed ones, and {!node_count} equal to the sum of block
+    lengths. Raises [Failure] naming the first broken
     invariant. O(segments); for tests and debugging. *)
 
 val last_breakpoint : t -> int

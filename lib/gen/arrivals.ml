@@ -9,9 +9,3 @@ let poisson rng ~n ~mean_gap =
         t := !t +. Prng.exponential rng ~mean:mean_gap;
         int_of_float !t
       end)
-
-let uniform rng ~n ~horizon =
-  if n < 0 || horizon < 1 then invalid_arg "Arrivals.uniform: bad parameters";
-  let a = Array.init n (fun _ -> Prng.int rng ~bound:horizon) in
-  Array.sort Int.compare a;
-  a

@@ -8,25 +8,20 @@ let alpha_restricted rng ~m ~n ~alpha ~pmax ?n_reservations ?horizon () =
   if not (alpha > 0.0 && alpha <= 1.0) then invalid_arg "Random_inst.alpha_restricted: bad alpha";
   let qmax = int_of_float (alpha *. float_of_int m +. 1e-9) in
   if qmax < 1 then invalid_arg "Random_inst.alpha_restricted: alpha*m < 1";
-  let u_cap = int_of_float ((1.0 -. alpha) *. float_of_int m +. 1e-9) in
   let n_reservations = Option.value n_reservations ~default:(n / 4) in
   let horizon = Option.value horizon ~default:((n * pmax / 2) + 1) in
   let jobs = random_jobs rng ~n ~qmax ~pmax in
-  let reservations = ref [] and u = ref (Profile.constant 0) in
+  let book = Reservation_book.create ~m ~alpha () in
+  let u_cap = Reservation_book.cap book in
   let added = ref 0 and attempts = ref 0 in
   while !added < n_reservations && !attempts < 20 * (n_reservations + 1) && u_cap >= 1 do
     incr attempts;
     let start = Prng.int rng ~bound:horizon in
     let p = Prng.int_incl rng ~lo:1 ~hi:pmax in
     let q = Prng.int_incl rng ~lo:1 ~hi:u_cap in
-    let u' = Profile.change !u ~lo:start ~hi:(start + p) ~delta:q in
-    if Profile.max_value u' <= u_cap then begin
-      u := u';
-      reservations := Reservation.make ~id:!added ~start ~p ~q :: !reservations;
-      incr added
-    end
+    if Result.is_ok (Reservation_book.request book ~start ~p ~q) then incr added
   done;
-  Instance.create_exn ~m ~jobs ~reservations:(List.rev !reservations)
+  Instance.create_exn ~m ~jobs ~reservations:(Reservation_book.accepted book)
 
 let cluster_workload rng ~m ~n ~max_runtime =
   let jobs =

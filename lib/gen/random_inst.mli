@@ -23,8 +23,10 @@ val alpha_restricted :
   Instance.t
 (** Jobs: [q] uniform in [\[1, ⌊αm⌋\]], [p] uniform in [\[1, pmax\]].
     Reservations: up to [n_reservations] (default [n/4]) random windows in
-    [\[0, horizon)] (default [n·pmax/2 + 1]), each kept only if the total
-    unavailability stays within [(1−α)m]. The result always satisfies
+    [\[0, horizon)] (default [n·pmax/2 + 1]), each admitted through a
+    {!Resa_core.Reservation_book} of the same [m] and [alpha], so kept only
+    if the total unavailability stays within [(1−α)m]; the ids are the
+    grant order. The result always satisfies
     [Instance.is_alpha_restricted ~alpha]. Requires [⌊αm⌋ >= 1]. *)
 
 val cluster_workload :

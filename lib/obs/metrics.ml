@@ -107,7 +107,6 @@ let add c n = if !flag then ignore (Atomic.fetch_and_add c.ccell n) [@@inline]
 let value c = Atomic.get c.ccell
 
 let set g v = if !flag then Atomic.set g.gcell v [@@inline]
-let gauge_value g = Atomic.get g.gcell
 
 (* floor(log2 v) + 1 for v >= 1 (bucket upper bound 2^i - 1), 0 for v <= 0. *)
 let bucket_of v =
@@ -131,8 +130,6 @@ let observe h v =
   end
   [@@inline]
 
-let hist_count h = Atomic.get h.hcount
-let hist_sum h = Atomic.get h.hsum
 
 (* --- snapshots ----------------------------------------------------------- *)
 

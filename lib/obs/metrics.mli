@@ -61,8 +61,6 @@ val gauge : string -> gauge
 val set : gauge -> int -> unit
 (** Last-write-wins point-in-time value (queue depth, node count). *)
 
-val gauge_value : gauge -> int
-
 type histogram
 
 val histogram : string -> histogram
@@ -72,9 +70,6 @@ val observe : histogram -> int -> unit
     observations [<= 0], bucket [i >= 1] counts observations in
     [\[2^(i-1), 2^i - 1\]]; 63 buckets cover the whole positive [int]
     range, so nothing is ever out of range. *)
-
-val hist_count : histogram -> int
-val hist_sum : histogram -> int
 
 (** {2 Snapshots} *)
 

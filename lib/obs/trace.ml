@@ -110,8 +110,6 @@ let to_value ?run ev =
   in
   Obj (match run with None -> fields | Some r -> ("run", Str r) :: fields)
 
-let to_json ?run ev = Jsonu.to_string (to_value ?run ev)
-
 let output oc ?run ev =
   Jsonu.output oc (to_value ?run ev);
   output_char oc '\n'

@@ -25,9 +25,8 @@ type provenance =
       (** Fits right now but the policy chose to wait (planning policies). *)
 
 val provenance_to_string : provenance -> string
-(** Stable kebab-case names, used in JSONL, CSV and [resa explain]. *)
-
-val provenance_of_string : string -> provenance option
+(** Stable kebab-case names, used in JSONL, CSV and [resa explain];
+    {!parse_line} reads them back. *)
 
 type event =
   | Job_submit of { time : int; job : int; p : int; q : int }
@@ -74,12 +73,11 @@ val enabled : t -> bool
 
 val emit : t -> event -> unit
 
-val to_json : ?run:string -> event -> string
-(** One JSONL line (no trailing newline). *)
-
 val output : out_channel -> ?run:string -> event -> unit
-(** Write [to_json ?run ev] and a newline to the channel, through
-    {!Jsonu.output}: the line is never made a string. *)
+(** Write [ev] as one JSONL line, run-tagged when [?run] is given, and a
+    newline to the channel, through {!Jsonu.output}: the line is never
+    made a string. *)
 
 val parse_line : string -> (string option * event, string) result
-(** Inverse of {!to_json}: the optional ["run"] tag and the event. *)
+(** Inverse of {!output} (one line, without its newline): the optional
+    ["run"] tag and the event. *)

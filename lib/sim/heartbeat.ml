@@ -108,10 +108,6 @@ let to_json r =
   in
   Obj fields
 
-let strip_wall = function
-  | Jsonu.Obj kvs -> Jsonu.Obj (List.filter (fun (k, _) -> k <> "wall") kvs)
-  | j -> j
-
 let of_json j =
   let ( let* ) o f = Option.bind o f in
   let int k = Option.bind (Jsonu.member k j) Jsonu.to_int in

@@ -5,8 +5,8 @@
     Simulation-data fields — the sampler's counts, the P² wait quantiles,
     utilization and the deterministic registry section — live at the top
     level and are identical across runs and executor pool sizes.
-    Wall-clock enrichment is segregated under the single ["wall"] member
-    ({!strip_wall} removes exactly that key), mirroring the
+    Wall-clock enrichment is segregated under the single ["wall"] member,
+    mirroring the
     [Trace]/[Prof] split: drop ["wall"] and the stream is byte-stable. *)
 
 type wall = {
@@ -42,14 +42,8 @@ val make :
     ["wall."]-prefixed metrics into the [wall] section; [wall] attaches
     the wall-clock block. *)
 
-val to_json : row -> Resa_obs.Jsonu.t
-(** [nan] floats serialise as [null] (JSON has no NaN) and parse back as
-    [nan]. *)
-
 val parse_line : string -> (row, string) result
 
-val strip_wall : Resa_obs.Jsonu.t -> Resa_obs.Jsonu.t
-(** Drop the ["wall"] member — the deterministic view of a row. *)
-
 val write : out_channel -> row -> unit
-(** One JSONL line, with trailing newline. *)
+(** One JSONL line, with trailing newline. [nan] floats serialise as
+    [null] (JSON has no NaN) and parse back as [nan]. *)

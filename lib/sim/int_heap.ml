@@ -5,7 +5,6 @@ type t = { mutable a : int array; mutable len : int }
 let create () = { a = Array.make 24 0; len = 0 }
 let length h = h.len
 let min_key h = h.a.(0)
-let min_tie h = h.a.(1)
 let min_value h = h.a.(2)
 
 let less a i j =

@@ -23,7 +23,6 @@ val min_key : t -> int
 (** Key of the minimum. The three [min_*] readers require a non-empty
     heap; their result is unspecified otherwise. *)
 
-val min_tie : t -> int
 val min_value : t -> int
 
 val drop_min : t -> unit

@@ -108,7 +108,7 @@ val aggressive : t
 (** List scheduling (LSRC): start every queued job that fits, in queue
     order — EASY's backfill scan with no head to protect. With all jobs
     submitted at time 0 this is [Lsrc.run], which runs it so; the
-    differential tests hold it to the Profile oracle. Emits no policy
+    differential tests hold it to the persistent-profile oracle. Emits no policy
     events (the simulator's provenance classification covers it). *)
 
 val all : t list

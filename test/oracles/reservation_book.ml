@@ -1,3 +1,7 @@
+(* The persistent-[Profile] reservation book, oracle of
+   [Resa_core.Reservation_book]: each request rebuilds the blocked profile
+   with [Profile.change] and takes its max over the window. *)
+
 open Resa_core
 module Trace = Resa_obs.Trace
 
@@ -9,7 +13,7 @@ type t = {
   mutable next_id : int;
 }
 
-type rejection =
+type rejection = Reservation_book.rejection =
   | Too_wide of { q : int; cap : int }
   | Saturated of { time : int; blocked : int; cap : int }
 

@@ -185,9 +185,10 @@ let test_arrivals_poisson_sorted () =
     if a.(i) < a.(i - 1) then Alcotest.fail "not sorted"
   done
 
+(* The uniform arrival draw the simulator properties submit with. *)
 let test_arrivals_uniform_sorted_and_bounded () =
   let rng = Prng.create ~seed:25 in
-  let a = Arrivals.uniform rng ~n:50 ~horizon:100 in
+  let a = Tutil.uniform_arrivals rng ~n:50 ~horizon:100 in
   Array.iter (fun t -> if t < 0 || t >= 100 then Alcotest.fail "out of horizon") a;
   for i = 1 to 49 do
     if a.(i) < a.(i - 1) then Alcotest.fail "not sorted"

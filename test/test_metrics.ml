@@ -13,6 +13,17 @@ open Tutil
 
 (* --- registry ------------------------------------------------------------ *)
 
+(* Instruments read through the registry's snapshot. *)
+let gauge_value name =
+  match List.assoc_opt name (M.snapshot ()) with
+  | Some (M.Gauge_v v) -> v
+  | _ -> Alcotest.fail (name ^ " not a gauge in snapshot")
+
+let hist name =
+  match List.assoc_opt name (M.snapshot ()) with
+  | Some (M.Histogram_v h) -> h
+  | _ -> Alcotest.fail (name ^ " not a histogram in snapshot")
+
 let test_counter_gauge_basics () =
   with_metrics (fun () ->
       let c = M.counter "test.c" in
@@ -22,7 +33,7 @@ let test_counter_gauge_basics () =
       M.set g 7;
       M.set g 3;
       Alcotest.(check int) "counter accumulates" 5 (M.value c);
-      Alcotest.(check int) "gauge last-write-wins" 3 (M.gauge_value g);
+      Alcotest.(check int) "gauge last-write-wins" 3 (gauge_value "test.g");
       M.reset ();
       Alcotest.(check int) "reset zeroes" 0 (M.value c))
 
@@ -34,7 +45,7 @@ let test_disabled_path_noop () =
       M.add c 10;
       M.observe h 42;
       Alcotest.(check int) "disabled counter untouched" 0 (M.value c);
-      Alcotest.(check int) "disabled histogram untouched" 0 (M.hist_count h))
+      Alcotest.(check int) "disabled histogram untouched" 0 (hist "test.off.h").M.count)
 
 let test_kind_mismatch_raises () =
   with_metrics (fun () ->
@@ -43,10 +54,7 @@ let test_kind_mismatch_raises () =
         (Invalid_argument "Metrics: \"test.kind\" already registered with another kind")
         (fun () -> ignore (M.gauge "test.kind")))
 
-let hist_buckets name =
-  match List.assoc_opt name (M.snapshot ()) with
-  | Some (M.Histogram_v h) -> h.M.buckets
-  | _ -> Alcotest.fail (name ^ " not a histogram in snapshot")
+let hist_buckets name = (hist name).M.buckets
 
 let test_histogram_boundaries () =
   (* Golden bucket placement at the power-of-two boundaries: bucket 0 is
@@ -72,8 +80,8 @@ let test_histogram_boundaries () =
         "non-positive -> le 0"
         [ (0, 2); (1, 3); (3, 5); (7, 6) ]
         (hist_buckets "test.hist");
-      Alcotest.(check int) "count" 6 (M.hist_count h);
-      Alcotest.(check int) "sum" 5 (M.hist_sum h);
+      Alcotest.(check int) "count" 6 (hist "test.hist").M.count;
+      Alcotest.(check int) "sum" 5 (hist "test.hist").M.sum;
       let h2 = M.histogram "test.hist2" in
       M.observe h2 1024;
       Alcotest.(check (list (pair int int)))
@@ -84,12 +92,7 @@ let test_histogram_boundaries () =
         [ (1023, 1); (2047, 2) ]
         (hist_buckets "test.hist2");
       M.observe h2 max_int;
-      Alcotest.(check int) "max_int lands in the last bucket" 3 (M.hist_count h2))
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
+      Alcotest.(check int) "max_int lands in the last bucket" 3 (hist "test.hist2").M.count)
 
 let test_expose_format () =
   with_metrics (fun () ->
@@ -227,9 +230,7 @@ let test_gc_cliff () =
         Simulator.{ job = a.job; submit = a.submit; estimate = a.estimate })
       arrivals
   in
-  let jsonl events =
-    String.concat "\n" (List.map (Resa_obs.Trace.to_json ~run:"x") (events ()))
-  in
+  let jsonl events = Tutil.trace_text ~run:"x" (events ()) in
   List.iter
     (fun ((policy : Policy.t), counter) ->
       let streamed, streamed_events = Tutil.recorder () in
@@ -257,8 +258,7 @@ let test_traced_replay_byte_identical_off () =
     let doit () =
       let obs, obs_events = Tutil.recorder () in
       ignore (Simulator.run_stream ~obs ~policy:Policy.easy ~m:16 (feed (arrivals ~n:200 ())));
-      String.concat "\n"
-        (List.map (Resa_obs.Trace.to_json ~run:"x") (obs_events ()))
+      Tutil.trace_text ~run:"x" (obs_events ())
     in
     if enabled then with_metrics doit else without_metrics doit
   in
@@ -287,8 +287,8 @@ let test_heartbeat_sampler () =
          wall section, absent here). *)
       M.reset ();
       let _, rows2 = run_with_heartbeats ~heartbeat_every:64 Policy.fcfs in
-      let jsons rs = List.map (fun r -> Resa_obs.Jsonu.to_string (H.to_json r)) rs in
-      Alcotest.(check (list string)) "byte-stable rows" (jsons rows) (jsons rows2))
+      let jsonl rs = written (fun oc -> List.iter (H.write oc) rs) in
+      Alcotest.(check string) "byte-stable rows" (jsonl rows) (jsonl rows2))
 
 let test_heartbeat_roundtrip () =
   let hb =
@@ -323,7 +323,7 @@ let test_heartbeat_roundtrip () =
           };
     }
   in
-  let line = Resa_obs.Jsonu.to_string (H.to_json row) in
+  let line = String.trim (written (fun oc -> H.write oc row)) in
   (match H.parse_line line with
   | Error e -> Alcotest.fail e
   | Ok r ->
@@ -339,8 +339,13 @@ let test_heartbeat_roundtrip () =
        && a.H.rss_mb = None && a.H.wall_metrics = b.H.wall_metrics)
     | _ -> Alcotest.fail "wall lost"));
   (* The deterministic view drops exactly the wall member. *)
-  let stripped = Resa_obs.Jsonu.to_string (H.strip_wall (H.to_json row)) in
-  Alcotest.(check bool) "strip_wall removes wall" true (not (contains ~sub:"wall" stripped));
+  let stripped =
+    match Resa_obs.Jsonu.of_string line with
+    | Ok (Resa_obs.Jsonu.Obj kvs) ->
+      Resa_obs.Jsonu.to_string (Resa_obs.Jsonu.Obj (List.filter (fun (k, _) -> k <> "wall") kvs))
+    | _ -> Alcotest.fail "row is not a JSON object"
+  in
+  Alcotest.(check bool) "dropping wall removes wall" true (not (contains ~sub:"wall" stripped));
   match H.parse_line stripped with
   | Ok r -> Alcotest.(check bool) "stripped row parses" true (r.H.wall = None)
   | Error e -> Alcotest.fail e

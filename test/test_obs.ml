@@ -26,7 +26,7 @@ let workload ?(seed = 77) ?(n = 25) ?(m = 8) () =
 let event_stream ~policy ~name ~m ~reservations subs =
   let obs, obs_events = Tutil.recorder () in
   let trace = Simulator.run ~obs ~policy ~m ~reservations subs in
-  (trace, String.concat "\n" (List.map (Trace.to_json ~run:name) (obs_events ())))
+  (trace, Tutil.trace_text ~run:name (obs_events ()))
 
 (* --- sinks -------------------------------------------------------------- *)
 
@@ -66,7 +66,7 @@ let all_constructors =
 let test_jsonl_roundtrip () =
   List.iter
     (fun ev ->
-      let line = Trace.to_json ~run:"r1" ev in
+      let line = Tutil.trace_line ~run:"r1" ev in
       match Trace.parse_line line with
       | Ok (run, ev') ->
         Alcotest.(check (option string)) "run tag" (Some "r1") run;
@@ -74,7 +74,7 @@ let test_jsonl_roundtrip () =
       | Error e -> Alcotest.failf "parse %s: %s" line e)
     all_constructors;
   (* Untagged lines round-trip too. *)
-  let line = Trace.to_json (List.hd all_constructors) in
+  let line = Tutil.trace_line (List.hd all_constructors) in
   match Trace.parse_line line with
   | Ok (None, ev') ->
     Alcotest.(check bool) "untagged" true (List.hd all_constructors = ev')
@@ -102,11 +102,17 @@ let test_sink_sees_every_event () =
   Alcotest.(check int) "one finish per job" 40 !finishes
 
 let test_provenance_strings () =
+  (* Each name is what a start's line carries, and it parses back. *)
   List.iter
     (fun p ->
-      match Trace.provenance_of_string (Trace.provenance_to_string p) with
-      | Some p' -> Alcotest.(check bool) "provenance round-trip" true (p = p')
-      | None -> Alcotest.fail "unparseable provenance")
+      let ev = Trace.Job_start { time = 1; job = 2; wait = 0; provenance = p } in
+      let line = Tutil.trace_line ev in
+      let name = "\"" ^ Trace.provenance_to_string p ^ "\"" in
+      Alcotest.(check bool) ("line names " ^ name) true
+        (Tutil.contains ~sub:name line);
+      match Trace.parse_line line with
+      | Ok (_, ev') -> Alcotest.(check bool) "provenance round-trip" true (ev = ev')
+      | Error e -> Alcotest.fail e)
     [
       Trace.Started_now;
       Trace.Backfilled_ahead_of_head;
@@ -338,11 +344,6 @@ let test_empty_summary_is_explicit () =
 
 (* --- enriched policy errors --------------------------------------------- *)
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 let test_policy_error_messages () =
   let overcommit =
     Policy.
@@ -364,7 +365,7 @@ let test_policy_error_messages () =
     List.iter
       (fun sub ->
         Alcotest.(check bool) (Printf.sprintf "capacity msg has %S" sub) true
-          (contains ~sub msg))
+          (Tutil.contains ~sub msg))
       [ "ROGUE"; "at t=0"; "window [0,2)"; "needs 2" ]
   | _ -> Alcotest.fail "capacity violation not caught");
   (* A start must name, once, a tag the queue holds now. [answer ~seen
@@ -392,7 +393,7 @@ let test_policy_error_messages () =
     | exception Simulator.Policy_error msg ->
       List.iter
         (fun sub ->
-          Alcotest.(check bool) (Printf.sprintf "%s msg has %S" name sub) true (contains ~sub msg))
+          Alcotest.(check bool) (Printf.sprintf "%s msg has %S" name sub) true (Tutil.contains ~sub msg))
         [ name; "at t="; "not in the queue" ]
     | _ -> Alcotest.failf "%s start not caught" name
   in
@@ -447,7 +448,7 @@ let test_failed_decision_rolls_back () =
             List.iter
               (fun sub ->
                 Alcotest.(check bool) (Printf.sprintf "raise msg has %S" sub) true
-                  (contains ~sub msg))
+                  (Tutil.contains ~sub msg))
               [ "RAISER"; "t=3"; "planner bug" ];
             resolved ()
           | _ -> Alcotest.fail "policy exception not reported"))
@@ -498,7 +499,7 @@ let test_commit_rule_refuses_unproven_logs () =
           List.iter
             (fun sub ->
               Alcotest.(check bool) (Printf.sprintf "%s msg has %S" name sub) true
-                (contains ~sub msg))
+                (Tutil.contains ~sub msg))
             (name :: "at t=0" :: expect);
           Alcotest.(check int) (name ^ ": every checkpoint resolved")
             (Tutil.counter "timeline.checkpoint")
@@ -733,7 +734,7 @@ let test_prof_counters () =
       Alcotest.(check bool) "spans recorded" true
         (List.exists (fun s -> s.Prof.name = "simulate/LSRC") (Prof.spans ()));
       Alcotest.(check bool) "engine counts reach the exposition" true
-        (contains ~sub:"resa_timeline_checkpoint " (Registry.expose ()));
+        (Tutil.contains ~sub:"resa_timeline_checkpoint " (Registry.expose ()));
       Prof.reset ();
       Alcotest.(check int) "reset zeroes counters" 0 (find "policy.decide.LSRC");
       Alcotest.(check (list reject)) "reset drops spans" [] (Prof.spans ()))
@@ -780,7 +781,7 @@ let test_explain_render () =
   List.iter
     (fun sub ->
       Alcotest.(check bool) (Printf.sprintf "explain mentions %S" sub) true
-        (contains ~sub out))
+        (Tutil.contains ~sub out))
     [ "== FCFS =="; "== EASY =="; "decisions:"; "job 0"; "started" ]
 
 (* --- executor busy accounting ---------------------------------------------- *)

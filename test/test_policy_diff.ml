@@ -32,7 +32,7 @@ let workload_of_seed seed =
   in
   (n, subs, Array.to_list (Instance.reservations inst))
 
-let stream events = String.concat "\n" (List.map Trace.to_json (events ()))
+let stream events = Tutil.trace_text (events ())
 
 let run_traced ~policy ~m ~reservations subs =
   let obs, obs_events = Tutil.recorder () in

@@ -185,7 +185,7 @@ let prop_earliest_fit_is_sound_and_minimal =
 
 let prop_reserve_integral =
   Tutil.qcheck "reserve removes exactly need*dur area" Tutil.seed_arb (fun s ->
-      let p = Profile.add_const (Tutil.profile_of_seed s) 5 in
+      let p = Profile.add (Tutil.profile_of_seed s) (Profile.constant 5) in
       let hi = Profile.last_breakpoint p + 20 in
       match Profile.earliest_fit p ~from:0 ~dur:4 ~need:2 with
       | None -> true

@@ -181,7 +181,7 @@ let prop_all_policies_sound =
     (fun (s1, s2) ->
       let rng = Prng.create ~seed:s1 in
       let inst = Resa_gen.Random_inst.alpha_restricted rng ~m:8 ~n:8 ~alpha:0.5 ~pmax:5 () in
-      let arr = Resa_gen.Arrivals.uniform (Prng.create ~seed:s2) ~n:8 ~horizon:20 in
+      let arr = Tutil.uniform_arrivals (Prng.create ~seed:s2) ~n:8 ~horizon:20 in
       let subs =
         List.init 8 (fun i -> Tutil.exact (Instance.job inst i) arr.(i))
       in
@@ -281,6 +281,69 @@ let test_book_keeps_alpha_restriction () =
   in
   Alcotest.(check bool) "alpha-restricted" true (Instance.is_alpha_restricted inst ~alpha:0.5)
 
+let test_book_checks_input_first () =
+  (* A bad request raises Reservation.make's message and leaves the book as
+     it was: no grant, no id spent, no trace event. *)
+  let obs, events = Tutil.recorder () in
+  let book = Reservation_book.create ~obs ~m:10 ~alpha:0.6 () in
+  ignore (Reservation_book.request book ~start:0 ~p:5 ~q:3);
+  let before = Reservation_book.blocked_profile book in
+  List.iter
+    (fun (start, p, q) ->
+      let expected =
+        match Reservation.make ~id:1 ~start ~p ~q with
+        | _ -> Alcotest.fail "Reservation.make accepted a bad reservation"
+        | exception Invalid_argument msg -> msg
+      in
+      (match Reservation_book.request book ~start ~p ~q with
+      | _ -> Alcotest.failf "request ~start:%d ~p:%d ~q:%d returned" start p q
+      | exception Invalid_argument msg -> Alcotest.(check string) "message" expected msg);
+      Alcotest.(check int) "accepted unchanged" 1 (List.length (Reservation_book.accepted book));
+      Alcotest.(check bool) "blocked unchanged" true
+        (Profile.equal before (Reservation_book.blocked_profile book)))
+    [ (-1, 5, 1); (-3, 0, 0); (0, 0, 1); (2, -4, 1); (0, 5, 0); (0, 5, -3); (4, 2, -9) ];
+  Alcotest.(check int) "one event" 1 (List.length (events ()));
+  match Reservation_book.request book ~start:10 ~p:2 ~q:1 with
+  | Ok r -> Alcotest.(check int) "next id" 1 (Reservation.id r)
+  | Error e -> Alcotest.failf "rejected: %a" Reservation_book.pp_rejection e
+
+(* The timeline book against the persistent-profile oracle on random request
+   streams, rejections of both kinds included: the same results (the
+   Saturated instant and blocked count too), texts, events, grants and
+   blocked profile after every request. *)
+let prop_book_matches_oracle =
+  let module O = Resa_oracles.Reservation_book in
+  Tutil.qcheck ~count:300 "book = Profile book on random requests" Tutil.seed_arb (fun seed ->
+      let rng = Prng.create ~seed in
+      let m = Prng.int_incl rng ~lo:1 ~hi:32 in
+      let alpha = float_of_int (Prng.int_incl rng ~lo:1 ~hi:10) /. 10.0 in
+      let obs, events = Tutil.recorder () and obs', events' = Tutil.recorder () in
+      let book = Reservation_book.create ~obs ~m ~alpha () in
+      let oracle = O.create ~obs:obs' ~m ~alpha () in
+      let cap = Reservation_book.cap book in
+      let text = function
+        | Ok r -> Reservation.to_string r
+        | Error e -> Format.asprintf "%a" Reservation_book.pp_rejection e
+      and text' = function
+        | Ok r -> Reservation.to_string r
+        | Error e -> Format.asprintf "%a" O.pp_rejection e
+      in
+      let same = ref (cap = O.cap oracle) in
+      for _ = 1 to Prng.int_incl rng ~lo:1 ~hi:80 do
+        let start = Prng.int rng ~bound:60 in
+        let p = Prng.int_incl rng ~lo:1 ~hi:20 in
+        let q = Prng.int_incl rng ~lo:1 ~hi:(cap + 2) in
+        let a = Reservation_book.request book ~start ~p ~q in
+        let b = O.request oracle ~start ~p ~q in
+        same :=
+          !same && a = b
+          && text a = text' b
+          && Profile.equal (Reservation_book.blocked_profile book) (O.blocked_profile oracle)
+      done;
+      !same
+      && Reservation_book.accepted book = O.accepted oracle
+      && events () = events' ())
+
 (* --- walltime estimates --- *)
 
 let test_estimated_equals_exact_when_accurate () =
@@ -330,7 +393,7 @@ let prop_estimated_executions_feasible =
         Array.init 10 (fun i ->
             Job.p (Instance.job inst i) * Prng.int_incl erng ~lo:1 ~hi:4)
       in
-      let arr = Resa_gen.Arrivals.uniform erng ~n:10 ~horizon:25 in
+      let arr = Tutil.uniform_arrivals erng ~n:10 ~horizon:25 in
       let subs =
         List.init 10 (fun i ->
             Simulator.{ job = Instance.job inst i; submit = arr.(i); estimate = estimates.(i) })
@@ -369,8 +432,8 @@ let test_exhausted_source_not_repolled () =
       Alcotest.(check int) (policy.name ^ ": source calls") 31 !calls;
       let obs_b, obs_b_events = Tutil.recorder () in
       ignore (Simulator.run ~obs:obs_b ~policy ~m:8 ~reservations subs : Simulator.trace);
-      let jsonl events = List.map Resa_obs.Trace.to_json (events ()) in
-      Alcotest.(check (list string)) (policy.name ^ ": trace") (jsonl obs_b_events)
+      let jsonl events = Tutil.trace_text (events ()) in
+      Alcotest.(check string) (policy.name ^ ": trace") (jsonl obs_b_events)
         (jsonl obs_s_events))
     Policy.all
 
@@ -406,4 +469,6 @@ let suite =
     Alcotest.test_case "book rejects too-wide" `Quick test_book_rejects_too_wide;
     Alcotest.test_case "book rejects saturation" `Quick test_book_rejects_saturation;
     Alcotest.test_case "book preserves alpha-restriction" `Quick test_book_keeps_alpha_restriction;
+    Alcotest.test_case "book checks its input first" `Quick test_book_checks_input_first;
+    prop_book_matches_oracle;
   ]

@@ -291,14 +291,12 @@ let reserved_replay_digest (policy : Policy.t) =
     (Simulator.run_stream ~obs ~heartbeat_every:10 ~on_heartbeat
        ~on_record:(Metrics.Stream.observe ms) ~policy ~m:32 ~reservations next
       : Simulator.stream_stats);
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun e -> Buffer.add_string buf (Resa_obs.Trace.to_json e ^ "\n"))
-    (obs_events ());
-  List.iter
-    (fun r -> Buffer.add_string buf (Resa_obs.Jsonu.to_string (Heartbeat.to_json r) ^ "\n"))
-    (List.rev !rows);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  let text =
+    Tutil.written (fun oc ->
+        List.iter (Resa_obs.Trace.output oc) (obs_events ());
+        List.iter (Heartbeat.write oc) (List.rev !rows))
+  in
+  Digest.to_hex (Digest.string text)
 
 (* Any change to the engine, its tracing or its heartbeat sampler that
    moves one event or one row of these runs shows here. *)

@@ -13,7 +13,7 @@ let oracle_unavail reservations =
        (fun r -> [ (Reservation.start r, Reservation.q r); (Reservation.stop r, -Reservation.q r) ])
        reservations)
 
-let oracle_avail ~m reservations = Profile.add_const (Profile.neg (oracle_unavail reservations)) m
+let oracle_avail ~m reservations = Profile.add (Profile.neg (oracle_unavail reservations)) (Profile.constant m)
 
 (* [Instance.create]'s checks before the sweep, in their order. *)
 let oracle_error ~m ~jobs ~reservations =
@@ -140,7 +140,7 @@ let prop_engine seed =
       (function
         | Resa_obs.Trace.Decision { time; policy = "probe"; queued = 0; started = 0; wake = None } ->
           time
-        | e -> QCheck.Test.fail_reportf "unexpected event %s" (Resa_obs.Trace.to_json e))
+        | e -> QCheck.Test.fail_reportf "unexpected event %s" (Tutil.trace_line e))
       (obs_events ())
   in
   if Array.of_list decisions <> bps then

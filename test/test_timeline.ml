@@ -690,6 +690,32 @@ let same_schedule name policy reference seed =
       a = b)
     [ Resa_algos.Priority.Fifo; Resa_algos.Priority.Random seed ]
 
+(* [check] holds every two adjacent blocks above half a block. Two layouts
+   that need [rebalance]'s both folds: a merge with the next block that
+   leaves the merged block small beside the previous one, and a split that
+   cuts off a small block beside a small last block. *)
+let test_blocks_stay_full () =
+  (* 25 segments in blocks of 12, 12 and 1. Flattening a segment between
+     two equal ones drops two breakpoints: block 0 goes to 2, block 1 to 8,
+     then block 0 to 1, so the blocks hold 1, 8 and 1. Dropping two more
+     from block 1 leaves 6, folded into the last block to make 7, which
+     must then be folded into block 0. *)
+  let n = 25 in
+  let tl, _ = striped n in
+  let step lo hi delta segments =
+    Timeline.change tl ~lo ~hi ~delta;
+    Timeline.check tl;
+    Alcotest.(check int) (Printf.sprintf "segments after [%d, %d)" lo hi) segments
+      (Timeline.node_count tl)
+  in
+  List.iteri (fun k i -> step (10 * i) ((10 * i) + 10) (-10) (23 - (2 * k))) [ 1; 3; 5; 7; 9 ];
+  step 130 140 (-10) 13;
+  step 150 160 (-10) 11;
+  step 0 110 10 10;
+  step 190 200 (-10) 8;
+  (* A seed whose split cuts off 7 segments beside a 1-segment last block. *)
+  Alcotest.(check bool) "split beside a small block" true (change_paths_agree 2113754420272688638)
+
 let suite =
   [
     Alcotest.test_case "constant timeline" `Quick test_constant;
@@ -729,4 +755,5 @@ let suite =
       change_paths_agree;
     Tutil.qcheck ~count:1000 "reserve_or_fit = reserve || earliest_fit_at" Tutil.seed_arb
       reserve_or_fit_agrees;
+    Alcotest.test_case "blocks stay over half full beside small ones" `Quick test_blocks_stay_full;
   ]

@@ -93,13 +93,42 @@ let profile_of_seed seed =
   let p = Profile.of_events ~base deltas in
   (* Shift up so it is capacity-like (non-negative). *)
   let lift = max 0 (-Profile.min_value p) in
-  Profile.add_const p lift
+  Profile.add p (Profile.constant lift)
 
 (* A trace sink that keeps every event it is handed, and a reader of what it
    kept so far, in emission order. *)
 let recorder () =
   let events = ref [] in
   (Resa_obs.Trace.sink (fun ev -> events := ev :: !events), fun () -> List.rev !events)
+
+(* Whether [sub] occurs in [s]. *)
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
+(* [n] sorted arrival times uniform over [\[0, horizon)]. *)
+let uniform_arrivals rng ~n ~horizon =
+  let a = Array.init n (fun _ -> Prng.int rng ~bound:horizon) in
+  Array.sort Int.compare a;
+  a
+
+(* What a writer puts on a channel, read back from a temporary file. *)
+let written f =
+  let path = Filename.temp_file "resa_test" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path f;
+      In_channel.with_open_bin path In_channel.input_all)
+
+(* Trace events as the JSONL text [Trace.output] writes, a newline after
+   each line; [trace_line] is one event's line without it. *)
+let trace_text ?run events = written (fun oc -> List.iter (Resa_obs.Trace.output oc ?run) events)
+
+let trace_line ?run ev =
+  let s = trace_text ?run [ ev ] in
+  String.sub s 0 (String.length s - 1)
 
 (* An arrival whose walltime request is exact. *)
 let exact job submit = Resa_sim.Simulator.{ job; submit; estimate = Job.p job }
