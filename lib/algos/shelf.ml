@@ -34,6 +34,8 @@ let build variant inst =
     order;
   List.rev !shelves
 
+let shelves variant inst = List.map (fun s -> List.rev s.members) (build variant inst)
+
 let run variant inst =
   let n = Instance.n_jobs inst in
   let starts = Array.make n 0 in

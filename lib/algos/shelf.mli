@@ -23,3 +23,8 @@ type variant = Nfdh | Ffdh
 val run : variant -> Instance.t -> Schedule.t
 (** Feasible for any instance (reservation-aware stacking as described
     above). *)
+
+val shelves : variant -> Instance.t -> int list list
+(** The shelf partition (lists of job indices), before time placement —
+    exposed for tests: widths must respect [m], heights are non-increasing
+    in LPT order within the construction. *)

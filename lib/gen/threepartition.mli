@@ -12,8 +12,6 @@ val make : xs:int array -> b:int -> (t, string) result
 (** Checks [|xs|] is a positive multiple of 3, all [xs] positive, and
     [Σ xs = (|xs|/3)·b]. *)
 
-val make_exn : xs:int array -> b:int -> t
-
 val k : t -> int
 (** Number of triples. *)
 

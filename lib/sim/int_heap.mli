@@ -20,7 +20,7 @@ val length : t -> int
 val push : t -> key:int -> tie:int -> int -> unit
 
 val min_key : t -> int
-(** Key of the minimum. The three [min_*] readers require a non-empty
+(** Key of the minimum. Both [min_*] readers require a non-empty
     heap; their result is unspecified otherwise. *)
 
 val min_value : t -> int

@@ -76,30 +76,31 @@ let int_heap_matches_model seed =
   let h = Int_heap.create () in
   let model = ref [] in
   let ok = ref true in
+  let model_min () =
+    List.fold_left (fun a b -> if compare b a < 0 then b else a) (List.hd !model) !model
+  in
   let check_min () =
     match !model with
     | [] -> if Int_heap.length h <> 0 then ok := false
     | _ ->
-      let k, _, v =
-        List.fold_left (fun a b -> if compare b a < 0 then b else a) (List.hd !model) !model
-      in
+      let k, _, v = model_min () in
       if Int_heap.min_key h <> k || Int_heap.min_value h <> v then ok := false
   in
   for step = 0 to 400 do
     if Prng.int rng ~bound:100 < 60 || !model = [] then begin
-      (* Unique ties in random order, so the model's minimum is unambiguous;
-         the value is the tie, so reading it tells which entry is first. *)
+      (* Unique ties in random order, so the model's minimum is unambiguous. *)
       let key = Prng.int rng ~bound:20 and tie = (Prng.int rng ~bound:1000 * 1000) + step in
-      let value = tie in
+      let value = Prng.int rng ~bound:1_000_000 in
       Int_heap.push h ~key ~tie value;
       model := (key, tie, value) :: !model
     end
     else begin
-      let k = Int_heap.min_key h and v = Int_heap.min_value h in
+      (* [check_min] has matched the heap's minimum to this tuple. *)
+      let least = model_min () in
       Int_heap.drop_min h;
       let rec remove = function
         | [] -> []
-        | x :: rest -> if x = (k, v, v) then rest else x :: remove rest
+        | x :: rest -> if x = least then rest else x :: remove rest
       in
       model := remove !model
     end;

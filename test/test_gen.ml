@@ -14,13 +14,13 @@ let test_tp_validation () =
   | Ok _ -> Alcotest.fail "bad sum accepted"
 
 let test_tp_solver_yes () =
-  let tp = Threepartition.make_exn ~xs:[| 4; 3; 3; 5; 4; 1 |] ~b:10 in
+  let tp = Result.get_ok (Threepartition.make ~xs:[| 4; 3; 3; 5; 4; 1 |] ~b:10) in
   match Threepartition.solve tp with
   | None -> Alcotest.fail "solvable instance declared NO"
   | Some groups -> Alcotest.(check bool) "assignment valid" true (Threepartition.check_assignment tp groups)
 
 let test_tp_solver_no () =
-  let tp = Threepartition.make_exn ~xs:[| 5; 5; 5; 1; 2; 2 |] ~b:10 in
+  let tp = Result.get_ok (Threepartition.make ~xs:[| 5; 5; 5; 1; 2; 2 |] ~b:10) in
   Alcotest.(check bool) "NO detected" false (Threepartition.is_yes tp)
 
 let test_tp_random_yes_solvable () =
@@ -31,7 +31,7 @@ let test_tp_random_yes_solvable () =
   done
 
 let test_tp_check_assignment_rejects () =
-  let tp = Threepartition.make_exn ~xs:[| 4; 3; 3; 5; 4; 1 |] ~b:10 in
+  let tp = Result.get_ok (Threepartition.make ~xs:[| 4; 3; 3; 5; 4; 1 |] ~b:10) in
   Alcotest.(check bool) "wrong grouping rejected" false
     (Threepartition.check_assignment tp [| 0; 0; 0; 0; 1; 1 |])
 

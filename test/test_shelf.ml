@@ -1,27 +1,11 @@
 open Resa_core
 open Resa_algos
 
-(* The shelf partition, read off [Shelf.run]'s schedule of a
-   reservation-free instance: shelves are stacked one after another, so the
-   jobs of a shelf are exactly those that start together. Shelves in time
-   order, each with its jobs by index. *)
-let shelves variant inst =
-  let s = Shelf.run variant inst in
-  let starts = List.init (Instance.n_jobs inst) (fun i -> (Schedule.start s i, i)) in
-  List.sort compare starts
-  |> List.fold_left
-       (fun acc (t, i) ->
-         match acc with
-         | (t', js) :: rest when t' = t -> (t, i :: js) :: rest
-         | _ -> (t, [ i ]) :: acc)
-       []
-  |> List.rev_map (fun (_, js) -> List.rev js)
-
 let test_nfdh_shelves () =
   (* LPT order: p=5(q2), p=4(q2), p=3(q3), p=2(q1). m=4.
      NFDH: shelf1 {j0,j1} (width 4), j2 opens shelf2, j3 joins shelf2. *)
   let inst = Instance.of_sizes ~m:4 [ (5, 2); (4, 2); (3, 3); (2, 1) ] in
-  let shelves = shelves Shelf.Nfdh inst in
+  let shelves = Shelf.shelves Shelf.Nfdh inst in
   Alcotest.(check (list (list int))) "partition" [ [ 0; 1 ]; [ 2; 3 ] ] shelves
 
 let test_ffdh_reuses_open_shelves () =
@@ -29,9 +13,9 @@ let test_ffdh_reuses_open_shelves () =
      p=5(q2), p=4(q3), p=3(q2): NFDH -> 3 shelves, FFDH -> j2 joins shelf 1. *)
   let inst = Instance.of_sizes ~m:4 [ (5, 2); (4, 3); (3, 2) ] in
   Alcotest.(check (list (list int))) "NFDH opens three" [ [ 0 ]; [ 1 ]; [ 2 ] ]
-    (shelves Shelf.Nfdh inst);
+    (Shelf.shelves Shelf.Nfdh inst);
   Alcotest.(check (list (list int))) "FFDH reuses the first" [ [ 0; 2 ]; [ 1 ] ]
-    (shelves Shelf.Ffdh inst)
+    (Shelf.shelves Shelf.Ffdh inst)
 
 let test_shelf_schedule_structure () =
   let inst = Instance.of_sizes ~m:4 [ (5, 2); (4, 2); (3, 3); (2, 1) ] in
@@ -60,7 +44,7 @@ let test_width_never_exceeded () =
           let w = List.fold_left (fun acc i -> acc + Job.q (Instance.job inst i)) 0 shelf in
           let name = match v with Shelf.Nfdh -> "NFDH" | Shelf.Ffdh -> "FFDH" in
           Alcotest.(check bool) (name ^ " width ok") true (w <= 3))
-        (shelves v inst))
+        (Shelf.shelves v inst))
     [ Shelf.Nfdh; Shelf.Ffdh ]
 
 let prop_feasible =
@@ -72,13 +56,13 @@ let prop_feasible =
 let prop_partition_complete =
   Tutil.qcheck "shelves partition the job set" Tutil.seed_arb (fun seed ->
       let inst = Tutil.small_rigid_of_seed seed in
-      let all = List.concat (shelves Shelf.Ffdh inst) in
+      let all = List.concat (Shelf.shelves Shelf.Ffdh inst) in
       List.sort Int.compare all = List.init (Instance.n_jobs inst) Fun.id)
 
 let prop_ffdh_no_more_shelves =
   Tutil.qcheck "FFDH never uses more shelves than NFDH" Tutil.seed_arb (fun seed ->
       let inst = Tutil.small_rigid_of_seed seed in
-      List.length (shelves Shelf.Ffdh inst) <= List.length (shelves Shelf.Nfdh inst))
+      List.length (Shelf.shelves Shelf.Ffdh inst) <= List.length (Shelf.shelves Shelf.Nfdh inst))
 
 let prop_shelf_never_beats_optimum =
   Tutil.qcheck ~count:100 "shelf >= exact optimum" Tutil.seed_arb (fun seed ->

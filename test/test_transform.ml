@@ -110,7 +110,7 @@ let test_three_partition_reduction_no () =
      all: a strict NO instance, with every element inside (B/4, B/2) as
      3-PARTITION requires. *)
   let xs = [| 4; 4; 4; 4; 4; 6 |] in
-  let tp = Threepartition.make_exn ~xs ~b:13 in
+  let tp = Result.get_ok (Threepartition.make ~xs ~b:13) in
   Alcotest.(check bool) "really a NO instance" false (Threepartition.is_yes tp);
   let inst = Transform.of_three_partition ~xs ~b:13 ~rho:2 in
   let r = Resa_exact.Bnb.solve inst in
