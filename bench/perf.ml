@@ -39,11 +39,12 @@ let profile_tests () =
   let inst = workload 500 in
   let sched = Resa_algos.Lsrc.run inst in
   let usage = Schedule.usage inst sched in
+  let usage_timeline = Timeline.of_profile usage in
   [
     Test.make ~name:"profile/usage-build/n=500"
       (Staged.stage (fun () -> ignore (Schedule.usage inst sched)));
-    Test.make ~name:"profile/earliest-fit"
-      (Staged.stage (fun () -> ignore (Profile.earliest_fit usage ~from:0 ~dur:50 ~need:100)));
+    Test.make ~name:"timeline/earliest-fit"
+      (Staged.stage (fun () -> ignore (Timeline.earliest_fit_at usage_timeline ~from:0 ~dur:50 ~need:100)));
     Test.make ~name:"profile/integral"
       (Staged.stage (fun () -> ignore (Profile.integral_on usage ~lo:0 ~hi:10_000)));
   ]

@@ -10,15 +10,14 @@ let easy ?(priority = Priority.Fifo) inst =
 let no_earlier_job_delayed inst order sched =
   (* Replan each prefix; every job must sit exactly at its earliest fit given
      only its predecessors in the queue. *)
-  let free = ref (Instance.availability inst) in
+  let free = Timeline.of_profile (Instance.availability inst) in
   let ok = ref true in
   Array.iter
     (fun i ->
       let j = Instance.job inst i in
       let s = Schedule.start sched i in
-      (match Profile.earliest_fit !free ~from:0 ~dur:(Job.p j) ~need:(Job.q j) with
-      | Some e when e = s -> ()
-      | _ -> ok := false);
-      if !ok then free := Profile.reserve !free ~start:s ~dur:(Job.p j) ~need:(Job.q j))
+      let dur = Job.p j and need = Job.q j in
+      let earliest = Timeline.earliest_fit_at free ~from:0 ~dur ~need in
+      ok := !ok && s >= 0 && earliest = s && Timeline.reserve free ~start:s ~dur ~need)
     order;
   !ok

@@ -39,15 +39,16 @@ let shelves variant inst = List.map (fun s -> List.rev s.members) (build variant
 let run variant inst =
   let n = Instance.n_jobs inst in
   let starts = Array.make n 0 in
-  let free = ref (Instance.availability inst) in
+  let free = Timeline.of_profile (Instance.availability inst) in
   let from = ref 0 in
   List.iter
     (fun s ->
       if s.members <> [] then begin
         (* Stack the whole shelf as one m-wide, height-tall block. *)
         let need = Instance.m inst in
-        let t = Option.get (Profile.earliest_fit !free ~from:!from ~dur:s.height ~need) in
-        free := Profile.reserve !free ~start:t ~dur:s.height ~need;
+        let t = Timeline.earliest_fit_at free ~from:!from ~dur:s.height ~need in
+        let reserved = Timeline.reserve free ~start:t ~dur:s.height ~need in
+        assert reserved;
         List.iter (fun i -> starts.(i) <- t) s.members;
         from := t + s.height
       end)

@@ -12,9 +12,10 @@
       enough remaining width.
 
     Shelf schedules are only defined without reservations; with reservations
-    present, the shelves are stacked into the availability profile — each
-    shelf starts at the earliest time its full [m]-wide, height-tall window
-    fits (a simple reservation-aware extension used as an extra baseline). *)
+    present, the shelves are stacked into the availability — each shelf
+    starts at the earliest time its full [m]-wide, height-tall window fits
+    on a {!Timeline} of it, which then reserves that window (a simple
+    reservation-aware extension used as an extra baseline). *)
 
 open Resa_core
 

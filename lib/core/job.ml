@@ -10,14 +10,4 @@ let p j = j.p
 let q j = j.q
 let area j = j.p * j.q
 
-let equal a b = a.id = b.id && a.p = b.p && a.q = b.q
-
-let compare a b =
-  let c = Int.compare a.id b.id in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.p b.p in
-    if c <> 0 then c else Int.compare a.q b.q
-
 let pp ppf j = Format.fprintf ppf "J%d(p=%d,q=%d)" j.id j.p j.q
-let to_string j = Format.asprintf "%a" pp j

@@ -18,9 +18,4 @@ val q : t -> int
 val area : t -> int
 (** [area j = p j * q j], the work of the job. *)
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
-(** Total order by [(id, p, q)]. *)
-
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -104,7 +104,6 @@ let fold_window p ~lo ~hi ~init ~f =
   in
   go init i0
 
-let min_on p ~lo ~hi = fold_window p ~lo ~hi ~init:max_int ~f:(fun acc _ _ v -> min acc v)
 let max_on p ~lo ~hi = fold_window p ~lo ~hi ~init:min_int ~f:(fun acc _ _ v -> max acc v)
 
 let integral_on p ~lo ~hi =
@@ -112,8 +111,6 @@ let integral_on p ~lo ~hi =
 
 let min_value p = Array.fold_left min max_int p.caps
 let max_value p = Array.fold_left max min_int p.caps
-let final_value p = p.caps.(Array.length p.caps - 1)
-let last_breakpoint p = p.times.(Array.length p.times - 1)
 
 let merge f a b =
   (* Pointwise combination via merged breakpoints. *)
@@ -136,55 +133,9 @@ let merge f a b =
   done;
   normalize (Array.sub times 0 !k) (Array.sub caps 0 !k)
 
-let add a b = merge ( + ) a b
 let sub a b = merge ( - ) a b
-let map f p = normalize p.times (Array.map f p.caps)
-let neg p = map (fun v -> -v) p
-
-let change p ~lo ~hi ~delta =
-  if lo >= hi || delta = 0 then p
-  else begin
-    if lo < 0 then invalid_arg "Profile.change: negative lo";
-    let window = of_events ~base:0 [ (lo, delta); (hi, -delta) ] in
-    add p window
-  end
-
-let reserve p ~start ~dur ~need =
-  if dur < 1 then invalid_arg "Profile.reserve: dur must be >= 1";
-  if need < 0 then invalid_arg "Profile.reserve: negative need";
-  if min_on p ~lo:start ~hi:(start + dur) < need then
-    invalid_arg "Profile.reserve: insufficient capacity in window";
-  change p ~lo:start ~hi:(start + dur) ~delta:(-need)
-
-let earliest_fit p ~from ~dur ~need =
-  if dur < 1 then invalid_arg "Profile.earliest_fit: dur must be >= 1";
-  if from < 0 then invalid_arg "Profile.earliest_fit: negative from";
-  let n = Array.length p.times in
-  (* Candidate starts are [from] and breakpoints; on failure inside the
-     window, jump past the blocking segment. *)
-  let rec attempt s =
-    let i0 = segment_index p s in
-    let rec check i =
-      if i >= n || p.times.(i) >= s + dur then Some s
-      else if p.caps.(i) >= need then check (i + 1)
-      else if i + 1 >= n then None (* blocking tail segment: no window ever fits *)
-      else attempt p.times.(i + 1)
-    in
-    check i0
-  in
-  attempt from
 
 let breakpoints p = Array.copy p.times
-
-let next_breakpoint_after p t =
-  let n = Array.length p.times in
-  let rec search lo hi =
-    if lo >= hi then if lo < n then Some p.times.(lo) else None
-    else
-      let mid = (lo + hi) / 2 in
-      if p.times.(mid) <= t then search (mid + 1) hi else search lo mid
-  in
-  search 0 n
 
 let to_steps p = Array.to_list (Array.init (Array.length p.times) (fun i -> (p.times.(i), p.caps.(i))))
 
@@ -194,16 +145,3 @@ let fold_segments p ~init ~f =
     acc := f !acc ~lo:p.times.(i) ~hi:(seg_hi p i) ~v:p.caps.(i)
   done;
   !acc
-
-let equal a b = a.times = b.times && a.caps = b.caps
-
-let pp ppf p =
-  Format.fprintf ppf "@[<h>";
-  Array.iteri
-    (fun i t ->
-      if i > 0 then Format.fprintf ppf " ";
-      match seg_hi p i with
-      | Some hi -> Format.fprintf ppf "[%d,%d)=%d" t hi p.caps.(i)
-      | None -> Format.fprintf ppf "[%d,inf)=%d" t p.caps.(i))
-    p.times;
-  Format.fprintf ppf "@]"

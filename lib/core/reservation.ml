@@ -12,8 +12,6 @@ let p r = r.p
 let q r = r.q
 let stop r = r.start + r.p
 
-let equal a b = a.id = b.id && a.start = b.start && a.p = b.p && a.q = b.q
-
 let compare a b =
   let c = Int.compare a.start b.start in
   if c <> 0 then c
@@ -25,4 +23,3 @@ let compare a b =
       if c <> 0 then c else Int.compare a.id b.id
 
 let pp ppf r = Format.fprintf ppf "R%d[%d,%d)(q=%d)" r.id r.start (stop r) r.q
-let to_string r = Format.asprintf "%a" pp r

@@ -17,9 +17,7 @@ val q : t -> int
 val stop : t -> int
 (** [stop r = start r + p r], the first instant after the reservation. *)
 
-val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Order by [(start, stop, q, id)] — chronological sweep order. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -65,11 +65,6 @@ let utilization inst s =
     if avail_area = 0 then 1.0
     else float_of_int (Instance.total_work inst) /. float_of_int avail_area
 
-let pp ppf s =
-  Format.fprintf ppf "@[<hov>[%a]@]"
-    (Format.pp_print_seq ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") Format.pp_print_int)
-    (Array.to_seq s.starts)
-
 let pp_violation ppf = function
   | Length_mismatch { expected; got } ->
     Format.fprintf ppf "start array has %d entries, instance has %d jobs" got expected

@@ -42,6 +42,4 @@ val utilization : Instance.t -> t -> float
     by jobs over [\[0, makespan)]; 1.0 means no available processor was ever
     idle. Returns 1.0 for an empty schedule. *)
 
-val pp : Format.formatter -> t -> unit
-
 val pp_violation : Format.formatter -> violation -> unit

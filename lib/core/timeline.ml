@@ -576,8 +576,8 @@ and new_cand cand st =
 
 let earliest_fit_at t ~from ~dur ~need =
   Resa_obs.Metrics.incr c_earliest_fit;
-  if dur < 1 then invalid_arg "Timeline.earliest_fit: dur must be >= 1";
-  if from < 0 then invalid_arg "Timeline.earliest_fit: negative from";
+  if dur < 1 then invalid_arg "Timeline.earliest_fit_at: dur must be >= 1";
+  if from < 0 then invalid_arg "Timeline.earliest_fit_at: negative from";
   (* Candidates below the gc origin are clamped to it: the collapsed past
      is not schedulable space. *)
   let s = imax from t.off in
@@ -587,9 +587,6 @@ let earliest_fit_at t ~from ~dur ~need =
   let j = entry t b s in
   let cand = if t.vals.(j) + t.add.(b) >= need then s else -1 in
   fit_entries t k (j + 1) ((b lsl bshift) + t.len.(b)) cand dur need
-
-let earliest_fit t ~from ~dur ~need =
-  match earliest_fit_at t ~from ~dur ~need with -1 -> None | s -> Some s
 
 (* The fit walk from [start] answers [start] exactly when every segment
    meeting [\[start, start + dur)] reaches [need], which is [reserve]'s

@@ -17,21 +17,21 @@
       the entries inside the window; whole blocks between take the add
       lazily in O(1): O(log k + B) worst case, O(log k) for windows inside
       a block, about the cost of one {!min_on} on the same window;
-    - window queries and {!earliest_fit} scan the partial blocks and read
-      the summaries of whole ones;
-    versus the O(k) whole-array rebuild that
-    [Profile.change]/[Profile.reserve] pay per job. Freed blocks return to
-    a free list and the pool grows by doubling, so steady-state operation
-    allocates nothing.
+    - window queries and {!earliest_fit_at} scan the partial blocks and
+      read the summaries of whole ones;
+    versus the O(k) whole-array rebuild of a persistent profile per update.
+    Freed blocks return to a free list and the pool grows by doubling, so
+    steady-state operation allocates nothing.
 
-    Semantics are kept exactly aligned with [Profile] — [min_on], [reserve]
-    (which answers [false] where [Profile.reserve] raises),
-    [change], [earliest_fit] and [last_breakpoint]
-    return bit-identical results to the persistent versions applied to the
-    same operation history (enforced by the randomized differential suite in
-    [test/test_timeline.ml]) — so schedulers can switch their hot loops to a
-    timeline while validation code keeps consuming [Profile.t] through
-    {!to_profile}.
+    Every scheduler in [lib/] runs on a timeline; {!Profile} is only the
+    model ({!of_profile} and {!to_profile} convert at the boundaries). The
+    persistent operations it replaced are kept in the test oracle
+    [Resa_oracles.Profile_oracle]: [min_on], [reserve] (which raises where
+    {!reserve} answers [false]), [change], [earliest_fit] (which answers
+    [None] where {!earliest_fit_at} answers [-1]) and [last_breakpoint]
+    give bit-identical results to the operations here applied to the same
+    history, which the randomized differential suite in
+    [test/test_timeline.ml] enforces.
 
     Queries change no segment and allocate nothing; their one write is a
     cached search finger (the block the last search landed in), so the
@@ -75,7 +75,7 @@ val value_at : t -> int -> int
 
 val min_on : t -> lo:int -> hi:int -> int
 (** Minimum over [\[lo, hi)], [0 <= lo <= hi]; [max_int] (the identity of
-    [min]) on the empty window — same convention as [Profile.min_on]. *)
+    [min]) on the empty window, as [Profile.max_on] answers [min_int]. *)
 
 val change : t -> lo:int -> hi:int -> delta:int -> unit
 (** Add [delta] on [\[lo, hi)]; no-op when [lo >= hi] or [delta = 0].
@@ -93,16 +93,13 @@ val reserve : t -> start:int -> dur:int -> need:int -> bool
     reservations made ([timeline.reserve]) and refused
     ([timeline.reserve_failed]). *)
 
-val earliest_fit : t -> from:int -> dur:int -> need:int -> int option
+val earliest_fit_at : t -> from:int -> dur:int -> need:int -> int
 (** Smallest [s >= from] with [min_on ~lo:s ~hi:(s+dur) >= need], found in
     one forward walk over the segments from [from]: a whole block whose max
     is below [need] is skipped as a blocker, one whose min reaches [need] is
-    consumed as fitting. [None] exactly when the tail value is below
-    [need]. Requires [dur >= 1]. *)
-
-val earliest_fit_at : t -> from:int -> dur:int -> need:int -> int
-(** Allocation-free twin of {!earliest_fit}: returns [-1] instead of [None]
-    so the decide loop's hottest query boxes nothing. *)
+    consumed as fitting. [-1] exactly when the tail value is below [need]
+    (an [int], not an [option], so the decide loop's hottest query boxes
+    nothing). Requires [dur >= 1]. *)
 
 val reserve_or_fit : t -> start:int -> dur:int -> need:int -> int
 (** [reserve_or_fit t ~start ~dur ~need] is [start] when
@@ -173,15 +170,15 @@ val spec_op_is_reserve : t -> mark -> i:int -> start:int -> dur:int -> need:int 
     [reserve ~start ~dur ~need] made ({!change}s never match). *)
 
 val final_value : t -> int
-(** Value of the tail segment extending to infinity — O(1), same as
-    [Profile.final_value] on the normalized profile. Range changes are
-    confined to finite windows, so the tail never moves. *)
+(** Value of the tail segment extending to infinity, O(1). Range changes
+    are confined to finite windows, so the tail never moves. *)
 
 val first_reaching_area : t -> from:int -> area:int -> cap:int -> int
 (** Smallest [C >= from] with [Σ_{x ∈ [from, C)} value(x) >= area], computed
     in one walk over the segments from [from] (linear in the segments
     walked, no allocation). Interpolates inside positive-valued runs,
-    exactly like [Lower_bounds.min_time_with_area] on the matching profile.
+    rounding up; [Lower_bounds.min_time_with_area] is this walk behind a
+    check of the tail.
     Returns [min cap C]; [cap] both truncates the result and bounds the
     walk, and is returned whenever the target is never reached
     (non-positive tail). [area <= 0] yields [min from cap]. *)
@@ -199,7 +196,7 @@ val gc : t -> upto:int -> unit
     queries below it read the value at the origin (changes there included),
     mutations strictly below
     it raise [Invalid_argument] (see {!origin}), and position searches
-    ({!earliest_fit}) clamp [from] to it. Cost: O(dead blocks + blocks), no
+    ({!earliest_fit_at}) clamp [from] to it. Cost: O(dead blocks + blocks), no
     rebuild and no allocation. Raises [Invalid_argument] when a checkpoint
     is outstanding or [upto < 0]. *)
 

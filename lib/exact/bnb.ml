@@ -133,7 +133,7 @@ let rec dfs s ~fdepth ~fsink ~trail depth t_prev i_prev cur_cmax rem_work =
     let b = bnd s in
     let area_lb =
       if rem_work = 0 then 0
-      else Lower_bounds.min_time_with_area_tl ~cap:b s.free ~from:t_prev ~area:rem_work
+      else Lower_bounds.min_time_with_area ~cap:b s.free ~from:t_prev ~area:rem_work
     in
     if (if cur_cmax > area_lb then cur_cmax else area_lb) >= b then begin
       Resa_obs.Metrics.incr c_prunes_area;
@@ -340,7 +340,7 @@ let solve ?(node_limit = 2_000_000) inst =
               if not s.placed.(i) then unplaced := jobs.(i) :: !unplaced
             done;
             let fit_lb =
-              Lower_bounds.fit_bound_tl s.free ~from:t_prev (Array.of_list !unplaced)
+              Lower_bounds.fit_bound_on s.free ~from:t_prev (Array.of_list !unplaced)
             in
             if (if b.b_cmax > fit_lb then b.b_cmax else fit_lb) >= bnd s then
               Resa_obs.Metrics.incr c_prunes_fit
@@ -425,7 +425,3 @@ let solve ?(node_limit = 2_000_000) inst =
       nodes = !nodes_total;
     }
   end
-
-let optimal_makespan ?node_limit inst =
-  let r = solve ?node_limit inst in
-  if r.optimal then Some r.makespan else None

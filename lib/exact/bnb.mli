@@ -35,6 +35,3 @@ val solve : ?node_limit:int -> Instance.t -> result
     [optimal = true] certifies [makespan] is the true C_opt. Deterministic:
     the full result record (including [nodes] and the schedule's starts) is
     independent of the pool size. *)
-
-val optimal_makespan : ?node_limit:int -> Instance.t -> int option
-(** [Some c] only when proved optimal within the budget. *)

@@ -6,7 +6,7 @@ let solve inst =
   if Instance.m inst <> 1 then invalid_arg "Single_machine.solve: requires m = 1";
   let n = Instance.n_jobs inst in
   if n > max_jobs then invalid_arg "Single_machine.solve: too many jobs";
-  let avail = Instance.availability inst in
+  let avail = Timeline.of_profile (Instance.availability inst) in
   let durations = Array.init n (fun i -> Job.p (Instance.job inst i)) in
   Array.iteri
     (fun i j ->
@@ -24,9 +24,7 @@ let solve inst =
       for j = 0 to n - 1 do
         if mask land (1 lsl j) = 0 then begin
           let mask' = mask lor (1 lsl j) in
-          let start =
-            Option.get (Profile.earliest_fit avail ~from:frontier.(mask) ~dur:durations.(j) ~need:1)
-          in
+          let start = Timeline.earliest_fit_at avail ~from:frontier.(mask) ~dur:durations.(j) ~need:1 in
           let finish = start + durations.(j) in
           if finish < frontier.(mask') then begin
             frontier.(mask') <- finish;
@@ -41,9 +39,7 @@ let solve inst =
     if mask <> 0 then begin
       let j = parent.(mask) in
       let mask' = mask lxor (1 lsl j) in
-      let start =
-        Option.get (Profile.earliest_fit avail ~from:frontier.(mask') ~dur:durations.(j) ~need:1)
-      in
+      let start = Timeline.earliest_fit_at avail ~from:frontier.(mask') ~dur:durations.(j) ~need:1 in
       starts.(j) <- start;
       rebuild mask'
     end

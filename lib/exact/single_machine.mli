@@ -2,7 +2,8 @@
 
     On one machine every schedule is a sequence, and for a fixed set of
     already-executed jobs only the earliest completion frontier matters
-    ([Profile.earliest_fit] is monotone in its [from] argument), so a
+    ([Timeline.earliest_fit_at] on the availability is monotone in its
+    [from] argument), so a
     dynamic program over job subsets is exact: O(2ⁿ·n) time, O(2ⁿ) space.
     This reaches n ≈ 20 — far beyond the branch-and-bound on the Theorem 1
     reduction instances (n = 3k jobs), and is used by the FIG1 experiment to

@@ -89,27 +89,3 @@ let random_yes rng ~k:kk ~b =
   done;
   Prng.shuffle rng xs;
   make_exn ~xs ~b
-
-let random rng ~k:kk ~b =
-  if kk < 1 then invalid_arg "Threepartition.random: k must be >= 1";
-  if b < 3 then invalid_arg "Threepartition.random: b must be >= 3";
-  let n = 3 * kk in
-  let xs = Array.init n (fun _ -> Prng.int_incl rng ~lo:1 ~hi:(b - 2)) in
-  (* Repair the total to k*b by bounded increments/decrements. *)
-  let total = ref (Array.fold_left ( + ) 0 xs) in
-  let target = kk * b in
-  let guard = ref 0 in
-  while !total <> target && !guard < 100_000 do
-    incr guard;
-    let i = Prng.int rng ~bound:n in
-    if !total < target && xs.(i) < b - 2 then begin
-      xs.(i) <- xs.(i) + 1;
-      incr total
-    end
-    else if !total > target && xs.(i) > 1 then begin
-      xs.(i) <- xs.(i) - 1;
-      decr total
-    end
-  done;
-  if !total <> target then invalid_arg "Threepartition.random: could not reach target sum";
-  make_exn ~xs ~b

@@ -29,7 +29,3 @@ val check_assignment : t -> int array -> bool
 val random_yes : Prng.t -> k:int -> b:int -> t
 (** A YES instance built from [k] random triples summing to [b]
     ([b >= 3]). *)
-
-val random : Prng.t -> k:int -> b:int -> t
-(** Random instance with the right total ([Σ = k·b]) but no planted
-    solution — may be YES or NO. *)

@@ -82,10 +82,8 @@ let to_json_value slices =
       ("displayTimeUnit", Str "ms");
     ]
 
-let to_string slices = Jsonu.to_string (to_json_value slices)
-
 let write oc slices =
-  output_string oc (to_string slices);
+  output_string oc (Jsonu.to_string (to_json_value slices));
   output_char oc '\n'
 
 let of_spans ?(process = "executor") spans =

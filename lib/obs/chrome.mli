@@ -17,12 +17,9 @@ type slice = {
   args : (string * string) list;  (** Extra key/values shown on click. *)
 }
 
-val to_string : slice list -> string
-(** The complete JSON document ([{"traceEvents": [...]}]). Deterministic:
-    pids/tids are assigned in first-appearance order. *)
-
 val write : out_channel -> slice list -> unit
-(** {!to_string} plus a trailing newline. *)
+(** The complete JSON document ([{"traceEvents": [...]}]) and a newline.
+    Deterministic: pids/tids are assigned in first-appearance order. *)
 
 val of_spans : ?process:string -> Prof.span list -> slice list
 (** Wall-clock {!Prof} spans as slices, one track per domain, rebased so

@@ -20,7 +20,3 @@ let pop q =
   let pay = q.heap.a.(2) in
   Int_heap.drop_min q.heap;
   pay
-
-let clear q =
-  Int_heap.clear q.heap;
-  q.next_seq <- 0

@@ -26,6 +26,3 @@ val peek_time : t -> int
 val pop : t -> int
 (** Remove the earliest event (ties FIFO) and return its payload. Raises
     [Invalid_argument] when empty; pair with {!peek_time} for the time. *)
-
-val clear : t -> unit
-(** Empty the queue and reset insertion-order numbering. *)

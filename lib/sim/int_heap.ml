@@ -58,5 +58,3 @@ let drop_min h =
       sift_down h.a h.len 0
     end
   end
-
-let clear h = h.len <- 0

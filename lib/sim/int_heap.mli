@@ -27,5 +27,3 @@ val min_value : t -> int
 
 val drop_min : t -> unit
 (** Remove the minimum; no-op on an empty heap. *)
-
-val clear : t -> unit

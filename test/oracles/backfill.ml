@@ -1,7 +1,9 @@
 (* The persistent-[Profile] backfilling schedulers, oracles of
-   [Simulator.run_order] of [Policy.conservative] and [Policy.easy]. *)
+   [Simulator.run_order] of [Policy.conservative] and [Policy.easy], and
+   the certificate, oracle of [Backfill.no_earlier_job_delayed]. *)
 
 open Resa_core
+module Profile = Profile_oracle
 
 let conservative_order_reference inst order =
   let n = Instance.n_jobs inst in
@@ -70,3 +72,19 @@ let easy_order_reference inst order =
   in
   step 0 (Array.to_list order);
   Schedule.make starts
+
+let no_earlier_job_delayed_reference inst order sched =
+  (* Replan each prefix; every job must sit exactly at its earliest fit given
+     only its predecessors in the queue. *)
+  let free = ref (Instance.availability inst) in
+  let ok = ref true in
+  Array.iter
+    (fun i ->
+      let j = Instance.job inst i in
+      let s = Schedule.start sched i in
+      (match Profile.earliest_fit !free ~from:0 ~dur:(Job.p j) ~need:(Job.q j) with
+      | Some e when e = s -> ()
+      | _ -> ok := false);
+      if !ok then free := Profile.reserve !free ~start:s ~dur:(Job.p j) ~need:(Job.q j))
+    order;
+  !ok

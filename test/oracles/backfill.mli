@@ -1,4 +1,5 @@
-(** Oracles of {!Resa_algos.Backfill}'s offline schedulers. *)
+(** Oracles of {!Resa_algos.Backfill}'s offline schedulers and its
+    certificate. *)
 
 open Resa_core
 
@@ -13,3 +14,7 @@ val easy_order_reference : Instance.t -> int array -> Schedule.t
     and bench baseline. Same schedules as
     [Simulator.run_order ~policy:Policy.easy], which runs the online EASY
     policy with every job submitted at 0. *)
+
+val no_earlier_job_delayed_reference : Instance.t -> int array -> Schedule.t -> bool
+(** Original persistent-[Profile] conservative-backfilling certificate;
+    the same verdict as [Backfill.no_earlier_job_delayed]. *)

@@ -2,7 +2,7 @@
 
 open Resa_core
 open Resa_algos
-open Resa_exact
+module Profile = Profile_oracle
 
 exception Node_budget_exhausted
 

@@ -1,6 +1,7 @@
 (* The persistent-[Profile] FCFS, oracle of offline FCFS on the engine. *)
 
 open Resa_core
+module Profile = Profile_oracle
 
 let run_order_reference inst order =
   let n = Instance.n_jobs inst in

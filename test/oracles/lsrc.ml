@@ -1,6 +1,7 @@
 (* The persistent-[Profile] LSRC, oracle of offline LSRC on the engine. *)
 
 open Resa_core
+module Profile = Profile_oracle
 
 let run_order_reference inst order =
   let n = Instance.n_jobs inst in

@@ -1,6 +1,7 @@
 open Resa_core
 open Resa_sim.Policy
 module Trace = Resa_obs.Trace
+module Profile = Profile_oracle
 
 (* [Resa_sim.Policy]'s "no extra wake-up" answer. *)
 let no_wake = -1

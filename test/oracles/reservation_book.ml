@@ -4,6 +4,7 @@
 
 open Resa_core
 module Trace = Resa_obs.Trace
+module Profile = Profile_oracle
 
 type t = {
   cap : int;

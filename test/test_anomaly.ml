@@ -95,8 +95,8 @@ let prop_optimum_is_machine_monotone =
           ~reservations:[]
       in
       match
-        ( Resa_exact.Bnb.optimal_makespan ~node_limit:200_000 inst,
-          Resa_exact.Bnb.optimal_makespan ~node_limit:200_000 larger )
+        ( Tutil.optimal_makespan ~node_limit:200_000 inst,
+          Tutil.optimal_makespan ~node_limit:200_000 larger )
       with
       | Some a, Some b -> b <= a
       | _ -> QCheck.assume_fail ())

@@ -107,8 +107,7 @@ let int_heap_matches_model seed =
     if Int_heap.length h <> List.length !model then ok := false;
     check_min ()
   done;
-  Int_heap.clear h;
-  Int_heap.length h = 0 && !ok
+  !ok
 
 let prop_int_heap =
   Tutil.qcheck ~count:200 "Int_heap = sorted-list model" Tutil.seed_arb int_heap_matches_model
@@ -155,22 +154,6 @@ let test_rebase () =
   Alcotest.(check (list int)) "order preserved through rebase" [ 4; 1; 2; 3 ]
     (List.init 4 (fun _ -> Eventq.pop q))
 
-let test_clear () =
-  let q = Eventq.create () in
-  for i = 0 to 99 do
-    Eventq.push q ~time:(i * 7919 land 0xFFFF) i
-  done;
-  Alcotest.(check int) "full" 100 (Eventq.size q);
-  Eventq.clear q;
-  Alcotest.(check int) "clear retains nothing" 0 (Eventq.size q);
-  Alcotest.(check bool) "empty" true (Eventq.is_empty q);
-  Alcotest.(check int) "peek on empty" (-1) (Eventq.peek_time q);
-  (* Reuse after clear: seq numbering restarts, FIFO still holds. *)
-  Eventq.push q ~time:3 7;
-  Eventq.push q ~time:3 8;
-  Alcotest.(check (list int)) "reusable after clear" [ 7; 8 ]
-    (List.init 2 (fun _ -> Eventq.pop q))
-
 let test_errors () =
   let q = Eventq.create () in
   Alcotest.check_raises "negative time" (Invalid_argument "Eventq.push: negative time")
@@ -183,7 +166,6 @@ let suite =
     Alcotest.test_case "FIFO tie-break by push order" `Quick test_fifo_ties;
     Alcotest.test_case "FIFO across heap-to-bucket migration" `Quick test_fifo_across_migration;
     Alcotest.test_case "push before the cursor rebases the window" `Quick test_rebase;
-    Alcotest.test_case "clear resets, queue stays usable" `Quick test_clear;
     Alcotest.test_case "error contracts" `Quick test_errors;
     prop_model;
     prop_int_heap;

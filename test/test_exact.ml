@@ -4,7 +4,7 @@ open Resa_core
 open Resa_exact
 
 let test_min_time_with_area () =
-  let p = Profile.of_steps [ (0, 2); (3, 0); (5, 4) ] in
+  let p = Timeline.of_profile (Profile.of_steps [ (0, 2); (3, 0); (5, 4) ]) in
   Alcotest.(check int) "zero area" 0 (Lower_bounds.min_time_with_area p ~from:0 ~area:0);
   Alcotest.(check int) "inside first segment" 2 (Lower_bounds.min_time_with_area p ~from:0 ~area:4);
   Alcotest.(check int) "stalls through the hole" 6 (Lower_bounds.min_time_with_area p ~from:0 ~area:10);
@@ -15,7 +15,7 @@ let test_min_time_with_area_rejects_dead_tail () =
   (* A non-positive tail can never accumulate more area; the guard must fire
      even when [from] is already past the last breakpoint — that case used
      to fall through to a fabricated rate of 1. *)
-  let dead = Profile.of_steps [ (0, 3); (5, 0) ] in
+  let dead = Timeline.of_profile (Profile.of_steps [ (0, 3); (5, 0) ]) in
   let expect = Invalid_argument "Lower_bounds.min_time_with_area: non-positive tail" in
   Alcotest.check_raises "from before tail" expect (fun () ->
       ignore (Lower_bounds.min_time_with_area dead ~from:0 ~area:100));
@@ -165,7 +165,7 @@ let prop_packed_instances_confirmed =
   Tutil.qcheck ~count:40 "B&B confirms packed optima" Tutil.seed_arb (fun seed ->
       let rng = Prng.create ~seed in
       let packed = Resa_gen.Packed.generate rng ~m:3 ~c:6 ~target_jobs:6 () in
-      match Bnb.optimal_makespan ~node_limit:400_000 packed.instance with
+      match Tutil.optimal_makespan ~node_limit:400_000 packed.instance with
       | None -> QCheck.assume_fail ()
       | Some opt -> opt = packed.optimal)
 

@@ -35,12 +35,6 @@ let test_tp_check_assignment_rejects () =
   Alcotest.(check bool) "wrong grouping rejected" false
     (Threepartition.check_assignment tp [| 0; 0; 0; 0; 1; 1 |])
 
-let prop_random_has_right_sum =
-  Tutil.qcheck ~count:50 "random instances have total k*b" Tutil.seed_arb (fun seed ->
-      let rng = Prng.create ~seed in
-      let tp = Threepartition.random rng ~k:3 ~b:9 in
-      Array.fold_left ( + ) 0 tp.Threepartition.xs = 27)
-
 (* --- adversarial families --- *)
 
 let test_prop2_structure () =
@@ -201,7 +195,6 @@ let suite =
     Alcotest.test_case "3-partition solver on NO" `Quick test_tp_solver_no;
     Alcotest.test_case "random_yes is always solvable" `Quick test_tp_random_yes_solvable;
     Alcotest.test_case "assignment checker rejects" `Quick test_tp_check_assignment_rejects;
-    prop_random_has_right_sum;
     Alcotest.test_case "prop2 structure and alpha" `Quick test_prop2_structure;
     Alcotest.test_case "prop2 optimum achievable" `Quick test_prop2_optimum_achievable;
     Alcotest.test_case "prop2 LSRC ratio formula (Fig 3)" `Quick test_prop2_lsrc_ratio;

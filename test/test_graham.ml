@@ -63,7 +63,7 @@ let test_integral_certificate_vacuous () =
 let prop_integral_certificate =
   Tutil.qcheck ~count:120 "integral chain holds vs exact optimum" Tutil.seed_arb (fun seed ->
       let inst = Tutil.small_rigid_of_seed seed in
-      match Resa_exact.Bnb.optimal_makespan ~node_limit:300_000 inst with
+      match Tutil.optimal_makespan ~node_limit:300_000 inst with
       | None -> QCheck.assume_fail ()
       | Some opt ->
         List.for_all
@@ -84,7 +84,7 @@ let prop_lemma1_all_list_schedules =
 let prop_theorem2_certificate =
   Tutil.qcheck ~count:120 "Theorem 2 certificate vs exact optimum" Tutil.seed_arb (fun seed ->
       let inst = Tutil.small_rigid_of_seed seed in
-      match Resa_exact.Bnb.optimal_makespan ~node_limit:300_000 inst with
+      match Tutil.optimal_makespan ~node_limit:300_000 inst with
       | None -> QCheck.assume_fail ()
       | Some opt ->
         (Graham.theorem2_certificate inst (Resa_algos.Lsrc.run inst) ~opt).holds)

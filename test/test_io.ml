@@ -1,4 +1,5 @@
 open Resa_core
+module Profile = Resa_oracles.Profile_oracle
 
 let sample = "# demo instance\nm 8\njob 5 2\njob 2 5\nres 6 4 5\n"
 

@@ -110,7 +110,7 @@ let prop_graham_on_rigid =
     (fun seed ->
       let inst = Tutil.small_rigid_of_seed seed in
       let lsrc = Schedule.makespan inst (Lsrc.run inst) in
-      match Resa_exact.Bnb.optimal_makespan ~node_limit:300_000 inst with
+      match Tutil.optimal_makespan ~node_limit:300_000 inst with
       | None -> QCheck.assume_fail ()
       | Some opt ->
         float_of_int lsrc

@@ -17,6 +17,7 @@ let () =
       ("preemptive", Test_preemptive.suite);
       ("exact", Test_exact.suite);
       ("bnb-diff", Test_bnb_diff.suite);
+      ("profile-diff", Test_profile_diff.suite);
       ("single-machine", Test_single_machine.suite);
       ("graham", Test_graham.suite);
       ("ratio-bounds", Test_ratio_bounds.suite);

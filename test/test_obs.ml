@@ -260,7 +260,7 @@ let test_chrome_export_wellformed () =
   let trace = Simulator.run ~obs ~policy:Policy.easy ~m:8 ~reservations subs in
   let slices = Sim_trace.chrome_slices ~process:"EASY" trace in
   Alcotest.(check bool) "has slices" true (slices <> []);
-  let doc = Resa_obs.Chrome.to_string slices in
+  let doc = Tutil.written (fun oc -> Resa_obs.Chrome.write oc slices) in
   match Resa_obs.Jsonu.of_string doc with
   | Error e -> Alcotest.failf "chrome JSON does not parse: %s" e
   | Ok json -> (

@@ -1,6 +1,7 @@
 open Resa_core
 open Resa_algos
 open Resa_flow
+module Profile = Resa_oracles.Profile_oracle
 
 (* --- max-flow substrate --- *)
 
@@ -112,7 +113,7 @@ let prop_preemptive_below_nonpreemptive =
   Tutil.qcheck ~count:100 "preemptive opt <= non-preemptive opt" Tutil.seed_arb (fun seed ->
       let inst = seq_instance_of_seed seed in
       let pre = (Preemptive.optimal inst).makespan in
-      match Resa_exact.Bnb.optimal_makespan ~node_limit:300_000 inst with
+      match Tutil.optimal_makespan ~node_limit:300_000 inst with
       | None -> QCheck.assume_fail ()
       | Some np -> pre <= np)
 

@@ -1,4 +1,4 @@
-open Resa_core
+module Profile = Resa_oracles.Profile_oracle
 
 let steps = Alcotest.(list (pair int int))
 

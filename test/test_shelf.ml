@@ -67,7 +67,7 @@ let prop_ffdh_no_more_shelves =
 let prop_shelf_never_beats_optimum =
   Tutil.qcheck ~count:100 "shelf >= exact optimum" Tutil.seed_arb (fun seed ->
       let inst = Tutil.small_rigid_of_seed seed in
-      match Resa_exact.Bnb.optimal_makespan ~node_limit:200_000 inst with
+      match Tutil.optimal_makespan ~node_limit:200_000 inst with
       | None -> QCheck.assume_fail ()
       | Some opt -> Schedule.makespan inst (Shelf.run Shelf.Nfdh inst) >= opt)
 

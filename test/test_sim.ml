@@ -2,6 +2,7 @@
 
 open Resa_core
 open Resa_sim
+module Profile = Resa_oracles.Profile_oracle
 
 (* --- simulator + policies --- *)
 
@@ -322,10 +323,10 @@ let prop_book_matches_oracle =
       let oracle = O.create ~obs:obs' ~m ~alpha () in
       let cap = Reservation_book.cap book in
       let text = function
-        | Ok r -> Reservation.to_string r
+        | Ok r -> Format.asprintf "%a" Reservation.pp r
         | Error e -> Format.asprintf "%a" Reservation_book.pp_rejection e
       and text' = function
-        | Ok r -> Reservation.to_string r
+        | Ok r -> Format.asprintf "%a" Reservation.pp r
         | Error e -> Format.asprintf "%a" O.pp_rejection e
       in
       let same = ref (cap = O.cap oracle) in

@@ -32,7 +32,7 @@ let test_matches_bnb () =
     in
     let inst = Instance.create_exn ~m:1 ~jobs ~reservations in
     let dp = Single_machine.optimal_makespan inst in
-    match Bnb.optimal_makespan inst with
+    match Tutil.optimal_makespan inst with
     | Some bb -> Alcotest.(check int) "dp = b&b" bb dp
     | None -> Alcotest.fail "b&b inconclusive on a tiny instance"
   done

@@ -6,6 +6,7 @@
 
 open Resa_core
 open Resa_sim
+module Profile = Resa_oracles.Profile_oracle
 
 let oracle_unavail reservations =
   Profile.of_events ~base:0

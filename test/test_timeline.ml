@@ -5,6 +5,7 @@
    implementations. *)
 
 open Resa_core
+module Profile = Resa_oracles.Profile_oracle
 
 let steps = Alcotest.(list (pair int int))
 
@@ -54,14 +55,10 @@ let test_empty_window () =
 let test_earliest_fit () =
   let p = Profile.of_steps [ (0, 2); (4, 0); (6, 5) ] in
   let tl = Timeline.of_profile p in
-  Alcotest.(check (option int)) "fits at once" (Some 0)
-    (Timeline.earliest_fit tl ~from:0 ~dur:3 ~need:2);
-  Alcotest.(check (option int)) "must jump the hole" (Some 6)
-    (Timeline.earliest_fit tl ~from:0 ~dur:5 ~need:2);
-  Alcotest.(check (option int)) "need too high" None
-    (Timeline.earliest_fit tl ~from:0 ~dur:1 ~need:6);
-  Alcotest.(check (option int)) "far from" (Some 50)
-    (Timeline.earliest_fit tl ~from:50 ~dur:4 ~need:5)
+  Alcotest.(check int) "fits at once" 0 (Timeline.earliest_fit_at tl ~from:0 ~dur:3 ~need:2);
+  Alcotest.(check int) "must jump the hole" 6 (Timeline.earliest_fit_at tl ~from:0 ~dur:5 ~need:2);
+  Alcotest.(check int) "need too high" (-1) (Timeline.earliest_fit_at tl ~from:0 ~dur:1 ~need:6);
+  Alcotest.(check int) "far from" 50 (Timeline.earliest_fit_at tl ~from:50 ~dur:4 ~need:5)
 
 let test_forward_view () =
   let p = Profile.of_steps [ (0, 9); (2, 1); (5, 6) ] in
@@ -299,8 +296,8 @@ let ops_agree_with ~scale ~ops seed =
     | 4 ->
       let from = at 60 and dur = width 10 in
       let need = Prng.int_incl rng ~lo:(-1) ~hi:12 in
-      check "earliest_fit"
-        (Profile.earliest_fit !p ~from ~dur ~need = Timeline.earliest_fit tl ~from ~dur ~need)
+      let expect = Option.value (Profile.earliest_fit !p ~from ~dur ~need) ~default:(-1) in
+      check "earliest_fit" (Timeline.earliest_fit_at tl ~from ~dur ~need = expect)
     | 5 | 6 -> check "last_breakpoint" (Profile.last_breakpoint !p = Timeline.last_breakpoint tl)
     | 7 ->
       check "final_value" (Profile.final_value !p = Timeline.final_value tl)
@@ -308,7 +305,7 @@ let ops_agree_with ~scale ~ops seed =
       if Profile.final_value !p > 0 then begin
         let from = at 60 in
         let area = Prng.int_incl rng ~lo:1 ~hi:(600 * scale) in
-        let expect = Resa_exact.Lower_bounds.min_time_with_area !p ~from ~area in
+        let expect = Resa_oracles.Lower_bounds.min_time_with_area !p ~from ~area in
         check "first_reaching_area (uncapped)"
           (Timeline.first_reaching_area tl ~from ~area ~cap:max_int = expect);
         let cap = !org + Prng.int_incl rng ~lo:1 ~hi:(120 * scale) in
@@ -378,8 +375,7 @@ let test_gc_collapses_past () =
   (* The compacted timeline keeps working: mutations and queries as usual. *)
   Alcotest.(check bool) "post-gc reserve made" true (Timeline.reserve tl ~start:41 ~dur:4 ~need:1);
   Alcotest.(check int) "post-gc reserve" 2 (Timeline.value_at tl 42);
-  Alcotest.(check (option int)) "post-gc earliest_fit" (Some 45)
-    (Timeline.earliest_fit tl ~from:41 ~dur:5 ~need:3)
+  Alcotest.(check int) "post-gc earliest_fit" 45 (Timeline.earliest_fit_at tl ~from:41 ~dur:5 ~need:3)
 
 let test_gc_rejects () =
   let tl = Timeline.create 4 in

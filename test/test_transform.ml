@@ -72,13 +72,13 @@ let prop_clip_at_opt_preserves_optimum =
     (fun seed ->
       let rng = Prng.create ~seed in
       let inst = Random_inst.non_increasing rng ~m:6 ~n:4 ~pmax:5 ~levels:2 in
-      match Resa_exact.Bnb.optimal_makespan ~node_limit:300_000 inst with
+      match Tutil.optimal_makespan ~node_limit:300_000 inst with
       | None -> QCheck.assume_fail ()
       | Some opt ->
         if Instance.m inst - Profile.value_at (Instance.unavailability inst) opt < 1 then true
         else begin
           let clipped = Transform.clip inst ~at:opt in
-          match Resa_exact.Bnb.optimal_makespan ~node_limit:300_000 clipped with
+          match Tutil.optimal_makespan ~node_limit:300_000 clipped with
           | None -> QCheck.assume_fail ()
           | Some opt' -> opt = opt'
         end)

@@ -1,6 +1,7 @@
 (* Shared helpers and QCheck generators for the test suites. *)
 
 open Resa_core
+module Profile = Resa_oracles.Profile_oracle
 
 let check_feasible name inst sched =
   match Schedule.validate inst sched with
@@ -74,6 +75,12 @@ let small_resa_of_seed seed =
     end
   done;
   Instance.create_exn ~m ~jobs ~reservations:!reservations
+
+(* The branch and bound's makespan, [Some] only when proved optimal within
+   the node budget. *)
+let optimal_makespan ?node_limit inst =
+  let r = Resa_exact.Bnb.solve ?node_limit inst in
+  if r.optimal then Some r.makespan else None
 
 let medium_alpha_of_seed ~alpha seed =
   let rng = Prng.create ~seed in
