@@ -35,6 +35,18 @@ let test_tp_check_assignment_rejects () =
   Alcotest.(check bool) "wrong grouping rejected" false
     (Threepartition.check_assignment tp [| 0; 0; 0; 0; 1; 1 |])
 
+(* random_yes must produce 3k positive items summing to k*b for every seed,
+   down to the smallest triple sum b = 3 (make_exn raises otherwise). *)
+let prop_random_yes_shape =
+  Tutil.qcheck ~count:50 "random_yes gives 3k items, total k*b" Tutil.seed_arb (fun seed ->
+      let rng = Prng.create ~seed in
+      let k = 1 + (seed mod 4) and b = 3 + (seed mod 7) in
+      let tp = Threepartition.random_yes rng ~k ~b in
+      let xs = tp.Threepartition.xs in
+      Array.length xs = 3 * k
+      && Array.for_all (fun x -> x > 0) xs
+      && Array.fold_left ( + ) 0 xs = k * b)
+
 (* --- adversarial families --- *)
 
 let test_prop2_structure () =
@@ -195,6 +207,7 @@ let suite =
     Alcotest.test_case "3-partition solver on NO" `Quick test_tp_solver_no;
     Alcotest.test_case "random_yes is always solvable" `Quick test_tp_random_yes_solvable;
     Alcotest.test_case "assignment checker rejects" `Quick test_tp_check_assignment_rejects;
+    prop_random_yes_shape;
     Alcotest.test_case "prop2 structure and alpha" `Quick test_prop2_structure;
     Alcotest.test_case "prop2 optimum achievable" `Quick test_prop2_optimum_achievable;
     Alcotest.test_case "prop2 LSRC ratio formula (Fig 3)" `Quick test_prop2_lsrc_ratio;
