@@ -43,6 +43,17 @@ let arrivals_of src =
          Resa_sim.Simulator.{ job = a.job; submit = a.submit; estimate = a.estimate })
        (Seq.of_dispenser src))
 
+(* One replay of [subs] (in submit order) through the online engine,
+   summarised as it runs. *)
+let replay_summary ~policy ~m ?(reservations = []) subs =
+  let ms = Resa_sim.Metrics.Stream.create ~m ~reservations () in
+  ignore
+    (Resa_sim.Simulator.run_stream ~on_record:(Resa_sim.Metrics.Stream.observe ms) ~policy ~m
+       ~reservations
+       (Seq.to_dispenser (List.to_seq subs))
+      : Resa_sim.Simulator.stream_stats);
+  Resa_sim.Metrics.Stream.summary ms
+
 let witness_schedule tp inst =
   (* Schedule group l inside window l of the reduction instance. *)
   match Threepartition.solve tp with
@@ -383,9 +394,8 @@ let t3 () =
   let rows =
     Resa_par.parallel_map_list
       (fun policy ->
-        let trace = Resa_sim.Simulator.run ~policy ~m ~reservations subs in
-        let s = Resa_sim.Metrics.summarize trace in
-        Resa_sim.Metrics.row ~name:policy.Resa_sim.Policy.name s)
+        Resa_sim.Metrics.row ~name:policy.Resa_sim.Policy.name
+          (replay_summary ~policy ~m ~reservations subs))
       Resa_sim.Policy.all
   in
   List.iter print_endline rows;
@@ -486,8 +496,7 @@ let t4 () =
       else List.map (fun (a : Resa_sim.Simulator.arrival) -> { a with estimate = Job.p a.job }) subs
     in
     let policy = List.nth Resa_sim.Policy.all policy_idx in
-    let trace = Resa_sim.Simulator.run ~policy ~m:32 subs in
-    let s = Resa_sim.Metrics.summarize trace in
+    let s = replay_summary ~policy ~m:32 subs in
     [
       Printf.sprintf "%.1f" factor;
       policy.Resa_sim.Policy.name;

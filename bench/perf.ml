@@ -75,7 +75,9 @@ let simulator_tests () =
     Test.make ~name:"simulator/easy/n=200"
       (Staged.stage (fun () ->
            ignore
-             (Resa_sim.Simulator.run ~policy:Resa_sim.Policy.easy ~m:128 subs)));
+             (Resa_sim.Simulator.run_stream ~policy:Resa_sim.Policy.easy ~m:128
+                (Seq.to_dispenser (List.to_seq subs))
+               : Resa_sim.Simulator.stream_stats)));
   ]
 
 (* --- engine at 0 ----------------------------------------------------------- *)
@@ -362,15 +364,23 @@ let sim_scaling () =
     (fun (n, (subs, reservations)) ->
       List.iter
         (fun (name, native, reference, ref_cap) ->
+          (* The records, in start order, and the run's makespan. *)
           let run policy =
-            Resa_sim.Simulator.run ~policy ~m:128 ~reservations subs
+            let records = ref [] in
+            let stats =
+              Resa_sim.Simulator.run_stream
+                ~on_record:(fun r -> records := r :: !records)
+                ~policy ~m:128 ~reservations
+                (Seq.to_dispenser (List.to_seq subs))
+            in
+            (!records, stats.makespan)
           in
           let fast, fast_s = time run native in
           let speedup =
             if n > ref_cap then None
             else begin
               let slow, ref_s = time run reference in
-              if slow.records <> fast.records || slow.makespan <> fast.makespan then
+              if slow <> fast then
                 failwith (Printf.sprintf "simulator scaling: %s differs at n=%d" name n);
               Some (ref_s, ref_s /. Float.max fast_s 1e-9)
             end

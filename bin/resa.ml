@@ -380,25 +380,22 @@ let replay swf_path (synth : synthetic) policy_name heartbeat_out hb_every prom_
         stats.Resa_sim.Simulator.max_live rss_mb allocs_ev;
       (* Ids number the arrivals in stream order, which is submission
          order: sorting the start-ordered records by id restores the
-         submission order the batch trace format promises. *)
+         submission order the CSV rows and the Gantt packing follow. *)
       let records =
         List.sort
           (fun (a : Resa_sim.Simulator.record) b -> Int.compare (Job.id a.job) (Job.id b.job))
           !records
       in
-      let trace =
-        Resa_sim.Simulator.
-          { m; reservations = []; records; makespan = stats.Resa_sim.Simulator.makespan }
-      in
       exports :=
-        (name, provenances, trace, Array.of_list (List.rev !job_numbers)) :: !exports)
+        (name, provenances, records, Array.of_list (List.rev !job_numbers)) :: !exports)
     policies;
   let exports = List.rev !exports in
   Option.iter
     (fun oc ->
       let slices =
         List.concat_map
-          (fun (name, _, trace, _) -> Resa_sim.Sim_trace.chrome_slices ~process:name trace)
+          (fun (name, _, records, _) ->
+            Resa_sim.Sim_trace.chrome_slices ~process:name ~m ~reservations:[] records)
           exports
         @ (if Resa_obs.Metrics.enabled () then
              Resa_obs.Chrome.of_spans ~process:"executor" (Resa_obs.Prof.spans ())
@@ -409,7 +406,7 @@ let replay swf_path (synth : synthetic) policy_name heartbeat_out hb_every prom_
   Option.iter
     (fun oc ->
       List.iteri
-        (fun i (name, provenances, trace, job_numbers) ->
+        (fun i (name, provenances, records, job_numbers) ->
           let provenance id =
             match Hashtbl.find_opt provenances id with
             | Some p -> Resa_obs.Trace.provenance_to_string p
@@ -417,7 +414,7 @@ let replay swf_path (synth : synthetic) policy_name heartbeat_out hb_every prom_
           in
           let csv =
             Resa_sim.Metrics.per_job_csv ~run:name
-              (Resa_sim.Metrics.per_job ~provenance ~job_numbers trace)
+              (Resa_sim.Metrics.per_job ~provenance ~job_numbers records)
           in
           (* One header for the whole file. *)
           let csv =

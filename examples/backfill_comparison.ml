@@ -43,10 +43,14 @@ let () =
     Resa_sim.Metrics.header;
   List.iter
     (fun policy ->
-      let trace = Resa_sim.Simulator.run ~policy ~m:64 subs in
+      let ms = Resa_sim.Metrics.Stream.create ~m:64 ~reservations:[] () in
+      ignore
+        (Resa_sim.Simulator.run_stream ~on_record:(Resa_sim.Metrics.Stream.observe ms) ~policy
+           ~m:64
+           (Seq.to_dispenser (List.to_seq subs))
+          : Resa_sim.Simulator.stream_stats);
       print_endline
-        (Resa_sim.Metrics.row ~name:policy.Resa_sim.Policy.name
-           (Resa_sim.Metrics.summarize trace)))
+        (Resa_sim.Metrics.row ~name:policy.Resa_sim.Policy.name (Resa_sim.Metrics.Stream.summary ms)))
     Resa_sim.Policy.all;
   Printf.printf
     "\nThe online ordering mirrors the offline one: backfilling recovers most of the\n\

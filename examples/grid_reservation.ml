@@ -51,8 +51,13 @@ let () =
   Printf.printf "\n%s\n" Resa_sim.Metrics.header;
   List.iter
     (fun policy ->
-      let trace = Resa_sim.Simulator.run ~policy ~m ~reservations subs in
-      let s = Resa_sim.Metrics.summarize trace in
+      let ms = Resa_sim.Metrics.Stream.create ~m ~reservations () in
+      ignore
+        (Resa_sim.Simulator.run_stream ~on_record:(Resa_sim.Metrics.Stream.observe ms) ~policy ~m
+           ~reservations
+           (Seq.to_dispenser (List.to_seq subs))
+          : Resa_sim.Simulator.stream_stats);
+      let s = Resa_sim.Metrics.Stream.summary ms in
       print_endline (Resa_sim.Metrics.row ~name:policy.Resa_sim.Policy.name s))
     Resa_sim.Policy.all;
 

@@ -44,11 +44,10 @@ let run variant inst =
   List.iter
     (fun s ->
       if s.members <> [] then begin
-        (* Stack the whole shelf as one m-wide, height-tall block. *)
-        let need = Instance.m inst in
-        let t = Timeline.earliest_fit_at free ~from:!from ~dur:s.height ~need in
-        let reserved = Timeline.reserve free ~start:t ~dur:s.height ~need in
-        assert reserved;
+        (* Stack the whole shelf as one m-wide, height-tall block. The next
+           shelf is searched from its end, so the block is never reserved:
+           no later query reads its window. *)
+        let t = Timeline.earliest_fit_at free ~from:!from ~dur:s.height ~need:(Instance.m inst) in
         List.iter (fun i -> starts.(i) <- t) s.members;
         from := t + s.height
       end)

@@ -13,9 +13,9 @@
 
     Shelf schedules are only defined without reservations; with reservations
     present, the shelves are stacked into the availability — each shelf
-    starts at the earliest time its full [m]-wide, height-tall window fits
-    on a {!Timeline} of it, which then reserves that window (a simple
-    reservation-aware extension used as an extra baseline). *)
+    starts at the earliest time, from the end of the previous shelf, that
+    its full [m]-wide, height-tall window fits on a {!Timeline} of it (a
+    simple reservation-aware extension used as an extra baseline). *)
 
 open Resa_core
 

@@ -28,7 +28,7 @@ type job_row = {
 (* The bounded-slowdown runtime threshold, in the simulator's time unit. *)
 let bound = 10
 
-let per_job ?provenance ?job_numbers (trace : Simulator.trace) =
+let per_job ?provenance ?job_numbers records =
   let provenance = match provenance with Some f -> f | None -> fun _ -> "" in
   let number =
     match job_numbers with Some a -> fun id -> a.(id) | None -> fun id -> id
@@ -50,7 +50,7 @@ let per_job ?provenance ?job_numbers (trace : Simulator.trace) =
         bounded_slowdown = Float.max 1.0 (float_of_int (wait + p) /. float_of_int (max p bound));
         provenance = provenance (Job.id r.job);
       })
-    trace.records
+    records
 
 let per_job_csv ?run rows =
   let b = Buffer.create (64 * (List.length rows + 1)) in
@@ -79,111 +79,94 @@ let empty_summary =
     utilization = Float.nan;
   }
 
-(* Shared accumulation kernel for the batch and streaming paths. Waits and
-   work areas are summed in exact integer arithmetic; slowdown sums use the
-   exactly-rounded [Stats.Fsum], whose total is independent of insertion
-   order — that is what makes the streaming summary (records observed in
-   start order) bit-identical to the batch one (records in submission
-   order). *)
-type acc = {
-  m : int;
-  reservations : Reservation.t list; (* with [m], the utilization denominator *)
-  mutable n : int;
-  mutable makespan : int;
-  mutable wait_sum : int;
-  mutable max_wait : int;
-  mutable work : int;
-  slow : Stats.Fsum.t;
-  bslow : Stats.Fsum.t;
-}
-
-let acc_create ~m ~reservations =
-  {
-    m;
-    reservations;
-    n = 0;
-    makespan = 0;
-    wait_sum = 0;
-    max_wait = 0;
-    work = 0;
-    slow = Stats.Fsum.create ();
-    bslow = Stats.Fsum.create ();
-  }
-
-let acc_observe a (r : Simulator.record) =
-  let p = Job.p r.job and q = Job.q r.job in
-  let wait = r.start - r.submit in
-  a.n <- a.n + 1;
-  if r.start + p > a.makespan then a.makespan <- r.start + p;
-  a.wait_sum <- a.wait_sum + wait;
-  if wait > a.max_wait then a.max_wait <- wait;
-  a.work <- a.work + (p * q);
-  (* Integer operands, divided inside [Stats]: no float is boxed on the way.
-     With b = max p bound > 0, max 1 ((wait+p)/b) = (max (wait+p) b)/b
-     exactly — b/b is 1.0, and the quotient is >= 1.0 whenever wait+p >= b. *)
-  Stats.Fsum.add_ratio a.slow (wait + p) p;
-  let b = max p bound in
-  Stats.Fsum.add_ratio a.bslow (max (wait + p) b) b
-
-(* Available processor·time on [\[0, c)]: m·c less each reservation's
-   blocked area inside the window, in exact integers — the integral of
-   [m − U(t)] without building it. *)
-let avail_area a c =
-  List.fold_left
-    (fun acc r ->
-      let inside = min (Reservation.stop r) c - Reservation.start r in
-      if inside > 0 then acc - (Reservation.q r * inside) else acc)
-    (a.m * c) a.reservations
-
-let acc_summary a =
-  if a.n = 0 then empty_summary
-  else begin
-    let fn = float_of_int a.n in
-    let utilization =
-      (* [Schedule.utilization] verbatim, without rebuilding the schedule:
-         work over available area on [0, makespan). *)
-      if a.makespan = 0 then 1.0
-      else
-        let avail_area = avail_area a a.makespan in
-        if avail_area = 0 then 1.0 else float_of_int a.work /. float_of_int avail_area
-    in
-    {
-      n = a.n;
-      makespan = a.makespan;
-      mean_wait = float_of_int a.wait_sum /. fn;
-      max_wait = a.max_wait;
-      mean_slowdown = Stats.Fsum.total a.slow /. fn;
-      mean_bounded_slowdown = Stats.Fsum.total a.bslow /. fn;
-      utilization;
-    }
-  end
-
-let summarize (trace : Simulator.trace) =
-  let a = acc_create ~m:trace.m ~reservations:trace.reservations in
-  List.iter (acc_observe a) trace.records;
-  let s = acc_summary a in
-  (* The trace's makespan is definitionally max (start + p); keep using it
-     so a summary never disagrees with its trace. *)
-  if s.n = 0 then s else { s with makespan = trace.makespan }
-
 module Stream = struct
-  type t = { a : acc; wait_p50 : Stats.P2.t; wait_p95 : Stats.P2.t }
+  (* Waits and work areas are summed in exact integer arithmetic; slowdown
+     sums use the exactly-rounded [Stats.Fsum], whose total is independent
+     of insertion order — so the summary of a set of records does not
+     depend on the order they are observed in (start order in a replay,
+     submission order in a list). *)
+  type t = {
+    m : int;
+    reservations : Reservation.t list; (* with [m], the utilization denominator *)
+    mutable n : int;
+    mutable makespan : int;
+    mutable wait_sum : int;
+    mutable max_wait : int;
+    mutable work : int;
+    slow : Stats.Fsum.t;
+    bslow : Stats.Fsum.t;
+    wait_p50 : Stats.P2.t;
+    wait_p95 : Stats.P2.t;
+  }
 
   let create ~m ~reservations () =
     {
-      a = acc_create ~m ~reservations;
+      m;
+      reservations;
+      n = 0;
+      makespan = 0;
+      wait_sum = 0;
+      max_wait = 0;
+      work = 0;
+      slow = Stats.Fsum.create ();
+      bslow = Stats.Fsum.create ();
       wait_p50 = Stats.P2.create ~q:0.5;
       wait_p95 = Stats.P2.create ~q:0.95;
     }
 
-  let observe t r =
-    acc_observe t.a r;
-    let wait = r.Simulator.start - r.Simulator.submit in
+  let observe t (r : Simulator.record) =
+    let p = Job.p r.job and q = Job.q r.job in
+    let wait = r.start - r.submit in
+    t.n <- t.n + 1;
+    if r.start + p > t.makespan then t.makespan <- r.start + p;
+    t.wait_sum <- t.wait_sum + wait;
+    if wait > t.max_wait then t.max_wait <- wait;
+    t.work <- t.work + (p * q);
+    (* Integer operands, divided inside [Stats]: no float is boxed on the
+       way. With b = max p bound > 0, max 1 ((wait+p)/b) = (max (wait+p)
+       b)/b exactly — b/b is 1.0, and the quotient is >= 1.0 whenever
+       wait+p >= b. *)
+    Stats.Fsum.add_ratio t.slow (wait + p) p;
+    let b = max p bound in
+    Stats.Fsum.add_ratio t.bslow (max (wait + p) b) b;
     Stats.P2.add_int t.wait_p50 wait;
     Stats.P2.add_int t.wait_p95 wait
 
-  let count t = t.a.n
-  let summary t = acc_summary t.a
+  (* Available processor·time on [\[0, c)]: m·c less each reservation's
+     blocked area inside the window, in exact integers — the integral of
+     [m − U(t)] without building it. *)
+  let avail_area t c =
+    List.fold_left
+      (fun acc r ->
+        let inside = min (Reservation.stop r) c - Reservation.start r in
+        if inside > 0 then acc - (Reservation.q r * inside) else acc)
+      (t.m * c) t.reservations
+
+  let count t = t.n
+
+  let summary t : summary =
+    if t.n = 0 then empty_summary
+    else begin
+      let fn = float_of_int t.n in
+      let utilization =
+        (* [Schedule.utilization] verbatim, without rebuilding the
+           schedule: work over available area on [0, makespan). *)
+        if t.makespan = 0 then 1.0
+        else
+          let avail_area = avail_area t t.makespan in
+          if avail_area = 0 then 1.0 else float_of_int t.work /. float_of_int avail_area
+      in
+      {
+        n = t.n;
+        makespan = t.makespan;
+        mean_wait = float_of_int t.wait_sum /. fn;
+        max_wait = t.max_wait;
+        mean_slowdown = Stats.Fsum.total t.slow /. fn;
+        mean_bounded_slowdown = Stats.Fsum.total t.bslow /. fn;
+        utilization;
+      }
+    end
+
   let wait_p50 t = Stats.P2.value t.wait_p50
   let wait_p95 t = Stats.P2.value t.wait_p95
 end

@@ -1,14 +1,13 @@
-(** Standard batch-scheduling metrics over simulation traces.
+(** Standard batch-scheduling metrics over simulation records.
 
-    Two evaluation paths share one accumulation kernel: {!summarize} folds
-    a finished trace's record list, and {!Stream} folds records one at a
-    time as a streamed replay produces them — never holding the trace.
-    Integer-valued sums (waits, work) are exact by construction; float sums
-    (slowdowns) go through the exactly-rounded, order-independent
-    [Resa_stats.Stats.Fsum], so the two paths return bit-identical
-    summaries even though they observe records in different orders
-    (streaming sees start order, batch sees submission order). The
-    differential suite in [test/test_stream.ml] enforces this. *)
+    {!Stream} folds records one at a time as a replay produces them
+    ([Simulator.run_stream]'s [on_record]) — never holding the run's
+    records. Integer-valued sums (waits, work) are exact by construction;
+    float sums (slowdowns) go through the exactly-rounded,
+    order-independent [Resa_stats.Stats.Fsum], so the summary of a set of
+    records is bit-identical whatever order they are observed in (a replay
+    observes them in start order). [test/test_stream.ml] checks start
+    order against submission order. *)
 
 type summary = {
   n : int;
@@ -44,24 +43,13 @@ type job_row = {
           stream; [""] when no provenance source was supplied. *)
 }
 
-val summarize : Simulator.trace -> summary
-(** One pass over the records — no instance or schedule is rebuilt, no
-    intermediate lists are allocated. The bounded-slowdown runtime
-    threshold is [10] (in the simulator's abstract time unit), the
-    customary cutoff below which a job's slowdown is clamped so that very
-    short jobs do not dominate the mean. On an
-    {e empty} trace the result is explicit about being degenerate: [n = 0],
-    [makespan = 0], means at their neutral values ([mean_wait = 0.],
-    slowdowns [1.]) and [utilization = Float.nan] — there is no elapsed
-    time to utilise, and [nan] cannot be mistaken for a measured ratio. *)
-
 val per_job :
   ?provenance:(int -> string) ->
   ?job_numbers:int array ->
-  Simulator.trace ->
+  Simulator.record list ->
   job_row list
-(** Per-job metric rows, in submission order; bounded slowdown as in
-    {!summarize}.
+(** Per-job metric rows of records given in submission order, one row
+    each, in that order; bounded slowdown as in {!Stream.summary}.
     [provenance] maps a job id to its provenance label (the provenance of
     the job's [Job_start] trace event); defaults to [fun _ -> ""].
     [job_numbers] maps the renumbered id to the source trace's job number
@@ -75,8 +63,8 @@ val per_job_csv : ?run:string -> job_row list -> string
 (** Incremental metrics for streamed replays: observe each record as the
     simulator emits it ([Simulator.run_stream]'s [on_record]), in O(1)
     memory, and summarise at any point. Means, extrema and utilization are
-    exact — bit-identical to {!summarize} on the same record set — and the
-    wait-time median/95th percentile are P² sketches
+    exact, and bit-identical in any observation order of the same record
+    set; the wait-time median/95th percentile are P² sketches
     ([Resa_stats.Stats.P2]: exact up to 5 samples, heuristic beyond, not
     part of {!summary}). *)
 module Stream : sig
@@ -90,8 +78,15 @@ module Stream : sig
   val count : t -> int
 
   val summary : t -> summary
-  (** Summary of everything observed so far; the degenerate record on zero
-      observations, exactly like {!summarize}. *)
+  (** Summary of everything observed so far. The bounded-slowdown runtime
+      threshold is [10] (in the simulator's abstract time unit), the
+      customary cutoff below which a job's slowdown is clamped so that
+      very short jobs do not dominate the mean. With {e no} observation
+      the result is explicit about being degenerate: [n = 0],
+      [makespan = 0], means at their neutral values ([mean_wait = 0.],
+      slowdowns [1.]) and [utilization = Float.nan] — there is no elapsed
+      time to utilise, and [nan] cannot be mistaken for a measured
+      ratio. *)
 
   val wait_p50 : t -> float
   (** P² estimate of the median wait; [nan] before any observation. *)

@@ -71,7 +71,7 @@ type decide = time:int -> queue:Jobq.t -> free:Timeline.t -> action
 type t = {
   name : string;
   create : obs:Resa_obs.Trace.t -> decide;
-      (** Fresh per-run decision function; called once by [Simulator.run]. *)
+      (** Fresh per-run decision function; called once per engine run. *)
 }
 
 val fcfs : t

@@ -1,10 +1,16 @@
 open Resa_core
 module Chrome = Resa_obs.Chrome
 
-let chrome_slices ?(process = "simulation") (trace : Simulator.trace) =
-  let inst, sched = Simulator.to_offline trace in
+let chrome_slices ?(process = "simulation") ~m ~reservations (records : Simulator.record list) =
+  (* The executed instance, release dates forgotten: job [i] is the [i]-th
+     record, started at its start. *)
+  let jobs =
+    List.mapi (fun i (r : Simulator.record) -> Job.make ~id:i ~p:(Job.p r.job) ~q:(Job.q r.job)) records
+  in
+  let inst = Instance.create_exn ~m ~jobs ~reservations in
+  let sched = Schedule.make (Array.of_list (List.map (fun (r : Simulator.record) -> r.start) records)) in
   let assignment = Gantt.assign_processors inst sched in
-  let records = Array.of_list trace.records in
+  let records = Array.of_list records in
   let slices = ref [] in
   (* Reservations occupy their own track: processor identity for them is a
      rendering choice, not a scheduling fact. *)

@@ -7,13 +7,6 @@ type arrival = { job : Job.t; submit : int; estimate : int }
 
 type record = { job : Job.t; submit : int; start : int }
 
-type trace = {
-  m : int;
-  reservations : Reservation.t list;
-  records : record list;
-  makespan : int;
-}
-
 type stream_stats = { jobs : int; makespan : int; max_queued : int; max_live : int }
 
 type heartbeat = {
@@ -98,7 +91,7 @@ let validate_machine ~m ~reservations =
   | Ok () -> ()
   | Error msg -> invalid_arg msg
 
-(* The state of one run of the event loop behind [run_stream], [run] and
+(* The state of one run of the event loop behind [run_stream] and
    [run_order]: one record, so that a run's set-up allocates a handful of
    blocks and the loop's steps are top-level functions over it, not
    closures over refs.
@@ -126,8 +119,8 @@ type run = {
   free : Timeline.t;
   events : Eventq.t;
   queue : Jobq.t;
-  (* The live ids, bound to their slots: admission rejects a duplicate. *)
-  slot_of : Ids.t;
+  (* The live ids: admission rejects a duplicate. *)
+  live_ids : Ids.t;
   (* Reservation edges — every availability breakpoint, 0 included — are
      decision opportunities for every policy. They are read through a
      cursor over the sweep's breakpoints, not pushed into the event queue:
@@ -248,8 +241,8 @@ let heartbeat_due r =
   | Some _ -> events_seen r - r.hb_last_ev >= r.hb_every
 
 (* Whether an arrival is ready in the lookahead, pulling one if none is.
-   This and [admit] are the engine's one check of its input: every entry
-   point feeds its arrivals through them. *)
+   This and [admit] are the engine's one check of its input: both entry
+   points feed their arrivals through them. *)
 let peek_arrival r =
   r.ready
   || r.last_submit >= 0
@@ -274,9 +267,8 @@ let admit r t =
   r.ready <- false;
   let job = r.a_job in
   let id = job.Job.id in
+  if not (Ids.add r.live_ids id) then invalid_arg "Simulator: duplicate live job id";
   let slot = alloc_slot r in
-  if not (Ids.add r.slot_of id slot) then
-    invalid_arg "Simulator: duplicate live job id";
   r.sjob.(slot) <- job;
   sset r slot o_adm r.n_jobs;
   sset r slot o_submit r.a_submit;
@@ -299,7 +291,7 @@ let complete r t slot =
   if t < planned_end then
     Timeline.change r.free ~lo:t ~hi:planned_end ~delta:r.sjob.(slot).Job.q;
   let id = r.sjob.(slot).Job.id in
-  Ids.remove r.slot_of id;
+  Ids.remove r.live_ids id;
   r.sjob.(slot) <- dummy_job;
   r.free_slots.(r.free_top) <- slot;
   r.free_top <- r.free_top + 1;
@@ -576,9 +568,7 @@ let rec loop r =
 
 (* One run of the event loop. Arrivals are pulled with [pull] (submit times
    non-decreasing) with one arrival of lookahead. At any instant, due
-   arrivals are admitted first, then queued events pop in push order — so
-   traces are byte-identical whichever entry point feeds the loop
-   (enforced by test/test_stream.ml).
+   arrivals are admitted first, then queued events pop in push order.
 
    [sweep] is the reservations' sweep over [m] processors (validated by the
    caller). [on_start k job submit start] observes each start, where [k] is the
@@ -610,7 +600,7 @@ let run_core ~obs ~policy ~m ~sweep ~gc_every ~hb_every ~on_heartbeat ~on_start 
       free = Timeline.of_steps sweep.times sweep.free sweep.len;
       events = Eventq.create ();
       queue = Jobq.create ();
-      slot_of = Ids.create slots;
+      live_ids = Ids.create slots;
       edge = 0;
       sjob = Array.make slots dummy_job;
       sint = Array.make (width * slots) 0;
@@ -669,36 +659,6 @@ let run_stream ?(obs = Trace.null) ?(gc_every = 0) ?(heartbeat_every = 0) ?on_he
         r.a_est <- a.estimate;
         true)
 
-let run ?(obs = Trace.null) ~policy ~m ?(reservations = []) (arrivals : arrival list) =
-  let subs = Array.of_list arrivals in
-  let n = Array.length subs in
-  validate_machine ~m ~reservations;
-  (* Feed the engine in (submit, list position) order: equal submits are
-     admitted in list order. *)
-  let order = Array.init n (fun i -> i) in
-  Array.sort
-    (fun i j ->
-      match Int.compare subs.(i).submit subs.(j).submit with 0 -> Int.compare i j | c -> c)
-    order;
-  (* The [k]-th admission is submission [order.(k)]: each record is written
-     straight into its submission's cell. *)
-  let records = Array.make n { job = dummy_job; submit = 0; start = -1 } in
-  let stats =
-    run_core ~obs ~policy ~m ~sweep:(Resv_sweep.run ~m reservations) ~gc_every:0 ~hb_every:0
-      ~on_heartbeat:None
-      ~on_start:(fun k job submit start -> records.(order.(k)) <- { job; submit; start })
-      ~slots:(max 1 n)
-      (fun r ->
-        r.n_jobs < n
-        &&
-        let i = order.(r.n_jobs) in
-        r.a_job <- subs.(i).job;
-        r.a_submit <- subs.(i).submit;
-        r.a_est <- subs.(i).estimate;
-        true)
-  in
-  { m; reservations; records = Array.to_list records; makespan = stats.makespan }
-
 let is_permutation n a =
   Array.length a = n
   &&
@@ -735,11 +695,3 @@ let run_order ~policy inst order =
          true)
       : stream_stats);
   Schedule.make starts
-
-let to_offline trace =
-  let jobs =
-    List.mapi (fun i r -> Job.make ~id:i ~p:r.job.Job.p ~q:r.job.Job.q) trace.records
-  in
-  let inst = Instance.create_exn ~m:trace.m ~jobs ~reservations:trace.reservations in
-  let starts = Array.of_list (List.map (fun r -> r.start) trace.records) in
-  (inst, Schedule.make starts)

@@ -31,13 +31,18 @@
     timeline that the earlier ones left, so a committed decision never
     exceeds the capacity; anything else is rolled back and raised as
     {!Policy_error}. The engine never re-checks or re-reserves a start on
-    its own. The finished trace converts to an
-    [Instance.t]/[Schedule.t] pair that [Schedule.validate] accepts, for
-    any policy that runs to the end (tested with random policies).
+    its own. The records of a run that ends, with the run's machine and
+    reservations, form an [Instance.t]/[Schedule.t] pair that
+    [Schedule.validate] accepts, for any policy (tested with random
+    policies).
+
+    The engine has two entry points: {!run_stream}, the online one, pulls
+    arrivals released over time, and {!run_order}, the offline one, feeds
+    an instance's jobs, all released at 0, in a given order.
 
     {2 Observability}
 
-    {!run_stream} and {!run} take an optional tracer [?obs] (default
+    {!run_stream} takes an optional tracer [?obs] (default
     {!Resa_obs.Trace.null}). With a live sink the simulator emits, in
     deterministic order: [Job_submit] / [Job_finish] while draining events,
     one [Decision] per decision instant (an instant with an empty queue
@@ -61,13 +66,7 @@ type arrival = { job : Job.t; submit : int; estimate : int }
     requested walltime ([estimate >= Job.p job]). *)
 
 type record = { job : Job.t; submit : int; start : int }
-
-type trace = {
-  m : int;
-  reservations : Reservation.t list;
-  records : record list;  (** In submission order. *)
-  makespan : int;
-}
+(** One started job: the actual job, its submit time and its start. *)
 
 type stream_stats = {
   jobs : int;  (** Arrivals simulated. *)
@@ -104,30 +103,6 @@ exception Policy_error of string
     checkpoint, and any the policy left open inside it, is rolled back
     first. *)
 
-val run :
-  ?obs:Resa_obs.Trace.t ->
-  policy:Policy.t ->
-  m:int ->
-  ?reservations:Reservation.t list ->
-  arrival list ->
-  trace
-(** Simulate a materialised arrival list to completion — {!run_stream}
-    fed in (submit, list position) order, with the records collected back
-    into list order. Reservations must fit the machine, checked before the
-    run starts. Each arrival is checked as the engine pulls it, as
-    {!run_stream} checks its arrivals and with the same [Invalid_argument]
-    texts: a negative submit time, an estimate below the actual runtime,
-    [q > m], or an id shared with a job still waiting or running. An id
-    reused by jobs that are never live together is accepted. A fault
-    raises mid-run, after the events before it were traced.
-
-    Each arrival's [estimate] is its {e requested} walltime: policies see
-    and plan with it, the job actually completes after its true runtime,
-    and the capacity reserved for the unused tail is released at
-    completion — the mechanism behind backfilling's well-known sensitivity
-    to user walltime overestimation. An arrival with [estimate = Job.p job]
-    is an exact request. The returned records carry the {e actual} jobs. *)
-
 val run_stream :
   ?obs:Resa_obs.Trace.t ->
   ?gc_every:int ->
@@ -145,6 +120,13 @@ val run_stream :
     record list is built — [on_record] (default: ignore) observes each
     [(job, submit, start)] at the instant the job starts, in start order.
     Memory is O(live jobs + timeline), independent of trace length.
+
+    Each arrival's [estimate] is its {e requested} walltime: policies see
+    and plan with it, the job actually completes after its true runtime,
+    and the capacity reserved for the unused tail is released at
+    completion — the mechanism behind backfilling's well-known sensitivity
+    to user walltime overestimation. An arrival with [estimate = Job.p job]
+    is an exact request. The records carry the {e actual} jobs.
 
     [gc_every] (default 0 = never) also compacts the capacity timeline
     with [Timeline.gc ~upto:now] every that many completions. The engine
@@ -164,17 +146,18 @@ val run_stream :
     [heartbeat_every] must be non-negative ([Invalid_argument]
     otherwise).
 
-    Semantics are those of {!run} on the drained arrival list: same
-    decisions, same starts, and byte-identical [?obs] traces — at any
-    instant due arrivals are admitted before queued events, which pop in
-    push order (enforced by the differential suite in
-    [test/test_stream.ml], including under [gc_every:1]). The machine and
-    the reservations are checked before the run. Each arrival is checked
-    at its pull, with one [Invalid_argument] text per fault:
-    ["Simulator: negative submit time"], ["Simulator: submit times must be
+    At any instant due arrivals are admitted before queued events, which
+    pop in push order, so a run is deterministic: the same arrivals give
+    the same decisions, starts and byte-identical [?obs] traces, also
+    under [gc_every:1] ([test/test_stream.ml]). The machine and the
+    reservations are checked before the run. Each arrival is checked at
+    its pull, with one [Invalid_argument] text per fault: ["Simulator:
+    negative submit time"], ["Simulator: submit times must be
     non-decreasing"], ["Simulator: estimate below the actual runtime"],
     ["Simulator: job wider than the machine"] and ["Simulator: duplicate
-    live job id"] (an id shared with a job still waiting or running). *)
+    live job id"] (an id shared with a job still waiting or running; an
+    id reused by jobs that are never live together is accepted). A fault
+    raises mid-run, after the events before it were traced. *)
 
 val run_order : policy:Policy.t -> Instance.t -> int array -> Schedule.t
 (** The offline schedule of [policy]: every job of the instance submitted
@@ -183,7 +166,3 @@ val run_order : policy:Policy.t -> Instance.t -> int array -> Schedule.t
     pass it their priority order. Raises [Invalid_argument
     "Simulator.run_order: order is not a permutation"] unless [order] is a
     permutation of the job indices. *)
-
-val to_offline : trace -> Instance.t * Schedule.t
-(** Forget release dates: the instance/schedule pair actually executed,
-    ready for validation, Gantt rendering or ratio measurements. *)

@@ -63,11 +63,11 @@ let test_replay_budget (policy, budget) () =
 let budgets =
   [ (Policy.fcfs, 4.); (Policy.easy, 4.); (Policy.aggressive, 4.); (Policy.conservative, 4.) ]
 
-(* The materialised path with reservations: [Simulator.run] on the bench's
-   [sim] workload at n = 2000 (m=128, n/20 reservations, seed 1236),
-   minor words per event (admit or completion), list conversion and
-   record collection included. It measures 9.7–10.4 words/event; the
-   budget is that plus about 15 %. *)
+(* A list with reservations: [Tutil.simulate] ([Simulator.run_stream]
+   pulling from the list) on the bench's [sim] workload at n = 2000
+   (m=128, n/20 reservations, seed 1236), minor words per event (admit or
+   completion), the pulls' [Some] cells and the record collection
+   included. It measures 8.9–9.4 words/event. *)
 let sim_workload = lazy (Resa_bench.Perf.sim_subs 2000)
 let sim_budget = 12.
 
@@ -76,11 +76,11 @@ let test_sim_budget (policy : Policy.t) () =
   let words =
     Tutil.without_metrics (fun () ->
         minor_words (fun () ->
-            ignore (Simulator.run ~policy ~m:128 ~reservations subs : Simulator.trace)))
+            ignore (Tutil.simulate ~policy ~m:128 ~reservations subs)))
   in
   let w = words /. float_of_int (2 * List.length subs) in
   if w > sim_budget then
-    Alcotest.failf "%s: Simulator.run allocates %.2f minor words/event, budget %.0f" policy.name w
+    Alcotest.failf "%s: a list replay allocates %.2f minor words/event, budget %.0f" policy.name w
       sim_budget
 
 let test_stream_observe_budget () =
@@ -123,7 +123,7 @@ let startup_words policy =
   Tutil.without_metrics (fun () ->
       let s0 = Gc.quick_stat () in
       let minor =
-        minor_words (fun () -> ignore (Simulator.run ~policy ~m:8 subs : Simulator.trace))
+        minor_words (fun () -> ignore (Tutil.simulate ~policy ~m:8 subs))
       in
       let s1 = Gc.quick_stat () in
       minor +. direct_major s1 -. direct_major s0)

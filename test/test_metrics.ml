@@ -207,8 +207,8 @@ let test_auto_gc_counted () =
    Raised past the cliff, the segment trigger leaves only the span rule's
    cadence: every run walks the reservation edges up to 100M, and the
    origin may trail the clock by at most 16384, so at most 100M / 16384
-   ~ 6104 span collections, plus a few segment-count ones. The
-   collections stay invisible in the trace. *)
+   ~ 6104 span collections, plus a few segment-count ones. Collecting
+   more often changes no event of the trace. *)
 let test_gc_cliff () =
   let arrivals =
     let rng = Resa_core.Prng.create ~seed:4242 in
@@ -224,12 +224,6 @@ let test_gc_cliff () =
         Resa_core.Reservation.make ~id:i ~start:((10_000 * i) + 5_000) ~p:2_500 ~q:64)
   in
   let budget = (10_000 * n_resv / 16384) + 50 in
-  let subs =
-    List.map
-      (fun (a : Swf_stream.arrival) ->
-        Simulator.{ job = a.job; submit = a.submit; estimate = a.estimate })
-      arrivals
-  in
   let jsonl events = Tutil.trace_text ~run:"x" (events ()) in
   List.iter
     (fun ((policy : Policy.t), counter) ->
@@ -242,12 +236,15 @@ let test_gc_cliff () =
       in
       if gc_runs > budget then
         Alcotest.failf "%s: %s = %d, budget %d" policy.name counter gc_runs budget;
-      let batch, batch_events = Tutil.recorder () in
-      ignore (Simulator.run ~obs:batch ~policy ~m:128 ~reservations subs);
+      (* A run that also collects after every completion writes the same
+         events. *)
+      let eager, eager_events = Tutil.recorder () in
+      ignore
+        (Simulator.run_stream ~obs:eager ~gc_every:1 ~policy ~m:128 ~reservations (feed arrivals));
       Alcotest.(check bool)
-        (policy.name ^ " trace equals run's")
+        (policy.name ^ " trace equals the gc_every:1 run's")
         true
-        (jsonl streamed_events = jsonl batch_events))
+        (jsonl streamed_events = jsonl eager_events))
     (* CONS rebuilds its plan timeline on the same rule; [timeline.gc]
        counts both timelines. *)
     [ (Policy.fcfs, "sim.gc_runs"); (Policy.conservative, "timeline.gc") ]

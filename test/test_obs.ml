@@ -25,8 +25,8 @@ let workload ?(seed = 77) ?(n = 25) ?(m = 8) () =
    land in the same sink without extra plumbing. *)
 let event_stream ~policy ~name ~m ~reservations subs =
   let obs, obs_events = Tutil.recorder () in
-  let trace = Simulator.run ~obs ~policy ~m ~reservations subs in
-  (trace, Tutil.trace_text ~run:name (obs_events ()))
+  let _, records = Tutil.simulate ~obs ~policy ~m ~reservations subs in
+  (records, Tutil.trace_text ~run:name (obs_events ()))
 
 (* --- sinks -------------------------------------------------------------- *)
 
@@ -97,7 +97,7 @@ let test_sink_sees_every_event () =
       | Trace.Job_finish _ -> incr finishes
       | _ -> ())
   in
-  ignore (Simulator.run ~obs ~policy:Policy.easy ~m:8 ~reservations subs : Simulator.trace);
+  ignore (Tutil.simulate ~obs ~policy:Policy.easy ~m:8 ~reservations subs);
   Alcotest.(check (list int)) "one start per job" (List.init 40 Fun.id) (List.sort compare !starts);
   Alcotest.(check int) "one finish per job" 40 !finishes
 
@@ -127,19 +127,16 @@ let test_tracing_off_identical () =
   let subs, reservations = workload () in
   List.iter
     (fun (name, policy) ->
-      let plain = Simulator.run ~policy ~m:8 ~reservations subs in
+      let _, plain = Tutil.simulate ~policy ~m:8 ~reservations subs in
       let obs, obs_events = Tutil.recorder () in
-      let traced = Simulator.run ~obs ~policy ~m:8 ~reservations subs in
-      let starts (t : Simulator.trace) =
-        List.map (fun (r : Simulator.record) -> r.start) t.records
-      in
+      let _, traced = Tutil.simulate ~obs ~policy ~m:8 ~reservations subs in
       Alcotest.(check (list int))
-        (name ^ ": identical starts") (starts plain) (starts traced);
+        (name ^ ": identical starts") (Tutil.starts_by_id plain) (Tutil.starts_by_id traced);
       Alcotest.(check string)
         (name ^ ": identical metrics row")
-        (Metrics.row ~name (Metrics.summarize plain))
-        (Metrics.row ~name (Metrics.summarize traced));
-      let inst, sched = Simulator.to_offline traced in
+        (Metrics.row ~name (Tutil.summary ~m:8 ~reservations plain))
+        (Metrics.row ~name (Tutil.summary ~m:8 ~reservations traced));
+      let inst, sched = Tutil.executed ~m:8 ~reservations traced in
       (match Schedule.validate inst sched with
       | Ok () -> ()
       | Error v -> Alcotest.failf "%s: infeasible: %a" name Schedule.pp_violation v);
@@ -194,7 +191,7 @@ let test_backfill_provenance () =
     ]
   in
   let obs, obs_events = Tutil.recorder () in
-  let _ = Simulator.run ~obs ~policy:Policy.easy ~m:4 subs in
+  let _ = Tutil.simulate ~obs ~policy:Policy.easy ~m:4 subs in
   (match start_event_of obs_events 2 with
   | Some (0, 0, Trace.Backfilled_ahead_of_head) -> ()
   | Some (t, w, p) ->
@@ -224,7 +221,7 @@ let test_reservation_blocked_provenance () =
   let resv = [ Reservation.make ~id:0 ~start:0 ~p:5 ~q:4 ] in
   let subs = [ Tutil.exact (Job.make ~id:0 ~p:3 ~q:2) 0 ] in
   let obs, obs_events = Tutil.recorder () in
-  let _ = Simulator.run ~obs ~policy:Policy.fcfs ~m:4 ~reservations:resv subs in
+  let _ = Tutil.simulate ~obs ~policy:Policy.fcfs ~m:4 ~reservations:resv subs in
   let reasons =
     List.filter_map
       (function Trace.Head_blocked { reason; _ } -> Some reason | _ -> None)
@@ -257,8 +254,8 @@ let test_book_emits_admission_events () =
 let test_chrome_export_wellformed () =
   let subs, reservations = workload ~n:12 () in
   let obs = Trace.sink ignore in
-  let trace = Simulator.run ~obs ~policy:Policy.easy ~m:8 ~reservations subs in
-  let slices = Sim_trace.chrome_slices ~process:"EASY" trace in
+  let _, records = Tutil.simulate ~obs ~policy:Policy.easy ~m:8 ~reservations subs in
+  let slices = Sim_trace.chrome_slices ~process:"EASY" ~m:8 ~reservations (Tutil.by_id records) in
   Alcotest.(check bool) "has slices" true (slices <> []);
   let doc = Tutil.written (fun oc -> Resa_obs.Chrome.write oc slices) in
   match Resa_obs.Jsonu.of_string doc with
@@ -304,15 +301,16 @@ let test_per_job_and_csv () =
       | Trace.Job_start { job; provenance; _ } -> Hashtbl.replace provs job provenance
       | _ -> ())
   in
-  let trace = Simulator.run ~obs ~policy:Policy.easy ~m:8 ~reservations subs in
+  let _, records = Tutil.simulate ~obs ~policy:Policy.easy ~m:8 ~reservations subs in
+  let records = Tutil.by_id records in
   let provenance id =
     match Hashtbl.find_opt provs id with
     | Some p -> Trace.provenance_to_string p
     | None -> ""
   in
-  let rows = Metrics.per_job ~provenance trace in
+  let rows = Metrics.per_job ~provenance records in
   Alcotest.(check int) "one row per job" 15 (List.length rows);
-  let s = Metrics.summarize trace in
+  let s = Tutil.summary ~m:8 ~reservations records in
   let fsum = List.fold_left ( +. ) 0.0 in
   Alcotest.(check (float 1e-9))
     "mean wait consistent" s.Metrics.mean_wait
@@ -336,11 +334,11 @@ let test_per_job_and_csv () =
     lines
 
 let test_empty_summary_is_explicit () =
-  let trace = Simulator.run ~policy:Policy.fcfs ~m:2 [] in
-  let s = Metrics.summarize trace in
+  let _, records = Tutil.simulate ~policy:Policy.fcfs ~m:2 [] in
+  let s = Tutil.summary ~m:2 records in
   Alcotest.(check int) "n" 0 s.Metrics.n;
   Alcotest.(check bool) "utilization is nan" true (Float.is_nan s.Metrics.utilization);
-  Alcotest.(check (list reject)) "no per-job rows" [] (Metrics.per_job trace)
+  Alcotest.(check (list reject)) "no per-job rows" [] (Metrics.per_job records)
 
 (* --- enriched policy errors --------------------------------------------- *)
 
@@ -360,7 +358,7 @@ let test_policy_error_messages () =
       Tutil.exact (Job.make ~id:1 ~p:2 ~q:2) 0;
     ]
   in
-  (match Simulator.run ~policy:overcommit ~m:2 subs with
+  (match Tutil.simulate ~policy:overcommit ~m:2 subs with
   | exception Simulator.Policy_error msg ->
     List.iter
       (fun sub ->
@@ -389,7 +387,7 @@ let test_policy_error_messages () =
                 { start_now; wake = -1 });
         }
     in
-    match Simulator.run ~policy ~m:2 subs with
+    match Tutil.simulate ~policy ~m:2 subs with
     | exception Simulator.Policy_error msg ->
       List.iter
         (fun sub ->
@@ -443,7 +441,7 @@ let test_failed_decision_rolls_back () =
   List.iter
     (fun nested ->
       Tutil.with_metrics (fun () ->
-          match Simulator.run ~policy:(raising ~nested) ~m:2 subs with
+          match Tutil.simulate ~policy:(raising ~nested) ~m:2 subs with
           | exception Simulator.Policy_error msg ->
             List.iter
               (fun sub ->
@@ -464,7 +462,7 @@ let test_failed_decision_rolls_back () =
       }
   in
   Tutil.with_metrics (fun () ->
-      match Simulator.run ~policy:phantom ~m:2 [ List.hd subs ] with
+      match Tutil.simulate ~policy:phantom ~m:2 [ List.hd subs ] with
       | exception Simulator.Policy_error _ -> resolved ()
       | _ -> Alcotest.fail "phantom start not caught")
 
@@ -494,7 +492,7 @@ let test_commit_rule_refuses_unproven_logs () =
         }
     in
     Tutil.with_metrics (fun () ->
-        match Simulator.run ~policy ~m:4 subs with
+        match Tutil.simulate ~policy ~m:4 subs with
         | exception Simulator.Policy_error msg ->
           List.iter
             (fun sub ->
@@ -636,14 +634,14 @@ let prop_random_policies =
       Tutil.with_metrics (fun () ->
           let outcome =
             match
-              Simulator.run ~policy:(random_policy ~fault seed) ~m:(Instance.m inst) ~reservations
-                subs
+              Tutil.simulate ~policy:(random_policy ~fault seed) ~m:(Instance.m inst)
+                ~reservations subs
             with
             | exception Simulator.Policy_error msg ->
               if fault < 0 then QCheck.Test.fail_reportf "clean policy refused: %s" msg;
               true
-            | trace -> (
-              let inst, sched = Simulator.to_offline trace in
+            | _, records -> (
+              let inst, sched = Tutil.executed ~m:(Instance.m inst) ~reservations records in
               match Schedule.validate inst sched with
               | Ok () -> true
               | Error v -> QCheck.Test.fail_reportf "infeasible: %a" Schedule.pp_violation v)
@@ -727,7 +725,7 @@ let test_prof_counters () =
       (* The simulator opens one speculation scope per decision; every
          checkpoint must be paired with a rollback. *)
       let subs, reservations = workload ~n:10 () in
-      ignore (Simulator.run ~policy:Policy.easy ~m:8 ~reservations subs);
+      ignore (Tutil.simulate ~policy:Policy.easy ~m:8 ~reservations subs);
       Alcotest.(check bool) "checkpoints counted" true (find "timeline.checkpoint" > 0);
       Alcotest.(check int) "checkpoints all resolved" (find "timeline.checkpoint")
         (find "timeline.rollback" + find "timeline.commit");

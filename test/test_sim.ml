@@ -31,24 +31,22 @@ let test_online_equals_offline policy offline () =
   for _ = 1 to 10 do
     let inst = Resa_gen.Random_inst.alpha_restricted rng ~m:8 ~n:10 ~alpha:0.5 ~pmax:6 () in
     if Instance.reservations inst = [||] then Alcotest.fail "instance without reservations";
-    let trace =
-      Simulator.run ~policy ~m:8
+    let _, records =
+      Tutil.simulate ~policy ~m:8
         ~reservations:(Array.to_list (Instance.reservations inst))
         (submit_all_at inst 0)
     in
-    let starts_sim = List.map (fun (r : Simulator.record) -> r.start) trace.records in
     Alcotest.(check (list int)) "identical starts"
       (Array.to_list (Schedule.starts (offline inst)))
-      starts_sim
+      (Tutil.starts_by_id records)
   done
 
 let test_fcfs_policy_order () =
   (* FCFS online: narrow job behind wide head must wait. *)
   let jobs = [ (2, 3); (2, 2); (2, 1) ] in
   let inst = Instance.of_sizes ~m:4 jobs in
-  let trace = Simulator.run ~policy:Policy.fcfs ~m:4 (submit_all_at inst 0) in
-  let starts = List.map (fun (r : Simulator.record) -> r.start) trace.records in
-  Alcotest.(check (list int)) "strict order" [ 0; 2; 2 ] starts
+  let _, records = Tutil.simulate ~policy:Policy.fcfs ~m:4 (submit_all_at inst 0) in
+  Alcotest.(check (list int)) "strict order" [ 0; 2; 2 ] (Tutil.starts_by_id records)
 
 let test_arrival_order_respected () =
   (* A job cannot start before it is submitted, whatever the policy. *)
@@ -60,12 +58,12 @@ let test_arrival_order_respected () =
   in
   List.iter
     (fun policy ->
-      let trace = Simulator.run ~policy ~m:4 subs in
+      let _, records = Tutil.simulate ~policy ~m:4 subs in
       List.iter
         (fun (r : Simulator.record) ->
           if r.start < r.submit then
             Alcotest.failf "%s started a job before submission" policy.Policy.name)
-        trace.records)
+        records)
     Policy.all
 
 let test_policies_feasible_with_reservations () =
@@ -77,12 +75,9 @@ let test_policies_feasible_with_reservations () =
   in
   List.iter
     (fun policy ->
-      let trace =
-        Simulator.run ~policy ~m:12
-          ~reservations:(Array.to_list (Instance.reservations inst))
-          subs
-      in
-      let off_inst, off_sched = Simulator.to_offline trace in
+      let reservations = Array.to_list (Instance.reservations inst) in
+      let _, records = Tutil.simulate ~policy ~m:12 ~reservations subs in
+      let off_inst, off_sched = Tutil.executed ~m:12 ~reservations records in
       match Schedule.validate off_inst off_sched with
       | Ok () -> ()
       | Error v ->
@@ -99,11 +94,10 @@ let test_conservative_policy_plans_hold () =
       Tutil.exact (Job.make ~id:2 ~p:1 ~q:1) 2;
     ]
   in
-  let trace = Simulator.run ~policy:Policy.conservative ~m:4 subs in
-  let starts = List.map (fun (r : Simulator.record) -> r.start) trace.records in
+  let _, records = Tutil.simulate ~policy:Policy.conservative ~m:4 subs in
   (* j1 planned at 4; j2 (narrow, short) backfills nowhere before 4 on a full
      machine, so it lands at 8. *)
-  Alcotest.(check (list int)) "planned starts" [ 0; 4; 8 ] starts
+  Alcotest.(check (list int)) "planned starts" [ 0; 4; 8 ] (Tutil.starts_by_id records)
 
 (* CONS plans each job once and never moves it: the engine consults it at
    every promised instant, so a promise found in the past is a planning
@@ -129,10 +123,9 @@ let test_easy_policy_backfills () =
       Tutil.exact (Job.make ~id:2 ~p:4 ~q:1) 0;
     ]
   in
-  let trace = Simulator.run ~policy:Policy.easy ~m:4 subs in
-  let starts = List.map (fun (r : Simulator.record) -> r.start) trace.records in
+  let _, records = Tutil.simulate ~policy:Policy.easy ~m:4 subs in
   (* j2 ends exactly at the head's guaranteed start (4): allowed. *)
-  Alcotest.(check (list int)) "backfilled" [ 0; 4; 0 ] starts
+  Alcotest.(check (list int)) "backfilled" [ 0; 4; 0 ] (Tutil.starts_by_id records)
 
 let test_policy_error_on_rogue_policy () =
   let rogue =
@@ -151,30 +144,15 @@ let test_policy_error_on_rogue_policy () =
       Tutil.exact (Job.make ~id:1 ~p:2 ~q:2) 0;
     ]
   in
-  match Simulator.run ~policy:rogue ~m:2 subs with
+  match Tutil.simulate ~policy:rogue ~m:2 subs with
   | exception Simulator.Policy_error _ -> ()
   | _ -> Alcotest.fail "capacity violation not caught"
 
 let test_simulator_rejects_bad_input () =
   let subs = [ Tutil.exact (Job.make ~id:0 ~p:1 ~q:5) 0 ] in
-  match Simulator.run ~policy:Policy.fcfs ~m:2 subs with
+  match Tutil.simulate ~policy:Policy.fcfs ~m:2 subs with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "oversized job accepted"
-
-(* [run] checks each submission as the engine pulls it, with the texts
-   [run_stream] uses; an id is only rejected while its first job is live. *)
-let test_run_checks_at_the_pull () =
-  let sub ?(q = 1) id p submit = Tutil.exact (Job.make ~id ~p ~q) submit in
-  let run subs = ignore (Simulator.run ~policy:Policy.fcfs ~m:2 subs : Simulator.trace) in
-  Alcotest.check_raises "negative submit" (Invalid_argument "Simulator: negative submit time")
-    (fun () -> run [ sub 0 1 3; sub 1 1 (-1) ]);
-  Alcotest.check_raises "too wide" (Invalid_argument "Simulator: job wider than the machine")
-    (fun () -> run [ sub ~q:3 0 1 0 ]);
-  Alcotest.check_raises "duplicate live id" (Invalid_argument "Simulator: duplicate live job id")
-    (fun () -> run [ sub 0 5 0; sub 0 5 1 ]);
-  let trace = Simulator.run ~policy:Policy.fcfs ~m:2 [ sub 7 2 0; sub 7 3 5 ] in
-  Alcotest.(check (list int)) "an id reused after its job finished" [ 0; 5 ]
-    (List.map (fun (r : Simulator.record) -> r.start) trace.records)
 
 let prop_all_policies_sound =
   Tutil.qcheck ~count:60 "all policies produce feasible executions"
@@ -186,16 +164,13 @@ let prop_all_policies_sound =
       let subs =
         List.init 8 (fun i -> Tutil.exact (Instance.job inst i) arr.(i))
       in
+      let reservations = Array.to_list (Instance.reservations inst) in
       List.for_all
         (fun policy ->
-          let trace =
-            Simulator.run ~policy ~m:8
-              ~reservations:(Array.to_list (Instance.reservations inst))
-              subs
-          in
-          let oi, os = Simulator.to_offline trace in
+          let _, records = Tutil.simulate ~policy ~m:8 ~reservations subs in
+          let oi, os = Tutil.executed ~m:8 ~reservations records in
           Schedule.is_feasible oi os
-          && List.for_all (fun (r : Simulator.record) -> r.start >= r.submit) trace.records)
+          && List.for_all (fun (r : Simulator.record) -> r.start >= r.submit) records)
         Policy.all)
 
 (* --- metrics --- *)
@@ -207,8 +182,8 @@ let test_metrics_values () =
       Tutil.exact (Job.make ~id:1 ~p:2 ~q:2) 0;
     ]
   in
-  let trace = Simulator.run ~policy:Policy.fcfs ~m:2 subs in
-  let s = Metrics.summarize trace in
+  let _, records = Tutil.simulate ~policy:Policy.fcfs ~m:2 subs in
+  let s = Tutil.summary ~m:2 records in
   Alcotest.(check int) "n" 2 s.n;
   Alcotest.(check int) "makespan" 6 s.makespan;
   (* j0 waits 0; j1 waits 4. *)
@@ -220,8 +195,8 @@ let test_metrics_values () =
   Alcotest.(check (float 1e-9)) "utilization" 1.0 s.utilization
 
 let test_metrics_empty () =
-  let trace = Simulator.run ~policy:Policy.fcfs ~m:2 [] in
-  let s = Metrics.summarize trace in
+  let _, records = Tutil.simulate ~policy:Policy.fcfs ~m:2 [] in
+  let s = Tutil.summary ~m:2 records in
   Alcotest.(check int) "empty" 0 s.n
 
 let test_bounded_slowdown_bound () =
@@ -232,8 +207,8 @@ let test_bounded_slowdown_bound () =
       Tutil.exact (Job.make ~id:1 ~p:1 ~q:2) 0;
     ]
   in
-  let trace = Simulator.run ~policy:Policy.fcfs ~m:2 subs in
-  let s = Metrics.summarize trace in
+  let _, records = Tutil.simulate ~policy:Policy.fcfs ~m:2 subs in
+  let s = Tutil.summary ~m:2 records in
   Alcotest.(check bool) "raw slowdown explodes" true (s.mean_slowdown > 50.0);
   Alcotest.(check bool) "bounded slowdown tamed" true (s.mean_bounded_slowdown < 10.0)
 
@@ -357,10 +332,9 @@ let test_estimated_equals_exact_when_accurate () =
       (* Arrivals requesting exactly their runtimes start where the engine
          at 0 starts the jobs themselves. Reusing one policy value across
          runs must be safe: [create] scopes the planning state per run. *)
-      let a = Simulator.run ~policy ~m:8 subs in
+      let _, a = Tutil.simulate ~policy ~m:8 subs in
       let b = Simulator.run_order ~policy inst order in
-      Alcotest.(check (list int)) "same starts"
-        (List.map (fun (r : Simulator.record) -> r.start) a.records)
+      Alcotest.(check (list int)) "same starts" (Tutil.starts_by_id a)
         (Array.to_list (Schedule.starts b)))
     [ Policy.fcfs; Policy.easy; Policy.conservative; Policy.aggressive ]
 
@@ -373,15 +347,15 @@ let test_early_release_unblocks_follower () =
       Tutil.exact (Job.make ~id:1 ~p:3 ~q:2) 0;
     ]
   in
-  let trace = Simulator.run ~policy:Policy.fcfs ~m:2 subs in
-  let starts = List.map (fun (r : Simulator.record) -> r.start) trace.records in
-  Alcotest.(check (list int)) "follower starts at the actual completion" [ 0; 2 ] starts
+  let _, records = Tutil.simulate ~policy:Policy.fcfs ~m:2 subs in
+  Alcotest.(check (list int)) "follower starts at the actual completion" [ 0; 2 ]
+    (Tutil.starts_by_id records)
 
 let test_estimates_validated () =
   let subs = [ Simulator.{ job = Job.make ~id:0 ~p:5 ~q:1; submit = 0; estimate = 3 } ] in
   Alcotest.check_raises "estimate below runtime"
     (Invalid_argument "Simulator: estimate below the actual runtime") (fun () ->
-      ignore (Simulator.run ~policy:Policy.fcfs ~m:2 subs))
+      ignore (Tutil.simulate ~policy:Policy.fcfs ~m:2 subs))
 
 let prop_estimated_executions_feasible =
   Tutil.qcheck ~count:60 "all policies stay feasible under overestimates"
@@ -401,10 +375,10 @@ let prop_estimated_executions_feasible =
       in
       List.for_all
         (fun policy ->
-          let trace = Simulator.run ~policy ~m:8 subs in
-          let oi, os = Simulator.to_offline trace in
+          let _, records = Tutil.simulate ~policy ~m:8 subs in
+          let oi, os = Tutil.executed ~m:8 ~reservations:[] records in
           Schedule.is_feasible oi os
-          && List.for_all (fun (r : Simulator.record) -> r.start >= r.submit) trace.records)
+          && List.for_all (fun (r : Simulator.record) -> r.start >= r.submit) records)
         Policy.all)
 
 (* After its first [None] the source must not be called again: on a
@@ -427,15 +401,9 @@ let test_exhausted_source_not_repolled () =
           rest := tl;
           Some a
       in
-      let obs_s, obs_s_events = Tutil.recorder () in
-      let stats = Simulator.run_stream ~obs:obs_s ~policy ~m:8 ~reservations next in
+      let stats = Simulator.run_stream ~policy ~m:8 ~reservations next in
       Alcotest.(check int) (policy.name ^ ": jobs") 30 stats.jobs;
-      Alcotest.(check int) (policy.name ^ ": source calls") 31 !calls;
-      let obs_b, obs_b_events = Tutil.recorder () in
-      ignore (Simulator.run ~obs:obs_b ~policy ~m:8 ~reservations subs : Simulator.trace);
-      let jsonl events = Tutil.trace_text (events ()) in
-      Alcotest.(check string) (policy.name ^ ": trace") (jsonl obs_b_events)
-        (jsonl obs_s_events))
+      Alcotest.(check int) (policy.name ^ ": source calls") 31 !calls)
     Policy.all
 
 let suite =
@@ -461,7 +429,6 @@ let suite =
     Alcotest.test_case "accurate estimates change nothing" `Quick test_estimated_equals_exact_when_accurate;
     Alcotest.test_case "early release unblocks followers" `Quick test_early_release_unblocks_follower;
     Alcotest.test_case "estimates are validated" `Quick test_estimates_validated;
-    Alcotest.test_case "run checks each submission at the pull" `Quick test_run_checks_at_the_pull;
     prop_estimated_executions_feasible;
     Alcotest.test_case "metrics on a hand example" `Quick test_metrics_values;
     Alcotest.test_case "metrics on empty trace" `Quick test_metrics_empty;

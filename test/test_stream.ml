@@ -1,7 +1,8 @@
-(* Streaming replay vs the materialising paths: the constant-memory SWF
-   reader, the streaming simulator and the incremental metrics must each be
-   observationally identical to their batch counterparts — same entries,
-   byte-identical event traces, bit-identical summaries. *)
+(* Streaming replay: the constant-memory SWF reader against the
+   split-based reference (same entries), the streaming simulator's gc
+   cadence and input checks, the incremental metrics' order independence
+   (bit-identical summaries), and the engine's queue and id set against
+   list and [Hashtbl] models. *)
 
 open Resa_core
 open Resa_swf
@@ -191,46 +192,41 @@ let test_synthetic_allocation () =
   Alcotest.(check int) "jobs" n jobs;
   if words > 12.0 then Alcotest.failf "%.2f minor words per job (budget 12)" words
 
-(* --- simulator: run_stream vs the batch run on estimated arrivals -------- *)
+(* --- simulator: gc invisibility and input checks ------------------------- *)
 
 let arrivals_of_seed seed ~n =
   let rng = Prng.create ~seed in
   drain (Swf_stream.synthetic ~overestimate:2.0 rng ~m:16 ~n ~max_runtime:60 ~mean_gap:3.0)
 
-let engines_agree ~gc_every policy seed =
+(* Compacting the timeline after every completion changes nothing a run
+   shows: the same stats, the same records in the same order and the same
+   trace events as without the cadence. *)
+let gc_invisible policy seed =
   let arrivals = arrivals_of_seed seed ~n:30 in
-  let obs_b, obs_b_events = Tutil.recorder () in
-  let trace = Simulator.run ~obs:obs_b ~policy ~m:16 (List.map to_sim arrivals) in
-  let obs_s, obs_s_events = Tutil.recorder () in
-  let records = ref [] in
-  let stats =
-    Simulator.run_stream ~obs:obs_s ~gc_every ~policy ~m:16
-      ~on_record:(fun r -> records := r :: !records)
-      (feed arrivals)
+  let run gc_every =
+    let obs, obs_events = Tutil.recorder () in
+    let records = ref [] in
+    let stats =
+      Simulator.run_stream ~obs ~gc_every ~policy ~m:16
+        ~on_record:(fun r -> records := r :: !records)
+        (feed arrivals)
+    in
+    (stats, !records, obs_events ())
   in
-  let by_id =
-    List.sort (fun (a : Simulator.record) b -> compare (Job.id a.job) (Job.id b.job))
-  in
-  stats.Simulator.jobs = List.length arrivals
-  && stats.Simulator.makespan = trace.Simulator.makespan
-  && by_id !records = by_id trace.Simulator.records
-  && obs_s_events () = obs_b_events ()
+  let ((stats, _, _) as plain) = run 0 in
+  stats.Simulator.jobs = List.length arrivals && run 1 = plain
 
 let engine_props =
-  List.concat_map
+  List.map
     (fun (policy : Policy.t) ->
-      [
-        Tutil.qcheck ~count:150
-          (Printf.sprintf "run_stream = run_estimated (%s)" policy.Policy.name)
-          Tutil.seed_arb
-          (engines_agree ~gc_every:0 policy);
-        Tutil.qcheck ~count:60
-          (Printf.sprintf "gc_every:1 is invisible (%s)" policy.Policy.name)
-          Tutil.seed_arb
-          (engines_agree ~gc_every:1 policy);
-      ])
+      Tutil.qcheck ~count:60
+        (Printf.sprintf "gc_every:1 is invisible (%s)" policy.Policy.name)
+        Tutil.seed_arb (gc_invisible policy))
     policies
 
+(* Each arrival is checked as the engine pulls it, one text per fault, and
+   the run raises mid-way, after the arrivals before it. An id is only
+   rejected while its first job is live. *)
 let test_stream_validates_arrivals () =
   let job = Job.make ~id:0 ~p:5 ~q:2 in
   let once a =
@@ -245,7 +241,20 @@ let test_stream_validates_arrivals () =
       run Simulator.{ job; submit = 0; estimate = 4 });
   let wide = Job.make ~id:0 ~p:5 ~q:9 in
   Alcotest.check_raises "too wide" (Invalid_argument "Simulator: job wider than the machine")
-    (fun () -> run Simulator.{ job = wide; submit = 0; estimate = 5 })
+    (fun () -> run Simulator.{ job = wide; submit = 0; estimate = 5 });
+  let sub ?(q = 1) id p submit = Tutil.exact (Job.make ~id ~p ~q) submit in
+  let run subs = ignore (Tutil.simulate ~policy:Policy.fcfs ~m:2 subs) in
+  Alcotest.check_raises "negative submit after a valid one"
+    (Invalid_argument "Simulator: negative submit time") (fun () ->
+      run [ sub 0 1 3; sub 1 1 (-1) ]);
+  Alcotest.check_raises "submits out of order"
+    (Invalid_argument "Simulator: submit times must be non-decreasing") (fun () ->
+      run [ sub 0 1 3; sub 1 1 2 ]);
+  Alcotest.check_raises "duplicate live id" (Invalid_argument "Simulator: duplicate live job id")
+    (fun () -> run [ sub 0 5 0; sub 0 5 1 ]);
+  let _, records = Tutil.simulate ~policy:Policy.fcfs ~m:2 [ sub 7 2 0; sub 7 3 5 ] in
+  Alcotest.(check (list int)) "an id reused after its job finished" [ 0; 5 ]
+    (List.map (fun (r : Simulator.record) -> r.start) records)
 
 (* --- reserved replays: pinned trace digests ------------------------------ *)
 
@@ -317,7 +326,7 @@ let test_reserved_digests () =
         (reserved_replay_digest policy))
     policies
 
-(* --- metrics: Stream vs summarize --------------------------------------- *)
+(* --- metrics: the summary does not depend on the observation order ------- *)
 
 let bits = Int64.bits_of_float
 
@@ -328,18 +337,17 @@ let summaries_identical (a : Metrics.summary) (b : Metrics.summary) =
   && bits a.mean_bounded_slowdown = bits b.mean_bounded_slowdown
   && bits a.utilization = bits b.utilization
 
-let metrics_agree seed =
+(* A replay observes its records in start order; under EASY's backfilling
+   that is not their submission order. Both orders must give the same
+   summary, bit for bit. *)
+let summary_order_free seed =
   let arrivals = arrivals_of_seed seed ~n:40 in
-  let ms = Metrics.Stream.create ~m:16 ~reservations:[] () in
-  ignore
-    (Simulator.run_stream ~policy:Policy.easy ~m:16
-       ~on_record:(Metrics.Stream.observe ms) (feed arrivals)
-      : Simulator.stream_stats);
-  let trace = Simulator.run ~policy:Policy.easy ~m:16 (List.map to_sim arrivals) in
-  summaries_identical (Metrics.Stream.summary ms) (Metrics.summarize trace)
+  let _, records = Tutil.simulate ~policy:Policy.easy ~m:16 (List.map to_sim arrivals) in
+  summaries_identical (Tutil.summary ~m:16 records) (Tutil.summary ~m:16 (Tutil.by_id records))
 
 let prop_metrics_bitwise =
-  Tutil.qcheck ~count:200 "Metrics.Stream = summarize, bit for bit" Tutil.seed_arb metrics_agree
+  Tutil.qcheck ~count:200 "Metrics.Stream: start = submission order, bit for bit" Tutil.seed_arb
+    summary_order_free
 
 let test_stream_metrics_empty () =
   let ms = Metrics.Stream.create ~m:4 ~reservations:[] () in
@@ -414,7 +422,7 @@ let prop_jobq_model =
   Tutil.qcheck ~count:300 "Jobq behaves as a tagged FIFO array" Tutil.seed_arb
     jobq_matches_model
 
-(* The engine's id table against [Hashtbl]. Three pools of ids: 200 that
+(* The engine's id set against [Hashtbl]. Three pools of ids: 200 that
    share their low bits (a stride of 1024); 36 colliding ones,
    [(k lsl 40) + c] for c < 6, which the table's multiplicative mix sends
    to one home cell per c at every size below 256, so removals run
@@ -422,9 +430,11 @@ let prop_jobq_model =
    table's free-cell marker. Four phases: mixed operations on the strided
    ids, delete-heavy ones on the colliding ids, growth with every binding
    live (the table doubles under them), and a delete-heavy drain of
-   everything. Each operation's id is checked right after it, the
-   colliding pool after every operation of its phase, and every pool at
-   the end of each phase. *)
+   everything. Every [add] answer is checked, and each operation's id
+   right after it, the colliding pool after every operation of its phase,
+   and every pool at the end of each phase. Membership is asked with
+   [add], which must answer [false] exactly for the model's ids; an id it
+   adds is removed again. *)
 let ids_match_model seed =
   let rng = Prng.create ~seed in
   let t = Ids.create 4 and model = Hashtbl.create 16 in
@@ -433,13 +443,19 @@ let ids_match_model seed =
   let pool = Array.concat [ strided; colliding; [| min_int |] ] in
   let ok = ref true in
   let check id =
-    let got = match Ids.find t id with v -> Some v | exception Not_found -> None in
-    if got <> Hashtbl.find_opt model id then ok := false
+    let present =
+      (not (Ids.add t id))
+      || begin
+           Ids.remove t id;
+           false
+         end
+    in
+    if present <> Hashtbl.mem model id then ok := false
   in
   let add id =
     let fresh = not (Hashtbl.mem model id) in
-    if Ids.add t id (id + 1) <> fresh then ok := false;
-    if fresh then Hashtbl.replace model id (id + 1);
+    if Ids.add t id <> fresh then ok := false;
+    Hashtbl.replace model id ();
     check id
   in
   let remove id =

@@ -168,8 +168,7 @@ let prop_engine seed =
     seen;
   true
 
-(* Errors: one message from the instance, the streaming engine and the
-   batch engine, the oracle's. *)
+(* Errors: one message from the instance and the engine, the oracle's. *)
 let prop_errors seed =
   let m, reservations = resv_case ~dup_ids:true seed in
   let m = if seed mod 7 = 0 then 0 else m in
@@ -188,9 +187,6 @@ let prop_errors seed =
                   fed := true;
                   Some Simulator.{ job; submit = 0; estimate = 1 }
                 end)) );
-      ( "Simulator.run",
-        raised (fun () -> Simulator.run ~policy ~m ~reservations [ Tutil.exact job 0 ])
-      );
     ]
   in
   List.iter
@@ -270,7 +266,7 @@ let suite =
       prop_profiles;
     Tutil.qcheck ~count:300 "engine timeline and wake-ups equal the oracle" Tutil.seed_arb
       prop_engine;
-    Tutil.qcheck ~count:300 "create, run_stream and run raise the oracle's errors" Tutil.seed_arb
+    Tutil.qcheck ~count:300 "create and run_stream raise the oracle's errors" Tutil.seed_arb
       prop_errors;
     Tutil.qcheck ~count:300 "streaming utilization is bit-equal to the integral" Tutil.seed_arb
       prop_utilization;

@@ -172,8 +172,8 @@ let test_generated_trace_drives_simulator () =
         Resa_sim.Simulator.{ job = a.job; submit = a.submit; estimate = a.estimate })
       (read entries ~m:16)
   in
-  let trace = Resa_sim.Simulator.run ~policy:Resa_sim.Policy.easy ~m:16 subs in
-  let inst, sched = Resa_sim.Simulator.to_offline trace in
+  let _, records = Tutil.simulate ~policy:Resa_sim.Policy.easy ~m:16 subs in
+  let inst, sched = Tutil.executed ~m:16 ~reservations:[] records in
   Tutil.check_feasible "SWF-driven simulation" inst sched
 
 (* The writer inverts the reader: a streamed arrival written with

@@ -140,6 +140,53 @@ let trace_line ?run ev =
 (* An arrival whose walltime request is exact. *)
 let exact job submit = Resa_sim.Simulator.{ job; submit; estimate = Job.p job }
 
+(* [arrivals], in submit order, through [Simulator.run_stream]: the run's
+   stats and its records, in start order. *)
+let simulate ?obs ~policy ~m ?reservations arrivals =
+  let rest = ref arrivals and records = ref [] in
+  let next () =
+    match !rest with
+    | [] -> None
+    | a :: tl ->
+      rest := tl;
+      Some a
+  in
+  let stats =
+    Resa_sim.Simulator.run_stream ?obs
+      ~on_record:(fun r -> records := r :: !records)
+      ~policy ~m ?reservations next
+  in
+  (stats, List.rev !records)
+
+(* Records of jobs numbered 0 .. n-1, in id order; [starts_by_id] is their
+   starts. *)
+let by_id records =
+  let a = Array.of_list records in
+  List.iter (fun (r : Resa_sim.Simulator.record) -> a.(Job.id r.job) <- r) records;
+  Array.to_list a
+
+let starts_by_id records =
+  List.map (fun (r : Resa_sim.Simulator.record) -> r.start) (by_id records)
+
+(* The execution the records describe, release dates forgotten: job [i] is
+   the [i]-th record, started at its start, on [m] processors with
+   [reservations]. *)
+let executed ~m ~reservations records =
+  let jobs =
+    List.mapi
+      (fun i (r : Resa_sim.Simulator.record) -> Job.make ~id:i ~p:(Job.p r.job) ~q:(Job.q r.job))
+      records
+  in
+  ( Instance.create_exn ~m ~jobs ~reservations,
+    Schedule.make
+      (Array.of_list (List.map (fun (r : Resa_sim.Simulator.record) -> r.start) records)) )
+
+(* [Metrics.Stream]'s summary of the records, observed in list order. *)
+let summary ~m ?(reservations = []) records =
+  let ms = Resa_sim.Metrics.Stream.create ~m ~reservations () in
+  List.iter (Resa_sim.Metrics.Stream.observe ms) records;
+  Resa_sim.Metrics.Stream.summary ms
+
 (* A synthetic stream's arrivals as the SWF entries [resa trace] writes. *)
 let synthetic_entries ?overestimate rng ~m ~n ~max_runtime ~mean_gap =
   Resa_swf.Swf_stream.synthetic ?overestimate rng ~m ~n ~max_runtime ~mean_gap
