@@ -357,6 +357,26 @@ let test_estimates_validated () =
     (Invalid_argument "Simulator: estimate below the actual runtime") (fun () ->
       ignore (Tutil.simulate ~policy:Policy.fcfs ~m:2 subs))
 
+(* A run checks each submission as the engine pulls it, so a fault raises
+   after the submissions before it; an id is only rejected while its first
+   job is live. *)
+let test_run_checks_at_the_pull () =
+  let sub ?(q = 1) id p submit = Tutil.exact (Job.make ~id ~p ~q) submit in
+  let run subs = ignore (Tutil.simulate ~policy:Policy.fcfs ~m:2 subs) in
+  Alcotest.check_raises "negative submit after a valid one"
+    (Invalid_argument "Simulator: negative submit time") (fun () ->
+      run [ sub 0 1 3; sub 1 1 (-1) ]);
+  Alcotest.check_raises "too wide" (Invalid_argument "Simulator: job wider than the machine")
+    (fun () -> run [ sub ~q:3 0 1 0 ]);
+  Alcotest.check_raises "submits out of order"
+    (Invalid_argument "Simulator: submit times must be non-decreasing") (fun () ->
+      run [ sub 0 1 3; sub 1 1 2 ]);
+  Alcotest.check_raises "duplicate live id" (Invalid_argument "Simulator: duplicate live job id")
+    (fun () -> run [ sub 0 5 0; sub 0 5 1 ]);
+  let _, records = Tutil.simulate ~policy:Policy.fcfs ~m:2 [ sub 7 2 0; sub 7 3 5 ] in
+  Alcotest.(check (list int)) "an id reused after its job finished" [ 0; 5 ]
+    (List.map (fun (r : Simulator.record) -> r.start) records)
+
 let prop_estimated_executions_feasible =
   Tutil.qcheck ~count:60 "all policies stay feasible under overestimates"
     QCheck.(pair Tutil.seed_arb Tutil.seed_arb)
@@ -429,6 +449,7 @@ let suite =
     Alcotest.test_case "accurate estimates change nothing" `Quick test_estimated_equals_exact_when_accurate;
     Alcotest.test_case "early release unblocks followers" `Quick test_early_release_unblocks_follower;
     Alcotest.test_case "estimates are validated" `Quick test_estimates_validated;
+    Alcotest.test_case "run checks each submission at the pull" `Quick test_run_checks_at_the_pull;
     prop_estimated_executions_feasible;
     Alcotest.test_case "metrics on a hand example" `Quick test_metrics_values;
     Alcotest.test_case "metrics on empty trace" `Quick test_metrics_empty;
