@@ -186,9 +186,9 @@ let timeline_ops () =
   let t = Resa_stats.Table.create ~headers:[ "segments"; "change"; "min_on"; "change/min_on" ] in
   List.iter
     (fun n ->
-      let times = Array.init n (fun i -> 10 * i) in
-      let values = Array.init n (fun i -> 100 + (5 * (i mod 3))) in
-      let tl = Timeline.of_steps times values n in
+      let tl =
+        Timeline.of_profile (Profile.of_steps (List.init n (fun i -> (10 * i, 100 + (5 * (i mod 3))))))
+      in
       let rng = Prng.create ~seed:engine_seed in
       let lo = Array.init nwin (fun _ -> Prng.int rng ~bound:(10 * n)) in
       let hi = Array.map (fun l -> l + Prng.int_incl rng ~lo:1 ~hi:30) lo in

@@ -2,16 +2,14 @@ type t = {
   m : int;
   jobs : Job.t array;
   reservations : Reservation.t array; (* sorted by Reservation.compare *)
-  unavail : Profile.t; (* cached U(t) *)
   avail : Profile.t; (* cached m − U(t): availability is on every hot path *)
-  sweep : Resv_sweep.t; (* the same steps, as an engine run reads them *)
 }
 
 (* Sorts an int array, not a list: validation allocates two words per id. *)
 let distinct_ids id l =
   let a = Array.make (List.length l) 0 in
   List.iteri (fun i x -> a.(i) <- id x) l;
-  Resv_sweep.sort_ints a;
+  Profile.sort_ints a;
   let rec ok i = i >= Array.length a || (a.(i) <> a.(i - 1) && ok (i + 1)) in
   ok 1
 
@@ -25,26 +23,18 @@ let validate ~m ~jobs ~reservations =
     | Some j -> Error (Format.asprintf "Instance.create: %a requires more than m=%d processors" Job.pp j m)
     | None -> Ok ()
 
-let availability_of ~m ~reservations = Resv_sweep.availability (Resv_sweep.run ~m reservations)
+let availability_of ~m ~reservations = Profile.of_reservations ~m reservations
 
 let create ~m ~jobs ~reservations =
   match validate ~m ~jobs ~reservations with
   | Error _ as e -> e
   | Ok () -> (
-    match Resv_sweep.run ~m reservations with
+    match Profile.of_reservations ~m reservations with
     | exception Invalid_argument msg -> Error msg
-    | sweep ->
+    | avail ->
       let reservations = Array.of_list reservations in
       Array.sort Reservation.compare reservations;
-      Ok
-        {
-          m;
-          jobs = Array.of_list jobs;
-          reservations;
-          unavail = Resv_sweep.unavailability sweep;
-          avail = Resv_sweep.availability sweep;
-          sweep;
-        })
+      Ok { m; jobs = Array.of_list jobs; reservations; avail })
 
 let create_exn ~m ~jobs ~reservations =
   match create ~m ~jobs ~reservations with Ok t -> t | Error msg -> invalid_arg msg
@@ -60,13 +50,12 @@ let n_reservations t = Array.length t.reservations
 let job t i = t.jobs.(i)
 let jobs t = Array.copy t.jobs
 let reservations t = Array.copy t.reservations
-let unavailability t = t.unavail
+let unavailability t = Profile.sub (Profile.constant t.m) t.avail
 let availability t = t.avail
-let sweep t = t.sweep
 let total_work t = Array.fold_left (fun acc j -> acc + Job.area j) 0 t.jobs
 let pmax t = Array.fold_left (fun acc j -> max acc (Job.p j)) 0 t.jobs
 let qmax t = Array.fold_left (fun acc j -> max acc (Job.q j)) 0 t.jobs
-let umax t = max 0 (Profile.max_value t.unavail)
+let umax t = t.m - Profile.min_value t.avail
 
 let horizon t =
   Array.fold_left (fun acc r -> max acc (Reservation.stop r)) 0 t.reservations

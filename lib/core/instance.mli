@@ -3,7 +3,10 @@
     An instance is a machine count [m], an array of rigid jobs and an array
     of advance reservations. Feasibility of the reservation set
     ([∀t, U(t) <= m]) is checked at construction. RIGIDSCHEDULING (paper §2)
-    is the special case with no reservations.
+    is the special case with no reservations. Construction sweeps the
+    reservations once into the availability profile
+    ({!Profile.of_reservations}), the instance's one cached step function:
+    {!unavailability}, {!umax} and the α interval are derived from it.
 
     Jobs are indexed by their position in {!jobs}; schedules are arrays of
     start times parallel to that array. *)
@@ -15,13 +18,13 @@ val create :
 (** Checks: [m >= 1]; every job fits the machine ([q <= m]); job ids are
     distinct; reservation ids are distinct; the reservations alone never
     exceed [m] processors, and end within the sweep's packed time range
-    (see {!Resv_sweep.run}). *)
+    (see {!Profile.of_reservations}). *)
 
 val validate :
   m:int -> jobs:Job.t list -> reservations:Reservation.t list -> (unit, string) result
 (** Every check of {!create} but the sweep's (capacity and time range),
     in the same order and with the same messages — for consumers that
-    sweep the reservations themselves with {!Resv_sweep.run}, which raises
+    sweep the reservations themselves with {!availability_of}, which raises
     the rest, and never build an instance. *)
 
 val create_exn : m:int -> jobs:Job.t list -> reservations:Reservation.t list -> t
@@ -46,22 +49,21 @@ val reservations : t -> Reservation.t array
 (** Fresh copy, sorted chronologically. *)
 
 val unavailability : t -> Profile.t
-(** [U(t)]: processors blocked by reservations at time [t]. *)
+(** [U(t) = m − availability]: processors blocked by reservations at time
+    [t]. Derived from {!availability} on each call. *)
 
 val availability : t -> Profile.t
-(** [m(t) = m − U(t)], the capacity the scheduler may use. Cached in the
-    instance (profiles are persistent), so repeated calls return the same
-    value without reallocating. *)
-
-val sweep : t -> Resv_sweep.t
-(** The reservation sweep behind {!availability}, kept from {!create}: what
-    a simulator run over this instance's reservations starts from. *)
+(** [m(t) = m − U(t)], the capacity the scheduler may use: the profile
+    {!Profile.of_reservations} swept in {!create}, and the instance's one
+    copy of its reservations' step function. Cached in the instance
+    (profiles are persistent), so repeated calls return the same value
+    without reallocating; an engine run over the instance starts from it. *)
 
 val availability_of : m:int -> reservations:Reservation.t list -> Profile.t
 (** [m − U(t)] computed directly from a reservation list by
-    {!Resv_sweep.run}, without constructing an instance. Agrees with
-    {!availability} on [create_exn ~m ~jobs:_ ~reservations]. Checks the
-    capacity (raising [Invalid_argument] with {!create}'s message) but
+    {!Profile.of_reservations}, without constructing an instance. Agrees
+    with {!availability} on [create_exn ~m ~jobs:_ ~reservations]. Checks
+    the capacity (raising [Invalid_argument] with {!create}'s message) but
     neither [m] nor the ids. *)
 
 val total_work : t -> int
@@ -74,7 +76,7 @@ val qmax : t -> int
 (** Widest job; 0 when there are no jobs. *)
 
 val umax : t -> int
-(** Peak unavailability [max_t U(t)]. *)
+(** Peak unavailability [max_t U(t) = m − min_t m(t)]. *)
 
 val horizon : t -> int
 (** End of the last reservation (0 if none) — after this instant the full

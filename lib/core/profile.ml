@@ -5,8 +5,8 @@ type t = {
 
 (* Invariant: adjacent caps differ (normal form), |times| = |caps| >= 1. *)
 
-(* Normal form of the first [n] steps. *)
-let normalize_prefix n times caps =
+let normalize times caps =
+  let n = Array.length times in
   let out_t = Array.make n 0 and out_c = Array.make n 0 in
   let k = ref 0 in
   for i = 0 to n - 1 do
@@ -18,19 +18,17 @@ let normalize_prefix n times caps =
   done;
   { times = Array.sub out_t 0 !k; caps = Array.sub out_c 0 !k }
 
-let normalize times caps = normalize_prefix (Array.length times) times caps
-
 let constant c = { times = [| 0 |]; caps = [| c |] }
 
-let of_breakpoints times caps n =
-  if n < 1 || n > Array.length times || n > Array.length caps then
-    invalid_arg "Profile.of_breakpoints: bad length";
-  if times.(0) <> 0 then invalid_arg "Profile.of_breakpoints: first breakpoint must be 0";
+let of_arrays times caps =
+  let n = Array.length times in
+  if n < 1 || n <> Array.length caps || times.(0) <> 0 then
+    invalid_arg "Profile.of_arrays: steps not in normal form";
   for i = 1 to n - 1 do
-    if times.(i) <= times.(i - 1) then
-      invalid_arg "Profile.of_breakpoints: breakpoints must increase"
+    if times.(i) <= times.(i - 1) || caps.(i) = caps.(i - 1) then
+      invalid_arg "Profile.of_arrays: steps not in normal form"
   done;
-  normalize_prefix n times caps
+  { times; caps }
 
 let of_steps steps =
   match steps with
@@ -74,6 +72,97 @@ let of_events ~base deltas =
     let times = Array.of_list (List.rev !times) and caps = Array.of_list (List.rev !caps) in
     normalize times caps
 
+let imin (a : int) b = if a < b then a else b
+let rec bits x = if x = 0 then 0 else 1 + bits (x lsr 1)
+
+(* Bottom-up merge sort through one scratch array. [Array.sort] is a
+   heap sort comparing through a closure, which made the whole sweep
+   about three times slower (EXPERIMENTS.md "START-UP"). *)
+let sort_ints a =
+  let n = Array.length a in
+  let src = ref a and dst = ref (Array.make n 0) and width = ref 1 in
+  while !width < n do
+    let s = !src and d = !dst and w = !width in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = imin (!lo + w) n and hi = imin (!lo + (2 * w)) n in
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        if !i < mid && (!j >= hi || s.(!i) <= s.(!j)) then begin
+          d.(k) <- s.(!i);
+          incr i
+        end
+        else begin
+          d.(k) <- s.(!j);
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    width := 2 * w
+  done;
+  if !src != a then Array.blit !src 0 a 0 n
+
+(* The reservation sweep. Each reservation contributes a start edge
+   (capacity −q) and a stop edge (capacity +q), packed into one int as
+   [time lsl w lor q lsl 1 lor is_start], with [w] one bit more than the
+   widest q needs. Sorting the packed array orders edges by time; the
+   order among equal times is irrelevant, since their deltas are summed
+   before anything is emitted. *)
+let rec pack_edges ~w edges i = function
+  | [] -> ()
+  | r :: rest ->
+    let q = Reservation.q r in
+    if Reservation.stop r > max_int lsr w then
+      invalid_arg "Instance.create: reservation ends beyond the representable horizon";
+    edges.(2 * i) <- (Reservation.start r lsl w) lor (q lsl 1) lor 1;
+    edges.((2 * i) + 1) <- (Reservation.stop r lsl w) lor (q lsl 1);
+    pack_edges ~w edges (i + 1) rest
+
+(* Accumulate each instant's edges of the sorted packed array and count a
+   segment only where the capacity changes: the normal form, with the
+   value at 0 folded into segment 0. The segments are written into [times]
+   and [caps] when those are not empty; answers their number. *)
+let sweep_edges ~m ~w edges times caps =
+  let fill = Array.length times > 0 and mask = (1 lsl w) - 1 and ne = Array.length edges in
+  let k = ref 1 and cur = ref m and last = ref m and i = ref 0 in
+  while !i < ne do
+    let t = edges.(!i) lsr w in
+    while !i < ne && edges.(!i) lsr w = t do
+      (* A start edge takes its q, a stop edge gives it back: branch-free,
+         since the two kinds interleave unpredictably. *)
+      let e = edges.(!i) land mask in
+      cur := !cur + ((e lsr 1) * (1 - (2 * (e land 1))));
+      incr i
+    done;
+    if !cur < 0 then invalid_arg "Instance.create: reservations exceed machine capacity";
+    if t = 0 then (if fill then caps.(0) <- !cur)
+    else if !cur <> !last then begin
+      if fill then begin
+        times.(!k) <- t;
+        caps.(!k) <- !cur
+      end;
+      incr k
+    end;
+    last := !cur
+  done;
+  !k
+
+(* The edges are swept twice, to count the segments and then to fill
+   exact-size arrays. *)
+let of_reservations ~m reservations =
+  let qmax = List.fold_left (fun acc r -> max acc (Reservation.q r)) 0 reservations in
+  let w = bits qmax + 1 in
+  let edges = Array.make (2 * List.length reservations) 0 in
+  pack_edges ~w edges 0 reservations;
+  sort_ints edges;
+  let n = sweep_edges ~m ~w edges [||] [||] in
+  let times = Array.make n 0 and caps = Array.make n m in
+  ignore (sweep_edges ~m ~w edges times caps : int);
+  { times; caps }
+
 let segment_index p x =
   (* Largest i with times.(i) <= x; requires x >= 0. *)
   if x < 0 then invalid_arg "Profile: negative time";
@@ -110,7 +199,6 @@ let integral_on p ~lo ~hi =
   fold_window p ~lo ~hi ~init:0 ~f:(fun acc slo shi v -> acc + (v * (shi - slo)))
 
 let min_value p = Array.fold_left min max_int p.caps
-let max_value p = Array.fold_left max min_int p.caps
 
 let merge f a b =
   (* Pointwise combination via merged breakpoints. *)

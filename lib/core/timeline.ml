@@ -218,19 +218,14 @@ let sized n =
   done;
   make !blocks
 
-let of_steps times values n =
-  if n < 1 || times.(0) <> 0 then invalid_arg "Timeline.of_steps: first step must start at 0";
+(* The profile's arrays are in normal form: appended as they are. *)
+let of_profile (p : Profile.t) =
+  let n = Array.length p.times in
   let t = sized n in
   for i = 0 to n - 1 do
-    if i > 0 && (times.(i) <= times.(i - 1) || values.(i) = values.(i - 1)) then
-      invalid_arg "Timeline.of_steps: steps not in normal form";
-    push_back t times.(i) values.(i)
+    push_back t p.times.(i) p.caps.(i)
   done;
   t
-
-let of_profile p =
-  let bps = Profile.breakpoints p in
-  of_steps bps (Array.map (Profile.value_at p) bps) (Array.length bps)
 
 let create c = of_profile (Profile.constant c)
 
@@ -658,39 +653,46 @@ let first_reaching_area t ~from ~area ~cap:limit =
     go k (entry t t.order.(k) (imax from t.off)) from 0
   end
 
+(* The number of segments from pool index [j0] of the block of rank [k0]
+   on. *)
+let count_from t k0 j0 =
+  let n = ref ((t.order.(k0) lsl bshift) - j0) in
+  for k = k0 to t.nb - 1 do
+    n := !n + t.len.(t.order.(k))
+  done;
+  !n
+
+(* The segments from the one holding [max from off] on, written into
+   exact-size arrays; the first is moved back to 0. *)
 let to_profile ?(from = 0) t =
   if from < 0 then invalid_arg "Timeline.to_profile: negative from";
   let x = imax from t.off in
-  let k = ref (locate t x) in
-  let j = ref (entry t t.order.(!k) x) in
-  let acc = ref [] and go = ref true in
-  while !go do
-    let b = t.order.(!k) in
-    (* The first segment reaches back to 0. *)
-    acc := ((match !acc with [] -> 0 | _ -> t.pos.(!j)), t.vals.(!j) + t.add.(b)) :: !acc;
-    if !j + 1 < (b lsl bshift) + t.len.(b) then incr j
-    else if !k + 1 < t.nb then begin
-      incr k;
-      j := t.order.(!k) lsl bshift
-    end
-    else go := false
+  let k0 = locate t x in
+  let b0 = t.order.(k0) in
+  let j0 = entry t b0 x in
+  let n = count_from t k0 j0 in
+  let times = Array.make n 0 and caps = Array.make n (t.vals.(j0) + t.add.(b0)) in
+  let i = ref 1 in
+  for k = k0 to t.nb - 1 do
+    let b = t.order.(k) in
+    for j = (if k = k0 then j0 + 1 else b lsl bshift) to (b lsl bshift) + t.len.(b) - 1 do
+      times.(!i) <- t.pos.(j);
+      caps.(!i) <- t.vals.(j) + t.add.(b);
+      incr i
+    done
   done;
-  Profile.of_steps (List.rev !acc)
+  Profile.of_arrays times caps
 
-(* The segments from the one holding [max from off] on, in one walk over
-   the blocks with each block's pending add folded in, appended to a pool
-   sized for them; the first is moved back to 0. *)
+(* The same segments in one walk over the blocks with each block's pending
+   add folded in, appended to a pool sized for them; the first is moved
+   back to 0. *)
 let copy ?(from = 0) t =
   if from < 0 then invalid_arg "Timeline.copy: negative from";
   let x = imax from t.off in
   let k0 = locate t x in
   let b0 = t.order.(k0) in
   let j0 = entry t b0 x in
-  let n = ref ((b0 lsl bshift) - j0) in
-  for k = k0 to t.nb - 1 do
-    n := !n + t.len.(t.order.(k))
-  done;
-  let c = sized !n in
+  let c = sized (count_from t k0 j0) in
   push_back c 0 (t.vals.(j0) + t.add.(b0));
   for k = k0 to t.nb - 1 do
     let b = t.order.(k) in

@@ -24,7 +24,8 @@
     steady-state operation allocates nothing.
 
     Every scheduler in [lib/] runs on a timeline; {!Profile} is only the
-    model ({!of_profile} and {!to_profile} convert at the boundaries). The
+    model ({!of_profile} and {!to_profile} convert at the boundaries, each
+    in O(k) over the profile's read-only arrays). The
     persistent operations it replaced are kept in the test oracle
     [Resa_oracles.Profile_oracle]: [min_on], [reserve] (which raises where
     {!reserve} answers [false]), [change], [earliest_fit] (which answers
@@ -46,21 +47,17 @@ val create : int -> t
 (** [create c] is the everywhere-[c] timeline. *)
 
 val of_profile : Profile.t -> t
-(** Import a profile. *)
-
-val of_steps : int array -> int array -> int -> t
-(** [of_steps times values n] holds [values.(i)] on
-    [\[times.(i), times.(i+1))] for [i < n], the last extending to
-    infinity; entries from [n] on are ignored. The steps must be in normal
-    form, as {!Resv_sweep.run} returns them: [times.(0) = 0], times
-    strictly increasing, neighbouring values distinct. Raises
-    [Invalid_argument] otherwise. *)
+(** Import a profile: its arrays are in normal form, so they are appended
+    as they are, O(k). This is how an engine run fills its timeline from
+    the reservations' availability. *)
 
 val to_profile : ?from:int -> t -> Profile.t
 (** Export the current state as a normalized persistent profile. With
     [~from:t], the past is collapsed: the result is constant at
     [value_at t] on [\[0, t\]] and exact afterwards — the cheap "forward
-    view" handed to simulator policies, whose decisions never look back. *)
+    view" handed to simulator policies, whose decisions never look back.
+    O(k): the segments are counted, then written into exact-size arrays
+    handed to {!Profile.of_arrays}; no list, no sort. *)
 
 val copy : ?from:int -> t -> t
 (** A fresh timeline equal to [of_profile (to_profile ?from t)]: its first

@@ -83,8 +83,8 @@ let gc free t =
   else Timeline.gc free ~upto:t
 
 (* The machine and the reservation ids, as [Instance.create] checks them
-   and with its messages; the sweep checks the capacity. No instance and no
-   profile is built. Arrivals are checked one by one as they are pulled
+   and with its messages; the availability sweep checks the capacity. No
+   instance is built. Arrivals are checked one by one as they are pulled
    ([peek_arrival], [admit]). *)
 let validate_machine ~m ~reservations =
   match Instance.validate ~m ~jobs:[] ~reservations with
@@ -115,7 +115,7 @@ type run = {
   on_heartbeat : (heartbeat -> unit) option;
   gc_every : int;
   hb_every : int;
-  sweep : Resv_sweep.t;
+  avail : Profile.t;
   free : Timeline.t;
   events : Eventq.t;
   queue : Jobq.t;
@@ -123,7 +123,7 @@ type run = {
   live_ids : Ids.t;
   (* Reservation edges — every availability breakpoint, 0 included — are
      decision opportunities for every policy. They are read through a
-     cursor over the sweep's breakpoints, not pushed into the event queue:
+     cursor over [avail]'s breakpoints, not pushed into the event queue:
      [edge] is the next one not yet reached. An edge is a no-op wake that
      only makes its instant a decision instant; at equal times it is
      passed after the arrivals and before the queued events (DESIGN.md
@@ -308,7 +308,8 @@ let rec drain r t =
     drain r t
   end
   else begin
-    if r.edge < r.sweep.len && r.sweep.times.(r.edge) = t then r.edge <- r.edge + 1;
+    let times = r.avail.Profile.times in
+    if r.edge < Array.length times && times.(r.edge) = t then r.edge <- r.edge + 1;
     if Eventq.peek_time r.events = t then begin
       let pay = Eventq.pop r.events in
       if pay >= 0 then complete r t pay;
@@ -401,10 +402,11 @@ let rec apply r t ~metrics = function
    the way down so the steady-state loop allocates nothing. *)
 let next_time r =
   let th = Eventq.peek_time r.events in
+  let times = r.avail.Profile.times in
   let th =
-    if r.edge >= r.sweep.len then th
+    if r.edge >= Array.length times then th
     else
-      let te = r.sweep.times.(r.edge) in
+      let te = times.(r.edge) in
       if th >= 0 && th < te then th else te
   in
   if not (peek_arrival r) then th else if th >= 0 && th < r.a_submit then th else r.a_submit
@@ -443,16 +445,18 @@ let trace_head_blocked r t =
     if have >= need then Trace.Held_by_policy
     else begin
       (* Would the job fit with the reservation-blocked windows given back?
-         The sweep's free capacity is constant on each of its segments, and
+         The availability is constant on each of its segments, and
          [drain] has passed every edge up to [t], so segment [edge - 1]
          holds [t]: walk the segments from there and add each one's blocked
          [m - free] to the live timeline's minimum on that piece. *)
-      let sw = r.sweep and hi = t + est in
+      let { Profile.times; caps } = r.avail and hi = t + est in
       let rec scan k lo acc =
         if lo >= hi then acc
         else begin
-          let seg_hi = if k + 1 < sw.len && sw.times.(k + 1) < hi then sw.times.(k + 1) else hi in
-          let v = Timeline.min_on r.free ~lo ~hi:seg_hi + sw.m - sw.free.(k) in
+          let seg_hi =
+            if k + 1 < Array.length times && times.(k + 1) < hi then times.(k + 1) else hi
+          in
+          let v = Timeline.min_on r.free ~lo ~hi:seg_hi + r.m - caps.(k) in
           scan (k + 1) seg_hi (min acc v)
         end
       in
@@ -570,12 +574,12 @@ let rec loop r =
    non-decreasing) with one arrival of lookahead. At any instant, due
    arrivals are admitted first, then queued events pop in push order.
 
-   [sweep] is the reservations' sweep over [m] processors (validated by the
-   caller). [on_start k job submit start] observes each start, where [k] is the
+   [avail] is the availability the reservations leave on [m] processors
+   (validated by the caller). [on_start k job submit start] observes each start, where [k] is the
    job's admission index (0 for the first arrival pulled), so callers
    holding the arrivals in an array write each start back by position.
    [slots] is the initial per-job capacity (it doubles as needed). *)
-let run_core ~obs ~policy ~m ~sweep ~gc_every ~hb_every ~on_heartbeat ~on_start ~slots pull =
+let run_core ~obs ~policy ~m ~avail ~gc_every ~hb_every ~on_heartbeat ~on_start ~slots pull =
   let r =
     {
       obs;
@@ -590,14 +594,14 @@ let run_core ~obs ~policy ~m ~sweep ~gc_every ~hb_every ~on_heartbeat ~on_start 
       on_heartbeat;
       gc_every;
       hb_every;
-      sweep;
+      avail;
       (* Free capacity lives in one mutable timeline for the whole run (a
          binary search plus the blocks touched per start/release/query),
-         filled straight from the sweep. Policies work against it
+         filled straight from [avail]'s arrays. Policies work against it
          directly: each decision runs under a checkpoint, committed when
          its log is exactly the started jobs' reservations and rolled back
          with a [Policy_error] otherwise. *)
-      free = Timeline.of_steps sweep.times sweep.free sweep.len;
+      free = Timeline.of_profile avail;
       events = Eventq.create ();
       queue = Jobq.create ();
       live_ids = Ids.create slots;
@@ -646,7 +650,7 @@ let run_stream ?(obs = Trace.null) ?(gc_every = 0) ?(heartbeat_every = 0) ?on_he
      enough to stay invisible in the wall clock. *)
   let hb_every = if on_heartbeat <> None && heartbeat_every = 0 then 65536 else heartbeat_every in
   validate_machine ~m ~reservations;
-  run_core ~obs ~policy ~m ~sweep:(Resv_sweep.run ~m reservations) ~gc_every ~hb_every
+  run_core ~obs ~policy ~m ~avail:(Instance.availability_of ~m ~reservations) ~gc_every ~hb_every
     ~on_heartbeat
     ~on_start:(fun _ job submit start -> on_record { job; submit; start })
     ~slots:8
@@ -681,7 +685,7 @@ let run_order ~policy inst order =
     invalid_arg "Simulator.run_order: order is not a permutation";
   let starts = Array.make n (-1) in
   ignore
-    (run_core ~obs:Trace.null ~policy ~m:(Instance.m inst) ~sweep:(Instance.sweep inst)
+    (run_core ~obs:Trace.null ~policy ~m:(Instance.m inst) ~avail:(Instance.availability inst)
        ~gc_every:0 ~hb_every:0 ~on_heartbeat:None
        ~on_start:(fun k _ _ start -> starts.(order.(k)) <- start)
        ~slots:(max 1 n)

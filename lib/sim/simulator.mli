@@ -10,12 +10,15 @@
     run; policies query and mutate it directly, and every [decide] call runs
     under a timeline checkpoint that is committed only when its log is
     exactly the started jobs' reservations and rolled back otherwise, so
-    trial reservations made while deciding never leak. No persistent profile is
-    rebuilt anywhere — decision path or tracing path: the head-blocked
+    trial reservations made while deciding never leak. The reservations
+    are swept once, at start-up, into their availability profile
+    ({!Resa_core.Profile.of_reservations}, or the instance's cached one);
+    the timeline is filled from its arrays, and the run walks its
+    breakpoints as reservation wake-ups. No persistent profile is rebuilt
+    anywhere after that — decision path or tracing path: the head-blocked
     classifier queries the live timeline and reads the blocked capacity
-    off the run's reservation sweep ({!Resa_core.Resv_sweep.t}), and a
-    start's queue
-    membership is an O(1) read of its slot (waiting, and not stamped by
+    off that same profile's arrays, and a start's queue membership is an
+    O(1) read of its slot (waiting, and not stamped by
     the current decision) — a decision step costs one timeline operation
     per start and query rather than O(history).
 

@@ -1,40 +1,9 @@
 (* The persistent [Profile]'s scheduling operations. Every scheduler in
    [lib/] runs on [Timeline], so these are kept for the oracles and for the
-   "= Profile" properties that hold [Timeline] to them. [Profile.t] is
-   abstract: each operation first reads the breakpoints and their values
-   back, O(k) for a profile not read before, then runs the code [Profile]
-   used to carry. *)
+   "= Profile" properties that hold [Timeline] to them. They read the
+   profile's read-only arrays and run the code [Profile] used to carry. *)
 
 include Resa_core.Profile
-
-type steps = {
-  times : int array; (* strictly increasing, times.(0) = 0 *)
-  caps : int array;  (* caps.(i) on [times.(i), times.(i+1)), last to infinity *)
-}
-
-let read_steps p =
-  let times = breakpoints p in
-  let caps = Array.make (Array.length times) 0 in
-  ignore
-    (fold_segments p ~init:0 ~f:(fun i ~lo:_ ~hi:_ ~v ->
-         caps.(i) <- v;
-         i + 1));
-  { times; caps }
-
-(* The oracles query one profile many times between updates (every
-   candidate of a search node, every job of a plan), so each domain keeps
-   the last profile it read back. *)
-let last_read = Domain.DLS.new_key (fun () -> ref (constant 0, read_steps (constant 0)))
-
-let steps p =
-  let last = Domain.DLS.get last_read in
-  let q, s = !last in
-  if q == p then s
-  else begin
-    let s = read_steps p in
-    last := (p, s);
-    s
-  end
 
 let segment_index p x =
   (* Largest i with times.(i) <= x; requires x >= 0. *)
@@ -64,15 +33,11 @@ let fold_window p ~lo ~hi ~init ~f =
   in
   go init i0
 
-let min_on p ~lo ~hi = fold_window (steps p) ~lo ~hi ~init:max_int ~f:(fun acc _ _ v -> min acc v)
+let min_on p ~lo ~hi = fold_window p ~lo ~hi ~init:max_int ~f:(fun acc _ _ v -> min acc v)
 
-let final_value p =
-  let caps = (steps p).caps in
-  caps.(Array.length caps - 1)
-
-let last_breakpoint p =
-  let times = (steps p).times in
-  times.(Array.length times - 1)
+let max_value p = Array.fold_left max min_int p.caps
+let final_value p = p.caps.(Array.length p.caps - 1)
+let last_breakpoint p = p.times.(Array.length p.times - 1)
 
 let neg p = sub (constant 0) p
 let add a b = sub a (neg b)
@@ -95,7 +60,6 @@ let reserve p ~start ~dur ~need =
 let earliest_fit p ~from ~dur ~need =
   if dur < 1 then invalid_arg "Profile.earliest_fit: dur must be >= 1";
   if from < 0 then invalid_arg "Profile.earliest_fit: negative from";
-  let p = steps p in
   let n = Array.length p.times in
   (* Candidate starts are [from] and breakpoints; on failure inside the
      window, jump past the blocking segment. *)
@@ -112,7 +76,6 @@ let earliest_fit p ~from ~dur ~need =
   attempt from
 
 let next_breakpoint_after p t =
-  let p = steps p in
   let n = Array.length p.times in
   let rec search lo hi =
     if lo >= hi then if lo < n then Some p.times.(lo) else None
@@ -122,4 +85,4 @@ let next_breakpoint_after p t =
   in
   search 0 n
 
-let equal a b = to_steps a = to_steps b
+let equal a b = a.times = b.times && a.caps = b.caps

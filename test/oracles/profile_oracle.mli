@@ -1,9 +1,8 @@
 (** {!Resa_core.Profile} with the persistent scheduling operations it used
     to carry. Every scheduler in [lib/] runs on [Timeline]; these are the
     oracles' step-function operations and the reference the "= Profile"
-    properties of [test/test_timeline.ml] hold [Timeline] to. Each call
-    reads the profile's breakpoints back, O(k); a domain keeps the last
-    profile it read, so repeated queries on one profile pay that once. *)
+    properties of [test/test_timeline.ml] hold [Timeline] to. They read
+    the profile's arrays in place. *)
 
 include module type of struct
   include Resa_core.Profile
@@ -13,6 +12,9 @@ val min_on : t -> lo:int -> hi:int -> int
 (** Minimum value over the window [\[lo, hi)], [0 <= lo <= hi]. The empty
     window [lo = hi] yields [max_int], the identity of [min] — the same
     convention [integral_on] (0) and [max_on] ([min_int]) follow. *)
+
+val max_value : t -> int
+(** Global maximum (the tail segment counts). *)
 
 val final_value : t -> int
 (** Value of the segment extending to infinity. *)

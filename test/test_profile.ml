@@ -25,6 +25,23 @@ let test_of_steps_rejects () =
   Alcotest.check_raises "duplicate" (Invalid_argument "Profile.of_steps: duplicate times")
     (fun () -> ignore (Profile.of_steps [ (0, 1); (3, 2); (3, 4) ]))
 
+(* [of_arrays] takes its arrays over as they are, so it accepts only the
+   normal form it would otherwise have to restore. *)
+let test_of_arrays () =
+  Alcotest.check steps "taken as given" [ (0, 3); (2, 4); (5, 1) ]
+    (Profile.to_steps (Profile.of_arrays [| 0; 2; 5 |] [| 3; 4; 1 |]));
+  List.iter
+    (fun (name, times, caps) ->
+      Alcotest.check_raises name (Invalid_argument "Profile.of_arrays: steps not in normal form")
+        (fun () -> ignore (Profile.of_arrays times caps)))
+    [
+      ("empty", [||], [||]);
+      ("lengths differ", [| 0; 2 |], [| 3 |]);
+      ("no zero start", [| 1 |], [| 3 |]);
+      ("times not increasing", [| 0; 2; 2 |], [| 3; 4; 1 |]);
+      ("equal neighbours", [| 0; 2 |], [| 3; 3 |]);
+    ]
+
 let test_of_events () =
   let p = Profile.of_events ~base:10 [ (2, -3); (5, 3); (2, -1) ] in
   Alcotest.check steps "staircase" [ (0, 10); (2, 6); (5, 9) ] (Profile.to_steps p)
@@ -223,4 +240,5 @@ let suite =
     prop_integral_additive;
     prop_earliest_fit_is_sound_and_minimal;
     prop_reserve_integral;
+    Alcotest.test_case "of_arrays takes the normal form only" `Quick test_of_arrays;
   ]

@@ -1,4 +1,5 @@
-(* The reservation-edge sweep against the builder it replaced: a tuple
+(* The reservation-edge sweep ([Profile.of_reservations]) against the
+   builder it replaced: a tuple
    sort into [Profile.of_events], negated and shifted by m. The oracle is
    kept here, with [Instance.create]'s former validation, so every consumer
    of the sweep — instances, the engine's timeline and its wake-ups, the
@@ -67,9 +68,10 @@ let resv_case ?(fit = false) ?(dup_ids = false) seed =
 
 let raised f = match f () with _ -> None | exception Invalid_argument msg -> Some msg
 
-let sweep_steps (s : Resv_sweep.t) = List.init s.len (fun i -> (s.times.(i), s.free.(i)))
-
-(* Sweep, instance profiles and error messages against the oracle. *)
+(* The swept availability against the oracle, as steps and through the
+   timeline round trip; then the instance's cached profile and what it
+   derives from it: [U(t)], [umax] and, with one job of random width, the
+   α interval [\[qmax/m, 1 − umax/m\]]. *)
 let prop_profiles seed =
   let m, reservations = resv_case seed in
   let want = oracle_error ~m ~jobs:[] ~reservations in
@@ -80,17 +82,25 @@ let prop_profiles seed =
   (match want with
   | Some _ -> ()
   | None ->
-    let avail = oracle_avail ~m reservations in
-    let s = Resv_sweep.run ~m reservations in
-    if Array.sub s.times 0 s.len <> Profile.breakpoints avail then
-      QCheck.Test.fail_report "breakpoints differ";
-    if sweep_steps s <> Profile.to_steps avail then QCheck.Test.fail_report "capacities differ";
-    let inst = Instance.create_exn ~m ~jobs:[] ~reservations in
+    let avail = oracle_avail ~m reservations and unavail = oracle_unavail reservations in
+    let p = Instance.availability_of ~m ~reservations in
+    if Profile.to_steps p <> Profile.to_steps avail then QCheck.Test.fail_report "sweep differs";
+    if Profile.to_steps (Timeline.to_profile (Timeline.of_profile p)) <> Profile.to_steps p then
+      QCheck.Test.fail_report "Timeline.to_profile (Timeline.of_profile p) <> p";
+    let q = 1 + (seed land max_int mod m) in
+    let inst = Instance.create_exn ~m ~jobs:[ Job.make ~id:0 ~p:1 ~q ] ~reservations in
     if Profile.to_steps (Instance.availability inst) <> Profile.to_steps avail then
       QCheck.Test.fail_report "Instance.availability differs";
-    if Profile.to_steps (Instance.unavailability inst)
-       <> Profile.to_steps (oracle_unavail reservations)
-    then QCheck.Test.fail_report "Instance.unavailability differs");
+    if Profile.to_steps (Instance.unavailability inst) <> Profile.to_steps unavail then
+      QCheck.Test.fail_report "Instance.unavailability differs";
+    let umax = max 0 (Profile.max_value unavail) in
+    if Instance.umax inst <> umax then
+      QCheck.Test.fail_reportf "Instance.umax %d, oracle %d" (Instance.umax inst) umax;
+    let fm = float_of_int m in
+    let lo = float_of_int q /. fm and hi = 1. -. (float_of_int umax /. fm) in
+    let alpha = if lo <= hi && hi > 0. then Some (max lo epsilon_float, hi) else None in
+    if Instance.alpha_interval inst <> alpha then
+      QCheck.Test.fail_report "Instance.alpha_interval differs");
   true
 
 (* A policy holding [job]: it starts it at instant [start_at] and nothing
@@ -244,7 +254,7 @@ let test_utilization_cases () =
 
 let test_edge_cases () =
   let r ~id ~start ~p ~q = Reservation.make ~id ~start ~p ~q in
-  let steps ~m rs = sweep_steps (Resv_sweep.run ~m rs) in
+  let steps ~m rs = Profile.to_steps (Instance.availability_of ~m ~reservations:rs) in
   let check name ~m rs =
     Alcotest.(check (list (pair int int))) name (Profile.to_steps (oracle_avail ~m rs)) (steps ~m rs)
   in

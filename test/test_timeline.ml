@@ -486,12 +486,12 @@ let copy_is_round_trip seed =
 
 (* --- the one-pass change ----------------------------------------------- *)
 
-(* [n] segments 10 apart, alternating 10 and 20. [of_steps] fills each
+(* [n] segments 10 apart, alternating 10 and 20. [of_profile] fills each
    block to 12 segments before opening the next, so [12 * b] is the index
    of block [b]'s first segment. *)
 let striped n =
-  let times = Array.init n (fun i -> 10 * i) and values = Array.init n (fun i -> 10 + (10 * (i mod 2))) in
-  (Timeline.of_steps times values n, Profile.of_steps (List.init n (fun i -> (times.(i), values.(i)))))
+  let p = Profile.of_steps (List.init n (fun i -> (10 * i, 10 + (10 * (i mod 2))))) in
+  (Timeline.of_profile p, p)
 
 (* Each path of the one-pass change, with [check] and the Profile oracle
    after every step: both ends inside one block; a merge at [lo] where
