@@ -9,7 +9,8 @@
      - time-to-optimal wall clock, reference vs speculative (sequential),
      - node throughput (nodes/sec) for both solvers — the data-structure
        win, independent of the speculative solver's stronger pruning,
-     - speculative wall clock at pool sizes 1, 2 and 4. *)
+     - speculative wall clock at pool sizes 1, 2 and 4; the pool runs
+       must match the sequential run's makespans and node totals. *)
 
 open Resa_core
 open Resa_gen
@@ -87,8 +88,19 @@ let run () =
       in
       if ref_cmaxes <> new_cmaxes then
         failwith (Printf.sprintf "bnb bench: makespan mismatch on family %s" family);
+      (* The pool runs must find the sequential run's makespans with the
+         same node totals: the solver's result is independent of the pool
+         size. *)
       let pool d =
-        snd (time (fun () -> Resa_par.with_domains d (fun () -> solve_all Resa_exact.Bnb.solve)))
+        let (cmaxes, nodes), s =
+          time (fun () -> Resa_par.with_domains d (fun () -> solve_all Resa_exact.Bnb.solve))
+        in
+        if cmaxes <> new_cmaxes || nodes <> new_nodes then
+          failwith
+            (Printf.sprintf
+               "bnb bench: pool=%d differs from the sequential run on family %s (nodes %d vs %d)" d
+               family nodes new_nodes);
+        s
       in
       let pool2_s = pool 2 and pool4_s = pool 4 in
       let nps_ref = float_of_int ref_nodes /. Float.max ref_s 1e-9 in

@@ -629,28 +629,41 @@ let final_value t =
   let b = t.order.(t.nb - 1) in
   t.vals.((b lsl bshift) + t.len.(b) - 1) + t.add.(b)
 
-(* Linear in the segments walked; no allocation. *)
-let first_reaching_area t ~from ~area ~cap:limit =
-  if from < 0 then invalid_arg "Timeline.first_reaching_area: negative from";
-  if area <= 0 then imin from limit
+(* The area walk from instant [x], inside the segment at pool index [j] of
+   order position [k], with [acc] gathered so far: the first instant by
+   which [area] is reached, or [limit] once the walk passes it. The hole
+   lowers the values on [x, until) by [less]; a segment that [until] cuts
+   is walked as its part before [until] and then as the rest. Cutting a
+   segment into equal-valued pieces moves no rounded answer (each piece
+   gains a whole multiple of its value), so the walk answers exactly as
+   it would on the timeline with the hole changed in. A top-level function
+   of its arguments, so the walk allocates nothing. *)
+let rec reach t k j x acc area limit until less =
+  if x >= limit then limit
   else begin
-    let rec go k j x acc =
-      if x >= limit then limit
-      else begin
-        let b = t.order.(k) in
-        let v = t.vals.(j) + t.add.(b) in
-        let e = seg_end t k j in
-        if e < 0 then if v <= 0 then limit else imin limit (x + ((area - acc + v - 1) / v))
-        else begin
-          let gained = v * (e - x) in
-          if v > 0 && acc + gained >= area then imin limit (x + ((area - acc + v - 1) / v))
-          else if j + 1 < (b lsl bshift) + t.len.(b) then go k (j + 1) e (acc + gained)
-          else go (k + 1) (t.order.(k + 1) lsl bshift) e (acc + gained)
-        end
-      end
-    in
+    let b = t.order.(k) in
+    let e = seg_end t k j in
+    let v = t.vals.(j) + t.add.(b) in
+    let v = if x < until then v - less else v in
+    let stop = if x < until && (e < 0 || until < e) then until else e in
+    if stop < 0 then if v <= 0 then limit else imin limit (x + ((area - acc + v - 1) / v))
+    else begin
+      let gained = v * (stop - x) in
+      if v > 0 && acc + gained >= area then imin limit (x + ((area - acc + v - 1) / v))
+      else if stop <> e then reach t k j stop (acc + gained) area limit until less
+      else if j + 1 < (b lsl bshift) + t.len.(b) then
+        reach t k (j + 1) e (acc + gained) area limit until less
+      else reach t (k + 1) (t.order.(k + 1) lsl bshift) e (acc + gained) area limit until less
+    end
+  end
+
+(* Linear in the segments walked; no allocation. *)
+let first_reaching_area t ~from ~until ~less ~area ~cap =
+  if from < 0 then invalid_arg "Timeline.first_reaching_area: negative from";
+  if area <= 0 then imin from cap
+  else begin
     let k = locate t (imax from t.off) in
-    go k (entry t t.order.(k) (imax from t.off)) from 0
+    reach t k (entry t t.order.(k) (imax from t.off)) from 0 area cap until less
   end
 
 (* The number of segments from pool index [j0] of the block of rank [k0]

@@ -170,12 +170,18 @@ val final_value : t -> int
 (** Value of the tail segment extending to infinity, O(1). Range changes
     are confined to finite windows, so the tail never moves. *)
 
-val first_reaching_area : t -> from:int -> area:int -> cap:int -> int
+val first_reaching_area : t -> from:int -> until:int -> less:int -> area:int -> cap:int -> int
 (** Smallest [C >= from] with [Σ_{x ∈ [from, C)} value(x) >= area], computed
     in one walk over the segments from [from] (linear in the segments
     walked, no allocation). Interpolates inside positive-valued runs,
     rounding up; [Lower_bounds.min_time_with_area] is this walk behind a
     check of the tail.
+    The walk reads the timeline with a {e hole}: [less] processors taken
+    on [\[from, until)], as if [change ~lo:from ~hi:until ~delta:(-less)]
+    had been made, and it answers exactly what the walk after that change
+    would (cutting a segment in equal-valued pieces moves no rounded
+    answer). The hole is empty when [until <= from] or [less = 0]; the
+    exact solver bounds a child with it before placing the child's job.
     Returns [min cap C]; [cap] both truncates the result and bounds the
     walk, and is returned whenever the target is never reached
     (non-positive tail). [area <= 0] yields [min from cap]. *)

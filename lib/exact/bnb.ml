@@ -33,12 +33,14 @@ let incumbent_schedule inst =
 (* ------------------------------------------------------------------ *)
 (* Speculative timeline-native solver.                                 *)
 (*                                                                     *)
-(* One mutable Timeline per search worker; a checkpoint is opened      *)
-(* before every placement trial and rolled back on backtrack, so a     *)
-(* node costs two in-place changes instead of a persistent-profile     *)
-(* copy. The candidate decision-time set is a merged scan of the       *)
-(* static availability breakpoints and a sorted array of live          *)
-(* completion times maintained incrementally across the DFS.           *)
+(* One mutable Timeline per search worker. A child is bounded on its   *)
+(* parent's timeline before it is placed (the area walk reads its job  *)
+(* as a hole); only a child that passes is placed under a checkpoint   *)
+(* and rolled back on backtrack, so an expanded node costs two         *)
+(* in-place changes instead of a persistent-profile copy, and a pruned *)
+(* one costs one walk. The candidate decision-time set is a merged     *)
+(* scan of the static availability breakpoints and a sorted array of   *)
+(* live completion times maintained incrementally across the DFS.      *)
 (*                                                                     *)
 (* Parallel root splitting: the first two levels of the tree are       *)
 (* expanded sequentially into subtree roots, which are then solved as  *)
@@ -108,78 +110,94 @@ let comps_remove s t =
    prefix in placement order plus the node's running aggregates. *)
 type branch = { trail : (int * int) array; b_cmax : int; b_rem : int }
 
-(* Chronological DFS on the live timeline. Returns false iff the node
-   budget ran out (the caller unwinds — no exceptions, so every
-   checkpoint is paired with a rollback even on exhaustion). When
-   [fdepth >= 0], nodes reached at that depth are recorded into [fsink]
-   as subtree roots instead of being expanded (the expansion phase);
-   [trail] then carries the (start, job) path to the current node. *)
-let rec dfs s ~fdepth ~fsink ~trail depth t_prev i_prev cur_cmax rem_work =
+(* What entering a node decided. *)
+type entry =
+  | Exhausted (* the node budget ran out: the caller unwinds *)
+  | Closed (* a leaf, a subtree root set aside, or pruned by its bound *)
+  | Opened (* to be expanded *)
+
+(* Node entry: count the node and decide it, on the timeline its parent
+   sees. A child is entered before its last job is placed; that job takes
+   [less] processors on [\[from, until)], and the area bound walks the
+   timeline with that hole, which answers as the walk after placing the job
+   would. So a child its bound prunes is never placed: only an [Opened] one
+   pays a checkpoint, a change and a rollback. The root and the subtree
+   roots enter with their jobs already placed, with no hole. When
+   [fdepth >= 0], nodes reached at that depth are recorded into [fsink] as
+   subtree roots instead of being expanded (the expansion phase); [trail]
+   then carries the (start, job) path to the node. *)
+let enter s ~fdepth ~fsink ~trail depth cur_cmax rem_work ~from ~until ~less =
   s.nodes <- s.nodes + 1;
   Resa_obs.Metrics.incr c_nodes;
-  if s.nodes > s.budget then false
+  if s.nodes > s.budget then Exhausted
   else if depth = s.n then begin
     if cur_cmax < s.local_best then begin
       s.local_best <- cur_cmax;
       s.best_starts <- Some (Array.copy s.starts)
     end;
-    true
+    Closed
   end
   else if depth = fdepth then begin
     fsink := { trail = Array.copy trail; b_cmax = cur_cmax; b_rem = rem_work } :: !fsink;
-    true
+    Closed
   end
   else begin
     let b = bnd s in
     let area_lb =
       if rem_work = 0 then 0
-      else Lower_bounds.min_time_with_area ~cap:b s.free ~from:t_prev ~area:rem_work
+      else Lower_bounds.min_time_with_area s.free ~from ~until ~less ~area:rem_work ~cap:b
     in
     if (if cur_cmax > area_lb then cur_cmax else area_lb) >= b then begin
       Resa_obs.Metrics.incr c_prunes_area;
-      true
+      Closed
     end
-    else begin
-      (* Merged ascending scan of availability breakpoints and live
-         completion times, restricted to [>= t_prev], skipping duplicates.
-         Children restore [comps] before the scan resumes, so the indices
-         stay valid across recursive calls. *)
-      let min_q = ref max_int in
-      for i = 0 to s.n - 1 do
-        if (not s.placed.(i)) && s.widths.(i) < !min_q then min_q := s.widths.(i)
-      done;
-      let min_q = !min_q in
-      let ok = ref true and stop = ref false in
-      let na = Array.length s.avail_bps in
-      let ia = ref (lower_bound s.avail_bps na t_prev)
-      and ic = ref (lower_bound s.comps s.n_comps t_prev) in
-      let last_t = ref min_int in
-      while (not !stop) && !ok && (!ia < na || !ic < s.n_comps) do
-        let t =
-          if !ia < na && (!ic >= s.n_comps || s.avail_bps.(!ia) <= s.comps.(!ic)) then begin
-            let t = s.avail_bps.(!ia) in
-            incr ia;
-            t
-          end
-          else begin
-            let t = s.comps.(!ic) in
-            incr ic;
-            t
-          end
-        in
-        (* Candidates are ascending, and every job has duration >= 1: once
-           t >= bound no later start can improve on it. *)
-        if t >= bnd s then stop := true
-        else if t <> !last_t then begin
-          last_t := t;
-          try_jobs s ~fdepth ~fsink ~trail depth t_prev i_prev cur_cmax rem_work t min_q ok
-        end
-      done;
-      !ok
-    end
+    else Opened
   end
 
-and try_jobs s ~fdepth ~fsink ~trail depth t_prev i_prev cur_cmax rem_work t min_q ok =
+(* Chronological DFS below an opened node, on the live timeline: the scan
+   of its candidate starts, each trying the jobs that start there. Returns
+   false iff the node budget ran out (the caller unwinds — no exceptions,
+   so every checkpoint is paired with a rollback even on exhaustion). *)
+let rec scan s ~fdepth ~fsink ~trail depth t_prev i_prev cur_cmax rem_work =
+  (* Merged ascending scan of availability breakpoints and live completion
+     times, restricted to [>= t_prev], skipping duplicates. Children
+     restore [comps] before the scan resumes, so the indices stay valid
+     across recursive calls. *)
+  let min_q = ref max_int in
+  for i = 0 to s.n - 1 do
+    if (not s.placed.(i)) && s.widths.(i) < !min_q then min_q := s.widths.(i)
+  done;
+  let min_q = !min_q in
+  let ok = ref true and stop = ref false in
+  let na = Array.length s.avail_bps in
+  let ia = ref (lower_bound s.avail_bps na t_prev)
+  and ic = ref (lower_bound s.comps s.n_comps t_prev) in
+  let last_t = ref min_int in
+  while (not !stop) && !ok && (!ia < na || !ic < s.n_comps) do
+    let t =
+      if !ia < na && (!ic >= s.n_comps || s.avail_bps.(!ia) <= s.comps.(!ic)) then begin
+        let t = s.avail_bps.(!ia) in
+        incr ia;
+        t
+      end
+      else begin
+        let t = s.comps.(!ic) in
+        incr ic;
+        t
+      end
+    in
+    (* Candidates are ascending, and every job has duration >= 1: once
+       t >= bound no later start can improve on it. *)
+    if t >= bnd s then stop := true
+    else if t <> !last_t then begin
+      last_t := t;
+      ok := try_jobs s ~fdepth ~fsink ~trail depth t_prev i_prev cur_cmax rem_work t min_q
+    end
+  done;
+  !ok
+
+(* The children starting at [t]; false iff the node budget ran out. *)
+and try_jobs s ~fdepth ~fsink ~trail depth t_prev i_prev cur_cmax rem_work t min_q =
   let first_i = if t = t_prev then i_prev + 1 else 0 in
   (* Capacity at the instant [t] bounds every window minimum from above:
      instants too narrow even for the narrowest unplaced job are dismissed
@@ -188,40 +206,48 @@ and try_jobs s ~fdepth ~fsink ~trail depth t_prev i_prev cur_cmax rem_work t min
      before the loop resumes, so one sample stays valid across the whole
      scan (same trick as Lsrc). *)
   let cap_now = Timeline.value_at s.free t in
-  let i = ref (if cap_now < min_q then s.n else first_i) in
+  let i = ref (if cap_now < min_q then s.n else first_i) and ok = ref true in
   while !ok && !i < s.n do
     let idx = !i in
     if not s.placed.(idx) then begin
       let tb = s.twin_before.(idx) in
       if tb >= 0 && not s.placed.(tb) then Resa_obs.Metrics.incr c_prunes_twin
       else begin
-        let fin = t + s.durations.(idx) in
-        if
-          fin < bnd s
-          && s.widths.(idx) <= cap_now
-          && Timeline.min_on s.free ~lo:t ~hi:fin >= s.widths.(idx)
-        then begin
-          s.placed.(idx) <- true;
+        let fin = t + s.durations.(idx) and w = s.widths.(idx) in
+        if fin < bnd s && w <= cap_now && Timeline.min_on s.free ~lo:t ~hi:fin >= w then begin
+          let cmax = if cur_cmax > fin then cur_cmax else fin
+          and rem = rem_work - s.areas.(idx) in
           s.starts.(idx) <- t;
-          comps_insert s fin;
           if depth < Array.length trail then trail.(depth) <- (t, idx);
-          let mark = Timeline.checkpoint s.free in
-          Timeline.change s.free ~lo:t ~hi:fin ~delta:(-s.widths.(idx));
-          let r =
-            dfs s ~fdepth ~fsink ~trail (depth + 1) t idx
-              (if cur_cmax > fin then cur_cmax else fin)
-              (rem_work - s.areas.(idx))
-          in
-          Timeline.rollback s.free mark;
-          comps_remove s fin;
-          s.placed.(idx) <- false;
-          s.starts.(idx) <- -1;
-          if not r then ok := false
+          (match enter s ~fdepth ~fsink ~trail (depth + 1) cmax rem ~from:t ~until:fin ~less:w with
+          | Exhausted -> ok := false
+          | Closed -> ()
+          | Opened ->
+            s.placed.(idx) <- true;
+            comps_insert s fin;
+            let mark = Timeline.checkpoint s.free in
+            Timeline.change s.free ~lo:t ~hi:fin ~delta:(-w);
+            let r = scan s ~fdepth ~fsink ~trail (depth + 1) t idx cmax rem in
+            Timeline.rollback s.free mark;
+            comps_remove s fin;
+            s.placed.(idx) <- false;
+            if not r then ok := false);
+          s.starts.(idx) <- -1
         end
       end
     end;
     incr i
-  done
+  done;
+  !ok
+
+(* The root and the subtree roots: entered with their jobs placed. *)
+let descend s ~fdepth ~fsink ~trail depth t_prev i_prev cur_cmax rem_work =
+  match
+    enter s ~fdepth ~fsink ~trail depth cur_cmax rem_work ~from:t_prev ~until:t_prev ~less:0
+  with
+  | Opened -> scan s ~fdepth ~fsink ~trail depth t_prev i_prev cur_cmax rem_work
+  | Closed -> true
+  | Exhausted -> false
 
 (* Pool-task shape: branches per task (one shared timeline, replayed under
    checkpoints) and tasks per wave (the shared incumbent is frozen within a
@@ -291,7 +317,7 @@ let solve ?(node_limit = 2_000_000) inst =
       let st = mk_state ~budget:node_limit ~bound0:incumbent_cmax in
       let fsink = ref [] in
       let trail = Array.make dmax (0, 0) in
-      let ok = dfs st ~fdepth:dmax ~fsink ~trail 0 0 (-1) 0 (Instance.total_work inst) in
+      let ok = descend st ~fdepth:dmax ~fsink ~trail 0 0 (-1) 0 (Instance.total_work inst) in
       (st, Array.of_list (List.rev !fsink), ok)
     in
     let e1, branches1, ok1 = expand 1 in
@@ -347,7 +373,7 @@ let solve ?(node_limit = 2_000_000) inst =
             else begin
               s.budget <- s.nodes + budget;
               let okb =
-                dfs s ~fdepth:(-1) ~fsink:(ref []) ~trail:[||] (Array.length b.trail)
+                descend s ~fdepth:(-1) ~fsink:(ref []) ~trail:[||] (Array.length b.trail)
                   t_prev i_prev b.b_cmax b.b_rem
               in
               if not okb then incomplete := b :: !incomplete

@@ -8,8 +8,10 @@
     backfilling incumbent, and symmetry breaking on identical jobs.
 
     {!solve} is the speculative solver (DESIGN.md §8): one mutable
-    {!Timeline} per search worker with checkpoint/rollback around every
-    placement trial, incrementally maintained candidate decision times, and
+    {!Timeline} per search worker, each child bounded on its parent's
+    timeline before it is placed (the area walk reads the child's job as a
+    hole) and only the children that pass placed under a
+    checkpoint/rollback, incrementally maintained candidate decision times, and
     deterministic parallel root splitting over {!Resa_par} — results are
     bit-identical at any [RESA_DOMAINS]. Its oracle, the frozen
     persistent-profile solver, lives in [test/oracles]: both always agree on

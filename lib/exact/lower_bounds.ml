@@ -1,16 +1,17 @@
 open Resa_core
 
-let min_time_with_area ?(cap = max_int) tl ~from ~area =
+let min_time_with_area tl ~from ~until ~less ~area ~cap =
   if area <= 0 then from
   else begin
     (* A non-positive tail can never accumulate the missing area, wherever
        [from] sits. *)
     if Timeline.final_value tl <= 0 then
       invalid_arg "Lower_bounds.min_time_with_area: non-positive tail";
-    (* One allocation-free walk over the timeline's segments. Once the
-       running answer passes [cap] the caller's pruning test is already
-       decided, so the walk stops and reports [cap]. *)
-    Timeline.first_reaching_area tl ~from ~area ~cap
+    (* One allocation-free walk over the timeline's segments, read with the
+       hole taken out. Once the running answer passes [cap] the caller's
+       pruning test is already decided, so the walk stops and reports
+       [cap]. *)
+    Timeline.first_reaching_area tl ~from ~until ~less ~area ~cap
   end
 
 let fit_bound_on tl ~from jobs =
@@ -24,7 +25,10 @@ let fit_bound_on tl ~from jobs =
 let work_bound inst =
   let w = Instance.total_work inst in
   if w = 0 then 0
-  else min_time_with_area (Timeline.of_profile (Instance.availability inst)) ~from:0 ~area:w
+  else
+    min_time_with_area
+      (Timeline.of_profile (Instance.availability inst))
+      ~from:0 ~until:0 ~less:0 ~area:w ~cap:max_int
 
 let fit_bound inst =
   fit_bound_on (Timeline.of_profile (Instance.availability inst)) ~from:0 (Instance.jobs inst)
@@ -44,6 +48,6 @@ let serial_bound inst =
           (lo, if v >= qmin then 1 else 0) :: acc)
       |> List.rev |> Profile.of_steps
     in
-    min_time_with_area (Timeline.of_profile ok) ~from:0 ~area:total
+    min_time_with_area (Timeline.of_profile ok) ~from:0 ~until:0 ~less:0 ~area:total ~cap:max_int
 
 let best inst = max (work_bound inst) (max (fit_bound inst) (serial_bound inst))

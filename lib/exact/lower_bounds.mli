@@ -6,15 +6,21 @@
 
 open Resa_core
 
-val min_time_with_area : ?cap:int -> Timeline.t -> from:int -> area:int -> int
+val min_time_with_area :
+  Timeline.t -> from:int -> until:int -> less:int -> area:int -> cap:int -> int
 (** Smallest [C >= from] with [∫_from^C timeline >= area], in one walk
-    over the segments from [from] ([Timeline.first_reaching_area]). The
-    timeline must be non-negative with a positive tail value when
-    [area > 0]; a non-positive tail raises [Invalid_argument] wherever
-    [from] sits. With [~cap], the walk stops as soon as the answer is known
-    to be [>= cap] and returns [cap]: callers prune on [result >= bound],
-    so passing [~cap:bound] never changes the outcome while bounding the
-    walk. Exact whenever the true answer is below [cap]. *)
+    over the segments from [from] ([Timeline.first_reaching_area]), the
+    timeline read with [less] processors taken on [\[from, until)] (no
+    hole: [~until:from] or [~less:0]). The exact solver bounds a child this
+    way on its parent's timeline, before the child's job is placed; the
+    answer is the one the walk would give after placing it. The timeline
+    must be non-negative with a positive tail value when [area > 0]; a
+    non-positive tail raises [Invalid_argument] wherever [from] sits. The
+    walk stops as soon as the answer is known to be [>= cap] and returns
+    [cap]: callers prune on [result >= bound], so passing [~cap:bound]
+    never changes the outcome while bounding the walk; callers that want
+    the answer itself pass [~cap:max_int]. Exact whenever the true answer
+    is below [cap]. [cap] is a plain [int], so a call allocates nothing. *)
 
 val fit_bound_on : Timeline.t -> from:int -> Job.t array -> int
 (** Each listed job alone must fit somewhere at or after [from] on the

@@ -148,11 +148,12 @@ let test_startup_budget (policy : Policy.t) () =
    ~7,500. *)
 let reserved_startup_budget = 4000.
 
+let reserved_inst () =
+  Resa_gen.Random_inst.alpha_restricted (Prng.create ~seed:1) ~m:64 ~n:6 ~alpha:0.6 ~pmax:200
+    ~n_reservations:100 ~horizon:4000 ()
+
 let reserved_instance () =
-  let inst =
-    Resa_gen.Random_inst.alpha_restricted (Prng.create ~seed:1) ~m:64 ~n:6 ~alpha:0.6 ~pmax:200
-      ~n_reservations:100 ~horizon:4000 ()
-  in
+  let inst = reserved_inst () in
   (Instance.jobs inst, Array.to_list (Instance.reservations inst))
 
 (* One replay of it with streaming metrics; [on_row] gets each heartbeat
@@ -191,6 +192,32 @@ let test_reserved_startup_budget () =
         Alcotest.failf "%s: a reserved 6-job run allocates %.0f words, budget %.0f" policy.name
           w reserved_startup_budget)
     Policy.all
+
+(* The exact solver on the same instance, solved to optimality on one
+   domain: minor words per search node, the fixed cost of the incumbent
+   heuristics and the bounds included. A node allocates nothing, so the
+   run measures 0.12 words/node over its 165,064 nodes. An optional cap
+   boxed or a walk closure built per node costs about 10 words/node, and
+   a ref shared by the candidate scan and its job loop (heap-allocated
+   per expanded node) about 1. *)
+let bnb_node_budget = 0.25
+
+let test_bnb_node_budget () =
+  let inst = reserved_inst () in
+  let nodes = ref 0 in
+  let words =
+    Tutil.without_metrics (fun () ->
+        minor_words (fun () ->
+            let r =
+              Resa_par.with_domains 1 (fun () ->
+                  Resa_exact.Bnb.solve ~node_limit:Resa_bench.Bnb_bench.node_limit inst)
+            in
+            nodes := r.Resa_exact.Bnb.nodes))
+  in
+  let per = words /. float_of_int !nodes in
+  if per > bnb_node_budget then
+    Alcotest.failf "Bnb.solve allocates %.2f minor words per node over %d nodes, budget %.2f"
+      per !nodes bnb_node_budget
 
 (* Writing cost of the observability wire formats, in minor words: one
    JSONL line for each [Trace] constructor, run-tagged as [resa replay]
@@ -288,4 +315,7 @@ let suite =
       Alcotest.test_case
         (Printf.sprintf "heartbeat row within %.0f words" heartbeat_row_budget)
         `Quick test_heartbeat_row_budget;
+      Alcotest.test_case
+        (Printf.sprintf "exact solver within %.2f words/node" bnb_node_budget)
+        `Quick test_bnb_node_budget;
     ]

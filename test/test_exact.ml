@@ -3,13 +3,22 @@
 open Resa_core
 open Resa_exact
 
+(* The area walk with no hole and no cap. *)
+let min_time_with_area tl ~from ~area =
+  Lower_bounds.min_time_with_area tl ~from ~until:from ~less:0 ~area ~cap:max_int
+
 let test_min_time_with_area () =
   let p = Timeline.of_profile (Profile.of_steps [ (0, 2); (3, 0); (5, 4) ]) in
-  Alcotest.(check int) "zero area" 0 (Lower_bounds.min_time_with_area p ~from:0 ~area:0);
-  Alcotest.(check int) "inside first segment" 2 (Lower_bounds.min_time_with_area p ~from:0 ~area:4);
-  Alcotest.(check int) "stalls through the hole" 6 (Lower_bounds.min_time_with_area p ~from:0 ~area:10);
-  Alcotest.(check int) "rounds up" 6 (Lower_bounds.min_time_with_area p ~from:0 ~area:7);
-  Alcotest.(check int) "from offset" 7 (Lower_bounds.min_time_with_area p ~from:5 ~area:8)
+  Alcotest.(check int) "zero area" 0 (min_time_with_area p ~from:0 ~area:0);
+  Alcotest.(check int) "inside first segment" 2 (min_time_with_area p ~from:0 ~area:4);
+  Alcotest.(check int) "stalls through the hole" 6 (min_time_with_area p ~from:0 ~area:10);
+  Alcotest.(check int) "rounds up" 6 (min_time_with_area p ~from:0 ~area:7);
+  Alcotest.(check int) "from offset" 7 (min_time_with_area p ~from:5 ~area:8);
+  (* One processor taken on [0, 3): 1, 1, 1, 0, 0, 4, ... *)
+  Alcotest.(check int) "through a hole" 6
+    (Lower_bounds.min_time_with_area p ~from:0 ~until:3 ~less:1 ~area:6 ~cap:max_int);
+  Alcotest.(check int) "capped" 5
+    (Lower_bounds.min_time_with_area p ~from:0 ~until:3 ~less:1 ~area:6 ~cap:5)
 
 let test_min_time_with_area_rejects_dead_tail () =
   (* A non-positive tail can never accumulate more area; the guard must fire
@@ -18,12 +27,12 @@ let test_min_time_with_area_rejects_dead_tail () =
   let dead = Timeline.of_profile (Profile.of_steps [ (0, 3); (5, 0) ]) in
   let expect = Invalid_argument "Lower_bounds.min_time_with_area: non-positive tail" in
   Alcotest.check_raises "from before tail" expect (fun () ->
-      ignore (Lower_bounds.min_time_with_area dead ~from:0 ~area:100));
+      ignore (min_time_with_area dead ~from:0 ~area:100));
   Alcotest.check_raises "from past last breakpoint" expect (fun () ->
-      ignore (Lower_bounds.min_time_with_area dead ~from:9 ~area:3));
+      ignore (min_time_with_area dead ~from:9 ~area:3));
   (* area = 0 needs nothing, so even a dead tail answers immediately. *)
   Alcotest.(check int) "zero area unaffected" 9
-    (Lower_bounds.min_time_with_area dead ~from:9 ~area:0)
+    (min_time_with_area dead ~from:9 ~area:0)
 
 let test_work_bound_no_reservations () =
   let inst = Instance.of_sizes ~m:4 [ (3, 2); (2, 4) ] in

@@ -307,10 +307,10 @@ let ops_agree_with ~scale ~ops seed =
         let area = Prng.int_incl rng ~lo:1 ~hi:(600 * scale) in
         let expect = Resa_oracles.Lower_bounds.min_time_with_area !p ~from ~area in
         check "first_reaching_area (uncapped)"
-          (Timeline.first_reaching_area tl ~from ~area ~cap:max_int = expect);
+          (Timeline.first_reaching_area tl ~from ~until:from ~less:0 ~area ~cap:max_int = expect);
         let cap = !org + Prng.int_incl rng ~lo:1 ~hi:(120 * scale) in
         check "first_reaching_area (capped)"
-          (Timeline.first_reaching_area tl ~from ~area ~cap = min cap expect)
+          (Timeline.first_reaching_area tl ~from ~until:from ~less:0 ~area ~cap = min cap expect)
       end
     | _ ->
       let from = at 50 in
@@ -712,6 +712,59 @@ let test_blocks_stay_full () =
   (* A seed whose split cuts off 7 segments beside a 1-segment last block. *)
   Alcotest.(check bool) "split beside a small block" true (change_paths_agree 2113754420272688638)
 
+(* --- the area walk with a hole ------------------------------------------ *)
+
+(* [first_reaching_area] with a hole ([less] taken on [\[from, until)])
+   must answer what the walk with no hole answers on a copy with that
+   change made: on random timelines, half of them gc'd, with [from] below
+   the origin too, capped and not. Every case must come up: area 0, a cap
+   that cuts the walk, a hole that ends before the answer and one that
+   ends past it, and a hole that reaches the tail. *)
+let test_hole_walk () =
+  let zero = ref 0 and capped = ref 0 and before = ref 0 and past = ref 0 and tail = ref 0 in
+  for seed = 0 to 299 do
+    let rng = Prng.create ~seed in
+    let lift = Profile.constant (Prng.int rng ~bound:3) in
+    let tl = Timeline.of_profile (Profile.add (Tutil.profile_of_seed seed) lift) in
+    for _ = 1 to Prng.int rng ~bound:20 do
+      let lo = Prng.int rng ~bound:60 and len = Prng.int_incl rng ~lo:1 ~hi:25 in
+      Timeline.change tl ~lo ~hi:(lo + len) ~delta:(Prng.int_incl rng ~lo:0 ~hi:4)
+    done;
+    if Prng.bool rng then Timeline.gc tl ~upto:(Prng.int rng ~bound:40);
+    for _ = 1 to 10 do
+      let from = Prng.int rng ~bound:70 in
+      let until = from + Prng.int rng ~bound:(if Prng.int rng ~bound:4 = 0 then 90 else 15) in
+      let less = Prng.int_incl rng ~lo:0 ~hi:4 in
+      let area = if Prng.int rng ~bound:8 = 0 then 0 else Prng.int_incl rng ~lo:1 ~hi:300 in
+      let cap = if Prng.bool rng then max_int else from + Prng.int rng ~bound:60 in
+      let c = Timeline.copy tl in
+      Timeline.change c ~lo:from ~hi:until ~delta:(-less);
+      let plain cap = Timeline.first_reaching_area c ~from ~until:from ~less:0 ~area ~cap in
+      let holed cap = Timeline.first_reaching_area tl ~from ~until ~less ~area ~cap in
+      let answer = plain max_int in
+      if holed max_int <> answer || holed cap <> plain cap then
+        Alcotest.failf
+          "seed %d: from %d until %d less %d area %d cap %d: %d (capped %d), %d (capped %d) after \
+           the change"
+          seed from until less area cap (holed max_int) (holed cap) answer (plain cap);
+      let hole = less > 0 && until > from && area > 0 in
+      if area = 0 then incr zero;
+      if cap < answer then incr capped;
+      if hole && until < answer then incr before;
+      if hole && until > answer then incr past;
+      if hole && until > Timeline.last_breakpoint tl then incr tail
+    done
+  done;
+  List.iter
+    (fun (case, n) -> Alcotest.(check bool) (case ^ " comes up") true (n > 0))
+    [
+      ("area 0", !zero);
+      ("a cap that cuts the walk", !capped);
+      ("a hole ending before the answer", !before);
+      ("a hole ending past the answer", !past);
+      ("a hole reaching the tail", !tail);
+    ]
+
 let suite =
   [
     Alcotest.test_case "constant timeline" `Quick test_constant;
@@ -752,4 +805,5 @@ let suite =
     Tutil.qcheck ~count:1000 "reserve_or_fit = reserve || earliest_fit_at" Tutil.seed_arb
       reserve_or_fit_agrees;
     Alcotest.test_case "blocks stay over half full beside small ones" `Quick test_blocks_stay_full;
+    Alcotest.test_case "area walk with a hole = walk after the change" `Quick test_hole_walk;
   ]
