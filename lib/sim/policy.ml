@@ -302,3 +302,66 @@ let conservative =
   { name = "CONS"; create }
 
 let all = [ fcfs; conservative; easy; aggressive ]
+
+(* --- batches (paper §2.1) ------------------------------------------------- *)
+
+(* Kill each started tag in the batch's own queue, and return the largest
+   [time + estimate] among them and [batch_end]. *)
+let rec kill_started own pos moved ~time batch_end = function
+  | [] -> batch_end
+  | tag :: rest ->
+    let i = !pos.(tag) in
+    let batch_end = max batch_end (time + (Jobq.estimates own).(i)) in
+    Jobq.kill own i ~moved;
+    kill_started own pos moved ~time batch_end rest
+
+let batch inner =
+  let create ~obs =
+    let decide = inner.create ~obs in
+    let act = action () in
+    (* The open batch's unstarted jobs, copied from the engine's queue when
+       it opened. Only the inner policy's own starts leave it, and it is
+       appended to only when empty, so the inner policy sees the queue it
+       assumes: appends at the tail, removals of its own starts. *)
+    let own = Jobq.create () in
+    (* [!pos.(tag)]: the position in [own] of the entry tagged [tag]; tags
+       are the engine's live slots, dense from 0. *)
+    let pos = ref (Array.make 8 0) in
+    let moved tag i = !pos.(tag) <- i in
+    (* The largest [start + estimate] among the open batch's starts. *)
+    let batch_end = ref 0 in
+    fun ~time ~queue ~free ->
+      if Jobq.length own = 0 && time < !batch_end then begin
+        act.start_now <- [];
+        act.wake <- !batch_end;
+        act
+      end
+      else begin
+        if Jobq.length own = 0 then begin
+          (* The previous batch is done: every job queued now forms the
+             next one. *)
+          let ids = Jobq.ids queue and ests = Jobq.estimates queue in
+          let qs = Jobq.widths queue and tags = Jobq.tags queue in
+          for i = Jobq.first queue to Jobq.stop queue - 1 do
+            let tag = tags.(i) in
+            if tag >= 0 then begin
+              while tag >= Array.length !pos do
+                let a = Array.make (2 * Array.length !pos) 0 in
+                Array.blit !pos 0 a 0 (Array.length !pos);
+                pos := a
+              done;
+              !pos.(tag) <- Jobq.append own ~id:ids.(i) ~estimate:ests.(i) ~width:qs.(i) ~tag
+            end
+          done
+        end;
+        let a = decide ~time ~queue:own ~free in
+        batch_end := kill_started own pos moved ~time !batch_end a.start_now;
+        if Jobq.length own > 0 then a
+        else begin
+          act.start_now <- a.start_now;
+          act.wake <- !batch_end;
+          act
+        end
+      end
+  in
+  { name = "BATCH-" ^ inner.name; create }

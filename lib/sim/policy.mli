@@ -39,7 +39,11 @@
     policy-side half of decision provenance. With the null sink the
     decision logic is byte-identical to the untraced build. Each [decide]
     call also bumps the policy's registry counter [policy.decide.<name>]
-    (see {!Resa_obs.Metrics}) when collection is enabled. *)
+    (see {!Resa_obs.Metrics}) when collection is enabled.
+
+    Four policies are native ({!fcfs}, {!conservative}, {!easy},
+    {!aggressive}); {!batch} runs any of them online by batches (paper
+    §2.1). *)
 
 open Resa_core
 
@@ -112,4 +116,23 @@ val aggressive : t
     events (the simulator's provenance classification covers it). *)
 
 val all : t list
-(** The four policies, in the order above. *)
+(** The four policies above, in that order; {!batch} is not among them. *)
+
+val batch : t -> t
+(** The paper's §2.1 construction (Shmoys, Wein and Williamson): [batch p]
+    runs [p] by batches. A batch opens when the policy is consulted and
+    none is in progress, and holds every job queued at that moment: the
+    oldest live entries, since queue positions increase in submission
+    order. [p] sees only the open batch, as a queue of its own that loses
+    only the jobs [p] starts, on the engine's live timeline; its starts are
+    returned unchanged, and so are its wake-ups while the batch has jobs
+    left to start. A batch is done when all of its jobs have started and
+    the time has reached its end, the largest [start + estimate] among
+    them; until then nothing outside it starts, and once its last job has
+    started the policy asks to be woken at that end. With exact estimates the
+    next batch opens at the previous batch's makespan, so the starts are
+    those of [p] run offline on each batch after the previous one, and an
+    offline [ρ]-approximation becomes [2ρ]-competitive. Under
+    overestimation the next batch waits for the {e estimated} end: the
+    engine tells a policy nothing about completions. Named
+    ["BATCH-" ^ p.name]. *)

@@ -18,10 +18,8 @@ let clip_reservations inst t =
              (Reservation.make ~id:(Reservation.id r) ~start:t ~p:(Reservation.stop r - t)
                 ~q:(Reservation.q r)))
 
-let run ?(offline = fun i -> Lsrc.run i) inst ~release =
+let run_reference ?(offline = fun i -> Resa_algos.Lsrc.run i) inst ~release =
   let n = Instance.n_jobs inst in
-  if Array.length release <> n then invalid_arg "Online.run: release length mismatch";
-  Array.iter (fun r -> if r < 0 then invalid_arg "Online.run: negative release date") release;
   let starts = Array.make n (-1) in
   let batches = ref [] and batch_starts = ref [] in
   let scheduled = Array.make n false in
@@ -54,7 +52,8 @@ let run ?(offline = fun i -> Lsrc.run i) inst ~release =
       | Ok () -> ()
       | Error v ->
         invalid_arg
-          (Format.asprintf "Online.run: offline algorithm produced an infeasible schedule: %a"
+          (Format.asprintf
+             "Online.run_reference: offline algorithm produced an infeasible schedule: %a"
              Schedule.pp_violation v));
       List.iteri
         (fun k i ->
